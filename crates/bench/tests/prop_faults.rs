@@ -342,6 +342,121 @@ fn sequential_commit_panic_rolls_back_before_resuming() {
     }
 }
 
+/// The journal spans a transaction: a three-update transaction faulted at
+/// every commit-path site (typed error, and panic where the site supports
+/// one) with the hit landing in the first and last crossing of update 1,
+/// of update 2, and of update 3. Whichever update dies, everything the
+/// earlier updates landed must be undone with it: the catalog is
+/// bit-identical to its pre-transaction state, `integrity_check` is clean,
+/// and the retry reproduces the unfaulted control.
+///
+/// Hit thresholds are calibrated on the same three updates applied
+/// standalone. That they still land where intended inside a transaction
+/// is itself asserted: an unfaulted transaction crosses each site exactly
+/// as often as its updates do alone (the commit gate fires per table
+/// journaled by *this* update, not per table in the journal).
+#[test]
+fn three_update_transaction_fault_sweep() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    quiet_injected_panics();
+    let _serial = fault::serial_guard();
+    let template = template();
+    let txn: Txn = passing_txns(&template, 3);
+    for &shape in SHAPES {
+        let (ctrl_report, ctrl_contents) = {
+            let mut db = shaped(&template, shape);
+            let r = db.apply_transaction(txn.clone()).unwrap();
+            (r, contents(&db))
+        };
+        for site in ["ivm::commit_view", "delta::apply_to", "storage::restore_table"] {
+            // Cumulative crossings after each update, standalone.
+            let cum: Vec<u64> = {
+                let mut probe = shaped(&template, shape);
+                let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
+                let mut cum = vec![0];
+                for (t, d) in &txn {
+                    probe.apply_delta(t, d.clone()).unwrap();
+                    cum.push(guard.hits(site));
+                }
+                cum
+            };
+            {
+                let mut probe = shaped(&template, shape);
+                let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
+                probe.apply_transaction(txn.clone()).unwrap();
+                assert_eq!(
+                    guard.hits(site),
+                    cum[3],
+                    "{site}/{shape:?}: a transaction crosses the site as often as its updates"
+                );
+            }
+            let meta = SITES.iter().find(|m| m.name == site).unwrap();
+            for action in [FaultAction::Error, FaultAction::Panic] {
+                if action == FaultAction::Panic && !meta.supports_panic {
+                    continue;
+                }
+                for k in 1..=3 {
+                    if cum[k] == cum[k - 1] {
+                        continue; // update k never crosses this site
+                    }
+                    let mut on_hits = vec![cum[k - 1] + 1, cum[k]];
+                    on_hits.dedup();
+                    // An update's last `delta::apply_to` crossing is its
+                    // base delta, which the parallel commit stages on the
+                    // calling thread — outside the pool's containment, so
+                    // outside the panic contract (see `SITES`).
+                    if action == FaultAction::Panic
+                        && site == "delta::apply_to"
+                        && shape != Shape::Sequential
+                    {
+                        on_hits.retain(|&h| h != cum[k]);
+                    }
+                    for on_hit in on_hits {
+                        let label = format!("{site}/{action:?}/update{k}/hit{on_hit}/{shape:?}");
+                        let mut db = shaped(&template, shape);
+                        let pre = contents(&db);
+                        let plan = match action {
+                            FaultAction::Error => FaultPlan::new().error_at(site, on_hit),
+                            FaultAction::Panic => FaultPlan::new().panic_at(site, on_hit),
+                        };
+                        let guard = fault::install(plan);
+                        // A sequential commit runs on this thread, so its
+                        // injected panic arrives as an unwind (after the
+                        // rollback); a pool task's arrives as an error.
+                        let outcome =
+                            catch_unwind(AssertUnwindSafe(|| db.apply_transaction(txn.clone())));
+                        assert!(guard.fired(site), "{label}: the fault never fired");
+                        match (outcome, action, shape) {
+                            (Err(_), FaultAction::Panic, Shape::Sequential) => {}
+                            (Ok(Err(err)), FaultAction::Panic, Shape::Parallel(_)) => assert!(
+                                matches!(&err, IvmError::TaskPanicked { message }
+                                    if message.contains("injected panic")),
+                                "{label}: expected TaskPanicked, got: {err}"
+                            ),
+                            (Ok(Err(err)), FaultAction::Error, _) => assert!(
+                                err.to_string().contains("injected fault"),
+                                "{label}: unexpected error: {err}"
+                            ),
+                            (other, ..) => panic!("{label}: unexpected outcome {other:?}"),
+                        }
+                        assert_eq!(contents(&db), pre, "{label}: catalog torn by the fault");
+                        db.integrity_check()
+                            .unwrap_or_else(|e| panic!("{label}: integrity after fault: {e}"));
+                        guard.clear();
+                        let r = db
+                            .apply_transaction(txn.clone())
+                            .unwrap_or_else(|e| panic!("{label}: retry: {e}"));
+                        drop(guard);
+                        assert_eq!(r, ctrl_report, "{label}: retry report diverged");
+                        assert_eq!(contents(&db), ctrl_contents, "{label}: final contents");
+                        assert!(verify_all_views(&db).unwrap().is_empty(), "{label}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Seeded single-fault plans (the splitmix64 path `FaultPlan::seeded`
 /// exposes to property tests) under a mid-width pool: whatever the seed
 /// picks, atomicity holds.

@@ -230,8 +230,9 @@ fn sharded_serving_identical_at_fixed_seeds_and_widths() {
 /// A transaction that violates an integrity assertion must fail in the
 /// same slot under concurrent serving, serial replay, and the unsharded
 /// control — and a *cross-shard* violator must leave every shard
-/// bit-identical to its pre-transaction state (the commit protocol rolls
-/// back the shards that committed before the violating one).
+/// bit-identical to its pre-transaction state (the commit protocol aborts
+/// the participants that applied before the violating one), whether the
+/// violation is the transaction's only update or its second.
 #[test]
 fn assertion_violations_align_across_serving_modes() {
     let mut template = build_db(6, 3);
@@ -281,17 +282,58 @@ fn assertion_violations_align_across_serving_modes() {
         );
         vec![("Emp".to_string(), d)]
     };
-    let txns = vec![benign, violator_one_shard, violator_cross_shard, unraise];
-
-    let mut control = template.clone();
-    let ctrl_ok: Vec<bool> = txns
-        .iter()
-        .map(|txn| control.apply_transaction(txn.clone()).is_ok())
-        .collect();
-    assert_eq!(ctrl_ok, vec![true, false, false, true], "fixture mis-built");
+    // A cross-shard transaction whose *second* update violates, and only
+    // on the last participant: update 1 is a benign raise in departments
+    // 2..6 (it lands on every participant, the last one included), update
+    // 2 blows the budget of whichever of those departments lives on the
+    // highest shard. Every earlier participant has applied cleanly and is
+    // waiting with its journal open when the last one fails — they must
+    // all roll back. Routing depends on the shard count, so the
+    // transaction is built per sweep cell.
+    let violator_second_update = |sharded: &ShardedDatabase| -> Txn {
+        let shard_of = |dept: usize| sharded.route_delta("Emp", &raise(dept, 101)).unwrap()[0].0;
+        let last = (2..6).max_by_key(|&d| shard_of(d)).unwrap();
+        let mut benign = spacetime_delta::Delta::new();
+        for dept in 2..6 {
+            benign.merge(raise(dept, 120));
+        }
+        let mut blow = spacetime_delta::Delta::new();
+        blow.push_modify(
+            spacetime_storage::tuple![format!("emp{last:05}_1"), format!("dept{last:05}"), 100_i64],
+            spacetime_storage::tuple![
+                format!("emp{last:05}_1"),
+                format!("dept{last:05}"),
+                1000_i64
+            ],
+            1,
+        );
+        vec![("Emp".to_string(), benign), ("Emp".to_string(), blow)]
+    };
+    let expect_ok = [true, false, false, false, true];
 
     for (n_shards, width) in [(1, 2), (3, 2), (4, 4)] {
         let sharded = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
+        let txns = vec![
+            benign.clone(),
+            violator_one_shard.clone(),
+            violator_cross_shard.clone(),
+            violator_second_update(&sharded),
+            unraise.clone(),
+        ];
+        if n_shards > 1 {
+            let parts = sharded.route_delta("Emp", &txns[3][0].1).unwrap();
+            assert!(
+                parts.len() > 1,
+                "fixture mis-built: second-update violator is single-shard"
+            );
+        }
+        let mut control = template.clone();
+        let ctrl_ok: Vec<bool> = txns
+            .iter()
+            .map(|txn| control.apply_transaction(txn.clone()).is_ok())
+            .collect();
+        assert_eq!(ctrl_ok, expect_ok, "fixture mis-built");
+
         let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)))
             .run(&txns)
             .unwrap();

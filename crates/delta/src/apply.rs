@@ -9,10 +9,13 @@
 //! [`apply_to_relation_undo`] is the journaled variant used by the
 //! in-place sequential commit fast path: every successful relation op is
 //! recorded in an [`UndoLog`] so a failure later in the same transaction
-//! can be rolled back by replaying exact inverse ops in reverse order —
-//! no copy-on-write staging, no whole-table copies.
+//! — in the same update, in a later update, or on another shard of a
+//! cross-shard commit — can be rolled back by replaying exact inverse ops
+//! in reverse order: no copy-on-write staging, no whole-table copies.
 
-use spacetime_storage::{Bag, Catalog, IoMeter, Relation, StorageResult};
+use std::sync::Arc;
+
+use spacetime_storage::{Bag, Catalog, IoMeter, Relation, StorageResult, Table};
 
 use crate::delta::Delta;
 
@@ -58,21 +61,28 @@ enum UndoOp {
     },
 }
 
-/// Per-relation run of recorded ops (in application order).
+/// Per-relation run of recorded ops (in application order), or — when
+/// `original` is set — the table as it stood before a staged commit
+/// swapped a copy in over it.
 #[derive(Debug, Default, Clone)]
 struct UndoEntry {
     table: String,
     ops: Vec<UndoOp>,
+    original: Option<Arc<Table>>,
 }
 
-/// An inverse-op journal for the in-place commit fast path.
+/// The rollback journal of one transaction.
 ///
-/// [`apply_to_relation_undo`] records each successful relation op here;
-/// [`UndoLog::rollback`] replays the exact inverses in reverse order,
-/// restoring the catalog to its pre-transaction contents without any
-/// staged table copies. The log's buffers are pooled: [`UndoLog::reset`]
-/// keeps entry and op capacity, so a steady stream of transactions
-/// journals without allocating.
+/// [`apply_to_relation_undo`] records each successful relation op here,
+/// and a staged commit records the pre-commit table it replaced
+/// ([`UndoLog::record_original`]); [`UndoLog::rollback`] undoes both in
+/// reverse order, restoring the catalog to its pre-transaction contents
+/// without any staged table copies. The journal is not tied to one
+/// update: whoever owns it decides when a transaction ends by calling
+/// [`UndoLog::reset`] (commit) or [`UndoLog::rollback`] (abort), so it
+/// spans every update of a multi-update transaction. The log's buffers
+/// are pooled: [`UndoLog::reset`] keeps entry and op capacity, so a
+/// steady stream of transactions journals without allocating.
 ///
 /// Rollback bypasses the update-cost accounting on purpose (a failed
 /// transaction reports its error, not I/O for work that was undone), and
@@ -95,6 +105,7 @@ impl UndoLog {
         for e in &mut self.entries[..self.live] {
             e.table.clear();
             e.ops.clear();
+            e.original = None;
         }
         self.live = 0;
     }
@@ -104,9 +115,10 @@ impl UndoLog {
         self.live == 0
     }
 
-    /// Number of journaled apply runs (one per relation touched, in
-    /// application order; runs are never merged, so this equals the number
-    /// of deltas applied).
+    /// Number of journal entries (one per delta applied or table
+    /// replaced, in application order; entries are never merged). A
+    /// caller that needs "the entries of this update" remembers the count
+    /// before the update and skips that many [`UndoLog::tables`].
     pub fn table_count(&self) -> usize {
         self.live
     }
@@ -116,13 +128,24 @@ impl UndoLog {
         self.entries[..self.live].iter().map(|e| e.table.as_str())
     }
 
+    /// Journal a whole-table replacement: `original` is the cataloged
+    /// table a staged commit is about to swap its copy in over. Rollback
+    /// puts it back.
+    pub fn record_original(&mut self, table: &str, original: Arc<Table>) {
+        self.begin(table);
+        self.entries[self.live - 1].original = Some(original);
+    }
+
     /// Open a new per-relation run (reusing a pooled entry if available).
     fn begin(&mut self, table: &str) {
         if self.live == self.entries.len() {
             self.entries.push(UndoEntry::default());
         }
         let e = &mut self.entries[self.live];
-        debug_assert!(e.table.is_empty() && e.ops.is_empty(), "reset() clears");
+        debug_assert!(
+            e.table.is_empty() && e.ops.is_empty() && e.original.is_none(),
+            "reset() clears"
+        );
         e.table.push_str(table);
         self.live += 1;
     }
@@ -131,15 +154,22 @@ impl UndoLog {
         self.entries[self.live - 1].ops.push(op);
     }
 
-    /// Replay exact inverse ops in reverse order, restoring every
-    /// journaled relation to its pre-transaction contents, then reset.
+    /// Undo every entry in reverse order — exact inverse ops replayed,
+    /// replaced tables put back — restoring every journaled relation to
+    /// its pre-transaction contents with a clear dirty mask, then reset.
+    /// A no-op on an empty journal.
     ///
     /// Errors only on a journal/catalog mismatch, which would indicate a
-    /// bug in the recording side — callers treat it as fatal.
+    /// bug in the recording side; the journal is then left as it stood
+    /// (not reset), so the damage stays visible to the caller.
     pub fn rollback(&mut self, catalog: &mut Catalog) -> StorageResult<()> {
         // Uncharged: rollback is repair, not accounted maintenance work.
         let mut io = IoMeter::new();
-        for e in self.entries[..self.live].iter().rev() {
+        for e in self.entries[..self.live].iter_mut().rev() {
+            if let Some(original) = e.original.take() {
+                catalog.restore_table(e.table.as_str(), original);
+                continue;
+            }
             let rel = &mut catalog.table_mut(&e.table)?.relation;
             for op in e.ops.iter().rev() {
                 match op {
@@ -150,6 +180,7 @@ impl UndoLog {
                     }
                 }
             }
+            rel.clear_dirty();
         }
         self.reset();
         Ok(())
@@ -323,6 +354,89 @@ mod tests {
         }
         undo.rollback(&mut cat).unwrap();
         assert_eq!(&pre, cat.table("SumOfSals").unwrap().relation.data());
+    }
+
+    /// A one-table catalog holding `sum_of_sals_relation`'s three rows.
+    fn sum_of_sals_catalog() -> Catalog {
+        let mut cat = Catalog::new();
+        let schema = sum_of_sals_relation().schema().clone();
+        cat.create_table("SumOfSals", schema).unwrap().relation = sum_of_sals_relation();
+        cat
+    }
+
+    #[test]
+    fn journal_spans_updates_and_rolls_back_all_of_them() {
+        // Two deltas journaled without a reset in between — two updates of
+        // one transaction — come back out together, newest first.
+        let mut cat = sum_of_sals_catalog();
+        let pre = cat.table("SumOfSals").unwrap().relation.data().clone();
+        let mut undo = UndoLog::new();
+        let mut io = IoMeter::new();
+        for d in [
+            Delta::modify(tuple!["dept1", 100], tuple!["dept1", 130], 1),
+            // Depends on the first: only valid on top of it.
+            Delta::modify(tuple!["dept1", 130], tuple!["dept1", 160], 1),
+        ] {
+            let rel = &mut cat.table_mut("SumOfSals").unwrap().relation;
+            apply_to_relation_undo(&d, rel, &mut io, &mut undo).unwrap();
+        }
+        assert_eq!(undo.table_count(), 2);
+        assert_eq!(undo.tables().skip(1).collect::<Vec<_>>(), vec!["SumOfSals"]);
+        undo.rollback(&mut cat).unwrap();
+        let rel = &cat.table("SumOfSals").unwrap().relation;
+        assert_eq!(&pre, rel.data());
+        assert_eq!(
+            rel.dirty_shards(),
+            0,
+            "an abort leaves no dirty mask behind"
+        );
+        // A second rollback — the scope's abort after a commit that already
+        // replayed — finds an empty journal and does nothing.
+        undo.rollback(&mut cat).unwrap();
+        assert_eq!(&pre, cat.table("SumOfSals").unwrap().relation.data());
+    }
+
+    #[test]
+    fn rollback_puts_replaced_tables_back() {
+        // The staged commit's entry: the original `Arc<Table>` returns to
+        // the catalog as the very same allocation.
+        let mut cat = sum_of_sals_catalog();
+        let original = cat.table_arc("SumOfSals").unwrap();
+        let mut staged = Arc::clone(&original);
+        let mut io = IoMeter::new();
+        Arc::make_mut(&mut staged)
+            .relation
+            .insert(tuple!["dept9", 900], 1, &mut io)
+            .unwrap();
+        let mut undo = UndoLog::new();
+        cat.restore_tables([("SumOfSals".to_string(), staged)])
+            .unwrap();
+        undo.record_original("SumOfSals", Arc::clone(&original));
+        assert_eq!(cat.table("SumOfSals").unwrap().relation.len(), 4);
+        undo.rollback(&mut cat).unwrap();
+        assert!(Arc::ptr_eq(&original, &cat.table_arc("SumOfSals").unwrap()));
+        assert!(undo.is_empty());
+    }
+
+    #[test]
+    fn rollback_against_a_catalog_missing_a_journaled_table_is_an_error() {
+        // A journal/catalog mismatch is a typed error for the caller to
+        // route, never a panic, and the journal is left as evidence.
+        let mut cat = sum_of_sals_catalog();
+        let mut undo = UndoLog::new();
+        let mut io = IoMeter::new();
+        let d = Delta::modify(tuple!["dept1", 100], tuple!["dept1", 130], 1);
+        {
+            let rel = &mut cat.table_mut("SumOfSals").unwrap().relation;
+            apply_to_relation_undo(&d, rel, &mut io, &mut undo).unwrap();
+        }
+        cat.drop_table("SumOfSals").unwrap();
+        let err = undo.rollback(&mut cat).unwrap_err();
+        assert!(
+            matches!(err, spacetime_storage::StorageError::UnknownTable(ref t) if t == "SumOfSals"),
+            "{err}"
+        );
+        assert!(!undo.is_empty(), "a failed rollback keeps its journal");
     }
 
     #[test]

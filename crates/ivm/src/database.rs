@@ -79,14 +79,28 @@ pub struct Database {
     last_trace: Option<TraceNode>,
     /// Accumulated maintenance reports (for benchmarking).
     pub last_report: Option<UpdateReport>,
-    /// Transaction-scoped undo journal for the sequential in-place commit
-    /// path. Held on the session so its buffers are pooled across
-    /// transactions (reset, never freed).
+    /// The rollback journal — the one rollback mechanism (DESIGN.md §12).
+    /// Outside a transaction scope each update resets it on entry and on
+    /// success; inside one it accumulates across updates until the scope
+    /// commits (reset) or aborts (replay). Held on the session so its
+    /// buffers are pooled across transactions (reset, never freed).
     undo: spacetime_delta::UndoLog,
+    /// The open transaction scope, if any (see
+    /// [`Database::begin_transaction`]).
+    txn: Option<TxnScope>,
     /// Accumulate per-phase wall clock across updates (see
     /// [`Database::set_phase_stats`]).
     collect_phases: bool,
     phase_totals: PhaseTotals,
+}
+
+/// What an open transaction scope puts back if it aborts: the report and
+/// trace the session showed before the transaction began. The scope owns
+/// them (moved in, moved back), so no layer above copies either.
+#[derive(Debug, Clone)]
+struct TxnScope {
+    prior_report: Option<UpdateReport>,
+    prior_trace: Option<TraceNode>,
 }
 
 /// Cumulative wall-clock attribution of [`Database::apply_delta`] across
@@ -134,6 +148,7 @@ impl Database {
             last_trace: None,
             last_report: None,
             undo: spacetime_delta::UndoLog::new(),
+            txn: None,
             collect_phases: false,
             phase_totals: PhaseTotals::default(),
         }
@@ -617,15 +632,17 @@ impl Database {
                 }
             }
         }
-        // Phase 2: commit everywhere. Both paths are all-or-nothing, by
-        // different mechanisms (DESIGN.md §12, §15): the sequential path
-        // applies writes in place on the live catalog with an inverse-op
-        // undo journal (zero shard copies in the steady state — the
-        // dirty-shard fast path), and the parallel path stages writes in
+        // Phase 2: commit everywhere. Both paths are all-or-nothing
+        // (DESIGN.md §12, §15): the sequential path applies writes in
+        // place on the live catalog, journaling an inverse op per landed
+        // write (zero shard copies in the steady state — the dirty-shard
+        // fast path), and the parallel path stages writes in
         // copy-on-write `Arc<Table>` copies published by a single
-        // `restore_tables` swap. Either way ANY failure (storage error,
-        // injected fault, contained panic) leaves the catalog
-        // bit-identical to its pre-transaction state. Reports merge each
+        // `restore_tables` swap, journaling the tables it replaced. Either
+        // way ANY failure (storage error, injected fault, contained panic)
+        // leaves the catalog bit-identical to its pre-transaction state —
+        // inside a transaction scope, to the state before its first
+        // update. Reports merge each
         // engine's planning report with its apply report in engine order
         // (deterministic regardless of which threads did the work).
         let gate_dur = t_gate.map(|t| t.elapsed());
@@ -741,18 +758,22 @@ impl Database {
     /// deltas and the base delta are applied *in place* on the live
     /// catalog, recording an inverse operation in the session's
     /// [`spacetime_delta::UndoLog`] for each landed write. In the steady
-    /// state the cataloged `Arc<Table>`s are unshared, so `Arc::make_mut`
-    /// is free and only the storage shards a transaction actually
-    /// disturbs are touched — where the staged path deep-copied every
-    /// shard of every touched table and then discarded the originals.
+    /// state the cataloged `Arc<Table>`s are unshared — nothing on the
+    /// transaction path holds a second reference — so `Arc::make_mut` is
+    /// free and only the storage shards a transaction actually disturbs
+    /// are touched.
     ///
-    /// All-or-nothing is preserved by the journal instead of by staging:
-    /// on any failure — a storage error, an injected fault (including the
-    /// `storage::restore_table` commit gate, fired once per journaled
-    /// table for parity with the staged swap), or a panic unwinding apply
-    /// code — the journal replays in reverse with an uncharged meter,
-    /// leaving the catalog bit-identical to its pre-transaction state
-    /// before the error propagates (or the panic resumes).
+    /// All-or-nothing is preserved by the journal: on any failure — a
+    /// storage error, an injected fault (including the
+    /// `storage::restore_table` commit gate, fired once per table this
+    /// update journaled, for parity with the staged swap), or a panic
+    /// unwinding apply code — the **whole** journal replays in reverse
+    /// with an uncharged meter before the error propagates (or the panic
+    /// resumes). Outside a transaction scope that is this update's
+    /// writes; inside one it is every update of the transaction so far,
+    /// which is what immediate-mode semantics ask for (the first failing
+    /// update aborts the transaction), and it leaves the scope's own
+    /// abort nothing to replay.
     fn commit_sequential(
         &mut self,
         table: &str,
@@ -761,10 +782,15 @@ impl Database {
         combined: &mut UpdateReport,
     ) -> IvmResult<()> {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        self.undo.reset();
+        let in_txn = self.txn.is_some();
+        if !in_txn {
+            self.undo.reset();
+        }
         let engines = &self.engines;
         let catalog = &mut self.catalog;
         let undo = &mut self.undo;
+        // Entries before `mark` belong to earlier updates of the scope.
+        let mark = undo.table_count();
         let outcome = catch_unwind(AssertUnwindSafe(
             || -> IvmResult<(UpdateReport, IoMeter)> {
                 let mut rep = UpdateReport::default();
@@ -778,7 +804,7 @@ impl Database {
                 spacetime_delta::apply_to_relation_undo(delta, rel, &mut base_io, undo)?;
                 // The commit gate: same failpoint, fired the same number
                 // of times, as the staged path's batch swap.
-                for _ in 0..undo.table_count() {
+                for _ in mark..undo.table_count() {
                     spacetime_storage::fault::fire("storage::restore_table")?;
                 }
                 Ok((rep, base_io))
@@ -789,23 +815,23 @@ impl Database {
                 combined.merge(&rep);
                 combined.base_io = base_io;
                 let mut dirty = 0u64;
-                for name in undo.tables() {
+                for name in undo.tables().skip(mark) {
                     let rel = &mut catalog.table_mut(name)?.relation;
                     dirty += u64::from(rel.dirty_shards());
                     rel.clear_dirty();
                 }
                 obs::counter_add(metric::COMMIT_DIRTY_SHARDS, dirty);
-                undo.reset();
+                if !in_txn {
+                    undo.reset();
+                }
                 Ok(())
             }
             Ok(Err(e)) => {
-                undo.rollback(catalog)
-                    .expect("undo replay of landed ops cannot fail");
+                replay_journal(undo, catalog)?;
                 Err(e)
             }
             Err(panic) => {
-                undo.rollback(catalog)
-                    .expect("undo replay of landed ops cannot fail");
+                replay_journal(undo, catalog)?;
                 resume_unwind(panic)
             }
         }
@@ -866,13 +892,14 @@ impl Database {
     /// copy-on-write staging ([`IvmEngine::commit_detached`] mutates
     /// `Arc::make_mut` copies, never the detached originals).
     ///
-    /// All-or-nothing: the pre-commit `Arc`s of every detached table are
-    /// kept in `originals`, so whatever goes wrong — a commit error, an
-    /// injected fault, a *panicking* task (contained by the pool; its
-    /// staged tables die with it, the originals don't) — the originals are
-    /// re-attached and the catalog is bit-identical to its pre-transaction
-    /// state. Only when every task succeeded and the base delta staged
-    /// cleanly does a single `restore_tables` swap publish the new state.
+    /// All-or-nothing: the pre-commit `Arc` of every table the commit
+    /// replaces is kept in `originals`, so whatever goes wrong — a commit
+    /// error, an injected fault, a *panicking* task (contained by the
+    /// pool; its staged tables die with it, the originals don't) — the
+    /// originals are re-attached (which cannot fail) and the catalog is
+    /// bit-identical to its state before this update. Once the swap has
+    /// published the new state, a transaction scope moves the originals
+    /// into the journal, so a later update's failure can put them back.
     fn commit_parallel(
         &mut self,
         pool: &PipelinePool,
@@ -881,9 +908,32 @@ impl Database {
         planned: &[PlannedUpdate],
         combined: &mut UpdateReport,
     ) -> IvmResult<()> {
+        let mut originals: BTreeMap<String, Arc<Table>> = BTreeMap::new();
+        let swapped = self.stage_and_swap(pool, table, delta, planned, combined, &mut originals);
+        for (n, t) in originals {
+            match swapped {
+                Ok(()) if self.txn.is_some() => self.undo.record_original(&n, t),
+                Ok(()) => {}
+                Err(_) => self.catalog.restore_table(n, t),
+            }
+        }
+        swapped
+    }
+
+    /// The body of [`Database::commit_parallel`]: detach, stage on the
+    /// pool, swap. Every table it detaches or is about to replace goes
+    /// into `originals` first; on `Err` the caller puts those back.
+    fn stage_and_swap(
+        &mut self,
+        pool: &PipelinePool,
+        table: &str,
+        delta: &Delta,
+        planned: &[PlannedUpdate],
+        combined: &mut UpdateReport,
+        originals: &mut BTreeMap<String, Arc<Table>>,
+    ) -> IvmResult<()> {
         type CommitOut = (usize, BTreeMap<String, Arc<Table>>, IvmResult<UpdateReport>);
         type CommitTask = Box<dyn FnOnce() -> CommitOut + Send>;
-        let mut originals: BTreeMap<String, Arc<Table>> = BTreeMap::new();
         let mut tasks: Vec<CommitTask> = Vec::new();
         for (i, (e, plan)) in self.engines.iter().zip(planned).enumerate() {
             if plan.view_deltas.is_empty() {
@@ -896,31 +946,11 @@ impl Database {
                         "plan references group N{} which `{}` never materialized",
                         g.0, e.name
                     ))
-                });
-                let name = match name {
-                    Ok(n) => n,
-                    Err(err) => {
-                        for (n, t) in originals {
-                            self.catalog.restore_table(n, t);
-                        }
-                        return Err(err);
-                    }
-                };
+                })?;
                 if !tables.contains_key(name) {
-                    match self.catalog.take_table(name) {
-                        Ok(t) => {
-                            originals.insert(name.clone(), Arc::clone(&t));
-                            tables.insert(name.clone(), t);
-                        }
-                        Err(err) => {
-                            // Put everything detached so far back before
-                            // failing (reattachment cannot fail).
-                            for (n, t) in originals {
-                                self.catalog.restore_table(n, t);
-                            }
-                            return Err(err.into());
-                        }
-                    }
+                    let t = self.catalog.take_table(name)?;
+                    originals.insert(name.clone(), Arc::clone(&t));
+                    tables.insert(name.clone(), t);
                 }
             }
             let e = Arc::clone(e);
@@ -935,19 +965,10 @@ impl Database {
         // failure surfaced is the lowest-index engine's, matching
         // sequential execution. A panicked task's staged tables are gone,
         // but `originals` still holds every pre-commit Arc.
-        let outcomes = match pool.run_outcomes(tasks) {
-            Ok(o) => o,
-            Err(err) => {
-                for (n, t) in originals {
-                    self.catalog.restore_table(n, t);
-                }
-                return Err(err);
-            }
-        };
         let mut commit_reports: BTreeMap<usize, UpdateReport> = BTreeMap::new();
         let mut mutated: BTreeMap<String, Arc<Table>> = BTreeMap::new();
         let mut first_err: Option<IvmError> = None;
-        for outcome in outcomes {
+        for outcome in pool.run_outcomes(tasks)? {
             match outcome {
                 Ok((i, tables, Ok(rep))) => {
                     commit_reports.insert(i, rep);
@@ -961,46 +982,27 @@ impl Database {
                 }
             }
         }
-        // Stage the base delta too (only once every engine committed), so
-        // the base relation joins the same atomic swap.
-        let base_io = if first_err.is_none() {
-            match stage_base_delta(&self.catalog, &mut mutated, table, delta) {
-                Ok(io) => Some(io),
-                Err(e) => {
-                    first_err = Some(e);
-                    None
-                }
-            }
-        } else {
-            None
-        };
         if let Some(e) = first_err {
-            // Roll back: re-attach every pre-commit original; staged
-            // mutations are discarded wholesale.
-            for (n, t) in originals {
-                self.catalog.restore_table(n, t);
-            }
             return Err(e);
         }
-        // The commit point: publish every staged table in one swap. On an
-        // injected failure here, fall back to the originals — the swap
-        // fires all failpoints before touching the map, so it is still
-        // all-or-nothing.
-        if let Err(e) = self.catalog.restore_tables(mutated) {
-            for (n, t) in originals {
-                self.catalog.restore_table(n, t);
-            }
-            return Err(e.into());
+        // Stage the base delta too (only once every engine committed), so
+        // the base relation joins the same atomic swap. The swap replaces
+        // it without it ever having been detached.
+        if !originals.contains_key(table) {
+            originals.insert(table.to_string(), self.catalog.table_arc(table)?);
         }
+        let base_io = stage_base_delta(&self.catalog, &mut mutated, table, delta)?;
+        // The commit point: publish every staged table in one swap. It
+        // fires all failpoints before touching the map, so an injected
+        // failure here is still all-or-nothing.
+        self.catalog.restore_tables(mutated)?;
         for (i, plan) in planned.iter().enumerate() {
             combined.merge(&plan.report);
             if let Some(r) = commit_reports.get(&i) {
                 combined.merge(r);
             }
         }
-        if let Some(io) = base_io {
-            combined.base_io = io;
-        }
+        combined.base_io = base_io;
         Ok(())
     }
 
@@ -1012,36 +1014,88 @@ impl Database {
     /// All-or-nothing: if update *k* fails — including an assertion
     /// Violation detected only once updates `1..k` are in place — the
     /// whole transaction rolls back and the catalog is bit-identical to
-    /// its pre-transaction state. The rollback is a snapshot restore
-    /// (`Arc`-backed catalog clone, no data copy), so it cannot itself
-    /// fail.
+    /// its pre-transaction state. The rollback is the undo journal, which
+    /// spans the transaction: the inverse of every write updates `1..k`
+    /// landed is replayed in reverse. Nothing is copied to make that
+    /// possible, so a transaction costs its updates and no more.
     pub fn apply_transaction(&mut self, updates: Vec<(String, Delta)>) -> IvmResult<UpdateReport> {
-        let backup = self.catalog.clone();
-        let prior_report = self.last_report.clone();
-        let prior_trace = self.last_trace.take();
+        let report = self.apply_open(updates)?;
+        self.commit_transaction();
+        Ok(report)
+    }
+
+    /// Open a transaction scope: until [`Database::commit_transaction`] or
+    /// [`Database::abort_transaction`], every update's writes accumulate
+    /// in one journal. The scope takes the session's current report and
+    /// trace, to put back on abort. A scope already open is a caller bug
+    /// and an error — journals are never silently merged.
+    pub(crate) fn begin_transaction(&mut self) -> IvmResult<()> {
+        if self.txn.is_some() {
+            return Err(IvmError::Internal(
+                "a transaction scope is already open on this database".into(),
+            ));
+        }
+        self.undo.reset();
+        self.txn = Some(TxnScope {
+            prior_report: self.last_report.take(),
+            prior_trace: self.last_trace.take(),
+        });
+        Ok(())
+    }
+
+    /// Close the open scope keeping its writes: the journal is forgotten.
+    /// The layers above call this at their decision point — after the WAL
+    /// commit record, or after the cross-shard global commit.
+    pub(crate) fn commit_transaction(&mut self) {
+        self.undo.reset();
+        self.txn = None;
+    }
+
+    /// Close the open scope undoing its writes: the journal replays in
+    /// reverse (a no-op if a failing commit already replayed it) and the
+    /// pre-transaction report and trace come back. Without an open scope
+    /// there is nothing to abort.
+    pub(crate) fn abort_transaction(&mut self) -> IvmResult<()> {
+        let Some(scope) = self.txn.take() else {
+            return Ok(());
+        };
+        self.last_report = scope.prior_report;
+        self.last_trace = scope.prior_trace;
+        replay_journal(&mut self.undo, &mut self.catalog)
+    }
+
+    /// Open a scope and apply every update in it. On success the scope is
+    /// left **open** — the caller decides when the transaction commits —
+    /// with the summed report and the `transaction` trace in place. On
+    /// any failure, a panic unwinding through included, the scope is
+    /// aborted before the failure propagates.
+    pub(crate) fn apply_open(&mut self, updates: Vec<(String, Delta)>) -> IvmResult<UpdateReport> {
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        self.begin_transaction()?;
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.apply_updates(updates)));
+        if !matches!(outcome, Ok(Ok(_))) {
+            self.abort_transaction()?;
+        }
+        outcome.unwrap_or_else(|panic| resume_unwind(panic))
+    }
+
+    /// The body of a transaction: the updates in order, their reports
+    /// summed and their traces gathered under one `transaction` node.
+    fn apply_updates(&mut self, updates: Vec<(String, Delta)>) -> IvmResult<UpdateReport> {
         let mut txn_trace = self
             .tracing
             .then(|| TraceNode::new("transaction").with_field("updates", updates.len()));
         let t0 = self.tracing.then(std::time::Instant::now);
         let mut combined = UpdateReport::default();
         for (table, delta) in updates {
-            match self.apply_delta(&table, delta) {
-                Ok(r) => {
-                    combined.merge(&r);
-                    // Collect the per-update trace into the transaction
-                    // node (empty deltas record nothing — structurally the
-                    // same in every mode).
-                    if let Some(txn) = txn_trace.as_mut() {
-                        if let Some(t) = self.last_trace.take() {
-                            txn.push_child(t);
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.catalog = backup;
-                    self.last_report = prior_report;
-                    self.last_trace = prior_trace;
-                    return Err(e);
+            let r = self.apply_delta(&table, delta)?;
+            combined.merge(&r);
+            // Collect the per-update trace into the transaction node
+            // (empty deltas record nothing — structurally the same in
+            // every mode).
+            if let Some(txn) = txn_trace.as_mut() {
+                if let Some(t) = self.last_trace.take() {
+                    txn.push_child(t);
                 }
             }
         }
@@ -1075,7 +1129,10 @@ impl Database {
     ///    panicked parallel commit;
     /// 2. every assertion's backing view matches recomputation from the
     ///    base relations (an assertion view that drifted would silently
-    ///    stop enforcing its constraint).
+    ///    stop enforcing its constraint);
+    /// 3. no journal entries are left outside a transaction scope — a
+    ///    rollback that hit a journal/catalog mismatch stops where it
+    ///    failed and leaves the rest behind.
     ///
     /// Cheap relative to [`verify_all_views`] (which recomputes *every*
     /// engine): only assertion-backing engines are recomputed here.
@@ -1092,6 +1149,12 @@ impl Database {
     }
 
     fn integrity_check_inner(&self) -> IvmResult<()> {
+        if self.txn.is_none() && !self.undo.is_empty() {
+            return Err(IvmError::Integrity(format!(
+                "{} undo journal entries outside a transaction: a rollback did not complete",
+                self.undo.table_count()
+            )));
+        }
         for e in &self.engines {
             for table in e.materialized_tables() {
                 if !self.catalog.contains(table) {
@@ -1140,6 +1203,17 @@ fn stage_base_delta(
     Ok(base_io)
 }
 
+/// Replay the journal against the catalog. A mismatch between the two is
+/// a recording bug; it fails the transaction with a typed error rather
+/// than a panic, because aborts run inside the scheduler's pool workers.
+fn replay_journal(undo: &mut spacetime_delta::UndoLog, catalog: &mut Catalog) -> IvmResult<()> {
+    undo.rollback(catalog).map_err(|e| {
+        IvmError::Internal(format!(
+            "undo journal does not match the catalog ({e}); the rollback is incomplete"
+        ))
+    })
+}
+
 fn violation_error(v: Violation) -> IvmError {
     IvmError::AssertionViolated {
         name: v.assertion,
@@ -1173,4 +1247,45 @@ fn default_workload(memo: &Memo, root: spacetime_memo::GroupId) -> Vec<Transacti
         .into_iter()
         .map(|t| TransactionType::modify(format!(">{t}"), t, 1.0))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_table_db() -> Database {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER)")
+            .unwrap();
+        db
+    }
+
+    #[test]
+    fn a_second_scope_is_an_error_not_a_merge() {
+        let mut db = one_table_db();
+        db.begin_transaction().unwrap();
+        assert!(matches!(db.begin_transaction(), Err(IvmError::Internal(_))));
+        // The first scope is unharmed and closes normally; then a new one opens.
+        db.abort_transaction().unwrap();
+        db.begin_transaction().unwrap();
+        db.commit_transaction();
+        db.integrity_check().unwrap();
+    }
+
+    #[test]
+    fn a_journal_that_does_not_match_the_catalog_fails_the_abort() {
+        let mut db = one_table_db();
+        db.begin_transaction().unwrap();
+        db.apply_delta(
+            "T",
+            Delta::insert(spacetime_storage::tuple![1_i64, 10_i64], 1),
+        )
+        .unwrap();
+        // Pull the journaled table out from under the open scope.
+        db.catalog.drop_table("T").unwrap();
+        let err = db.abort_transaction().unwrap_err();
+        assert!(matches!(err, IvmError::Internal(_)), "{err}");
+        let err = db.integrity_check_inner().unwrap_err();
+        assert!(matches!(err, IvmError::Integrity(_)), "{err}");
+    }
 }

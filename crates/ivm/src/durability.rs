@@ -496,19 +496,18 @@ impl DurableDatabase {
     /// Apply a transaction durably: log `begin + deltas`, apply in
     /// memory (which may reject it — assertions, faults — leaving the
     /// dangling log records to be discarded at recovery), then log the
-    /// commit record and make it durable per the sync policy. If the
-    /// commit record itself cannot be written, the in-memory commit is
-    /// rolled back so memory never runs ahead of the log.
+    /// commit record and make it durable per the sync policy. The
+    /// database's transaction scope stays open across the commit record:
+    /// if the record cannot be written the scope aborts (the undo journal
+    /// replays), so memory never runs ahead of the log.
     pub fn apply_transaction(&mut self, updates: Txn) -> IvmResult<UpdateReport> {
-        let backup = self.db.catalog.clone();
-        let prior_report = self.db.last_report.clone();
         let txn_id = self.wal.begin(None, &updates).map_err(wal_err)?;
-        let report = self.db.apply_transaction(updates)?;
+        let report = self.db.apply_open(updates)?;
         if let Err(e) = self.wal.commit(txn_id) {
-            self.db.catalog = backup;
-            self.db.last_report = prior_report;
+            self.db.abort_transaction()?;
             return Err(wal_err(e));
         }
+        self.db.commit_transaction();
         if self.wal.should_checkpoint() {
             self.checkpoint()?;
         }

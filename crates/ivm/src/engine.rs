@@ -1016,42 +1016,6 @@ impl IvmEngine {
         Ok(report)
     }
 
-    /// [`IvmEngine::commit_update`] against *staged* copies: each touched
-    /// materialization is copied out of the (unmodified) catalog into
-    /// `staged` on first touch, and every delta is applied to the staged
-    /// copy. The catalog itself is never written — the caller swaps the
-    /// staged tables in atomically once every engine (and the base delta)
-    /// has staged successfully, which is what makes the sequential
-    /// transaction path all-or-nothing.
-    ///
-    /// The `ivm::commit_view` failpoint fires before each view delta.
-    pub fn commit_staged(
-        &self,
-        catalog: &Catalog,
-        staged: &mut BTreeMap<String, Arc<Table>>,
-        planned: &PlannedUpdate,
-    ) -> IvmResult<UpdateReport> {
-        let mut report = UpdateReport::default();
-        for (g, delta) in &planned.view_deltas {
-            spacetime_storage::fault::fire("ivm::commit_view")?;
-            let table = self.backing_table(g)?;
-            let io = if self.roots.contains(g) {
-                &mut report.root_io
-            } else {
-                &mut report.aux_io
-            };
-            let t = match staged.entry(table.clone()) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(catalog.table_arc(table)?)
-                }
-            };
-            let rel = &mut Arc::make_mut(t).relation;
-            apply_to_relation(delta, rel, io)?;
-        }
-        Ok(report)
-    }
-
     /// [`IvmEngine::commit_update`] with journaling — the sequential
     /// commit fast path. Deltas are applied to the live catalog tables
     /// **in place** (no staged copies: the catalog's `Arc`s are unshared
@@ -1060,7 +1024,7 @@ impl IvmEngine {
     /// roll the whole transaction back on any later failure.
     ///
     /// The `ivm::commit_view` failpoint fires before each view delta,
-    /// exactly as on the staged paths.
+    /// exactly as on the detached path.
     pub fn commit_in_place(
         &self,
         catalog: &mut Catalog,

@@ -10,15 +10,19 @@
 //! [`PipelinePool`]; a wave is a barrier.
 //!
 //! **Cross-shard commit protocol.** A transaction whose footprint spans
-//! several shards commits them one at a time in ascending shard order,
-//! each through the shard's own all-or-nothing transaction commit. Before
-//! each shard commits, its catalog is backed up (an `Arc` refcount bump —
-//! the PR 4 immediate-mode mechanism generalized across shards); if any
-//! later shard fails — a typed error, an injected fault, or a contained
-//! panic — every already-committed shard is restored from its backup, in
-//! reverse order, before the error surfaces. Restoration is a pointer
-//! swap and cannot itself fail, so the transaction is all-or-nothing
-//! across its whole footprint.
+//! several shards applies to them one at a time in ascending shard order,
+//! each inside the shard's own transaction scope
+//! (`Database::apply_open`), and every participant's undo journal stays
+//! open until the decision point: the WAL commit record for a
+//! single-shard transaction, the global commit record for a cross-shard
+//! one, or simply the last participant's success when nothing is logged.
+//! Then every participant commits (its journal is forgotten). If any
+//! participant fails first — a typed error, an injected fault, or a
+//! contained panic — it has already rolled itself back, and every earlier
+//! participant aborts, newest first, by replaying its journal. Footprint
+//! admission guarantees no other transaction touches those shards in
+//! between, so the transaction is all-or-nothing across its whole
+//! footprint and no shard's catalog is ever copied to make it so.
 //!
 //! **Determinism invariant.** [`TxnScheduler::run`] is bit-identical to
 //! [`TxnScheduler::run_serial`] (one transaction at a time, admission
@@ -39,7 +43,7 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use spacetime_delta::Delta;
@@ -243,6 +247,8 @@ impl<'a> TxnScheduler<'a> {
             t.push_note(if concurrent { "concurrent" } else { "serial replay" });
             t
         });
+        // One shared handle to the shard cells for every task of the run.
+        let cells: Arc<[Arc<Mutex<Database>>]> = self.db.cells().into();
         // Route everything up front; the footprint drives admission.
         let mut parts: Vec<Option<ShardParts>> = Vec::with_capacity(n);
         let mut pending: Vec<usize> = Vec::with_capacity(n);
@@ -344,7 +350,6 @@ impl<'a> TxnScheduler<'a> {
                 }
             }
             let t_wave = Instant::now();
-            let cells = self.db.cells();
             type TaskOut = (IvmResult<UpdateReport>, u64, Option<TraceNode>);
             let mut tasks: Vec<Box<dyn FnOnce() -> TaskOut + Send>> =
                 Vec::with_capacity(batch.len());
@@ -379,11 +384,11 @@ impl<'a> TxnScheduler<'a> {
                         format!("slot {i} shards {fp:?}")
                     });
                 }
-                let cells: Vec<Arc<Mutex<Database>>> = cells.to_vec();
+                let cells = Arc::clone(&cells);
                 let wals = self.wals.clone();
                 let t0 = Instant::now();
                 tasks.push(Box::new(move || {
-                    let (r, tr) = apply_parts(&cells, &p, wals.as_deref());
+                    let (r, tr) = apply_parts(&cells, p, wals.as_deref());
                     (r, t0.elapsed().as_nanos() as u64, tr)
                 }));
                 dispatched.push(i);
@@ -506,7 +511,7 @@ fn txn_footprint(txns: &[Txn], db: &ShardedDatabase, i: usize) -> Vec<usize> {
 
 /// Apply one transaction's per-shard sub-transactions: the cross-shard
 /// commit protocol (module docs). Single-shard transactions take the same
-/// path with a one-element footprint — backup, commit, done.
+/// path with a one-element footprint — open the scope, apply, decide.
 ///
 /// With `wals` present every participant is write-ahead logged: `begin +
 /// deltas` (plus `prepared` for cross-shard transactions) before its
@@ -514,7 +519,7 @@ fn txn_footprint(txns: &[Txn], db: &ShardedDatabase, i: usize) -> Vec<usize> {
 /// atomic commit point is the global commit record appended *after* every
 /// participant applied and flushed — recovery aborts prepared
 /// participants whose global record is absent, which is exactly what the
-/// in-memory rollback below converges to.
+/// in-memory aborts below converge to.
 ///
 /// The second return is the transaction's assembled span when tracing is
 /// on and the transaction committed (see [`SchedOutcome::traces`] for the
@@ -522,29 +527,41 @@ fn txn_footprint(txns: &[Txn], db: &ShardedDatabase, i: usize) -> Vec<usize> {
 /// [`Database::apply_transaction`].
 fn apply_parts(
     cells: &[Arc<Mutex<Database>>],
-    parts: &ShardParts,
+    parts: ShardParts,
     wals: Option<&ShardWals>,
 ) -> (IvmResult<UpdateReport>, Option<TraceNode>) {
     #[cfg(not(feature = "durability"))]
     let _ = wals; // uninhabited: always `None` without the feature
+    let n_parts = parts.len();
     #[cfg(feature = "durability")]
     let gid: Option<u64> = match wals {
-        Some(w) if parts.len() > 1 => Some(w.alloc_gid()),
+        Some(w) if n_parts > 1 => Some(w.alloc_gid()),
         _ => None,
     };
-    let mut committed: Vec<(usize, spacetime_storage::Catalog, Option<UpdateReport>)> = Vec::new();
+    #[cfg(not(feature = "durability"))]
+    let gid: Option<u64> = None;
+    // The global commit names its participants; the parts move into the
+    // loop below, so note them first (cross-shard transactions only).
+    #[cfg(feature = "durability")]
+    let fp: Vec<usize> = match gid {
+        Some(_) => parts.iter().map(|(s, _)| *s).collect(),
+        None => Vec::new(),
+    };
+    // Participants whose apply succeeded, in ascending shard order, each
+    // with its transaction scope still open. The guards are held to the
+    // decision point; admission keeps every other transaction off these
+    // shards meanwhile, so holding them blocks nobody.
+    let mut open: Vec<MutexGuard<'_, Database>> = Vec::with_capacity(n_parts);
     let mut combined = UpdateReport::default();
     let mut failure: Option<IvmError> = None;
     // Per-shard transaction traces, collected in parts order (ascending
     // shard id) so assembly is deterministic regardless of scheduling.
     let mut shard_traces: Vec<(usize, TraceNode)> = Vec::new();
     for (shard, updates) in parts {
-        let mut db = cells[*shard].lock().unwrap_or_else(|e| e.into_inner());
-        let backup = db.catalog.clone();
-        let prior_report = db.last_report.clone();
+        let mut db = cells[shard].lock().unwrap_or_else(|e| e.into_inner());
         #[cfg(feature = "durability")]
         let wal_txn: Option<u64> = match wals {
-            Some(w) => match w.begin_shard(*shard, gid, updates) {
+            Some(w) => match w.begin_shard(shard, gid, &updates) {
                 Ok(id) => Some(id),
                 Err(e) => {
                     failure = Some(e);
@@ -553,37 +570,32 @@ fn apply_parts(
             },
             None => None,
         };
-        let out = catch_unwind(AssertUnwindSafe(|| db.apply_transaction(updates.clone())));
-        match out {
+        // `apply_open` aborts its own scope on an error and on a panic
+        // (planning of update k can unwind after updates 1..k landed), so
+        // a participant that did not succeed is already rolled back.
+        match catch_unwind(AssertUnwindSafe(|| db.apply_open(updates))) {
             Ok(Ok(r)) => {
+                combined.merge(&r);
+                if let Some(t) = db.take_trace() {
+                    shard_traces.push((shard, t));
+                }
+                open.push(db);
                 #[cfg(feature = "durability")]
                 if let (Some(w), Some(txn_id), None) = (wals, wal_txn, gid) {
                     // Single-shard durable commit point. If the record
                     // cannot be written, memory must not run ahead of
-                    // the log: restore and fail the transaction.
-                    if let Err(e) = w.commit_shard(*shard, txn_id) {
-                        db.catalog = backup;
-                        db.last_report = prior_report;
+                    // the log: the transaction fails and aborts below.
+                    if let Err(e) = w.commit_shard(shard, txn_id) {
                         failure = Some(e);
                         break;
                     }
                 }
-                combined.merge(&r);
-                if let Some(t) = db.take_trace() {
-                    shard_traces.push((*shard, t));
-                }
-                committed.push((*shard, backup, prior_report));
             }
             Ok(Err(e)) => {
-                // The shard's own transaction commit already rolled back.
                 failure = Some(e);
                 break;
             }
             Err(p) => {
-                // A panic that unwound `apply_transaction` bypassed its
-                // error-path rollback; the backup restores this shard.
-                db.catalog = backup;
-                db.last_report = prior_report;
                 failure = Some(IvmError::TaskPanicked {
                     message: panic_message(p.as_ref()),
                 });
@@ -596,9 +608,8 @@ fn apply_parts(
         if let (Some(w), Some(g)) = (wals, gid) {
             // Cross-shard commit point: flush the participants, then
             // one global commit record. Failure converges to the
-            // rollback path below — and to abort-at-recovery, since no
+            // aborts below — and to abort-at-recovery, since no
             // global record was made durable.
-            let fp: Vec<usize> = parts.iter().map(|(s, _)| *s).collect();
             if let Err(e) = w.commit_global(g, &fp) {
                 failure = Some(e);
             }
@@ -606,21 +617,21 @@ fn apply_parts(
     }
     match failure {
         None => {
-            #[cfg(feature = "durability")]
-            let trace = assemble_txn_trace(shard_traces, parts.len(), gid);
-            #[cfg(not(feature = "durability"))]
-            let trace = assemble_txn_trace(shard_traces, parts.len(), None);
-            (Ok(combined), trace)
+            for mut db in open {
+                db.commit_transaction();
+            }
+            (Ok(combined), assemble_txn_trace(shard_traces, n_parts, gid))
         }
-        Some(e) => {
-            // Undo every shard that already committed, newest first. A
-            // restore is a pointer swap of `Arc`-backed catalogs: it fires
-            // no failpoints and cannot fail, so a fault mid-protocol
-            // always converges to the pre-transaction state.
-            for (shard, backup, prior_report) in committed.into_iter().rev() {
-                let mut db = cells[shard].lock().unwrap_or_else(|e| e.into_inner());
-                db.catalog = backup;
-                db.last_report = prior_report;
+        Some(mut e) => {
+            // Abort every participant still open, newest first. Replaying
+            // a journal fires no failpoints, so a fault mid-protocol
+            // always converges to the pre-transaction state; a journal
+            // that does not match its catalog is the worse news and
+            // replaces the original error.
+            for mut db in open.into_iter().rev() {
+                if let Err(abort) = db.abort_transaction() {
+                    e = abort;
+                }
             }
             (Err(e), None)
         }

@@ -10,9 +10,10 @@ use std::sync::Arc;
 
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, ExecutionMode, IvmError, PipelinePool,
+    verify_all_views, Database, ExecutionMode, IvmError, PipelinePool, ShardedDatabase, Txn,
+    TxnScheduler,
 };
-use spacetime_storage::{tuple, Bag, IoMeter};
+use spacetime_storage::{tuple, Bag, IoMeter, ShardSpec, Table};
 
 /// A small paper-shaped database: 5 departments x 3 employees, budget 600,
 /// salary 100 each, with the paper's DeptConstraint assertion and one
@@ -160,4 +161,109 @@ fn single_delta_violation_leaves_catalog_untouched() {
     assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
     assert_eq!(contents(&db), before);
     db.integrity_check().unwrap();
+}
+
+/// Where every cataloged table (base relations, views, the assertion's
+/// backing view) lives right now. Addresses, not `Weak`s: `Arc::make_mut`
+/// moves the value to a new allocation when a `Weak` is outstanding, so
+/// holding one would itself cause the copy this is looking for.
+fn table_addresses(db: &Database) -> Vec<(String, *const Table)> {
+    db.catalog
+        .iter()
+        .map(|(n, t)| (n.to_string(), t as *const Table))
+        .collect()
+}
+
+/// Every table is still the allocation it was: none was copy-on-write
+/// cloned since the addresses were taken. (A clone is made while the
+/// original is still referenced, so it can never land on the same
+/// address.)
+fn assert_no_table_copied(db: &Database, before: &[(String, *const Table)], label: &str) {
+    assert_eq!(table_addresses(db), before, "{label}: a table was replaced by a copy");
+}
+
+fn raise(emp: &str, dept: &str, to: i64) -> Delta {
+    Delta::modify(tuple![emp, dept, 100], tuple![emp, dept, to], 1)
+}
+
+/// The journal is the only rollback mechanism: neither a committed
+/// two-update transaction nor a second-update violation copies a table —
+/// nothing on the path holds a second reference that would force
+/// `Arc::make_mut` to.
+#[test]
+fn neither_commit_nor_rollback_copies_a_table() {
+    let mut db = small_db();
+    let addresses = table_addresses(&db);
+    assert!(addresses.iter().any(|(n, _)| n == "Emp"));
+    assert!(addresses.iter().any(|(n, _)| n == "DeptProfile"));
+
+    let mut ok_txn = violating_txn();
+    ok_txn[1].1 = raise("emp1_0", "dept1", 120);
+    db.apply_transaction(ok_txn).unwrap();
+    assert_no_table_copied(&db, &addresses, "two-update commit");
+
+    let before = contents(&db);
+    let bad_txn = vec![
+        (
+            "Dept".to_string(),
+            Delta::modify(tuple!["dept0", "mgr0", 550], tuple!["dept0", "mgr0", 500], 1),
+        ),
+        ("Emp".to_string(), raise("emp2_0", "dept2", 9_999)),
+    ];
+    let err = db.apply_transaction(bad_txn).unwrap_err();
+    assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
+    assert_eq!(contents(&db), before);
+    assert_no_table_copied(&db, &addresses, "second-update violation");
+    assert!(verify_all_views(&db).unwrap().is_empty());
+}
+
+/// The same through the scheduler: a cross-shard commit, and a cross-shard
+/// abort in which the first participant's journal is still open when the
+/// last participant violates.
+#[test]
+fn cross_shard_commit_and_abort_copy_no_table() {
+    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
+    let sharded = ShardedDatabase::partition(&small_db(), spec, 2).unwrap();
+    // One department on each shard.
+    let shard_of = |d: usize| {
+        let probe = raise(&format!("emp{d}_0"), &format!("dept{d}"), 101);
+        sharded.route_delta("Emp", &probe).unwrap()[0].0
+    };
+    let on0 = (0..5).find(|&d| shard_of(d) == 0).expect("a department on shard 0");
+    let on1 = (0..5).find(|&d| shard_of(d) == 1).expect("a department on shard 1");
+    // One Emp delta moving emp<d>_0's salary on both shards at once.
+    let both = |from: i64, to0: i64, to1: i64| -> Txn {
+        let mut d = Delta::new();
+        for (dept, to) in [(on0, to0), (on1, to1)] {
+            d.push_modify(
+                tuple![format!("emp{dept}_0"), format!("dept{dept}"), from],
+                tuple![format!("emp{dept}_0"), format!("dept{dept}"), to],
+                1,
+            );
+        }
+        vec![("Emp".to_string(), d)]
+    };
+    let addresses: Vec<_> = (0..2).map(|s| table_addresses(&sharded.shard(s))).collect();
+    let sched = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(2)));
+
+    let out = sched.run(&[both(100, 110, 110)]).unwrap();
+    assert!(out.results[0].is_ok(), "{:?}", out.results[0]);
+    assert_eq!(out.stats.cross_shard_txns, 1);
+    for (s, addrs) in addresses.iter().enumerate() {
+        assert_no_table_copied(&sharded.shard(s), addrs, &format!("commit, shard {s}"));
+    }
+
+    // Shard 0 applies cleanly and waits; shard 1 then blows its budget.
+    let before: Vec<_> = (0..2).map(|s| contents(&sharded.shard(s))).collect();
+    let out = sched.run(&[both(110, 120, 9_999)]).unwrap();
+    assert!(
+        matches!(&out.results[0], Err(IvmError::AssertionViolated { .. })),
+        "{:?}",
+        out.results[0]
+    );
+    for (s, addrs) in addresses.iter().enumerate() {
+        assert_eq!(contents(&sharded.shard(s)), before[s], "abort, shard {s}");
+        assert_no_table_copied(&sharded.shard(s), addrs, &format!("abort, shard {s}"));
+    }
+    assert!(sharded.verify_all_shards().unwrap().is_empty());
 }

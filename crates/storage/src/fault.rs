@@ -93,7 +93,7 @@ pub const SITES: &[Site] = &[
     },
     // Fired by `WalWriter::append` before any bytes are framed — a
     // durable-commit append that errors must leave memory and disk
-    // agreeing (the durability layer restores its catalog backup).
+    // agreeing (the durability layer aborts its open transaction scope).
     // Only reachable in `durability` builds; the fault sweep tolerates
     // sites that never fire.
     Site {

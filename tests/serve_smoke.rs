@@ -1,0 +1,180 @@
+//! Tier-1 smoke test of the serving path.
+//!
+//! `cargo test -q` runs only the root package; this puts the scheduler,
+//! the transaction scope, the abort path and the cross-shard commit under
+//! it. The paper database is partitioned over two shards and served a
+//! short stream that holds one of each thing the path can do: commits on
+//! one shard, a cross-shard transfer, a violation the assertion gate
+//! rejects before any write, and a violation that only shows once the
+//! transaction's first update is in place. The oracles are the
+//! repository's usual three: `run` equals `run_serial`, the shard unions
+//! equal an unsharded control, and every shard equals recomputation.
+
+use std::sync::Arc;
+
+use spacetime::delta::Delta;
+use spacetime::ivm::{
+    verify_all_views, Database, IvmError, PipelinePool, ShardedDatabase, Txn, TxnScheduler,
+};
+use spacetime::storage::{tuple, ShardSpec};
+use spacetime_bench::workload::{load_paper_data, paper_schema_db};
+
+const DEPTS: usize = 8;
+const EMPS: usize = 3;
+
+/// The paper schema and data (budget 600, salaries 100), three views and
+/// the paper's DeptConstraint assertion.
+fn paper_db() -> Database {
+    let mut db = paper_schema_db();
+    load_paper_data(&mut db, DEPTS, EMPS);
+    for sql in [
+        "CREATE MATERIALIZED VIEW DeptProfile AS \
+         SELECT DName, COUNT(*) AS Heads, MAX(Salary) AS TopSal \
+         FROM Emp GROUP BY DName",
+        "CREATE MATERIALIZED VIEW WellPaid AS \
+         SELECT EName, Emp.DName, MName FROM Emp, Dept \
+         WHERE Emp.DName = Dept.DName AND Salary > 150",
+        "CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS ( \
+            SELECT Dept.DName FROM Emp, Dept \
+            WHERE Dept.DName = Emp.DName \
+            GROUP BY Dept.DName, Budget \
+            HAVING SUM(Salary) > Budget))",
+    ] {
+        db.execute_sql(sql).unwrap();
+    }
+    db
+}
+
+fn shard_spec() -> ShardSpec {
+    ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0])
+}
+
+fn salary(d: usize, e: usize, from: i64, to: i64) -> Delta {
+    Delta::modify(
+        tuple![format!("emp{d:05}_{e}"), format!("dept{d:05}"), from],
+        tuple![format!("emp{d:05}_{e}"), format!("dept{d:05}"), to],
+        1,
+    )
+}
+
+fn budget(d: usize, from: i64, to: i64) -> Delta {
+    Delta::modify(
+        tuple![format!("dept{d:05}"), format!("mgr{d}"), from],
+        tuple![format!("dept{d:05}"), format!("mgr{d}"), to],
+        1,
+    )
+}
+
+fn one(table: &str, delta: Delta) -> Txn {
+    vec![(table.to_string(), delta)]
+}
+
+#[test]
+fn two_shard_serving_commits_aborts_and_matches_its_oracles() {
+    let template = paper_db();
+    let sharded = ShardedDatabase::partition(&template, shard_spec(), 2).unwrap();
+    // A department on each shard, for the transfer.
+    let shard_of = |d: usize| sharded.route_delta("Dept", &budget(d, 600, 601)).unwrap()[0].0;
+    let a = (0..DEPTS)
+        .find(|&d| shard_of(d) == 0)
+        .expect("a department on shard 0");
+    let b = (0..DEPTS)
+        .find(|&d| shard_of(d) == 1)
+        .expect("a department on shard 1");
+    let others: Vec<usize> = (0..DEPTS).filter(|&d| d != a && d != b).collect();
+
+    let hire = Delta::insert(
+        tuple![
+            format!("emp{:05}_new", others[1]),
+            format!("dept{:05}", others[1]),
+            100_i64
+        ],
+        1,
+    );
+    let leave = Delta::delete(
+        tuple![
+            format!("emp{:05}_2", others[2]),
+            format!("dept{:05}", others[2]),
+            100_i64
+        ],
+        1,
+    );
+    let txns: Vec<Txn> = vec![
+        one("Emp", salary(others[0], 0, 100, 180)),
+        // Cross-shard transfer: 50 of budget from a department on shard 0
+        // to one on shard 1, one update per participant.
+        vec![
+            ("Dept".to_string(), budget(a, 600, 550)),
+            ("Dept".to_string(), budget(b, 600, 650)),
+        ],
+        one("Emp", hire),
+        // Rejected at the gate: nothing is written.
+        one("Emp", salary(others[0], 1, 100, 9_999)),
+        // Second-update violation, cross-shard: shard 0's budget change
+        // and shard 1's first update are in place when shard 1's raise
+        // blows the budget; both shards roll back.
+        vec![
+            ("Dept".to_string(), budget(a, 550, 500)),
+            ("Dept".to_string(), budget(b, 650, 700)),
+            ("Emp".to_string(), salary(b, 0, 100, 9_999)),
+        ],
+        one("Emp", leave),
+        one("Dept", budget(b, 650, 640)),
+    ];
+    let expect_ok = [true, true, true, false, false, true, true];
+
+    let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(2)))
+        .run(&txns)
+        .unwrap();
+    let replayed = ShardedDatabase::partition(&template, shard_spec(), 2).unwrap();
+    let replay = TxnScheduler::new(&replayed, Arc::new(PipelinePool::new(1)))
+        .run_serial(&txns)
+        .unwrap();
+    let mut control = template.clone();
+
+    for (i, txn) in txns.iter().enumerate() {
+        let ctrl = control.apply_transaction(txn.clone());
+        assert_eq!(
+            ctrl.is_ok(),
+            expect_ok[i],
+            "txn {i}: control outcome: {ctrl:?}"
+        );
+        match (&out.results[i], &replay.results[i]) {
+            (Ok(r), Ok(s)) => assert_eq!(r, s, "txn {i}: report differs from the serial replay"),
+            (Err(e), Err(_)) => assert!(
+                matches!(e, IvmError::AssertionViolated { name, .. } if name == "DeptConstraint"),
+                "txn {i}: {e}"
+            ),
+            (r, s) => panic!("txn {i}: run {r:?} but run_serial {s:?}"),
+        }
+        assert_eq!(
+            out.results[i].is_ok(),
+            expect_ok[i],
+            "txn {i}: {:?}",
+            out.results[i]
+        );
+    }
+    assert_eq!(out.stats.cross_shard_txns, 2);
+    assert_eq!((out.stats.committed, out.stats.aborted), (5, 2));
+
+    for s in 0..2 {
+        let (live, serial) = (sharded.shard(s), replayed.shard(s));
+        for (name, table) in live.catalog.iter() {
+            assert_eq!(
+                table.relation.data(),
+                serial.catalog.table(name).unwrap().relation.data(),
+                "shard {s} table {name} differs from the serial replay"
+            );
+        }
+        live.integrity_check().unwrap();
+    }
+    for (name, table) in control.catalog.iter() {
+        assert_eq!(
+            &sharded.union_table(name).unwrap(),
+            table.relation.data(),
+            "shard union of {name} differs from the unsharded control"
+        );
+    }
+    assert!(sharded.verify_all_shards().unwrap().is_empty());
+    assert!(verify_all_views(&control).unwrap().is_empty());
+}
