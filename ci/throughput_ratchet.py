@@ -3,8 +3,8 @@
 
 Compares a fresh ``BENCH_ivm.json`` smoke run against the committed smoke
 baseline (``ci/bench_ivm_smoke_baseline.json``) across every scenario
-(paper / scaling / wide) and every propagation mode present in both files
-(per_key / batched / parallel / fused), and fails if any ``txns_per_sec``
+(paper / scaling / wide) and both propagation modes (per_key, the test
+reference, and fused, the production path), and fails if any ``txns_per_sec``
 fell below a generous fraction of the baseline. The tolerance is
 deliberately loose: smoke runs last milliseconds and CI hardware differs
 from the machine that recorded the baseline, so this is a guard against
@@ -42,7 +42,7 @@ glance without re-running anything.
 
 With ``--history <bench_history.jsonl>`` the ratchet additionally prints
 a trend table over the last ``HISTORY_RUNS`` appended runs (the bench
-binary appends one line per run): per-scenario batched/fused and serve
+binary appends one line per run): per-scenario per_key/fused and serve
 throughput side by side, oldest first, so drift that stays above the
 loose floor is still visible across commits. The history file is
 informational — a missing or malformed file prints a note and never
@@ -55,7 +55,7 @@ Usage: throughput_ratchet.py <fresh.json> <baseline.json> [min_ratio]
 import json
 import sys
 
-MODES = ("per_key", "batched", "parallel", "fused")
+MODES = ("per_key", "fused")
 SERVE_SHARD_FLOORS = (1, 4)
 # Trend-table depth for --history.
 HISTORY_RUNS = 10
@@ -79,8 +79,7 @@ def throughput_ratchet(fresh, base, min_ratio):
             continue
         for mode in MODES:
             if mode not in b or mode not in fresh[name]:
-                # Older baselines predate the fused mode; skip rather
-                # than force a flag-day baseline refresh.
+                failures.append(f"scenario {name!r} has no {mode!r} cell in both files")
                 continue
             got = fresh[name][mode]["txns_per_sec"]
             want = b[mode]["txns_per_sec"]
@@ -264,7 +263,7 @@ def history_table(path, runs=HISTORY_RUNS):
         return
     scenario_names = sorted({n for e in entries for n in e.get("scenarios", {})})
     serve_keys = sorted({k for e in entries for k in e.get("serve_tps", {})})
-    cols = [f"{n}/batched" for n in scenario_names]
+    cols = [f"{n}/per_key" for n in scenario_names]
     cols += [f"{n}/fused" for n in scenario_names]
     cols += [f"serve/{k}" for k in serve_keys]
     print(f"\nthroughput trend (last {len(entries)} run(s), oldest first, txn/s):")
@@ -272,7 +271,7 @@ def history_table(path, runs=HISTORY_RUNS):
     for e in entries:
         cells = []
         for n in scenario_names:
-            cells.append(e.get("scenarios", {}).get(n, {}).get("batched_tps"))
+            cells.append(e.get("scenarios", {}).get(n, {}).get("per_key_tps"))
         for n in scenario_names:
             cells.append(e.get("scenarios", {}).get(n, {}).get("fused_tps"))
         for k in serve_keys:

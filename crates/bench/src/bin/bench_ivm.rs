@@ -1,19 +1,17 @@
 //! E-IVM driver: sustained-throughput benchmark for the delta-propagation
-//! data plane. Streams a mixed insert/delete/modify workload through four
-//! identical databases — `PerKey` propagation, the default `Batched` mode,
-//! `Batched` under the parallel pipeline (`ExecutionMode::Parallel`), and
-//! the `Fused` streaming-kernel mode — asserting after every transaction
-//! that all four produce bit-identical `UpdateReport` counters, and at the
-//! end that every materialized table (roots and auxiliaries) holds
-//! identical contents, verified against full recomputation.
+//! data plane. Streams a mixed insert/delete/modify workload through two
+//! identical databases — the `PerKey` reference and the production `Fused`
+//! mode — asserting after every transaction that both produce
+//! bit-identical `UpdateReport` counters, and at the end that every
+//! materialized table (roots and auxiliaries) holds identical contents,
+//! verified against full recomputation.
 //!
-//! Batching, the pipeline, and kernel fusion are wall-clock optimisations
-//! only: they must never change the deltas or the charged I/O (DESIGN.md
-//! §10–§11, §15). This binary is the executable form of that invariant,
-//! plus the throughput numbers. The wide scenario additionally sweeps
-//! pinned pool widths (1/2/4/8 threads) for the E-PIPE thread-scaling
-//! table. Each mode also reports its plan/gate/commit phase split
-//! (`Database::phase_totals`), cross-checked against the measured wall.
+//! Batching and kernel fusion are wall-clock optimisations only: they
+//! must never change the deltas or the charged I/O (DESIGN.md §10, §15).
+//! This binary is the executable form of that invariant, plus the
+//! throughput numbers. Each mode also reports its plan/gate/commit phase
+//! split (`Database::phase_totals`), cross-checked against the measured
+//! wall.
 //!
 //! ```text
 //! cargo run --release -p spacetime-bench --bin bench_ivm            # full
@@ -32,14 +30,13 @@ use spacetime_bench::workload::{
 };
 use spacetime_cost::TransactionType;
 use spacetime_ivm::{
-    verify_all_views, Database, ExecutionMode, PhaseTotals, PipelinePool, PropagationMode,
-    SchedStats, ShardedDatabase, Txn, TxnScheduler, UpdateReport, ViewSelection,
+    verify_all_views, Database, PhaseTotals, PipelinePool, PropagationMode, SchedStats,
+    ShardedDatabase, Txn, TxnScheduler, UpdateReport, ViewSelection,
 };
 use spacetime_obs::quantile_sorted;
 use spacetime_storage::ShardSpec;
 
 const SEED: u64 = 9406; // SIGMOD '96
-const SWEEP_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Client streams in the multi-client serving benchmark.
 const SERVE_CLIENTS: usize = 8;
 
@@ -106,7 +103,7 @@ struct Scenario {
     departments: usize,
     emps_per_dept: usize,
     transactions: usize,
-    /// Use the wide E-PIPE multi-view setup and sweep pool widths.
+    /// Use the wide ten-view setup.
     wide: bool,
 }
 
@@ -144,29 +141,15 @@ impl ModeRun {
     }
 }
 
-struct SweepPoint {
-    threads: usize,
-    wall: Duration,
-    queries_posed: u64,
-}
-
 struct Measured {
     scenario: Scenario,
     per_key: ModeRun,
-    batched: ModeRun,
-    parallel: ModeRun,
     fused: ModeRun,
-    /// The width the parallel-mode database actually ran at (satellite of
-    /// the 1-CPU auto-degrade: 1 on a single-core host with no explicit
-    /// override, else the pool width).
-    parallel_effective_width: usize,
     reports_identical: bool,
     views_identical: bool,
     verified: bool,
     view_count: usize,
     materialized_nodes: usize,
-    /// Pinned-pool txn throughput per thread count (wide scenario only).
-    thread_scaling: Vec<SweepPoint>,
 }
 
 /// One shard count of the multi-client serving sweep.
@@ -270,11 +253,8 @@ fn run_scenario(s: Scenario) -> Measured {
     );
     let workload = mixed_workload(s.departments, s.emps_per_dept, s.transactions, SEED);
     let mut db_pk = build_db(&s, PropagationMode::PerKey);
-    let mut db_b = build_db(&s, PropagationMode::Batched);
-    let mut db_par = build_db(&s, PropagationMode::Batched);
-    db_par.set_execution_mode(ExecutionMode::Parallel);
     let mut db_fu = build_db(&s, PropagationMode::Fused);
-    for db in [&mut db_pk, &mut db_b, &mut db_par, &mut db_fu] {
+    for db in [&mut db_pk, &mut db_fu] {
         db.set_phase_stats(true);
     }
 
@@ -288,7 +268,7 @@ fn run_scenario(s: Scenario) -> Measured {
         allocs: 0,
         phases: PhaseTotals::default(),
     };
-    let (mut pk, mut ba, mut par, mut fu) = (zero(), zero(), zero(), zero());
+    let (mut pk, mut fu) = (zero(), zero());
     // One timed `apply_delta` plus its per-run bookkeeping.
     let measure = |db: &mut Database, run: &mut ModeRun, table: &str, delta| {
         let a0 = alloc_stats::count();
@@ -303,37 +283,18 @@ fn run_scenario(s: Scenario) -> Measured {
         run.queries_posed += r.queries_posed;
         r
     };
-    // Measurement order: the parallel pipeline goes last because its pool
-    // workers wind down asynchronously — on a saturated host their tail
-    // steals cycles from whatever is timed next, and the loop wrap-around
-    // puts that between transactions rather than inside a mode's window.
     for (table, delta) in &workload {
         let r_pk = measure(&mut db_pk, &mut pk, table, delta.clone());
-        let r_b = measure(&mut db_b, &mut ba, table, delta.clone());
         let r_fu = measure(&mut db_fu, &mut fu, table, delta.clone());
-        let r_par = measure(&mut db_par, &mut par, table, delta.clone());
-        // The invariant: neither batching, the pipeline, nor kernel
-        // fusion may change the charged I/O or the posed-query count.
+        // The invariant: neither batching nor kernel fusion may change
+        // the charged I/O or the posed-query count.
         assert_eq!(
-            r_pk, r_b,
+            r_pk, r_fu,
             "per-update I/O counters diverged on {table} delta {delta:?}"
         );
-        assert_eq!(
-            r_b, r_par,
-            "parallel pipeline diverged on {table} delta {delta:?}"
-        );
-        assert_eq!(
-            r_b, r_fu,
-            "fused kernels diverged on {table} delta {delta:?}"
-        );
-        reports_identical &= r_pk == r_b && r_b == r_par && r_b == r_fu;
+        reports_identical &= r_pk == r_fu;
     }
-    for (db, run) in [
-        (&db_pk, &mut pk),
-        (&db_b, &mut ba),
-        (&db_par, &mut par),
-        (&db_fu, &mut fu),
-    ] {
+    for (db, run) in [(&db_pk, &mut pk), (&db_fu, &mut fu)] {
         run.phases = db.phase_totals();
         // The phase split must attribute (nearly all of) the measured
         // wall: everything outside the three phases is loop overhead.
@@ -347,82 +308,37 @@ fn run_scenario(s: Scenario) -> Measured {
 
     // Final state: every materialized table bit-identical across modes.
     let names = materialized_names(&db_pk);
-    assert_eq!(names, materialized_names(&db_b));
-    assert_eq!(names, materialized_names(&db_par));
     assert_eq!(names, materialized_names(&db_fu));
     let mut views_identical = true;
     for name in &names {
         let a = &db_pk.catalog.table(name).expect("per-key table").relation;
-        let b = &db_b.catalog.table(name).expect("batched table").relation;
-        let c = &db_par.catalog.table(name).expect("parallel table").relation;
-        let d = &db_fu.catalog.table(name).expect("fused table").relation;
-        let same = a.data() == b.data() && b.data() == c.data() && c.data() == d.data();
+        let b = &db_fu.catalog.table(name).expect("fused table").relation;
+        let same = a.data() == b.data();
         assert!(same, "materialized table {name} diverged between modes");
         views_identical &= same;
     }
-    let verified = verify_all_views(&db_b).expect("recompute").is_empty()
-        && verify_all_views(&db_pk).expect("recompute").is_empty()
-        && verify_all_views(&db_par).expect("recompute").is_empty()
+    let verified = verify_all_views(&db_pk).expect("recompute").is_empty()
         && verify_all_views(&db_fu).expect("recompute").is_empty();
     assert!(verified, "a view diverged from recomputation");
 
-    // Pinned-pool sweep (wide scenario): fresh database per width, same
-    // workload, explicit pool so `RAYON_NUM_THREADS`/core count don't leak
-    // into the table.
-    let mut thread_scaling = Vec::new();
-    if s.wide {
-        for threads in SWEEP_THREADS {
-            let mut db = build_db(&s, PropagationMode::Batched);
-            db.set_execution_mode(ExecutionMode::Parallel);
-            db.set_pipeline_pool(Arc::new(PipelinePool::new(threads)));
-            let mut queries_posed = 0u64;
-            let t0 = Instant::now();
-            for (table, delta) in &workload {
-                let r = db.apply_delta(table, delta.clone()).expect("sweep");
-                queries_posed += r.queries_posed;
-            }
-            let wall = t0.elapsed();
-            eprintln!(
-                "  sweep {threads} thread(s): {:>8.3}s ({:>8.1} txn/s)",
-                wall.as_secs_f64(),
-                s.transactions as f64 / wall.as_secs_f64()
-            );
-            thread_scaling.push(SweepPoint {
-                threads,
-                wall,
-                queries_posed,
-            });
-        }
-    }
-
-    let view_count: usize = db_b.engines().iter().map(|e| e.roots.len()).sum();
+    let view_count: usize = db_fu.engines().iter().map(|e| e.roots.len()).sum();
     let measured = Measured {
         per_key: pk,
-        batched: ba,
-        parallel: par,
         fused: fu,
-        parallel_effective_width: db_par.effective_width(),
         reports_identical,
         views_identical,
         verified,
         view_count,
         materialized_nodes: names.len(),
         scenario: s,
-        thread_scaling,
     };
     eprintln!(
-        "  per_key {:>8.3}s ({:>8.1} txn/s)   batched {:>8.3}s ({:>8.1} txn/s)   parallel {:>8.3}s ({:>8.1} txn/s)   fused {:>8.3}s ({:>8.1} txn/s)   io {} == {} == {} == {}",
+        "  per_key {:>8.3}s ({:>8.1} txn/s)   fused {:>8.3}s ({:>8.1} txn/s)   io {} == {}",
         measured.per_key.wall.as_secs_f64(),
         measured.per_key.txns_per_sec(measured.scenario.transactions),
-        measured.batched.wall.as_secs_f64(),
-        measured.batched.txns_per_sec(measured.scenario.transactions),
-        measured.parallel.wall.as_secs_f64(),
-        measured.parallel.txns_per_sec(measured.scenario.transactions),
         measured.fused.wall.as_secs_f64(),
         measured.fused.txns_per_sec(measured.scenario.transactions),
         measured.per_key.io_total,
-        measured.batched.io_total,
-        measured.parallel.io_total,
         measured.fused.io_total,
     );
     measured
@@ -793,16 +709,7 @@ fn main() {
     // queries recovery poses inside `Database::open`) are not in them.
     let expected_queries_posed: u64 = measured
         .iter()
-        .map(|m| {
-            m.per_key.queries_posed
-                + m.batched.queries_posed
-                + m.parallel.queries_posed
-                + m.fused.queries_posed
-                + m.thread_scaling
-                    .iter()
-                    .map(|p| p.queries_posed)
-                    .sum::<u64>()
-        })
+        .map(|m| m.per_key.queries_posed + m.fused.queries_posed)
         .sum::<u64>()
         + serve.queries_posed;
     let snap = spacetime_obs::snapshot();
@@ -853,12 +760,7 @@ fn main() {
         let _ = writeln!(json, "      \"transactions\": {n},");
         let _ = writeln!(json, "      \"views\": {},", m.view_count);
         let _ = writeln!(json, "      \"materialized_nodes\": {},", m.materialized_nodes);
-        for (label, run) in [
-            ("per_key", &m.per_key),
-            ("batched", &m.batched),
-            ("parallel", &m.parallel),
-            ("fused", &m.fused),
-        ] {
+        for (label, run) in [("per_key", &m.per_key), ("fused", &m.fused)] {
             let (p50, p95, p99, max) = run.latency_quantiles_ns();
             let _ = writeln!(json, "      \"{label}\": {{");
             let _ = writeln!(json, "        \"wall_s\": {:.6},", run.wall.as_secs_f64());
@@ -891,47 +793,11 @@ fn main() {
             }
             json.push_str("      },\n");
         }
-        // The width parallel mode actually ran at (1 when the 1-CPU
-        // auto-degrade kicked in; the pool width otherwise).
-        let _ = writeln!(
-            json,
-            "      \"parallel_effective_width\": {},",
-            m.parallel_effective_width
-        );
         let _ = writeln!(
             json,
             "      \"speedup\": {:.3},",
-            m.per_key.wall.as_secs_f64() / m.batched.wall.as_secs_f64()
+            m.per_key.wall.as_secs_f64() / m.fused.wall.as_secs_f64()
         );
-        let _ = writeln!(
-            json,
-            "      \"par_speedup\": {:.3},",
-            m.batched.wall.as_secs_f64() / m.parallel.wall.as_secs_f64()
-        );
-        let _ = writeln!(
-            json,
-            "      \"fused_speedup\": {:.3},",
-            m.batched.wall.as_secs_f64() / m.fused.wall.as_secs_f64()
-        );
-        if !m.thread_scaling.is_empty() {
-            json.push_str("      \"thread_scaling\": [\n");
-            for (j, p) in m.thread_scaling.iter().enumerate() {
-                let _ = write!(
-                    json,
-                    "        {{ \"threads\": {}, \"wall_s\": {:.6}, \"txns_per_sec\": {:.1}, \"speedup_vs_seq_batched\": {:.3} }}",
-                    p.threads,
-                    p.wall.as_secs_f64(),
-                    n as f64 / p.wall.as_secs_f64(),
-                    m.batched.wall.as_secs_f64() / p.wall.as_secs_f64()
-                );
-                json.push_str(if j + 1 == m.thread_scaling.len() {
-                    "\n"
-                } else {
-                    ",\n"
-                });
-            }
-            json.push_str("      ],\n");
-        }
         let _ = writeln!(json, "      \"io_identical\": {},", m.reports_identical);
         let _ = writeln!(json, "      \"views_identical\": {},", m.views_identical);
         let _ = writeln!(json, "      \"verified_against_recompute\": {}", m.verified);
@@ -1079,11 +945,10 @@ fn append_bench_history(measured: &[Measured], serve: &ServeMeasured, smoke: boo
         let n = m.scenario.transactions;
         let _ = write!(
             line,
-            "{}\"{}\": {{ \"batched_tps\": {:.1}, \"parallel_tps\": {:.1}, \"fused_tps\": {:.1} }}",
+            "{}\"{}\": {{ \"per_key_tps\": {:.1}, \"fused_tps\": {:.1} }}",
             if i == 0 { " " } else { ", " },
             m.scenario.name,
-            m.batched.txns_per_sec(n),
-            m.parallel.txns_per_sec(n),
+            m.per_key.txns_per_sec(n),
             m.fused.txns_per_sec(n),
         );
     }
@@ -1129,11 +994,6 @@ fn assert_metrics_consistent(
             metric::PLAN_CACHE_LOOKUPS,
             metric::PLAN_CACHE_HITS,
             metric::PLAN_CACHE_MISSES,
-        ),
-        (
-            metric::DELTA_CACHE_LOOKUPS,
-            metric::DELTA_CACHE_HITS,
-            metric::DELTA_CACHE_MISSES,
         ),
         (
             metric::QUERY_CACHE_LOOKUPS,

@@ -2,7 +2,7 @@
 
 use spacetime_algebra::{AggExpr, AggFunc, BinOp, CmpOp, ExprNode, ExprTree, OpKind, ScalarExpr};
 use spacetime_cost::TransactionType;
-use spacetime_ivm::{Database, PropagationMode};
+use spacetime_ivm::Database;
 use spacetime_memo::{explore, GroupId, Memo};
 use spacetime_storage::{Catalog, DataType, Schema, TableStats};
 
@@ -459,12 +459,10 @@ pub fn stacked_view(levels: usize) -> PaperScenario {
     }
 }
 
-/// E-PIPE: the wide runtime scenario's view definitions — eight SQL views
-/// over the *overlapping* Emp/Dept base tables, so a single base delta
-/// fans out across many independent engines (the parallel pipeline's
-/// engine-level axis). `HighEarners` and `HighEarnerCount` share the
-/// access-free σ(Salary>150)(Emp) prefix, exercising the cross-engine
-/// shared-delta cache.
+/// The wide runtime scenario's view definitions — eight SQL views over
+/// the *overlapping* Emp/Dept base tables, so a single base delta fans out
+/// across many independent engines. `HighEarners` and `HighEarnerCount`
+/// share the access-free σ(Salary>150)(Emp) prefix.
 pub const WIDE_PIPELINE_VIEWS: &[&str] = &[
     "CREATE MATERIALIZED VIEW ProblemDept (DName) AS \
      SELECT Dept.DName FROM Emp, Dept WHERE Dept.DName = Emp.DName \
@@ -486,14 +484,12 @@ pub const WIDE_PIPELINE_VIEWS: &[&str] = &[
      SELECT EName, DName FROM Emp WHERE Salary < 80",
 ];
 
-/// Build the E-PIPE database: loaded paper data, batched propagation, the
+/// Build the wide database: loaded paper data, the
 /// eight [`WIDE_PIPELINE_VIEWS`], and a two-rooted view group (Payroll /
 /// BigPayroll over a shared per-department salary sum) — ten maintained
-/// views total, every one dependent on `Emp`. Execution mode is left at
-/// its default; callers opt into the pipeline.
+/// views total, every one dependent on `Emp`.
 pub fn build_wide_pipeline_db(departments: usize, emps_per_dept: usize) -> Database {
     let mut db = paper_schema_db();
-    db.set_propagation_mode(PropagationMode::Batched);
     load_paper_data(&mut db, departments, emps_per_dept);
     for sql in WIDE_PIPELINE_VIEWS {
         db.execute_sql(sql).expect("static view DDL");

@@ -572,7 +572,7 @@ mod tests {
             db
         };
         let mut pk = build(PropagationMode::PerKey);
-        let mut ba = build(PropagationMode::Batched);
+        let mut ba = build(PropagationMode::Fused);
         for (table, delta) in mixed_workload(10, 5, 50, 7) {
             let r_pk = pk.apply_delta(&table, delta.clone()).unwrap();
             let r_ba = ba.apply_delta(&table, delta).unwrap();

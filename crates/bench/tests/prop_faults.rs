@@ -2,15 +2,16 @@
 //! failpoints`).
 //!
 //! Sweeps every failpoint site in `spacetime_storage::fault::SITES` across
-//! every supported action (typed error / injected panic), hit thresholds,
-//! and execution shapes (Sequential, Parallel at pool widths 1/2/4/8),
+//! every supported action (typed error / injected panic) and hit
+//! thresholds, on one database and across the shards of a scheduler,
 //! asserting the all-or-nothing contract each time:
 //!
 //! * a transaction interrupted by a fault leaves every catalog table
 //!   **bit-identical** to its pre-transaction state, with
 //!   `Database::integrity_check` clean;
-//! * an injected panic surfaces as `IvmError::TaskPanicked` (contained by
-//!   the pool — the process, the workers, and the catalog all survive);
+//! * an injected panic reaches the caller only after the rollback, and one
+//!   in a scheduler task surfaces as `IvmError::TaskPanicked` (contained
+//!   by the pool — the process, the workers, and the shards all survive);
 //! * retrying after clearing the fault produces exactly the report and
 //!   contents an unfaulted run produces.
 //!
@@ -24,8 +25,8 @@ use std::sync::Arc;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, ExecutionMode, IvmError, PipelinePool, PropagationMode,
-    ShardedDatabase, Txn, TxnScheduler, UpdateReport,
+    verify_all_views, Database, IvmError, PipelinePool, ShardedDatabase, Txn, TxnScheduler,
+    UpdateReport,
 };
 use spacetime_storage::fault::{self, FaultAction, FaultPlan, SITES};
 use spacetime_storage::{Bag, ShardSpec};
@@ -50,28 +51,12 @@ fn quiet_injected_panics() {
     });
 }
 
-/// How transactions execute in one sweep cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    Sequential,
-    Parallel(usize),
-}
-
-const SHAPES: &[Shape] = &[
-    Shape::Sequential,
-    Shape::Parallel(1),
-    Shape::Parallel(2),
-    Shape::Parallel(4),
-    Shape::Parallel(8),
-];
-
 /// The template database every run clones: paper schema + data, three
 /// single-rooted views, a two-rooted view group over a shared aggregate,
 /// and the DeptConstraint assertion — several engines, several
 /// auxiliaries, so each commit crosses every failpoint site repeatedly.
 fn template() -> Database {
     let mut db = paper_schema_db();
-    db.set_propagation_mode(PropagationMode::Batched);
     load_paper_data(&mut db, 5, 3);
     db.execute_sql(
         "CREATE MATERIALIZED VIEW DeptProfile AS \
@@ -93,18 +78,6 @@ fn template() -> Database {
             HAVING SUM(Salary) > Budget))",
     )
     .unwrap();
-    db
-}
-
-fn shaped(db: &Database, shape: Shape) -> Database {
-    let mut db = db.clone();
-    match shape {
-        Shape::Sequential => db.set_execution_mode(ExecutionMode::Sequential),
-        Shape::Parallel(threads) => {
-            db.set_execution_mode(ExecutionMode::Parallel);
-            db.set_pipeline_pool(Arc::new(PipelinePool::new(threads)));
-        }
-    }
     db
 }
 
@@ -148,45 +121,31 @@ fn control(template: &Database, txns: &[(String, Delta)]) -> (Vec<UpdateReport>,
     (reports, contents(&db))
 }
 
-/// One sweep cell: fault the first transaction at (site, action, on_hit)
-/// under `shape`, then assert rollback bit-identity, integrity, and
+/// One sweep cell: fault the first transaction with a typed error at
+/// (site, on_hit), then assert rollback bit-identity, integrity, and
 /// retry-equals-control.
-#[allow(clippy::too_many_arguments)]
 fn sweep_cell(
     template: &Database,
     txns: &[(String, Delta)],
     ctrl_reports: &[UpdateReport],
     ctrl_contents: &[(String, Bag)],
     site: &'static str,
-    action: FaultAction,
     on_hit: u64,
-    shape: Shape,
 ) {
-    let mut db = shaped(template, shape);
+    let mut db = template.clone();
     let pre = contents(&db);
-    let plan = match action {
-        FaultAction::Error => FaultPlan::new().error_at(site, on_hit),
-        FaultAction::Panic => FaultPlan::new().panic_at(site, on_hit),
-    };
-    let guard = fault::install(plan);
+    let guard = fault::install(FaultPlan::new().error_at(site, on_hit));
     let (table, delta) = &txns[0];
     let result = db.apply_delta(table, delta.clone());
     let fired = guard.fired(site);
-    let label = format!("{site}/{action:?}/hit{on_hit}/{shape:?}");
+    let label = format!("{site}/hit{on_hit}");
     match result {
         Err(err) => {
             assert!(fired, "{label}: errored without the fault firing: {err}");
-            match action {
-                FaultAction::Error => assert!(
-                    err.to_string().contains("injected fault"),
-                    "{label}: unexpected error: {err}"
-                ),
-                FaultAction::Panic => assert!(
-                    matches!(&err, IvmError::TaskPanicked { message }
-                        if message.contains("injected panic")),
-                    "{label}: expected TaskPanicked, got: {err}"
-                ),
-            }
+            assert!(
+                err.to_string().contains("injected fault"),
+                "{label}: unexpected error: {err}"
+            );
             // The catalog is bit-identical to its pre-transaction state.
             assert_eq!(contents(&db), pre, "{label}: catalog torn by the fault");
             db.integrity_check()
@@ -194,7 +153,7 @@ fn sweep_cell(
         }
         Ok(report) => {
             // The armed hit count was never reached (e.g. `on_hit` past
-            // the site's per-txn hits, or a site this shape never
+            // the site's per-txn hits, or a site a plain database never
             // crosses): the run must be indistinguishable from control.
             assert!(!fired, "{label}: fired yet the transaction succeeded");
             assert_eq!(report, ctrl_reports[0], "{label}: report diverged");
@@ -217,91 +176,30 @@ fn sweep_cell(
     assert!(verify_all_views(&db).unwrap().is_empty(), "{label}");
 }
 
-/// The full deterministic sweep: every site x supported action x hit
-/// threshold x execution shape. Panic actions only run under Parallel
-/// shapes — the containment contract covers pool tasks, not the caller's
-/// thread (sites are marked accordingly in the catalog).
+/// The full deterministic sweep: every site x hit threshold, typed
+/// errors. An injected panic unwinds the calling thread here, so panics
+/// have their own sweeps below (`commit_panic_rolls_back_before_resuming`,
+/// `three_update_transaction_fault_sweep`) and, inside pool tasks,
+/// `cross_shard_commit_fault_sweep`.
 #[test]
 fn fault_sweep_preserves_atomicity_at_every_site() {
-    quiet_injected_panics();
     let _serial = fault::serial_guard();
     let template = template();
     let txns = passing_txns(&template, 4);
     let (ctrl_reports, ctrl_contents) = control(&template, &txns);
-    for site in SITES {
-        for action in [FaultAction::Error, FaultAction::Panic] {
-            let supported = match action {
-                FaultAction::Error => site.supports_error,
-                FaultAction::Panic => site.supports_panic,
-            };
-            if !supported {
-                continue;
-            }
-            for on_hit in [1, 2] {
-                for &shape in SHAPES {
-                    if action == FaultAction::Panic && shape == Shape::Sequential {
-                        continue;
-                    }
-                    sweep_cell(
-                        &template,
-                        &txns,
-                        &ctrl_reports,
-                        &ctrl_contents,
-                        site.name,
-                        action,
-                        on_hit,
-                        shape,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The sequential journaled commit (the dirty-shard fast path) under
-/// fault injection, with planning done by the **fused** kernels: every
-/// commit-path site x hit threshold, swept across Sequential (in-place
-/// journaled commit) and the Parallel staged fallback at pool widths
-/// 1/2/4/8. The main sweep covers the same cells under batched planning;
-/// this one proves the fused plans feed both commit protocols the exact
-/// deltas the rollback machinery expects — post-failure bit-identity,
-/// clean integrity, and retry-equals-control every time.
-#[test]
-fn journaled_commit_fault_sweep_under_fused_planning() {
-    quiet_injected_panics();
-    let _serial = fault::serial_guard();
-    let mut template = template();
-    template.set_propagation_mode(PropagationMode::Fused);
-    let txns = passing_txns(&template, 4);
-    let (ctrl_reports, ctrl_contents) = control(&template, &txns);
-    // The three sites the commit paths cross: per-view apply, the base
-    // apply, and the commit gate (`storage::restore_table` fires once per
-    // journaled table on the sequential path, once per staged table on
-    // the parallel one).
-    for site in ["ivm::commit_view", "delta::apply_to", "storage::restore_table"] {
+    for site in SITES.iter().filter(|s| s.supports_error) {
         for on_hit in [1, 2, 3] {
-            for &shape in SHAPES {
-                sweep_cell(
-                    &template,
-                    &txns,
-                    &ctrl_reports,
-                    &ctrl_contents,
-                    site,
-                    FaultAction::Error,
-                    on_hit,
-                    shape,
-                );
-            }
+            sweep_cell(&template, &txns, &ctrl_reports, &ctrl_contents, site.name, on_hit);
         }
     }
 }
 
-/// A panic unwinding through the sequential journaled commit: the undo
+/// A panic unwinding through the journaled commit: the undo
 /// journal must replay before the panic resumes, so the caller that
 /// catches the unwind observes a catalog bit-identical to the
 /// pre-transaction state — and a clean retry afterwards.
 #[test]
-fn sequential_commit_panic_rolls_back_before_resuming() {
+fn commit_panic_rolls_back_before_resuming() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     quiet_injected_panics();
     let _serial = fault::serial_guard();
@@ -310,7 +208,7 @@ fn sequential_commit_panic_rolls_back_before_resuming() {
     let (ctrl_reports, ctrl_contents) = control(&template, &txns);
     for site in ["ivm::commit_view", "delta::apply_to"] {
         for on_hit in [1, 2] {
-            let mut db = shaped(&template, Shape::Sequential);
+            let mut db = template.clone();
             let pre = contents(&db);
             let guard = fault::install(FaultPlan::new().panic_at(site, on_hit));
             let (table, delta) = &txns[0];
@@ -362,95 +260,77 @@ fn three_update_transaction_fault_sweep() {
     let _serial = fault::serial_guard();
     let template = template();
     let txn: Txn = passing_txns(&template, 3);
-    for &shape in SHAPES {
-        let (ctrl_report, ctrl_contents) = {
-            let mut db = shaped(&template, shape);
-            let r = db.apply_transaction(txn.clone()).unwrap();
-            (r, contents(&db))
-        };
-        for site in ["ivm::commit_view", "delta::apply_to", "storage::restore_table"] {
-            // Cumulative crossings after each update, standalone.
-            let cum: Vec<u64> = {
-                let mut probe = shaped(&template, shape);
-                let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
-                let mut cum = vec![0];
-                for (t, d) in &txn {
-                    probe.apply_delta(t, d.clone()).unwrap();
-                    cum.push(guard.hits(site));
-                }
-                cum
-            };
-            {
-                let mut probe = shaped(&template, shape);
-                let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
-                probe.apply_transaction(txn.clone()).unwrap();
-                assert_eq!(
-                    guard.hits(site),
-                    cum[3],
-                    "{site}/{shape:?}: a transaction crosses the site as often as its updates"
-                );
+    let (ctrl_report, ctrl_contents) = {
+        let mut db = template.clone();
+        let r = db.apply_transaction(txn.clone()).unwrap();
+        (r, contents(&db))
+    };
+    for site in ["ivm::commit_view", "delta::apply_to", "storage::restore_table"] {
+        // Cumulative crossings after each update, standalone.
+        let cum: Vec<u64> = {
+            let mut probe = template.clone();
+            let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
+            let mut cum = vec![0];
+            for (t, d) in &txn {
+                probe.apply_delta(t, d.clone()).unwrap();
+                cum.push(guard.hits(site));
             }
-            let meta = SITES.iter().find(|m| m.name == site).unwrap();
-            for action in [FaultAction::Error, FaultAction::Panic] {
-                if action == FaultAction::Panic && !meta.supports_panic {
-                    continue;
+            cum
+        };
+        {
+            let mut probe = template.clone();
+            let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
+            probe.apply_transaction(txn.clone()).unwrap();
+            assert_eq!(
+                guard.hits(site),
+                cum[3],
+                "{site}: a transaction crosses the site as often as its updates"
+            );
+        }
+        let meta = SITES.iter().find(|m| m.name == site).unwrap();
+        for action in [FaultAction::Error, FaultAction::Panic] {
+            if action == FaultAction::Panic && !meta.supports_panic {
+                continue;
+            }
+            for k in 1..=3 {
+                if cum[k] == cum[k - 1] {
+                    continue; // update k never crosses this site
                 }
-                for k in 1..=3 {
-                    if cum[k] == cum[k - 1] {
-                        continue; // update k never crosses this site
+                let mut on_hits = vec![cum[k - 1] + 1, cum[k]];
+                on_hits.dedup();
+                for on_hit in on_hits {
+                    let label = format!("{site}/{action:?}/update{k}/hit{on_hit}");
+                    let mut db = template.clone();
+                    let pre = contents(&db);
+                    let plan = match action {
+                        FaultAction::Error => FaultPlan::new().error_at(site, on_hit),
+                        FaultAction::Panic => FaultPlan::new().panic_at(site, on_hit),
+                    };
+                    let guard = fault::install(plan);
+                    // The commit runs on this thread, so its injected
+                    // panic arrives as an unwind (after the rollback).
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| db.apply_transaction(txn.clone())));
+                    assert!(guard.fired(site), "{label}: the fault never fired");
+                    match (outcome, action) {
+                        (Err(_), FaultAction::Panic) => {}
+                        (Ok(Err(err)), FaultAction::Error) => assert!(
+                            err.to_string().contains("injected fault"),
+                            "{label}: unexpected error: {err}"
+                        ),
+                        (other, _) => panic!("{label}: unexpected outcome {other:?}"),
                     }
-                    let mut on_hits = vec![cum[k - 1] + 1, cum[k]];
-                    on_hits.dedup();
-                    // An update's last `delta::apply_to` crossing is its
-                    // base delta, which the parallel commit stages on the
-                    // calling thread — outside the pool's containment, so
-                    // outside the panic contract (see `SITES`).
-                    if action == FaultAction::Panic
-                        && site == "delta::apply_to"
-                        && shape != Shape::Sequential
-                    {
-                        on_hits.retain(|&h| h != cum[k]);
-                    }
-                    for on_hit in on_hits {
-                        let label = format!("{site}/{action:?}/update{k}/hit{on_hit}/{shape:?}");
-                        let mut db = shaped(&template, shape);
-                        let pre = contents(&db);
-                        let plan = match action {
-                            FaultAction::Error => FaultPlan::new().error_at(site, on_hit),
-                            FaultAction::Panic => FaultPlan::new().panic_at(site, on_hit),
-                        };
-                        let guard = fault::install(plan);
-                        // A sequential commit runs on this thread, so its
-                        // injected panic arrives as an unwind (after the
-                        // rollback); a pool task's arrives as an error.
-                        let outcome =
-                            catch_unwind(AssertUnwindSafe(|| db.apply_transaction(txn.clone())));
-                        assert!(guard.fired(site), "{label}: the fault never fired");
-                        match (outcome, action, shape) {
-                            (Err(_), FaultAction::Panic, Shape::Sequential) => {}
-                            (Ok(Err(err)), FaultAction::Panic, Shape::Parallel(_)) => assert!(
-                                matches!(&err, IvmError::TaskPanicked { message }
-                                    if message.contains("injected panic")),
-                                "{label}: expected TaskPanicked, got: {err}"
-                            ),
-                            (Ok(Err(err)), FaultAction::Error, _) => assert!(
-                                err.to_string().contains("injected fault"),
-                                "{label}: unexpected error: {err}"
-                            ),
-                            (other, ..) => panic!("{label}: unexpected outcome {other:?}"),
-                        }
-                        assert_eq!(contents(&db), pre, "{label}: catalog torn by the fault");
-                        db.integrity_check()
-                            .unwrap_or_else(|e| panic!("{label}: integrity after fault: {e}"));
-                        guard.clear();
-                        let r = db
-                            .apply_transaction(txn.clone())
-                            .unwrap_or_else(|e| panic!("{label}: retry: {e}"));
-                        drop(guard);
-                        assert_eq!(r, ctrl_report, "{label}: retry report diverged");
-                        assert_eq!(contents(&db), ctrl_contents, "{label}: final contents");
-                        assert!(verify_all_views(&db).unwrap().is_empty(), "{label}");
-                    }
+                    assert_eq!(contents(&db), pre, "{label}: catalog torn by the fault");
+                    db.integrity_check()
+                        .unwrap_or_else(|e| panic!("{label}: integrity after fault: {e}"));
+                    guard.clear();
+                    let r = db
+                        .apply_transaction(txn.clone())
+                        .unwrap_or_else(|e| panic!("{label}: retry: {e}"));
+                    drop(guard);
+                    assert_eq!(r, ctrl_report, "{label}: retry report diverged");
+                    assert_eq!(contents(&db), ctrl_contents, "{label}: final contents");
+                    assert!(verify_all_views(&db).unwrap().is_empty(), "{label}");
                 }
             }
         }
@@ -458,27 +338,29 @@ fn three_update_transaction_fault_sweep() {
 }
 
 /// Seeded single-fault plans (the splitmix64 path `FaultPlan::seeded`
-/// exposes to property tests) under a mid-width pool: whatever the seed
+/// exposes to property tests): whatever site, hit and action the seed
 /// picks, atomicity holds.
 #[test]
 fn seeded_fault_plans_preserve_atomicity() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     quiet_injected_panics();
     let _serial = fault::serial_guard();
     let template = template();
     let txns = passing_txns(&template, 2);
     let (ctrl_reports, ctrl_contents) = control(&template, &txns);
     for seed in 0..24u64 {
-        let mut db = shaped(&template, Shape::Parallel(2));
+        let mut db = template.clone();
         let pre = contents(&db);
         let guard = fault::install(FaultPlan::seeded(seed));
         let (table, delta) = &txns[0];
-        match db.apply_delta(table, delta.clone()) {
-            Err(_) => {
+        // A seeded panic unwinds this thread, after the rollback.
+        match catch_unwind(AssertUnwindSafe(|| db.apply_delta(table, delta.clone()))) {
+            Err(_) | Ok(Err(_)) => {
                 assert_eq!(contents(&db), pre, "seed {seed}: catalog torn");
                 db.integrity_check()
                     .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             }
-            Ok(report) => assert_eq!(report, ctrl_reports[0], "seed {seed}"),
+            Ok(Ok(report)) => assert_eq!(report, ctrl_reports[0], "seed {seed}"),
         }
         guard.clear();
         if contents(&db) == pre {
@@ -490,72 +372,6 @@ fn seeded_fault_plans_preserve_atomicity() {
         assert_eq!(r1, ctrl_reports[1], "seed {seed}: follow-up report");
         drop(guard);
         assert_eq!(contents(&db), ctrl_contents, "seed {seed}: final contents");
-    }
-}
-
-/// Satellite regression for the torn-commit window `commit_parallel` used
-/// to have: with two committing engines, a failure injected into the
-/// *second* engine's commit used to leave the first engine's already-
-/// mutated tables attached. Now the pre-commit originals are restored:
-/// nothing of either engine's commit survives.
-#[test]
-fn parallel_commit_failure_in_second_engine_restores_first() {
-    quiet_injected_panics();
-    let _serial = fault::serial_guard();
-    let template = template();
-    // A broad raise past WellPaid's `Salary > 150` threshold touches every
-    // Emp-dependent engine: DeptProfile's TopSal, WellPaid's membership,
-    // and the assertion's salary-sum auxiliary all change.
-    let delta = {
-        let mut d = Delta::new();
-        for dept in 0..3 {
-            d.push_modify(
-                spacetime_storage::tuple![
-                    format!("emp{dept:05}_0"),
-                    format!("dept{dept:05}"),
-                    100_i64
-                ],
-                spacetime_storage::tuple![
-                    format!("emp{dept:05}_0"),
-                    format!("dept{dept:05}"),
-                    180_i64
-                ],
-                1,
-            );
-        }
-        d
-    };
-    // Calibrate: count the `ivm::commit_view` hits of one unfaulted run
-    // (armed far past any plausible threshold so nothing fires).
-    let commit_hits = {
-        let mut probe = shaped(&template, Shape::Parallel(2));
-        let guard = fault::install(FaultPlan::new().error_at("ivm::commit_view", u64::MAX));
-        probe.apply_delta("Emp", delta.clone()).unwrap();
-        guard.hits("ivm::commit_view")
-    };
-    assert!(
-        commit_hits >= 2,
-        "regression needs >= 2 committing view deltas, got {commit_hits}"
-    );
-    for threads in [1, 2] {
-        let mut db = shaped(&template, Shape::Parallel(threads));
-        let pre = contents(&db);
-        // Fire on the *last* commit hit: every other engine's mutation is
-        // already staged (or detached) when this one fails.
-        let guard = fault::install(FaultPlan::new().error_at("ivm::commit_view", commit_hits));
-        let err = db.apply_delta("Emp", delta.clone()).unwrap_err();
-        assert!(guard.fired("ivm::commit_view"), "width {threads}: never fired");
-        assert!(err.to_string().contains("injected fault"), "{err}");
-        assert_eq!(
-            contents(&db),
-            pre,
-            "width {threads}: first engine's commit survived a second-engine failure"
-        );
-        db.integrity_check().unwrap();
-        drop(guard);
-        // The identical transaction succeeds once the fault is gone.
-        db.apply_delta("Emp", delta.clone()).unwrap();
-        assert!(verify_all_views(&db).unwrap().is_empty());
     }
 }
 
@@ -762,37 +578,4 @@ fn cross_shard_commit_fault_sweep() {
             width,
         );
     }
-}
-
-/// A panicking pool task must not kill the worker, the pool, or the
-/// database: the error is typed, the catalog intact, and the *same pool*
-/// keeps serving subsequent transactions.
-#[test]
-fn worker_panic_is_contained_and_pool_survives() {
-    quiet_injected_panics();
-    let _serial = fault::serial_guard();
-    let template = template();
-    let pool = Arc::new(PipelinePool::new(2));
-    let mut db = template.clone();
-    db.set_execution_mode(ExecutionMode::Parallel);
-    db.set_pipeline_pool(Arc::clone(&pool));
-    let txns = passing_txns(&template, 2);
-    let pre = contents(&db);
-    {
-        let _guard = fault::install(FaultPlan::new().panic_at("ivm::pool_dispatch", 1));
-        let (table, delta) = &txns[0];
-        let err = db.apply_delta(table, delta.clone()).unwrap_err();
-        assert!(
-            matches!(&err, IvmError::TaskPanicked { message } if message.contains("injected panic")),
-            "{err}"
-        );
-        assert_eq!(contents(&db), pre);
-        db.integrity_check().unwrap();
-    }
-    // Same database, same pool, no fault: business as usual.
-    for (table, delta) in &txns {
-        db.apply_delta(table, delta.clone()).unwrap();
-    }
-    assert!(verify_all_views(&db).unwrap().is_empty());
-    db.integrity_check().unwrap();
 }

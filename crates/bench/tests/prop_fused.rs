@@ -13,11 +13,13 @@
 //! 2. **Database vs oracle** — random operator trees (a select→project
 //!    chain view, plus a join→aggregate engine with a HAVING-style chain
 //!    *above* the aggregate, shared by two roots) maintained under
-//!    [`PropagationMode::PerKey`], `Batched`, and `Fused` must agree on
-//!    every per-transaction [`UpdateReport`] (charged I/O and posed
-//!    queries included) and on final materialized contents, and all
-//!    three must verify against full recomputation — the materializing
-//!    evaluator is the oracle the fused path can never drift from.
+//!    [`PropagationMode::PerKey`], `Fused`, and `Fused` with tracing on
+//!    (chains run one step per group, no kernels) must agree on every
+//!    per-transaction [`UpdateReport`] (charged I/O and posed queries
+//!    included) and on final materialized contents, and all three must
+//!    verify against full recomputation — the materializing evaluator is
+//!    the oracle the fused path can never drift from, and recording a
+//!    trace never perturbs the maintained state.
 
 use std::sync::Arc;
 
@@ -265,26 +267,28 @@ fn multi_row_txns() -> Vec<(String, Delta)> {
 
 fn tree_case(thr: i64, agg_pick: u8, having: i64, seed: u64) {
     let mut pk = build_tree_db(PropagationMode::PerKey, thr, agg_pick, having);
-    let mut ba = build_tree_db(PropagationMode::Batched, thr, agg_pick, having);
     let mut fu = build_tree_db(PropagationMode::Fused, thr, agg_pick, having);
+    let mut traced = build_tree_db(PropagationMode::Fused, thr, agg_pick, having);
+    traced.set_tracing(true);
     let mut txns = mixed_workload(4, 3, 25, seed);
     txns.extend(multi_row_txns());
     for (i, (table, delta)) in txns.into_iter().enumerate() {
         let r_pk = pk.apply_delta(&table, delta.clone()).unwrap();
-        let r_ba = ba.apply_delta(&table, delta.clone()).unwrap();
+        let r_tr = traced.apply_delta(&table, delta.clone()).unwrap();
         let r_fu = fu.apply_delta(&table, delta).unwrap();
-        assert_eq!(r_pk, r_ba, "txn {i}: per-key vs batched report diverged");
+        assert_eq!(r_pk, r_tr, "txn {i}: tracing perturbed the report");
         assert_eq!(
-            r_ba, r_fu,
+            r_pk, r_fu,
             "txn {i}: fused report diverged (I/O or posed queries)"
         );
+        assert!(traced.last_trace().is_some(), "txn {i}: tracing on recorded nothing");
     }
     for name in materialized_tables(&pk) {
         let want = pk.catalog.table(&name).unwrap().relation.data();
         assert_eq!(
             want,
-            ba.catalog.table(&name).unwrap().relation.data(),
-            "batched contents diverged for {name}"
+            traced.catalog.table(&name).unwrap().relation.data(),
+            "tracing perturbed the contents of {name}"
         );
         assert_eq!(
             want,
@@ -294,7 +298,7 @@ fn tree_case(thr: i64, agg_pick: u8, having: i64, seed: u64) {
     }
     // The materializing evaluator is the oracle: every mode's maintained
     // views must equal a from-scratch recomputation.
-    for db in [&pk, &ba, &fu] {
+    for db in [&pk, &traced, &fu] {
         assert!(verify_all_views(db).unwrap().is_empty());
     }
 }
@@ -306,7 +310,7 @@ proptest! {
     })]
 
     /// Random tree parameters x random workloads (plus multi-row delete
-    /// transactions): per-key, batched, and fused agree transaction by
+    /// transactions): per-key, fused, and traced agree transaction by
     /// transaction and verify against recomputation.
     #[test]
     fn fused_database_matches_perkey_and_oracle(

@@ -41,9 +41,9 @@ fn shard_spec() -> ShardSpec {
     ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0])
 }
 
-fn build_db(departments: usize, emps_per_dept: usize) -> Database {
+fn build_db(departments: usize, emps_per_dept: usize, mode: PropagationMode) -> Database {
     let mut db = paper_schema_db();
-    db.set_propagation_mode(PropagationMode::Batched);
+    db.set_propagation_mode(mode);
     load_paper_data(&mut db, departments, emps_per_dept);
     for sql in VIEWS {
         db.execute_sql(sql).unwrap();
@@ -70,8 +70,9 @@ fn assert_serving_identical(
     seed: u64,
     n_shards: usize,
     width: usize,
+    mode: PropagationMode,
 ) {
-    let template = build_db(departments, emps_per_dept);
+    let template = build_db(departments, emps_per_dept, mode);
     let txns: Vec<Txn> = mixed_workload(departments, emps_per_dept, n_txns, seed)
         .into_iter()
         .map(|(table, delta)| vec![(table, delta)])
@@ -104,7 +105,7 @@ fn assert_serving_identical(
         .run_serial(&txns)
         .unwrap();
 
-    let ctx = format!("{n_shards} shard(s), width {width}, seed {seed}");
+    let ctx = format!("{n_shards} shard(s), width {width}, seed {seed}, {mode:?}");
     // Determinism: slot-by-slot bit-identical reports against the serial
     // replay, and every table of every shard identical.
     for (i, (a, b)) in out.results.iter().zip(replay.results.iter()).enumerate() {
@@ -211,19 +212,23 @@ proptest! {
         seed in any::<u64>(),
         n_shards in 1usize..5,
         width_exp in 0u32..4,
+        per_key in 0u8..2,
     ) {
+        let mode = if per_key == 1 { PropagationMode::PerKey } else { PropagationMode::Fused };
         // Pool widths 1/2/4/8.
-        assert_serving_identical(departments, emps_per_dept, n_txns, seed, n_shards, 1 << width_exp);
+        assert_serving_identical(departments, emps_per_dept, n_txns, seed, n_shards, 1 << width_exp, mode);
     }
 }
 
 /// Deterministic smoke version (no proptest shrink noise in CI logs)
-/// sweeping every pool width at a fixed seed — the cell CI reruns under
-/// `RAYON_NUM_THREADS=1` for the scheduler-determinism leg.
+/// sweeping every pool width at a fixed seed, under the production mode
+/// and the per-key reference.
 #[test]
 fn sharded_serving_identical_at_fixed_seeds_and_widths() {
-    for (n_shards, width) in [(1, 1), (2, 2), (3, 4), (4, 8)] {
-        assert_serving_identical(6, 4, 20, 0xC0FFEE, n_shards, width);
+    for mode in [PropagationMode::PerKey, PropagationMode::Fused] {
+        for (n_shards, width) in [(1, 1), (2, 2), (3, 4), (4, 8)] {
+            assert_serving_identical(6, 4, 20, 0xC0FFEE, n_shards, width, mode);
+        }
     }
 }
 
@@ -235,7 +240,7 @@ fn sharded_serving_identical_at_fixed_seeds_and_widths() {
 /// violation is the transaction's only update or its second.
 #[test]
 fn assertion_violations_align_across_serving_modes() {
-    let mut template = build_db(6, 3);
+    let mut template = build_db(6, 3, PropagationMode::Fused);
     template
         .execute_sql(
             "CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS ( \
@@ -403,7 +408,7 @@ fn mid_wave_dispatch_panic_leaves_other_shards_untouched() {
     }
     let _serial = fault::serial_guard();
 
-    let template = build_db(4, 3);
+    let template = build_db(4, 3, PropagationMode::Fused);
     let txns: Vec<Txn> = mixed_workload(4, 3, 8, 31)
         .into_iter()
         .map(|(table, delta)| vec![(table, delta)])

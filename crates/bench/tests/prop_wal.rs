@@ -35,11 +35,7 @@ use spacetime_ivm::{
 use spacetime_storage::{ShardSpec, Tuple, Value};
 use spacetime_wal::{crash, test_dir, CheckpointPolicy};
 
-const MODES: &[PropagationMode] = &[
-    PropagationMode::PerKey,
-    PropagationMode::Batched,
-    PropagationMode::Fused,
-];
+const MODES: &[PropagationMode] = &[PropagationMode::PerKey, PropagationMode::Fused];
 
 const VIEWS: &[&str] = &[
     "CREATE MATERIALIZED VIEW DeptProfile AS \
@@ -264,7 +260,7 @@ fn wal_unsharded_crash_matrix() {
 #[test]
 fn wal_checkpoint_replays_only_the_tail() {
     let dir = test_dir("ckpt_tail");
-    let template = build_db(3, 4, PropagationMode::Batched);
+    let template = build_db(3, 4, PropagationMode::Fused);
     let mut dur =
         DurableDatabase::create(template.clone(), &dir, DurabilityOptions::default()).unwrap();
     for i in 0..4 {
@@ -293,7 +289,7 @@ fn wal_checkpoint_replays_only_the_tail() {
 #[test]
 fn wal_checkpoint_policy_triggers_automatically() {
     let dir = test_dir("ckpt_policy");
-    let template = build_db(3, 4, PropagationMode::Batched);
+    let template = build_db(3, 4, PropagationMode::Fused);
     let opts = DurabilityOptions {
         checkpoint: CheckpointPolicy {
             every_txns: Some(2),
@@ -468,7 +464,7 @@ fn wal_global_commit_crash_aborts_cross_shard_txn() {
 fn wal_sharded_checkpoint_then_recover() {
     let n_shards = 2;
     let dir = test_dir("sharded_ckpt");
-    let template = build_db(4, 3, PropagationMode::Batched);
+    let template = build_db(4, 3, PropagationMode::Fused);
     let spec = shard_spec();
     let txns = sharded_txns(&spec, n_shards);
     let mut dur = DurableSharded::create(

@@ -1,44 +1,20 @@
 //! Applying deltas to storage.
 //!
-//! [`apply_to_relation`] performs the physical updates and therefore incurs
-//! the paper's *"cost of performing updates to V"* (§3.4): per touched
-//! tuple, index page reads (and writes when a key changes), a data page
-//! read of the old value and a data page write of the new value — charged
-//! by [`Relation`]'s mutation methods.
+//! [`apply_to_relation_undo`] performs the physical updates and therefore
+//! incurs the paper's *"cost of performing updates to V"* (§3.4): per
+//! touched tuple, index page reads (and writes when a key changes), a data
+//! page read of the old value and a data page write of the new value —
+//! charged by [`Relation`]'s mutation methods.
 //!
-//! [`apply_to_relation_undo`] is the journaled variant used by the
-//! in-place sequential commit fast path: every successful relation op is
-//! recorded in an [`UndoLog`] so a failure later in the same transaction
-//! — in the same update, in a later update, or on another shard of a
-//! cross-shard commit — can be rolled back by replaying exact inverse ops
-//! in reverse order: no copy-on-write staging, no whole-table copies.
+//! Every successful relation op is recorded in an [`UndoLog`] so a failure
+//! later in the same transaction — in the same update, in a later update,
+//! or on another shard of a cross-shard commit — can be rolled back by
+//! replaying exact inverse ops in reverse order: no copy-on-write staging,
+//! no whole-table copies.
 
-use std::sync::Arc;
-
-use spacetime_storage::{Bag, Catalog, IoMeter, Relation, StorageResult, Table};
+use spacetime_storage::{Bag, Catalog, IoMeter, Relation, StorageResult};
 
 use crate::delta::Delta;
-
-/// Apply a delta to a stored relation, charging maintenance I/O to `io`.
-///
-/// Order matters for bag correctness: deletions and modification removals
-/// happen before insertions, so a delta that moves `n` copies between
-/// identical tuples round-trips.
-pub fn apply_to_relation(delta: &Delta, rel: &mut Relation, io: &mut IoMeter) -> StorageResult<()> {
-    // The innermost write of every commit path; firing here interrupts a
-    // transaction with zero or more earlier deltas already staged.
-    spacetime_storage::fault::fire("delta::apply_to")?;
-    for (t, c) in delta.deletes.iter() {
-        rel.delete(t, c, io)?;
-    }
-    for m in &delta.modifies {
-        rel.modify(&m.old, m.new.clone(), m.count, io)?;
-    }
-    for (t, c) in delta.inserts.iter() {
-        rel.insert(t.clone(), c, io)?;
-    }
-    Ok(())
-}
 
 /// Apply a delta to an in-memory bag (verification oracle).
 pub fn apply_to_bag(delta: &Delta, bag: &mut Bag) -> StorageResult<()> {
@@ -61,23 +37,19 @@ enum UndoOp {
     },
 }
 
-/// Per-relation run of recorded ops (in application order), or — when
-/// `original` is set — the table as it stood before a staged commit
-/// swapped a copy in over it.
+/// Per-relation run of recorded ops (in application order).
 #[derive(Debug, Default, Clone)]
 struct UndoEntry {
     table: String,
     ops: Vec<UndoOp>,
-    original: Option<Arc<Table>>,
 }
 
 /// The rollback journal of one transaction.
 ///
-/// [`apply_to_relation_undo`] records each successful relation op here,
-/// and a staged commit records the pre-commit table it replaced
-/// ([`UndoLog::record_original`]); [`UndoLog::rollback`] undoes both in
-/// reverse order, restoring the catalog to its pre-transaction contents
-/// without any staged table copies. The journal is not tied to one
+/// [`apply_to_relation_undo`] records each successful relation op here;
+/// [`UndoLog::rollback`] undoes them in reverse order, restoring the
+/// catalog to its pre-transaction contents without any table copies. The
+/// journal is not tied to one
 /// update: whoever owns it decides when a transaction ends by calling
 /// [`UndoLog::reset`] (commit) or [`UndoLog::rollback`] (abort), so it
 /// spans every update of a multi-update transaction. The log's buffers
@@ -105,7 +77,6 @@ impl UndoLog {
         for e in &mut self.entries[..self.live] {
             e.table.clear();
             e.ops.clear();
-            e.original = None;
         }
         self.live = 0;
     }
@@ -115,8 +86,8 @@ impl UndoLog {
         self.live == 0
     }
 
-    /// Number of journal entries (one per delta applied or table
-    /// replaced, in application order; entries are never merged). A
+    /// Number of journal entries (one per delta applied, in application
+    /// order; entries are never merged). A
     /// caller that needs "the entries of this update" remembers the count
     /// before the update and skips that many [`UndoLog::tables`].
     pub fn table_count(&self) -> usize {
@@ -128,24 +99,13 @@ impl UndoLog {
         self.entries[..self.live].iter().map(|e| e.table.as_str())
     }
 
-    /// Journal a whole-table replacement: `original` is the cataloged
-    /// table a staged commit is about to swap its copy in over. Rollback
-    /// puts it back.
-    pub fn record_original(&mut self, table: &str, original: Arc<Table>) {
-        self.begin(table);
-        self.entries[self.live - 1].original = Some(original);
-    }
-
     /// Open a new per-relation run (reusing a pooled entry if available).
     fn begin(&mut self, table: &str) {
         if self.live == self.entries.len() {
             self.entries.push(UndoEntry::default());
         }
         let e = &mut self.entries[self.live];
-        debug_assert!(
-            e.table.is_empty() && e.ops.is_empty() && e.original.is_none(),
-            "reset() clears"
-        );
+        debug_assert!(e.table.is_empty() && e.ops.is_empty(), "reset() clears");
         e.table.push_str(table);
         self.live += 1;
     }
@@ -154,9 +114,9 @@ impl UndoLog {
         self.entries[self.live - 1].ops.push(op);
     }
 
-    /// Undo every entry in reverse order — exact inverse ops replayed,
-    /// replaced tables put back — restoring every journaled relation to
-    /// its pre-transaction contents with a clear dirty mask, then reset.
+    /// Undo every entry in reverse order — exact inverse ops replayed —
+    /// restoring every journaled relation to its pre-transaction contents
+    /// with a clear dirty mask, then reset.
     /// A no-op on an empty journal.
     ///
     /// Errors only on a journal/catalog mismatch, which would indicate a
@@ -165,11 +125,7 @@ impl UndoLog {
     pub fn rollback(&mut self, catalog: &mut Catalog) -> StorageResult<()> {
         // Uncharged: rollback is repair, not accounted maintenance work.
         let mut io = IoMeter::new();
-        for e in self.entries[..self.live].iter_mut().rev() {
-            if let Some(original) = e.original.take() {
-                catalog.restore_table(e.table.as_str(), original);
-                continue;
-            }
+        for e in self.entries[..self.live].iter().rev() {
             let rel = &mut catalog.table_mut(&e.table)?.relation;
             for op in e.ops.iter().rev() {
                 match op {
@@ -187,17 +143,22 @@ impl UndoLog {
     }
 }
 
-/// [`apply_to_relation`] with journaling: records each successful op into
-/// `undo` so the whole application (and everything before it in the same
-/// transaction) can be inverted by [`UndoLog::rollback`]. An op that fails
-/// mid-delta leaves the journal exactly covering the ops that did land.
+/// Apply a delta to a stored relation, charging maintenance I/O to `io`
+/// and recording each successful op into `undo`, so the whole application
+/// (and everything before it in the same transaction) can be inverted by
+/// [`UndoLog::rollback`]. An op that fails mid-delta leaves the journal
+/// exactly covering the ops that did land.
+///
+/// Order matters for bag correctness: deletions and modification removals
+/// happen before insertions, so a delta that moves `n` copies between
+/// identical tuples round-trips.
 pub fn apply_to_relation_undo(
     delta: &Delta,
     rel: &mut Relation,
     io: &mut IoMeter,
     undo: &mut UndoLog,
 ) -> StorageResult<()> {
-    // Same failpoint as the staged path: firing here interrupts a
+    // The innermost write of the commit; firing here interrupts a
     // transaction with zero or more earlier deltas already applied.
     spacetime_storage::fault::fire("delta::apply_to")?;
     undo.begin(rel.name());
@@ -250,7 +211,7 @@ mod tests {
         let mut r = sum_of_sals_relation();
         let d = Delta::modify(tuple!["dept1", 100], tuple!["dept1", 130], 1);
         let mut io = IoMeter::new();
-        apply_to_relation(&d, &mut r, &mut io).unwrap();
+        apply_to_relation_undo(&d, &mut r, &mut io, &mut UndoLog::new()).unwrap();
         assert_eq!(io.total(), 3);
     }
 
@@ -261,7 +222,7 @@ mod tests {
         d.inserts.insert(tuple!["dept9", 900], 1);
         d.push_modify(tuple!["dept2", 200], tuple!["dept2", 250], 1);
         let mut io = IoMeter::new();
-        apply_to_relation(&d, &mut r, &mut io).unwrap();
+        apply_to_relation_undo(&d, &mut r, &mut io, &mut UndoLog::new()).unwrap();
         assert_eq!(r.len(), 3);
         assert!(r.data().contains(&tuple!["dept9", 900]));
         assert!(r.data().contains(&tuple!["dept2", 250]));
@@ -273,7 +234,7 @@ mod tests {
         let mut r = sum_of_sals_relation();
         let d = Delta::delete(tuple!["ghost", 1], 1);
         let mut io = IoMeter::new();
-        assert!(apply_to_relation(&d, &mut r, &mut io).is_err());
+        assert!(apply_to_relation_undo(&d, &mut r, &mut io, &mut UndoLog::new()).is_err());
     }
 
     #[test]
@@ -397,28 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_puts_replaced_tables_back() {
-        // The staged commit's entry: the original `Arc<Table>` returns to
-        // the catalog as the very same allocation.
-        let mut cat = sum_of_sals_catalog();
-        let original = cat.table_arc("SumOfSals").unwrap();
-        let mut staged = Arc::clone(&original);
-        let mut io = IoMeter::new();
-        Arc::make_mut(&mut staged)
-            .relation
-            .insert(tuple!["dept9", 900], 1, &mut io)
-            .unwrap();
-        let mut undo = UndoLog::new();
-        cat.restore_tables([("SumOfSals".to_string(), staged)])
-            .unwrap();
-        undo.record_original("SumOfSals", Arc::clone(&original));
-        assert_eq!(cat.table("SumOfSals").unwrap().relation.len(), 4);
-        undo.rollback(&mut cat).unwrap();
-        assert!(Arc::ptr_eq(&original, &cat.table_arc("SumOfSals").unwrap()));
-        assert!(undo.is_empty());
-    }
-
-    #[test]
     fn rollback_against_a_catalog_missing_a_journaled_table_is_an_error() {
         // A journal/catalog mismatch is a typed error for the caller to
         // route, never a panic, and the journal is left as evidence.
@@ -463,7 +402,7 @@ mod tests {
         let mut bag = r.data().clone();
         let d = Delta::modify(tuple!["dept1", 100], tuple!["dept1", 101], 1);
         let mut io = IoMeter::new();
-        apply_to_relation(&d, &mut r, &mut io).unwrap();
+        apply_to_relation_undo(&d, &mut r, &mut io, &mut UndoLog::new()).unwrap();
         apply_to_bag(&d, &mut bag).unwrap();
         assert_eq!(&bag, r.data());
     }

@@ -24,6 +24,6 @@ pub mod apply;
 pub mod delta;
 pub mod propagate;
 
-pub use apply::{apply_to_bag, apply_to_relation, apply_to_relation_undo, UndoLog};
+pub use apply::{apply_to_bag, apply_to_relation_undo, UndoLog};
 pub use delta::{Delta, Modify};
 pub use propagate::{propagate, propagate_chain, BagAccess, InputAccess};

@@ -8,7 +8,6 @@
 //! *before* anything is applied — SQL-92 semantics), and committed with
 //! full I/O accounting.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use spacetime_algebra::{eval_uncharged, ExprNode, ExprTree, ScalarExpr};
@@ -19,11 +18,10 @@ use spacetime_optimizer::heuristics::rule_of_thumb_optimize;
 use spacetime_optimizer::{greedy_add, optimal_view_set, shielding_optimize, EvalConfig, ViewSet};
 use spacetime_obs::{self as obs, names as metric, MetricsSnapshot, TraceNode};
 use spacetime_sql::{lower::lower_literal_row, lower_select, parse_statements, Statement};
-use spacetime_storage::{Bag, Catalog, Column, IoMeter, Schema, Table, Tuple, Value};
+use spacetime_storage::{Bag, Catalog, Column, IoMeter, Schema, Tuple, Value};
 
 use crate::constraints::{Assertion, Violation};
-use crate::engine::{IvmEngine, PlanOptions, PlannedUpdate, PropagationMode, UpdateReport};
-use crate::pipeline::{ExecutionMode, PipelinePool, SharedDeltaCache};
+use crate::engine::{IvmEngine, PlannedUpdate, PropagationMode, UpdateReport};
 use crate::{IvmError, IvmResult};
 
 /// How auxiliary views are chosen when a view/assertion is created.
@@ -40,6 +38,15 @@ pub enum ViewSelection {
     Greedy,
     /// The §5 rule-of-thumb marking.
     RuleOfThumb,
+}
+
+// Compile shim for the frozen benchmark harness, which still names the one
+// execution mode left; the follow-up benchmark PR removes that call, then this.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecutionMode {
+    #[default]
+    Sequential,
 }
 
 /// Outcome of one executed statement.
@@ -73,8 +80,6 @@ pub struct Database {
     workload: Vec<TransactionType>,
     selection: ViewSelection,
     mode: PropagationMode,
-    exec: ExecutionMode,
-    pool: Option<Arc<PipelinePool>>,
     tracing: bool,
     last_trace: Option<TraceNode>,
     /// Accumulated maintenance reports (for benchmarking).
@@ -142,8 +147,6 @@ impl Database {
             workload: Vec::new(),
             selection: ViewSelection::default(),
             mode: PropagationMode::default(),
-            exec: ExecutionMode::default(),
-            pool: None,
             tracing: false,
             last_trace: None,
             last_report: None,
@@ -174,9 +177,7 @@ impl Database {
     /// [`Database::apply_delta`] / [`Database::apply_transaction`] records
     /// an `EXPLAIN ANALYZE`-style span tree, retrievable with
     /// [`Database::last_trace`]. Tracing does extra bookkeeping (probes and
-    /// clock reads) but never changes deltas, reports, or view contents,
-    /// and the recorded *structure* is identical across execution modes —
-    /// only wall-clock durations and cache notes differ.
+    /// clock reads) but never changes deltas, reports, or view contents.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         if !on {
@@ -204,8 +205,8 @@ impl Database {
         self.last_trace.take()
     }
 
-    /// A snapshot of the process-wide metrics registry: pool, cache,
-    /// track, and latency series accumulated across every database in the
+    /// A snapshot of the process-wide metrics registry: pool, track, and
+    /// latency series accumulated across every database in the
     /// process. Empty (all maps empty) in default builds — metrics only
     /// record when the `metrics` cargo feature is enabled
     /// ([`spacetime_obs::compiled`]).
@@ -220,7 +221,8 @@ impl Database {
 
     /// Set the propagation data plane for every engine, existing and
     /// future. Both modes produce identical deltas and charge identical
-    /// I/O; [`PropagationMode::PerKey`] is the benchmark baseline.
+    /// I/O; [`PropagationMode::PerKey`] is the reference the suites
+    /// compare [`PropagationMode::Fused`] against.
     pub fn set_propagation_mode(&mut self, mode: PropagationMode) {
         self.mode = mode;
         for e in &mut self.engines {
@@ -228,16 +230,14 @@ impl Database {
         }
     }
 
-    /// Set how transactions execute: [`ExecutionMode::Sequential`] (the
-    /// default) or [`ExecutionMode::Parallel`] (the pipeline — identical
-    /// deltas, reports, and view contents, less wall clock).
-    pub fn set_execution_mode(&mut self, exec: ExecutionMode) {
-        self.exec = exec;
-    }
+    // Compile shim, see `ExecutionMode`.
+    #[doc(hidden)]
+    pub fn set_execution_mode(&mut self, _exec: ExecutionMode) {}
 
-    /// The active execution mode, as declared.
+    // Compile shim, see `ExecutionMode`.
+    #[doc(hidden)]
     pub fn execution_mode(&self) -> ExecutionMode {
-        self.exec
+        ExecutionMode::Sequential
     }
 
     /// The active propagation mode (checkpoints persist it).
@@ -259,47 +259,6 @@ impl Database {
         self.assertions.push(assertion);
     }
 
-    /// The execution mode transactions actually run under. On a 1-CPU
-    /// host, a declared [`ExecutionMode::Parallel`] with no explicit
-    /// override (no session pool from [`Database::set_pipeline_pool`], no
-    /// `RAYON_NUM_THREADS`) auto-degrades to the inline width-1 sequential
-    /// fast path: the pool cannot win wall clock without a second core, it
-    /// only adds dispatch overhead, and both modes are proven
-    /// bit-identical. An explicit override is honored verbatim — pinned
-    /// determinism tests and scaling sweeps measure exactly the width they
-    /// asked for.
-    pub fn effective_execution_mode(&self) -> ExecutionMode {
-        match self.exec {
-            ExecutionMode::Parallel
-                if self.pool.is_none()
-                    && crate::pipeline::env_width_override().is_none()
-                    && crate::pipeline::host_cpus() == 1 =>
-            {
-                ExecutionMode::Sequential
-            }
-            e => e,
-        }
-    }
-
-    /// The worker width transactions effectively run at: 1 under
-    /// (effective) sequential execution, else the pool's thread count.
-    pub fn effective_width(&self) -> usize {
-        match self.effective_execution_mode() {
-            ExecutionMode::Sequential => 1,
-            ExecutionMode::Parallel => self.pool().threads(),
-        }
-    }
-
-    /// Use a specific worker pool (e.g. a pinned-width pool for scaling
-    /// measurements) instead of the process-wide default.
-    pub fn set_pipeline_pool(&mut self, pool: Arc<PipelinePool>) {
-        self.pool = Some(pool);
-    }
-
-    fn pool(&self) -> Arc<PipelinePool> {
-        self.pool.clone().unwrap_or_else(PipelinePool::global)
-    }
-
     /// Declare the workload (transaction types with weights) the optimizer
     /// should plan for. Without a declaration, a unit modification per
     /// base relation with equal weights is assumed.
@@ -307,8 +266,7 @@ impl Database {
         self.workload = txns;
     }
 
-    /// The engines (for inspection/benchmarks). Shared handles: the
-    /// parallel pipeline clones them into worker tasks.
+    /// The engines (for inspection/benchmarks).
     pub fn engines(&self) -> &[Arc<IvmEngine>] {
         &self.engines
     }
@@ -600,26 +558,15 @@ impl Database {
         let update_watch = obs::stopwatch();
         let timed = self.tracing || self.collect_phases;
         let t_plan = timed.then(std::time::Instant::now);
-        let exec = self.effective_execution_mode();
         // Phase 1: plan against pre-update state.
-        let mut planned = match exec {
-            ExecutionMode::Sequential => {
-                let opts = PlanOptions {
-                    trace: self.tracing,
-                    ..PlanOptions::default()
-                };
-                let mut planned = Vec::with_capacity(self.engines.len());
-                for e in &self.engines {
-                    planned.push(e.plan_update_with(&self.catalog, table, &delta, &opts)?);
-                }
-                planned
-            }
-            ExecutionMode::Parallel => self.plan_parallel(table, &delta)?,
-        };
+        let mut planned = Vec::with_capacity(self.engines.len());
+        for e in &self.engines {
+            planned.push(e.plan_update_with(&self.catalog, table, &delta, self.tracing)?);
+        }
         let plan_dur = t_plan.map(|t| t.elapsed());
         let t_gate = timed.then(std::time::Instant::now);
-        // Assertion gate (always against pre-update state, whichever mode
-        // planned — a violating transaction is rejected before any write).
+        // Assertion gate (always against pre-update state — a violating
+        // transaction is rejected before any write).
         for a in &self.assertions {
             if let Some((engine, plan)) = self
                 .engines
@@ -632,36 +579,18 @@ impl Database {
                 }
             }
         }
-        // Phase 2: commit everywhere. Both paths are all-or-nothing
-        // (DESIGN.md §12, §15): the sequential path applies writes in
-        // place on the live catalog, journaling an inverse op per landed
-        // write (zero shard copies in the steady state — the dirty-shard
-        // fast path), and the parallel path stages writes in
-        // copy-on-write `Arc<Table>` copies published by a single
-        // `restore_tables` swap, journaling the tables it replaced. Either
-        // way ANY failure (storage error, injected fault, contained panic)
-        // leaves the catalog bit-identical to its pre-transaction state —
-        // inside a transaction scope, to the state before its first
-        // update. Reports merge each
-        // engine's planning report with its apply report in engine order
-        // (deterministic regardless of which threads did the work).
+        // Phase 2: commit everywhere, all-or-nothing (DESIGN.md §12):
+        // writes are applied in place on the live catalog, journaling an
+        // inverse op per landed write, so ANY failure (storage error,
+        // injected fault, panic) leaves the catalog bit-identical to its
+        // pre-transaction state — inside a transaction scope, to the state
+        // before its first update. Reports merge each engine's planning
+        // report with its apply report in engine order.
         let gate_dur = t_gate.map(|t| t.elapsed());
         let commit_watch = obs::stopwatch();
         let t_commit = timed.then(std::time::Instant::now);
         let mut combined = UpdateReport::default();
-        match exec {
-            ExecutionMode::Sequential => {
-                self.commit_sequential(table, &delta, &planned, &mut combined)?
-            }
-            // All Parallel-mode commits route through the pool — even a
-            // single committing engine at width 1 — so an injected panic
-            // in commit code is always contained by the pool's
-            // catch_unwind rather than unwinding the caller.
-            ExecutionMode::Parallel => {
-                let pool = self.pool();
-                self.commit_parallel(&pool, table, &delta, &planned, &mut combined)?
-            }
-        }
+        self.commit(table, &delta, &planned, &mut combined)?;
         commit_watch.observe(metric::COMMIT_LATENCY_NS);
         update_watch.observe(metric::UPDATE_LATENCY_NS);
         let commit_dur = t_commit.map(|t| t.elapsed());
@@ -695,9 +624,8 @@ impl Database {
     }
 
     /// Assemble the per-update trace tree from the engines' propagation
-    /// traces plus a deterministic commit section derived from `planned`
-    /// (never from which threads did the committing). Called only when
-    /// tracing is on, after a successful commit.
+    /// traces plus a commit section derived from `planned`. Called only
+    /// when tracing is on, after a successful commit.
     fn update_trace(
         &self,
         table: &str,
@@ -709,9 +637,8 @@ impl Database {
     ) -> TraceNode {
         let mut root =
             TraceNode::new(format!("update {table}")).with_field("rows", delta.size());
-        // Execution mode and phase timings are observations about *how* the
-        // update ran, not *what* it computed — non-structural by contract.
-        root.push_note(format!("exec={:?}", self.exec));
+        // Phase timings are observations about *how* the update ran, not
+        // *what* it computed — non-structural by contract.
         if let (Some(p), Some(g), Some(c)) = (plan_dur, gate_dur, commit_dur) {
             root.push_note(format!(
                 "phases plan={}ns gate={}ns commit={}ns",
@@ -754,7 +681,7 @@ impl Database {
         root
     }
 
-    /// Sequential journaled commit — the dirty-shard fast path. View
+    /// The journaled commit — the dirty-shard fast path. View
     /// deltas and the base delta are applied *in place* on the live
     /// catalog, recording an inverse operation in the session's
     /// [`spacetime_delta::UndoLog`] for each landed write. In the steady
@@ -766,15 +693,14 @@ impl Database {
     /// All-or-nothing is preserved by the journal: on any failure — a
     /// storage error, an injected fault (including the
     /// `storage::restore_table` commit gate, fired once per table this
-    /// update journaled, for parity with the staged swap), or a panic
-    /// unwinding apply code — the **whole** journal replays in reverse
-    /// with an uncharged meter before the error propagates (or the panic
-    /// resumes). Outside a transaction scope that is this update's
-    /// writes; inside one it is every update of the transaction so far,
+    /// update journaled), or a panic unwinding apply code — the **whole**
+    /// journal replays in reverse with an uncharged meter before the error
+    /// propagates (or the panic resumes). Outside a transaction scope that
+    /// is this update's writes; inside one it is every update so far,
     /// which is what immediate-mode semantics ask for (the first failing
     /// update aborts the transaction), and it leaves the scope's own
     /// abort nothing to replay.
-    fn commit_sequential(
+    fn commit(
         &mut self,
         table: &str,
         delta: &Delta,
@@ -802,8 +728,8 @@ impl Database {
                 let mut base_io = IoMeter::new();
                 let rel = &mut catalog.table_mut(table)?.relation;
                 spacetime_delta::apply_to_relation_undo(delta, rel, &mut base_io, undo)?;
-                // The commit gate: same failpoint, fired the same number
-                // of times, as the staged path's batch swap.
+                // The commit gate: the last point a fault can stop the
+                // update, with every write of it already in place.
                 for _ in mark..undo.table_count() {
                     spacetime_storage::fault::fire("storage::restore_table")?;
                 }
@@ -835,175 +761,6 @@ impl Database {
                 resume_unwind(panic)
             }
         }
-    }
-
-    /// Plan every engine concurrently against an immutable catalog
-    /// snapshot. Dependent engines run on the pool (with level-parallel
-    /// tracks and a per-transaction shared-delta cache); independent
-    /// engines plan inline, since their plans are trivially empty.
-    fn plan_parallel(&self, table: &str, delta: &Delta) -> IvmResult<Vec<PlannedUpdate>> {
-        let pool = self.pool();
-        let level_parallel = pool.threads() > 1;
-        let trace = self.tracing;
-        let shared = Arc::new(SharedDeltaCache::new());
-        let snap = Arc::new(self.catalog.snapshot());
-        let delta = Arc::new(delta.clone());
-        let mut slots: Vec<Option<PlannedUpdate>> = (0..self.engines.len()).map(|_| None).collect();
-        type PlanTask = Box<dyn FnOnce() -> (usize, IvmResult<PlannedUpdate>) + Send>;
-        let mut tasks: Vec<PlanTask> = Vec::new();
-        for (i, e) in self.engines.iter().enumerate() {
-            if e.depends_on(table) {
-                let e = Arc::clone(e);
-                let snap = Arc::clone(&snap);
-                let delta = Arc::clone(&delta);
-                let shared = Arc::clone(&shared);
-                let table = table.to_string();
-                tasks.push(Box::new(move || {
-                    let opts = PlanOptions {
-                        level_parallel,
-                        shared: Some(&shared),
-                        trace,
-                    };
-                    (i, e.plan_update_with(&snap, &table, &delta, &opts))
-                }));
-            } else {
-                slots[i] = Some(e.plan_update(&self.catalog, table, &delta)?);
-            }
-        }
-        // Results arrive in task order = engine order among dependents, so
-        // on failure the first (lowest-index) engine's error surfaces,
-        // matching the sequential path. Planning never writes, so a failed
-        // (or panicked) plan needs no rollback — the catalog was never
-        // touched.
-        for outcome in pool.run_outcomes(tasks)? {
-            let (i, r) = outcome.map_err(|message| IvmError::TaskPanicked { message })?;
-            slots[i] = Some(r?);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.ok_or_else(|| IvmError::Internal("an engine was never planned".into())))
-            .collect()
-    }
-
-    /// Commit every engine's planned deltas concurrently. Each committing
-    /// engine's materialized tables are detached from the catalog
-    /// ([`Catalog::take_table`] — the sets are disjoint, every engine owns
-    /// its own view/auxiliary tables) and applied on the pool through
-    /// copy-on-write staging ([`IvmEngine::commit_detached`] mutates
-    /// `Arc::make_mut` copies, never the detached originals).
-    ///
-    /// All-or-nothing: the pre-commit `Arc` of every table the commit
-    /// replaces is kept in `originals`, so whatever goes wrong — a commit
-    /// error, an injected fault, a *panicking* task (contained by the
-    /// pool; its staged tables die with it, the originals don't) — the
-    /// originals are re-attached (which cannot fail) and the catalog is
-    /// bit-identical to its state before this update. Once the swap has
-    /// published the new state, a transaction scope moves the originals
-    /// into the journal, so a later update's failure can put them back.
-    fn commit_parallel(
-        &mut self,
-        pool: &PipelinePool,
-        table: &str,
-        delta: &Delta,
-        planned: &[PlannedUpdate],
-        combined: &mut UpdateReport,
-    ) -> IvmResult<()> {
-        let mut originals: BTreeMap<String, Arc<Table>> = BTreeMap::new();
-        let swapped = self.stage_and_swap(pool, table, delta, planned, combined, &mut originals);
-        for (n, t) in originals {
-            match swapped {
-                Ok(()) if self.txn.is_some() => self.undo.record_original(&n, t),
-                Ok(()) => {}
-                Err(_) => self.catalog.restore_table(n, t),
-            }
-        }
-        swapped
-    }
-
-    /// The body of [`Database::commit_parallel`]: detach, stage on the
-    /// pool, swap. Every table it detaches or is about to replace goes
-    /// into `originals` first; on `Err` the caller puts those back.
-    fn stage_and_swap(
-        &mut self,
-        pool: &PipelinePool,
-        table: &str,
-        delta: &Delta,
-        planned: &[PlannedUpdate],
-        combined: &mut UpdateReport,
-        originals: &mut BTreeMap<String, Arc<Table>>,
-    ) -> IvmResult<()> {
-        type CommitOut = (usize, BTreeMap<String, Arc<Table>>, IvmResult<UpdateReport>);
-        type CommitTask = Box<dyn FnOnce() -> CommitOut + Send>;
-        let mut tasks: Vec<CommitTask> = Vec::new();
-        for (i, (e, plan)) in self.engines.iter().zip(planned).enumerate() {
-            if plan.view_deltas.is_empty() {
-                continue;
-            }
-            let mut tables: BTreeMap<String, Arc<Table>> = BTreeMap::new();
-            for (g, _) in &plan.view_deltas {
-                let name = e.materialized.get(g).ok_or_else(|| {
-                    IvmError::Internal(format!(
-                        "plan references group N{} which `{}` never materialized",
-                        g.0, e.name
-                    ))
-                })?;
-                if !tables.contains_key(name) {
-                    let t = self.catalog.take_table(name)?;
-                    originals.insert(name.clone(), Arc::clone(&t));
-                    tables.insert(name.clone(), t);
-                }
-            }
-            let e = Arc::clone(e);
-            let plan = plan.clone();
-            tasks.push(Box::new(move || {
-                let mut tables = tables;
-                let r = e.commit_detached(&mut tables, &plan);
-                (i, tables, r)
-            }));
-        }
-        // Outcomes arrive in task order = engine order, so the first
-        // failure surfaced is the lowest-index engine's, matching
-        // sequential execution. A panicked task's staged tables are gone,
-        // but `originals` still holds every pre-commit Arc.
-        let mut commit_reports: BTreeMap<usize, UpdateReport> = BTreeMap::new();
-        let mut mutated: BTreeMap<String, Arc<Table>> = BTreeMap::new();
-        let mut first_err: Option<IvmError> = None;
-        for outcome in pool.run_outcomes(tasks)? {
-            match outcome {
-                Ok((i, tables, Ok(rep))) => {
-                    commit_reports.insert(i, rep);
-                    mutated.extend(tables);
-                }
-                Ok((_, _, Err(e))) => {
-                    first_err.get_or_insert(e);
-                }
-                Err(message) => {
-                    first_err.get_or_insert(IvmError::TaskPanicked { message });
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        // Stage the base delta too (only once every engine committed), so
-        // the base relation joins the same atomic swap. The swap replaces
-        // it without it ever having been detached.
-        if !originals.contains_key(table) {
-            originals.insert(table.to_string(), self.catalog.table_arc(table)?);
-        }
-        let base_io = stage_base_delta(&self.catalog, &mut mutated, table, delta)?;
-        // The commit point: publish every staged table in one swap. It
-        // fires all failpoints before touching the map, so an injected
-        // failure here is still all-or-nothing.
-        self.catalog.restore_tables(mutated)?;
-        for (i, plan) in planned.iter().enumerate() {
-            combined.merge(&plan.report);
-            if let Some(r) = commit_reports.get(&i) {
-                combined.merge(r);
-            }
-        }
-        combined.base_io = base_io;
-        Ok(())
     }
 
     /// Apply a multi-relation transaction (the §3.2 transaction types may
@@ -1091,8 +848,7 @@ impl Database {
             let r = self.apply_delta(&table, delta)?;
             combined.merge(&r);
             // Collect the per-update trace into the transaction node
-            // (empty deltas record nothing — structurally the same in
-            // every mode).
+            // (empty deltas record nothing).
             if let Some(txn) = txn_trace.as_mut() {
                 if let Some(t) = self.last_trace.take() {
                     txn.push_child(t);
@@ -1125,8 +881,7 @@ impl Database {
     /// died:
     ///
     /// 1. every engine's materialized tables (root views and auxiliaries)
-    ///    are attached to the catalog — nothing was left detached by a
-    ///    panicked parallel commit;
+    ///    are in the catalog;
     /// 2. every assertion's backing view matches recomputation from the
     ///    base relations (an assertion view that drifted would silently
     ///    stop enforcing its constraint);
@@ -1159,7 +914,7 @@ impl Database {
             for table in e.materialized_tables() {
                 if !self.catalog.contains(table) {
                     return Err(IvmError::Integrity(format!(
-                        "materialized table `{table}` of view `{}` is detached from the catalog",
+                        "materialized table `{table}` of view `{}` is missing from the catalog",
                         e.name
                     )));
                 }
@@ -1182,25 +937,6 @@ impl Database {
         }
         Ok(())
     }
-}
-
-/// Stage the base delta into a copy-on-write copy of the base table,
-/// inserting it into `staged` for the caller's atomic swap. The catalog is
-/// read, never written.
-fn stage_base_delta(
-    catalog: &Catalog,
-    staged: &mut BTreeMap<String, Arc<Table>>,
-    table: &str,
-    delta: &Delta,
-) -> IvmResult<IoMeter> {
-    let mut base_io = IoMeter::new();
-    let entry = match staged.entry(table.to_string()) {
-        std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::btree_map::Entry::Vacant(e) => e.insert(catalog.table_arc(table)?),
-    };
-    let rel = &mut Arc::make_mut(entry).relation;
-    spacetime_delta::apply_to_relation(delta, rel, &mut base_io)?;
-    Ok(base_io)
 }
 
 /// Replay the journal against the catalog. A mismatch between the two is

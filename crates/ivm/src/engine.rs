@@ -18,15 +18,14 @@ use std::sync::Arc;
 
 use spacetime_algebra::{ExprNode, ExprTree, FusedProgram, OpKind};
 use spacetime_cost::{CostCtx, PageIoCostModel, TransactionType};
-use spacetime_delta::{apply_to_relation, Delta, InputAccess};
+use spacetime_delta::{Delta, InputAccess};
 use spacetime_memo::{GroupId, Memo, OpId};
 use spacetime_optimizer::tracks::UpdateTrack;
 use spacetime_optimizer::{EvalConfig, ViewSet};
-use spacetime_storage::{Bag, Catalog, IoMeter, StorageResult, Table, Value};
+use spacetime_storage::{Bag, Catalog, IoMeter, StorageResult, Value};
 
 use spacetime_obs::{self as obs, names as metric, TraceNode};
 
-use crate::pipeline::{ChainFingerprint, SharedDeltaCache};
 use crate::qexec::{filter_binding, PlanCache, QueryExec};
 use crate::trace::{GroupProbe, GroupRec, QueryRec};
 use crate::{IvmError, IvmResult};
@@ -36,26 +35,24 @@ use crate::{IvmError, IvmResult};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PropagationMode {
     /// One posed query at a time, plans re-costed per key, self-rows found
-    /// by filtering the whole materialization — the pre-batching data
-    /// plane, kept as the measurable baseline.
+    /// by filtering the whole materialization. Not a serving mode: it is
+    /// the reference the test suites and `bench_ivm` hold
+    /// [`PropagationMode::Fused`] bit-identical to.
+    #[doc(hidden)]
     PerKey,
-    /// Each delta's distinct keys are collected up front and answered by
-    /// one batched query per (child, columns), with plan choices cached
-    /// across updates and self-maintenance reads answered by index probes.
-    /// Produces bit-identical deltas and charges bit-identical I/O to
-    /// [`PropagationMode::PerKey`] — batching changes wall-clock only.
+    /// The production path. Each delta's distinct keys are collected up
+    /// front and answered by one batched query per (child, columns), with
+    /// plan choices cached across updates and self-maintenance reads
+    /// answered by index probes; each access-free `Select`/`Project`
+    /// chain executes as a compiled [`spacetime_algebra::FusedProgram`]
+    /// streaming the base delta through every stage in one pass, with
+    /// interior chain groups skipped entirely (their deltas exist only to
+    /// feed the next chain op, which the kernel fuses away). Chains pose
+    /// no queries and charge no I/O, so deltas, reports, and view contents
+    /// are bit-identical to [`PropagationMode::PerKey`]. With tracing on,
+    /// chains run one step per group instead, so traces keep their
+    /// one-span-per-group structure.
     #[default]
-    Batched,
-    /// [`PropagationMode::Batched`] planning plus fused chain kernels:
-    /// each access-free `Select`/`Project` chain executes as a compiled
-    /// [`spacetime_algebra::FusedProgram`] streaming the base delta
-    /// through every stage in one pass, with interior chain groups
-    /// skipped entirely (their deltas exist only to feed the next chain
-    /// op, which the kernel fuses away). Chains pose no queries and
-    /// charge no I/O in any mode, so deltas, reports, and view contents
-    /// stay bit-identical to [`PropagationMode::Batched`]. With tracing
-    /// on, the engine falls back to per-step propagation so traces keep
-    /// their one-span-per-group structure.
     Fused,
 }
 
@@ -69,24 +66,21 @@ struct PropagationCtx {
     topo: BTreeMap<String, Vec<GroupId>>,
     /// The leaf group scanning each table.
     leaves: BTreeMap<String, GroupId>,
-    /// The same groups sliced into topological levels (per table): every
-    /// group's delta depends only on earlier levels' deltas plus
-    /// pre-update state, so groups *within* a level may be propagated
-    /// concurrently.
+    /// The same groups sliced into topological levels (per table): a
+    /// group's level is one more than its deepest delta-carrying child.
+    /// The propagation trace is laid out by level.
     levels: BTreeMap<String, Vec<Vec<GroupId>>>,
-    /// Access-free chain fingerprints per (table, group): the op chain
-    /// from the base scan through `Select`/`Project` steps only. Keys of
-    /// the per-transaction cross-engine shared-delta cache.
-    chains: BTreeMap<String, BTreeMap<GroupId, ChainFingerprint>>,
-    /// The same chains compiled into fused streaming kernels, executed by
-    /// [`PropagationMode::Fused`] straight off the base delta.
+    /// Per (table, group), the access-free chain from the base scan
+    /// through `Select`/`Project` steps only, compiled into a fused
+    /// streaming kernel that [`PropagationMode::Fused`] runs straight off
+    /// the base delta.
     programs: BTreeMap<String, BTreeMap<GroupId, Arc<FusedProgram>>>,
     /// Chain groups whose deltas are still *needed* under fusion: those
     /// that are materialized, or feed a non-chain op. Interior chain
     /// groups (everything else) are skipped by the fused path — their
     /// deltas existed only to carry data to the next chain stage.
     needed: BTreeMap<String, BTreeSet<GroupId>>,
-    /// Cached runtime plan decisions (used by the batched mode).
+    /// Cached runtime plan decisions (unused by the per-key reference).
     plans: PlanCache,
     /// Lazily-built per-op expression nodes handed to `delta::propagate`
     /// — pure functions of the (immutable) memo, cached so propagation
@@ -137,8 +131,8 @@ pub struct UpdateReport {
     /// I/O spent applying the delta to the base relation.
     pub base_io: IoMeter,
     /// Number of queries posed during propagation (§2.2). Like the I/O
-    /// buckets, this must be independent of the propagation mode and of
-    /// the execution mode — a batched `matching_all` over k keys counts k.
+    /// buckets, this must be independent of the propagation mode — a
+    /// batched `matching_all` over k keys counts k.
     pub queries_posed: u64,
 }
 
@@ -159,7 +153,7 @@ impl UpdateReport {
     /// Merge another report into this one. Sound only when the two
     /// reports account *disjoint* work: the planning report of a
     /// [`PlannedUpdate`] and the apply-phase report of
-    /// [`IvmEngine::commit_update`] each carry their own buckets, so
+    /// [`IvmEngine::commit_in_place`] each carry their own buckets, so
     /// merging them counts every page exactly once.
     pub fn merge(&mut self, other: &UpdateReport) {
         for (a, b) in [
@@ -187,8 +181,8 @@ pub struct PlannedUpdate {
     pub view_deltas: Vec<(GroupId, Delta)>,
     /// Report with `query_io` filled in.
     pub report: UpdateReport,
-    /// The propagation trace, when the plan was made with
-    /// [`PlanOptions::trace`] on (and the table has a track).
+    /// The propagation trace, when [`IvmEngine::plan_update_with`] was
+    /// asked for one (and the table has a track).
     pub trace: Option<TraceNode>,
 }
 
@@ -200,21 +194,6 @@ impl PlannedUpdate {
             .find(|(g, _)| *g == root)
             .map(|(_, d)| d)
     }
-}
-
-/// Options for [`IvmEngine::plan_update_with`]. The execution knobs are
-/// wall-clock optimizations only: they must not change the planned deltas,
-/// the report, or the posed-query count.
-#[derive(Default)]
-pub struct PlanOptions<'s> {
-    /// Propagate same-level track groups on scoped threads.
-    pub level_parallel: bool,
-    /// Per-transaction cross-engine memo of access-free prefix deltas.
-    pub shared: Option<&'s SharedDeltaCache>,
-    /// Record a propagation trace into [`PlannedUpdate::trace`]. Unlike
-    /// the other knobs this one does extra work (probes + `Instant`
-    /// reads), but never changes the planned deltas or the report.
-    pub trace: bool,
 }
 
 /// One maintained view (plus its chosen auxiliary materializations).
@@ -425,9 +404,8 @@ impl IvmEngine {
         }
 
         // Per-table propagation state, computed once instead of on every
-        // update: topo order, leaf group, topological levels (for the
-        // parallel pipeline), and access-free chain fingerprints (for the
-        // cross-engine shared-delta cache).
+        // update: topo order, leaf group, topological levels, and the
+        // access-free chains' fused kernels.
         let mut prop_ctx = PropagationCtx::default();
         for (table, track) in &tracks {
             let order = topo_order(&memo, track);
@@ -439,8 +417,8 @@ impl IvmEngine {
                 // are materialized or feed a non-chain track op.
                 let programs: BTreeMap<GroupId, Arc<FusedProgram>> = chains
                     .iter()
-                    .filter_map(|(g, fp)| {
-                        FusedProgram::compile(fp.iter().skip(1)).map(|p| (*g, Arc::new(p)))
+                    .filter_map(|(g, chain)| {
+                        FusedProgram::compile(chain.iter().skip(1)).map(|p| (*g, Arc::new(p)))
                     })
                     .collect();
                 let mut needed: BTreeSet<GroupId> = programs
@@ -463,7 +441,6 @@ impl IvmEngine {
                 }
                 prop_ctx.leaves.insert(table.clone(), leaf);
                 prop_ctx.levels.insert(table.clone(), levels);
-                prop_ctx.chains.insert(table.clone(), chains);
                 prop_ctx.programs.insert(table.clone(), programs);
                 prop_ctx.needed.insert(table.clone(), needed);
             }
@@ -488,7 +465,7 @@ impl IvmEngine {
 
     /// Switch the data plane answering posed queries. Both modes produce
     /// identical deltas and charge identical I/O; `PerKey` exists as the
-    /// benchmark baseline.
+    /// reference the suites compare against.
     pub fn set_propagation_mode(&mut self, mode: PropagationMode) {
         self.mode = mode;
     }
@@ -512,19 +489,19 @@ impl IvmEngine {
         table: &str,
         base_delta: &Delta,
     ) -> IvmResult<PlannedUpdate> {
-        self.plan_update_with(catalog, table, base_delta, &PlanOptions::default())
+        self.plan_update_with(catalog, table, base_delta, false)
     }
 
-    /// [`IvmEngine::plan_update`] with pipeline options: level-parallel
-    /// track propagation and/or a cross-engine shared-delta cache. Both
-    /// options are wall-clock only — the returned plan (deltas, report,
-    /// posed-query count) is bit-identical to the default path.
+    /// [`IvmEngine::plan_update`], recording a propagation trace into
+    /// [`PlannedUpdate::trace`] when `trace` is set. Tracing does extra
+    /// work (probes + `Instant` reads) but never changes the planned
+    /// deltas or the report.
     pub fn plan_update_with(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
-        opts: &PlanOptions<'_>,
+        trace: bool,
     ) -> IvmResult<PlannedUpdate> {
         let mut report = UpdateReport::default();
         let Some(track) = self.tracks.get(table) else {
@@ -536,10 +513,7 @@ impl IvmEngine {
             });
         };
         obs::counter_add(metric::TRACK_PROPAGATIONS, 1);
-        let batched = matches!(
-            self.mode,
-            PropagationMode::Batched | PropagationMode::Fused
-        );
+        let batched = self.mode == PropagationMode::Fused;
         let mut exec = QueryExec::new(&self.memo, catalog, &self.materialized);
         if batched {
             exec = exec.with_plans(&self.prop_ctx.plans);
@@ -548,7 +522,7 @@ impl IvmEngine {
         // their one-span-per-group structure on the per-step path).
         // Chains pose no queries and charge no I/O in any mode, so the
         // plan, report, and view deltas stay bit-identical.
-        let fused = (self.mode == PropagationMode::Fused && !opts.trace)
+        let fused = (batched && !trace)
             .then(|| self.prop_ctx.programs.get(table))
             .flatten();
         let fused_needed = fused.and_then(|_| self.prop_ctx.needed.get(table));
@@ -563,206 +537,58 @@ impl IvmEngine {
         let leaf = self.prop_ctx.leaves.get(table).copied().ok_or_else(|| {
             IvmError::Unsupported(format!("table `{table}` not under view `{}`", self.name))
         })?;
-        let chains = opts
-            .shared
-            .is_some()
-            .then(|| self.prop_ctx.chains.get(table))
-            .flatten();
         // Group deltas accumulate as owned values; the leaf seed stays a
         // borrow of the caller's base delta (never cloned into the map).
         let mut deltas: BTreeMap<GroupId, Cow<'_, Delta>> = BTreeMap::new();
         deltas.insert(leaf, Cow::Borrowed(base_delta));
         let mut recs: BTreeMap<GroupId, GroupRec> = BTreeMap::new();
 
-        let levels = self.prop_ctx.levels.get(table);
-        if let (true, Some(levels)) = (opts.level_parallel, levels) {
-            // Level-parallel path: groups within a level only read earlier
-            // levels' deltas (plus pre-update catalog state), so they can
-            // propagate concurrently into per-group delta slots. Results
-            // merge in level order, per-thread I/O meters sum into the
-            // report — u64 addition is order-independent, so the counters
-            // match the sequential path exactly.
-            for level in levels {
-                let mut work: Vec<(GroupId, OpId)> = Vec::with_capacity(level.len());
-                for &g in level {
-                    let Some(&op) = track.choices.get(&g) else {
-                        continue;
-                    };
-                    if let Some(progs) = fused {
-                        if let Some(prog) = progs.get(&g) {
-                            // Fused chain group: cheap enough to run inline
-                            // (no queries, no I/O) rather than spawn.
-                            if fused_needed.is_some_and(|n| n.contains(&g)) {
-                                let d = spacetime_delta::propagate_chain(prog, base_delta)?;
-                                if !d.is_empty() {
-                                    deltas.insert(g, Cow::Owned(d));
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    work.push((g, op));
-                }
-                if work.len() <= 1 {
-                    let mut ctx = CostCtx::new(&self.memo, catalog, &self.model);
-                    for &(g, op) in &work {
-                        let mut posed = 0u64;
-                        let mut probe = opts.trace.then(GroupProbe::default);
-                        let t0 = opts.trace.then(std::time::Instant::now);
-                        if let Some(d) = self.propagate_group(
-                            catalog,
-                            table,
-                            g,
-                            op,
-                            &deltas,
-                            &exec,
-                            &mut ctx,
-                            batched,
-                            &mut report.query_io,
-                            &mut posed,
-                            opts.shared,
-                            chains,
-                            probe.as_mut(),
-                        )? {
-                            if let Some(probe) = probe {
-                                recs.insert(
-                                    g,
-                                    GroupRec {
-                                        probe,
-                                        delta_out: d.size(),
-                                        posed,
-                                        wall_ns: t0
-                                            .map(|t| t.elapsed().as_nanos() as u64)
-                                            .unwrap_or(0),
-                                    },
-                                );
-                            }
-                            deltas.insert(g, Cow::Owned(d));
-                        }
-                        report.queries_posed += posed;
-                    }
-                    continue;
-                }
-                let exec_ref = &exec;
-                let deltas_ref = &deltas;
-                type GroupOutcome = (GroupId, Option<Delta>, IoMeter, u64, Option<GroupProbe>, u64);
-                let results: Vec<IvmResult<GroupOutcome>> =
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = work
-                            .iter()
-                            .map(|&(g, op)| {
-                                s.spawn(move || {
-                                    let mut ctx =
-                                        CostCtx::new(&self.memo, catalog, &self.model);
-                                    let mut io = IoMeter::new();
-                                    let mut posed = 0u64;
-                                    let mut probe = opts.trace.then(GroupProbe::default);
-                                    let t0 = opts.trace.then(std::time::Instant::now);
-                                    let d = self.propagate_group(
-                                        catalog,
-                                        table,
-                                        g,
-                                        op,
-                                        deltas_ref,
-                                        exec_ref,
-                                        &mut ctx,
-                                        batched,
-                                        &mut io,
-                                        &mut posed,
-                                        opts.shared,
-                                        chains,
-                                        probe.as_mut(),
-                                    )?;
-                                    let wall =
-                                        t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-                                    Ok((g, d, io, posed, probe, wall))
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| {
-                                h.join().unwrap_or_else(|p| {
-                                    Err(IvmError::TaskPanicked {
-                                        message: crate::pipeline::panic_message(p.as_ref()),
-                                    })
-                                })
-                            })
-                            .collect()
-                    });
-                for r in results {
-                    let (g, d, io, posed, probe, wall_ns) = r?;
-                    add_io(&mut report.query_io, &io);
-                    report.queries_posed += posed;
-                    if let Some(d) = d {
-                        if let Some(probe) = probe {
-                            recs.insert(
-                                g,
-                                GroupRec {
-                                    probe,
-                                    delta_out: d.size(),
-                                    posed,
-                                    wall_ns,
-                                },
-                            );
-                        }
+        let mut ctx = CostCtx::new(&self.memo, catalog, &self.model);
+        for &g in order {
+            let Some(&op) = track.choices.get(&g) else {
+                continue;
+            };
+            if let Some(prog) = fused.and_then(|progs| progs.get(&g)) {
+                // Fused chain group: run the whole compiled chain off the
+                // base delta if anything downstream needs this group's
+                // delta; skip it entirely otherwise.
+                if fused_needed.is_some_and(|n| n.contains(&g)) {
+                    let d = spacetime_delta::propagate_chain(prog, base_delta)?;
+                    if !d.is_empty() {
                         deltas.insert(g, Cow::Owned(d));
                     }
                 }
+                continue;
             }
-        } else {
-            let mut ctx = CostCtx::new(&self.memo, catalog, &self.model);
-            for &g in order {
-                let Some(&op) = track.choices.get(&g) else {
-                    continue;
-                };
-                if let Some(progs) = fused {
-                    if let Some(prog) = progs.get(&g) {
-                        // Fused chain group: run the whole compiled chain
-                        // off the base delta if anything downstream needs
-                        // this group's delta; skip it entirely otherwise.
-                        if fused_needed.is_some_and(|n| n.contains(&g)) {
-                            let d = spacetime_delta::propagate_chain(prog, base_delta)?;
-                            if !d.is_empty() {
-                                deltas.insert(g, Cow::Owned(d));
-                            }
-                        }
-                        continue;
-                    }
+            let mut posed = 0u64;
+            let mut probe = trace.then(GroupProbe::default);
+            let t0 = trace.then(std::time::Instant::now);
+            if let Some(d) = self.propagate_group(
+                catalog,
+                table,
+                g,
+                op,
+                &deltas,
+                &exec,
+                &mut ctx,
+                &mut report.query_io,
+                &mut posed,
+                probe.as_mut(),
+            )? {
+                if let Some(probe) = probe {
+                    recs.insert(
+                        g,
+                        GroupRec {
+                            probe,
+                            delta_out: d.size(),
+                            posed,
+                            wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
+                        },
+                    );
                 }
-                let mut posed = 0u64;
-                let mut probe = opts.trace.then(GroupProbe::default);
-                let t0 = opts.trace.then(std::time::Instant::now);
-                if let Some(d) = self.propagate_group(
-                    catalog,
-                    table,
-                    g,
-                    op,
-                    &deltas,
-                    &exec,
-                    &mut ctx,
-                    batched,
-                    &mut report.query_io,
-                    &mut posed,
-                    opts.shared,
-                    chains,
-                    probe.as_mut(),
-                )? {
-                    if let Some(probe) = probe {
-                        recs.insert(
-                            g,
-                            GroupRec {
-                                probe,
-                                delta_out: d.size(),
-                                posed,
-                                wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                            },
-                        );
-                    }
-                    deltas.insert(g, Cow::Owned(d));
-                }
-                report.queries_posed += posed;
+                deltas.insert(g, Cow::Owned(d));
             }
+            report.queries_posed += posed;
         }
 
         // All delta-carrying groups minus the leaf's seed entry. (Read
@@ -782,9 +608,7 @@ impl IvmEngine {
             .filter(|(_, d)| !d.is_empty())
             .collect();
         obs::counter_add(metric::QUERIES_POSED, report.queries_posed);
-        let trace = opts.trace.then(|| {
-            self.plan_trace(catalog, table, base_delta, leaf, order, levels, &recs)
-        });
+        let trace = trace.then(|| self.plan_trace(catalog, table, base_delta, leaf, order, &recs));
         Ok(PlannedUpdate {
             table: table.to_string(),
             view_deltas,
@@ -794,9 +618,7 @@ impl IvmEngine {
     }
 
     /// Assemble the propagation trace from the per-group recordings, in
-    /// the build-time level plan's order (mode-independent, so Sequential
-    /// and Parallel runs produce structurally identical trees).
-    #[allow(clippy::too_many_arguments)]
+    /// the build-time level plan's order.
     fn plan_trace(
         &self,
         catalog: &Catalog,
@@ -804,7 +626,6 @@ impl IvmEngine {
         base_delta: &Delta,
         leaf: GroupId,
         order: &[GroupId],
-        levels: Option<&Vec<Vec<GroupId>>>,
         recs: &BTreeMap<GroupId, GroupRec>,
     ) -> TraceNode {
         let track_path: Vec<String> = order.iter().map(|g| format!("N{}", g.0)).collect();
@@ -821,8 +642,7 @@ impl IvmEngine {
         );
         root.push_child(l0);
 
-        let empty: Vec<Vec<GroupId>> = Vec::new();
-        for (i, level) in levels.unwrap_or(&empty).iter().enumerate() {
+        for (i, level) in self.prop_ctx.levels.get(table).into_iter().flatten().enumerate() {
             let members: Vec<(GroupId, &GroupRec)> = level
                 .iter()
                 .filter_map(|&g| recs.get(&g).map(|r| (g, r)))
@@ -854,9 +674,6 @@ impl IvmEngine {
                             .with_field("via", self.access_resolution(catalog, q.child, &q.cols)),
                     );
                 }
-                if rec.probe.cached {
-                    node.push_note("shared-delta-cache hit");
-                }
                 node.wall_ns = Some(rec.wall_ns);
                 ln.push_child(node);
             }
@@ -869,7 +686,7 @@ impl IvmEngine {
     /// probe on the backing table (possibly with permuted key columns), a
     /// scan/partition of it, or on-the-fly derivation when the group is
     /// not backed by a stored relation. A static property of the
-    /// pre-update catalog — identical across execution modes.
+    /// pre-update catalog.
     fn access_resolution(&self, catalog: &Catalog, g: GroupId, cols: &[usize]) -> String {
         let g = self.memo.find(g);
         let table = self.materialized.get(&g).cloned().or_else(|| {
@@ -912,11 +729,8 @@ impl IvmEngine {
         deltas: &BTreeMap<GroupId, Cow<'_, Delta>>,
         exec: &QueryExec<'_>,
         ctx: &mut CostCtx<'_>,
-        batched: bool,
         io: &mut IoMeter,
         posed: &mut u64,
-        shared: Option<&SharedDeltaCache>,
-        chains: Option<&BTreeMap<GroupId, ChainFingerprint>>,
         mut probe: Option<&mut GroupProbe>,
     ) -> IvmResult<Option<Delta>> {
         let children = self.memo.op_children(op);
@@ -945,21 +759,6 @@ impl IvmEngine {
         if let Some(p) = probe.as_mut() {
             p.delta_in = d_in.size();
         }
-        // Access-free prefix: reusable across engines within the
-        // transaction. Select/Project propagation poses no queries and
-        // charges no I/O in any mode, so a cache hit changes nothing in
-        // the report — it only skips recomputation. (The trace stays
-        // structurally identical too: a hit is recorded as a
-        // non-structural note, and cacheable chains pose no queries.)
-        let fp = chains.and_then(|m| m.get(&g));
-        if let (Some(cache), Some(fp)) = (shared, fp) {
-            if let Some(d) = cache.get(fp) {
-                if let Some(p) = probe.as_mut() {
-                    p.cached = true;
-                }
-                return Ok(Some(d));
-            }
-        }
         let node = self.prop_ctx.nodes.node(op, g, &self.memo);
         let self_mv = self
             .materialized
@@ -978,53 +777,27 @@ impl IvmEngine {
             children: &children,
             self_rel: self_mv.map(|t| &t.relation),
             complete,
-            batched,
+            batched: self.mode == PropagationMode::Fused,
             io,
             posed,
             queries: probe.map(|p| &mut p.queries),
         };
-        let d_out = spacetime_delta::propagate(&node, delta_child, d_in, &mut access)?;
-        if let (Some(cache), Some(fp)) = (shared, fp) {
-            cache.put(fp.clone(), d_out.clone());
-        }
-        Ok(Some(d_out))
+        Ok(Some(spacetime_delta::propagate(&node, delta_child, d_in, &mut access)?))
     }
 
     /// Phase 2: apply a planned update's view deltas (the base relation is
     /// the caller's responsibility, since several engines may share it).
+    /// Deltas are applied to the live catalog tables **in place** (the
+    /// catalog's `Arc`s are unshared in steady state, so `Arc::make_mut`
+    /// mutates without copying), and every op is recorded in `undo` so the
+    /// caller can roll the whole transaction back on any later failure.
     ///
     /// Returns *only* the apply-phase I/O (`root_io`/`aux_io`). The
     /// planning-phase `query_io` stays in `planned.report`; the caller
     /// merges the two, so a plan's I/O is counted exactly once no matter
     /// how many engines' reports are combined.
-    pub fn commit_update(
-        &self,
-        catalog: &mut Catalog,
-        planned: &PlannedUpdate,
-    ) -> IvmResult<UpdateReport> {
-        let mut report = UpdateReport::default();
-        for (g, delta) in &planned.view_deltas {
-            let table = self.backing_table(g)?;
-            let io = if self.roots.contains(g) {
-                &mut report.root_io
-            } else {
-                &mut report.aux_io
-            };
-            let rel = &mut catalog.table_mut(table)?.relation;
-            apply_to_relation(delta, rel, io)?;
-        }
-        Ok(report)
-    }
-
-    /// [`IvmEngine::commit_update`] with journaling — the sequential
-    /// commit fast path. Deltas are applied to the live catalog tables
-    /// **in place** (no staged copies: the catalog's `Arc`s are unshared
-    /// in steady state, so `Arc::make_mut` mutates without copying a
-    /// single shard), and every op is recorded in `undo` so the caller can
-    /// roll the whole transaction back on any later failure.
     ///
-    /// The `ivm::commit_view` failpoint fires before each view delta,
-    /// exactly as on the detached path.
+    /// The `ivm::commit_view` failpoint fires before each view delta.
     pub fn commit_in_place(
         &self,
         catalog: &mut Catalog,
@@ -1046,37 +819,6 @@ impl IvmEngine {
         Ok(report)
     }
 
-    /// [`IvmEngine::commit_update`] against tables detached from the
-    /// catalog ([`Catalog::take_table`]) — the parallel commit path, where
-    /// each engine's worker owns its (disjoint) materializations for the
-    /// duration of the apply. Mutation is staged through `Arc::make_mut`
-    /// copies, so on failure the caller still holds the untouched
-    /// pre-commit `Arc`s and can reattach them.
-    ///
-    /// The `ivm::commit_view` failpoint fires before each view delta.
-    pub fn commit_detached(
-        &self,
-        tables: &mut BTreeMap<String, Arc<Table>>,
-        planned: &PlannedUpdate,
-    ) -> IvmResult<UpdateReport> {
-        let mut report = UpdateReport::default();
-        for (g, delta) in &planned.view_deltas {
-            spacetime_storage::fault::fire("ivm::commit_view")?;
-            let table = self.backing_table(g)?;
-            let io = if self.roots.contains(g) {
-                &mut report.root_io
-            } else {
-                &mut report.aux_io
-            };
-            let t = tables.get_mut(table).ok_or_else(|| {
-                spacetime_storage::StorageError::UnknownTable(table.clone())
-            })?;
-            let rel = &mut Arc::make_mut(t).relation;
-            apply_to_relation(delta, rel, io)?;
-        }
-        Ok(report)
-    }
-
     /// The backing table of a materialized group, as a typed error rather
     /// than a map-indexing panic (a plan can only reference groups this
     /// engine materialized; anything else is an internal invariant bug).
@@ -1094,20 +836,6 @@ impl IvmEngine {
     /// to find attached in the catalog.
     pub fn materialized_tables(&self) -> impl Iterator<Item = &String> {
         self.materialized.values()
-    }
-
-    /// Convenience: plan + commit in one call (no assertion gating).
-    /// Returns the full report: planning I/O merged with apply I/O.
-    pub fn apply_update(
-        &self,
-        catalog: &mut Catalog,
-        table: &str,
-        base_delta: &Delta,
-    ) -> IvmResult<UpdateReport> {
-        let planned = self.plan_update(catalog, table, base_delta)?;
-        let mut report = planned.report.clone();
-        report.merge(&self.commit_update(catalog, &planned)?);
-        Ok(report)
     }
 
     /// The root view's current contents.
@@ -1281,26 +1009,25 @@ fn topo_order(memo: &Memo, track: &UpdateTrack) -> Vec<GroupId> {
 }
 
 /// Group a track's topo order into *levels*: a group's level is one more
-/// than the deepest delta-carrying child (the leaf is level 0). Groups on
-/// the same level never read each other's deltas, so they can propagate
-/// concurrently. Also fingerprints each group's access-free prefix chain
-/// (`Scan → Select/Project…` from the leaf) for the cross-engine
-/// shared-delta cache; chains stop at the first op that poses queries.
+/// than the deepest delta-carrying child (the leaf is level 0). Also
+/// collects each group's access-free prefix chain (`Scan → Select/Project…`
+/// from the leaf), the input of the fused kernels; chains stop at the
+/// first op that poses queries.
 fn level_plan(
     memo: &Memo,
     track: &UpdateTrack,
     order: &[GroupId],
     leaf: GroupId,
     table: &str,
-) -> (Vec<Vec<GroupId>>, BTreeMap<GroupId, ChainFingerprint>) {
+) -> (Vec<Vec<GroupId>>, BTreeMap<GroupId, Vec<OpKind>>) {
     let mut level_of: BTreeMap<GroupId, usize> = BTreeMap::new();
     level_of.insert(leaf, 0);
-    let mut chains: BTreeMap<GroupId, ChainFingerprint> = BTreeMap::new();
+    let mut chains: BTreeMap<GroupId, Vec<OpKind>> = BTreeMap::new();
     chains.insert(
         leaf,
-        Arc::new(vec![OpKind::Scan {
+        vec![OpKind::Scan {
             table: table.to_string(),
-        }]),
+        }],
     );
     let mut levels: Vec<Vec<GroupId>> = Vec::new();
     for &g in order {
@@ -1331,14 +1058,13 @@ fn level_plan(
         let kind = &memo.op(op).op;
         if matches!(kind, OpKind::Select { .. } | OpKind::Project { .. }) {
             if let Some(parent_chain) = children.first().and_then(|c| chains.get(c)) {
-                let mut chain = (**parent_chain).clone();
+                let mut chain = parent_chain.clone();
                 chain.push(kind.clone());
-                chains.insert(g, Arc::new(chain));
+                chains.insert(g, chain);
             }
         }
     }
-    // The leaf's "chain" is the base delta itself — caching it would only
-    // copy the input around.
+    // The leaf's "chain" is the base delta itself: nothing to compile.
     chains.remove(&leaf);
     (levels, chains)
 }
@@ -1353,15 +1079,6 @@ fn kind_name(kind: &OpKind) -> &'static str {
         OpKind::Aggregate { .. } => "Aggregate",
         OpKind::Distinct => "Distinct",
     }
-}
-
-/// Add `other`'s counters into `io` (u64 sums — order-independent, so
-/// merging per-thread meters reproduces the sequential totals exactly).
-fn add_io(io: &mut IoMeter, other: &IoMeter) {
-    io.index_page_reads += other.index_page_reads;
-    io.index_page_writes += other.index_page_writes;
-    io.data_page_reads += other.data_page_reads;
-    io.data_page_writes += other.data_page_writes;
 }
 
 /// Column sets other nodes may query each group on (used to pre-create

@@ -15,11 +15,8 @@
 //! * [`database`] — [`database::Database`]: the user-facing session tying
 //!   everything together (DDL, DML with automatic view maintenance, SQL
 //!   front end, workload declaration, view-selection strategies).
-//! * [`pipeline`] — the parallel propagation pipeline: a persistent
-//!   worker pool, the [`pipeline::ExecutionMode`] knob, and the
-//!   per-transaction cross-engine shared-delta cache. Parallelism is
-//!   wall-clock only: reports, deltas, and view contents stay
-//!   bit-identical to sequential execution.
+//! * [`pool`] — [`pool::PipelinePool`], the persistent panic-containing
+//!   worker pool the scheduler dispatches shard work on.
 //! * [`shard`] — sharded serving: [`shard::ShardedDatabase`] partitions a
 //!   database into N shard domains by declared shard keys, each shard a
 //!   full database with its own engines and per-shard materializations.
@@ -34,8 +31,7 @@
 //!   the wal crate.
 //! * [`trace`] — propagation-trace recording: the opt-in, always-compiled
 //!   `EXPLAIN ANALYZE` plane ([`Database::set_tracing`] /
-//!   [`Database::last_trace`]), structurally deterministic across
-//!   execution modes.
+//!   [`Database::last_trace`]).
 //! * [`verify`] — the recompute-from-scratch oracle used by tests and
 //!   examples to prove maintenance correct.
 
@@ -44,7 +40,7 @@ pub mod database;
 #[cfg(feature = "durability")]
 pub mod durability;
 pub mod engine;
-pub mod pipeline;
+pub mod pool;
 pub mod qexec;
 pub mod sched;
 pub mod shard;
@@ -52,13 +48,13 @@ pub mod trace;
 pub mod verify;
 
 pub use constraints::{Assertion, Violation};
-pub use database::{Database, PhaseTotals, ViewSelection};
+pub use database::{Database, ExecutionMode, PhaseTotals, ViewSelection};
 #[cfg(feature = "durability")]
 pub use durability::{
     DurabilityOptions, DurableDatabase, DurableSharded, RecoveryStats, ShardWals,
 };
 pub use engine::{IvmEngine, PropagationMode, UpdateReport};
-pub use pipeline::{ExecutionMode, PipelinePool, SharedDeltaCache};
+pub use pool::PipelinePool;
 pub use sched::{SchedOutcome, SchedStats, Txn, TxnScheduler};
 pub use shard::ShardedDatabase;
 pub use trace::TraceNode;
@@ -78,16 +74,16 @@ pub enum IvmError {
         /// Sample violating tuples (rendered).
         sample: Vec<String>,
     },
-    /// A pipeline task panicked. The panic was contained: the worker pool
-    /// survives, detached tables were salvaged from the pre-commit
-    /// snapshot, and the catalog is bit-identical to its pre-transaction
-    /// state — the transaction simply never happened.
+    /// A pool task panicked. The panic was contained: the worker pool
+    /// survives, the journal was replayed, and the catalog is
+    /// bit-identical to its pre-transaction state — the transaction
+    /// simply never happened.
     TaskPanicked {
         /// The panic payload, rendered (when it was a string).
         message: String,
     },
-    /// A post-failure integrity check found damage (a missing/detached
-    /// table or an assertion view diverging from recomputation).
+    /// A post-failure integrity check found damage (a missing table or an
+    /// assertion view diverging from recomputation).
     Integrity(String),
     /// An internal invariant did not hold (a bug, not a user error).
     Internal(String),

@@ -38,8 +38,7 @@
 //! 3. a transaction's report and effects depend only on the pre-state of
 //!    the shards in its footprint.
 //!
-//! Property tests sweep this at pool widths 1/2/4/8 the same way
-//! `prop_pipeline.rs` proves Sequential ≡ Parallel.
+//! Property tests (`prop_shard.rs`) sweep this at pool widths 1/2/4/8.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,7 +50,7 @@ use spacetime_obs::{self as obs, names as metric, TraceNode};
 
 use crate::database::Database;
 use crate::engine::UpdateReport;
-use crate::pipeline::{panic_message, PipelinePool};
+use crate::pool::{panic_message, PipelinePool};
 use crate::shard::ShardedDatabase;
 use crate::{IvmError, IvmResult};
 

@@ -27,7 +27,6 @@ use spacetime_delta::Delta;
 use spacetime_storage::{Bag, ShardSpec};
 
 use crate::database::Database;
-use crate::pipeline::ExecutionMode;
 use crate::{IvmError, IvmResult};
 
 /// A database partitioned into shard domains.
@@ -55,11 +54,8 @@ impl ShardedDatabase {
     /// base data — the same recompute the verification oracle uses, so a
     /// fresh shard starts provably consistent.
     ///
-    /// Shards are pinned to [`ExecutionMode::Sequential`]: concurrency in
-    /// the serving layer comes from running *shards* in parallel, and a
-    /// shard that dispatched its own sub-tasks onto the scheduler's pool
-    /// could deadlock it (workers blocking on workers). The sequential
-    /// in-place commit is also the fastest single-stream path.
+    /// Each shard runs its transactions on one thread: concurrency in the
+    /// serving layer comes from running *shards* in parallel.
     pub fn partition(
         template: &Database,
         spec: ShardSpec,
@@ -96,7 +92,6 @@ impl ShardedDatabase {
         let mut shards = Vec::with_capacity(n_shards);
         for s in 0..n_shards {
             let mut db = template.clone();
-            db.set_execution_mode(ExecutionMode::Sequential);
             // Keep only this shard's slice of every base relation.
             for name in &base_tables {
                 let mut local = Bag::new();

@@ -4,14 +4,13 @@
 //! ([`crate::Database::set_tracing`]); the recorded tree is a
 //! [`spacetime_obs::TraceNode`]. Structural content (track chosen, ops,
 //! posed queries, index-vs-scan resolution, delta sizes, commit targets)
-//! must be identical between `ExecutionMode::Sequential` and
-//! `ExecutionMode::Parallel`; wall-clock durations and cache-hit notes are
-//! non-structural and excluded from `TraceNode::structure_json`.
+//! is a function of the update and the pre-update catalog; wall-clock
+//! durations are non-structural and excluded from
+//! `TraceNode::structure_json`.
 //!
 //! Recording is collected per track group by [`GroupProbe`] (filled inside
 //! `IvmEngine::propagate_group` and its `InputAccess`), then assembled in
-//! the *build-time level plan's* order — a mode-independent artifact — so
-//! the tree's shape never depends on thread scheduling.
+//! the *build-time level plan's* order.
 
 use spacetime_memo::GroupId;
 pub use spacetime_obs::TraceNode;
@@ -36,10 +35,6 @@ pub(crate) struct GroupProbe {
     pub queries: Vec<QueryRec>,
     /// Size of the carrier child's delta.
     pub delta_in: u64,
-    /// Whether the group's delta came from the cross-engine shared-delta
-    /// cache (non-structural: only access-free chains are cacheable, so a
-    /// hit changes neither queries nor deltas).
-    pub cached: bool,
 }
 
 /// A propagated group's full recording, assembled by `plan_update_with`.

@@ -3,7 +3,7 @@
 
 use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ScalarExpr};
 use spacetime_cost::{CostCtx, PageIoCostModel};
-use spacetime_delta::Delta;
+use spacetime_delta::{Delta, UndoLog};
 use spacetime_ivm::engine::IvmEngine;
 use spacetime_ivm::qexec::QueryExec;
 use spacetime_ivm::UpdateReport;
@@ -170,7 +170,9 @@ fn engine_plan_then_commit_phases() {
     assert_eq!(root_delta.inserts.len(), 1);
 
     // Commit applies it.
-    engine.commit_update(&mut cat, &planned).unwrap();
+    engine
+        .commit_in_place(&mut cat, &planned, &mut UndoLog::new())
+        .unwrap();
     assert_eq!(cat.table("V").unwrap().relation.len(), 2);
 }
 
@@ -206,10 +208,10 @@ fn update_report_accounting() {
     assert_eq!(b.total(), 22);
 }
 
-/// Regression: `commit_update` must return *only* apply-phase I/O. The old
-/// behavior (returning a clone of the planning report with apply buckets
-/// added) double-counted `query_io` whenever a caller merged planning and
-/// commit reports.
+/// Regression: `commit_in_place` must return *only* apply-phase I/O. The
+/// old behavior (returning a clone of the planning report with apply
+/// buckets added) double-counted `query_io` whenever a caller merged
+/// planning and commit reports.
 #[test]
 fn commit_report_contains_only_apply_io() {
     let mut cat = catalog();
@@ -220,75 +222,12 @@ fn commit_report_contains_only_apply_io() {
     let planned = engine.plan_update(&cat, "Emp", &delta).unwrap();
     assert!(planned.report.query_io.total() > 0, "planning poses queries");
     assert!(planned.report.queries_posed > 0);
-    let commit = engine.commit_update(&mut cat, &planned).unwrap();
+    let commit = engine
+        .commit_in_place(&mut cat, &planned, &mut UndoLog::new())
+        .unwrap();
     assert_eq!(commit.query_io.total(), 0, "planning I/O re-counted");
     assert_eq!(commit.queries_posed, 0);
     assert!(commit.root_io.total() > 0, "root view write is apply I/O");
-
-    // apply_update = planning report + commit report, each page once.
-    let mut cat2 = catalog();
-    let (memo2, root2) = sum_view(&cat2);
-    let set2: ViewSet = [root2].into_iter().collect();
-    let engine2 = IvmEngine::build("V", memo2, root2, set2, &mut cat2).unwrap();
-    let full = engine2.apply_update(&mut cat2, "Emp", &delta).unwrap();
-    let mut expect = planned.report.clone();
-    expect.merge(&commit);
-    assert_eq!(full, expect);
-}
-
-/// `commit_detached` (the parallel commit path, applying to tables removed
-/// from the catalog) must leave the same contents and charge the same I/O
-/// as the in-place `commit_update`.
-#[test]
-fn detached_commit_equals_in_place_commit() {
-    let build = || {
-        let mut cat = catalog();
-        let (memo, root) = sum_view(&cat);
-        let set: ViewSet = [root].into_iter().collect();
-        let engine = IvmEngine::build("V", memo, root, set, &mut cat).unwrap();
-        (cat, engine)
-    };
-    let delta = Delta::modify(tuple!["e", "z", 50], tuple!["e", "z", 70], 1);
-
-    let (mut cat_a, engine_a) = build();
-    let planned = engine_a.plan_update(&cat_a, "Emp", &delta).unwrap();
-    let r_in_place = engine_a.commit_update(&mut cat_a, &planned).unwrap();
-
-    let (mut cat_b, engine_b) = build();
-    let mut tables = std::collections::BTreeMap::new();
-    tables.insert("V".to_string(), cat_b.take_table("V").unwrap());
-    let r_detached = engine_b.commit_detached(&mut tables, &planned).unwrap();
-    for (name, t) in tables {
-        cat_b.restore_table(name, t);
-    }
-    assert_eq!(r_in_place, r_detached);
-    assert_eq!(
-        cat_a.table("V").unwrap().relation.data(),
-        cat_b.table("V").unwrap().relation.data()
-    );
-}
-
-/// The level-parallel planner and the shared-delta cache are wall-clock
-/// knobs only: same deltas, same report (posed-query count included).
-#[test]
-fn level_parallel_plan_is_bit_identical() {
-    use spacetime_ivm::engine::PlanOptions;
-    use spacetime_ivm::SharedDeltaCache;
-    let mut cat = catalog();
-    let (memo, root) = sum_view(&cat);
-    let set: ViewSet = [root].into_iter().collect();
-    let engine = IvmEngine::build("V", memo, root, set, &mut cat).unwrap();
-    let delta = Delta::modify(tuple!["e", "z", 50], tuple!["e", "z", 70], 1);
-    let baseline = engine.plan_update(&cat, "Emp", &delta).unwrap();
-    let shared = SharedDeltaCache::new();
-    let opts = PlanOptions {
-        level_parallel: true,
-        shared: Some(&shared),
-        ..PlanOptions::default()
-    };
-    let piped = engine.plan_update_with(&cat, "Emp", &delta, &opts).unwrap();
-    assert_eq!(baseline.report, piped.report);
-    assert_eq!(baseline.view_deltas, piped.view_deltas);
 }
 
 #[test]
@@ -306,6 +245,6 @@ fn engine_rejects_unknown_table_under_view() {
     // silently wrong.
     let result = engine
         .plan_update(&cat, "Emp", &bad)
-        .and_then(|p| engine.commit_update(&mut cat, &p));
+        .and_then(|p| engine.commit_in_place(&mut cat, &p, &mut UndoLog::new()));
     assert!(result.is_err());
 }

@@ -1,10 +1,7 @@
-//! The propagation-trace plane: opt-in, zero behavior change, and
-//! structurally deterministic across execution modes.
-
-use std::sync::Arc;
+//! The propagation-trace plane: opt-in and zero behavior change.
 
 use spacetime_delta::Delta;
-use spacetime_ivm::{verify_all_views, Database, ExecutionMode, PipelinePool};
+use spacetime_ivm::{verify_all_views, Database};
 use spacetime_storage::{tuple, Bag, IoMeter};
 
 /// The paper's Emp/Dept schema with an aggregate view and an assertion, so
@@ -137,28 +134,6 @@ fn tracing_does_not_change_reports_or_contents() {
     assert_eq!(r0, r1, "tracing must not perturb the report");
     assert_eq!(contents(&plain), contents(&traced));
     assert!(verify_all_views(&traced).unwrap().is_empty());
-}
-
-#[test]
-fn trace_structure_is_mode_independent() {
-    for width in [1, 2, 4] {
-        let mut seq = small_db();
-        seq.set_tracing(true);
-        let mut par = small_db();
-        par.set_tracing(true);
-        par.set_execution_mode(ExecutionMode::Parallel);
-        par.set_pipeline_pool(Arc::new(PipelinePool::new(width)));
-        seq.apply_delta("Emp", raise()).unwrap();
-        par.apply_delta("Emp", raise()).unwrap();
-        let t_seq = seq.last_trace().unwrap();
-        let t_par = par.last_trace().unwrap();
-        assert!(
-            t_seq.structural_eq(t_par),
-            "width {width}: structures differ:\n--- sequential\n{}\n--- parallel\n{}",
-            t_seq.structure_json(),
-            t_par.structure_json()
-        );
-    }
 }
 
 #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, ExecutionMode, IvmError, PipelinePool, ShardedDatabase, Txn,
+    verify_all_views, Database, IvmError, PipelinePool, PropagationMode, ShardedDatabase, Txn,
     TxnScheduler,
 };
 use spacetime_storage::{tuple, Bag, IoMeter, ShardSpec, Table};
@@ -133,19 +133,9 @@ fn mid_transaction_violation_rolls_back_earlier_updates() {
 }
 
 #[test]
-fn mid_transaction_violation_rolls_back_under_parallel_execution() {
-    for threads in [1, 2, 4] {
-        let mut db = small_db();
-        db.set_execution_mode(ExecutionMode::Parallel);
-        db.set_pipeline_pool(Arc::new(PipelinePool::new(threads)));
-        assert_txn_atomicity(db);
-    }
-}
-
-#[test]
 fn single_delta_violation_leaves_catalog_untouched() {
-    // The pre-existing gate (reject before any write) still holds for a
-    // one-update transaction through the staged-commit path.
+    // The gate (reject before any write) holds for a one-update
+    // transaction.
     let mut db = small_db();
     let before = contents(&db);
     let err = db
@@ -161,6 +151,56 @@ fn single_delta_violation_leaves_catalog_untouched() {
     assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
     assert_eq!(contents(&db), before);
     db.integrity_check().unwrap();
+}
+
+/// Assertion checking does not depend on the data plane: over a stream in
+/// which some updates trip DeptConstraint, the production mode and the
+/// per-key reference accept the same updates with bit-identical reports,
+/// reject the same updates with the same violation (name and witness
+/// sample), and a rejected update writes nothing.
+#[test]
+fn assertion_verdicts_and_reports_match_the_per_key_reference() {
+    let mut fused = small_db();
+    let mut per_key = small_db();
+    per_key.set_propagation_mode(PropagationMode::PerKey);
+    let budget = |d: usize, from: i64, to: i64| {
+        let (dept, mgr) = (format!("dept{d}"), format!("mgr{d}"));
+        Delta::modify(tuple![dept.clone(), mgr.clone(), from], tuple![dept, mgr, to], 1)
+    };
+    let stream = [
+        ("Emp", raise("emp0_0", "dept0", 250)),
+        // 100 + 100 + 9 999 > 600.
+        ("Emp", raise("emp1_0", "dept1", 9_999)),
+        ("Dept", budget(2, 600, 320)),
+        // 300 > 250: a budget cut can violate too.
+        ("Dept", budget(3, 600, 250)),
+        ("Emp", Delta::insert(tuple!["emp4_new", "dept4", 290], 1)),
+        // dept4 is now at 590; one more hire breaks it.
+        ("Emp", Delta::insert(tuple!["emp4_extra", "dept4", 20], 1)),
+        ("Emp", Delta::delete(tuple!["emp4_new", "dept4", 290], 1)),
+    ];
+    let mut violations = 0;
+    for (i, (table, delta)) in stream.into_iter().enumerate() {
+        let before = contents(&fused);
+        match (fused.apply_delta(table, delta.clone()), per_key.apply_delta(table, delta)) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "update {i}: report diverged"),
+            (
+                Err(IvmError::AssertionViolated { name, sample }),
+                Err(IvmError::AssertionViolated { name: n2, sample: s2 }),
+            ) => {
+                assert_eq!(name, "DeptConstraint", "update {i}");
+                assert!(!sample.is_empty(), "update {i}: a violation carries witnesses");
+                assert_eq!((name, sample), (n2, s2), "update {i}: violation diverged");
+                assert_eq!(contents(&fused), before, "update {i}: rejected update wrote");
+                violations += 1;
+            }
+            (a, b) => panic!("update {i}: outcomes diverged: {a:?} vs {b:?}"),
+        }
+    }
+    assert_eq!(violations, 3, "the stream trips the assertion three times");
+    assert_eq!(contents(&fused), contents(&per_key));
+    assert!(verify_all_views(&fused).unwrap().is_empty());
+    assert!(verify_all_views(&per_key).unwrap().is_empty());
 }
 
 /// Where every cataloged table (base relations, views, the assertion's

@@ -16,13 +16,6 @@ pub const POOL_WORKER_BUSY_NS: &str = "spacetime_pool_worker_busy_ns_total";
 /// Workers respawned after a task panic unwound one.
 pub const POOL_RESPAWNS: &str = "spacetime_pool_respawned_workers_total";
 
-/// Cross-engine `SharedDeltaCache` probes.
-pub const DELTA_CACHE_LOOKUPS: &str = "spacetime_delta_cache_lookups_total";
-/// `SharedDeltaCache` probes answered from the cache.
-pub const DELTA_CACHE_HITS: &str = "spacetime_delta_cache_hits_total";
-/// `SharedDeltaCache` probes that missed.
-pub const DELTA_CACHE_MISSES: &str = "spacetime_delta_cache_misses_total";
-
 /// Optimizer `SharedQueryCache` probes.
 pub const QUERY_CACHE_LOOKUPS: &str = "spacetime_query_cache_lookups_total";
 /// `SharedQueryCache` probes answered from the cache.

@@ -2,9 +2,9 @@
 //!
 //! A [`TraceNode`] separates *structural* content (label, ordered
 //! key/value fields, children) from *non-structural* annotations
-//! (wall-clock durations, advisory notes such as cache hits). Structural
-//! content must be deterministic across execution modes — the
-//! Sequential-vs-Parallel identity property tests compare
+//! (wall-clock durations, advisory notes such as phase timings).
+//! Structural content must not depend on how the work was scheduled — the
+//! concurrent-run-vs-serial-replay property tests compare
 //! [`TraceNode::structure_json`], which omits the non-structural parts.
 
 use std::time::Duration;
@@ -18,7 +18,7 @@ pub struct TraceNode {
     pub label: String,
     /// Ordered structural key/value fields.
     pub fields: Vec<(String, String)>,
-    /// Non-structural annotations (e.g. `"shared-delta-cache hit"`).
+    /// Non-structural annotations (e.g. `"serial replay"`).
     pub notes: Vec<String>,
     /// Non-structural wall-clock duration of the span, if measured.
     pub wall_ns: Option<u64>,
@@ -187,7 +187,7 @@ mod tests {
         let mut g = TraceNode::new("N5 Select")
             .with_field("Δin", 2)
             .with_field("Δout", 1);
-        g.push_note("shared-delta-cache hit");
+        g.push_note("serial replay");
         lvl.push_child(g);
         root.push_child(lvl);
         root
@@ -198,7 +198,7 @@ mod tests {
         let text = sample().render_text();
         assert!(text.starts_with("update Emp  rows=2  (1.50 ms)"));
         assert!(text.contains("└─ level 1"));
-        assert!(text.contains("   └─ N5 Select  Δin=2  Δout=1  [shared-delta-cache hit]"));
+        assert!(text.contains("   └─ N5 Select  Δin=2  Δout=1  [serial replay]"));
     }
 
     #[test]

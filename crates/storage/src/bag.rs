@@ -7,9 +7,9 @@
 //!
 //! ## Representation: flat for small, sharded copy-on-write for large
 //!
-//! Whenever a table is shared — a catalog snapshot, a database cloned
-//! from a template, the staged commit of `ExecutionMode::Parallel` — the
-//! next write copies it (`Arc::make_mut` on the catalog's `Arc<Table>`),
+//! Whenever a table is shared — a cloned catalog, a database cloned from
+//! a template — the next write copies it (`Arc::make_mut` on the catalog's
+//! `Arc<Table>`),
 //! so the cost of cloning a bag decides what sharing costs. A small bag
 //! (a per-key query result, an index bucket) is a single flat hash map —
 //! cheap to build, cheap to drop. Once a bag grows past [`PROMOTE_AT`]
@@ -17,9 +17,9 @@
 //! shards: cloning the bag then costs one `Arc` bump per shard, and a
 //! mutation deep-copies only the one shard (~1/[`SHARD_COUNT`] of the
 //! data) it lands in. A write to a shared 40 000-row table copies a few
-//! hundred entries instead of 40 000. The sequential transaction path
-//! shares nothing (its rollback is an undo journal, not a copy), so
-//! there a write copies no shard at all.
+//! hundred entries instead of 40 000. The transaction path shares
+//! nothing (its rollback is an undo journal, not a copy), so there a
+//! write copies no shard at all.
 //!
 //! Shard routing uses the fixed-seed [`crate::fx`] hash, so equal content
 //! always produces equal shard layouts; equality between two sharded bags

@@ -7,7 +7,6 @@
 //! are "already materialized", §3.1).
 
 use std::collections::BTreeMap;
-use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::error::{StorageError, StorageResult};
@@ -54,12 +53,10 @@ impl Table {
 
 /// The catalog: tables by (case-sensitive) name.
 ///
-/// Entries are `Arc`-backed copy-on-write: cloning the catalog (or taking
-/// a [`Catalog::snapshot`]) shares every table's storage, and the first
-/// mutation through [`Catalog::table_mut`] after a share clones just that
-/// table. This is what makes lock-free snapshot reads cheap enough to take
-/// per transaction: a snapshot costs one `Arc` clone per table, not a data
-/// copy.
+/// Entries are `Arc`-backed copy-on-write: cloning the catalog shares
+/// every table's storage, and the first mutation through
+/// [`Catalog::table_mut`] after a share clones just that table. A clone
+/// costs one `Arc` clone per table, not a data copy.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
@@ -69,66 +66,6 @@ impl Catalog {
     /// An empty catalog.
     pub fn new() -> Self {
         Catalog::default()
-    }
-
-    /// A read-only view of the catalog at this instant. O(#tables) `Arc`
-    /// clones; no tuple data is copied. Mutations to the live catalog
-    /// after the snapshot (via [`Catalog::table_mut`]) copy-on-write the
-    /// affected table and leave the snapshot untouched.
-    pub fn snapshot(&self) -> CatalogSnapshot {
-        CatalogSnapshot {
-            inner: self.clone(),
-        }
-    }
-
-    /// Detach a table from the catalog, returning its shared handle. Used
-    /// by the parallel commit path to hand disjoint tables to worker
-    /// threads; pair with [`Catalog::restore_table`]. While detached, the
-    /// table is absent from lookups. Fires the `storage::take_table`
-    /// failpoint *before* detaching, so an injected failure here leaves
-    /// the catalog untouched.
-    pub fn take_table(&mut self, name: &str) -> StorageResult<Arc<Table>> {
-        crate::fault::fire("storage::take_table")?;
-        self.tables
-            .remove(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
-    }
-
-    /// Re-attach a table previously removed with [`Catalog::take_table`].
-    /// Infallible by design: rollback paths depend on re-attachment never
-    /// failing (a rollback that can itself fail leaves a torn catalog).
-    pub fn restore_table(&mut self, name: impl Into<String>, table: Arc<Table>) {
-        self.tables.insert(name.into(), table);
-    }
-
-    /// The shared handle of a table (an `Arc` clone, no data copy). The
-    /// staged-commit protocol starts from this handle and mutates a
-    /// copy-on-write duplicate, leaving the cataloged original pristine
-    /// until [`Catalog::restore_tables`] swaps the copy in.
-    pub fn table_arc(&self, name: &str) -> StorageResult<Arc<Table>> {
-        self.tables
-            .get(name)
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
-    }
-
-    /// The commit point of the staged-commit protocol: atomically swap a
-    /// batch of staged tables into the catalog. The `storage::restore_table`
-    /// failpoint fires once per staged table *before any insertion*, so an
-    /// injected failure aborts the whole swap with the catalog unchanged;
-    /// past that gate the swap is pure `BTreeMap` inserts and cannot fail.
-    pub fn restore_tables(
-        &mut self,
-        tables: impl IntoIterator<Item = (String, Arc<Table>)>,
-    ) -> StorageResult<()> {
-        let tables: Vec<(String, Arc<Table>)> = tables.into_iter().collect();
-        for _ in &tables {
-            crate::fault::fire("storage::restore_table")?;
-        }
-        for (name, table) in tables {
-            self.tables.insert(name, table);
-        }
-        Ok(())
     }
 
     /// Register a base table.
@@ -189,8 +126,9 @@ impl Catalog {
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    /// Look up a table mutably. If the table is shared with a snapshot,
-    /// this clones it first (copy-on-write), so snapshots stay immutable.
+    /// Look up a table mutably. If the table is shared with a clone of
+    /// the catalog, this clones it first (copy-on-write), so the other
+    /// catalog never sees the write.
     pub fn table_mut(&mut self, name: &str) -> StorageResult<&mut Table> {
         self.tables
             .get_mut(name)
@@ -205,7 +143,7 @@ impl Catalog {
 
     /// The string interner backing this catalog's spilled `Str` values.
     /// The pool is process-wide (see [`crate::smallstr`] for why pointer
-    /// identity must span catalog snapshots and staged table copies); this
+    /// identity must span catalog clones and table copies); this
     /// accessor is the catalog-scoped handle to it.
     pub fn interner(&self) -> crate::smallstr::Interner {
         crate::smallstr::Interner::global().handle()
@@ -235,25 +173,6 @@ impl Catalog {
             .map(|c| t.relation.schema().resolve_dotted(c))
             .collect::<StorageResult<_>>()?;
         t.relation.create_index(positions)
-    }
-}
-
-/// An immutable, `Send + Sync` view of a [`Catalog`] at one instant.
-///
-/// The read-view contract: a snapshot observes exactly the committed state
-/// at the time of [`Catalog::snapshot`], regardless of later mutations to
-/// the live catalog. All read APIs are available through `Deref`; there is
-/// deliberately no mutable access.
-#[derive(Debug, Clone)]
-pub struct CatalogSnapshot {
-    inner: Catalog,
-}
-
-impl Deref for CatalogSnapshot {
-    type Target = Catalog;
-
-    fn deref(&self) -> &Catalog {
-        &self.inner
     }
 }
 
@@ -334,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_isolated_from_later_writes() {
+    fn clone_is_isolated_from_later_writes() {
         let mut cat = demo();
         let mut io = IoMeter::new();
         cat.table_mut("Dept")
@@ -342,9 +261,9 @@ mod tests {
             .relation
             .insert(tuple!["Sales", "mary", 500], 1, &mut io)
             .unwrap();
-        let snap = cat.snapshot();
+        let snap = cat.clone();
         assert_eq!(snap.table("Dept").unwrap().relation.len(), 1);
-        // Mutate the live catalog: the snapshot must not see it.
+        // Mutate the live catalog: the clone must not see it.
         cat.table_mut("Dept")
             .unwrap()
             .relation
@@ -352,50 +271,24 @@ mod tests {
             .unwrap();
         assert_eq!(cat.table("Dept").unwrap().relation.len(), 2);
         assert_eq!(snap.table("Dept").unwrap().relation.len(), 1);
-        // Dropping a table from the live catalog leaves the snapshot whole.
+        // Dropping a table from the live catalog leaves the clone whole.
         cat.drop_table("Dept").unwrap();
         assert!(snap.table("Dept").is_ok());
     }
 
     #[test]
-    fn snapshot_shares_storage_until_write() {
+    fn clone_shares_storage_until_write() {
         let mut cat = demo();
-        let snap = cat.snapshot();
-        // Untouched tables stay physically shared with the snapshot.
+        let snap = cat.clone();
+        // Untouched tables stay physically shared with the clone.
         let live = cat.table("Dept").unwrap() as *const Table;
         let shared = snap.table("Dept").unwrap() as *const Table;
-        assert_eq!(live, shared, "snapshot must not deep-copy");
+        assert_eq!(live, shared, "clone must not deep-copy");
         // The first write un-shares exactly the written table.
         cat.table_mut("Dept").unwrap().analyze();
         let live = cat.table("Dept").unwrap() as *const Table;
         let shared = snap.table("Dept").unwrap() as *const Table;
         assert_ne!(live, shared, "write must copy-on-write");
-    }
-
-    #[test]
-    fn take_and_restore_roundtrip() {
-        let mut cat = demo();
-        let t = cat.take_table("Dept").unwrap();
-        assert!(cat.table("Dept").is_err(), "detached while taken");
-        assert!(cat.take_table("Dept").is_err());
-        cat.restore_table("Dept", t);
-        assert!(cat.table("Dept").is_ok());
-        assert_eq!(cat.table("Dept").unwrap().keys, vec![vec![0]]);
-    }
-
-    #[test]
-    fn restore_tables_swaps_a_batch() {
-        let mut cat = demo();
-        let mut io = IoMeter::new();
-        let mut staged = cat.table_arc("Dept").unwrap();
-        Arc::make_mut(&mut staged)
-            .relation
-            .insert(tuple!["Sales", "mary", 500], 1, &mut io)
-            .unwrap();
-        // The cataloged original is untouched until the swap.
-        assert_eq!(cat.table("Dept").unwrap().relation.len(), 0);
-        cat.restore_tables([("Dept".to_string(), staged)]).unwrap();
-        assert_eq!(cat.table("Dept").unwrap().relation.len(), 1);
     }
 
     #[test]

@@ -33,51 +33,40 @@ pub enum FaultAction {
 /// One failpoint site in the catalog: its name and which actions the
 /// surrounding code can absorb while keeping the all-or-nothing contract.
 ///
-/// Panic-capable sites are exactly those reached from
-/// [`PipelinePool`]-contained tasks (`ExecutionMode::Parallel`); a panic
-/// injected at an error-only site would unwind the *caller's* thread,
-/// which is outside the containment contract.
+/// Panic-capable sites are those whose unwind the commit survives: the
+/// journal replays before the panic resumes on the caller's thread, and
+/// the scheduler's pool turns it into a typed error. The sweeps do not
+/// inject panics at error-only sites.
 #[derive(Debug, Clone, Copy)]
 pub struct Site {
     /// The site's name, as passed to [`fire`].
     pub name: &'static str,
     /// Whether [`FaultAction::Error`] injection keeps the catalog whole.
     pub supports_error: bool,
-    /// Whether [`FaultAction::Panic`] injection is contained (the site
-    /// runs inside a pool task under `ExecutionMode::Parallel`).
+    /// Whether the fault sweeps inject [`FaultAction::Panic`] here.
     pub supports_panic: bool,
 }
 
 /// The failpoint site catalog (DESIGN.md §12). Sweeping tests iterate
 /// this; adding a site here automatically adds it to the fault sweep.
 pub const SITES: &[Site] = &[
-    // Fired by `Catalog::take_table` before detaching — interrupts the
-    // parallel commit while it is collecting per-engine table ownership.
-    Site {
-        name: "storage::take_table",
-        supports_error: true,
-        supports_panic: false,
-    },
-    // Fired by `Catalog::restore_tables` once per staged table *before*
-    // any insertion — interrupts the commit-point swap, which must then
-    // leave the pre-transaction tables in place.
+    // The commit gate: fired by the database's commit once per table the
+    // update wrote, after every write of the update is in place — the
+    // whole update must then be undone.
     Site {
         name: "storage::restore_table",
         supports_error: true,
         supports_panic: false,
     },
-    // Fired by `apply_to_relation` before touching the relation — the
-    // innermost write of every commit path (views, auxiliaries, base).
-    // Panic-capable: under `ExecutionMode::Parallel` the apply runs in a
-    // pool-contained commit task.
+    // Fired by `apply_to_relation_undo` before touching the relation —
+    // the innermost write of the commit (views, auxiliaries, base).
     Site {
         name: "delta::apply_to",
         supports_error: true,
         supports_panic: true,
     },
-    // Fired by the engine commit paths once per view delta — the Nth hit
-    // interrupts the commit after N-1 views of the transaction already
-    // applied to staged/detached copies.
+    // Fired by the engine's commit once per view delta — the Nth hit
+    // interrupts the commit with N-1 views of the update already applied.
     Site {
         name: "ivm::commit_view",
         supports_error: true,
@@ -136,8 +125,8 @@ mod imp {
     /// A deterministic fault schedule: site name → armed spec.
     ///
     /// The plan is deterministic in the sense that *which site fires, on
-    /// which hit, with which action* is fixed up front; under parallel
-    /// execution the hit that reaches the threshold may come from any
+    /// which hit, with which action* is fixed up front; when shards run
+    /// concurrently the hit that reaches the threshold may come from any
     /// worker, but every firing must trigger the same full rollback.
     #[derive(Debug, Clone, Default)]
     pub struct FaultPlan {
@@ -361,18 +350,18 @@ mod tests {
         assert_eq!(guard.hits("delta::apply_to"), 4);
         assert!(guard.fired("delta::apply_to"));
         // Other sites are counted but never fire.
-        assert!(fire("storage::take_table").is_ok());
-        assert_eq!(guard.hits("storage::take_table"), 1);
+        assert!(fire("storage::restore_table").is_ok());
+        assert_eq!(guard.hits("storage::restore_table"), 1);
     }
 
     #[test]
     fn clear_disarms_but_keeps_counting() {
         let _serial = serial_guard();
-        let guard = install(FaultPlan::new().error_at("storage::take_table", 1));
+        let guard = install(FaultPlan::new().error_at("storage::restore_table", 1));
         guard.clear();
-        assert!(fire("storage::take_table").is_ok());
-        assert_eq!(guard.hits("storage::take_table"), 1);
-        assert!(!guard.fired("storage::take_table"));
+        assert!(fire("storage::restore_table").is_ok());
+        assert_eq!(guard.hits("storage::restore_table"), 1);
+        assert!(!guard.fired("storage::restore_table"));
     }
 
     #[test]

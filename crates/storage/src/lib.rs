@@ -53,7 +53,7 @@ pub mod value;
 
 pub use arena::TxnArena;
 pub use bag::Bag;
-pub use catalog::{Catalog, CatalogSnapshot, Table};
+pub use catalog::{Catalog, Table};
 pub use error::{StorageError, StorageResult};
 pub use index::HashIndex;
 pub use io::{IoMeter, IoSnapshot};

@@ -16,9 +16,9 @@
 //! on the string *content*) agree with representation-aware fast paths.
 //!
 //! The interner pool is deliberately process-wide rather than truly
-//! per-catalog: staged table copies, catalog snapshots and probe keys built
+//! per-catalog: table copies, cloned catalogs and probe keys built
 //! by the parser must agree on pointer identity for the `ptr_eq` fast path
-//! to fire across snapshot boundaries. [`Catalog`](crate::catalog::Catalog)
+//! to fire across catalog boundaries. [`Catalog`](crate::catalog::Catalog)
 //! exposes the pool through [`Interner::handle`]. The pool is append-only;
 //! for this engine's workloads (bounded vocabularies of names) that is the
 //! right trade.
