@@ -24,7 +24,15 @@ ratcheted the same way when both files carry it: sustained ``txns_per_sec``
 at shard counts 1 and 4 must stay above the floor, and the run's
 hardware-independent determinism flags (``replay_identical`` per point,
 ``union_matches_unsharded``) must all be true. Baselines predating the
-serve benchmark are skipped rather than forcing a flag-day refresh.
+serve benchmark are skipped rather than forcing a flag-day refresh. On a
+host with two or more CPUs the fresh run's own 2-shard ``shard_speedup``
+(its ``txns_per_sec`` over the same run's 1-shard point, median of
+interleaved passes) must stay above ``SERVE_SPEEDUP_FLOOR``: the wave
+scan this guards against sat at 0.47 on the smoke workload, the per-shard
+sequencer sits at 0.73-0.94 (cross-shard transactions are a sixth of that
+queue but most of its time, and they run alone), so the floor separates
+the two without tripping on a 6 ms run's noise. Every point's speedup is
+printed, with a note where it is still below the 1-shard point.
 
 The ``wal`` section (present when the bench was built with the
 ``durability`` feature, the bench crate's default) is checked against an
@@ -57,6 +65,8 @@ import sys
 
 MODES = ("per_key", "fused")
 SERVE_SHARD_FLOORS = (1, 4)
+# The same run's 2-shard point over its 1-shard point, hosts with >= 2 CPUs.
+SERVE_SPEEDUP_FLOOR = 0.6
 # Trend-table depth for --history.
 HISTORY_RUNS = 10
 # WAL-on serve throughput must stay within 25% of the in-memory pass.
@@ -159,6 +169,25 @@ def serve_ratchet(fresh_doc, base_doc, min_ratio):
             failures.append(
                 f"serve at {shards} shard(s): {got:.1f} txn/s is below "
                 f"{min_ratio} x baseline {want:.1f}"
+            )
+    # Intra-run, so immune to hardware drift; needs cores to mean anything.
+    parallel_host = fresh_doc.get("host_cpus", 1) >= 2
+    for shards, p in sorted(fresh_pts.items()):
+        speedup = p.get("shard_speedup")
+        if speedup is None or shards == 1:
+            continue
+        floored = parallel_host and shards == 2
+        ok = not floored or speedup >= SERVE_SPEEDUP_FLOOR
+        note = "" if speedup >= 1.0 else "  (below the 1-shard point)"
+        print(
+            f"{'serve':10} {f'{shards}shard':9} {speedup:>10.2f} x 1-shard"
+            + (f"  (floor {SERVE_SPEEDUP_FLOOR})" if floored else "")
+            + f"  {'ok' if ok else 'REGRESSED'}{note}"
+        )
+        if not ok:
+            failures.append(
+                f"serve at 2 shards: shard_speedup {speedup:.2f} is below "
+                f"{SERVE_SPEEDUP_FLOOR} on a {fresh_doc.get('host_cpus')}-CPU host"
             )
     # Determinism flags are workload-determined, not hardware-determined:
     # any false is a correctness regression, not noise.

@@ -100,9 +100,11 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
     let (status_line, text) = get(&addr, "/metrics");
     assert!(status_line.contains("200"), "metrics: {status_line}");
     let stats = &out.stats;
+    assert_eq!((stats.waves, stats.conflict_deferrals), (1, 0), "one dispatch, no re-scan");
     for (name, want) in [
         (metric::SCHED_TXNS, stats.txns),
         (metric::SCHED_WAVES, stats.waves),
+        (metric::SCHED_ADMITTED_CONCURRENT, stats.admitted_concurrent),
         (metric::SCHED_CROSS_SHARD_TXNS, stats.cross_shard_txns),
     ] {
         assert_eq!(
@@ -121,11 +123,6 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
         (stats.committed + stats.aborted) as f64,
         "outcome family does not sum to the dispatched txns"
     );
-    assert_eq!(
-        prom_labeled_sum(&text, metric::SCHED_WAVE_WIDTHS),
-        stats.waves as f64,
-        "wave-width family does not sum to the wave count"
-    );
     // Every admitted transaction completed: the queue gauges read zero.
     assert_eq!(prom_value(&text, metric::SCHED_QUEUE_DEPTH), Some(0.0));
     assert_eq!(prom_labeled_sum(&text, metric::SCHED_SHARD_QUEUE_DEPTH), 0.0);
@@ -136,6 +133,8 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
     assert!(status_line.contains("200"), "statusz: {status_line}");
     assert_eq!(json_u64(&doc, "txns"), Some(stats.txns));
     assert_eq!(json_u64(&doc, "waves"), Some(stats.waves));
+    assert_eq!(json_u64(&doc, "admitted_concurrent"), Some(stats.admitted_concurrent));
+    assert_eq!(json_u64(&doc, "conflict_serialized"), Some(stats.conflict_deferrals));
     assert_eq!(json_u64(&doc, "committed"), Some(stats.committed));
     assert_eq!(json_u64(&doc, "aborted"), Some(stats.aborted));
     assert!(json_u64(&doc, "uptime_ns").is_some_and(|ns| ns > 0));

@@ -579,3 +579,75 @@ fn cross_shard_commit_fault_sweep() {
         );
     }
 }
+
+/// A body panic advances the sequencer's queues: the first transaction
+/// spans several shards and dies at the dispatch site (inside its own
+/// `catch_unwind`, before any shard is touched); behind it on *each* of
+/// its shards waits a later single-shard transaction, which can only run
+/// once the dead transaction has left the head of that queue. Every
+/// follower must commit, at every pool width, and the shards must equal a
+/// no-fault run of the followers alone.
+#[test]
+fn cross_shard_dispatch_panic_advances_every_queue_it_headed() {
+    quiet_injected_panics();
+    let _serial = fault::serial_guard();
+    let template = template();
+    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
+    const N_SHARDS: usize = 4;
+    let raise = |dept: usize, emp: usize| {
+        let row = |s: i64| {
+            spacetime_storage::tuple![format!("emp{dept:05}_{emp}"), format!("dept{dept:05}"), s]
+        };
+        Delta::modify(row(100), row(180), 1)
+    };
+    // Employee 0 of every department in one transaction, then employee 1
+    // of each department on its own: one follower per department, so at
+    // least one behind the spanning transaction on every shard it touches.
+    let mut spanning = Delta::new();
+    (0..5).for_each(|dept| spanning.merge(raise(dept, 0)));
+    let followers: Vec<Txn> = (0..5).map(|dept| vec![("Emp".to_string(), raise(dept, 1))]).collect();
+    let mut txns: Vec<Txn> = vec![vec![("Emp".to_string(), spanning)]];
+    txns.extend(followers.iter().cloned());
+
+    let control = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
+    let ctrl = TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
+        .run_serial(&followers)
+        .unwrap();
+    assert!(ctrl.results.iter().all(|r| r.is_ok()), "control followers must commit");
+
+    for width in [1usize, 2, 4, 8] {
+        let sharded = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
+        assert!(
+            sharded.route_delta("Emp", &txns[0][0].1).unwrap().len() >= 2,
+            "fixture mis-built: the panicking transaction is single-shard"
+        );
+        let out = {
+            // Every follower queues behind slot 0, so the first hit of
+            // the site is necessarily the spanning transaction's.
+            let _guard = fault::install(FaultPlan::new().panic_at("ivm::pool_dispatch", 1));
+            TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)))
+                .run(&txns)
+                .unwrap()
+        };
+        assert!(
+            matches!(&out.results[0], Err(IvmError::TaskPanicked { message })
+                if message.contains("injected panic")),
+            "width {width}: expected the spanning transaction to panic, got {:?}",
+            out.results[0]
+        );
+        for (i, (r, c)) in out.results[1..].iter().zip(&ctrl.results).enumerate() {
+            assert_eq!(
+                r.as_ref().ok(),
+                c.as_ref().ok(),
+                "width {width}: follower {i} did not run as in the no-fault control"
+            );
+        }
+        assert_eq!((out.stats.committed, out.stats.aborted), (5, 1), "width {width}");
+        assert_eq!(
+            shard_contents(&sharded),
+            shard_contents(&control),
+            "width {width}: shards diverged from the followers-only control"
+        );
+        assert!(sharded.verify_all_shards().unwrap().is_empty());
+    }
+}

@@ -18,7 +18,8 @@ use proptest::prelude::*;
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_ivm::{
-    Database, IvmError, PipelinePool, PropagationMode, ShardedDatabase, Txn, TxnScheduler,
+    Database, IvmError, PipelinePool, PropagationMode, SchedOutcome, ShardedDatabase, Txn,
+    TxnScheduler,
 };
 use spacetime_storage::ShardSpec;
 
@@ -34,6 +35,13 @@ const VIEWS: &[&str] = &[
      WHERE Emp.DName = Dept.DName AND Salary > 150",
     "CREATE MATERIALIZED VIEW ActiveDepts AS SELECT DISTINCT DName FROM Emp",
 ];
+
+/// The paper's integrity constraint: no department's payroll over budget.
+const DEPT_CONSTRAINT: &str = "CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS ( \
+    SELECT Dept.DName FROM Emp, Dept \
+    WHERE Dept.DName = Emp.DName \
+    GROUP BY Dept.DName, Budget \
+    HAVING SUM(Salary) > Budget))";
 
 /// Emp sharded by DName (column 1), Dept by DName (column 0): every view
 /// joins or groups on DName, so partitioned serving is exact.
@@ -63,6 +71,30 @@ fn materialized_tables(db: &Database) -> Vec<String> {
     out
 }
 
+/// Fault plans are process-global and every scheduled transaction crosses
+/// the `ivm::pool_dispatch` site, so in a `failpoints` build the tests
+/// that must run unfaulted serialize with the one that installs a plan.
+fn unfaulted() -> Option<std::sync::MutexGuard<'static, ()>> {
+    #[cfg(feature = "failpoints")]
+    return Some(spacetime_storage::fault::serial_guard());
+    #[cfg(not(feature = "failpoints"))]
+    None
+}
+
+/// Every table of every shard of `a` equals its counterpart in `b`.
+fn assert_shards_identical(a: &ShardedDatabase, b: &ShardedDatabase, ctx: &str) {
+    for s in 0..a.n_shards() {
+        let (a, b) = (a.shard(s), b.shard(s));
+        for (name, table) in a.catalog.iter() {
+            assert_eq!(
+                table.relation.data(),
+                b.catalog.table(name).unwrap().relation.data(),
+                "shard {s} table {name} diverged ({ctx})"
+            );
+        }
+    }
+}
+
 fn assert_serving_identical(
     departments: usize,
     emps_per_dept: usize,
@@ -72,6 +104,7 @@ fn assert_serving_identical(
     width: usize,
     mode: PropagationMode,
 ) {
+    let _unfaulted = unfaulted();
     let template = build_db(departments, emps_per_dept, mode);
     let txns: Vec<Txn> = mixed_workload(departments, emps_per_dept, n_txns, seed)
         .into_iter()
@@ -115,17 +148,7 @@ fn assert_serving_identical(
             _ => panic!("txn {i}: Ok/Err diverged between concurrent run and replay ({ctx})"),
         }
     }
-    for s in 0..n_shards {
-        let a = sharded.shard(s);
-        let b = replayed.shard(s);
-        for (name, table) in a.catalog.iter() {
-            assert_eq!(
-                table.relation.data(),
-                b.catalog.table(name).unwrap().relation.data(),
-                "shard {s} table {name} diverged under serial replay ({ctx})"
-            );
-        }
-    }
+    assert_shards_identical(&sharded, &replayed, &format!("serial replay, {ctx}"));
 
     // Against the unsharded control: success alignment always, exact
     // reports in the one-shard degenerate case.
@@ -240,14 +263,11 @@ fn sharded_serving_identical_at_fixed_seeds_and_widths() {
 /// violation is the transaction's only update or its second.
 #[test]
 fn assertion_violations_align_across_serving_modes() {
+    let _unfaulted = unfaulted();
     let mut template = build_db(6, 3, PropagationMode::Fused);
     template
         .execute_sql(
-            "CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS ( \
-                SELECT Dept.DName FROM Emp, Dept \
-                WHERE Dept.DName = Emp.DName \
-                GROUP BY Dept.DName, Budget \
-                HAVING SUM(Salary) > Budget))",
+            DEPT_CONSTRAINT,
         )
         .unwrap();
 
@@ -379,14 +399,156 @@ fn assertion_violations_align_across_serving_modes() {
     }
 }
 
-/// Regression: a dispatch-site panic (`ivm::pool_dispatch`) that kills
-/// one transaction mid-wave must leave every other shard's work
-/// untouched — the pool survives, the panicked transaction's shards are
-/// bit-identical to never having run it, and the final state matches a
-/// no-fault serial run of the surviving transactions.
+/// `TxnScheduler::run` on its own thread under a watchdog: a sequencer
+/// that deadlocks fails the test instead of hanging the suite.
+fn run_watched(db: &Arc<ShardedDatabase>, width: usize, txns: &[Txn], ctx: &str) -> SchedOutcome {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (db, txns) = (Arc::clone(db), txns.to_vec());
+    std::thread::spawn(move || {
+        let out = TxnScheduler::new(&db, Arc::new(PipelinePool::new(width))).run(&txns);
+        let _ = tx.send(out);
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .unwrap_or_else(|e| panic!("watchdog: run neither finished nor failed: {e} ({ctx})"))
+        .unwrap()
+}
+
+/// A cross-shard-heavy stream over the paper schema with DeptConstraint
+/// (budgets 600, salaries 100): about 70 % of the transactions move budget
+/// between departments on 2–4 distinct shards, one `Dept` update per
+/// participant, and every fourth of those ends in a raise that blows the
+/// budget of the department on the *highest* shard — a violation that
+/// shows only on the last participant, after every earlier one applied.
+/// The rest are single-department raises within budget. Returns the
+/// transactions, whether each is expected to commit, and how many span
+/// shards; rolled-back transactions leave the tracked state untouched.
+fn cross_shard_heavy(
+    sharded: &ShardedDatabase,
+    departments: usize,
+    n_txns: usize,
+    seed: u64,
+) -> (Vec<Txn>, Vec<bool>, usize) {
+    use spacetime_delta::Delta;
+    use spacetime_storage::tuple;
+    let budget = |d: usize, from: i64, to: i64| {
+        let row = |b: i64| tuple![format!("dept{d:05}"), format!("mgr{d}"), b];
+        ("Dept".to_string(), Delta::modify(row(from), row(to), 1))
+    };
+    let raise = |d: usize, from: i64, to: i64| {
+        let row = |s: i64| tuple![format!("emp{d:05}_0"), format!("dept{d:05}"), s];
+        ("Emp".to_string(), Delta::modify(row(from), row(to), 1))
+    };
+    let shard_of = |d: usize| sharded.route_delta("Dept", &budget(d, 600, 601).1).unwrap()[0].0;
+    // Departments by shard, occupied shards only, ascending.
+    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); sharded.n_shards()];
+    (0..departments).for_each(|d| by_shard[shard_of(d)].push(d));
+    by_shard.retain(|depts| !depts.is_empty());
+    assert!(by_shard.len() > 1, "every department hashed to one shard");
+    let mut state = seed | 1;
+    let mut next = move |n: usize| {
+        // xorshift64: plenty for picking departments.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let mut budgets = vec![600_i64; departments];
+    let mut salaries = vec![100_i64; departments];
+    let (mut txns, mut expect_ok) = (Vec::new(), Vec::new());
+    let mut multi = 0usize;
+    for _ in 0..n_txns {
+        if next(10) < 3 {
+            let d = next(departments);
+            let to = 100 + next(100) as i64 + 1;
+            txns.push(vec![raise(d, salaries[d], to)]);
+            expect_ok.push(true);
+            salaries[d] = to;
+            continue;
+        }
+        // One department on each of 2–4 distinct shards, ascending.
+        let mut on: Vec<usize> = (0..by_shard.len()).collect();
+        while on.len() > (2 + next(3)).min(by_shard.len()) {
+            on.remove(next(on.len()));
+        }
+        let picked: Vec<usize> = on.iter().map(|&s| by_shard[s][next(by_shard[s].len())]).collect();
+        let mut txn: Txn = picked.iter().map(|&d| budget(d, budgets[d], budgets[d] + 10)).collect();
+        multi += 1;
+        let violates = multi.is_multiple_of(4);
+        if violates {
+            let last = *picked.last().unwrap();
+            txn.push(raise(last, salaries[last], 9_999));
+        } else {
+            picked.iter().for_each(|&d| budgets[d] += 10);
+        }
+        txns.push(txn);
+        expect_ok.push(!violates);
+    }
+    (txns, expect_ok, multi)
+}
+
+/// Deadlock-freedom and determinism where the sequencer is under the most
+/// strain: at least half of the queue spans 2–4 shards, violations roll
+/// back from the last participant, and the pool is narrower than, as wide
+/// as, and wider than the shard count. Results, reports, every table of
+/// every shard and every span must equal the serial replay.
+#[test]
+fn cross_shard_heavy_sweep_matches_serial_replay_at_every_width() {
+    let _unfaulted = unfaulted();
+    const DEPARTMENTS: usize = 16;
+    let mut template = build_db(DEPARTMENTS, 3, PropagationMode::Fused);
+    template
+        .execute_sql(
+            DEPT_CONSTRAINT,
+        )
+        .unwrap();
+    for n_shards in [2usize, 4, 8] {
+        for width in [1usize, 2, 4, 8] {
+            let ctx = format!("{n_shards} shards, width {width}");
+            let partition = || {
+                let mut db = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
+                db.set_tracing(true);
+                db
+            };
+            let sharded = Arc::new(partition());
+            let seed = 0x5EED ^ ((n_shards as u64) << 8) ^ width as u64;
+            let (txns, expect_ok, multi) = cross_shard_heavy(&sharded, DEPARTMENTS, 48, seed);
+            assert!(2 * multi >= txns.len(), "fixture is not cross-shard-heavy ({ctx})");
+            assert!(expect_ok.contains(&false), "fixture has no violation ({ctx})");
+
+            let out = run_watched(&sharded, width, &txns, &ctx);
+            let replayed = partition();
+            let replay = TxnScheduler::new(&replayed, Arc::new(PipelinePool::new(1)))
+                .run_serial(&txns)
+                .unwrap();
+            assert_eq!(out.stats.cross_shard_txns as usize, multi, "{ctx}");
+            for (i, (a, b)) in out.results.iter().zip(replay.results.iter()).enumerate() {
+                match (a, b) {
+                    (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "txn {i}: report diverged ({ctx})"),
+                    (Err(IvmError::AssertionViolated { .. }), Err(_)) => {}
+                    _ => panic!("txn {i}: run {a:?} but run_serial {b:?} ({ctx})"),
+                }
+                assert_eq!(a.is_ok(), expect_ok[i], "txn {i}: unexpected outcome {a:?} ({ctx})");
+                assert_eq!(out.traces[i].is_some(), a.is_ok(), "txn {i}: span presence ({ctx})");
+                if let (Some(s), Some(t)) = (&out.traces[i], &replay.traces[i]) {
+                    assert!(s.structural_eq(t), "txn {i}: span diverged from the replay ({ctx})");
+                }
+            }
+            assert_shards_identical(&sharded, &replayed, &format!("serial replay, {ctx}"));
+            assert!(sharded.verify_all_shards().unwrap().is_empty(), "{ctx}");
+        }
+    }
+}
+
+/// Regression: a dispatch-site panic (`ivm::pool_dispatch`, fired inside
+/// one transaction's own `catch_unwind` before its body) that kills one
+/// transaction mid-run must leave every other transaction's work
+/// untouched — the drain task and the pool survive, the panicked
+/// transaction's shards are bit-identical to never having run it (and
+/// their queues advance past it), and the final state matches a no-fault
+/// serial run of the surviving transactions.
 #[cfg(feature = "failpoints")]
 #[test]
-fn mid_wave_dispatch_panic_leaves_other_shards_untouched() {
+fn mid_run_dispatch_panic_leaves_other_shards_untouched() {
     use spacetime_storage::fault::{self, FaultPlan};
 
     // Silence the injected panic's default hook output.
@@ -433,7 +595,7 @@ fn mid_wave_dispatch_panic_leaves_other_shards_untouched() {
     let j = panicked[0];
 
     // A no-fault serial control fed everything except the killed
-    // transaction: the concurrent wave's survivors must have produced
+    // transaction: the concurrent run's survivors must have produced
     // exactly this state.
     let surviving: Vec<Txn> = txns
         .iter()
@@ -452,16 +614,6 @@ fn mid_wave_dispatch_panic_leaves_other_shards_untouched() {
             "txn {i}: survivor outcome diverged from the no-fault control"
         );
     }
-    for s in 0..n_shards {
-        let a = sharded.shard(s);
-        let b = control.shard(s);
-        for (name, table) in a.catalog.iter() {
-            assert_eq!(
-                table.relation.data(),
-                b.catalog.table(name).unwrap().relation.data(),
-                "shard {s} table {name} diverged after a mid-wave panic"
-            );
-        }
-    }
+    assert_shards_identical(&sharded, &control, "after a mid-run panic");
     assert!(sharded.verify_all_shards().unwrap().is_empty());
 }

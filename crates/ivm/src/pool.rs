@@ -1,9 +1,9 @@
 //! A persistent worker pool with panic-contained tasks.
 //!
 //! The transaction scheduler ([`crate::sched::TxnScheduler`]) dispatches
-//! each wave's per-shard work on it; that is the only place the runtime
-//! runs anything concurrently. No external thread-pool crate is used: a
-//! small bounded pool over `std::sync::mpsc` suffices.
+//! its drain tasks on it, once per run; that is the only place the
+//! runtime runs anything concurrently. No external thread-pool crate is
+//! used: a small bounded pool over `std::sync::mpsc` suffices.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -11,7 +11,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use spacetime_obs::{self as obs, names as metric};
-use spacetime_storage::fault;
 
 use crate::{IvmError, IvmResult};
 
@@ -34,11 +33,12 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A persistent worker pool for per-wave fan-out.
+/// A persistent worker pool for per-run fan-out.
 ///
-/// Transactions are short (tens of microseconds), so spawning OS threads
-/// per wave would eat the parallel win; the pool keeps its workers alive
-/// across waves and hands them boxed jobs over a channel.
+/// Transactions are short (tens of microseconds) and a run is a few
+/// dozen of them, so spawning OS threads per run would eat the parallel
+/// win; the pool keeps its workers alive across runs and hands them
+/// boxed jobs over a channel.
 ///
 /// Panic containment: every task (pooled *and* inline) runs under
 /// `catch_unwind`, so a panicking task never kills a worker's job loop
@@ -98,6 +98,11 @@ impl PipelinePool {
         }
     }
 
+    /// How many tasks can run at once (1: inline on the caller).
+    pub(crate) fn width(&self) -> usize {
+        self.workers.lock().unwrap_or_else(|e| e.into_inner()).len().max(1)
+    }
+
     /// Replace workers whose threads have exited (e.g. a panic that
     /// escaped the per-job `catch_unwind`, which should be impossible, or
     /// a crashed thread). Called on every dispatch; a healthy pool pays
@@ -123,8 +128,7 @@ impl PipelinePool {
     /// with the value, or `Err` with the rendered panic message if the
     /// task panicked. Tasks run on the workers (or inline when the pool
     /// has one thread or one task — *still* panic-contained); the caller
-    /// blocks until all complete. The `ivm::pool_dispatch` failpoint fires
-    /// as each task starts.
+    /// blocks until all complete.
     pub fn run_outcomes<T: Send + 'static>(
         &self,
         tasks: Vec<Box<dyn FnOnce() -> T + Send>>,
@@ -132,25 +136,17 @@ impl PipelinePool {
         let execute = |task: Box<dyn FnOnce() -> T + Send>| -> TaskOutcome<T> {
             obs::gauge_add(metric::POOL_QUEUE_DEPTH, -1.0);
             let busy = obs::stopwatch();
-            let out = catch_unwind(AssertUnwindSafe(move || {
-                fault::fire_panic("ivm::pool_dispatch");
-                task()
-            }));
+            let out = catch_unwind(AssertUnwindSafe(task));
             busy.add_to_counter(metric::POOL_WORKER_BUSY_NS);
             out.map_err(|p| panic_message(p.as_ref()))
         };
         let n = tasks.len();
         obs::counter_add(metric::POOL_TASKS, n as u64);
         obs::gauge_add(metric::POOL_QUEUE_DEPTH, n as f64);
-        let inline = |tasks: Vec<Box<dyn FnOnce() -> T + Send>>| {
-            Ok(tasks.into_iter().map(execute).collect())
+        let tx = match &self.tx {
+            Some(tx) if n > 1 => tx,
+            _ => return Ok(tasks.into_iter().map(execute).collect()),
         };
-        let Some(tx) = &self.tx else {
-            return inline(tasks);
-        };
-        if n <= 1 {
-            return inline(tasks);
-        }
         self.ensure_workers();
         let (rtx, rrx) = channel::<(usize, TaskOutcome<T>)>();
         for (i, task) in tasks.into_iter().enumerate() {

@@ -1,13 +1,13 @@
 //! The footprint-based transaction scheduler over a [`ShardedDatabase`].
 //!
-//! Each transaction (a list of per-table deltas) is routed to its **shard
-//! footprint** — the set of shard domains its delta keys touch. The
-//! scheduler admits transactions in waves: scanning the queue in admission
-//! order, a transaction is admitted if its footprint is disjoint from
-//! everything already admitted this wave *and* from every deferred
-//! transaction's footprint (so per-shard order is preserved); otherwise it
-//! waits for a later wave. Admitted transactions run concurrently on a
-//! [`PipelinePool`]; a wave is a barrier.
+//! Each transaction (a list of per-table deltas) is routed once to its
+//! **shard footprint** — the set of shard domains its delta keys touch —
+//! and its slot is appended, in admission order, to the FIFO queue of
+//! every shard in that footprint. Drain tasks on a [`PipelinePool`] then
+//! repeatedly *claim* the lowest slot that heads every queue of its
+//! footprint, run it, and *advance* those queues. Nothing is re-scanned
+//! and there is no barrier: one pool dispatch serves a whole
+//! [`TxnScheduler::run`].
 //!
 //! **Cross-shard commit protocol.** A transaction whose footprint spans
 //! several shards applies to them one at a time in ascending shard order,
@@ -19,34 +19,44 @@
 //! Then every participant commits (its journal is forgotten). If any
 //! participant fails first — a typed error, an injected fault, or a
 //! contained panic — it has already rolled itself back, and every earlier
-//! participant aborts, newest first, by replaying its journal. Footprint
-//! admission guarantees no other transaction touches those shards in
-//! between, so the transaction is all-or-nothing across its whole
-//! footprint and no shard's catalog is ever copied to make it so.
+//! participant aborts, newest first, by replaying its journal. A claimed
+//! transaction heads all its queues until it is decided, so no other
+//! transaction touches those shards in between: it is all-or-nothing
+//! across its whole footprint and no shard's catalog is ever copied to
+//! make it so.
 //!
 //! **Determinism invariant.** [`TxnScheduler::run`] is bit-identical to
-//! [`TxnScheduler::run_serial`] (one transaction at a time, admission
-//! order) in every table of every shard and every per-transaction
-//! [`UpdateReport`]:
+//! [`TxnScheduler::run_serial`] (the same claim/advance loop with one
+//! inline claimant, which therefore runs in admission order) in every
+//! table of every shard and every per-transaction [`UpdateReport`]:
 //!
-//! 1. transactions sharing a shard execute in admission order (an
-//!    admitted transaction blocks the shard for the rest of the wave; a
-//!    deferred transaction blocks it for every *later* queue position,
-//!    and deferral preserves queue order across waves);
-//! 2. transactions in one wave have pairwise-disjoint footprints, so they
-//!    read and write disjoint shard sets — they commute;
+//! 1. every shard queue is a subsequence of the admission order and only
+//!    its head can run, so transactions sharing a shard execute in
+//!    admission order;
+//! 2. transactions in flight together each head all their queues, so
+//!    their footprints are disjoint — they read and write disjoint shard
+//!    sets and commute;
 //! 3. a transaction's report and effects depend only on the pre-state of
 //!    the shards in its footprint.
 //!
-//! Property tests (`prop_shard.rs`) sweep this at pool widths 1/2/4/8.
+//! **No deadlock at any pool width.** Every earlier slot on each of the
+//! lowest undecided slot's queues is decided, so that slot heads all of
+//! them: it is either running or claimable by whichever drain task looks
+//! next — one task (pool width 1, or fewer tasks than shards) drains
+//! everything. A panicking transaction body is contained per transaction
+//! and still advances its queues.
+//!
+//! Property tests (`prop_shard.rs`) sweep this at pool widths 1/2/4/8,
+//! cross-shard-heavy and with fewer workers than shards.
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use spacetime_delta::Delta;
 use spacetime_obs::{self as obs, names as metric, TraceNode};
+use spacetime_storage::fault;
 
 use crate::database::Database;
 use crate::engine::UpdateReport;
@@ -63,17 +73,18 @@ pub type Txn = Vec<(String, Delta)>;
 pub struct SchedStats {
     /// Transactions accepted (including empty and mis-routed ones).
     pub txns: u64,
-    /// Transactions that ran in a wave of two or more (i.e. concurrently
-    /// with at least one disjoint-footprint transaction).
+    /// Transactions run under a dispatch of two or more drain tasks (i.e.
+    /// free to overlap a disjoint-footprint transaction).
     pub admitted_concurrent: u64,
-    /// Deferrals: one per wave a transaction sat out behind a conflicting
-    /// footprint.
+    /// Always 0: a transaction is enqueued once and never re-scanned.
+    /// Kept only until the trusted benchmark stops reading it.
     pub conflict_deferrals: u64,
     /// Transactions whose footprint spanned more than one shard.
     pub cross_shard_txns: u64,
-    /// Admission waves dispatched.
+    /// Pool dispatches: 1 per run that routed any work, else 0.
     pub waves: u64,
-    /// The largest single wave (transactions dispatched together).
+    /// Drain tasks of the widest dispatch: `min(pool width, shards with
+    /// work)`; 1 for a serial replay.
     pub max_wave_width: u64,
     /// Dispatched transactions that committed.
     pub committed: u64,
@@ -109,9 +120,11 @@ pub struct SchedOutcome {
     /// Per-transaction results in admission order: the merged maintenance
     /// report, or the error that rolled the transaction back.
     pub results: Vec<IvmResult<UpdateReport>>,
-    /// Per-transaction latency (dispatch → commit, pool queueing
-    /// included), admission order. Zero for transactions never dispatched
-    /// (empty footprint or routing failure).
+    /// Per-transaction latency, **claim → decision**, admission order: the
+    /// clock starts when a drain task claims the slot, not when the run
+    /// starts, so it measures one transaction rather than its queue
+    /// position. Zero for transactions never dispatched (empty footprint
+    /// or routing failure).
     pub latencies_ns: Vec<u64>,
     /// Scheduler counters for this run.
     pub stats: SchedStats,
@@ -127,12 +140,9 @@ pub struct SchedOutcome {
     /// deterministic: concurrent runs and serial replays produce
     /// structurally identical spans.
     pub traces: Vec<Option<TraceNode>>,
-    /// The whole run as one span — `schedule` → per-wave `wave` nodes →
-    /// per-transaction spans — when tracing is on. Wave structure
-    /// legitimately differs between [`TxnScheduler::run`] and
-    /// [`TxnScheduler::run_serial`] (serial replay dispatches one
-    /// transaction per wave), so identity tests compare `traces`, not
-    /// this.
+    /// The whole run as one span — `schedule` → one `txn` node per
+    /// dispatched transaction, in admission order, each wrapping its span
+    /// from `traces` — when tracing is on.
     pub trace: Option<TraceNode>,
 }
 
@@ -153,12 +163,193 @@ pub struct TxnScheduler<'a> {
 }
 
 /// A transaction's routed form: per-shard sub-transactions in ascending
-/// shard order (the footprint is the shard ids).
+/// shard order.
 type ShardParts = Vec<(usize, Txn)>;
+
+/// How many times a drain task with nothing claimable polls the
+/// sequencer's epoch before it parks (about a millisecond in all). What
+/// it waits for is the other queue of a cross-shard transaction draining
+/// — a few transactions, a few hundred microseconds — and parking at
+/// every such wait gave up more than half of the sequencer's gain on the
+/// 2-vCPU development host (EXPERIMENTS.md E-SERVE), so the bound is
+/// generous; every [`YIELD_EVERY`]th poll yields the core, which keeps a
+/// pool wider than the host from starving the tasks that do have work.
+const SPIN_LIMIT: u32 = 1 << 16;
+const YIELD_EVERY: u32 = 64;
+
+/// The per-shard FIFO sequencer of one run (module docs).
+struct Sequencer {
+    cells: Arc<[Arc<Mutex<Database>>]>,
+    wals: Option<Arc<ShardWals>>,
+    /// Per shard: the slots whose footprint includes it, admission order.
+    queues: Vec<Vec<usize>>,
+    /// Per slot: its footprint, ascending shard ids (empty: never
+    /// enqueued).
+    footprints: Vec<Vec<usize>>,
+    cursors: Mutex<Cursors>,
+    /// Bumped (Release) on every advance; what a spinning drain task
+    /// watches (Acquire). Only a hint to look again: the cursors
+    /// themselves are read under the lock.
+    epoch: AtomicU64,
+    /// Signalled on advance when a drain task is parked.
+    freed: Condvar,
+    /// Record scheduler metrics and flight events (a serial replay must
+    /// not double-count the books).
+    metered: bool,
+}
+
+/// The sequencer's mutable state, under one short-held lock.
+struct Cursors {
+    /// Per shard: index into its queue of the first undecided slot.
+    heads: Vec<usize>,
+    /// Per slot: its routed parts until a drain task claims them.
+    parts: Vec<Option<ShardParts>>,
+    unclaimed: usize,
+    parked: usize,
+}
+
+/// One decided transaction, as a drain task reports it.
+struct Decided {
+    slot: usize,
+    result: IvmResult<UpdateReport>,
+    latency_ns: u64,
+    trace: Option<TraceNode>,
+}
+
+impl Sequencer {
+    fn lock(&self) -> MutexGuard<'_, Cursors> {
+        // Every update under the lock is a plain store, valid at each step.
+        self.cursors.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The slot at the head of `shard`'s queue, if it is unclaimed and
+    /// heads every other queue of its footprint too.
+    fn claimable(&self, c: &Cursors, shard: usize) -> Option<usize> {
+        let head = |s: usize| self.queues[s].get(c.heads[s]).copied();
+        let slot = head(shard)?;
+        (c.parts[slot].is_some() && self.footprints[slot].iter().all(|&s| head(s) == Some(slot)))
+            .then_some(slot)
+    }
+
+    /// Claim the lowest runnable slot, waiting while everything unclaimed
+    /// sits behind an in-flight transaction. `None` once nothing is left.
+    fn claim(&self) -> Option<(usize, ShardParts)> {
+        let mut c = self.lock();
+        let mut spins = 0u32;
+        loop {
+            if c.unclaimed == 0 {
+                return None;
+            }
+            let pick = (0..self.queues.len()).filter_map(|s| self.claimable(&c, s)).min();
+            if let Some((slot, parts)) = pick.and_then(|slot| Some((slot, c.parts[slot].take()?))) {
+                c.unclaimed -= 1;
+                return Some((slot, parts));
+            }
+            if spins < SPIN_LIMIT {
+                // `advance` bumps the epoch under the lock, so `seen`
+                // belongs to exactly the state just examined.
+                let seen = self.epoch.load(Ordering::Acquire);
+                drop(c);
+                while spins < SPIN_LIMIT && self.epoch.load(Ordering::Acquire) == seen {
+                    spins += 1;
+                    if spins.is_multiple_of(YIELD_EVERY) {
+                        std::thread::yield_now();
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+                c = self.lock();
+            } else {
+                c.parked += 1;
+                c = self.freed.wait(c).unwrap_or_else(|e| e.into_inner());
+                c.parked -= 1;
+            }
+        }
+    }
+
+    /// A decided transaction leaves the head of every queue it was on.
+    fn advance(&self, slot: usize) {
+        let mut c = self.lock();
+        for &s in &self.footprints[slot] {
+            c.heads[s] += 1;
+        }
+        self.epoch.fetch_add(1, Ordering::Release);
+        if c.parked > 0 {
+            self.freed.notify_all();
+        }
+    }
+
+    /// The claim/advance loop of one drain task: run claimable
+    /// transactions, lowest slot first, until none is left. For a lone
+    /// claimant that is exactly admission order.
+    fn drain(&self) -> Vec<Decided> {
+        let mut decided = Vec::new();
+        while let Some((slot, parts)) = self.claim() {
+            let t0 = Instant::now();
+            // A body panic (the `ivm::pool_dispatch` failpoint fires
+            // before any shard is touched) is this transaction's failure
+            // alone: its queues advance like any other decision.
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                fault::fire_panic("ivm::pool_dispatch");
+                apply_parts(&self.cells, parts, self.wals.as_deref())
+            }));
+            let latency_ns = t0.elapsed().as_nanos() as u64;
+            self.advance(slot);
+            let (result, trace) = out.unwrap_or_else(|p| {
+                let message = panic_message(p.as_ref());
+                (Err(IvmError::TaskPanicked { message }), None)
+            });
+            if self.metered {
+                self.record_decision(slot, result.is_ok());
+            }
+            decided.push(Decided {
+                slot,
+                result,
+                latency_ns,
+                trace,
+            });
+        }
+        decided
+    }
+
+    fn record_decision(&self, slot: usize, ok: bool) {
+        let fp = &self.footprints[slot];
+        queue_depth_add(fp, -1.0);
+        for &s in fp {
+            obs::counter_add_labeled(metric::SHARD_TXNS, metric::shard_label(s), 1);
+        }
+        let outcome = if ok {
+            metric::LABEL_OUTCOME_COMMITTED
+        } else {
+            metric::LABEL_OUTCOME_ABORTED
+        };
+        obs::counter_add_labeled(metric::SCHED_TXN_OUTCOMES, outcome, 1);
+        if fp.len() > 1 {
+            let cross = if ok {
+                metric::SCHED_CROSS_SHARD_COMMITS
+            } else {
+                metric::SCHED_CROSS_SHARD_ABORTS
+            };
+            obs::counter_add(cross, 1);
+        }
+        obs::flight::record(if ok { "txn_committed" } else { "txn_aborted" }, || {
+            format!("slot {slot} shards {fp:?}")
+        });
+    }
+}
+
+/// Move the queue-depth gauges (global, and one per shard of `fp`): up
+/// at enqueue, down at decision, zero after every run.
+fn queue_depth_add(fp: &[usize], by: f64) {
+    obs::gauge_add(metric::SCHED_QUEUE_DEPTH, by);
+    for &s in fp {
+        obs::gauge_add_labeled(metric::SCHED_SHARD_QUEUE_DEPTH, metric::shard_label(s), by);
+    }
+}
 
 impl<'a> TxnScheduler<'a> {
     /// A scheduler dispatching onto `pool`. Pool width caps how many
-    /// disjoint transactions actually run at once; admission logic is
+    /// disjoint transactions actually run at once; the outcome is
     /// width-independent.
     pub fn new(db: &'a ShardedDatabase, pool: Arc<PipelinePool>) -> Self {
         TxnScheduler {
@@ -191,321 +382,170 @@ impl<'a> TxnScheduler<'a> {
         self.db
     }
 
-    /// Route one transaction to its per-shard sub-transactions.
+    /// Route one transaction to its per-shard sub-transactions: one part
+    /// per shard it touches, ascending.
     fn route(&self, txn: &Txn) -> IvmResult<ShardParts> {
-        let mut per: Vec<Txn> = (0..self.db.n_shards()).map(|_| Txn::new()).collect();
+        let mut parts = ShardParts::new();
         for (table, delta) in txn {
             for (s, d) in self.db.route_delta(table, delta)? {
-                per[s].push((table.clone(), d));
+                let at = parts
+                    .binary_search_by_key(&s, |(shard, _)| *shard)
+                    .unwrap_or_else(|at| {
+                        parts.insert(at, (s, Txn::new()));
+                        at
+                    });
+                parts[at].1.push((table.clone(), d));
             }
         }
-        Ok(per
-            .into_iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_empty())
-            .collect())
+        Ok(parts)
     }
 
-    /// Admit and run every transaction, concurrently where footprints
+    /// Sequence and run every transaction, concurrently where footprints
     /// allow. Per-transaction failures (assertion violations, injected
     /// faults, contained panics) land in the corresponding result slot —
     /// the transaction rolled back, the shards are consistent, and the
     /// run continues. `Err` from `run` itself means scheduler
     /// infrastructure failed (e.g. the pool's channel died).
     pub fn run(&self, txns: &[Txn]) -> IvmResult<SchedOutcome> {
-        self.run_inner(txns, true)
+        self.sequence(txns, Some(&self.pool))
     }
 
-    /// The determinism oracle: the same transactions, one at a time, in
-    /// admission order, on the calling thread. Bit-identical results and
-    /// shard state to [`TxnScheduler::run`]; `stats` and latencies
-    /// describe the serial execution instead (no waves, no concurrency),
-    /// and no scheduler metrics are recorded — a replay check must not
-    /// double-count the books.
+    /// The determinism oracle: the same transactions through the same
+    /// sequencer with one claimant on the calling thread, so they run one
+    /// at a time in admission order. Bit-identical results and shard
+    /// state to [`TxnScheduler::run`]; `stats` describe the serial
+    /// execution (one claimant, no concurrency), and no scheduler
+    /// metrics are recorded — a replay check must not double-count the
+    /// books.
     pub fn run_serial(&self, txns: &[Txn]) -> IvmResult<SchedOutcome> {
-        self.run_inner(txns, false)
+        self.sequence(txns, None)
     }
 
-    fn run_inner(&self, txns: &[Txn], concurrent: bool) -> IvmResult<SchedOutcome> {
+    fn sequence(&self, txns: &[Txn], pool: Option<&PipelinePool>) -> IvmResult<SchedOutcome> {
         let n = txns.len();
+        let n_shards = self.db.n_shards();
+        let metered = pool.is_some();
         let mut stats = SchedStats {
             txns: n as u64,
             ..SchedStats::default()
         };
-        if concurrent {
-            obs::counter_add(metric::SCHED_TXNS, n as u64);
-        }
         let mut results: Vec<Option<IvmResult<UpdateReport>>> = (0..n).map(|_| None).collect();
-        let mut latencies: Vec<u64> = vec![0; n];
-        let tracing = self.db.tracing();
-        let mut traces: Vec<Option<TraceNode>> = (0..n).map(|_| None).collect();
-        let mut run_trace = tracing.then(|| {
-            let mut t = TraceNode::new("schedule")
-                .with_field("txns", n)
-                .with_field("shards", self.db.n_shards());
-            t.push_note(if concurrent { "concurrent" } else { "serial replay" });
-            t
-        });
-        // One shared handle to the shard cells for every task of the run.
-        let cells: Arc<[Arc<Mutex<Database>>]> = self.db.cells().into();
-        // Route everything up front; the footprint drives admission.
+        // Route once; the footprint is all the sequencer needs to know.
+        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        let mut footprints: Vec<Vec<usize>> = Vec::with_capacity(n);
         let mut parts: Vec<Option<ShardParts>> = Vec::with_capacity(n);
-        let mut pending: Vec<usize> = Vec::with_capacity(n);
+        let mut dispatched = 0usize;
         for (i, txn) in txns.iter().enumerate() {
-            match self.route(txn) {
-                Ok(p) if p.is_empty() => {
-                    // Nothing to do; completes immediately.
-                    results[i] = Some(Ok(UpdateReport::default()));
+            let p = match self.route(txn) {
+                Ok(p) if !p.is_empty() => p,
+                done => {
+                    // Nothing to do (completes immediately), or unroutable.
+                    results[i] = Some(done.map(|_| UpdateReport::default()));
+                    footprints.push(Vec::new());
                     parts.push(None);
-                }
-                Ok(p) => {
-                    if p.len() > 1 {
-                        stats.cross_shard_txns += 1;
-                        if concurrent {
-                            obs::counter_add(metric::SCHED_CROSS_SHARD_TXNS, 1);
-                        }
-                    }
-                    if concurrent {
-                        obs::gauge_add(metric::SCHED_QUEUE_DEPTH, 1.0);
-                        for (s, _) in &p {
-                            obs::gauge_add_labeled(
-                                metric::SCHED_SHARD_QUEUE_DEPTH,
-                                metric::shard_label(*s),
-                                1.0,
-                            );
-                        }
-                    }
-                    pending.push(i);
-                    parts.push(Some(p));
-                }
-                Err(e) => {
-                    results[i] = Some(Err(e));
-                    parts.push(None);
-                }
-            }
-        }
-        while !pending.is_empty() {
-            let mut busy: BTreeSet<usize> = BTreeSet::new();
-            let mut blocked: BTreeSet<usize> = BTreeSet::new();
-            let mut batch: Vec<usize> = Vec::new();
-            let mut rest: Vec<usize> = Vec::new();
-            let mut wave_deferrals: u64 = 0;
-            for &i in &pending {
-                let Some(fp) = parts[i].as_ref() else {
-                    // A routing-bookkeeping bug degrades to one failed
-                    // transaction, not a poisoned scheduler.
-                    results[i] = Some(Err(IvmError::Internal(
-                        "scheduler invariant broken: pending transaction has no routed parts"
-                            .into(),
-                    )));
-                    if concurrent {
-                        obs::gauge_add(metric::SCHED_QUEUE_DEPTH, -1.0);
-                        for s in txn_footprint(txns, self.db, i) {
-                            obs::gauge_add_labeled(
-                                metric::SCHED_SHARD_QUEUE_DEPTH,
-                                metric::shard_label(s),
-                                -1.0,
-                            );
-                        }
-                    }
                     continue;
-                };
-                let free = fp
-                    .iter()
-                    .all(|(s, _)| !busy.contains(s) && !blocked.contains(s));
-                if free && (concurrent || batch.is_empty()) {
-                    busy.extend(fp.iter().map(|(s, _)| *s));
-                    batch.push(i);
-                } else {
-                    if free {
-                        // Serial replay: everything after the first
-                        // transaction waits, with no conflict implied.
-                        rest.push(i);
-                        continue;
-                    }
-                    blocked.extend(fp.iter().map(|(s, _)| *s));
-                    stats.conflict_deferrals += 1;
-                    wave_deferrals += 1;
-                    rest.push(i);
                 }
-            }
-            stats.waves += 1;
-            stats.max_wave_width = stats.max_wave_width.max(batch.len() as u64);
-            if concurrent {
-                // Deferral events are O(queue²) on a hot admission queue;
-                // one batched add per wave keeps the recorder off the scan.
-                if wave_deferrals > 0 {
-                    obs::counter_add(metric::SCHED_CONFLICT_SERIALIZED, wave_deferrals);
-                }
-                obs::counter_add(metric::SCHED_WAVES, 1);
-                obs::counter_add_labeled(
-                    metric::SCHED_WAVE_WIDTHS,
-                    metric::wave_width_label(batch.len()),
-                    1,
-                );
-                if batch.len() > 1 {
-                    obs::counter_add(metric::SCHED_ADMITTED_CONCURRENT, batch.len() as u64);
-                    stats.admitted_concurrent += batch.len() as u64;
-                }
-            }
-            let t_wave = Instant::now();
-            type TaskOut = (IvmResult<UpdateReport>, u64, Option<TraceNode>);
-            let mut tasks: Vec<Box<dyn FnOnce() -> TaskOut + Send>> =
-                Vec::with_capacity(batch.len());
-            let mut dispatched: Vec<usize> = Vec::with_capacity(batch.len());
-            // Footprints of the dispatched transactions, captured before
-            // the routed parts move into the task closures (the outcome
-            // loop needs them for gauges, labels, and stats).
-            let mut fps: Vec<Vec<usize>> = Vec::with_capacity(batch.len());
-            for &i in &batch {
-                let Some(p) = parts[i].take() else {
-                    // Same degradation as above: one failed transaction,
-                    // and the rest of the wave still runs.
-                    results[i] = Some(Err(IvmError::Internal(
-                        "scheduler invariant broken: admitted transaction has no routed parts"
-                            .into(),
-                    )));
-                    if concurrent {
-                        obs::gauge_add(metric::SCHED_QUEUE_DEPTH, -1.0);
-                        for s in txn_footprint(txns, self.db, i) {
-                            obs::gauge_add_labeled(
-                                metric::SCHED_SHARD_QUEUE_DEPTH,
-                                metric::shard_label(s),
-                                -1.0,
-                            );
-                        }
-                    }
-                    continue;
-                };
-                let fp: Vec<usize> = p.iter().map(|(s, _)| *s).collect();
-                if concurrent {
-                    obs::flight::record("txn_admitted", || {
-                        format!("slot {i} shards {fp:?}")
-                    });
-                }
-                let cells = Arc::clone(&cells);
-                let wals = self.wals.clone();
-                let t0 = Instant::now();
-                tasks.push(Box::new(move || {
-                    let (r, tr) = apply_parts(&cells, p, wals.as_deref());
-                    (r, t0.elapsed().as_nanos() as u64, tr)
-                }));
-                dispatched.push(i);
-                fps.push(fp);
-            }
-            let outcomes = if concurrent {
-                self.pool.run_outcomes(tasks)?
-            } else {
-                // Inline, but still panic-contained like the pool's path.
-                tasks
-                    .into_iter()
-                    .map(|t| catch_unwind(AssertUnwindSafe(t)).map_err(|p| panic_message(p.as_ref())))
-                    .collect()
             };
-            for (k, outcome) in outcomes.into_iter().enumerate() {
-                let i = dispatched[k];
-                match outcome {
-                    Ok((r, ns, tr)) => {
-                        results[i] = Some(r);
-                        latencies[i] = ns;
-                        traces[i] = tr;
-                    }
-                    Err(message) => {
-                        // The dispatch itself panicked (e.g. the
-                        // `ivm::pool_dispatch` failpoint) before the task
-                        // body ran; the shards were never touched.
-                        results[i] = Some(Err(IvmError::TaskPanicked { message }));
-                        latencies[i] = t_wave.elapsed().as_nanos() as u64;
-                    }
-                }
-                let fp = &fps[k];
-                stats.shard_participations += fp.len() as u64;
-                let ok = matches!(results[i], Some(Ok(_)));
-                if ok {
-                    stats.committed += 1;
-                } else {
-                    stats.aborted += 1;
-                }
-                if concurrent {
-                    for &s in fp {
-                        obs::counter_add_labeled(metric::SHARD_TXNS, metric::shard_label(s), 1);
-                    }
-                    obs::counter_add_labeled(
-                        metric::SCHED_TXN_OUTCOMES,
-                        if ok {
-                            metric::LABEL_OUTCOME_COMMITTED
-                        } else {
-                            metric::LABEL_OUTCOME_ABORTED
-                        },
-                        1,
-                    );
-                    if fp.len() > 1 {
-                        obs::counter_add(
-                            if ok {
-                                metric::SCHED_CROSS_SHARD_COMMITS
-                            } else {
-                                metric::SCHED_CROSS_SHARD_ABORTS
-                            },
-                            1,
-                        );
-                    }
-                    obs::flight::record(
-                        if ok { "txn_committed" } else { "txn_aborted" },
-                        || format!("slot {i} shards {fp:?}"),
-                    );
-                    obs::gauge_add(metric::SCHED_QUEUE_DEPTH, -1.0);
-                    for &s in fp {
-                        obs::gauge_add_labeled(
-                            metric::SCHED_SHARD_QUEUE_DEPTH,
-                            metric::shard_label(s),
-                            -1.0,
-                        );
-                    }
-                }
+            let fp: Vec<usize> = p.iter().map(|(s, _)| *s).collect();
+            for &s in &fp {
+                queues[s].push(i);
             }
-            if let Some(run) = run_trace.as_mut() {
-                let mut wave_node = TraceNode::new("wave").with_field("width", dispatched.len());
-                for &i in &dispatched {
-                    let mut txn_node = TraceNode::new("txn").with_field("slot", i);
-                    match &traces[i] {
-                        Some(t) => txn_node.push_child(t.clone()),
-                        None => txn_node.push_note("rolled back or untraced"),
-                    }
-                    wave_node.push_child(txn_node);
-                }
-                run.push_child(wave_node);
+            if metered {
+                queue_depth_add(&fp, 1.0);
+                obs::flight::record("txn_admitted", || format!("slot {i} shards {fp:?}"));
             }
-            pending = rest;
+            stats.cross_shard_txns += u64::from(fp.len() > 1);
+            stats.shard_participations += fp.len() as u64;
+            dispatched += 1;
+            footprints.push(fp);
+            parts.push(Some(p));
+        }
+        // One drain task per worker that can have a queue of its own.
+        let busy_shards = queues.iter().filter(|q| !q.is_empty()).count();
+        let drainers = pool.map_or(1, PipelinePool::width).min(busy_shards);
+        stats.waves = u64::from(dispatched > 0);
+        stats.max_wave_width = drainers as u64;
+        if drainers > 1 {
+            stats.admitted_concurrent = dispatched as u64;
+        }
+        if metered {
+            obs::counter_add(metric::SCHED_TXNS, stats.txns);
+            obs::counter_add(metric::SCHED_CROSS_SHARD_TXNS, stats.cross_shard_txns);
+            obs::counter_add(metric::SCHED_WAVES, stats.waves);
+            obs::counter_add(metric::SCHED_ADMITTED_CONCURRENT, stats.admitted_concurrent);
+        }
+        let seq = Arc::new(Sequencer {
+            cells: self.db.cells().into(),
+            wals: self.wals.clone(),
+            queues,
+            footprints,
+            cursors: Mutex::new(Cursors {
+                heads: vec![0; n_shards],
+                parts,
+                unclaimed: dispatched,
+                parked: 0,
+            }),
+            epoch: AtomicU64::new(0),
+            freed: Condvar::new(),
+            metered,
+        });
+        let decided: Vec<Decided> = match pool {
+            None => seq.drain(),
+            Some(pool) => {
+                let tasks = (0..drainers)
+                    .map(|_| {
+                        let seq = Arc::clone(&seq);
+                        Box::new(move || seq.drain()) as Box<dyn FnOnce() -> Vec<Decided> + Send>
+                    })
+                    .collect();
+                let mut all = Vec::with_capacity(dispatched);
+                for outcome in pool.run_outcomes(tasks)? {
+                    all.extend(outcome.map_err(|message| {
+                        IvmError::Internal(format!("a scheduler drain task died: {message}"))
+                    })?);
+                }
+                all
+            }
+        };
+        let mut latencies: Vec<u64> = vec![0; n];
+        let mut traces: Vec<Option<TraceNode>> = (0..n).map(|_| None).collect();
+        for d in decided {
+            if d.result.is_ok() {
+                stats.committed += 1;
+            } else {
+                stats.aborted += 1;
+            }
+            results[d.slot] = Some(d.result);
+            latencies[d.slot] = d.latency_ns;
+            traces[d.slot] = d.trace;
         }
         let results = results
             .into_iter()
             .map(|r| r.ok_or_else(|| IvmError::Internal("a transaction was never run".into())))
             .collect::<IvmResult<Vec<_>>>()?;
-        if let Some(run) = run_trace.as_mut() {
-            run.push_field("waves", stats.waves);
-        }
+        let trace = self.db.tracing().then(|| {
+            let mut run = TraceNode::new("schedule")
+                .with_field("txns", n)
+                .with_field("shards", n_shards);
+            run.push_note(format!("{drainers} drain task(s)"));
+            for i in (0..n).filter(|&i| !seq.footprints[i].is_empty()) {
+                let mut txn_node = TraceNode::new("txn").with_field("slot", i);
+                match &traces[i] {
+                    Some(t) => txn_node.push_child(t.clone()),
+                    None => txn_node.push_note("rolled back or untraced"),
+                }
+                run.push_child(txn_node);
+            }
+            run
+        });
         Ok(SchedOutcome {
             results,
             latencies_ns: latencies,
             stats,
             traces,
-            trace: run_trace,
+            trace,
         })
     }
-}
-
-/// Re-derive a dispatched transaction's footprint for gauge drain (its
-/// routed parts were consumed by the task closure). Routing is
-/// deterministic, so this matches what was incremented; a routing error
-/// here is impossible for a transaction that routed cleanly before.
-fn txn_footprint(txns: &[Txn], db: &ShardedDatabase, i: usize) -> Vec<usize> {
-    let mut fp: BTreeSet<usize> = BTreeSet::new();
-    for (table, delta) in &txns[i] {
-        if let Ok(parts) = db.route_delta(table, delta) {
-            fp.extend(parts.into_iter().map(|(s, _)| s));
-        }
-    }
-    fp.into_iter().collect()
 }
 
 /// Apply one transaction's per-shard sub-transactions: the cross-shard
@@ -548,8 +588,8 @@ fn apply_parts(
     };
     // Participants whose apply succeeded, in ascending shard order, each
     // with its transaction scope still open. The guards are held to the
-    // decision point; admission keeps every other transaction off these
-    // shards meanwhile, so holding them blocks nobody.
+    // decision point; the transaction heads these shards' queues
+    // meanwhile, so holding them blocks nobody.
     let mut open: Vec<MutexGuard<'_, Database>> = Vec::with_capacity(n_parts);
     let mut combined = UpdateReport::default();
     let mut failure: Option<IvmError> = None;

@@ -18,7 +18,7 @@
 //! every shard whose views it affects. The property tests cross-check the
 //! contract by comparing the shard union against an unsharded control.
 //!
-//! The admission side — shard footprints, concurrent dispatch, the
+//! The admission side — shard footprints, the per-shard sequencer, the
 //! cross-shard commit protocol — lives in [`crate::sched`].
 
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -33,13 +33,12 @@ use crate::{IvmError, IvmResult};
 pub struct ShardedDatabase {
     spec: ShardSpec,
     /// One full database per shard. The mutexes are an ownership
-    /// mechanism, not a contention point: the scheduler only dispatches
-    /// transactions with *disjoint* shard footprints concurrently, so a
-    /// lock is always free when a task takes it. Keeping shards in
-    /// `Arc<Mutex<…>>` cells (instead of moving them into pool tasks)
-    /// also means a panic that fires before or during a task — e.g. the
-    /// `ivm::pool_dispatch` failpoint, which destroys the task closure's
-    /// captures — can never destroy a shard.
+    /// mechanism, not a contention point: the scheduler only runs a
+    /// transaction that heads the queue of every shard it touches, so a
+    /// lock is always free when a drain task takes it. Keeping shards in
+    /// `Arc<Mutex<…>>` cells shared by the drain tasks (instead of moving
+    /// them into pool tasks) also means a panic in a task can never
+    /// destroy a shard.
     shards: Vec<Arc<Mutex<Database>>>,
 }
 

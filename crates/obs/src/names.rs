@@ -56,22 +56,23 @@ pub const OPT_INCUMBENT_COST: &str = "spacetime_opt_incumbent_cost";
 
 /// Transactions accepted by the shard-footprint scheduler.
 pub const SCHED_TXNS: &str = "spacetime_sched_txns_total";
-/// Transactions admitted concurrently with at least one other in-flight
-/// transaction (disjoint shard footprints).
+/// Transactions run under a dispatch of two or more drain tasks (free to
+/// overlap a transaction with a disjoint shard footprint).
 pub const SCHED_ADMITTED_CONCURRENT: &str = "spacetime_sched_admitted_concurrent_total";
-/// Admission-queue scans that deferred a transaction behind a conflicting
-/// footprint (one count per wave a transaction sat out).
+/// Always 0 since the per-shard sequencer: a transaction is enqueued once
+/// and never re-scanned. Kept while `/statusz` and the books checks read it.
 pub const SCHED_CONFLICT_SERIALIZED: &str = "spacetime_sched_conflict_serialized_total";
 /// Transactions whose footprint spanned more than one shard (committed
 /// through the cross-shard protocol).
 pub const SCHED_CROSS_SHARD_TXNS: &str = "spacetime_sched_cross_shard_txns_total";
-/// Admission waves the scheduler ran (each wave dispatches one batch of
-/// mutually disjoint transactions).
+/// Pool dispatches the scheduler made: one per run that routed any work
+/// (the name predates the sequencer; a dispatch drains the whole run).
 pub const SCHED_WAVES: &str = "spacetime_sched_waves_total";
-/// Transactions currently queued for admission across all shards.
+/// Transactions enqueued and not yet decided, across all shards.
 pub const SCHED_QUEUE_DEPTH: &str = "spacetime_sched_queue_depth";
 
-/// Per-shard admission-queue depth, labeled by [`shard_label`].
+/// Per-shard sequencer queue depth (up at enqueue, down at decision),
+/// labeled by [`shard_label`].
 pub const SCHED_SHARD_QUEUE_DEPTH: &str = "spacetime_sched_shard_queue_depth";
 /// Dispatched transactions per participating shard, labeled by
 /// [`shard_label`] (a cross-shard transaction counts once per shard).
@@ -79,8 +80,6 @@ pub const SHARD_TXNS: &str = "spacetime_shard_txns_total";
 /// Dispatched transactions by outcome, labeled [`LABEL_OUTCOME_COMMITTED`]
 /// or [`LABEL_OUTCOME_ABORTED`].
 pub const SCHED_TXN_OUTCOMES: &str = "spacetime_sched_txn_outcomes_total";
-/// Admission waves by dispatched width, labeled by [`wave_width_label`].
-pub const SCHED_WAVE_WIDTHS: &str = "spacetime_sched_wave_width_total";
 /// Cross-shard transactions that reached the global commit record.
 pub const SCHED_CROSS_SHARD_COMMITS: &str = "spacetime_sched_cross_shard_commits_total";
 /// Cross-shard transactions rolled back before the global commit record.
@@ -127,27 +126,6 @@ pub const LABEL_OUTCOME_COMMITTED: &str = "outcome=\"committed\"";
 /// Outcome label: the transaction rolled back (assertion violation,
 /// contained panic, or cross-shard abort).
 pub const LABEL_OUTCOME_ABORTED: &str = "outcome=\"aborted\"";
-
-/// `width="N"` labels for wave widths 0–8; wider waves share
-/// [`WAVE_WIDTH_OVERFLOW`].
-const WAVE_WIDTH_LABELS: [&str; 9] = [
-    "width=\"0\"",
-    "width=\"1\"",
-    "width=\"2\"",
-    "width=\"3\"",
-    "width=\"4\"",
-    "width=\"5\"",
-    "width=\"6\"",
-    "width=\"7\"",
-    "width=\"8\"",
-];
-/// Shared label for waves dispatching more than 8 transactions.
-pub const WAVE_WIDTH_OVERFLOW: &str = "width=\"9plus\"";
-
-/// The `width="N"` label for a wave's dispatched batch size.
-pub fn wave_width_label(width: usize) -> &'static str {
-    WAVE_WIDTH_LABELS.get(width).copied().unwrap_or(WAVE_WIDTH_OVERFLOW)
-}
 
 /// WAL record-kind label: transaction begin frames.
 pub const LABEL_WAL_BEGIN: &str = "kind=\"begin\"";

@@ -72,9 +72,10 @@ pub const SITES: &[Site] = &[
         supports_error: true,
         supports_panic: true,
     },
-    // Fired by `PipelinePool` as each task starts (inline fast path
-    // included). Panic-only: the pool's job wrapper has no error channel,
-    // but every unwind is caught and surfaced as `IvmError::TaskPanicked`.
+    // Fired by the transaction scheduler once per transaction, before its
+    // body and inside that transaction's own `catch_unwind` (the site
+    // name predates the per-shard sequencer). Panic-only: the unwind is
+    // caught and surfaced as that transaction's `IvmError::TaskPanicked`.
     Site {
         name: "ivm::pool_dispatch",
         supports_error: false,
@@ -92,8 +93,8 @@ pub const SITES: &[Site] = &[
     },
     // Fired immediately before the cross-shard global commit record is
     // appended — the 2PC decision point. An error here must abort the
-    // whole wave (presumed abort: prepared-but-uncommitted participants
-    // roll back at recovery).
+    // whole transaction (presumed abort: prepared-but-uncommitted
+    // participants roll back at recovery).
     Site {
         name: "wal::global_commit",
         supports_error: true,

@@ -77,8 +77,8 @@ fn main() {
     let stats = out.stats;
     let status: obs::http::StatusFn = Arc::new(move || {
         format!(
-            "{{ \"example\": \"serve_status\", \"committed\": {}, \"waves\": {} }}",
-            stats.committed, stats.waves
+            "{{ \"example\": \"serve_status\", \"committed\": {}, \"dispatches\": {}, \"drain_tasks\": {} }}",
+            stats.committed, stats.waves, stats.max_wave_width
         )
     });
     let server = obs::http::ObsServer::start_with_status("127.0.0.1:0", status).expect("bind");

@@ -2,13 +2,15 @@
 //!
 //! `cargo test -q` runs only the root package; this puts the scheduler,
 //! the transaction scope, the abort path and the cross-shard commit under
-//! it. The paper database is partitioned over two shards and served a
-//! short stream that holds one of each thing the path can do: commits on
-//! one shard, a cross-shard transfer, a violation the assertion gate
-//! rejects before any write, and a violation that only shows once the
-//! transaction's first update is in place. The oracles are the
-//! repository's usual three: `run` equals `run_serial`, the shard unions
-//! equal an unsharded control, and every shard equals recomputation.
+//! it. The paper database is partitioned over two shards (one drain task
+//! each) and over four shards on a width-2 pool (more sequencer queues
+//! than workers) and served a short stream that holds one of each thing
+//! the path can do: commits on one shard, a cross-shard transfer, a
+//! violation the assertion gate rejects before any write, and a violation
+//! that only shows on the second participant once the transaction's first
+//! update is in place. The oracles are the repository's usual three: `run`
+//! equals `run_serial`, the shard unions equal an unsharded control, and
+//! every shard equals recomputation.
 
 use std::sync::Arc;
 
@@ -71,16 +73,23 @@ fn one(table: &str, delta: Delta) -> Txn {
 
 #[test]
 fn two_shard_serving_commits_aborts_and_matches_its_oracles() {
+    serve_and_check(2, 2);
+}
+
+#[test]
+fn four_shards_on_two_workers_commit_abort_and_match_their_oracles() {
+    serve_and_check(4, 2);
+}
+
+fn serve_and_check(n_shards: usize, width: usize) {
     let template = paper_db();
-    let sharded = ShardedDatabase::partition(&template, shard_spec(), 2).unwrap();
-    // A department on each shard, for the transfer.
+    let sharded = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
+    // Departments on the lowest and the highest occupied shard, for the
+    // transfers: `b`'s shard is always the later participant.
     let shard_of = |d: usize| sharded.route_delta("Dept", &budget(d, 600, 601)).unwrap()[0].0;
-    let a = (0..DEPTS)
-        .find(|&d| shard_of(d) == 0)
-        .expect("a department on shard 0");
-    let b = (0..DEPTS)
-        .find(|&d| shard_of(d) == 1)
-        .expect("a department on shard 1");
+    let a = (0..DEPTS).min_by_key(|&d| shard_of(d)).unwrap();
+    let b = (0..DEPTS).max_by_key(|&d| shard_of(d)).unwrap();
+    assert!(shard_of(a) < shard_of(b), "the transfer must span two shards");
     let others: Vec<usize> = (0..DEPTS).filter(|&d| d != a && d != b).collect();
 
     let hire = Delta::insert(
@@ -101,8 +110,8 @@ fn two_shard_serving_commits_aborts_and_matches_its_oracles() {
     );
     let txns: Vec<Txn> = vec![
         one("Emp", salary(others[0], 0, 100, 180)),
-        // Cross-shard transfer: 50 of budget from a department on shard 0
-        // to one on shard 1, one update per participant.
+        // Cross-shard transfer: 50 of budget from `a`'s shard to `b`'s,
+        // one update per participant.
         vec![
             ("Dept".to_string(), budget(a, 600, 550)),
             ("Dept".to_string(), budget(b, 600, 650)),
@@ -110,9 +119,9 @@ fn two_shard_serving_commits_aborts_and_matches_its_oracles() {
         one("Emp", hire),
         // Rejected at the gate: nothing is written.
         one("Emp", salary(others[0], 1, 100, 9_999)),
-        // Second-update violation, cross-shard: shard 0's budget change
-        // and shard 1's first update are in place when shard 1's raise
-        // blows the budget; both shards roll back.
+        // Second-participant violation: the first participant's budget
+        // change and the second's first update are in place when the
+        // second's raise blows the budget; both shards roll back.
         vec![
             ("Dept".to_string(), budget(a, 550, 500)),
             ("Dept".to_string(), budget(b, 650, 700)),
@@ -123,10 +132,10 @@ fn two_shard_serving_commits_aborts_and_matches_its_oracles() {
     ];
     let expect_ok = [true, true, true, false, false, true, true];
 
-    let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(2)))
+    let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)))
         .run(&txns)
         .unwrap();
-    let replayed = ShardedDatabase::partition(&template, shard_spec(), 2).unwrap();
+    let replayed = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
     let replay = TxnScheduler::new(&replayed, Arc::new(PipelinePool::new(1)))
         .run_serial(&txns)
         .unwrap();
@@ -156,8 +165,11 @@ fn two_shard_serving_commits_aborts_and_matches_its_oracles() {
     }
     assert_eq!(out.stats.cross_shard_txns, 2);
     assert_eq!((out.stats.committed, out.stats.aborted), (5, 2));
+    // One dispatch served the whole run, on at most `width` drain tasks.
+    assert_eq!((out.stats.waves, out.stats.conflict_deferrals), (1, 0));
+    assert!((2..=width as u64).contains(&out.stats.max_wave_width));
 
-    for s in 0..2 {
+    for s in 0..n_shards {
         let (live, serial) = (sharded.shard(s), replayed.shard(s));
         for (name, table) in live.catalog.iter() {
             assert_eq!(
