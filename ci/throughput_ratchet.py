@@ -17,7 +17,9 @@ allocator (``--features alloc-stats``); both files may omit it. With
 *fused* ``allocs_per_txn`` to sit strictly below the committed *per_key*
 baseline in every scenario — allocation counts are workload-determined,
 not hardware-determined, so this is a tight assertion that the arena and
-fused kernels actually absorb hot-path allocation.
+fused kernels actually absorb hot-path allocation — and to stay within
+``ALLOC_CEILING`` (5%) of the committed *fused* figure, so the production
+path has a ceiling of its own and cannot drift up to the reference's.
 
 The ``serve`` section (the multi-client sharded-scheduler benchmark) is
 ratcheted the same way when both files carry it: sustained ``txns_per_sec``
@@ -67,6 +69,8 @@ MODES = ("per_key", "fused")
 SERVE_SHARD_FLOORS = (1, 4)
 # The same run's 2-shard point over its 1-shard point, hosts with >= 2 CPUs.
 SERVE_SPEEDUP_FLOOR = 0.6
+# Fresh fused allocs_per_txn may exceed the committed fused figure by this.
+ALLOC_CEILING = 1.05
 # Trend-table depth for --history.
 HISTORY_RUNS = 10
 # WAL-on serve throughput must stay within 25% of the in-memory pass.
@@ -136,6 +140,25 @@ def alloc_ratchet(fresh, base):
             failures.append(
                 f"scenario {name!r}: fused {got:.1f} allocs/txn is not strictly "
                 f"below the per_key baseline {want:.1f}"
+            )
+        own = b.get("fused", {}).get("allocs_per_txn")
+        if own is None:
+            failures.append(
+                f"scenario {name!r}: baseline has no fused allocs_per_txn "
+                "(refresh it from an --features alloc-stats build)"
+            )
+            continue
+        ceiling = own * ALLOC_CEILING
+        status = "ok" if got <= ceiling else "REGRESSED"
+        print(
+            f"{name:10} fused {got:>10.1f} allocs/txn  fused baseline   "
+            f"{own:>10.1f}  (ceiling {ceiling:.1f})  {status}"
+        )
+        if got > ceiling:
+            failures.append(
+                f"scenario {name!r}: fused {got:.1f} allocs/txn exceeds the "
+                f"committed fused baseline {own:.1f} by more than "
+                f"{(ALLOC_CEILING - 1) * 100:.0f}%"
             )
     return failures
 

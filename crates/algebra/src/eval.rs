@@ -17,7 +17,9 @@
 
 use std::collections::HashMap;
 
-use spacetime_storage::{Bag, Catalog, IoMeter, StorageError, StorageResult, Table, Tuple, Value};
+use spacetime_storage::{
+    Bag, Catalog, FxHashMap, IoMeter, StorageError, StorageResult, Table, Tuple, Value,
+};
 
 use crate::ops::{AggExpr, AggFunc, JoinCondition, OpKind};
 use crate::scalar::{CmpOp, ScalarExpr};
@@ -96,8 +98,8 @@ fn eval_select(
             if let Some((index_id, key)) = covering_index(t, &bound) {
                 let hits = t.relation.lookup(index_id, &key, io);
                 return match residual {
-                    Some(res) => filter_bag(&hits, &res),
-                    None => Ok(hits),
+                    Some(res) => filter_bag(hits, &res),
+                    None => Ok(hits.clone()),
                 };
             }
         }
@@ -471,35 +473,76 @@ impl AggAccum {
     }
 }
 
+fn fresh_states(aggs: &[AggExpr]) -> Vec<AggAccum> {
+    aggs.iter().map(|a| AggAccum::new(a.func)).collect()
+}
+
+/// Fold `mult` copies of `t` into one group's accumulators.
+fn fold_row(states: &mut [AggAccum], aggs: &[AggExpr], t: &Tuple, mult: u64) -> StorageResult<()> {
+    for (state, agg) in states.iter_mut().zip(aggs) {
+        match &agg.arg {
+            None => state.update(None, mult)?,
+            // A plain column is read where it lies.
+            Some(ScalarExpr::Col(i)) if *i < t.arity() => state.update(t.get(*i), mult)?,
+            Some(e) => state.update(Some(&e.eval(t)?), mult)?,
+        }
+    }
+    Ok(())
+}
+
+fn group_key(t: &Tuple, group_by: &[usize]) -> Vec<Value> {
+    group_by
+        .iter()
+        .map(|&g| t.get(g).cloned().unwrap_or(Value::Null))
+        .collect()
+}
+
+fn finish_row(mut row: Vec<Value>, states: Vec<AggAccum>) -> StorageResult<Tuple> {
+    for s in states {
+        row.push(s.finalize()?);
+    }
+    Ok(Tuple::new(row))
+}
+
 /// Group a bag and compute aggregates. With an empty `group_by`, produces
 /// exactly one output row even over empty input (SQL global aggregates).
 pub fn aggregate_bag(input: &Bag, group_by: &[usize], aggs: &[AggExpr]) -> StorageResult<Bag> {
-    let mut groups: HashMap<Vec<Value>, Vec<AggAccum>> = HashMap::new();
+    let mut groups: FxHashMap<Vec<Value>, Vec<AggAccum>> = FxHashMap::default();
     if group_by.is_empty() {
-        groups.insert(vec![], aggs.iter().map(|a| AggAccum::new(a.func)).collect());
+        groups.insert(vec![], fresh_states(aggs));
     }
     for (t, c) in input.iter() {
-        let key: Vec<Value> = group_by
-            .iter()
-            .map(|&g| t.get(g).cloned().unwrap_or(Value::Null))
-            .collect();
         let states = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| AggAccum::new(a.func)).collect());
-        for (state, agg) in states.iter_mut().zip(aggs) {
-            let arg = agg.arg.as_ref().map(|e| e.eval(t)).transpose()?;
-            state.update(arg.as_ref(), c)?;
-        }
+            .entry(group_key(t, group_by))
+            .or_insert_with(|| fresh_states(aggs));
+        fold_row(states, aggs, t, c)?;
     }
     let mut out = Bag::new();
     for (key, states) in groups {
-        let mut row = key;
-        for s in states {
-            row.push(s.finalize()?);
-        }
-        out.insert(Tuple::new(row), 1);
+        out.insert(finish_row(key, states)?, 1);
     }
     Ok(out)
+}
+
+/// Aggregate the rows of **one** group, streamed: a single accumulator
+/// vector, no map, no intermediate bag. `rows` must all agree on
+/// `group_by` (the caller partitioned them); the output row takes its key
+/// from the first. `None` for a group with no rows — what
+/// [`aggregate_bag`] gives a non-global aggregate over empty input.
+pub fn aggregate_group<'t>(
+    rows: impl IntoIterator<Item = (&'t Tuple, u64)>,
+    group_by: &[usize],
+    aggs: &[AggExpr],
+) -> StorageResult<Option<Tuple>> {
+    let mut folded: Option<(Vec<Value>, Vec<AggAccum>)> = None;
+    for (t, c) in rows {
+        let (_, states) =
+            folded.get_or_insert_with(|| (group_key(t, group_by), fresh_states(aggs)));
+        fold_row(states, aggs, t, c)?;
+    }
+    folded
+        .map(|(key, states)| finish_row(key, states))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -724,6 +767,38 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains(&tuple!["g", 10, 1, 3]));
+    }
+
+    #[test]
+    fn one_group_streamed_equals_the_grouped_bag() {
+        let aggs = [
+            AggExpr::new(AggFunc::Sum, ScalarExpr::col(1), "s"),
+            AggExpr::new(AggFunc::Count, ScalarExpr::col(1), "c"),
+            AggExpr::count_star("n"),
+            AggExpr::new(AggFunc::Min, ScalarExpr::col(1), "lo"),
+            AggExpr::new(AggFunc::Max, ScalarExpr::col(1), "hi"),
+            AggExpr::new(AggFunc::Avg, ScalarExpr::col(1), "a"),
+            // Not a plain column: evaluated, not borrowed.
+            AggExpr::new(
+                AggFunc::Sum,
+                ScalarExpr::bin(BinOp::Add, ScalarExpr::col(1), ScalarExpr::lit(1)),
+                "s1",
+            ),
+        ];
+        let group: Bag = [
+            (tuple!["g", 7], 3),
+            (tuple!["g", Value::Null], 2),
+            (tuple!["g", -4], 1),
+        ]
+        .into_iter()
+        .collect();
+        let row = aggregate_group(group.iter(), &[0], &aggs).unwrap().unwrap();
+        let bag = aggregate_bag(&group, &[0], &aggs).unwrap();
+        assert_eq!(bag.sorted(), vec![(row, 1)]);
+        // No rows, no group — also for a global aggregate, where the
+        // grouped form would still emit its one row.
+        assert_eq!(aggregate_group(Bag::new().iter(), &[0], &aggs).unwrap(), None);
+        assert_eq!(aggregate_group(Bag::new().iter(), &[], &aggs).unwrap(), None);
     }
 
     #[test]

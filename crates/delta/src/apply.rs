@@ -283,6 +283,40 @@ mod tests {
     }
 
     #[test]
+    fn same_key_modify_rolls_back_bit_identically() {
+        // `Relation::modify` swaps a tuple inside its index bucket when the
+        // index key is unchanged; the journal's inverse is another such
+        // swap. Contents, probes and dirty masks must come back exactly —
+        // for one tuple (the paper's N3 case) and for ten copies under one
+        // key (N4).
+        for n in [1u64, 10] {
+            let mut cat = sum_of_sals_catalog();
+            {
+                let rel = &mut cat.table_mut("SumOfSals").unwrap().relation;
+                rel.insert(tuple!["dept1", 100], n - 1, &mut IoMeter::new())
+                    .unwrap();
+                rel.clear_dirty();
+            }
+            let pre = cat.table("SumOfSals").unwrap().relation.clone();
+            let d = Delta::modify(tuple!["dept1", 100], tuple!["dept1", 130], n);
+            let (mut undo, mut io) = (UndoLog::new(), IoMeter::new());
+            {
+                let rel = &mut cat.table_mut("SumOfSals").unwrap().relation;
+                apply_to_relation_undo(&d, rel, &mut io, &mut undo).unwrap();
+            }
+            assert_eq!(io.total(), 1 + 2 * n, "3 pages for N3, 21 for N4");
+            undo.rollback(&mut cat).unwrap();
+            let rel = &cat.table("SumOfSals").unwrap().relation;
+            assert_eq!(rel.data(), pre.data());
+            assert_eq!(rel.dirty_shards(), 0);
+            for d in 0..4 {
+                let key = [spacetime_storage::Value::str(format!("dept{d}"))];
+                assert_eq!(rel.peek(0, &key), pre.peek(0, &key));
+            }
+        }
+    }
+
+    #[test]
     fn undo_covers_partial_application() {
         // A delta that fails mid-apply leaves the journal covering exactly
         // the ops that landed, so rollback restores the pre-state.

@@ -1,5 +1,6 @@
 //! The delta type: inserts, deletes, and paired modifications.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -183,22 +184,31 @@ impl Delta {
     /// the aggregate rule (a salary change stays a modification within its
     /// department's group; a department transfer becomes a delete from one
     /// group and an insert into another) and by the join rule (same logic
-    /// on the join columns).
-    pub fn split_modifies_on(&self, cols: &[usize]) -> Delta {
+    /// on the join columns). A delta with nothing to split is handed back
+    /// as it is, borrowed.
+    pub fn split_modifies_on(&self, cols: &[usize]) -> Cow<'_, Delta> {
+        let same_key = |m: &Modify| {
+            cols.iter().all(|&c| {
+                m.old.get(c).unwrap_or(&Value::Null) == m.new.get(c).unwrap_or(&Value::Null)
+            })
+        };
+        if self.modifies.iter().all(same_key) {
+            return Cow::Borrowed(self);
+        }
         let mut d = Delta {
             inserts: self.inserts.clone(),
             deletes: self.deletes.clone(),
             modifies: Vec::new(),
         };
         for m in &self.modifies {
-            if m.old.project(cols) == m.new.project(cols) {
+            if same_key(m) {
                 d.modifies.push(m.clone());
             } else {
                 d.deletes.insert(m.old.clone(), m.count);
                 d.inserts.insert(m.new.clone(), m.count);
             }
         }
-        d
+        Cow::Owned(d)
     }
 
     /// The distinct values of `cols` touched by this delta (both old and

@@ -28,46 +28,67 @@
 //! 3. **Input re-query**: otherwise, fetch the affected group's old tuples
 //!    from the input (Q4e's 11 page I/Os when N3 is not materialized).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
 
-use spacetime_algebra::eval::aggregate_bag;
+use spacetime_algebra::eval::aggregate_group;
 use spacetime_algebra::kernel::{FusedProgram, KernelScratch, PairOutcome};
 use spacetime_algebra::{AggExpr, AggFunc, ExprNode, JoinCondition, OpKind, ScalarExpr};
-use spacetime_storage::{Bag, HashIndex, StorageError, StorageResult, Tuple, Value};
+use spacetime_storage::{
+    Bag, FxHashMap, HashIndex, StorageError, StorageResult, Tuple, Value,
+};
 
 use crate::delta::{Delta, Modify};
 
 /// How the propagation rules read the (old) states they need.
+///
+/// Answers are `Cow<'_, Bag>`: **borrowed** when the answer already lies
+/// in storage (an index bucket of a base relation or materialized view —
+/// the row is read where it lies, nothing is copied), **owned** only when
+/// it had to be derived. The two compare equal on equal content; callers
+/// just iterate.
 pub trait InputAccess {
     /// Tuples of input `child` whose `cols` project to `key`, in the
     /// pre-update state. This is the paper's "query posed on an equivalence
     /// node"; implementations charge lookup or evaluation cost as
     /// appropriate.
-    fn matching(&mut self, child: usize, cols: &[usize], key: &[Value]) -> StorageResult<Bag>;
+    fn matching(
+        &mut self,
+        child: usize,
+        cols: &[usize],
+        key: &[Value],
+    ) -> StorageResult<Cow<'_, Bag>>;
 
-    /// Answer one posed query per key in a single batch: key → matching
-    /// tuples of input `child`. The rules collect each delta's distinct
-    /// keys up front and call this once per (child, cols), so
-    /// implementations can amortize plan choice and index resolution
-    /// across the whole delta. The default answers key by key via
-    /// [`InputAccess::matching`]; overrides must charge the same I/O —
-    /// batching may change wall-clock time, never the charged counters.
+    /// Answer one posed query per key in a single batch. **Positional**:
+    /// the result has exactly `keys.len()` answers and answer `i` is
+    /// `keys[i]`'s — an empty batch gives an empty vector, a key with no
+    /// match an empty bag, a repeated key is posed (and charged) again.
+    /// The rules collect each delta's distinct keys up front (sorted) and
+    /// call this once per (child, cols), so implementations can amortize
+    /// plan choice and index resolution across the whole delta. The
+    /// default answers key by key via [`InputAccess::matching`]; overrides
+    /// must charge the same I/O — batching may change wall-clock time,
+    /// never the charged counters.
     fn matching_all(
         &mut self,
         child: usize,
         cols: &[usize],
         keys: &[Vec<Value>],
-    ) -> StorageResult<BTreeMap<Vec<Value>, Bag>> {
-        let mut out = BTreeMap::new();
+    ) -> StorageResult<Vec<Cow<'_, Bag>>> {
+        let mut out = Vec::with_capacity(keys.len());
         for key in keys {
-            out.insert(key.clone(), self.matching(child, cols, key)?);
+            // Owned: each answer's borrow of `self` must end before the
+            // next query is posed.
+            out.push(Cow::Owned(self.matching(child, cols, key)?.into_owned()));
         }
         Ok(out)
     }
 
     /// The node's own old output rows whose `cols` project to `key`, *if*
-    /// the node's output is materialized; `None` when it is not.
-    fn self_rows(&mut self, cols: &[usize], key: &[Value]) -> StorageResult<Option<Bag>>;
+    /// the node's output is materialized (borrowed from the
+    /// materialization's index bucket when it has one); `None` when it is
+    /// not.
+    fn self_rows(&mut self, cols: &[usize], key: &[Value])
+        -> StorageResult<Option<Cow<'_, Bag>>>;
 
     /// Whether the arriving delta is known to contain *all* tuples of every
     /// group it touches, w.r.t. the given grouping columns (established by
@@ -120,19 +141,31 @@ impl BagAccess {
     }
 }
 
-fn filter_by_key(bag: &Bag, cols: &[usize], key: &[Value]) -> Bag {
-    bag.iter()
-        .filter(|(t, _)| {
-            cols.iter()
-                .zip(key)
-                .all(|(&c, kv)| t.get(c).map_or(kv.is_null(), |v| v == kv))
-        })
-        .map(|(t, c)| (t.clone(), c))
-        .collect()
+/// The tuples of `bag` whose `cols` equal `key`: the bag itself (borrowed)
+/// when nothing is bound, a filtered copy otherwise.
+fn filter_by_key<'b>(bag: &'b Bag, cols: &[usize], key: &[Value]) -> Cow<'b, Bag> {
+    if cols.is_empty() {
+        return Cow::Borrowed(bag);
+    }
+    Cow::Owned(
+        bag.iter()
+            .filter(|(t, _)| {
+                cols.iter()
+                    .zip(key)
+                    .all(|(&c, kv)| t.get(c).map_or(kv.is_null(), |v| v == kv))
+            })
+            .map(|(t, c)| (t.clone(), c))
+            .collect(),
+    )
 }
 
 impl InputAccess for BagAccess {
-    fn matching(&mut self, child: usize, cols: &[usize], key: &[Value]) -> StorageResult<Bag> {
+    fn matching(
+        &mut self,
+        child: usize,
+        cols: &[usize],
+        key: &[Value],
+    ) -> StorageResult<Cow<'_, Bag>> {
         self.queries_posed += 1;
         Ok(filter_by_key(&self.children[child], cols, key))
     }
@@ -142,29 +175,30 @@ impl InputAccess for BagAccess {
         child: usize,
         cols: &[usize],
         keys: &[Vec<Value>],
-    ) -> StorageResult<BTreeMap<Vec<Value>, Bag>> {
-        let mut out = BTreeMap::new();
+    ) -> StorageResult<Vec<Cow<'_, Bag>>> {
+        // One *posed query* per key on either path.
+        self.queries_posed += keys.len();
+        let child = &self.children[child];
         if !self.batched {
-            for key in keys {
-                out.insert(key.clone(), self.matching(child, cols, key)?);
-            }
-            return Ok(out);
+            return Ok(keys
+                .iter()
+                .map(|key| filter_by_key(child, cols, key))
+                .collect());
         }
-        // One physical pass over the child, then O(1) probes — but still
-        // one *posed query* per key, exactly like the per-key path.
+        // One physical pass over the child, then O(1) probes.
         let mut partition = HashIndex::new(cols.to_vec());
-        partition.rebuild(&self.children[child]);
-        for key in keys {
-            self.queries_posed += 1;
-            out.insert(
-                key.clone(),
-                partition.probe(key).cloned().unwrap_or_default(),
-            );
-        }
-        Ok(out)
+        partition.rebuild(child);
+        Ok(keys
+            .iter()
+            .map(|key| Cow::Owned(partition.probe(key).cloned().unwrap_or_default()))
+            .collect())
     }
 
-    fn self_rows(&mut self, cols: &[usize], key: &[Value]) -> StorageResult<Option<Bag>> {
+    fn self_rows(
+        &mut self,
+        cols: &[usize],
+        key: &[Value],
+    ) -> StorageResult<Option<Cow<'_, Bag>>> {
         Ok(self
             .self_output
             .as_ref()
@@ -333,6 +367,52 @@ fn key_of(t: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
+/// The tuples a rule keys its queries on, in the order the rules then
+/// walk the delta: inserts, deletes, the old side of each modification.
+fn keyed_tuples(d: &Delta) -> impl Iterator<Item = &Tuple> {
+    d.inserts
+        .iter()
+        .chain(d.deletes.iter())
+        .map(|(t, _)| t)
+        .chain(d.modifies.iter().map(|m| &m.old))
+}
+
+/// Sort + dedup: the distinct keys in ascending order — the order a
+/// `BTreeSet` would hand them out, so queries are posed and output rows
+/// emitted exactly as the per-key reference does — and, per element, the
+/// position of its key among them (`None` for an element without a key).
+/// Batched answers are positional, so that position is all a rule needs.
+fn distinct_keys(mut elem_keys: Vec<Option<Vec<Value>>>) -> (Vec<Vec<Value>>, Vec<Option<usize>>) {
+    let mut order: Vec<usize> = (0..elem_keys.len())
+        .filter(|&i| elem_keys[i].is_some())
+        .collect();
+    order.sort_unstable_by(|&a, &b| elem_keys[a].cmp(&elem_keys[b]));
+    let mut keys: Vec<Vec<Value>> = Vec::new();
+    let mut slots = vec![None; elem_keys.len()];
+    for i in order {
+        let Some(key) = elem_keys[i].take() else {
+            continue;
+        };
+        if keys.last() != Some(&key) {
+            keys.push(key);
+        }
+        slots[i] = Some(keys.len() - 1);
+    }
+    (keys, slots)
+}
+
+/// The positional contract, checked once per batch so the rules can index
+/// answers by key position: an access that answers fewer (or more) keys
+/// than were posed is a typed error, not an indexing panic.
+fn check_positional(keys: &[Vec<Value>], answers: &[Cow<'_, Bag>]) -> StorageResult<()> {
+    let (posed, answered) = (keys.len(), answers.len());
+    if answered == posed {
+        return Ok(());
+    }
+    let what = format!("batched query posed {posed} keys and was answered {answered}");
+    Err(StorageError::Internal(what))
+}
+
 fn propagate_join(
     condition: &JoinCondition,
     delta_child: usize,
@@ -367,50 +447,39 @@ fn propagate_join(
     // batched query for all of them — one posed query per distinct key, as
     // the paper's cost tables assume, with plan choice amortized across
     // the delta by the access implementation.
-    let mut keys: BTreeSet<Vec<Value>> = BTreeSet::new();
-    for (t, _) in d.inserts.iter().chain(d.deletes.iter()) {
-        if let Some(key) = key_of(t, &my_cols) {
-            keys.insert(key);
-        }
-    }
-    for m in &d.modifies {
-        if let Some(key) = key_of(&m.old, &my_cols) {
-            keys.insert(key);
-        }
-    }
-    let keys: Vec<Vec<Value>> = keys.into_iter().collect();
+    let (keys, slots) = distinct_keys(keyed_tuples(&d).map(|t| key_of(t, &my_cols)).collect());
     let matches = access.matching_all(other_child, &other_cols, &keys)?;
-    let empty = Bag::new();
-    let lookup = |key: &[Value]| -> &Bag { matches.get(key).unwrap_or(&empty) };
+    check_positional(&keys, &matches)?;
+    let mut slots = slots.into_iter();
 
     let mut out = Delta::new();
-    for (t, c) in d.inserts.iter() {
-        let Some(key) = key_of(t, &my_cols) else {
+    for ((t, c), slot) in d.inserts.iter().zip(&mut slots) {
+        let Some(slot) = slot else {
             continue;
         };
-        for (o, oc) in lookup(&key).iter() {
+        for (o, oc) in matches[slot].iter() {
             let joined = concat(t, o);
             if residual_ok(&joined)? {
                 out.inserts.insert(joined, c * oc);
             }
         }
     }
-    for (t, c) in d.deletes.iter() {
-        let Some(key) = key_of(t, &my_cols) else {
+    for ((t, c), slot) in d.deletes.iter().zip(&mut slots) {
+        let Some(slot) = slot else {
             continue;
         };
-        for (o, oc) in lookup(&key).iter() {
+        for (o, oc) in matches[slot].iter() {
             let joined = concat(t, o);
             if residual_ok(&joined)? {
                 out.deletes.insert(joined, c * oc);
             }
         }
     }
-    for m in &d.modifies {
-        let Some(key) = key_of(&m.old, &my_cols) else {
+    for (m, slot) in d.modifies.iter().zip(&mut slots) {
+        let Some(slot) = slot else {
             continue;
         };
-        for (o, oc) in lookup(&key).iter() {
+        for (o, oc) in matches[slot].iter() {
             let old_j = concat(&m.old, o);
             let new_j = concat(&m.new, o);
             match (residual_ok(&old_j)?, residual_ok(&new_j)?) {
@@ -428,12 +497,30 @@ fn propagate_join(
 // Aggregate
 // ---------------------------------------------------------------------
 
+/// One group's share of the arriving delta, by reference into it.
 #[derive(Debug, Default)]
-struct GroupDelta {
-    ins: Bag,
-    del: Bag,
-    mods: Vec<Modify>,
+struct GroupDelta<'d> {
+    ins: Vec<(&'d Tuple, u64)>,
+    del: Vec<(&'d Tuple, u64)>,
+    mods: Vec<&'d Modify>,
 }
+
+impl<'d> GroupDelta<'d> {
+    /// The rows leaving the group: deletes and old sides.
+    fn leaving(&self) -> impl Iterator<Item = (&'d Tuple, u64)> + '_ {
+        let olds = self.mods.iter().map(|m| (&m.old, m.count));
+        self.del.iter().copied().chain(olds)
+    }
+
+    /// The rows entering the group: new sides and inserts.
+    fn entering(&self) -> impl Iterator<Item = (&'d Tuple, u64)> + '_ {
+        let news = self.mods.iter().map(|m| (&m.new, m.count));
+        news.chain(self.ins.iter().copied())
+    }
+}
+
+/// The (old, new) output rows of one affected group.
+type GroupRows = (Option<Tuple>, Option<Tuple>);
 
 fn propagate_aggregate(
     group_by: &[usize],
@@ -445,63 +532,60 @@ fn propagate_aggregate(
     // delete-from-old-group + insert-into-new-group.
     let d = delta.split_modifies_on(group_by);
 
-    let mut groups: BTreeMap<Vec<Value>, GroupDelta> = BTreeMap::new();
-    let key_of_t = |t: &Tuple| -> Vec<Value> {
-        group_by
-            .iter()
-            .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
-            .collect()
+    // Affected groups in key order, each with its share of the delta.
+    let key_of_t = |t: &Tuple| -> Option<Vec<Value>> {
+        Some(
+            group_by
+                .iter()
+                .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
+                .collect(),
+        )
     };
-    for (t, c) in d.inserts.iter() {
-        groups
-            .entry(key_of_t(t))
-            .or_default()
-            .ins
-            .insert(t.clone(), c);
+    let (keys, slots) = distinct_keys(keyed_tuples(&d).map(key_of_t).collect());
+    let mut groups: Vec<GroupDelta<'_>> = keys.iter().map(|_| GroupDelta::default()).collect();
+    let mut slots = slots.into_iter().flatten();
+    for (row, g) in d.inserts.iter().zip(&mut slots) {
+        groups[g].ins.push(row);
     }
-    for (t, c) in d.deletes.iter() {
-        groups
-            .entry(key_of_t(t))
-            .or_default()
-            .del
-            .insert(t.clone(), c);
+    for (row, g) in d.deletes.iter().zip(&mut slots) {
+        groups[g].del.push(row);
     }
-    for m in &d.modifies {
-        groups
-            .entry(key_of_t(&m.old))
-            .or_default()
-            .mods
-            .push(m.clone());
+    for (m, g) in d.modifies.iter().zip(&mut slots) {
+        groups[g].mods.push(m);
     }
 
     // Pass 1: resolve the query-free regimes (1 and 2) per group, in key
     // order, collecting the keys that need the regime-3 input re-query.
     let self_cols: Vec<usize> = (0..group_by.len()).collect();
-    let mut resolved: BTreeMap<&Vec<Value>, (Option<Tuple>, Option<Tuple>)> = BTreeMap::new();
+    let mut resolved: Vec<Option<GroupRows>> = Vec::with_capacity(groups.len());
     let mut pending: Vec<Vec<Value>> = Vec::new();
-    for (key, gd) in &groups {
-        match group_rows_query_free(group_by, aggs, key, gd, &self_cols, access)? {
-            Some(rows) => {
-                resolved.insert(key, rows);
-            }
-            None => pending.push(key.clone()),
+    for (key, gd) in keys.into_iter().zip(&groups) {
+        let rows = group_rows_query_free(group_by, aggs, &key, gd, &self_cols, access)?;
+        if rows.is_none() {
+            pending.push(key);
         }
+        resolved.push(rows);
     }
 
     // One batched query fetches every re-queried group's old contents —
     // still one posed query per affected group, as §3.6 prices it (Q4e).
     let fetched = access.matching_all(0, group_by, &pending)?;
+    check_positional(&pending, &fetched)?;
+    let mut fetched = fetched.iter();
 
     // Pass 2: emit rows in key order, so the output delta is identical to
     // the one the per-key path produced.
     let mut out = Delta::new();
-    let empty = Bag::new();
-    for (key, gd) in &groups {
-        let (old_row, new_row) = match resolved.remove(key) {
+    let mut leaving = FxHashMap::default();
+    for (gd, rows) in groups.iter().zip(resolved) {
+        let (old_row, new_row) = match rows {
             Some(rows) => rows,
+            // One pending key per unresolved group, in this order.
             None => {
-                let old_group = fetched.get(key).unwrap_or(&empty);
-                group_rows_requeried(group_by, aggs, gd, old_group)?
+                let old_group = fetched.next().ok_or_else(|| {
+                    StorageError::Internal("an unresolved group without a pending key".into())
+                })?;
+                group_rows_requeried(group_by, aggs, gd, old_group, &mut leaving)?
             }
         };
         match (old_row, new_row) {
@@ -521,20 +605,14 @@ fn group_rows_query_free(
     group_by: &[usize],
     aggs: &[AggExpr],
     key: &[Value],
-    gd: &GroupDelta,
+    gd: &GroupDelta<'_>,
     self_cols: &[usize],
     access: &mut dyn InputAccess,
-) -> StorageResult<Option<(Option<Tuple>, Option<Tuple>)>> {
+) -> StorageResult<Option<GroupRows>> {
     // Regime 1: the delta contains the whole group — no query at all.
     if access.group_complete(group_by) {
-        let mut old_group = gd.del.clone();
-        let mut new_group = gd.ins.clone();
-        for m in &gd.mods {
-            old_group.insert(m.old.clone(), m.count);
-            new_group.insert(m.new.clone(), m.count);
-        }
-        let old_row = agg_single_row(&old_group, group_by, aggs)?;
-        let new_row = agg_single_row(&new_group, group_by, aggs)?;
+        let old_row = aggregate_group(gd.leaving(), group_by, aggs)?;
+        let new_row = aggregate_group(gd.entering(), group_by, aggs)?;
         return Ok(Some((old_row, new_row)));
     }
 
@@ -555,7 +633,7 @@ fn group_rows_query_free(
                 }
                 None if gd.mods.is_empty() => {
                     // A brand-new group built entirely from inserts.
-                    let new_row = agg_single_row(&gd.ins, group_by, aggs)?;
+                    let new_row = aggregate_group(gd.ins.iter().copied(), group_by, aggs)?;
                     Ok(Some((None, new_row)))
                 }
                 None => Err(StorageError::TupleNotFound {
@@ -567,45 +645,33 @@ fn group_rows_query_free(
     Ok(None)
 }
 
-/// Regime 3: the group's (old, new) rows from its re-queried old contents.
-fn group_rows_requeried(
+/// Regime 3: the group's (old, new) rows from its re-queried old contents,
+/// folded in place: the old row over `old_group` as it lies, the new row
+/// over the same rows less what leaves, then what enters — streamed, no
+/// second bag. `leaving` is scratch reused across groups.
+fn group_rows_requeried<'d>(
     group_by: &[usize],
     aggs: &[AggExpr],
-    gd: &GroupDelta,
+    gd: &GroupDelta<'d>,
     old_group: &Bag,
-) -> StorageResult<(Option<Tuple>, Option<Tuple>)> {
-    let mut new_group = old_group.clone();
-    for (t, c) in gd.del.iter() {
-        new_group.remove(t, c)?;
+    leaving: &mut FxHashMap<&'d Tuple, u64>,
+) -> StorageResult<GroupRows> {
+    leaving.clear();
+    for (t, c) in gd.leaving() {
+        *leaving.entry(t).or_insert(0) += c;
     }
-    for m in &gd.mods {
-        new_group.remove(&m.old, m.count)?;
+    if leaving.iter().any(|(t, &c)| old_group.count(t) < c) {
+        return Err(StorageError::TupleNotFound {
+            relation: "<bag>".into(),
+        });
     }
-    for m in &gd.mods {
-        new_group.insert(m.new.clone(), m.count);
-    }
-    for (t, c) in gd.ins.iter() {
-        new_group.insert(t.clone(), c);
-    }
-    let old_row = agg_single_row(old_group, group_by, aggs)?;
-    let new_row = agg_single_row(&new_group, group_by, aggs)?;
+    let staying = old_group.iter().filter_map(|(t, c)| {
+        let left = c - leaving.get(t).copied().unwrap_or(0);
+        (left > 0).then_some((t, left))
+    });
+    let old_row = aggregate_group(old_group.iter(), group_by, aggs)?;
+    let new_row = aggregate_group(staying.chain(gd.entering()), group_by, aggs)?;
     Ok((old_row, new_row))
-}
-
-/// Aggregate one group's tuples into its (single) output row, or `None`
-/// for an empty group.
-fn agg_single_row(
-    group: &Bag,
-    group_by: &[usize],
-    aggs: &[AggExpr],
-) -> StorageResult<Option<Tuple>> {
-    if group.is_empty() {
-        return Ok(None);
-    }
-    let rows = aggregate_bag(group, group_by, aggs)?;
-    debug_assert_eq!(rows.distinct_len(), 1, "one group in, one row out");
-    let row = rows.iter().next().map(|(t, _)| t.clone());
-    Ok(row)
 }
 
 /// Apply an invertible (insert/modify-only) delta to a materialized
@@ -615,7 +681,7 @@ fn adjust_row(
     old: &Tuple,
     group_by: &[usize],
     aggs: &[AggExpr],
-    gd: &GroupDelta,
+    gd: &GroupDelta<'_>,
 ) -> StorageResult<Tuple> {
     let mut values: Vec<Value> = old.values().to_vec();
     for (i, agg) in aggs.iter().enumerate() {
@@ -628,7 +694,7 @@ fn adjust_row(
                 } else {
                     Some(current)
                 };
-                for (t, c) in gd.ins.iter() {
+                for &(t, c) in &gd.ins {
                     accumulate(&mut running, agg, t, c as i64)?;
                 }
                 for m in &gd.mods {
@@ -646,7 +712,7 @@ fn adjust_row(
                         )))
                     }
                 };
-                for (t, c) in gd.ins.iter() {
+                for &(t, c) in &gd.ins {
                     if arg_non_null(agg, t)? {
                         n += c as i64;
                     }
@@ -665,7 +731,7 @@ fn adjust_row(
                 } else {
                     Some(current)
                 };
-                for (t, _) in gd.ins.iter() {
+                for &(t, _) in &gd.ins {
                     if let Some(arg) = eval_arg(agg, t)? {
                         let better = match (&best, agg.func) {
                             (None, _) => true,
@@ -729,16 +795,16 @@ fn propagate_distinct(
     access: &mut dyn InputAccess,
 ) -> StorageResult<Delta> {
     let all_cols: Vec<usize> = (0..arity).collect();
-    let net = delta.net();
     // One batched query over the net delta's distinct tuples (sorted for a
-    // deterministic posing order).
-    let mut keys: Vec<Vec<Value>> = net.keys().map(|t| t.values().to_vec()).collect();
-    keys.sort();
+    // deterministic posing order); answers come back in the same order.
+    let mut net: Vec<(Tuple, i64)> = delta.net().into_iter().collect();
+    net.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let keys: Vec<Vec<Value>> = net.iter().map(|(t, _)| t.values().to_vec()).collect();
     let counts = access.matching_all(0, &all_cols, &keys)?;
+    check_positional(&keys, &counts)?;
     let mut out = Delta::new();
-    for (t, signed) in net {
-        let key: Vec<Value> = t.values().to_vec();
-        let old_count = counts.get(&key).map_or(0, |b| b.len()) as i64;
+    for ((t, signed), old) in net.into_iter().zip(&counts) {
+        let old_count = old.len() as i64;
         let new_count = old_count + signed;
         if new_count < 0 {
             return Err(StorageError::TupleNotFound {
@@ -1175,6 +1241,73 @@ mod tests {
         assert_eq!(fused.inserts, stepwise.inserts);
         assert_eq!(fused.deletes, stepwise.deletes);
         assert_eq!(fused.modifies, stepwise.modifies);
+    }
+
+    #[test]
+    fn batched_answers_are_positional() {
+        let null_dept = tuple!["nul", Value::Null, 5];
+        let mut child = emp_bag();
+        child.insert(null_dept.clone(), 2);
+        let sales = vec![Value::str("Sales")];
+        // A duplicate key, a key with no match, a NULL-bearing key.
+        let keys = vec![
+            sales.clone(),
+            vec![Value::str("HR")],
+            sales,
+            vec![Value::Null],
+            vec![Value::str("Eng")],
+        ];
+        for batched in [false, true] {
+            let mut access = BagAccess::new(vec![child.clone()]);
+            access.batched = batched;
+            let answers = access.matching_all(0, &[1], &keys).unwrap();
+            let sizes: Vec<u64> = answers.iter().map(|b| b.len()).collect();
+            assert_eq!(sizes, [2, 0, 2, 2, 1], "one answer per key, in order");
+            assert_eq!(answers[0], answers[2], "a repeated key is answered again");
+            assert_eq!(answers[3].count(&null_dept), 2);
+            assert!(answers[4].contains(&tuple!["carol", "Eng", 120]));
+            drop(answers);
+            assert_eq!(access.queries_posed, keys.len(), "and posed again");
+
+            // An empty batch: no answers, nothing posed.
+            assert!(access.matching_all(0, &[1], &[]).unwrap().is_empty());
+            assert_eq!(access.queries_posed, keys.len());
+
+            // Probe columns in an order no tuple stores them in.
+            let keys = vec![
+                vec![Value::Int(80), Value::str("bob")],
+                vec![Value::Int(80), Value::str("alice")],
+                vec![Value::Int(100), Value::str("alice")],
+            ];
+            let answers = access.matching_all(0, &[2, 0], &keys).unwrap();
+            let sizes: Vec<u64> = answers.iter().map(|b| b.len()).collect();
+            assert_eq!(sizes, [1, 0, 1]);
+        }
+
+        // With nothing bound the answer *is* the child: borrowed, and equal
+        // to the owned copy the partitioned path hands back.
+        let mut plain = BagAccess::new(vec![child.clone()]);
+        let mut partitioned = BagAccess::new(vec![child.clone()]);
+        partitioned.batched = true;
+        let borrowed = plain.matching_all(0, &[], &[vec![]]).unwrap();
+        let owned = partitioned.matching_all(0, &[], &[vec![]]).unwrap();
+        assert!(matches!(borrowed[0], Cow::Borrowed(_)));
+        assert!(matches!(owned[0], Cow::Owned(_)));
+        assert_eq!(borrowed, owned);
+        assert_eq!(*borrowed[0], child);
+    }
+
+    #[test]
+    fn distinct_keys_sorts_dedups_and_places_every_element() {
+        let k = |s: &str| Some(vec![Value::str(s)]);
+        let (keys, slots) = distinct_keys(vec![k("b"), None, k("a"), k("b"), k("c"), k("a")]);
+        assert_eq!(
+            keys,
+            [vec![Value::str("a")], vec![Value::str("b")], vec![Value::str("c")]],
+            "ascending, as a BTreeSet would iterate"
+        );
+        assert_eq!(slots, [Some(1), None, Some(0), Some(1), Some(2), Some(0)]);
+        assert_eq!(distinct_keys(vec![]), (vec![], vec![]));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use spacetime_algebra::{ExprNode, ExprTree, FusedProgram, OpKind};
-use spacetime_cost::{CostCtx, PageIoCostModel, TransactionType};
+use spacetime_cost::{CostCtx, Marking, PageIoCostModel, TransactionType};
 use spacetime_delta::{Delta, InputAccess};
 use spacetime_memo::{GroupId, Memo, OpId};
 use spacetime_optimizer::tracks::UpdateTrack;
@@ -26,7 +26,7 @@ use spacetime_storage::{Bag, Catalog, IoMeter, StorageResult, Value};
 
 use spacetime_obs::{self as obs, names as metric, TraceNode};
 
-use crate::qexec::{filter_binding, PlanCache, QueryExec};
+use crate::qexec::{filter_binding, index_key_remap, permuted_key, PlanCache, QueryExec};
 use crate::trace::{GroupProbe, GroupRec, QueryRec};
 use crate::{IvmError, IvmResult};
 
@@ -58,10 +58,16 @@ pub enum PropagationMode {
 
 /// Per-engine state the propagation hot path reuses across updates, so a
 /// stream of transactions does zero per-update setup: per-table topo
-/// orders and leaf groups (computed once at build), and the runtime plan
-/// cache (valid until statistics change, which only `analyze()` does).
+/// orders and leaf groups, the materialized set as a cost-model marking
+/// and every track op's children (all computed once at build), and the
+/// runtime plan cache (valid until statistics change, which only
+/// `analyze()` does).
 #[derive(Debug, Default, Clone)]
 struct PropagationCtx {
+    /// `materialized`'s keys as the marking posed queries are costed under.
+    marking: Marking,
+    /// Canonical children of every op some track chose.
+    children: BTreeMap<OpId, Vec<GroupId>>,
     /// Children-first order of each table's track groups.
     topo: BTreeMap<String, Vec<GroupId>>,
     /// The leaf group scanning each table.
@@ -406,8 +412,17 @@ impl IvmEngine {
         // Per-table propagation state, computed once instead of on every
         // update: topo order, leaf group, topological levels, and the
         // access-free chains' fused kernels.
-        let mut prop_ctx = PropagationCtx::default();
+        let mut prop_ctx = PropagationCtx {
+            marking: materialized.keys().copied().collect(),
+            ..Default::default()
+        };
         for (table, track) in &tracks {
+            for &op in track.choices.values() {
+                prop_ctx
+                    .children
+                    .entry(op)
+                    .or_insert_with(|| memo.op_children(op));
+            }
             let order = topo_order(&memo, track);
             if let Some(leaf) = roots.iter().find_map(|&r| leaf_group(&memo, r, table)) {
                 let (levels, chains) = level_plan(&memo, track, &order, leaf, table);
@@ -514,7 +529,12 @@ impl IvmEngine {
         };
         obs::counter_add(metric::TRACK_PROPAGATIONS, 1);
         let batched = self.mode == PropagationMode::Fused;
-        let mut exec = QueryExec::new(&self.memo, catalog, &self.materialized);
+        let mut exec = QueryExec::with_marking(
+            &self.memo,
+            catalog,
+            &self.materialized,
+            &self.prop_ctx.marking,
+        );
         if batched {
             exec = exec.with_plans(&self.prop_ctx.plans);
         }
@@ -733,7 +753,9 @@ impl IvmEngine {
         posed: &mut u64,
         mut probe: Option<&mut GroupProbe>,
     ) -> IvmResult<Option<Delta>> {
-        let children = self.memo.op_children(op);
+        let children = self.prop_ctx.children.get(&op).ok_or_else(|| {
+            IvmError::Internal("track op has no children entry (must be computed at build)".into())
+        })?;
         // Exactly one child may carry a delta (sequential propagation;
         // a self-join of the updated table would put deltas on both).
         let carriers: Vec<usize> = children
@@ -774,7 +796,7 @@ impl IvmEngine {
         let mut access = EngineAccess {
             exec,
             ctx,
-            children: &children,
+            children,
             self_rel: self_mv.map(|t| &t.relation),
             complete,
             batched: self.mode == PropagationMode::Fused,
@@ -861,16 +883,31 @@ struct EngineAccess<'e, 'c, 'x> {
     queries: Option<&'x mut Vec<QueryRec>>,
 }
 
-impl InputAccess for EngineAccess<'_, '_, '_> {
-    fn matching(&mut self, child: usize, cols: &[usize], key: &[Value]) -> StorageResult<Bag> {
-        *self.posed += 1;
+impl EngineAccess<'_, '_, '_> {
+    /// Count `keys` posed queries on `child` (and trace them as one
+    /// record; an empty batch poses nothing — no phantom query).
+    fn note_posed(&mut self, child: usize, cols: &[usize], keys: u64) {
+        *self.posed += keys;
         if let Some(q) = self.queries.as_mut() {
-            q.push(QueryRec {
-                child: self.children[child],
-                cols: cols.to_vec(),
-                keys: 1,
-            });
+            if keys > 0 {
+                q.push(QueryRec {
+                    child: self.children[child],
+                    cols: cols.to_vec(),
+                    keys,
+                });
+            }
         }
+    }
+}
+
+impl InputAccess for EngineAccess<'_, '_, '_> {
+    fn matching(
+        &mut self,
+        child: usize,
+        cols: &[usize],
+        key: &[Value],
+    ) -> StorageResult<Cow<'_, Bag>> {
+        self.note_posed(child, cols, 1);
         self.exec
             .query(self.children[child], cols, key, self.ctx, self.io)
     }
@@ -880,66 +917,53 @@ impl InputAccess for EngineAccess<'_, '_, '_> {
         child: usize,
         cols: &[usize],
         keys: &[Vec<Value>],
-    ) -> StorageResult<BTreeMap<Vec<Value>, Bag>> {
+    ) -> StorageResult<Vec<Cow<'_, Bag>>> {
         if self.batched {
             // One posed query per binding, same as the per-key path, so the
             // count is mode-independent (the *plans* differ, not the set of
             // posed queries — §2.2).
-            *self.posed += keys.len() as u64;
-            if let Some(q) = self.queries.as_mut() {
-                // An empty batch poses nothing — don't trace a phantom query.
-                if !keys.is_empty() {
-                    q.push(QueryRec {
-                        child: self.children[child],
-                        cols: cols.to_vec(),
-                        keys: keys.len() as u64,
-                    });
-                }
-            }
+            self.note_posed(child, cols, keys.len() as u64);
             return self
                 .exec
                 .query_all(self.children[child], cols, keys, self.ctx, self.io);
         }
-        // Per-key baseline: pose and plan each query individually.
-        let mut out = BTreeMap::new();
+        // Per-key baseline: pose and plan each query individually. The
+        // executor's answers borrow the catalog, not `self`, so they are
+        // kept across the loop as they are.
+        let mut out = Vec::with_capacity(keys.len());
         for key in keys {
-            out.insert(key.clone(), self.matching(child, cols, key)?);
+            self.note_posed(child, cols, 1);
+            out.push(
+                self.exec
+                    .query(self.children[child], cols, key, self.ctx, self.io)?,
+            );
         }
         Ok(out)
     }
 
-    fn self_rows(&mut self, cols: &[usize], key: &[Value]) -> StorageResult<Option<Bag>> {
+    fn self_rows(
+        &mut self,
+        cols: &[usize],
+        key: &[Value],
+    ) -> StorageResult<Option<Cow<'_, Bag>>> {
         let Some(rel) = self.self_rel else {
             return Ok(None);
         };
         if self.batched {
             // The build phase indexed every materialized aggregate on its
-            // group columns, so self-maintenance reads are O(1) probes.
+            // group columns, so self-maintenance reads are O(1) probes that
+            // borrow the bucket.
             if let Some((idx, permute)) = rel.find_exact_index(cols) {
-                let bag = if permute {
-                    let probe: Vec<Value> = rel
-                        .index_key_cols(idx)
-                        .iter()
-                        .map(|c| {
-                            cols.iter()
-                                .position(|x| x == c)
-                                .map(|i| key[i].clone())
-                                .ok_or_else(|| {
-                                    spacetime_storage::StorageError::Internal(
-                                        "exact index key columns not a subset of probe columns"
-                                            .into(),
-                                    )
-                                })
-                        })
-                        .collect::<StorageResult<_>>()?;
-                    rel.peek(idx, &probe).cloned().unwrap_or_default()
+                let bucket = if permute {
+                    let probe = permuted_key(&index_key_remap(rel, idx, cols)?, key)?;
+                    rel.peek(idx, &probe)
                 } else {
-                    rel.peek(idx, key).cloned().unwrap_or_default()
+                    rel.peek(idx, key)
                 };
-                return Ok(Some(bag));
+                return Ok(Some(Cow::Borrowed(bucket.unwrap_or(Bag::empty()))));
             }
         }
-        Ok(Some(filter_binding(rel.data(), cols, key)))
+        Ok(Some(Cow::Owned(filter_binding(rel.data(), cols, key))))
     }
 
     fn group_complete(&self, _cols: &[usize]) -> bool {

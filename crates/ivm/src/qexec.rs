@@ -7,8 +7,15 @@
 //! operation-node alternative with the lowest estimated cost, pushing the
 //! binding down. Executing the plans the optimizer priced is what makes
 //! the engine's *measured* page I/Os comparable to the *estimated* ones.
+//!
+//! Answers are `Cow<'a, Bag>` over the catalog's lifetime: a query that
+//! resolves to a stored relation **borrows** the index bucket (or the
+//! whole relation, for a scan) where it lies; only an answer derived
+//! through an operator is owned. Batched answers ([`QueryExec::query_all`])
+//! are positional — one per key, in `keys` order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use spacetime_algebra::eval::{aggregate_bag, join_bags};
@@ -16,7 +23,9 @@ use spacetime_algebra::{JoinCondition, OpKind, ScalarExpr};
 use spacetime_cost::{Cost, CostCtx, Marking};
 use spacetime_memo::{GroupId, Memo, OpId};
 use spacetime_obs::{self as obs, names as metric};
-use spacetime_storage::{Bag, Catalog, HashIndex, IoMeter, StorageResult, Value};
+use spacetime_storage::{
+    Bag, Catalog, FxHashMap, HashIndex, IoMeter, Relation, StorageError, StorageResult, Value,
+};
 
 /// Cached runtime plan decisions, shared across updates.
 ///
@@ -32,10 +41,10 @@ pub struct PlanCache {
     /// Best op per (group, bound column set); `None` = group has no ops.
     bound: Mutex<BoundPlans>,
     /// Best op per group for a full (unbound) evaluation.
-    full: Mutex<HashMap<GroupId, Option<OpId>>>,
+    full: Mutex<FxHashMap<GroupId, Option<OpId>>>,
 }
 
-type BoundPlans = HashMap<GroupId, HashMap<Vec<usize>, Option<OpId>>>;
+type BoundPlans = FxHashMap<GroupId, FxHashMap<Vec<usize>, Option<OpId>>>;
 
 impl Clone for PlanCache {
     // Manual because `Mutex` is not `Clone`: snapshot the cached decisions.
@@ -63,8 +72,9 @@ pub struct QueryExec<'a> {
     pub catalog: &'a Catalog,
     /// Materialized groups → backing table name.
     pub materialized: &'a BTreeMap<GroupId, String>,
-    /// The same set as a cost-model marking.
-    pub marking: Marking,
+    /// The same set as a cost-model marking (an engine lends the one it
+    /// built once; a standalone executor collects its own).
+    pub marking: Cow<'a, Marking>,
     /// Cached plan choices (batched data plane); `None` re-costs per query.
     plans: Option<&'a PlanCache>,
 }
@@ -76,12 +86,28 @@ impl<'a> QueryExec<'a> {
         catalog: &'a Catalog,
         materialized: &'a BTreeMap<GroupId, String>,
     ) -> Self {
-        let marking: Marking = materialized.keys().copied().collect();
         QueryExec {
             memo,
             catalog,
             materialized,
-            marking,
+            marking: Cow::Owned(materialized.keys().copied().collect()),
+            plans: None,
+        }
+    }
+
+    /// The engine's executor: `marking` is `materialized`'s key set, built
+    /// once per engine instead of once per update.
+    pub(crate) fn with_marking(
+        memo: &'a Memo,
+        catalog: &'a Catalog,
+        materialized: &'a BTreeMap<GroupId, String>,
+        marking: &'a Marking,
+    ) -> Self {
+        QueryExec {
+            memo,
+            catalog,
+            materialized,
+            marking: Cow::Borrowed(marking),
             plans: None,
         }
     }
@@ -92,7 +118,8 @@ impl<'a> QueryExec<'a> {
         self
     }
 
-    /// All tuples of `g` whose `cols` equal `key`.
+    /// All tuples of `g` whose `cols` equal `key`: borrowed from storage
+    /// when `g` is a stored relation, owned when derived.
     pub fn query(
         &self,
         g: GroupId,
@@ -100,7 +127,7 @@ impl<'a> QueryExec<'a> {
         key: &[Value],
         ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
-    ) -> StorageResult<Bag> {
+    ) -> StorageResult<Cow<'a, Bag>> {
         let g = self.memo.find(g);
         if cols.is_empty() {
             return self.full_eval(g, ctx, io);
@@ -109,15 +136,16 @@ impl<'a> QueryExec<'a> {
             return self.stored_lookup(table, cols, key, io);
         }
         let Some(op) = self.best_query_op(g, cols, ctx) else {
-            return Ok(Bag::new());
+            return Ok(Cow::Borrowed(Bag::empty()));
         };
         self.query_via_op(op, cols, key, ctx, io)
     }
 
     /// Batched variant of [`QueryExec::query`]: answer one posed query per
-    /// key, resolving the plan (and any index choice) once for the whole
-    /// batch. Charges exactly the I/O the per-key path would — batching is
-    /// a wall-clock optimization, never an accounting one.
+    /// key — answer `i` is `keys[i]`'s — resolving the plan (and any index
+    /// choice) once for the whole batch. Charges exactly the I/O the
+    /// per-key path would — batching is a wall-clock optimization, never
+    /// an accounting one.
     pub fn query_all(
         &self,
         g: GroupId,
@@ -125,31 +153,23 @@ impl<'a> QueryExec<'a> {
         keys: &[Vec<Value>],
         ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
-    ) -> StorageResult<BTreeMap<Vec<Value>, Bag>> {
-        let mut out = BTreeMap::new();
+    ) -> StorageResult<Vec<Cow<'a, Bag>>> {
         if keys.is_empty() {
-            return Ok(out);
+            return Ok(Vec::new());
         }
         let g = self.memo.find(g);
         if cols.is_empty() {
-            for key in keys {
-                out.insert(key.clone(), self.full_eval(g, ctx, io)?);
-            }
-            return Ok(out);
+            return keys.iter().map(|_| self.full_eval(g, ctx, io)).collect();
         }
         if let Some(table) = self.backing_table(g) {
             return self.stored_lookup_all(table, cols, keys, io);
         }
         let Some(op) = self.best_query_op(g, cols, ctx) else {
-            for key in keys {
-                out.insert(key.clone(), Bag::new());
-            }
-            return Ok(out);
+            return Ok(vec![Cow::Borrowed(Bag::empty()); keys.len()]);
         };
-        for key in keys {
-            out.insert(key.clone(), self.query_via_op(op, cols, key, ctx, io)?);
-        }
-        Ok(out)
+        keys.iter()
+            .map(|key| self.query_via_op(op, cols, key, ctx, io))
+            .collect()
     }
 
     /// The cheapest alternative for answering a bound query on `g`,
@@ -211,19 +231,19 @@ impl<'a> QueryExec<'a> {
         cols: &[usize],
         key: &[Value],
         io: &mut IoMeter,
-    ) -> StorageResult<Bag> {
-        let t = self.catalog.table(table)?;
-        match t.relation.find_exact_index(cols) {
+    ) -> StorageResult<Cow<'a, Bag>> {
+        let rel = &self.catalog.table(table)?.relation;
+        match rel.find_exact_index(cols) {
             // Order-matching index: probe with the key verbatim.
-            Some((idx, false)) => Ok(t.relation.lookup(idx, key, io)),
+            Some((idx, false)) => Ok(Cow::Borrowed(rel.lookup(idx, key, io))),
             // Same column set, different order: permute the key once.
             Some((idx, true)) => {
-                let remap = index_key_remap(&t.relation, idx, cols)?;
-                let probe: Vec<Value> = remap.iter().map(|&i| key[i].clone()).collect();
-                Ok(t.relation.lookup(idx, &probe, io))
+                let remap = index_key_remap(rel, idx, cols)?;
+                let probe = permuted_key(&remap, key)?;
+                Ok(Cow::Borrowed(rel.lookup(idx, &probe, io)))
             }
             // Fallback: scan and filter (charged as a scan).
-            None => Ok(filter_binding(t.relation.scan(io), cols, key)),
+            None => Ok(Cow::Owned(filter_binding(rel.scan(io), cols, key))),
         }
     }
 
@@ -238,39 +258,36 @@ impl<'a> QueryExec<'a> {
         cols: &[usize],
         keys: &[Vec<Value>],
         io: &mut IoMeter,
-    ) -> StorageResult<BTreeMap<Vec<Value>, Bag>> {
-        let t = self.catalog.table(table)?;
-        let mut out = BTreeMap::new();
-        match t.relation.find_exact_index(cols) {
-            Some((idx, false)) => {
-                for key in keys {
-                    out.insert(key.clone(), t.relation.lookup(idx, key, io));
-                }
-            }
+    ) -> StorageResult<Vec<Cow<'a, Bag>>> {
+        let rel = &self.catalog.table(table)?.relation;
+        match rel.find_exact_index(cols) {
+            Some((idx, false)) => Ok(keys
+                .iter()
+                .map(|key| Cow::Borrowed(rel.lookup(idx, key, io)))
+                .collect()),
             Some((idx, true)) => {
                 // Compute the key permutation once for the whole batch.
-                let remap = index_key_remap(&t.relation, idx, cols)?;
-                let mut probe = Vec::with_capacity(remap.len());
-                for key in keys {
-                    probe.clear();
-                    probe.extend(remap.iter().map(|&i| key[i].clone()));
-                    out.insert(key.clone(), t.relation.lookup(idx, &probe, io));
-                }
+                let remap = index_key_remap(rel, idx, cols)?;
+                keys.iter()
+                    .map(|key| {
+                        let probe = permuted_key(&remap, key)?;
+                        Ok(Cow::Borrowed(rel.lookup(idx, &probe, io)))
+                    })
+                    .collect()
             }
             None => {
-                let pages = t.relation.pages();
+                let pages = rel.pages();
                 let mut partition = HashIndex::new(cols.to_vec());
-                partition.rebuild(t.relation.data());
-                for key in keys {
-                    io.scan_pages(pages);
-                    out.insert(
-                        key.clone(),
-                        partition.probe(key).cloned().unwrap_or_default(),
-                    );
-                }
+                partition.rebuild(rel.data());
+                Ok(keys
+                    .iter()
+                    .map(|key| {
+                        io.scan_pages(pages);
+                        Cow::Owned(partition.probe(key).cloned().unwrap_or_default())
+                    })
+                    .collect())
             }
         }
-        Ok(out)
     }
 
     fn query_via_op(
@@ -280,20 +297,20 @@ impl<'a> QueryExec<'a> {
         key: &[Value],
         ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
-    ) -> StorageResult<Bag> {
+    ) -> StorageResult<Cow<'a, Bag>> {
         // Borrow the op node rather than cloning it: `OpKind` owns
         // predicate/expression trees, and this runs once per posed query.
         let node = &self.memo.op(op).op;
         let children = self.memo.op_children(op);
-        match node {
-            OpKind::Scan { table } => self.stored_lookup(table, cols, key, io),
+        let derived = match node {
+            OpKind::Scan { table } => return self.stored_lookup(table, cols, key, io),
             OpKind::Select { predicate } => {
                 let r = self.query(children[0], cols, key, ctx, io)?;
-                filter_pred(&r, predicate)
+                filter_pred(&r, predicate)?
             }
             OpKind::Distinct => {
                 let r = self.query(children[0], cols, key, ctx, io)?;
-                Ok(r.iter().map(|(t, _)| (t.clone(), 1)).collect())
+                r.iter().map(|(t, _)| (t.clone(), 1)).collect()
             }
             OpKind::Project { exprs } => {
                 let mapped: Option<Vec<usize>> = cols
@@ -308,7 +325,7 @@ impl<'a> QueryExec<'a> {
                     None => self.full_eval(children[0], ctx, io)?,
                 };
                 let projected = spacetime_algebra::eval::project_bag(&input, exprs)?;
-                Ok(filter_binding(&projected, cols, key))
+                filter_binding(&projected, cols, key)
             }
             OpKind::Aggregate { group_by, aggs } => {
                 let mapped: Option<Vec<usize>> =
@@ -318,10 +335,13 @@ impl<'a> QueryExec<'a> {
                     None => self.full_eval(children[0], ctx, io)?,
                 };
                 let out = aggregate_bag(&input, group_by, aggs)?;
-                Ok(filter_binding(&out, cols, key))
+                filter_binding(&out, cols, key)
             }
-            OpKind::Join { condition } => self.query_join(condition, children, cols, key, ctx, io),
-        }
+            OpKind::Join { condition } => {
+                self.query_join(condition, children, cols, key, ctx, io)?
+            }
+        };
+        Ok(Cow::Owned(derived))
     }
 
     fn query_join(
@@ -364,7 +384,7 @@ impl<'a> QueryExec<'a> {
         } else {
             (&rcols, &lcols, a)
         };
-        let mut cache: BTreeMap<Vec<Value>, Bag> = BTreeMap::new();
+        let mut cache: BTreeMap<Vec<Value>, Cow<'a, Bag>> = BTreeMap::new();
         let mut out = Bag::new();
         // One probe buffer reused across outer tuples; match bags are
         // borrowed from the cache, never cloned per tuple.
@@ -433,50 +453,50 @@ impl<'a> QueryExec<'a> {
         choice
     }
 
-    /// Fully evaluate a group (used when a binding cannot be pushed).
+    /// Fully evaluate a group (used when a binding cannot be pushed). A
+    /// stored relation is scanned where it lies — charged, not copied.
     pub fn full_eval(
         &self,
         g: GroupId,
         ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
-    ) -> StorageResult<Bag> {
+    ) -> StorageResult<Cow<'a, Bag>> {
         let g = self.memo.find(g);
         if let Some(table) = self.backing_table(g) {
-            let t = self.catalog.table(table)?;
-            return Ok(t.relation.scan(io).clone());
+            return Ok(Cow::Borrowed(self.catalog.table(table)?.relation.scan(io)));
         }
         let Some(op) = self.best_full_op(g, ctx) else {
-            return Ok(Bag::new());
+            return Ok(Cow::Borrowed(Bag::empty()));
         };
         let node = &self.memo.op(op).op;
         let children = self.memo.op_children(op);
-        match node {
+        let derived = match node {
             OpKind::Scan { table } => {
-                let t = self.catalog.table(table)?;
-                Ok(t.relation.scan(io).clone())
+                return Ok(Cow::Borrowed(self.catalog.table(table)?.relation.scan(io)));
             }
             OpKind::Select { predicate } => {
                 let input = self.full_eval(children[0], ctx, io)?;
-                filter_pred(&input, predicate)
+                filter_pred(&input, predicate)?
             }
             OpKind::Project { exprs } => {
                 let input = self.full_eval(children[0], ctx, io)?;
-                spacetime_algebra::eval::project_bag(&input, exprs)
+                spacetime_algebra::eval::project_bag(&input, exprs)?
             }
             OpKind::Distinct => {
                 let input = self.full_eval(children[0], ctx, io)?;
-                Ok(input.iter().map(|(t, _)| (t.clone(), 1)).collect())
+                input.iter().map(|(t, _)| (t.clone(), 1)).collect()
             }
             OpKind::Aggregate { group_by, aggs } => {
                 let input = self.full_eval(children[0], ctx, io)?;
-                aggregate_bag(&input, group_by, aggs)
+                aggregate_bag(&input, group_by, aggs)?
             }
             OpKind::Join { condition } => {
                 let left = self.full_eval(children[0], ctx, io)?;
                 let right = self.full_eval(children[1], ctx, io)?;
-                join_bags(&left, &right, condition)
+                join_bags(&left, &right, condition)?
             }
-        }
+        };
+        Ok(Cow::Owned(derived))
     }
 }
 
@@ -484,8 +504,8 @@ impl<'a> QueryExec<'a> {
 /// index's key columns are a permutation of `cols` by definition; a
 /// mismatch is an index-bookkeeping bug surfaced as a typed error rather
 /// than an indexing panic.
-fn index_key_remap(
-    rel: &spacetime_storage::Relation,
+pub(crate) fn index_key_remap(
+    rel: &Relation,
     idx: usize,
     cols: &[usize],
 ) -> StorageResult<Vec<usize>> {
@@ -493,9 +513,23 @@ fn index_key_remap(
         .iter()
         .map(|c| {
             cols.iter().position(|x| x == c).ok_or_else(|| {
-                spacetime_storage::StorageError::Internal(
+                StorageError::Internal(
                     "exact index key columns not a permutation of the probe columns".into(),
                 )
+            })
+        })
+        .collect()
+}
+
+/// `key` rearranged into an index's column order by [`index_key_remap`]'s
+/// positions; a key shorter than the probe columns is a typed error, not
+/// an indexing panic.
+pub(crate) fn permuted_key(remap: &[usize], key: &[Value]) -> StorageResult<Vec<Value>> {
+    remap
+        .iter()
+        .map(|&i| {
+            key.get(i).cloned().ok_or_else(|| {
+                StorageError::Internal("probe key shorter than its probe columns".into())
             })
         })
         .collect()

@@ -106,6 +106,10 @@ fn qexec_leaf_lookup_uses_index() {
         .query(emp_group, &[1], &[Value::str("y")], &mut ctx, &mut io)
         .unwrap();
     assert_eq!(hits.len(), 2);
+    assert!(
+        matches!(hits, std::borrow::Cow::Borrowed(_)),
+        "a stored bucket is borrowed, not copied"
+    );
     assert_eq!(io.total(), 3, "index probe + 2 tuples");
 }
 
@@ -127,6 +131,10 @@ fn qexec_pushes_binding_through_aggregate() {
         .query(n2, &[0], &[Value::str("y")], &mut ctx, &mut io)
         .unwrap();
     assert_eq!(rows.len(), 1);
+    assert!(
+        matches!(rows, std::borrow::Cow::Owned(_)),
+        "a derived answer is owned"
+    );
     assert!(rows.contains(&tuple!["y", 25, 70]));
     // Pushed to indexes: 3 (Emp y-group) + 2 (Dept key) page I/Os.
     assert_eq!(io.total(), 5, "{io}");
@@ -143,7 +151,7 @@ fn qexec_full_eval_matches_executor() {
     let mut io = IoMeter::new();
     let got = exec.full_eval(root, &mut ctx, &mut io).unwrap();
     let reference = spacetime_algebra::eval_uncharged(&memo.extract_one(root), &cat).unwrap();
-    assert_eq!(got, reference);
+    assert_eq!(*got, reference);
     // y: 70 > 25 — the only over-budget department.
     assert_eq!(got.len(), 1);
 }

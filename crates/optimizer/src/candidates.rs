@@ -27,7 +27,10 @@ pub fn candidate_groups(memo: &Memo, root: GroupId) -> Vec<GroupId> {
 
 /// Enumerate all view sets over the given candidates (the root is added to
 /// each). `max_extra` caps the number of *additional* views per set
-/// (`None` = unbounded, the full 2^n space).
+/// (`None` = unbounded, the full 2^n space). Sets come out in ascending
+/// order of their candidate bitmask (candidate `i` is bit `i`), and only
+/// the sets within the cap are ever generated: 28 candidates capped at 2
+/// is 407 steps, not 2^28.
 pub fn enumerate_view_sets(
     root: GroupId,
     candidates: &[GroupId],
@@ -38,23 +41,31 @@ pub fn enumerate_view_sets(
         n < 63,
         "view-set space 2^{n} is too large to enumerate exhaustively"
     );
-    let mut out = Vec::with_capacity(1 << n);
-    for mask in 0u64..(1u64 << n) {
-        if let Some(cap) = max_extra {
-            if mask.count_ones() as usize > cap {
-                continue;
-            }
-        }
-        let mut set = ViewSet::new();
-        set.insert(root);
-        for (i, &g) in candidates.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                set.insert(g);
-            }
-        }
-        out.push(set);
+    let mut masks = Vec::new();
+    masks_within(n, max_extra.unwrap_or(n).min(n), 0, &mut masks);
+    masks
+        .into_iter()
+        .map(|mask| {
+            let picked = candidates
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &g)| g);
+            std::iter::once(root).chain(picked).collect()
+        })
+        .collect()
+}
+
+/// Push, in ascending order, every mask that extends `prefix` over the low
+/// `bits` bits with at most `budget` more ones: bit `bits - 1` clear comes
+/// before set, recursively.
+fn masks_within(bits: usize, budget: usize, prefix: u64, out: &mut Vec<u64>) {
+    if bits == 0 || budget == 0 {
+        out.push(prefix);
+        return;
     }
-    out
+    masks_within(bits - 1, budget, prefix, out);
+    masks_within(bits - 1, budget - 1, prefix | 1 << (bits - 1), out);
 }
 
 /// Render a view set with the given namer (used by reports).
@@ -130,6 +141,48 @@ mod tests {
         assert!(all.iter().all(|s| s.contains(&root)));
         let capped = enumerate_view_sets(root, &cands, Some(1));
         assert_eq!(capped.len(), 4, "∅ plus three singletons");
+    }
+
+    /// The enumeration this module shipped with: every mask, filtered.
+    fn mask_loop(root: GroupId, candidates: &[GroupId], max_extra: Option<usize>) -> Vec<ViewSet> {
+        (0u64..1 << candidates.len())
+            .filter(|m| max_extra.is_none_or(|cap| m.count_ones() as usize <= cap))
+            .map(|mask| {
+                let mut set = ViewSet::from([root]);
+                for (i, &g) in candidates.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        set.insert(g);
+                    }
+                }
+                set
+            })
+            .collect()
+    }
+
+    #[test]
+    fn capped_enumeration_equals_the_mask_loop_in_order() {
+        let root = GroupId(1000);
+        // Candidate ids deliberately not ascending: order is by mask, not id.
+        let cands: Vec<GroupId> = (0..12u32).map(|i| GroupId((i * 7) % 12)).collect();
+        for n in 0..=12 {
+            for cap in [None, Some(0), Some(1), Some(2), Some(3)] {
+                assert_eq!(
+                    enumerate_view_sets(root, &cands[..n], cap),
+                    mask_loop(root, &cands[..n], cap),
+                    "n={n} cap={cap:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cap_makes_a_wide_space_cheap() {
+        // 2^40 masks, 1 + 40 + 780 of them within the cap.
+        let cands: Vec<GroupId> = (0..40).map(GroupId).collect();
+        let sets = enumerate_view_sets(GroupId(99), &cands, Some(2));
+        assert_eq!(sets.len(), 821);
+        assert_eq!(sets[0], ViewSet::from([GroupId(99)]));
+        assert_eq!(sets[820], ViewSet::from([GroupId(38), GroupId(39), GroupId(99)]));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{StorageError, StorageResult};
 use crate::fx::{fx_hash_one, FxHashMap};
@@ -87,6 +87,13 @@ impl Bag {
     /// The empty bag.
     pub fn new() -> Self {
         Bag::default()
+    }
+
+    /// One shared empty bag: what a probe that misses borrows, so a miss
+    /// allocates nothing and a hit and a miss have the same type.
+    pub fn empty() -> &'static Bag {
+        static EMPTY: OnceLock<Bag> = OnceLock::new();
+        EMPTY.get_or_init(Bag::new)
     }
 
     /// Build from an iterator of tuples (each with multiplicity 1).
@@ -168,36 +175,48 @@ impl Bag {
         self.total += n;
     }
 
-    /// Remove `n` copies; errors if fewer than `n` copies are present.
+    /// Remove `n` copies; errors if fewer than `n` copies are present (and
+    /// then changes neither content nor the dirty mask).
     pub fn remove(&mut self, t: &Tuple, n: u64) -> StorageResult<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        if self.count(t) < n {
-            return Err(StorageError::TupleNotFound {
+        if self.take(t, n, true) == n {
+            Ok(())
+        } else {
+            Err(StorageError::TupleNotFound {
                 relation: "<bag>".into(),
-            });
+            })
         }
-        let map = match &mut self.store {
-            Store::Flat(m) => {
-                self.dirty |= 1;
-                m
-            }
+    }
+
+    /// Take out up to `n` copies of `t` — or, when `exact`, `n` or none —
+    /// with a single probe; returns how many went.
+    fn take(&mut self, t: &Tuple, n: u64, exact: bool) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let (map, bit) = match &mut self.store {
+            Store::Flat(m) => (m, 1),
             Store::Sharded(s) => {
                 let sh = shard_of(t);
-                self.dirty |= 1 << sh;
-                Arc::make_mut(&mut s[sh])
+                (Arc::make_mut(&mut s[sh]), 1u64 << sh)
             }
         };
-        let c = map.get_mut(t).expect("count checked");
-        if *c == n {
+        let Some(c) = map.get_mut(t) else {
+            return 0;
+        };
+        let have = *c;
+        if exact && have < n {
+            return 0;
+        }
+        let take = have.min(n);
+        if take < have {
+            *c -= take;
+        } else {
             map.remove(t);
             self.distinct -= 1;
-        } else {
-            *c -= n;
         }
-        self.total -= n;
-        Ok(())
+        self.dirty |= bit;
+        self.total -= take;
+        take
     }
 
     /// Bitmask of shards disturbed since the last [`Bag::clear_dirty`]
@@ -218,24 +237,20 @@ impl Bag {
 
     /// Remove up to `n` copies, returning how many were actually removed.
     pub fn remove_up_to(&mut self, t: &Tuple, n: u64) -> u64 {
-        let have = self.count(t);
-        let take = have.min(n);
-        if take > 0 {
-            self.remove(t, take).expect("count checked");
-        }
-        take
+        self.take(t, n, false)
     }
 
     /// Iterate `(tuple, multiplicity)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> {
-        let it: Box<dyn Iterator<Item = (&Tuple, u64)>> = match &self.store {
-            Store::Flat(m) => Box::new(m.iter().map(|(t, &c)| (t, c))),
-            Store::Sharded(s) => Box::new(
-                s.iter()
-                    .flat_map(|sh| sh.iter().map(|(t, &c)| (t, c))),
-            ),
+        // One statically-typed chain for both representations (nothing
+        // boxed): the flat map, if that is what there is, then the shards.
+        let (flat, shards) = match &self.store {
+            Store::Flat(m) => (Some(m), &[][..]),
+            Store::Sharded(s) => (None, &s[..]),
         };
-        it
+        flat.into_iter()
+            .chain(shards.iter().map(|sh| &**sh))
+            .flat_map(|m| m.iter().map(|(t, &c)| (t, c)))
     }
 
     /// Iterate tuples, repeating each per its multiplicity.

@@ -82,6 +82,13 @@ fn shard_of_tuple_key(t: &Tuple, cols: &[usize]) -> usize {
     (h.finish() as usize) & (SHARD_COUNT - 1)
 }
 
+/// The values of `cols` in `t`, as an owned composite key.
+fn owned_key(cols: &[usize], t: &Tuple) -> Box<[Value]> {
+    cols.iter()
+        .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
+        .collect()
+}
+
 #[inline]
 fn shard_of_value(v: &Value) -> usize {
     (fx_hash_one(v) as usize) & (SHARD_COUNT - 1)
@@ -111,10 +118,7 @@ impl HashIndex {
     /// probe paths avoid this — it exists for callers that need an owned
     /// key (e.g. collecting touched keys).
     pub fn key_of(&self, t: &Tuple) -> Box<[Value]> {
-        self.key_cols
-            .iter()
-            .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
-            .collect()
+        owned_key(&self.key_cols, t)
     }
 
     /// Whether two tuples disagree on this index's key (allocation-free
@@ -150,11 +154,7 @@ impl HashIndex {
                 let s = shard_of_tuple_key(t, &self.key_cols);
                 self.dirty |= 1 << s;
                 let map = Arc::make_mut(&mut shards[s]);
-                let key: Box<[Value]> = self
-                    .key_cols
-                    .iter()
-                    .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
-                    .collect();
+                let key = owned_key(&self.key_cols, t);
                 map.entry(key).or_default().insert(t.clone(), n);
             }
         }
@@ -181,11 +181,7 @@ impl HashIndex {
                 let s = shard_of_tuple_key(t, &self.key_cols);
                 self.dirty |= 1 << s;
                 let map = Arc::make_mut(&mut shards[s]);
-                let key: Box<[Value]> = self
-                    .key_cols
-                    .iter()
-                    .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
-                    .collect();
+                let key = owned_key(&self.key_cols, t);
                 if let Some(bucket) = map.get_mut(&key) {
                     bucket.remove_up_to(t, n);
                     if bucket.is_empty() {
@@ -194,6 +190,44 @@ impl HashIndex {
                 }
             }
         }
+    }
+
+    /// Turn `n` copies of `old` into `new`; returns whether the key
+    /// changed. With an unchanged key the tuple is swapped inside its
+    /// bucket — the bucket `Bag` and its map entry stay where they are,
+    /// even when `old` was the bucket's only row (a primary-key index
+    /// would otherwise free and re-allocate a one-row map per modify).
+    /// Same content and same dirty bit as `remove` + `insert`.
+    pub fn replace(&mut self, old: &Tuple, new: &Tuple, n: u64) -> bool {
+        if self.key_changed(old, new) {
+            self.remove(old, n);
+            self.insert(new, n);
+            return true;
+        }
+        let bucket = match &mut self.buckets {
+            Buckets::Single(shards) => {
+                let key = old.get(self.key_cols[0]).unwrap_or(&Value::Null);
+                let s = shard_of_value(key);
+                self.dirty |= 1 << s;
+                Arc::make_mut(&mut shards[s]).get_mut(key)
+            }
+            Buckets::Multi(shards) => {
+                let s = shard_of_tuple_key(old, &self.key_cols);
+                self.dirty |= 1 << s;
+                let key = owned_key(&self.key_cols, old);
+                Arc::make_mut(&mut shards[s]).get_mut(&key)
+            }
+        };
+        match bucket {
+            Some(bucket) => {
+                bucket.remove_up_to(old, n);
+                bucket.insert(new.clone(), n);
+            }
+            // `old` was never indexed (the owning relation's bag is the
+            // source of truth): nothing to take out.
+            None => self.insert(new, n),
+        }
+        false
     }
 
     /// All tuples matching `key`, as a bag (empty if none). The key is

@@ -146,13 +146,11 @@ impl Relation {
     }
 
     /// Indexed lookup: charges 1 index page + one data page per returned
-    /// tuple, and returns the matching bag (cloned; results are small).
-    pub fn lookup(&self, index_id: usize, key: &[Value], io: &mut IoMeter) -> Bag {
+    /// tuple, and returns the matching bucket where it lies — borrowed,
+    /// never copied; a miss borrows the shared [`Bag::empty`].
+    pub fn lookup(&self, index_id: usize, key: &[Value], io: &mut IoMeter) -> &Bag {
         io.index_probe();
-        let result = self.indexes[index_id]
-            .probe(key)
-            .cloned()
-            .unwrap_or_default();
+        let result = self.indexes[index_id].probe(key).unwrap_or(Bag::empty());
         io.read_tuples(result.len());
         result
     }
@@ -194,11 +192,9 @@ impl Relation {
         if n == 0 {
             return Ok(());
         }
-        if self.data.count(t) < n {
-            return Err(StorageError::TupleNotFound {
-                relation: self.name.clone(),
-            });
-        }
+        // The bag is the source of truth: its remove is the presence check
+        // (a failed one changes and charges nothing).
+        self.data.remove(t, n).map_err(|_| self.not_found())?;
         for idx in &mut self.indexes {
             io.index_probe();
             io.index_write(1);
@@ -206,8 +202,13 @@ impl Relation {
         }
         io.read_tuples(n);
         io.write_tuples(n);
-        self.data.remove(t, n).expect("count checked");
         Ok(())
+    }
+
+    fn not_found(&self) -> StorageError {
+        StorageError::TupleNotFound {
+            relation: self.name.clone(),
+        }
     }
 
     /// Modify `n` copies of `old` into `new`, charging per the paper's
@@ -231,22 +232,15 @@ impl Relation {
             return Ok(());
         }
         self.schema.validate(&new)?;
-        if self.data.count(old) < n {
-            return Err(StorageError::TupleNotFound {
-                relation: self.name.clone(),
-            });
-        }
+        self.data.remove(old, n).map_err(|_| self.not_found())?;
         for idx in &mut self.indexes {
             io.index_probe();
-            if idx.key_changed(old, &new) {
+            if idx.replace(old, &new, n) {
                 io.index_write(1);
             }
-            idx.remove(old, n);
-            idx.insert(&new, n);
         }
         io.read_tuples(n);
         io.write_tuples(n);
-        self.data.remove(old, n).expect("count checked");
         self.data.insert(new, n);
         Ok(())
     }
@@ -356,6 +350,69 @@ mod tests {
     }
 
     #[test]
+    fn same_key_modify_equals_the_remove_insert_path() {
+        // The paper's N3 case (1 tuple: 1 + 1 + 1 = 3 pages) and N4 case
+        // (10 tuples under one key: 1 + 10 + 10 = 21), on an index whose
+        // key the modification leaves alone. `modify` swaps the tuple
+        // inside its bucket; `delete` + `insert` is the remove + insert
+        // path it replaced. Everything observable must agree.
+        for (n, pages) in [(1u64, 3u64), (10, 21)] {
+            let (old, new) = (tuple!["alice", "Sales", 100], tuple!["alice", "Sales", 130]);
+            let mut r = emp();
+            let mut io = IoMeter::new();
+            r.insert(old.clone(), n - 1, &mut io).unwrap(); // n copies in all
+            r.clear_dirty();
+            let (mut swapped, mut reference) = (r.clone(), r);
+
+            let mut io = IoMeter::new();
+            swapped.modify(&old, new.clone(), n, &mut io).unwrap();
+            assert_eq!(io.total(), pages, "{io}");
+            assert_eq!(io.index_page_writes, 0, "the key did not change");
+            let mut ref_io = IoMeter::new();
+            reference.delete(&old, n, &mut ref_io).unwrap();
+            reference.insert(new.clone(), n, &mut ref_io).unwrap();
+
+            assert_eq!(swapped.data(), reference.data());
+            assert_eq!(swapped.dirty_shards(), reference.dirty_shards());
+            for key in ["Sales", "Eng", "HR"] {
+                let key = [Value::str(key)];
+                assert_eq!(swapped.peek(0, &key), reference.peek(0, &key));
+                let (mut a, mut b) = (IoMeter::new(), IoMeter::new());
+                assert_eq!(swapped.lookup(0, &key, &mut a), reference.lookup(0, &key, &mut b));
+                assert_eq!(a, b, "a probe is charged the same either way");
+            }
+            assert_eq!(swapped.peek(0, &[Value::str("Sales")]).unwrap().count(&new), n);
+        }
+    }
+
+    #[test]
+    fn same_key_modify_keeps_a_one_row_bucket_in_place() {
+        // A primary-key index: `old` is its bucket's only row. The bucket
+        // must survive the swap (not be dropped and re-created) and hold
+        // exactly the new row afterwards.
+        let mut r = emp();
+        let pk = r.create_index(vec![0]).unwrap();
+        let before = r.peek(pk, &[Value::str("alice")]).unwrap() as *const Bag;
+        let mut io = IoMeter::new();
+        r.modify(
+            &tuple!["alice", "Sales", 100],
+            tuple!["alice", "Sales", 130],
+            1,
+            &mut io,
+        )
+        .unwrap();
+        assert_eq!(io.total(), 4, "2 index reads + 1 data read + 1 data write");
+        let bucket = r.peek(pk, &[Value::str("alice")]).unwrap();
+        assert!(std::ptr::eq(before, bucket), "same bucket, same map entry");
+        assert_eq!(bucket.sorted(), vec![(tuple!["alice", "Sales", 130], 1)]);
+        // A failed modify changes and charges nothing.
+        let mut io = IoMeter::new();
+        let err = r.modify(&tuple!["ghost", "HR", 1], tuple!["ghost", "HR", 2], 1, &mut io);
+        assert!(matches!(err, Err(StorageError::TupleNotFound { .. })));
+        assert_eq!((io.total(), r.len()), (0, 3));
+    }
+
+    #[test]
     fn delete_missing_tuple_errors() {
         let mut r = emp();
         let mut io = IoMeter::new();
@@ -444,8 +501,9 @@ mod tests {
         let r = emp();
         let mut io = IoMeter::new();
         let via_lookup = r.lookup(0, &[Value::str("Sales")], &mut io);
-        let via_peek = r.peek(0, &[Value::str("Sales")]).cloned().unwrap();
+        let via_peek = r.peek(0, &[Value::str("Sales")]).unwrap();
         assert_eq!(via_lookup, via_peek);
+        assert!(std::ptr::eq(via_lookup, via_peek), "both borrow the bucket");
         assert_eq!(io.total(), 3, "lookup charged; peek added nothing");
         assert!(r.peek(0, &[Value::str("HR")]).is_none());
     }

@@ -61,7 +61,9 @@ impl SmallStr {
         }
     }
 
-    /// The string content.
+    /// The string content. Re-validates an inline string's UTF-8, so only
+    /// `Display`/`Deref` come through here; `Eq`/`Ord`/`Hash` read
+    /// [`SmallStr::bytes`].
     #[inline]
     pub fn as_str(&self) -> &str {
         match &self.0 {
@@ -70,6 +72,17 @@ impl SmallStr {
                 std::str::from_utf8(&buf[..*len as usize]).expect("inline bytes are UTF-8")
             }
             Repr::Shared(s) => s,
+        }
+    }
+
+    /// The content as bytes, with no validation. Byte-wise order *is*
+    /// `str` order and `str::hash` is `write(bytes); write_u8(0xff)`, so
+    /// comparing and hashing here gives exactly what `as_str()` would.
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Shared(s) => s.as_bytes(),
         }
     }
 
@@ -116,15 +129,16 @@ impl Ord for SmallStr {
                 return std::cmp::Ordering::Equal;
             }
         }
-        self.as_str().cmp(other.as_str())
+        self.bytes().cmp(other.bytes())
     }
 }
 
 impl Hash for SmallStr {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Content hashing: must agree across representations and match what
-        // `Arc<str>` hashed before the representation change.
-        self.as_str().hash(state)
+        // Content hashing, spelled out as `str::hash` does it: every hash
+        // value (and so every shard route) equals the one `&str` gives.
+        state.write(self.bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -250,6 +264,89 @@ mod tests {
         assert!(s.starts_with("Sal"));
         assert_eq!(s.to_string(), "Sales");
         assert_eq!(format!("{s:?}"), "\"Sales\"");
+    }
+
+    /// Arbitrary UTF-8 of 0..=40 bytes (1- to 4-byte characters), cut at a
+    /// character boundary: both representations, the 22/23 boundary
+    /// included.
+    fn utf8_upto_40() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        proptest::collection::vec(prop_oneof![any::<char>(), Just('💾'), Just('q')], 0..=40)
+            .prop_map(|cs| {
+                let mut s: String = cs.into_iter().collect();
+                let mut cut = s.len().min(40);
+                while !s.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                s.truncate(cut);
+                s
+            })
+    }
+
+    proptest::proptest! {
+        /// `Eq`/`Ord`/`Hash` read the bytes, never `as_str()`: they must
+        /// still be exactly `str`'s, and the fixed-seed hash the very value
+        /// `&str` gives (shard routes and bag layouts hang off it).
+        #[test]
+        fn bytewise_eq_ord_hash_are_strs(a in utf8_upto_40(), b in utf8_upto_40()) {
+            use proptest::prelude::*;
+            // `a` against `b`, against itself, and against its own prefixes
+            // (the shorter-is-less corner, across the inline boundary).
+            let mut others = vec![b, a.clone()];
+            others.extend((0..=a.len()).filter(|&i| a.is_char_boundary(i)).map(|i| a[..i].to_string()));
+            let sa = SmallStr::new(&a);
+            prop_assert_eq!(sa.is_inline(), a.len() <= SmallStr::INLINE_CAP);
+            prop_assert_eq!(fx_hash_one(&sa), fx_hash_one(a.as_str()));
+            for o in &others {
+                let so = SmallStr::new(o);
+                prop_assert_eq!(sa == so, a == *o, "eq({:?},{:?})", a, o);
+                prop_assert_eq!(sa.cmp(&so), a.as_str().cmp(o.as_str()), "ord({:?},{:?})", a, o);
+                prop_assert_eq!(so.cmp(&sa), o.as_str().cmp(a.as_str()));
+                prop_assert_eq!(fx_hash_one(&so), fx_hash_one(o.as_str()));
+            }
+        }
+    }
+
+    #[test]
+    fn value_hashes_are_the_ones_recorded_before_bytewise_hashing() {
+        // Recorded at the parent commit, when `SmallStr::hash` still went
+        // through `as_str().hash()`. Shard routing (`ShardSpec`), bag and
+        // index shard layout and therefore iteration order all hang off
+        // these values: a change here re-routes stored data.
+        use crate::tuple::Tuple;
+        use crate::value::Value;
+        let golden: [(Value, u64); 21] = [
+            (Value::Null, 0x0000000000000000),
+            (Value::Bool(false), 0x0d4569ee47d3c0f2),
+            (Value::Bool(true), 0x5ec22ba56ef5cb87),
+            (Value::Int(0), 0x1a8ad3dc8fa781e4),
+            (Value::Int(42), 0xb4b3d3dc8fa781e4),
+            (Value::Int(-7), 0x3036d3dc8fa781e4),
+            (Value::Int(i64::MAX), 0xb8aad3dc8fa781e4),
+            (Value::Double(0.0), 0x1a8ad3dc8fa781e4),
+            (Value::Double(-0.0), 0x1a8ad3dc8fa781e4),
+            (Value::Double(42.0), 0xb4b3d3dc8fa781e4),
+            (Value::Double(2.5), 0x04ded3dc8fa781e4),
+            (Value::str(""), 0x9c3493aaa1cafd43),
+            (Value::str("a"), 0x37f081839c123d90),
+            (Value::str("Sales"), 0x19464a3bab70d054),
+            (Value::str("dept00042"), 0x8a17fcf04116f930),
+            (Value::str("emp00042_7"), 0x7e1899e4e0302a9c),
+            (Value::str("héllo"), 0x6259ed9acea8a6ed),
+            (Value::str("日本語"), 0xe0d95572d78a3893),
+            (Value::str("x".repeat(22)), 0xf073efdf2ad42ec4),
+            (Value::str("x".repeat(23)), 0x31b4cd901c2b5b20),
+            (
+                Value::str("long-department-name-here-and-more"),
+                0x404f5101e99e935a,
+            ),
+        ];
+        for (v, want) in &golden {
+            assert_eq!(fx_hash_one(v), *want, "fx_hash_one({v:?})");
+        }
+        let key = vec![Value::str("dept00042"), Value::Int(7)];
+        assert_eq!(fx_hash_one(key.as_slice()), 0xfc802311fe85b8f6);
+        assert_eq!(fx_hash_one(&Tuple::new(key)), 0xfc802311fe85b8f6);
     }
 
     #[test]

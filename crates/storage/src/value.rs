@@ -239,7 +239,12 @@ fn numeric_binop(
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.total_cmp(other) == Ordering::Equal
+        match (self, other) {
+            // Word compares for inline strings, pointer identity for
+            // interned ones — no ordering needed to decide equality.
+            (Value::Str(a), Value::Str(b)) => a == b,
+            _ => self.total_cmp(other) == Ordering::Equal,
+        }
     }
 }
 impl Eq for Value {}
