@@ -113,8 +113,8 @@ fn bench_shielding_on_stacked(c: &mut Criterion) {
 
 /// E-PAR: serial vs parallel vs parallel+pruning on the wide scaling
 /// workload (28 candidate groups, 4 skewed-weight transaction types,
-/// ≤2 extra views per set → 407 view sets). The same numbers are
-/// exported to `BENCH_optimizer.json` by the `bench_search` binary.
+/// ≤2 extra views per set → 407 view sets). The trusted benchmark's
+/// `view_search` workload times the same search.
 fn bench_parallel_search(c: &mut Criterion) {
     let s = scaling_workload();
     let model = PageIoCostModel::default();

@@ -10,15 +10,23 @@
 
 use std::io::{BufRead, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use spacetime_bench::workload::{crash_fixture_db, crash_fixture_txn};
-use spacetime_ivm::{DurabilityOptions, DurableDatabase};
+use spacetime_ivm::{DurabilityOptions, DurableSharded, PipelinePool, TxnScheduler};
+use spacetime_storage::ShardSpec;
 
 fn main() {
     let dir = std::env::args().nth(1).expect("usage: crash_child <dir>");
-    let db = crash_fixture_db();
-    let mut dur = DurableDatabase::create(db, Path::new(&dir), DurabilityOptions::default())
-        .expect("create durable db");
+    let dur = DurableSharded::create(
+        &crash_fixture_db(),
+        ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]),
+        1,
+        Path::new(&dir),
+        DurabilityOptions::default(),
+    )
+    .expect("create durable db");
+    let sched = TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(1)), dur.wals());
 
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
@@ -30,7 +38,8 @@ fn main() {
         let line = line.unwrap();
         match line.trim() {
             "go" => {
-                dur.apply_transaction(crash_fixture_txn(i)).expect("apply");
+                let mut out = sched.run_serial(&[crash_fixture_txn(i)]).expect("run");
+                out.results.remove(0).expect("apply");
                 writeln!(stdout, "ACK {i}").unwrap();
                 stdout.flush().unwrap();
                 i += 1;

@@ -6,15 +6,25 @@
 //! §3/§4/§5 shape experiments). See `EXPERIMENTS.md` at the workspace
 //! root for the recorded paper-vs-measured comparison.
 //!
+//! Nothing here times the product: wall-clock numbers come from the
+//! standalone `benchmark/` package and from nowhere else.
+//!
 //! Binaries:
 //!
 //! * `paper_tables` — regenerates the §3.6 cost tables (estimated *and*
 //!   measured) plus the E-SPJ/E-HEUR experiments.
 //! * `paper_figures` — regenerates the figures (expression trees, the
 //!   expression DAG, the ADeptsStatus example, articulation nodes).
+//! * `crash_child` — the victim process of `tests/crash_kill.rs`.
 //!
-//! Criterion benches: `bench_optimizer`, `bench_maintenance`,
-//! `bench_memo`.
+//! `tests/` holds the suites that need the whole stack: the paper-report
+//! goldens, PerKey ≡ Fused (`prop_fused`, `data_plane_invariants`), serial
+//! replay ≡ concurrent (`prop_shard`), rollback under injected faults
+//! (`prop_faults`), recovery ≡ control (`prop_wal`, `crash_kill`) and the
+//! metrics plane's books (`endpoint`, `metrics_books`).
+//!
+//! Criterion benches (print only, gate nothing): `bench_optimizer`,
+//! `bench_maintenance`, `bench_memo`.
 
 pub mod scenarios;
 pub mod tables;
@@ -24,4 +34,4 @@ pub use scenarios::{
     adepts_status, figure5, join_chain, paper_names, problem_dept, scaling_workload, stacked_view,
     PaperScenario,
 };
-pub use workload::{client_workload, load_paper_data, paper_schema_db, random_emp_updates};
+pub use workload::{load_paper_data, paper_schema_db, random_emp_updates};

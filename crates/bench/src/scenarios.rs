@@ -463,7 +463,7 @@ pub fn stacked_view(levels: usize) -> PaperScenario {
 /// the *overlapping* Emp/Dept base tables, so a single base delta fans out
 /// across many independent engines. `HighEarners` and `HighEarnerCount`
 /// share the access-free σ(Salary>150)(Emp) prefix.
-pub const WIDE_PIPELINE_VIEWS: &[&str] = &[
+const WIDE_PIPELINE_VIEWS: &[&str] = &[
     "CREATE MATERIALIZED VIEW ProblemDept (DName) AS \
      SELECT Dept.DName FROM Emp, Dept WHERE Dept.DName = Emp.DName \
      GROUP BY Dept.DName, Budget HAVING SUM(Salary) > Budget",
@@ -485,7 +485,7 @@ pub const WIDE_PIPELINE_VIEWS: &[&str] = &[
 ];
 
 /// Build the wide database: loaded paper data, the
-/// eight [`WIDE_PIPELINE_VIEWS`], and a two-rooted view group (Payroll /
+/// eight `WIDE_PIPELINE_VIEWS`, and a two-rooted view group (Payroll /
 /// BigPayroll over a shared per-department salary sum) — ten maintained
 /// views total, every one dependent on `Emp`.
 pub fn build_wide_pipeline_db(departments: usize, emps_per_dept: usize) -> Database {

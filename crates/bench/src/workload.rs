@@ -288,138 +288,6 @@ pub fn mixed_workload(
     out
 }
 
-/// One client's stream for the multi-client serving benchmark: the
-/// [`mixed_workload`] transaction mix restricted to the department domain
-/// `{d : d % clients == client}` of data loaded by [`load_paper_data`],
-/// with a per-client hire namespace.
-///
-/// Clients own pairwise-disjoint departments, employees, and hire names,
-/// so **any** interleaving of the per-client streams that preserves each
-/// stream's internal order is a valid transaction sequence (every delta
-/// still references the exact pre-state of its tuples). That is precisely
-/// the guarantee the footprint scheduler gives — per-shard admission
-/// order — because every tuple lives in exactly one shard.
-pub fn client_workload(
-    departments: usize,
-    emps_per_dept: usize,
-    count: usize,
-    seed: u64,
-    client: usize,
-    clients: usize,
-) -> Vec<(String, Delta)> {
-    assert!(clients > 0 && client < clients, "client id within stream count");
-    let depts: Vec<usize> = (0..departments).filter(|d| d % clients == client).collect();
-    assert!(!depts.is_empty(), "every client needs at least one department");
-    let mut rng = StdRng::seed_from_u64(seed ^ ((client as u64) << 32));
-    let mut names: Vec<String> = Vec::with_capacity(depts.len() * emps_per_dept);
-    let mut roster: std::collections::HashMap<String, (usize, i64)> =
-        std::collections::HashMap::new();
-    for &d in &depts {
-        for e in 0..emps_per_dept {
-            let name = format!("emp{d:05}_{e}");
-            roster.insert(name.clone(), (d, 100));
-            names.push(name);
-        }
-    }
-    let mut budgets: std::collections::HashMap<usize, i64> = std::collections::HashMap::new();
-    let default_budget = (emps_per_dept as i64) * 200;
-    let mut hired = 0usize;
-    let dname_of = |d: usize| format!("dept{d:05}");
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut roll = rng.gen_range(0..100);
-        if (45..75).contains(&roll) && names.len() < 2 {
-            roll = 0;
-        }
-        if (85..100).contains(&roll) && names.len() < 4 {
-            roll = 0;
-        }
-        if roll < 45 {
-            // Salary modification.
-            let i = rng.gen_range(0..names.len());
-            let name = names[i].clone();
-            let (d, old_salary) = roster[&name];
-            let mut new_salary = rng.gen_range(50..250);
-            if new_salary == old_salary {
-                new_salary += 1;
-            }
-            roster.insert(name.clone(), (d, new_salary));
-            out.push((
-                "Emp".to_string(),
-                Delta::modify(
-                    tuple![name.clone(), dname_of(d), old_salary],
-                    tuple![name, dname_of(d), new_salary],
-                    1,
-                ),
-            ));
-        } else if roll < 60 {
-            // Hire into one of this client's departments.
-            let d = depts[rng.gen_range(0..depts.len())];
-            let salary = rng.gen_range(50..250) as i64;
-            let name = format!("hire{client:02}x{hired:06}");
-            hired += 1;
-            roster.insert(name.clone(), (d, salary));
-            names.push(name.clone());
-            out.push((
-                "Emp".to_string(),
-                Delta::insert(tuple![name, dname_of(d), salary], 1),
-            ));
-        } else if roll < 75 {
-            // Departure.
-            let i = rng.gen_range(0..names.len());
-            let name = names.swap_remove(i);
-            let (d, salary) = roster.remove(&name).expect("rostered");
-            out.push((
-                "Emp".to_string(),
-                Delta::delete(tuple![name, dname_of(d), salary], 1),
-            ));
-        } else if roll < 85 {
-            // Budget change.
-            let d = depts[rng.gen_range(0..depts.len())];
-            let old_budget = *budgets.entry(d).or_insert(default_budget);
-            let mut new_budget = rng.gen_range(500..3_000) as i64;
-            if new_budget == old_budget {
-                new_budget += 1;
-            }
-            budgets.insert(d, new_budget);
-            out.push((
-                "Dept".to_string(),
-                Delta::modify(
-                    tuple![dname_of(d), format!("mgr{d}"), old_budget],
-                    tuple![dname_of(d), format!("mgr{d}"), new_budget],
-                    1,
-                ),
-            ));
-        } else {
-            // Across-the-board raise: up to sixteen of this client's
-            // employees in one transaction — the natural cross-shard case
-            // once departments hash to different shard domains.
-            let k = rng.gen_range(8..17).min(names.len());
-            let mut picked = std::collections::BTreeSet::new();
-            while picked.len() < k {
-                picked.insert(rng.gen_range(0..names.len()));
-            }
-            let mut delta = Delta::new();
-            for i in picked {
-                let name = names[i].clone();
-                let (d, old_salary) = roster[&name];
-                let mut new_salary = old_salary + rng.gen_range(5..25) as i64;
-                if new_salary == old_salary {
-                    new_salary += 1;
-                }
-                roster.insert(name.clone(), (d, new_salary));
-                delta.push_modify(
-                    tuple![name.clone(), dname_of(d), old_salary],
-                    tuple![name, dname_of(d), new_salary],
-                    1,
-                );
-            }
-            out.push(("Emp".to_string(), delta));
-        }
-    }
-    out
-}
-
 /// Render a `Value` matrix as an aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -449,11 +317,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Convenience: keep `Value` import used and offer literal helpers.
-pub fn str_value(s: &str) -> Value {
-    Value::str(s)
 }
 
 /// The shared fixture for the crash-kill integration test: the child
@@ -587,37 +450,6 @@ mod tests {
         }
         assert!(verify_all_views(&pk).unwrap().is_empty());
         assert!(verify_all_views(&ba).unwrap().is_empty());
-    }
-
-    #[test]
-    fn client_workloads_are_disjoint_and_interleavable() {
-        let clients = 4;
-        let streams: Vec<_> = (0..clients)
-            .map(|c| client_workload(12, 5, 40, 77, c, clients))
-            .collect();
-        // Reproducible.
-        assert_eq!(streams[1], client_workload(12, 5, 40, 77, 1, clients));
-        // Each stream touches only its own departments.
-        for (c, stream) in streams.iter().enumerate() {
-            for (table, delta) in stream {
-                for keys in delta.touched_keys(&[if table == "Emp" { 1 } else { 0 }]) {
-                    let dname = keys[0].as_str().unwrap().to_string();
-                    let d: usize = dname.trim_start_matches("dept").parse().unwrap();
-                    assert_eq!(d % clients, c, "client {c} touched {dname}");
-                }
-            }
-        }
-        // A round-robin interleave applies cleanly to loaded paper data.
-        let mut db = paper_schema_db();
-        load_paper_data(&mut db, 12, 5);
-        let longest = streams.iter().map(Vec::len).max().unwrap();
-        for k in 0..longest {
-            for stream in &streams {
-                if let Some((table, delta)) = stream.get(k) {
-                    db.apply_delta(table, delta.clone()).unwrap();
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    (`spacetime_wal::crash`) — torn final record, corrupted CRC,
 //!    truncated segment, or a dropped global commit record between the
 //!    phases of a cross-shard commit;
-//! 2. recover with `Database::open` / `ShardedDatabase::open`;
+//! 2. recover with `DurableSharded::open`;
 //! 3. assert the recovered state is **bit-identical** (every table,
 //!    every shard) to a fresh control database fed exactly the
 //!    transactions the mutilated log still proves committed, and that
@@ -29,8 +29,8 @@ use std::sync::Arc;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, DurabilityOptions, DurableDatabase, DurableSharded, PipelinePool,
-    PropagationMode, ShardedDatabase, Txn, TxnScheduler,
+    verify_all_views, Database, DurabilityOptions, DurableSharded, PipelinePool, PropagationMode,
+    ShardedDatabase, Txn, TxnScheduler,
 };
 use spacetime_storage::{ShardSpec, Tuple, Value};
 use spacetime_wal::{crash, test_dir, CheckpointPolicy};
@@ -160,7 +160,7 @@ fn cleanup(dir: &PathBuf) {
 }
 
 // ---------------------------------------------------------------------
-// Unsharded
+// Unsharded: one shard, compared against a plain `Database` control
 // ---------------------------------------------------------------------
 
 /// Base workload plus three crafted tail transactions.
@@ -175,32 +175,39 @@ fn unsharded_txns() -> Vec<Txn> {
     txns
 }
 
+fn create_unsharded(template: &Database, dir: &Path, opts: DurabilityOptions) -> DurableSharded {
+    DurableSharded::create(template, shard_spec(), 1, dir, opts).unwrap()
+}
+
+/// Run `txns` durably, one at a time in order; how many committed.
+fn run_durable(dur: &DurableSharded, txns: &[Txn]) -> u64 {
+    let out = TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(1)), dur.wals())
+        .run_serial(txns)
+        .unwrap();
+    out.results.iter().filter(|r| r.is_ok()).count() as u64
+}
+
 #[test]
 fn wal_unsharded_clean_reopen_is_identical() {
     for &mode in MODES {
         let dir = test_dir("clean_reopen");
         let template = build_db(3, 4, mode);
         let txns = unsharded_txns();
-        let mut dur =
-            DurableDatabase::create(template.clone(), &dir, DurabilityOptions::default()).unwrap();
-        let mut committed = 0u64;
-        for t in &txns {
-            if dur.apply_transaction(t.clone()).is_ok() {
-                committed += 1;
-            }
-        }
+        let dur = create_unsharded(&template, &dir, DurabilityOptions::default());
+        let committed = run_durable(&dur, &txns);
         drop(dur);
-        let (rec, stats) = Database::open(&dir).unwrap();
+        let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
         assert_eq!(stats.replayed_txns, committed, "replayed != committed ({mode:?})");
         assert_eq!(stats.skipped_txns, 0, "clean log has no aborts ({mode:?})");
         assert_eq!(stats.discarded_bytes, 0, "clean log has no torn bytes ({mode:?})");
-        assert_eq!(rec.db().propagation_mode(), mode, "mode not restored");
+        let rec = rec.db().shard(0);
+        assert_eq!(rec.propagation_mode(), mode, "mode not restored");
         let mut control = template.clone();
         for t in &txns {
             let _ = control.apply_transaction(t.clone());
         }
-        assert_db_eq(rec.db(), &control, &format!("clean reopen, {mode:?}"));
-        assert!(verify_all_views(rec.db()).unwrap().is_empty());
+        assert_db_eq(&rec, &control, &format!("clean reopen, {mode:?}"));
+        assert!(verify_all_views(&rec).unwrap().is_empty());
         cleanup(&dir);
     }
 }
@@ -216,16 +223,12 @@ fn wal_unsharded_crash_matrix() {
             let total = txns.len();
             let keep = total - site.lost_txns();
 
-            let mut dur =
-                DurableDatabase::create(template.clone(), &dir, DurabilityOptions::default())
-                    .unwrap();
-            for t in &txns {
-                let _ = dur.apply_transaction(t.clone());
-            }
+            let dur = create_unsharded(&template, &dir, DurabilityOptions::default());
+            run_durable(&dur, &txns);
             drop(dur);
-            site.mutilate(&dir.join("wal.log"));
+            site.mutilate(&dir.join("shard-000").join("wal.log"));
 
-            let (mut rec, stats) = Database::open(&dir).unwrap();
+            let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
             let mut control = template.clone();
             let mut committed = 0u64;
             for t in &txns[..keep] {
@@ -237,21 +240,19 @@ fn wal_unsharded_crash_matrix() {
                 stats.replayed_txns, committed,
                 "replayed only the committed prefix ({ctx})"
             );
-            assert_db_eq(rec.db(), &control, &format!("recovery == control ({ctx})"));
+            assert_db_eq(&rec.db().shard(0), &control, &format!("recovery == control ({ctx})"));
             assert!(
-                verify_all_views(rec.db()).unwrap().is_empty(),
+                verify_all_views(&rec.db().shard(0)).unwrap().is_empty(),
                 "oracle mismatch after recovery ({ctx})"
             );
 
             // Retry the lost tail: the recovered database serves on.
-            for t in &txns[keep..] {
-                let _ = rec.apply_transaction(t.clone());
-            }
+            run_durable(&rec, &txns[keep..]);
             let mut control_full = template.clone();
             for t in &txns {
                 let _ = control_full.apply_transaction(t.clone());
             }
-            assert_db_eq(rec.db(), &control_full, &format!("retry == control ({ctx})"));
+            assert_db_eq(&rec.db().shard(0), &control_full, &format!("retry == control ({ctx})"));
             cleanup(&dir);
         }
     }
@@ -261,31 +262,28 @@ fn wal_unsharded_crash_matrix() {
 fn wal_checkpoint_replays_only_the_tail() {
     let dir = test_dir("ckpt_tail");
     let template = build_db(3, 4, PropagationMode::Fused);
-    let mut dur =
-        DurableDatabase::create(template.clone(), &dir, DurabilityOptions::default()).unwrap();
-    for i in 0..4 {
-        dur.apply_transaction(tail_txn(i, "dept00000")).unwrap();
-    }
+    let before: Vec<Txn> = (0..4).map(|i| tail_txn(i, "dept00000")).collect();
+    let after: Vec<Txn> = (4..7).map(|i| tail_txn(i, "dept00001")).collect();
+    let mut dur = create_unsharded(&template, &dir, DurabilityOptions::default());
+    assert_eq!(run_durable(&dur, &before), 4);
     dur.checkpoint().unwrap();
-    for i in 4..7 {
-        dur.apply_transaction(tail_txn(i, "dept00001")).unwrap();
-    }
+    assert_eq!(run_durable(&dur, &after), 3);
     drop(dur);
-    let (rec, stats) = Database::open(&dir).unwrap();
+    let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
     assert_eq!(stats.checkpoint_last_txn, 4, "checkpoint covers the first four");
     assert_eq!(stats.replayed_txns, 3, "only the post-checkpoint tail replays");
     let mut control = template.clone();
-    for i in 0..4 {
-        control.apply_transaction(tail_txn(i, "dept00000")).unwrap();
+    for t in before.into_iter().chain(after) {
+        control.apply_transaction(t).unwrap();
     }
-    for i in 4..7 {
-        control.apply_transaction(tail_txn(i, "dept00001")).unwrap();
-    }
-    assert_db_eq(rec.db(), &control, "checkpoint + tail");
-    assert!(verify_all_views(rec.db()).unwrap().is_empty());
+    let rec = rec.db().shard(0);
+    assert_db_eq(&rec, &control, "checkpoint + tail");
+    assert!(verify_all_views(&rec).unwrap().is_empty());
     cleanup(&dir);
 }
 
+/// The policy only says *when*; the caller checkpoints between runs
+/// (`maybe_checkpoint` takes `&mut self`, a scheduler borrows the handle).
 #[test]
 fn wal_checkpoint_policy_triggers_automatically() {
     let dir = test_dir("ckpt_policy");
@@ -297,19 +295,52 @@ fn wal_checkpoint_policy_triggers_automatically() {
         },
         ..DurabilityOptions::default()
     };
-    let mut dur = DurableDatabase::create(template.clone(), &dir, opts).unwrap();
+    let mut dur = create_unsharded(&template, &dir, opts);
     for i in 0..5 {
-        dur.apply_transaction(tail_txn(i, "dept00000")).unwrap();
+        assert_eq!(run_durable(&dur, &[tail_txn(i, "dept00000")]), 1);
+        dur.maybe_checkpoint().unwrap();
     }
     drop(dur);
     // Checkpoints fired after txns 2 and 4; only txn 5 is in the log.
-    let (rec, stats) = Database::open(&dir).unwrap();
+    let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
     assert_eq!(stats.replayed_txns, 1, "policy checkpoints bound the replay");
     let mut control = template.clone();
     for i in 0..5 {
         control.apply_transaction(tail_txn(i, "dept00000")).unwrap();
     }
-    assert_db_eq(rec.db(), &control, "auto-checkpoint recovery");
+    assert_db_eq(&rec.db().shard(0), &control, "auto-checkpoint recovery");
+    cleanup(&dir);
+}
+
+/// `META` is the commit point of `create`: a creation that failed part-way
+/// leaves a directory the same `create` can still initialize.
+#[test]
+fn wal_interrupted_create_can_be_retried() {
+    let dir = test_dir("interrupted_create");
+    let template = build_db(4, 3, PropagationMode::Fused);
+    let create =
+        || DurableSharded::create(&template, shard_spec(), 2, &dir, DurabilityOptions::default());
+    // Shard 1's directory cannot be made: a regular file sits in its place.
+    std::fs::create_dir_all(&dir).unwrap();
+    let obstacle = dir.join("shard-001");
+    std::fs::write(&obstacle, b"in the way").unwrap();
+    assert!(create().is_err(), "create must fail at shard 1");
+    std::fs::remove_file(&obstacle).unwrap();
+
+    let dur = create().unwrap_or_else(|e| panic!("retry over the half-made directory: {e}"));
+    let txns = sharded_txns(&shard_spec(), 2);
+    TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(2)), dur.wals())
+        .run(&txns)
+        .unwrap();
+    drop(dur);
+    let (rec, stats) = DurableSharded::open_with(&dir, 2, DurabilityOptions::default()).unwrap();
+    assert_eq!(stats.replayed_txns, txns.len() as u64);
+    let control = ShardedDatabase::partition(&template, shard_spec(), 2).unwrap();
+    TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
+        .run_serial(&txns)
+        .unwrap();
+    assert_sharded_eq(rec.db(), &control, "recovery after a retried create");
+    assert!(create().is_err(), "an initialized directory still refuses create");
     cleanup(&dir);
 }
 
@@ -360,7 +391,7 @@ fn wal_sharded_crash_matrix() {
                 drop(dur);
                 site.mutilate(&dir.join("shard-000").join("wal.log"));
 
-                let (rec, _stats) = ShardedDatabase::open(&dir, n_shards).unwrap();
+                let (rec, _stats) = DurableSharded::open(&dir, n_shards).unwrap();
                 let control =
                     ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
                 TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
@@ -428,7 +459,7 @@ fn wal_global_commit_crash_aborts_cross_shard_txn() {
             drop(dur);
             crash::drop_last_frame(&dir.join("global.log")).unwrap();
 
-            let (rec, stats) = ShardedDatabase::open(&dir, n_shards).unwrap();
+            let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
             assert!(
                 stats.skipped_txns >= 2,
                 "both prepared participants must be presumed aborted ({ctx})"
@@ -481,7 +512,7 @@ fn wal_sharded_checkpoint_then_recover() {
         .unwrap();
     dur.checkpoint().unwrap();
     drop(dur);
-    let (rec, stats) = ShardedDatabase::open(&dir, n_shards).unwrap();
+    let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
     assert_eq!(stats.replayed_txns, 0, "checkpoint absorbed the whole log");
     let control = ShardedDatabase::partition(&template, spec, n_shards).unwrap();
     TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))

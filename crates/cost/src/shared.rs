@@ -18,8 +18,8 @@
 //! the *entire* marking would never collide across workers and cross-worker
 //! hits would measure ~0. Narrowing is what makes distinct view sets that
 //! agree below the queried group land on the same entry, turning the
-//! shared cache into real cross-worker reuse (`bench_search` asserts the
-//! hit count is nonzero).
+//! shared cache into real cross-worker reuse (`tests/determinism.rs`
+//! asserts the hit count of a four-worker search is nonzero).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -5,19 +5,25 @@
 //! but recomputing it after a crash costs exactly the query time the
 //! space was traded to avoid. This module makes the trade durable:
 //!
-//! * [`DurableDatabase`] wraps a [`Database`] with a WAL. Every
-//!   transaction appends `begin + deltas` before touching memory and a
-//!   `commit` record after the in-memory commit succeeds, so the log
-//!   never claims a transaction the memory state rejected, and recovery
-//!   never replays a transaction the log does not prove committed.
-//! * [`DurableSharded`] wraps a [`ShardedDatabase`] with one WAL per
-//!   shard plus a global commit log. Cross-shard transactions use a
-//!   two-phase protocol: each participant logs `begin + deltas +
-//!   prepared`, and after every shard applied in memory the
-//!   coordinator flushes the participants and appends a single commit
-//!   record for the transaction's *global id* to `global.log` — the
-//!   atomic commit point. Recovery resolves prepared participants by
-//!   presence (committed) or absence (presumed abort) of that record.
+//! * [`DurableSharded`] — the one durable handle — wraps a
+//!   [`ShardedDatabase`] with one WAL per shard plus a global commit
+//!   log; an unsharded durable database is the `n_shards = 1` case.
+//!   Transactions go through [`crate::sched::TxnScheduler::with_wals`]:
+//!   every participant appends `begin + deltas` before touching memory
+//!   and a `commit` record after the in-memory apply succeeds, so the
+//!   log never claims a transaction the memory state rejected, and
+//!   recovery never replays a transaction the log does not prove
+//!   committed. Cross-shard transactions use a two-phase protocol: each
+//!   participant logs `begin + deltas + prepared`, and after every shard
+//!   applied in memory the coordinator flushes the participants and
+//!   appends a single commit record for the transaction's *global id* to
+//!   `global.log` — the atomic commit point. Recovery resolves prepared
+//!   participants by presence (committed) or absence (presumed abort) of
+//!   that record.
+//! * On disk a durable directory is `META` (shard count and spec — its
+//!   presence is what makes the directory a database, so it is written
+//!   last), `global.log`, and one `shard-NNN/` per shard holding
+//!   `checkpoint.ckpt` and `wal.log`.
 //! * Checkpoints snapshot the whole catalog — base relations *and*
 //!   materializations — plus each engine's creation trees. Recovery
 //!   restores the snapshot, replays the creation trees through
@@ -35,7 +41,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use spacetime_delta::Delta;
 use spacetime_memo::{explore, Memo};
 use spacetime_obs::{self as obs, names as metric};
 use spacetime_optimizer::ViewSet;
@@ -48,7 +53,7 @@ use spacetime_wal::{
 
 use crate::constraints::Assertion;
 use crate::database::Database;
-use crate::engine::{IvmEngine, PropagationMode, UpdateReport};
+use crate::engine::{IvmEngine, PropagationMode};
 use crate::sched::Txn;
 use crate::shard::ShardedDatabase;
 use crate::{IvmError, IvmResult};
@@ -73,7 +78,7 @@ pub struct DurabilityOptions {
     /// survives process death but not power loss).
     pub sync: SyncPolicy,
     /// When to checkpoint automatically (default: never — callers
-    /// invoke [`DurableDatabase::checkpoint`] explicitly).
+    /// invoke [`DurableSharded::checkpoint`] explicitly).
     pub checkpoint: CheckpointPolicy,
 }
 
@@ -299,12 +304,11 @@ struct ReplaySummary {
 /// Transactions apply at their commit decision, in log order — which is
 /// the original apply order, because transactions on one shard are
 /// serialized by the footprint scheduler. A `Prepared` participant
-/// commits iff its global id is in `global_committed` (absent set =
-/// unsharded log = no prepared records expected).
+/// commits iff its global id is in `global_committed`.
 fn replay_records(
     db: &mut Database,
     records: &[Record],
-    global_committed: Option<&BTreeSet<u64>>,
+    global_committed: &BTreeSet<u64>,
 ) -> IvmResult<ReplaySummary> {
     struct Pending {
         updates: Txn,
@@ -344,11 +348,7 @@ fn replay_records(
             }
             Record::Prepared { txn_id } => {
                 if let Some(p) = open.remove(txn_id) {
-                    let committed = match (p.global, global_committed) {
-                        (Some(g), Some(set)) => set.contains(&g),
-                        _ => false,
-                    };
-                    if committed {
+                    if p.global.is_some_and(|g| global_committed.contains(&g)) {
                         db.apply_transaction(p.updates)?;
                         sum.replayed += 1;
                     } else {
@@ -363,183 +363,6 @@ fn replay_records(
     obs::counter_add(metric::WAL_RECOVERY_REPLAYED_TXNS, sum.replayed);
     Ok(sum)
 }
-
-// ---------------------------------------------------------------------
-// Single database
-// ---------------------------------------------------------------------
-
-/// A [`Database`] whose commits are write-ahead logged and whose state
-/// checkpoints to a directory. See module docs for the protocol.
-///
-/// The schema and view set are fixed at [`DurableDatabase::create`]
-/// time (the attach-time checkpoint captures them); DDL after attach is
-/// not logged and therefore unsupported.
-pub struct DurableDatabase {
-    db: Database,
-    wal: WalSession,
-    dir: PathBuf,
-}
-
-impl DurableDatabase {
-    /// Attach durability to `db`, writing the initial checkpoint (the
-    /// full current state) and an empty log to a fresh `dir`. Errors if
-    /// `dir` already holds a durable database — use
-    /// [`DurableDatabase::open`] for that.
-    pub fn create(db: Database, dir: &Path, opts: DurabilityOptions) -> IvmResult<Self> {
-        std::fs::create_dir_all(dir).map_err(|e| wal_err(e.into()))?;
-        let ckpt = dir.join(CHECKPOINT_FILE);
-        if ckpt.exists() {
-            return Err(IvmError::Internal(format!(
-                "durable directory {} is already initialized; use open()",
-                dir.display()
-            )));
-        }
-        let doc = build_checkpoint_doc(&db, 0)?;
-        write_checkpoint(&ckpt, &doc).map_err(wal_err)?;
-        let mut wal = WalSession::open(&dir.join(WAL_FILE), 0, 1, opts.sync, opts.checkpoint)
-            .map_err(wal_err)?;
-        wal.after_checkpoint(0).map_err(wal_err)?;
-        Ok(DurableDatabase {
-            db,
-            wal,
-            dir: dir.to_path_buf(),
-        })
-    }
-
-    /// Recover from `dir` with default options.
-    pub fn open(dir: &Path) -> IvmResult<(Self, RecoveryStats)> {
-        Self::open_with(dir, DurabilityOptions::default())
-    }
-
-    /// Recover from `dir`: load the checkpoint, rebuild every engine,
-    /// replay the committed log tail through the normal propagation
-    /// engines, discard torn / uncommitted suffixes, and reopen the log
-    /// for appending. The recovered state is bit-identical to the
-    /// committed pre-crash state.
-    pub fn open_with(dir: &Path, opts: DurabilityOptions) -> IvmResult<(Self, RecoveryStats)> {
-        let ckpt = dir.join(CHECKPOINT_FILE);
-        let raw = read_checkpoint(&ckpt)
-            .map_err(wal_err)?
-            .ok_or_else(|| {
-                IvmError::Internal(format!("no checkpoint at {}", ckpt.display()))
-            })?;
-        let mut db = restore_database(&raw)?;
-        let scan = scan_log(&dir.join(WAL_FILE)).map_err(wal_err)?;
-        let sum = replay_records(&mut db, &scan.records, None)?;
-        let next_txn = sum.max_txn.max(raw.last_txn) + 1;
-        let wal = WalSession::open(
-            &dir.join(WAL_FILE),
-            scan.valid_len,
-            next_txn,
-            opts.sync,
-            opts.checkpoint,
-        )
-        .map_err(wal_err)?;
-        let stats = RecoveryStats {
-            checkpoint_last_txn: raw.last_txn,
-            replayed_txns: sum.replayed,
-            skipped_txns: sum.skipped,
-            discarded_bytes: scan.discarded_bytes,
-        };
-        obs::gauge_set(metric::WAL_REPLAY_LAG_TXNS, stats.replayed_txns as f64);
-        obs::flight::record("recovery", || {
-            format!(
-                "{}: replayed {} skipped {} discarded {}B",
-                dir.display(),
-                stats.replayed_txns,
-                stats.skipped_txns,
-                stats.discarded_bytes
-            )
-        });
-        Ok((
-            DurableDatabase {
-                db,
-                wal,
-                dir: dir.to_path_buf(),
-            },
-            stats,
-        ))
-    }
-
-    /// The wrapped database.
-    pub fn db(&self) -> &Database {
-        &self.db
-    }
-
-    /// Mutable access for reads / verification. Mutating state through
-    /// this bypasses the log; use the `apply_*` methods for updates.
-    pub fn db_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// Unwrap, abandoning durability.
-    pub fn into_db(self) -> Database {
-        self.db
-    }
-
-    /// The durable directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Apply one table's delta durably.
-    pub fn apply_delta(&mut self, table: &str, delta: Delta) -> IvmResult<UpdateReport> {
-        self.apply_transaction(vec![(table.to_string(), delta)])
-    }
-
-    /// Apply a transaction durably: log `begin + deltas`, apply in
-    /// memory (which may reject it — assertions, faults — leaving the
-    /// dangling log records to be discarded at recovery), then log the
-    /// commit record and make it durable per the sync policy. The
-    /// database's transaction scope stays open across the commit record:
-    /// if the record cannot be written the scope aborts (the undo journal
-    /// replays), so memory never runs ahead of the log.
-    pub fn apply_transaction(&mut self, updates: Txn) -> IvmResult<UpdateReport> {
-        let txn_id = self.wal.begin(None, &updates).map_err(wal_err)?;
-        let report = self.db.apply_open(updates)?;
-        if let Err(e) = self.wal.commit(txn_id) {
-            self.db.abort_transaction()?;
-            return Err(wal_err(e));
-        }
-        self.db.commit_transaction();
-        if self.wal.should_checkpoint() {
-            self.checkpoint()?;
-        }
-        Ok(report)
-    }
-
-    /// Snapshot the full current state, truncate the log, and append
-    /// the checkpoint marker. Returns the segment size in bytes.
-    pub fn checkpoint(&mut self) -> IvmResult<u64> {
-        let last_txn = self.wal.next_txn_id().saturating_sub(1);
-        let doc = build_checkpoint_doc(&self.db, last_txn)?;
-        let bytes = write_checkpoint(&self.dir.join(CHECKPOINT_FILE), &doc).map_err(wal_err)?;
-        self.wal.after_checkpoint(last_txn).map_err(wal_err)?;
-        Ok(bytes)
-    }
-
-    /// Checkpoint if the configured policy calls for it.
-    pub fn maybe_checkpoint(&mut self) -> IvmResult<bool> {
-        if self.wal.should_checkpoint() {
-            self.checkpoint()?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-}
-
-impl Database {
-    /// Recover a durable database from `dir` (see
-    /// [`DurableDatabase::open_with`]).
-    pub fn open(dir: &Path) -> IvmResult<(DurableDatabase, RecoveryStats)> {
-        DurableDatabase::open(dir)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded
-// ---------------------------------------------------------------------
 
 /// The per-shard WAL sessions plus the global commit log, shared with
 /// the footprint scheduler (`TxnScheduler::with_wals`). The mutexes
@@ -679,7 +502,11 @@ impl DurableSharded {
     /// Partition `template` across `n_shards` (exactly like
     /// [`ShardedDatabase::partition`]) and attach durability: per-shard
     /// initial checkpoints, empty per-shard logs, an empty global log,
-    /// and a META file recording the shard count and spec.
+    /// and a META file recording the shard count and spec. META goes
+    /// last, by rename: it is the commit point of creation, so a `create`
+    /// that failed part-way leaves a directory the next `create`
+    /// overwrites file by file instead of refusing. Errors if `dir`
+    /// already holds a durable database — use [`DurableSharded::open`].
     pub fn create(
         template: &Database,
         spec: ShardSpec,
@@ -695,7 +522,6 @@ impl DurableSharded {
             )));
         }
         let db = ShardedDatabase::partition(template, spec, n_shards)?;
-        write_meta(dir, n_shards, db.spec())?;
         let mut sessions = Vec::with_capacity(n_shards);
         for s in 0..n_shards {
             let sdir = shard_dir(dir, s);
@@ -709,6 +535,7 @@ impl DurableSharded {
             sessions.push(Mutex::new(session));
         }
         let global = WalWriter::open(&dir.join(GLOBAL_LOG_FILE), 0).map_err(wal_err)?;
+        write_meta(dir, n_shards, db.spec())?;
         Ok(DurableSharded {
             db,
             wals: Arc::new(ShardWals {
@@ -767,7 +594,7 @@ impl DurableSharded {
             })?;
             let mut db = restore_database(&raw)?;
             let scan = scan_log(&sdir.join(WAL_FILE)).map_err(wal_err)?;
-            let sum = replay_records(&mut db, &scan.records, Some(&committed_gids))?;
+            let sum = replay_records(&mut db, &scan.records, &committed_gids)?;
             for rec in &scan.records {
                 if let Record::TxnBegin {
                     global: Some(g), ..
@@ -878,18 +705,39 @@ impl DurableSharded {
     }
 }
 
-impl ShardedDatabase {
-    /// Recover a durable sharded database from `dir` (see
-    /// [`DurableSharded::open_with`]).
-    pub fn open(dir: &Path, n_shards: usize) -> IvmResult<(DurableSharded, RecoveryStats)> {
-        DurableSharded::open(dir, n_shards)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PipelinePool;
+    use crate::sched::TxnScheduler;
+    use spacetime_delta::Delta;
     use spacetime_storage::tuple;
+
+    /// A one-shard durable database over `db`, whose only base table is
+    /// `T`, keyed on its first column.
+    fn create(db: &Database, dir: &Path) -> DurableSharded {
+        let spec = ShardSpec::new().with("T", vec![0]);
+        DurableSharded::create(db, spec, 1, dir, DurabilityOptions::default()).unwrap()
+    }
+
+    /// Insert `a` into `T` durably.
+    fn insert(dur: &DurableSharded, a: i64) {
+        let txn = vec![("T".to_string(), Delta::insert(tuple![a], 1))];
+        let out = TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(1)), dur.wals())
+            .run_serial(&[txn])
+            .unwrap();
+        assert!(out.results[0].is_ok(), "{:?}", out.results[0]);
+    }
+
+    #[cfg(feature = "metrics")]
+    fn one_column_db() -> Database {
+        use spacetime_storage::DataType;
+        let mut db = Database::new();
+        db.catalog
+            .create_table("T", Schema::new(vec![Column::new("T", "a", DataType::Int)]))
+            .unwrap();
+        db
+    }
 
     /// `STWALCK1` outlives the modes it named: a checkpoint written with
     /// the retired `Batched` / `Parallel` tags (1, 1) opens as `Fused` and
@@ -903,30 +751,32 @@ mod tests {
              CREATE MATERIALIZED VIEW Big AS SELECT a FROM T WHERE a > 1",
         )
         .unwrap();
-        let initial = db.clone();
-        let mut dur = DurableDatabase::create(db, &dir, DurabilityOptions::default()).unwrap();
-        dur.apply_delta("T", Delta::insert(tuple![5_i64], 1)).unwrap();
+        let dur = create(&db, &dir);
+        insert(&dur, 5);
         drop(dur);
 
         let rewrite = |prop: u8, exec: u8| {
-            let mut doc = build_checkpoint_doc(&initial, 0).unwrap();
+            let mut doc = build_checkpoint_doc(&db, 0).unwrap();
             doc.propagation_mode = prop;
             doc.execution_mode = exec;
-            write_checkpoint(&dir.join(CHECKPOINT_FILE), &doc).unwrap();
+            write_checkpoint(&shard_dir(&dir, 0).join(CHECKPOINT_FILE), &doc).unwrap();
         };
         rewrite(1, 1);
-        let (recovered, stats) = Database::open(&dir).unwrap();
+        let (recovered, stats) = DurableSharded::open(&dir, 1).unwrap();
         assert_eq!(stats.replayed_txns, 1);
-        assert_eq!(recovered.db().propagation_mode(), PropagationMode::Fused);
-        for table in ["T", "Big"] {
-            let rel = &recovered.db().catalog.table(table).unwrap().relation;
-            assert!(rel.data().contains(&tuple![5_i64]), "{table} lost the replayed row");
+        {
+            let shard = recovered.db().shard(0);
+            assert_eq!(shard.propagation_mode(), PropagationMode::Fused);
+            for table in ["T", "Big"] {
+                let rel = &shard.catalog.table(table).unwrap().relation;
+                assert!(rel.data().contains(&tuple![5_i64]), "{table} lost the replayed row");
+            }
         }
         drop(recovered);
 
         for (prop, exec) in [(3, 0), (2, 2)] {
             rewrite(prop, exec);
-            let err = Database::open(&dir).err().expect("unknown tag must not open");
+            let err = DurableSharded::open(&dir, 1).err().expect("unknown tag must not open");
             assert!(
                 matches!(&err, IvmError::Internal(m) if m.contains("mode tag")),
                 "({prop}, {exec}): {err}"
@@ -934,37 +784,24 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[cfg(all(test, feature = "metrics"))]
-mod metric_tests {
-    use super::*;
-    use spacetime_storage::{tuple, Column, DataType, Schema};
 
     /// The acceptance hook for tail-only replay: recovery reports exactly
     /// the transactions the log proved committed past the checkpoint and
     /// advances the `recovery_replayed_txns` counter by them. The counter
     /// is process-global and the neighbouring test recovers too, so it is
     /// bounded from below only.
+    #[cfg(feature = "metrics")]
     #[test]
     fn recovery_bumps_the_replayed_txns_counter() {
         let dir = spacetime_wal::test_dir("durability_metric");
-        let mut db = Database::new();
-        db.catalog
-            .create_table(
-                "T",
-                Schema::new(vec![Column::new("T", "a", DataType::Int)]),
-            )
-            .unwrap();
-        let mut dur =
-            DurableDatabase::create(db, &dir, DurabilityOptions::default()).unwrap();
-        for i in 0..3i64 {
-            dur.apply_delta("T", Delta::insert(tuple![i], 1)).unwrap();
+        let dur = create(&one_column_db(), &dir);
+        for i in 0..3 {
+            insert(&dur, i);
         }
         drop(dur);
 
         let before = obs::snapshot().counter(metric::WAL_RECOVERY_REPLAYED_TXNS);
-        let (_, stats) = Database::open(&dir).unwrap();
+        let (_, stats) = DurableSharded::open(&dir, 1).unwrap();
         assert_eq!(stats.replayed_txns, 3);
         assert!(
             obs::snapshot().counter(metric::WAL_RECOVERY_REPLAYED_TXNS) >= before + 3,
@@ -976,56 +813,49 @@ mod metric_tests {
     /// The labeled WAL family moves per record kind, the checkpoint-age
     /// gauge tracks uncheckpointed commits, and recovery publishes its
     /// replay lag. Lower-bound assertions only: lib tests share the
-    /// process-global registry across threads, so exact equality books
-    /// live in the single-threaded bench (`assert_wal_metrics_consistent`).
+    /// process-global registry across threads, so the exact equality
+    /// books live in a test binary of their own
+    /// (`crates/bench/tests/metrics_books.rs`).
+    #[cfg(feature = "metrics")]
     #[test]
     fn wal_record_kinds_and_age_gauges_move() {
-        use spacetime_obs::names;
         let dir = spacetime_wal::test_dir("durability_labeled_metric");
-        let mut db = Database::new();
-        db.catalog
-            .create_table(
-                "T",
-                Schema::new(vec![Column::new("T", "a", DataType::Int)]),
-            )
-            .unwrap();
         let before = obs::snapshot();
-        let mut dur =
-            DurableDatabase::create(db, &dir, DurabilityOptions::default()).unwrap();
-        for i in 0..4i64 {
-            dur.apply_delta("T", Delta::insert(tuple![i], 1)).unwrap();
+        let dur = create(&one_column_db(), &dir);
+        for i in 0..4 {
+            insert(&dur, i);
         }
         drop(dur);
         let snap = obs::snapshot();
         for kind in [
-            names::LABEL_WAL_BEGIN,
-            names::LABEL_WAL_DELTA,
-            names::LABEL_WAL_COMMIT,
+            metric::LABEL_WAL_BEGIN,
+            metric::LABEL_WAL_DELTA,
+            metric::LABEL_WAL_COMMIT,
         ] {
             assert!(
-                snap.labeled_counter(names::WAL_RECORDS, kind)
-                    >= before.labeled_counter(names::WAL_RECORDS, kind) + 4,
+                snap.labeled_counter(metric::WAL_RECORDS, kind)
+                    >= before.labeled_counter(metric::WAL_RECORDS, kind) + 4,
                 "WAL record family did not move for {kind}"
             );
         }
         // `create` installs the initial checkpoint marker.
         assert!(
-            snap.labeled_counter(names::WAL_RECORDS, names::LABEL_WAL_CHECKPOINT)
-                > before.labeled_counter(names::WAL_RECORDS, names::LABEL_WAL_CHECKPOINT),
+            snap.labeled_counter(metric::WAL_RECORDS, metric::LABEL_WAL_CHECKPOINT)
+                > before.labeled_counter(metric::WAL_RECORDS, metric::LABEL_WAL_CHECKPOINT),
             "checkpoint marker was not counted"
         );
         // Four commits, no checkpoint since: the session left its age
         // behind on the process-wide gauge.
         assert!(
-            snap.gauge(names::WAL_CHECKPOINT_AGE_TXNS)
-                >= before.gauge(names::WAL_CHECKPOINT_AGE_TXNS) + 4.0,
+            snap.gauge(metric::WAL_CHECKPOINT_AGE_TXNS)
+                >= before.gauge(metric::WAL_CHECKPOINT_AGE_TXNS) + 4.0,
             "checkpoint-age gauge did not accumulate the commits"
         );
 
-        let (_, stats) = Database::open(&dir).unwrap();
+        let (_, stats) = DurableSharded::open(&dir, 1).unwrap();
         assert_eq!(stats.replayed_txns, 4);
         assert!(
-            obs::snapshot().gauge(names::WAL_REPLAY_LAG_TXNS) > 0.0,
+            obs::snapshot().gauge(metric::WAL_REPLAY_LAG_TXNS) > 0.0,
             "recovery must publish its replay lag"
         );
         let _ = std::fs::remove_dir_all(&dir);

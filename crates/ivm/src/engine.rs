@@ -36,8 +36,8 @@ use crate::{IvmError, IvmResult};
 pub enum PropagationMode {
     /// One posed query at a time, plans re-costed per key, self-rows found
     /// by filtering the whole materialization. Not a serving mode: it is
-    /// the reference the test suites and `bench_ivm` hold
-    /// [`PropagationMode::Fused`] bit-identical to.
+    /// the reference the test suites hold [`PropagationMode::Fused`]
+    /// bit-identical to.
     #[doc(hidden)]
     PerKey,
     /// The production path. Each delta's distinct keys are collected up

@@ -51,7 +51,7 @@ pub use constraints::{Assertion, Violation};
 pub use database::{Database, ExecutionMode, PhaseTotals, ViewSelection};
 #[cfg(feature = "durability")]
 pub use durability::{
-    DurabilityOptions, DurableDatabase, DurableSharded, RecoveryStats, ShardWals,
+    DurabilityOptions, DurableSharded, RecoveryStats, ShardWals,
 };
 pub use engine::{IvmEngine, PropagationMode, UpdateReport};
 pub use pool::PipelinePool;

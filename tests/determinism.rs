@@ -188,4 +188,19 @@ fn scaling_workload_serial_vs_parallel_identical() {
     for (name, config) in variants(base) {
         assert_identical(&serial, &run(&config), name);
     }
+    // The shared query-cost cache keys on the *narrowed* marking slice, so
+    // view sets priced by different workers must collide (sharing is about
+    // keys, not cores). No hit across four workers means narrowing
+    // regressed into full-marking keys.
+    let probe = run(&EvalConfig {
+        parallelism: 4,
+        prune: false,
+        ..base
+    });
+    assert_identical(&serial, &probe, "parallel(4)");
+    assert!(
+        probe.query_cache_hits > 0,
+        "no cross-worker query-cache hit against {} misses",
+        probe.query_cache_misses
+    );
 }
