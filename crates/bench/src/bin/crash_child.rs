@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use spacetime_bench::workload::{crash_fixture_db, crash_fixture_txn};
-use spacetime_ivm::{DurabilityOptions, DurableSharded, PipelinePool, TxnScheduler};
+use spacetime_ivm::{DurabilityOptions, DurableSharded, TxnScheduler};
 use spacetime_storage::ShardSpec;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         DurabilityOptions::default(),
     )
     .expect("create durable db");
-    let sched = TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(1)), dur.wals());
+    let sched = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals());
 
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
@@ -38,7 +38,7 @@ fn main() {
         let line = line.unwrap();
         match line.trim() {
             "go" => {
-                let mut out = sched.run_serial(&[crash_fixture_txn(i)]).expect("run");
+                let mut out = sched.run(&[crash_fixture_txn(i)]).expect("run");
                 out.results.remove(0).expect("apply");
                 writeln!(stdout, "ACK {i}").unwrap();
                 stdout.flush().unwrap();

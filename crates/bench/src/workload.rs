@@ -130,40 +130,6 @@ pub fn random_emp_updates(
     out
 }
 
-/// A reproducible stream of budget modifications (`>Dept`) against data
-/// loaded by [`load_paper_data`] with the same `emps_per_dept` (whose
-/// initial budgets are `emps_per_dept * 200`).
-pub fn random_dept_updates(
-    departments: usize,
-    emps_per_dept: usize,
-    count: usize,
-    seed: u64,
-) -> Vec<(String, Delta)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut budgets: std::collections::HashMap<usize, i64> = std::collections::HashMap::new();
-    let default_budget = (emps_per_dept as i64) * 200;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let d = rng.gen_range(0..departments);
-        let old_budget = *budgets.entry(d).or_insert(default_budget);
-        let new_budget = rng.gen_range(1_500..3_000);
-        if old_budget == new_budget {
-            continue;
-        }
-        budgets.insert(d, new_budget);
-        let dname = format!("dept{d:05}");
-        out.push((
-            "Dept".to_string(),
-            Delta::modify(
-                tuple![dname.clone(), format!("mgr{d}"), old_budget],
-                tuple![dname, format!("mgr{d}"), new_budget],
-                1,
-            ),
-        ));
-    }
-    out
-}
-
 /// A reproducible *mixed* stream of transactions against data loaded by
 /// [`load_paper_data`]: single-employee salary modifications (~45%), hires
 /// (~15%), departures (~15%), department budget changes (~10%), and
@@ -386,15 +352,6 @@ mod tests {
         let mut db = paper_schema_db();
         load_paper_data(&mut db, 10, 5);
         for (table, delta) in a {
-            db.apply_delta(&table, delta).unwrap();
-        }
-    }
-
-    #[test]
-    fn dept_updates_apply_cleanly() {
-        let mut db = paper_schema_db();
-        load_paper_data(&mut db, 10, 5);
-        for (table, delta) in random_dept_updates(10, 5, 10, 7) {
             db.apply_delta(&table, delta).unwrap();
         }
     }

@@ -9,9 +9,10 @@
 //!   against full recomputation;
 //! * the summed counters equal the committed goldens (page I/Os are
 //!   invariants, not targets: a ±1 is a behaviour change);
-//! * the fused path's heap allocations per transaction stay under the
-//!   committed ceiling and below the per-key figure — counts are
-//!   workload-determined, so the bound is tight on any host.
+//! * the fused path's heap allocations per transaction are within ±1 % of
+//!   the committed figure and below the per-key figure — counts are
+//!   workload-determined, so a drift either way is a change to explain
+//!   (and re-record), on any host.
 //!
 //! The counter is a `#[global_allocator]` over the whole process, so this
 //! binary holds exactly one `#[test]`: nothing else may allocate while a
@@ -79,7 +80,7 @@ struct Scenario {
     wide: bool,
     /// Committed `io_total`, `paper_cost_io`, `queries_posed`, both modes.
     golden: [u64; 3],
-    /// Committed fused allocations per transaction (PR 17).
+    /// Committed fused allocations per transaction (re-recorded in PR 21).
     fused_allocs_per_txn: f64,
 }
 
@@ -91,7 +92,7 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 40,
         wide: false,
         golden: [1841, 1244, 272],
-        fused_allocs_per_txn: 132.0,
+        fused_allocs_per_txn: 131.8,
     },
     Scenario {
         name: "scaling",
@@ -109,7 +110,7 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 50,
         wide: true,
         golden: [5794, 3327, 571],
-        fused_allocs_per_txn: 254.7,
+        fused_allocs_per_txn: 254.6,
     },
 ];
 
@@ -195,8 +196,8 @@ fn per_key_and_fused_agree_hit_the_goldens_and_hold_the_allocation_ceiling() {
 
         let per_txn = |t: &Totals| t.allocs as f64 / s.transactions as f64;
         assert!(
-            per_txn(&fu) <= 1.05 * s.fused_allocs_per_txn,
-            "{name}: fused allocates {:.1}/txn, committed {:.1}",
+            (per_txn(&fu) / s.fused_allocs_per_txn - 1.0).abs() <= 0.01,
+            "{name}: fused allocates {:.1}/txn, committed {:.1} (±1 %)",
             per_txn(&fu),
             s.fused_allocs_per_txn
         );

@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
-use spacetime_ivm::{PipelinePool, PropagationMode, ShardedDatabase, Txn, TxnScheduler};
+use spacetime_ivm::{PropagationMode, ShardedDatabase, Txn, TxnScheduler};
 use spacetime_obs::http::ObsServer;
 use spacetime_obs::names as metric;
 use spacetime_storage::ShardSpec;
@@ -80,7 +80,7 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
         .into_iter()
         .map(|(table, delta)| vec![(table, delta)])
         .collect();
-    let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(4)))
+    let out = TxnScheduler::new(&sharded, Arc::default())
         .run(&txns)
         .expect("scheduler run");
     assert!(out.results.iter().all(|r| r.is_ok()));
@@ -100,11 +100,8 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
     let (status_line, text) = get(&addr, "/metrics");
     assert!(status_line.contains("200"), "metrics: {status_line}");
     let stats = &out.stats;
-    assert_eq!((stats.waves, stats.conflict_deferrals), (1, 0), "one dispatch, no re-scan");
     for (name, want) in [
         (metric::SCHED_TXNS, stats.txns),
-        (metric::SCHED_WAVES, stats.waves),
-        (metric::SCHED_ADMITTED_CONCURRENT, stats.admitted_concurrent),
         (metric::SCHED_CROSS_SHARD_TXNS, stats.cross_shard_txns),
     ] {
         assert_eq!(
@@ -132,9 +129,7 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
     let (status_line, doc) = get(&addr, "/statusz");
     assert!(status_line.contains("200"), "statusz: {status_line}");
     assert_eq!(json_u64(&doc, "txns"), Some(stats.txns));
-    assert_eq!(json_u64(&doc, "waves"), Some(stats.waves));
-    assert_eq!(json_u64(&doc, "admitted_concurrent"), Some(stats.admitted_concurrent));
-    assert_eq!(json_u64(&doc, "conflict_serialized"), Some(stats.conflict_deferrals));
+    assert_eq!(json_u64(&doc, "cross_shard_txns"), Some(stats.cross_shard_txns));
     assert_eq!(json_u64(&doc, "committed"), Some(stats.committed));
     assert_eq!(json_u64(&doc, "aborted"), Some(stats.aborted));
     assert!(json_u64(&doc, "uptime_ns").is_some_and(|ns| ns > 0));

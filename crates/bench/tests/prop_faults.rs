@@ -10,8 +10,8 @@
 //!   **bit-identical** to its pre-transaction state, with
 //!   `Database::integrity_check` clean;
 //! * an injected panic reaches the caller only after the rollback, and one
-//!   in a scheduler task surfaces as `IvmError::TaskPanicked` (contained
-//!   by the pool — the process, the workers, and the shards all survive);
+//!   in a scheduled transaction surfaces as that transaction's
+//!   `IvmError::TaskPanicked` (the run and the shards survive it);
 //! * retrying after clearing the fault produces exactly the report and
 //!   contents an unfaulted run produces.
 //!
@@ -25,8 +25,7 @@ use std::sync::Arc;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, IvmError, PipelinePool, ShardedDatabase, Txn, TxnScheduler,
-    UpdateReport,
+    verify_all_views, Database, IvmError, ShardedDatabase, Txn, TxnScheduler, UpdateReport,
 };
 use spacetime_storage::fault::{self, FaultAction, FaultPlan, SITES};
 use spacetime_storage::{Bag, ShardSpec};
@@ -179,8 +178,8 @@ fn sweep_cell(
 /// The full deterministic sweep: every site x hit threshold, typed
 /// errors. An injected panic unwinds the calling thread here, so panics
 /// have their own sweeps below (`commit_panic_rolls_back_before_resuming`,
-/// `three_update_transaction_fault_sweep`) and, inside pool tasks,
-/// `cross_shard_commit_fault_sweep`.
+/// `three_update_transaction_fault_sweep`) and, inside the scheduler's
+/// per-transaction containment, `cross_shard_commit_fault_sweep`.
 #[test]
 fn fault_sweep_preserves_atomicity_at_every_site() {
     let _serial = fault::serial_guard();
@@ -376,10 +375,10 @@ fn seeded_fault_plans_preserve_atomicity() {
 }
 
 /// One cross-shard sweep cell: partition fresh, fault (site, action,
-/// on_hit), run the spanning transaction through a width-`width`
-/// scheduler, and assert the all-or-nothing contract across the whole
-/// footprint — every shard bit-identical to its pre-transaction state
-/// after a fault, and a clean retry reproducing the unfaulted control.
+/// on_hit), run the spanning transaction through the scheduler, and
+/// assert the all-or-nothing contract across the whole footprint — every
+/// shard bit-identical to its pre-transaction state after a fault, and a
+/// clean retry reproducing the unfaulted control.
 #[allow(clippy::too_many_arguments)]
 fn cross_shard_cell(
     template: &Database,
@@ -391,7 +390,6 @@ fn cross_shard_cell(
     site: &'static str,
     action: FaultAction,
     on_hit: u64,
-    width: usize,
 ) {
     let sharded = ShardedDatabase::partition(template, spec.clone(), n_shards).unwrap();
     let pre = shard_contents(&sharded);
@@ -400,10 +398,10 @@ fn cross_shard_cell(
         FaultAction::Panic => FaultPlan::new().panic_at(site, on_hit),
     };
     let guard = fault::install(plan);
-    let sched = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)));
+    let sched = TxnScheduler::new(&sharded, Arc::default());
     let out = sched.run(std::slice::from_ref(txn)).unwrap();
     let fired = guard.fired(site);
-    let label = format!("{site}/{action:?}/hit{on_hit}/w{width}");
+    let label = format!("{site}/{action:?}/hit{on_hit}");
     match &out.results[0] {
         Err(err) => {
             assert!(fired, "{label}: errored without the fault firing: {err}");
@@ -459,10 +457,10 @@ fn cross_shard_cell(
 /// The cross-shard commit protocol under fault injection: a transaction
 /// whose footprint spans several shards, faulted at every commit-path
 /// site (typed error *and* injected panic) at hit thresholds reaching
-/// from the first shard's commit into the last one's, across scheduler
-/// pool widths 1/2/4/8 — plus the dispatch-site panic, which fires before
-/// any shard is touched. Every cell asserts post-failure bit-identity of
-/// *every* shard and retry-equals-control.
+/// from the first shard's commit into the last one's — plus the
+/// dispatch-site panic, which fires before any shard is touched. Every
+/// cell asserts post-failure bit-identity of *every* shard and
+/// retry-equals-control.
 #[test]
 fn cross_shard_commit_fault_sweep() {
     quiet_injected_panics();
@@ -508,8 +506,8 @@ fn cross_shard_commit_fault_sweep() {
     // contents of every shard.
     let (ctrl_report, ctrl_contents) = {
         let sharded = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
-        let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(1)))
-            .run_serial(std::slice::from_ref(&txn))
+        let out = TxnScheduler::new(&sharded, Arc::default())
+            .run(std::slice::from_ref(&txn))
             .unwrap();
         let report = out.results.into_iter().next().unwrap().unwrap();
         (report, shard_contents(&sharded))
@@ -524,7 +522,7 @@ fn cross_shard_commit_fault_sweep() {
     for site in commit_sites {
         let sharded = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
         let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
-        let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(1)))
+        let out = TxnScheduler::new(&sharded, Arc::default())
             .run(std::slice::from_ref(&txn))
             .unwrap();
         assert!(out.results[0].is_ok(), "calibration run must pass");
@@ -545,50 +543,44 @@ fn cross_shard_commit_fault_sweep() {
                 continue;
             }
             for &on_hit in &on_hits {
-                for width in [1usize, 2, 4, 8] {
-                    cross_shard_cell(
-                        &template,
-                        &spec,
-                        N_SHARDS,
-                        &txn,
-                        &ctrl_report,
-                        &ctrl_contents,
-                        site,
-                        action,
-                        on_hit,
-                        width,
-                    );
-                }
+                cross_shard_cell(
+                    &template,
+                    &spec,
+                    N_SHARDS,
+                    &txn,
+                    &ctrl_report,
+                    &ctrl_contents,
+                    site,
+                    action,
+                    on_hit,
+                );
             }
         }
     }
-    // The dispatch-site panic fires before the task body runs: no shard
-    // is ever touched, and the scheduler surfaces a typed TaskPanicked.
-    for width in [1usize, 2, 4, 8] {
-        cross_shard_cell(
-            &template,
-            &spec,
-            N_SHARDS,
-            &txn,
-            &ctrl_report,
-            &ctrl_contents,
-            "ivm::pool_dispatch",
-            FaultAction::Panic,
-            1,
-            width,
-        );
-    }
+    // The dispatch-site panic fires before the transaction body runs: no
+    // shard is ever touched, and the scheduler surfaces a typed
+    // TaskPanicked.
+    cross_shard_cell(
+        &template,
+        &spec,
+        N_SHARDS,
+        &txn,
+        &ctrl_report,
+        &ctrl_contents,
+        "ivm::pool_dispatch",
+        FaultAction::Panic,
+        1,
+    );
 }
 
-/// A body panic advances the sequencer's queues: the first transaction
-/// spans several shards and dies at the dispatch site (inside its own
-/// `catch_unwind`, before any shard is touched); behind it on *each* of
-/// its shards waits a later single-shard transaction, which can only run
-/// once the dead transaction has left the head of that queue. Every
-/// follower must commit, at every pool width, and the shards must equal a
-/// no-fault run of the followers alone.
+/// A body panic fails its transaction alone: the first transaction spans
+/// several shards and dies at the dispatch site (inside its own
+/// `catch_unwind`, before any shard is touched); after it, on *each* of
+/// its shards, comes a later single-shard transaction. Every follower
+/// must commit, and the shards must equal a no-fault run of the followers
+/// alone.
 #[test]
-fn cross_shard_dispatch_panic_advances_every_queue_it_headed() {
+fn cross_shard_dispatch_panic_fails_alone_and_later_txns_commit() {
     quiet_injected_panics();
     let _serial = fault::serial_guard();
     let template = template();
@@ -602,7 +594,7 @@ fn cross_shard_dispatch_panic_advances_every_queue_it_headed() {
     };
     // Employee 0 of every department in one transaction, then employee 1
     // of each department on its own: one follower per department, so at
-    // least one behind the spanning transaction on every shard it touches.
+    // least one after the spanning transaction on every shard it touches.
     let mut spanning = Delta::new();
     (0..5).for_each(|dept| spanning.merge(raise(dept, 0)));
     let followers: Vec<Txn> = (0..5).map(|dept| vec![("Emp".to_string(), raise(dept, 1))]).collect();
@@ -610,44 +602,42 @@ fn cross_shard_dispatch_panic_advances_every_queue_it_headed() {
     txns.extend(followers.iter().cloned());
 
     let control = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
-    let ctrl = TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
-        .run_serial(&followers)
+    let ctrl = TxnScheduler::new(&control, Arc::default())
+        .run(&followers)
         .unwrap();
     assert!(ctrl.results.iter().all(|r| r.is_ok()), "control followers must commit");
 
-    for width in [1usize, 2, 4, 8] {
-        let sharded = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
-        assert!(
-            sharded.route_delta("Emp", &txns[0][0].1).unwrap().len() >= 2,
-            "fixture mis-built: the panicking transaction is single-shard"
-        );
-        let out = {
-            // Every follower queues behind slot 0, so the first hit of
-            // the site is necessarily the spanning transaction's.
-            let _guard = fault::install(FaultPlan::new().panic_at("ivm::pool_dispatch", 1));
-            TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)))
-                .run(&txns)
-                .unwrap()
-        };
-        assert!(
-            matches!(&out.results[0], Err(IvmError::TaskPanicked { message })
-                if message.contains("injected panic")),
-            "width {width}: expected the spanning transaction to panic, got {:?}",
-            out.results[0]
-        );
-        for (i, (r, c)) in out.results[1..].iter().zip(&ctrl.results).enumerate() {
-            assert_eq!(
-                r.as_ref().ok(),
-                c.as_ref().ok(),
-                "width {width}: follower {i} did not run as in the no-fault control"
-            );
-        }
-        assert_eq!((out.stats.committed, out.stats.aborted), (5, 1), "width {width}");
+    let sharded = ShardedDatabase::partition(&template, spec, N_SHARDS).unwrap();
+    assert!(
+        sharded.route_delta("Emp", &txns[0][0].1).unwrap().len() >= 2,
+        "fixture mis-built: the panicking transaction is single-shard"
+    );
+    let out = {
+        // Transactions run in admission order, so the first hit of the
+        // site is necessarily the spanning transaction's.
+        let _guard = fault::install(FaultPlan::new().panic_at("ivm::pool_dispatch", 1));
+        TxnScheduler::new(&sharded, Arc::default())
+            .run(&txns)
+            .unwrap()
+    };
+    assert!(
+        matches!(&out.results[0], Err(IvmError::TaskPanicked { message })
+            if message.contains("injected panic")),
+        "expected the spanning transaction to panic, got {:?}",
+        out.results[0]
+    );
+    for (i, (r, c)) in out.results[1..].iter().zip(&ctrl.results).enumerate() {
         assert_eq!(
-            shard_contents(&sharded),
-            shard_contents(&control),
-            "width {width}: shards diverged from the followers-only control"
+            r.as_ref().ok(),
+            c.as_ref().ok(),
+            "follower {i} did not run as in the no-fault control"
         );
-        assert!(sharded.verify_all_shards().unwrap().is_empty());
     }
+    assert_eq!((out.stats.committed, out.stats.aborted), (5, 1));
+    assert_eq!(
+        shard_contents(&sharded),
+        shard_contents(&control),
+        "shards diverged from the followers-only control"
+    );
+    assert!(sharded.verify_all_shards().unwrap().is_empty());
 }

@@ -1,26 +1,22 @@
-//! Property tests for sharded concurrent serving: under any random
-//! workload, any shard count, and any scheduler pool width,
-//! [`TxnScheduler::run`] must be **bit-identical** to its serial replay
-//! ([`TxnScheduler::run_serial`]) in every per-transaction report and
-//! every table of every shard — the determinism invariant — and the
-//! shard union of every base and materialized table must equal an
-//! unsharded control database fed the same transactions in admission
-//! order (the shard-locality contract).
+//! Property tests for sharded serving: under any random workload and any
+//! shard count, [`TxnScheduler::run`] must agree with an unsharded
+//! control database fed the same transactions in admission order — the
+//! same transactions succeed, the shard union of every base and
+//! materialized table equals the control's contents (the shard-locality
+//! contract), and every shard equals its own recomputation.
 //!
 //! At one shard the scheduler degenerates to the unsharded database and
-//! must reproduce its reports *exactly*, charged I/O included. At more
-//! shards the contents still match but per-shard I/O counts legitimately
-//! differ (smaller tables), so only Ok/Err alignment is asserted.
+//! must reproduce its reports and spans *exactly*, charged I/O included.
+//! At more shards the contents still match but per-shard I/O counts
+//! legitimately differ (smaller tables), so only Ok/Err alignment is
+//! asserted.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
-use spacetime_ivm::{
-    Database, IvmError, PipelinePool, PropagationMode, SchedOutcome, ShardedDatabase, Txn,
-    TxnScheduler,
-};
+use spacetime_ivm::{Database, IvmError, PropagationMode, ShardedDatabase, Txn, TxnScheduler};
 use spacetime_storage::ShardSpec;
 
 const VIEWS: &[&str] = &[
@@ -82,6 +78,7 @@ fn unfaulted() -> Option<std::sync::MutexGuard<'static, ()>> {
 }
 
 /// Every table of every shard of `a` equals its counterpart in `b`.
+#[cfg(feature = "failpoints")]
 fn assert_shards_identical(a: &ShardedDatabase, b: &ShardedDatabase, ctx: &str) {
     for s in 0..a.n_shards() {
         let (a, b) = (a.shard(s), b.shard(s));
@@ -95,13 +92,31 @@ fn assert_shards_identical(a: &ShardedDatabase, b: &ShardedDatabase, ctx: &str) 
     }
 }
 
-fn assert_serving_identical(
+/// The shard-locality contract: every base and materialized table's shard
+/// union equals the unsharded control's contents, and every shard equals
+/// its own recomputation.
+fn assert_matches_control(sharded: &ShardedDatabase, control: &Database, ctx: &str) {
+    let mut names: Vec<String> = vec!["Emp".into(), "Dept".into()];
+    names.extend(materialized_tables(control));
+    for name in &names {
+        assert_eq!(
+            &sharded.union_table(name).unwrap(),
+            control.catalog.table(name).unwrap().relation.data(),
+            "shard union of {name} diverged from the unsharded control ({ctx})"
+        );
+    }
+    assert!(
+        sharded.verify_all_shards().unwrap().is_empty(),
+        "a shard diverged from recomputation ({ctx})"
+    );
+}
+
+fn assert_serving_matches_control(
     departments: usize,
     emps_per_dept: usize,
     n_txns: usize,
     seed: u64,
     n_shards: usize,
-    width: usize,
     mode: PropagationMode,
 ) {
     let _unfaulted = unfaulted();
@@ -112,9 +127,8 @@ fn assert_serving_identical(
         .collect();
 
     // The unsharded control: same transactions, admission order. Tracing
-    // is on everywhere in this sweep — every determinism assert below
-    // doubles as proof that span collection never perturbs reports or
-    // contents.
+    // is on everywhere in this sweep — every assert below doubles as
+    // proof that span collection never perturbs reports or contents.
     let mut control = template.clone();
     control.set_tracing(true);
     let mut ctrl_traces = Vec::with_capacity(txns.len());
@@ -129,29 +143,13 @@ fn assert_serving_identical(
 
     let mut sharded = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
     sharded.set_tracing(true);
-    let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)))
+    let out = TxnScheduler::new(&sharded, Arc::default())
         .run(&txns)
         .unwrap();
-    let mut replayed = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
-    replayed.set_tracing(true);
-    let replay = TxnScheduler::new(&replayed, Arc::new(PipelinePool::new(1)))
-        .run_serial(&txns)
-        .unwrap();
 
-    let ctx = format!("{n_shards} shard(s), width {width}, seed {seed}, {mode:?}");
-    // Determinism: slot-by-slot bit-identical reports against the serial
-    // replay, and every table of every shard identical.
-    for (i, (a, b)) in out.results.iter().zip(replay.results.iter()).enumerate() {
-        match (a, b) {
-            (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "txn {i}: report diverged ({ctx})"),
-            (Err(_), Err(_)) => {}
-            _ => panic!("txn {i}: Ok/Err diverged between concurrent run and replay ({ctx})"),
-        }
-    }
-    assert_shards_identical(&sharded, &replayed, &format!("serial replay, {ctx}"));
-
-    // Against the unsharded control: success alignment always, exact
-    // reports in the one-shard degenerate case.
+    let ctx = format!("{n_shards} shard(s), seed {seed}, {mode:?}");
+    // Success alignment always, exact reports in the one-shard degenerate
+    // case.
     for (i, (r, c)) in out.results.iter().zip(ctrl_reports.iter()).enumerate() {
         assert_eq!(
             r.is_ok(),
@@ -164,43 +162,18 @@ fn assert_serving_identical(
             }
         }
     }
-    // The shard-locality contract: every base and materialized table's
-    // shard union equals the control's contents.
-    let mut names: Vec<String> = vec!["Emp".into(), "Dept".into()];
-    names.extend(materialized_tables(&control));
-    for name in &names {
-        assert_eq!(
-            &sharded.union_table(name).unwrap(),
-            control.catalog.table(name).unwrap().relation.data(),
-            "shard union of {name} diverged from the unsharded control ({ctx})"
-        );
-    }
-    assert!(
-        sharded.verify_all_shards().unwrap().is_empty(),
-        "a shard diverged from recomputation ({ctx})"
-    );
+    assert_matches_control(&sharded, &control, &ctx);
 
-    // Span determinism: a committed transaction's span is structurally
-    // identical between the concurrent run and the serial replay at any
-    // pool width (wall clocks and notes are non-structural), and every
-    // committed slot carries a span.
-    for (i, (a, b)) in out.traces.iter().zip(replay.traces.iter()).enumerate() {
+    // Every committed slot carries a span and no failed slot does; at one
+    // shard the sharded span *is* the unsharded transaction span — the
+    // serving layer may annotate (notes) but not restructure.
+    for (i, (t, c)) in out.traces.iter().zip(ctrl_traces.iter()).enumerate() {
         assert_eq!(
-            a.is_some(),
+            t.is_some(),
             out.results[i].is_ok(),
             "txn {i}: committed slots must carry a span, failed slots must not ({ctx})"
         );
-        if let (Some(a), Some(b)) = (a, b) {
-            assert!(
-                a.structural_eq(b),
-                "txn {i}: concurrent span diverged from the replay span ({ctx})"
-            );
-        }
-    }
-    // At one shard the sharded span *is* the unsharded transaction span:
-    // the serving layer may annotate (notes) but not restructure.
-    if n_shards == 1 {
-        for (i, (t, c)) in out.traces.iter().zip(ctrl_traces.iter()).enumerate() {
+        if n_shards == 1 {
             assert_eq!(
                 t.is_some(),
                 c.is_some(),
@@ -225,8 +198,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Random workloads x shard counts x pool widths: concurrent serving
-    /// is bit-identical to serial replay and exact against the control.
+    /// Random workloads x shard counts: serving is exact against the
+    /// unsharded control fed the same transactions in admission order.
     #[test]
     fn sharded_serving_matches_serial_replay_and_control(
         departments in 3usize..8,
@@ -234,33 +207,31 @@ proptest! {
         n_txns in 8usize..25,
         seed in any::<u64>(),
         n_shards in 1usize..5,
-        width_exp in 0u32..4,
         per_key in 0u8..2,
     ) {
         let mode = if per_key == 1 { PropagationMode::PerKey } else { PropagationMode::Fused };
-        // Pool widths 1/2/4/8.
-        assert_serving_identical(departments, emps_per_dept, n_txns, seed, n_shards, 1 << width_exp, mode);
+        assert_serving_matches_control(departments, emps_per_dept, n_txns, seed, n_shards, mode);
     }
 }
 
 /// Deterministic smoke version (no proptest shrink noise in CI logs)
-/// sweeping every pool width at a fixed seed, under the production mode
+/// sweeping shard counts 1–4 at a fixed seed, under the production mode
 /// and the per-key reference.
 #[test]
 fn sharded_serving_identical_at_fixed_seeds_and_widths() {
     for mode in [PropagationMode::PerKey, PropagationMode::Fused] {
-        for (n_shards, width) in [(1, 1), (2, 2), (3, 4), (4, 8)] {
-            assert_serving_identical(6, 4, 20, 0xC0FFEE, n_shards, width, mode);
+        for n_shards in 1..=4 {
+            assert_serving_matches_control(6, 4, 20, 0xC0FFEE, n_shards, mode);
         }
     }
 }
 
 /// A transaction that violates an integrity assertion must fail in the
-/// same slot under concurrent serving, serial replay, and the unsharded
-/// control — and a *cross-shard* violator must leave every shard
-/// bit-identical to its pre-transaction state (the commit protocol aborts
-/// the participants that applied before the violating one), whether the
-/// violation is the transaction's only update or its second.
+/// same slot under sharded serving and the unsharded control — and a
+/// *cross-shard* violator must leave every shard bit-identical to its
+/// pre-transaction state (the commit protocol aborts the participants
+/// that applied before the violating one), whether the violation is the
+/// transaction's only update or its second.
 #[test]
 fn assertion_violations_align_across_serving_modes() {
     let _unfaulted = unfaulted();
@@ -336,7 +307,7 @@ fn assertion_violations_align_across_serving_modes() {
     };
     let expect_ok = [true, false, false, false, true];
 
-    for (n_shards, width) in [(1, 2), (3, 2), (4, 4)] {
+    for n_shards in [1, 3, 4] {
         let sharded = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
         let txns = vec![
             benign.clone(),
@@ -359,23 +330,14 @@ fn assertion_violations_align_across_serving_modes() {
             .collect();
         assert_eq!(ctrl_ok, expect_ok, "fixture mis-built");
 
-        let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)))
+        let out = TxnScheduler::new(&sharded, Arc::default())
             .run(&txns)
-            .unwrap();
-        let replayed = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
-        let replay = TxnScheduler::new(&replayed, Arc::new(PipelinePool::new(1)))
-            .run_serial(&txns)
             .unwrap();
         for (i, ok) in ctrl_ok.iter().enumerate() {
             assert_eq!(
                 out.results[i].is_ok(),
                 *ok,
                 "txn {i}: sharded outcome diverged from control ({n_shards} shards)"
-            );
-            assert_eq!(
-                replay.results[i].is_ok(),
-                *ok,
-                "txn {i}: replay outcome diverged from control ({n_shards} shards)"
             );
             if !*ok {
                 assert!(
@@ -386,31 +348,8 @@ fn assertion_violations_align_across_serving_modes() {
         }
         // The violators rolled back across the whole footprint: the
         // final union matches the control (which also rejected them).
-        let mut names: Vec<String> = vec!["Emp".into(), "Dept".into()];
-        names.extend(materialized_tables(&control));
-        for name in &names {
-            assert_eq!(
-                &sharded.union_table(name).unwrap(),
-                control.catalog.table(name).unwrap().relation.data(),
-                "shard union of {name} diverged after violations ({n_shards} shards)"
-            );
-        }
-        assert!(sharded.verify_all_shards().unwrap().is_empty());
+        assert_matches_control(&sharded, &control, &format!("{n_shards} shards"));
     }
-}
-
-/// `TxnScheduler::run` on its own thread under a watchdog: a sequencer
-/// that deadlocks fails the test instead of hanging the suite.
-fn run_watched(db: &Arc<ShardedDatabase>, width: usize, txns: &[Txn], ctx: &str) -> SchedOutcome {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let (db, txns) = (Arc::clone(db), txns.to_vec());
-    std::thread::spawn(move || {
-        let out = TxnScheduler::new(&db, Arc::new(PipelinePool::new(width))).run(&txns);
-        let _ = tx.send(out);
-    });
-    rx.recv_timeout(std::time::Duration::from_secs(120))
-        .unwrap_or_else(|e| panic!("watchdog: run neither finished nor failed: {e} ({ctx})"))
-        .unwrap()
 }
 
 /// A cross-shard-heavy stream over the paper schema with DeptConstraint
@@ -486,11 +425,11 @@ fn cross_shard_heavy(
     (txns, expect_ok, multi)
 }
 
-/// Deadlock-freedom and determinism where the sequencer is under the most
-/// strain: at least half of the queue spans 2–4 shards, violations roll
-/// back from the last participant, and the pool is narrower than, as wide
-/// as, and wider than the shard count. Results, reports, every table of
-/// every shard and every span must equal the serial replay.
+/// The cross-shard commit protocol under the most strain: at least half
+/// of the stream spans 2–4 shards and violations roll back from the last
+/// participant, at 2, 4 and 8 shards. Outcomes must match the generator's
+/// labels and the unsharded control, every committed slot must carry a
+/// span, and the shard unions must equal the control's tables.
 #[test]
 fn cross_shard_heavy_sweep_matches_serial_replay_at_every_width() {
     let _unfaulted = unfaulted();
@@ -502,50 +441,40 @@ fn cross_shard_heavy_sweep_matches_serial_replay_at_every_width() {
         )
         .unwrap();
     for n_shards in [2usize, 4, 8] {
-        for width in [1usize, 2, 4, 8] {
-            let ctx = format!("{n_shards} shards, width {width}");
-            let partition = || {
-                let mut db = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
-                db.set_tracing(true);
-                db
-            };
-            let sharded = Arc::new(partition());
-            let seed = 0x5EED ^ ((n_shards as u64) << 8) ^ width as u64;
-            let (txns, expect_ok, multi) = cross_shard_heavy(&sharded, DEPARTMENTS, 48, seed);
-            assert!(2 * multi >= txns.len(), "fixture is not cross-shard-heavy ({ctx})");
-            assert!(expect_ok.contains(&false), "fixture has no violation ({ctx})");
+        let ctx = format!("{n_shards} shards");
+        let mut sharded = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
+        sharded.set_tracing(true);
+        let seed = 0x5EED ^ ((n_shards as u64) << 8);
+        let (txns, expect_ok, multi) = cross_shard_heavy(&sharded, DEPARTMENTS, 48, seed);
+        assert!(2 * multi >= txns.len(), "fixture is not cross-shard-heavy ({ctx})");
+        assert!(expect_ok.contains(&false), "fixture has no violation ({ctx})");
 
-            let out = run_watched(&sharded, width, &txns, &ctx);
-            let replayed = partition();
-            let replay = TxnScheduler::new(&replayed, Arc::new(PipelinePool::new(1)))
-                .run_serial(&txns)
-                .unwrap();
-            assert_eq!(out.stats.cross_shard_txns as usize, multi, "{ctx}");
-            for (i, (a, b)) in out.results.iter().zip(replay.results.iter()).enumerate() {
-                match (a, b) {
-                    (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "txn {i}: report diverged ({ctx})"),
-                    (Err(IvmError::AssertionViolated { .. }), Err(_)) => {}
-                    _ => panic!("txn {i}: run {a:?} but run_serial {b:?} ({ctx})"),
-                }
-                assert_eq!(a.is_ok(), expect_ok[i], "txn {i}: unexpected outcome {a:?} ({ctx})");
-                assert_eq!(out.traces[i].is_some(), a.is_ok(), "txn {i}: span presence ({ctx})");
-                if let (Some(s), Some(t)) = (&out.traces[i], &replay.traces[i]) {
-                    assert!(s.structural_eq(t), "txn {i}: span diverged from the replay ({ctx})");
-                }
+        let mut control = template.clone();
+        let ctrl_ok: Vec<bool> =
+            txns.iter().map(|t| control.apply_transaction(t.clone()).is_ok()).collect();
+        assert_eq!(ctrl_ok, expect_ok, "control disagrees with the generator ({ctx})");
+
+        let out = TxnScheduler::new(&sharded, Arc::default())
+            .run(&txns)
+            .unwrap();
+        assert_eq!(out.stats.cross_shard_txns as usize, multi, "{ctx}");
+        for (i, r) in out.results.iter().enumerate() {
+            assert_eq!(r.is_ok(), expect_ok[i], "txn {i}: unexpected outcome {r:?} ({ctx})");
+            if let Err(e) = r {
+                assert!(matches!(e, IvmError::AssertionViolated { .. }), "txn {i}: {e} ({ctx})");
             }
-            assert_shards_identical(&sharded, &replayed, &format!("serial replay, {ctx}"));
-            assert!(sharded.verify_all_shards().unwrap().is_empty(), "{ctx}");
+            assert_eq!(out.traces[i].is_some(), r.is_ok(), "txn {i}: span presence ({ctx})");
         }
+        assert_matches_control(&sharded, &control, &ctx);
     }
 }
 
 /// Regression: a dispatch-site panic (`ivm::pool_dispatch`, fired inside
 /// one transaction's own `catch_unwind` before its body) that kills one
 /// transaction mid-run must leave every other transaction's work
-/// untouched — the drain task and the pool survive, the panicked
-/// transaction's shards are bit-identical to never having run it (and
-/// their queues advance past it), and the final state matches a no-fault
-/// serial run of the surviving transactions.
+/// untouched — the run goes on, the panicked transaction's shards are
+/// bit-identical to never having run it, and the final state matches a
+/// no-fault run of the surviving transactions.
 #[cfg(feature = "failpoints")]
 #[test]
 fn mid_run_dispatch_panic_leaves_other_shards_untouched() {
@@ -580,7 +509,7 @@ fn mid_run_dispatch_panic_leaves_other_shards_untouched() {
     let sharded = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
     let out = {
         let _guard = fault::install(FaultPlan::new().panic_at("ivm::pool_dispatch", 1));
-        TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(4)))
+        TxnScheduler::new(&sharded, Arc::default())
             .run(&txns)
             .unwrap()
     };
@@ -594,9 +523,8 @@ fn mid_run_dispatch_panic_leaves_other_shards_untouched() {
     assert_eq!(panicked.len(), 1, "exactly one transaction hit the panic");
     let j = panicked[0];
 
-    // A no-fault serial control fed everything except the killed
-    // transaction: the concurrent run's survivors must have produced
-    // exactly this state.
+    // A no-fault control fed everything except the killed transaction:
+    // the faulted run's survivors must have produced exactly this state.
     let surviving: Vec<Txn> = txns
         .iter()
         .enumerate()
@@ -604,8 +532,8 @@ fn mid_run_dispatch_panic_leaves_other_shards_untouched() {
         .map(|(_, t)| t.clone())
         .collect();
     let control = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
-    let ctrl = TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
-        .run_serial(&surviving)
+    let ctrl = TxnScheduler::new(&control, Arc::default())
+        .run(&surviving)
         .unwrap();
     for (slot, i) in (0..txns.len()).filter(|&i| i != j).enumerate() {
         assert_eq!(

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, DurabilityOptions, DurableSharded, PipelinePool, PropagationMode,
+    verify_all_views, Database, DurabilityOptions, DurableSharded, PropagationMode,
     ShardedDatabase, Txn, TxnScheduler,
 };
 use spacetime_storage::{ShardSpec, Tuple, Value};
@@ -181,8 +181,8 @@ fn create_unsharded(template: &Database, dir: &Path, opts: DurabilityOptions) ->
 
 /// Run `txns` durably, one at a time in order; how many committed.
 fn run_durable(dur: &DurableSharded, txns: &[Txn]) -> u64 {
-    let out = TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(1)), dur.wals())
-        .run_serial(txns)
+    let out = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
+        .run(txns)
         .unwrap();
     out.results.iter().filter(|r| r.is_ok()).count() as u64
 }
@@ -329,15 +329,15 @@ fn wal_interrupted_create_can_be_retried() {
 
     let dur = create().unwrap_or_else(|e| panic!("retry over the half-made directory: {e}"));
     let txns = sharded_txns(&shard_spec(), 2);
-    TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(2)), dur.wals())
+    TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
         .run(&txns)
         .unwrap();
     drop(dur);
     let (rec, stats) = DurableSharded::open_with(&dir, 2, DurabilityOptions::default()).unwrap();
     assert_eq!(stats.replayed_txns, txns.len() as u64);
     let control = ShardedDatabase::partition(&template, shard_spec(), 2).unwrap();
-    TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
-        .run_serial(&txns)
+    TxnScheduler::new(&control, Arc::default())
+        .run(&txns)
         .unwrap();
     assert_sharded_eq(rec.db(), &control, "recovery after a retried create");
     assert!(create().is_err(), "an initialized directory still refuses create");
@@ -384,8 +384,7 @@ fn wal_sharded_crash_matrix() {
                     DurabilityOptions::default(),
                 )
                 .unwrap();
-                let pool = Arc::new(PipelinePool::new(4));
-                TxnScheduler::with_wals(dur.db(), Arc::clone(&pool), dur.wals())
+                TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
                     .run(&txns)
                     .unwrap();
                 drop(dur);
@@ -394,8 +393,8 @@ fn wal_sharded_crash_matrix() {
                 let (rec, _stats) = DurableSharded::open(&dir, n_shards).unwrap();
                 let control =
                     ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-                TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
-                    .run_serial(&txns[..keep])
+                TxnScheduler::new(&control, Arc::default())
+                    .run(&txns[..keep])
                     .unwrap();
                 assert_sharded_eq(rec.db(), &control, &format!("recovery == control ({ctx})"));
                 assert!(
@@ -404,13 +403,13 @@ fn wal_sharded_crash_matrix() {
                 );
 
                 // Retry the lost tail durably on the recovered shards.
-                TxnScheduler::with_wals(rec.db(), pool, rec.wals())
-                    .run_serial(&txns[keep..])
+                TxnScheduler::with_wals(rec.db(), Arc::default(), rec.wals())
+                    .run(&txns[keep..])
                     .unwrap();
                 let control_full =
                     ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-                TxnScheduler::new(&control_full, Arc::new(PipelinePool::new(1)))
-                    .run_serial(&txns)
+                TxnScheduler::new(&control_full, Arc::default())
+                    .run(&txns)
                     .unwrap();
                 assert_sharded_eq(rec.db(), &control_full, &format!("retry == control ({ctx})"));
                 cleanup(&dir);
@@ -450,11 +449,10 @@ fn wal_global_commit_crash_aborts_cross_shard_txn() {
                 DurabilityOptions::default(),
             )
             .unwrap();
-            let pool = Arc::new(PipelinePool::new(1));
-            // Serial: global commit records land in admission order, so
-            // the last global frame belongs to the last transaction.
-            TxnScheduler::with_wals(dur.db(), Arc::clone(&pool), dur.wals())
-                .run_serial(&txns)
+            // Global commit records land in admission order, so the last
+            // global frame belongs to the last transaction.
+            TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
+                .run(&txns)
                 .unwrap();
             drop(dur);
             crash::drop_last_frame(&dir.join("global.log")).unwrap();
@@ -465,8 +463,8 @@ fn wal_global_commit_crash_aborts_cross_shard_txn() {
                 "both prepared participants must be presumed aborted ({ctx})"
             );
             let control = ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-            TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
-                .run_serial(&txns[..total - 1])
+            TxnScheduler::new(&control, Arc::default())
+                .run(&txns[..total - 1])
                 .unwrap();
             assert_sharded_eq(rec.db(), &control, &format!("recovery == control ({ctx})"));
             assert!(
@@ -475,13 +473,13 @@ fn wal_global_commit_crash_aborts_cross_shard_txn() {
             );
 
             // Retry the aborted cross-shard transaction.
-            TxnScheduler::with_wals(rec.db(), pool, rec.wals())
-                .run_serial(&txns[total - 1..])
+            TxnScheduler::with_wals(rec.db(), Arc::default(), rec.wals())
+                .run(&txns[total - 1..])
                 .unwrap();
             let control_full =
                 ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-            TxnScheduler::new(&control_full, Arc::new(PipelinePool::new(1)))
-                .run_serial(&txns)
+            TxnScheduler::new(&control_full, Arc::default())
+                .run(&txns)
                 .unwrap();
             assert_sharded_eq(rec.db(), &control_full, &format!("retry == control ({ctx})"));
             cleanup(&dir);
@@ -506,8 +504,7 @@ fn wal_sharded_checkpoint_then_recover() {
         DurabilityOptions::default(),
     )
     .unwrap();
-    let pool = Arc::new(PipelinePool::new(2));
-    TxnScheduler::with_wals(dur.db(), Arc::clone(&pool), dur.wals())
+    TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
         .run(&txns)
         .unwrap();
     dur.checkpoint().unwrap();
@@ -515,8 +512,8 @@ fn wal_sharded_checkpoint_then_recover() {
     let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
     assert_eq!(stats.replayed_txns, 0, "checkpoint absorbed the whole log");
     let control = ShardedDatabase::partition(&template, spec, n_shards).unwrap();
-    TxnScheduler::new(&control, Arc::new(PipelinePool::new(1)))
-        .run_serial(&txns)
+    TxnScheduler::new(&control, Arc::default())
+        .run(&txns)
         .unwrap();
     assert_sharded_eq(rec.db(), &control, "post-checkpoint recovery");
     assert!(rec.db().verify_all_shards().unwrap().is_empty());

@@ -13,8 +13,8 @@
 //! The rules assume **sequential propagation**: a transaction that updates
 //! several base relations propagates one relation's delta at a time (states
 //! are updated between propagations), so at any moment exactly one child of
-//! a binary node carries a delta. `InputAccess::matching` must answer with
-//! the *pre-update* state of the queried input.
+//! a binary node carries a delta. `InputAccess::matching_all` must answer
+//! with the *pre-update* state of the queried input.
 //!
 //! The aggregate rule realizes the paper's three costing regimes:
 //!
@@ -47,41 +47,23 @@ use crate::delta::{Delta, Modify};
 /// it had to be derived. The two compare equal on equal content; callers
 /// just iterate.
 pub trait InputAccess {
-    /// Tuples of input `child` whose `cols` project to `key`, in the
-    /// pre-update state. This is the paper's "query posed on an equivalence
-    /// node"; implementations charge lookup or evaluation cost as
-    /// appropriate.
-    fn matching(
-        &mut self,
-        child: usize,
-        cols: &[usize],
-        key: &[Value],
-    ) -> StorageResult<Cow<'_, Bag>>;
-
-    /// Answer one posed query per key in a single batch. **Positional**:
-    /// the result has exactly `keys.len()` answers and answer `i` is
+    /// Tuples of input `child` whose `cols` project to each key, in the
+    /// pre-update state — per key, the paper's "query posed on an
+    /// equivalence node" — answered in one batch. **Positional**: the
+    /// result has exactly `keys.len()` answers and answer `i` is
     /// `keys[i]`'s — an empty batch gives an empty vector, a key with no
     /// match an empty bag, a repeated key is posed (and charged) again.
     /// The rules collect each delta's distinct keys up front (sorted) and
     /// call this once per (child, cols), so implementations can amortize
-    /// plan choice and index resolution across the whole delta. The
-    /// default answers key by key via [`InputAccess::matching`]; overrides
-    /// must charge the same I/O — batching may change wall-clock time,
-    /// never the charged counters.
+    /// plan choice and index resolution across the whole delta; they
+    /// charge lookup or evaluation cost per key as appropriate — batching
+    /// may change wall-clock time, never the charged counters.
     fn matching_all(
         &mut self,
         child: usize,
         cols: &[usize],
         keys: &[Vec<Value>],
-    ) -> StorageResult<Vec<Cow<'_, Bag>>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            // Owned: each answer's borrow of `self` must end before the
-            // next query is posed.
-            out.push(Cow::Owned(self.matching(child, cols, key)?.into_owned()));
-        }
-        Ok(out)
-    }
+    ) -> StorageResult<Vec<Cow<'_, Bag>>>;
 
     /// The node's own old output rows whose `cols` project to `key`, *if*
     /// the node's output is materialized (borrowed from the
@@ -112,7 +94,7 @@ pub struct BagAccess {
     pub self_output: Option<Bag>,
     /// Whether deltas are group-complete (see trait).
     pub complete: bool,
-    /// Number of `matching` queries answered.
+    /// Number of posed queries answered (one per key).
     pub queries_posed: usize,
     /// Answer `matching_all` by partitioning the child once with a
     /// [`HashIndex`] instead of filtering per key. Output and
@@ -160,16 +142,6 @@ fn filter_by_key<'b>(bag: &'b Bag, cols: &[usize], key: &[Value]) -> Cow<'b, Bag
 }
 
 impl InputAccess for BagAccess {
-    fn matching(
-        &mut self,
-        child: usize,
-        cols: &[usize],
-        key: &[Value],
-    ) -> StorageResult<Cow<'_, Bag>> {
-        self.queries_posed += 1;
-        Ok(filter_by_key(&self.children[child], cols, key))
-    }
-
     fn matching_all(
         &mut self,
         child: usize,

@@ -40,13 +40,26 @@ pub enum ViewSelection {
     RuleOfThumb,
 }
 
-// Compile shim for the frozen benchmark harness, which still names the one
-// execution mode left; the follow-up benchmark PR removes that call, then this.
+// Compile shims for the frozen benchmark harness, which still names the one
+// execution mode left and hands `TxnScheduler::new`/`with_wals` an
+// `Arc<PipelinePool>` that both ignore (transactions run on the calling
+// thread); the follow-up benchmark PR removes those calls, then these.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     #[default]
     Sequential,
+}
+
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct PipelinePool;
+
+impl PipelinePool {
+    #[doc(hidden)]
+    pub fn new(_width: usize) -> Self {
+        PipelinePool
+    }
 }
 
 /// Outcome of one executed statement.
@@ -82,8 +95,6 @@ pub struct Database {
     mode: PropagationMode,
     tracing: bool,
     last_trace: Option<TraceNode>,
-    /// Accumulated maintenance reports (for benchmarking).
-    pub last_report: Option<UpdateReport>,
     /// The rollback journal — the one rollback mechanism (DESIGN.md §12).
     /// Outside a transaction scope each update resets it on entry and on
     /// success; inside one it accumulates across updates until the scope
@@ -99,12 +110,11 @@ pub struct Database {
     phase_totals: PhaseTotals,
 }
 
-/// What an open transaction scope puts back if it aborts: the report and
-/// trace the session showed before the transaction began. The scope owns
-/// them (moved in, moved back), so no layer above copies either.
+/// What an open transaction scope puts back if it aborts: the trace the
+/// session showed before the transaction began. The scope owns it (moved
+/// in, moved back), so no layer above copies it.
 #[derive(Debug, Clone)]
 struct TxnScope {
-    prior_report: Option<UpdateReport>,
     prior_trace: Option<TraceNode>,
 }
 
@@ -149,7 +159,6 @@ impl Database {
             mode: PropagationMode::default(),
             tracing: false,
             last_trace: None,
-            last_report: None,
             undo: spacetime_delta::UndoLog::new(),
             txn: None,
             collect_phases: false,
@@ -619,7 +628,6 @@ impl Database {
                 obs::drift::note_view_cost(&e.name, plan.report.total() as f64);
             }
         }
-        self.last_report = Some(combined.clone());
         Ok(combined)
     }
 
@@ -783,8 +791,8 @@ impl Database {
 
     /// Open a transaction scope: until [`Database::commit_transaction`] or
     /// [`Database::abort_transaction`], every update's writes accumulate
-    /// in one journal. The scope takes the session's current report and
-    /// trace, to put back on abort. A scope already open is a caller bug
+    /// in one journal. The scope takes the session's current trace, to
+    /// put back on abort. A scope already open is a caller bug
     /// and an error — journals are never silently merged.
     pub(crate) fn begin_transaction(&mut self) -> IvmResult<()> {
         if self.txn.is_some() {
@@ -794,7 +802,6 @@ impl Database {
         }
         self.undo.reset();
         self.txn = Some(TxnScope {
-            prior_report: self.last_report.take(),
             prior_trace: self.last_trace.take(),
         });
         Ok(())
@@ -810,13 +817,12 @@ impl Database {
 
     /// Close the open scope undoing its writes: the journal replays in
     /// reverse (a no-op if a failing commit already replayed it) and the
-    /// pre-transaction report and trace come back. Without an open scope
+    /// pre-transaction trace comes back. Without an open scope
     /// there is nothing to abort.
     pub(crate) fn abort_transaction(&mut self) -> IvmResult<()> {
         let Some(scope) = self.txn.take() else {
             return Ok(());
         };
-        self.last_report = scope.prior_report;
         self.last_trace = scope.prior_trace;
         replay_journal(&mut self.undo, &mut self.catalog)
     }
@@ -855,7 +861,6 @@ impl Database {
                 }
             }
         }
-        self.last_report = Some(combined.clone());
         if let Some(mut txn) = txn_trace {
             if let Some(t0) = t0 {
                 txn.set_wall(t0.elapsed());
@@ -941,7 +946,8 @@ impl Database {
 
 /// Replay the journal against the catalog. A mismatch between the two is
 /// a recording bug; it fails the transaction with a typed error rather
-/// than a panic, because aborts run inside the scheduler's pool workers.
+/// than a panic, so a scheduler run reports it in that transaction's slot
+/// and goes on.
 fn replay_journal(undo: &mut spacetime_delta::UndoLog, catalog: &mut Catalog) -> IvmResult<()> {
     undo.rollback(catalog).map_err(|e| {
         IvmError::Internal(format!(

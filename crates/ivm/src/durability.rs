@@ -302,8 +302,8 @@ struct ReplaySummary {
 /// Replay a scanned log tail through the normal propagation engines.
 ///
 /// Transactions apply at their commit decision, in log order — which is
-/// the original apply order, because transactions on one shard are
-/// serialized by the footprint scheduler. A `Prepared` participant
+/// the original apply order, because the scheduler runs transactions
+/// one at a time in admission order. A `Prepared` participant
 /// commits iff its global id is in `global_committed`.
 fn replay_records(
     db: &mut Database,
@@ -365,11 +365,10 @@ fn replay_records(
 }
 
 /// The per-shard WAL sessions plus the global commit log, shared with
-/// the footprint scheduler (`TxnScheduler::with_wals`). The mutexes
-/// follow the shard-cell discipline: the scheduler only runs disjoint
-/// footprints concurrently, so a shard's session lock is free whenever
-/// its task takes it; the global log is the one serialized point, taken
-/// only by cross-shard coordinators.
+/// the scheduler (`TxnScheduler::with_wals`). The mutexes follow the
+/// shard-cell discipline: the scheduler runs one transaction at a time,
+/// so a session lock is always free when it takes it; the global log is
+/// taken only by cross-shard commits.
 pub struct ShardWals {
     sessions: Vec<Mutex<WalSession>>,
     global: Mutex<WalWriter>,
@@ -618,7 +617,7 @@ impl DurableSharded {
             )
             .map_err(wal_err)?;
             sessions.push(Mutex::new(session));
-            shards.push(Arc::new(Mutex::new(db)));
+            shards.push(Mutex::new(db));
         }
         let global = WalWriter::open(&dir.join(GLOBAL_LOG_FILE), gscan.valid_len)
             .map_err(wal_err)?;
@@ -708,7 +707,6 @@ impl DurableSharded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::PipelinePool;
     use crate::sched::TxnScheduler;
     use spacetime_delta::Delta;
     use spacetime_storage::tuple;
@@ -723,8 +721,8 @@ mod tests {
     /// Insert `a` into `T` durably.
     fn insert(dur: &DurableSharded, a: i64) {
         let txn = vec![("T".to_string(), Delta::insert(tuple![a], 1))];
-        let out = TxnScheduler::with_wals(dur.db(), Arc::new(PipelinePool::new(1)), dur.wals())
-            .run_serial(&[txn])
+        let out = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
+            .run(&[txn])
             .unwrap();
         assert!(out.results[0].is_ok(), "{:?}", out.results[0]);
     }

@@ -901,17 +901,6 @@ impl EngineAccess<'_, '_, '_> {
 }
 
 impl InputAccess for EngineAccess<'_, '_, '_> {
-    fn matching(
-        &mut self,
-        child: usize,
-        cols: &[usize],
-        key: &[Value],
-    ) -> StorageResult<Cow<'_, Bag>> {
-        self.note_posed(child, cols, 1);
-        self.exec
-            .query(self.children[child], cols, key, self.ctx, self.io)
-    }
-
     fn matching_all(
         &mut self,
         child: usize,

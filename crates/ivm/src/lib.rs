@@ -15,16 +15,15 @@
 //! * [`database`] — [`database::Database`]: the user-facing session tying
 //!   everything together (DDL, DML with automatic view maintenance, SQL
 //!   front end, workload declaration, view-selection strategies).
-//! * [`pool`] — [`pool::PipelinePool`], the persistent panic-containing
-//!   worker pool the scheduler dispatches shard work on.
-//! * [`shard`] — sharded serving: [`shard::ShardedDatabase`] partitions a
-//!   database into N shard domains by declared shard keys, each shard a
-//!   full database with its own engines and per-shard materializations.
-//! * [`sched`] — the footprint-based transaction scheduler
-//!   ([`sched::TxnScheduler`]): disjoint-footprint transactions run
-//!   concurrently, conflicting and cross-shard ones serialize through a
-//!   cross-shard all-or-nothing commit protocol; serial replay in
-//!   admission order is bit-identical.
+//! * [`shard`] — the partitioned layout: [`shard::ShardedDatabase`]
+//!   splits a database into N shard domains by declared shard keys, each
+//!   shard a full database with its own engines and per-shard
+//!   materializations (and, under `durability`, its own log and
+//!   checkpoint).
+//! * [`sched`] — the transaction scheduler ([`sched::TxnScheduler`]):
+//!   routes each transaction to the shards it touches and runs the batch
+//!   in admission order on the calling thread, cross-shard ones through
+//!   an all-or-nothing commit protocol.
 //! * `durability` (feature `durability`) — per-shard write-ahead
 //!   logging, checkpoints, and crash recovery proven bit-identical
 //!   (DESIGN.md §17). Off by default; the default build does not link
@@ -40,7 +39,6 @@ pub mod database;
 #[cfg(feature = "durability")]
 pub mod durability;
 pub mod engine;
-pub mod pool;
 pub mod qexec;
 pub mod sched;
 pub mod shard;
@@ -48,13 +46,12 @@ pub mod trace;
 pub mod verify;
 
 pub use constraints::{Assertion, Violation};
-pub use database::{Database, ExecutionMode, PhaseTotals, ViewSelection};
+pub use database::{Database, ExecutionMode, PhaseTotals, PipelinePool, ViewSelection};
 #[cfg(feature = "durability")]
 pub use durability::{
     DurabilityOptions, DurableSharded, RecoveryStats, ShardWals,
 };
 pub use engine::{IvmEngine, PropagationMode, UpdateReport};
-pub use pool::PipelinePool;
 pub use sched::{SchedOutcome, SchedStats, Txn, TxnScheduler};
 pub use shard::ShardedDatabase;
 pub use trace::TraceNode;
@@ -74,10 +71,10 @@ pub enum IvmError {
         /// Sample violating tuples (rendered).
         sample: Vec<String>,
     },
-    /// A pool task panicked. The panic was contained: the worker pool
-    /// survives, the journal was replayed, and the catalog is
-    /// bit-identical to its pre-transaction state — the transaction
-    /// simply never happened.
+    /// A scheduled transaction panicked. The panic was contained: the
+    /// journal was replayed, the catalog is bit-identical to its
+    /// pre-transaction state — the transaction simply never happened —
+    /// and the run went on with the next transaction.
     TaskPanicked {
         /// The panic payload, rendered (when it was a string).
         message: String,
@@ -104,7 +101,7 @@ impl std::fmt::Display for IvmError {
                 Ok(())
             }
             IvmError::TaskPanicked { message } => {
-                write!(f, "pipeline task panicked: {message}")
+                write!(f, "transaction panicked: {message}")
             }
             IvmError::Integrity(msg) => write!(f, "integrity check failed: {msg}"),
             IvmError::Internal(msg) => write!(f, "internal invariant violated: {msg}"),

@@ -1,13 +1,15 @@
-//! The footprint-based transaction scheduler over a [`ShardedDatabase`].
+//! The transaction scheduler over a [`ShardedDatabase`].
 //!
-//! Each transaction (a list of per-table deltas) is routed once to its
-//! **shard footprint** — the set of shard domains its delta keys touch —
-//! and its slot is appended, in admission order, to the FIFO queue of
-//! every shard in that footprint. Drain tasks on a [`PipelinePool`] then
-//! repeatedly *claim* the lowest slot that heads every queue of its
-//! footprint, run it, and *advance* those queues. Nothing is re-scanned
-//! and there is no barrier: one pool dispatch serves a whole
-//! [`TxnScheduler::run`].
+//! [`TxnScheduler::run`] routes each transaction (a list of per-table
+//! deltas) once to its **shard footprint** — the set of shard domains its
+//! delta keys touch — and then runs the routed transactions one at a
+//! time, in admission order, on the calling thread. That is the paper's
+//! own execution model (§3.2: one relation's delta at a time, state
+//! updated in between) and, on the two-core benchmark host, the faster
+//! one: a pool of drain tasks over per-shard FIFO queues ran the same
+//! stream about a fifth slower (EXPERIMENTS.md E-SERVE), so it was
+//! deleted. Shards are a data layout — per-shard logs, checkpoints and
+//! recovery — not a throughput setting.
 //!
 //! **Cross-shard commit protocol.** A transaction whose footprint spans
 //! several shards applies to them one at a time in ascending shard order,
@@ -19,48 +21,25 @@
 //! Then every participant commits (its journal is forgotten). If any
 //! participant fails first — a typed error, an injected fault, or a
 //! contained panic — it has already rolled itself back, and every earlier
-//! participant aborts, newest first, by replaying its journal. A claimed
-//! transaction heads all its queues until it is decided, so no other
-//! transaction touches those shards in between: it is all-or-nothing
+//! participant aborts, newest first, by replaying its journal. Nothing
+//! else runs until the transaction is decided, so it is all-or-nothing
 //! across its whole footprint and no shard's catalog is ever copied to
 //! make it so.
 //!
-//! **Determinism invariant.** [`TxnScheduler::run`] is bit-identical to
-//! [`TxnScheduler::run_serial`] (the same claim/advance loop with one
-//! inline claimant, which therefore runs in admission order) in every
-//! table of every shard and every per-transaction [`UpdateReport`]:
-//!
-//! 1. every shard queue is a subsequence of the admission order and only
-//!    its head can run, so transactions sharing a shard execute in
-//!    admission order;
-//! 2. transactions in flight together each head all their queues, so
-//!    their footprints are disjoint — they read and write disjoint shard
-//!    sets and commute;
-//! 3. a transaction's report and effects depend only on the pre-state of
-//!    the shards in its footprint.
-//!
-//! **No deadlock at any pool width.** Every earlier slot on each of the
-//! lowest undecided slot's queues is decided, so that slot heads all of
-//! them: it is either running or claimable by whichever drain task looks
-//! next — one task (pool width 1, or fewer tasks than shards) drains
-//! everything. A panicking transaction body is contained per transaction
-//! and still advances its queues.
-//!
-//! Property tests (`prop_shard.rs`) sweep this at pool widths 1/2/4/8,
-//! cross-shard-heavy and with fewer workers than shards.
+//! **Panic containment.** Each transaction runs under its own
+//! `catch_unwind`: a panicking body is that transaction's
+//! [`IvmError::TaskPanicked`], and the run continues with the next one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use spacetime_delta::Delta;
 use spacetime_obs::{self as obs, names as metric, TraceNode};
 use spacetime_storage::fault;
 
-use crate::database::Database;
+use crate::database::{Database, PipelinePool};
 use crate::engine::UpdateReport;
-use crate::pool::{panic_message, PipelinePool};
 use crate::shard::ShardedDatabase;
 use crate::{IvmError, IvmResult};
 
@@ -68,23 +47,22 @@ use crate::{IvmError, IvmResult};
 pub type Txn = Vec<(String, Delta)>;
 
 /// Counters describing one scheduler run. Mirrors the `spacetime_sched_*`
-/// metrics exactly, so benchmarks can assert the books balance.
+/// metrics exactly, so benchmarks can assert the books balance. Four
+/// fields are constants of the one drain loop, kept only until the
+/// trusted benchmark stops reading them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
     /// Transactions accepted (including empty and mis-routed ones).
     pub txns: u64,
-    /// Transactions run under a dispatch of two or more drain tasks (i.e.
-    /// free to overlap a disjoint-footprint transaction).
+    /// Always 0: no transaction overlaps another.
     pub admitted_concurrent: u64,
-    /// Always 0: a transaction is enqueued once and never re-scanned.
-    /// Kept only until the trusted benchmark stops reading it.
+    /// Always 0: a transaction is routed once and never re-scanned.
     pub conflict_deferrals: u64,
     /// Transactions whose footprint spanned more than one shard.
     pub cross_shard_txns: u64,
-    /// Pool dispatches: 1 per run that routed any work, else 0.
+    /// 1 per run that routed any work, else 0.
     pub waves: u64,
-    /// Drain tasks of the widest dispatch: `min(pool width, shards with
-    /// work)`; 1 for a serial replay.
+    /// 1 once any run routed work, else 0: one transaction at a time.
     pub max_wave_width: u64,
     /// Dispatched transactions that committed.
     pub committed: u64,
@@ -120,10 +98,10 @@ pub struct SchedOutcome {
     /// Per-transaction results in admission order: the merged maintenance
     /// report, or the error that rolled the transaction back.
     pub results: Vec<IvmResult<UpdateReport>>,
-    /// Per-transaction latency, **claim → decision**, admission order: the
-    /// clock starts when a drain task claims the slot, not when the run
-    /// starts, so it measures one transaction rather than its queue
-    /// position. Zero for transactions never dispatched (empty footprint
+    /// Per-transaction latency, **start → decision**, admission order: the
+    /// clock starts when the transaction starts to run, not when the run
+    /// starts, so it measures one transaction rather than its position in
+    /// the batch. Zero for transactions never dispatched (empty footprint
     /// or routing failure).
     pub latencies_ns: Vec<u64>,
     /// Scheduler counters for this run.
@@ -136,9 +114,7 @@ pub struct SchedOutcome {
     /// rides along as a non-structural note); a cross-shard transaction
     /// gets a structural `cross-shard commit` root wrapping each
     /// participant's trace in ascending shard order, plus a `wal
-    /// global-commit` child when write-ahead logged. Assembly is
-    /// deterministic: concurrent runs and serial replays produce
-    /// structurally identical spans.
+    /// global-commit` child when write-ahead logged.
     pub traces: Vec<Option<TraceNode>>,
     /// The whole run as one span — `schedule` → one `txn` node per
     /// dispatched transaction, in admission order, each wrapping its span
@@ -154,10 +130,9 @@ use crate::durability::ShardWals;
 #[cfg(not(feature = "durability"))]
 type ShardWals = std::convert::Infallible;
 
-/// A scheduler bound to a sharded database and a worker pool.
+/// A scheduler bound to a sharded database.
 pub struct TxnScheduler<'a> {
     db: &'a ShardedDatabase,
-    pool: Arc<PipelinePool>,
     /// Per-shard WAL sessions + global commit log for durable serving.
     wals: Option<Arc<ShardWals>>,
 }
@@ -166,180 +141,19 @@ pub struct TxnScheduler<'a> {
 /// shard order.
 type ShardParts = Vec<(usize, Txn)>;
 
-/// How many times a drain task with nothing claimable polls the
-/// sequencer's epoch before it parks (about a millisecond in all). What
-/// it waits for is the other queue of a cross-shard transaction draining
-/// — a few transactions, a few hundred microseconds — and parking at
-/// every such wait gave up more than half of the sequencer's gain on the
-/// 2-vCPU development host (EXPERIMENTS.md E-SERVE), so the bound is
-/// generous; every [`YIELD_EVERY`]th poll yields the core, which keeps a
-/// pool wider than the host from starving the tasks that do have work.
-const SPIN_LIMIT: u32 = 1 << 16;
-const YIELD_EVERY: u32 = 64;
-
-/// The per-shard FIFO sequencer of one run (module docs).
-struct Sequencer {
-    cells: Arc<[Arc<Mutex<Database>>]>,
-    wals: Option<Arc<ShardWals>>,
-    /// Per shard: the slots whose footprint includes it, admission order.
-    queues: Vec<Vec<usize>>,
-    /// Per slot: its footprint, ascending shard ids (empty: never
-    /// enqueued).
-    footprints: Vec<Vec<usize>>,
-    cursors: Mutex<Cursors>,
-    /// Bumped (Release) on every advance; what a spinning drain task
-    /// watches (Acquire). Only a hint to look again: the cursors
-    /// themselves are read under the lock.
-    epoch: AtomicU64,
-    /// Signalled on advance when a drain task is parked.
-    freed: Condvar,
-    /// Record scheduler metrics and flight events (a serial replay must
-    /// not double-count the books).
-    metered: bool,
-}
-
-/// The sequencer's mutable state, under one short-held lock.
-struct Cursors {
-    /// Per shard: index into its queue of the first undecided slot.
-    heads: Vec<usize>,
-    /// Per slot: its routed parts until a drain task claims them.
-    parts: Vec<Option<ShardParts>>,
-    unclaimed: usize,
-    parked: usize,
-}
-
-/// One decided transaction, as a drain task reports it.
-struct Decided {
-    slot: usize,
-    result: IvmResult<UpdateReport>,
-    latency_ns: u64,
-    trace: Option<TraceNode>,
-}
-
-impl Sequencer {
-    fn lock(&self) -> MutexGuard<'_, Cursors> {
-        // Every update under the lock is a plain store, valid at each step.
-        self.cursors.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The slot at the head of `shard`'s queue, if it is unclaimed and
-    /// heads every other queue of its footprint too.
-    fn claimable(&self, c: &Cursors, shard: usize) -> Option<usize> {
-        let head = |s: usize| self.queues[s].get(c.heads[s]).copied();
-        let slot = head(shard)?;
-        (c.parts[slot].is_some() && self.footprints[slot].iter().all(|&s| head(s) == Some(slot)))
-            .then_some(slot)
-    }
-
-    /// Claim the lowest runnable slot, waiting while everything unclaimed
-    /// sits behind an in-flight transaction. `None` once nothing is left.
-    fn claim(&self) -> Option<(usize, ShardParts)> {
-        let mut c = self.lock();
-        let mut spins = 0u32;
-        loop {
-            if c.unclaimed == 0 {
-                return None;
-            }
-            let pick = (0..self.queues.len()).filter_map(|s| self.claimable(&c, s)).min();
-            if let Some((slot, parts)) = pick.and_then(|slot| Some((slot, c.parts[slot].take()?))) {
-                c.unclaimed -= 1;
-                return Some((slot, parts));
-            }
-            if spins < SPIN_LIMIT {
-                // `advance` bumps the epoch under the lock, so `seen`
-                // belongs to exactly the state just examined.
-                let seen = self.epoch.load(Ordering::Acquire);
-                drop(c);
-                while spins < SPIN_LIMIT && self.epoch.load(Ordering::Acquire) == seen {
-                    spins += 1;
-                    if spins.is_multiple_of(YIELD_EVERY) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                c = self.lock();
-            } else {
-                c.parked += 1;
-                c = self.freed.wait(c).unwrap_or_else(|e| e.into_inner());
-                c.parked -= 1;
-            }
-        }
-    }
-
-    /// A decided transaction leaves the head of every queue it was on.
-    fn advance(&self, slot: usize) {
-        let mut c = self.lock();
-        for &s in &self.footprints[slot] {
-            c.heads[s] += 1;
-        }
-        self.epoch.fetch_add(1, Ordering::Release);
-        if c.parked > 0 {
-            self.freed.notify_all();
-        }
-    }
-
-    /// The claim/advance loop of one drain task: run claimable
-    /// transactions, lowest slot first, until none is left. For a lone
-    /// claimant that is exactly admission order.
-    fn drain(&self) -> Vec<Decided> {
-        let mut decided = Vec::new();
-        while let Some((slot, parts)) = self.claim() {
-            let t0 = Instant::now();
-            // A body panic (the `ivm::pool_dispatch` failpoint fires
-            // before any shard is touched) is this transaction's failure
-            // alone: its queues advance like any other decision.
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                fault::fire_panic("ivm::pool_dispatch");
-                apply_parts(&self.cells, parts, self.wals.as_deref())
-            }));
-            let latency_ns = t0.elapsed().as_nanos() as u64;
-            self.advance(slot);
-            let (result, trace) = out.unwrap_or_else(|p| {
-                let message = panic_message(p.as_ref());
-                (Err(IvmError::TaskPanicked { message }), None)
-            });
-            if self.metered {
-                self.record_decision(slot, result.is_ok());
-            }
-            decided.push(Decided {
-                slot,
-                result,
-                latency_ns,
-                trace,
-            });
-        }
-        decided
-    }
-
-    fn record_decision(&self, slot: usize, ok: bool) {
-        let fp = &self.footprints[slot];
-        queue_depth_add(fp, -1.0);
-        for &s in fp {
-            obs::counter_add_labeled(metric::SHARD_TXNS, metric::shard_label(s), 1);
-        }
-        let outcome = if ok {
-            metric::LABEL_OUTCOME_COMMITTED
-        } else {
-            metric::LABEL_OUTCOME_ABORTED
-        };
-        obs::counter_add_labeled(metric::SCHED_TXN_OUTCOMES, outcome, 1);
-        if fp.len() > 1 {
-            let cross = if ok {
-                metric::SCHED_CROSS_SHARD_COMMITS
-            } else {
-                metric::SCHED_CROSS_SHARD_ABORTS
-            };
-            obs::counter_add(cross, 1);
-        }
-        obs::flight::record(if ok { "txn_committed" } else { "txn_aborted" }, || {
-            format!("slot {slot} shards {fp:?}")
-        });
+/// Render a panic payload (string payloads verbatim, anything else typed).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
 /// Move the queue-depth gauges (global, and one per shard of `fp`): up
-/// at enqueue, down at decision, zero after every run.
+/// at admission, down at decision, zero after every run.
 fn queue_depth_add(fp: &[usize], by: f64) {
     obs::gauge_add(metric::SCHED_QUEUE_DEPTH, by);
     for &s in fp {
@@ -347,32 +161,54 @@ fn queue_depth_add(fp: &[usize], by: f64) {
     }
 }
 
+/// Record one decided transaction on the metrics plane and the flight
+/// recorder.
+fn record_decision(slot: usize, fp: &[usize], ok: bool) {
+    queue_depth_add(fp, -1.0);
+    for &s in fp {
+        obs::counter_add_labeled(metric::SHARD_TXNS, metric::shard_label(s), 1);
+    }
+    let outcome = if ok {
+        metric::LABEL_OUTCOME_COMMITTED
+    } else {
+        metric::LABEL_OUTCOME_ABORTED
+    };
+    obs::counter_add_labeled(metric::SCHED_TXN_OUTCOMES, outcome, 1);
+    if fp.len() > 1 {
+        let cross = if ok {
+            metric::SCHED_CROSS_SHARD_COMMITS
+        } else {
+            metric::SCHED_CROSS_SHARD_ABORTS
+        };
+        obs::counter_add(cross, 1);
+    }
+    obs::flight::record(if ok { "txn_committed" } else { "txn_aborted" }, || {
+        format!("slot {slot} shards {fp:?}")
+    });
+}
+
 impl<'a> TxnScheduler<'a> {
-    /// A scheduler dispatching onto `pool`. Pool width caps how many
-    /// disjoint transactions actually run at once; the outcome is
-    /// width-independent.
-    pub fn new(db: &'a ShardedDatabase, pool: Arc<PipelinePool>) -> Self {
-        TxnScheduler {
-            db,
-            pool,
-            wals: None,
-        }
+    /// A scheduler over `db`. The pool argument is ignored: it is a
+    /// compile shim for the frozen benchmark harness (`PipelinePool` in
+    /// `database.rs`).
+    pub fn new(db: &'a ShardedDatabase, _pool: Arc<PipelinePool>) -> Self {
+        TxnScheduler { db, wals: None }
     }
 
     /// A durable scheduler: every transaction is write-ahead logged on
     /// the shards it touches (cross-shard transactions through the 2PC
     /// global commit record) before its results are reported. `wals`
     /// must come from the [`crate::durability::DurableSharded`] that
-    /// owns `db`'s logs.
+    /// owns `db`'s logs. The pool argument is ignored, as in
+    /// [`TxnScheduler::new`].
     #[cfg(feature = "durability")]
     pub fn with_wals(
         db: &'a ShardedDatabase,
-        pool: Arc<PipelinePool>,
+        _pool: Arc<PipelinePool>,
         wals: Arc<ShardWals>,
     ) -> Self {
         TxnScheduler {
             db,
-            pool,
             wals: Some(wals),
         }
     }
@@ -400,150 +236,89 @@ impl<'a> TxnScheduler<'a> {
         Ok(parts)
     }
 
-    /// Sequence and run every transaction, concurrently where footprints
-    /// allow. Per-transaction failures (assertion violations, injected
+    /// Route every transaction, then run them one at a time in admission
+    /// order. Per-transaction failures (assertion violations, injected
     /// faults, contained panics) land in the corresponding result slot —
     /// the transaction rolled back, the shards are consistent, and the
-    /// run continues. `Err` from `run` itself means scheduler
-    /// infrastructure failed (e.g. the pool's channel died).
+    /// run continues. So the outer `Result` is always `Ok`; its type stays
+    /// because the frozen benchmark harness unwraps it.
     pub fn run(&self, txns: &[Txn]) -> IvmResult<SchedOutcome> {
-        self.sequence(txns, Some(&self.pool))
-    }
-
-    /// The determinism oracle: the same transactions through the same
-    /// sequencer with one claimant on the calling thread, so they run one
-    /// at a time in admission order. Bit-identical results and shard
-    /// state to [`TxnScheduler::run`]; `stats` describe the serial
-    /// execution (one claimant, no concurrency), and no scheduler
-    /// metrics are recorded — a replay check must not double-count the
-    /// books.
-    pub fn run_serial(&self, txns: &[Txn]) -> IvmResult<SchedOutcome> {
-        self.sequence(txns, None)
-    }
-
-    fn sequence(&self, txns: &[Txn], pool: Option<&PipelinePool>) -> IvmResult<SchedOutcome> {
         let n = txns.len();
-        let n_shards = self.db.n_shards();
-        let metered = pool.is_some();
         let mut stats = SchedStats {
             txns: n as u64,
             ..SchedStats::default()
         };
-        let mut results: Vec<Option<IvmResult<UpdateReport>>> = (0..n).map(|_| None).collect();
-        // Route once; the footprint is all the sequencer needs to know.
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        let mut footprints: Vec<Vec<usize>> = Vec::with_capacity(n);
-        let mut parts: Vec<Option<ShardParts>> = Vec::with_capacity(n);
-        let mut dispatched = 0usize;
-        for (i, txn) in txns.iter().enumerate() {
-            let p = match self.route(txn) {
+        // Route once. A transaction with nothing to do completes at once,
+        // an unroutable one fails at once; every other one is admitted
+        // (its slot holds a placeholder until it is decided below).
+        let mut results: Vec<IvmResult<UpdateReport>> = Vec::with_capacity(n);
+        let mut admitted: Vec<(usize, Vec<usize>, ShardParts)> = Vec::with_capacity(n);
+        for (slot, txn) in txns.iter().enumerate() {
+            let parts = match self.route(txn) {
                 Ok(p) if !p.is_empty() => p,
                 done => {
-                    // Nothing to do (completes immediately), or unroutable.
-                    results[i] = Some(done.map(|_| UpdateReport::default()));
-                    footprints.push(Vec::new());
-                    parts.push(None);
+                    results.push(done.map(|_| UpdateReport::default()));
                     continue;
                 }
             };
-            let fp: Vec<usize> = p.iter().map(|(s, _)| *s).collect();
-            for &s in &fp {
-                queues[s].push(i);
-            }
-            if metered {
-                queue_depth_add(&fp, 1.0);
-                obs::flight::record("txn_admitted", || format!("slot {i} shards {fp:?}"));
-            }
+            let fp: Vec<usize> = parts.iter().map(|(s, _)| *s).collect();
+            queue_depth_add(&fp, 1.0);
+            obs::flight::record("txn_admitted", || format!("slot {slot} shards {fp:?}"));
             stats.cross_shard_txns += u64::from(fp.len() > 1);
             stats.shard_participations += fp.len() as u64;
-            dispatched += 1;
-            footprints.push(fp);
-            parts.push(Some(p));
+            results.push(Ok(UpdateReport::default()));
+            admitted.push((slot, fp, parts));
         }
-        // One drain task per worker that can have a queue of its own.
-        let busy_shards = queues.iter().filter(|q| !q.is_empty()).count();
-        let drainers = pool.map_or(1, PipelinePool::width).min(busy_shards);
-        stats.waves = u64::from(dispatched > 0);
-        stats.max_wave_width = drainers as u64;
-        if drainers > 1 {
-            stats.admitted_concurrent = dispatched as u64;
-        }
-        if metered {
-            obs::counter_add(metric::SCHED_TXNS, stats.txns);
-            obs::counter_add(metric::SCHED_CROSS_SHARD_TXNS, stats.cross_shard_txns);
-            obs::counter_add(metric::SCHED_WAVES, stats.waves);
-            obs::counter_add(metric::SCHED_ADMITTED_CONCURRENT, stats.admitted_concurrent);
-        }
-        let seq = Arc::new(Sequencer {
-            cells: self.db.cells().into(),
-            wals: self.wals.clone(),
-            queues,
-            footprints,
-            cursors: Mutex::new(Cursors {
-                heads: vec![0; n_shards],
-                parts,
-                unclaimed: dispatched,
-                parked: 0,
-            }),
-            epoch: AtomicU64::new(0),
-            freed: Condvar::new(),
-            metered,
-        });
-        let decided: Vec<Decided> = match pool {
-            None => seq.drain(),
-            Some(pool) => {
-                let tasks = (0..drainers)
-                    .map(|_| {
-                        let seq = Arc::clone(&seq);
-                        Box::new(move || seq.drain()) as Box<dyn FnOnce() -> Vec<Decided> + Send>
-                    })
-                    .collect();
-                let mut all = Vec::with_capacity(dispatched);
-                for outcome in pool.run_outcomes(tasks)? {
-                    all.extend(outcome.map_err(|message| {
-                        IvmError::Internal(format!("a scheduler drain task died: {message}"))
-                    })?);
-                }
-                all
-            }
-        };
+        stats.waves = u64::from(!admitted.is_empty());
+        stats.max_wave_width = stats.waves;
+        obs::counter_add(metric::SCHED_TXNS, stats.txns);
+        obs::counter_add(metric::SCHED_CROSS_SHARD_TXNS, stats.cross_shard_txns);
+
+        let cells = self.db.cells();
         let mut latencies: Vec<u64> = vec![0; n];
         let mut traces: Vec<Option<TraceNode>> = (0..n).map(|_| None).collect();
-        for d in decided {
-            if d.result.is_ok() {
+        let mut run_trace = self.db.tracing().then(|| {
+            TraceNode::new("schedule")
+                .with_field("txns", n)
+                .with_field("shards", self.db.n_shards())
+        });
+        for (slot, fp, parts) in admitted {
+            let t0 = Instant::now();
+            // A body panic (the `ivm::pool_dispatch` failpoint fires
+            // before any shard is touched) is this transaction's failure
+            // alone.
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                fault::fire_panic("ivm::pool_dispatch");
+                apply_parts(cells, parts, self.wals.as_deref())
+            }));
+            latencies[slot] = t0.elapsed().as_nanos() as u64;
+            let (result, trace) = out.unwrap_or_else(|p| {
+                let message = panic_message(p.as_ref());
+                (Err(IvmError::TaskPanicked { message }), None)
+            });
+            record_decision(slot, &fp, result.is_ok());
+            if result.is_ok() {
                 stats.committed += 1;
             } else {
                 stats.aborted += 1;
             }
-            results[d.slot] = Some(d.result);
-            latencies[d.slot] = d.latency_ns;
-            traces[d.slot] = d.trace;
-        }
-        let results = results
-            .into_iter()
-            .map(|r| r.ok_or_else(|| IvmError::Internal("a transaction was never run".into())))
-            .collect::<IvmResult<Vec<_>>>()?;
-        let trace = self.db.tracing().then(|| {
-            let mut run = TraceNode::new("schedule")
-                .with_field("txns", n)
-                .with_field("shards", n_shards);
-            run.push_note(format!("{drainers} drain task(s)"));
-            for i in (0..n).filter(|&i| !seq.footprints[i].is_empty()) {
-                let mut txn_node = TraceNode::new("txn").with_field("slot", i);
-                match &traces[i] {
+            if let Some(run) = run_trace.as_mut() {
+                let mut txn_node = TraceNode::new("txn").with_field("slot", slot);
+                match &trace {
                     Some(t) => txn_node.push_child(t.clone()),
                     None => txn_node.push_note("rolled back or untraced"),
                 }
                 run.push_child(txn_node);
             }
-            run
-        });
+            results[slot] = result;
+            traces[slot] = trace;
+        }
         Ok(SchedOutcome {
             results,
             latencies_ns: latencies,
             stats,
             traces,
-            trace,
+            trace: run_trace,
         })
     }
 }
@@ -565,7 +340,7 @@ impl<'a> TxnScheduler<'a> {
 /// shape contract); a rolled-back transaction leaves no trace, matching
 /// [`Database::apply_transaction`].
 fn apply_parts(
-    cells: &[Arc<Mutex<Database>>],
+    cells: &[Mutex<Database>],
     parts: ShardParts,
     wals: Option<&ShardWals>,
 ) -> (IvmResult<UpdateReport>, Option<TraceNode>) {
@@ -588,13 +363,13 @@ fn apply_parts(
     };
     // Participants whose apply succeeded, in ascending shard order, each
     // with its transaction scope still open. The guards are held to the
-    // decision point; the transaction heads these shards' queues
-    // meanwhile, so holding them blocks nobody.
+    // decision point; nothing else runs meanwhile, so holding them blocks
+    // nobody.
     let mut open: Vec<MutexGuard<'_, Database>> = Vec::with_capacity(n_parts);
     let mut combined = UpdateReport::default();
     let mut failure: Option<IvmError> = None;
     // Per-shard transaction traces, collected in parts order (ascending
-    // shard id) so assembly is deterministic regardless of scheduling.
+    // shard id) so assembly is deterministic.
     let mut shard_traces: Vec<(usize, TraceNode)> = Vec::new();
     for (shard, updates) in parts {
         let mut db = cells[shard].lock().unwrap_or_else(|e| e.into_inner());
@@ -685,9 +460,8 @@ fn apply_parts(
 /// cross-shard transaction gets a structural `cross-shard commit` root
 /// with one `shard N` child per participant (ascending shard order, which
 /// routing fixes deterministically) plus a `wal global-commit` child when
-/// a global commit record was logged (`wal_global` carries its gid; the
-/// gid value itself is admission-timing-dependent, so it rides as a
-/// note).
+/// a global commit record was logged (`wal_global` carries its gid, which
+/// rides as a note).
 fn assemble_txn_trace(
     mut shard_traces: Vec<(usize, TraceNode)>,
     n_parts: usize,

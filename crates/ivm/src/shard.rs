@@ -18,10 +18,12 @@
 //! every shard whose views it affects. The property tests cross-check the
 //! contract by comparing the shard union against an unsharded control.
 //!
-//! The admission side — shard footprints, the per-shard sequencer, the
-//! cross-shard commit protocol — lives in [`crate::sched`].
+//! Shards are a layout, not a throughput setting: per-shard logs,
+//! checkpoints and recovery (`crate::durability`) follow it, but the
+//! scheduler ([`crate::sched`]) runs one transaction at a time whatever
+//! the shard count.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use spacetime_delta::Delta;
 use spacetime_storage::{Bag, ShardSpec};
@@ -32,14 +34,10 @@ use crate::{IvmError, IvmResult};
 /// A database partitioned into shard domains.
 pub struct ShardedDatabase {
     spec: ShardSpec,
-    /// One full database per shard. The mutexes are an ownership
-    /// mechanism, not a contention point: the scheduler only runs a
-    /// transaction that heads the queue of every shard it touches, so a
-    /// lock is always free when a drain task takes it. Keeping shards in
-    /// `Arc<Mutex<…>>` cells shared by the drain tasks (instead of moving
-    /// them into pool tasks) also means a panic in a task can never
-    /// destroy a shard.
-    shards: Vec<Arc<Mutex<Database>>>,
+    /// One full database per shard, behind a mutex so a shared
+    /// `&ShardedDatabase` can serve; the scheduler runs one transaction at
+    /// a time, so a lock is always free when it takes it.
+    shards: Vec<Mutex<Database>>,
 }
 
 impl ShardedDatabase {
@@ -52,9 +50,6 @@ impl ShardedDatabase {
     /// (root views and auxiliaries alike) are recomputed from the shard's
     /// base data — the same recompute the verification oracle uses, so a
     /// fresh shard starts provably consistent.
-    ///
-    /// Each shard runs its transactions on one thread: concurrency in the
-    /// serving layer comes from running *shards* in parallel.
     pub fn partition(
         template: &Database,
         spec: ShardSpec,
@@ -123,7 +118,7 @@ impl ShardedDatabase {
                 table.relation.load(contents)?;
                 table.analyze();
             }
-            shards.push(Arc::new(Mutex::new(db)));
+            shards.push(Mutex::new(db));
         }
         Ok(ShardedDatabase { spec, shards })
     }
@@ -132,10 +127,7 @@ impl ShardedDatabase {
     /// recovery restores each shard independently; see
     /// `crate::durability`).
     #[cfg(feature = "durability")]
-    pub(crate) fn from_parts(
-        spec: ShardSpec,
-        shards: Vec<Arc<Mutex<Database>>>,
-    ) -> ShardedDatabase {
+    pub(crate) fn from_parts(spec: ShardSpec, shards: Vec<Mutex<Database>>) -> ShardedDatabase {
         ShardedDatabase { spec, shards }
     }
 
@@ -156,8 +148,8 @@ impl ShardedDatabase {
         self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The shard cells (for the scheduler's task captures).
-    pub(crate) fn cells(&self) -> &[Arc<Mutex<Database>>] {
+    /// The shard cells (for the scheduler's commit protocol).
+    pub(crate) fn cells(&self) -> &[Mutex<Database>] {
         &self.shards
     }
 

@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, IvmError, PipelinePool, PropagationMode, ShardedDatabase, Txn,
-    TxnScheduler,
+    verify_all_views, Database, IvmError, PropagationMode, ShardedDatabase, Txn, TxnScheduler,
 };
 use spacetime_storage::{tuple, Bag, IoMeter, ShardSpec, Table};
 
@@ -284,7 +283,7 @@ fn cross_shard_commit_and_abort_copy_no_table() {
         vec![("Emp".to_string(), d)]
     };
     let addresses: Vec<_> = (0..2).map(|s| table_addresses(&sharded.shard(s))).collect();
-    let sched = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(2)));
+    let sched = TxnScheduler::new(&sharded, Arc::default());
 
     let out = sched.run(&[both(100, 110, 110)]).unwrap();
     assert!(out.results[0].is_ok(), "{:?}", out.results[0]);

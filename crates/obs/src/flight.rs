@@ -2,8 +2,8 @@
 //! dumped when something goes wrong.
 //!
 //! The ring keeps the last [`RING_CAPACITY`] events (transaction
-//! admissions/commits/aborts, failpoint fires, worker respawns, WAL
-//! fsyncs, integrity failures). Recording is wait-free on the ring index
+//! admissions/commits/aborts, failpoint fires, WAL fsyncs, integrity
+//! failures). Recording is wait-free on the ring index
 //! — a single `fetch_add` claims a slot — with a tiny per-slot mutex to
 //! publish the payload (writers contend on a slot only after a full lap
 //! of the ring). Consumers: [`dump`] / [`dump_json`] for programmatic

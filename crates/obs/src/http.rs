@@ -183,10 +183,9 @@ pub fn statusz_json(status: &StatusFn) -> String {
         concat!(
             "{{\n",
             "  \"uptime_ns\": {uptime},\n",
-            "  \"sched\": {{\"txns\": {txns}, \"admitted_concurrent\": {adm}, ",
-            "\"conflict_serialized\": {conf}, \"cross_shard_txns\": {cross}, ",
+            "  \"sched\": {{\"txns\": {txns}, \"cross_shard_txns\": {cross}, ",
             "\"cross_shard_commits\": {xcommits}, \"cross_shard_aborts\": {xaborts}, ",
-            "\"waves\": {waves}, \"committed\": {committed}, \"aborted\": {aborted}}},\n",
+            "\"committed\": {committed}, \"aborted\": {aborted}}},\n",
             "  \"shards\": {{\"queue_depth\": {depths}, \"txns\": {stxns}}},\n",
             "  \"wal\": {{\"appends\": {wappends}, \"bytes\": {wbytes}, \"fsyncs\": {wfsyncs}, ",
             "\"checkpoints\": {wcps}, \"replayed_txns\": {wreplayed}, ",
@@ -197,12 +196,9 @@ pub fn statusz_json(status: &StatusFn) -> String {
         ),
         uptime = uptime_ns,
         txns = snap.counter(names::SCHED_TXNS),
-        adm = snap.counter(names::SCHED_ADMITTED_CONCURRENT),
-        conf = snap.counter(names::SCHED_CONFLICT_SERIALIZED),
         cross = snap.counter(names::SCHED_CROSS_SHARD_TXNS),
         xcommits = snap.counter(names::SCHED_CROSS_SHARD_COMMITS),
         xaborts = snap.counter(names::SCHED_CROSS_SHARD_ABORTS),
-        waves = snap.counter(names::SCHED_WAVES),
         committed = snap.labeled_counter(names::SCHED_TXN_OUTCOMES, names::LABEL_OUTCOME_COMMITTED),
         aborted = snap.labeled_counter(names::SCHED_TXN_OUTCOMES, names::LABEL_OUTCOME_ABORTED),
         depths = json_f64_map(&queue_depths),

@@ -25,7 +25,7 @@
 //!
 //! * **Flight recorder** ([`flight`]): a fixed-size ring of recent
 //!   serving-plane events (txn admissions/commits/aborts, failpoint
-//!   fires, worker respawns, WAL fsyncs), dumped on panic or integrity
+//!   fires, WAL fsyncs), dumped on panic or integrity
 //!   failure and served at `/debug/events`. Feature-gated like metrics.
 //!
 //! * **Workload drift** ([`drift`]): sliding-window per-transaction-type
@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use metrics::{
     compiled, counter_add, counter_add_labeled, gauge_add, gauge_add_labeled, gauge_set,
-    observe_ns, quantile_sorted, snapshot, stopwatch, HistogramSnapshot, MetricsSnapshot,
-    NoopRecorder, Recorder, StopWatch,
+    observe_ns, snapshot, stopwatch, HistogramSnapshot, MetricsSnapshot, NoopRecorder, Recorder,
+    StopWatch,
 };
 pub use trace::TraceNode;

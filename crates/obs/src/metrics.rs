@@ -379,16 +379,6 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Exact nearest-rank quantile over a pre-sorted sample slice. Used by
-/// benches for wall-clock percentiles independent of the metrics feature.
-pub fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[cfg(feature = "metrics")]
 mod imp {
     use super::*;
@@ -664,12 +654,6 @@ mod api {
         pub fn observe(self, name: &'static str) {
             observe_ns(name, self.0.elapsed().as_nanos() as u64);
         }
-
-        /// Add the elapsed nanoseconds to counter `name` (busy-time style).
-        #[inline]
-        pub fn add_to_counter(self, name: &'static str) {
-            counter_add(name, self.0.elapsed().as_nanos() as u64);
-        }
     }
 }
 
@@ -713,9 +697,6 @@ mod api {
     impl StopWatch {
         #[inline(always)]
         pub fn observe(self, _name: &'static str) {}
-
-        #[inline(always)]
-        pub fn add_to_counter(self, _name: &'static str) {}
     }
 }
 
@@ -742,17 +723,6 @@ mod tests {
             },
         );
         s
-    }
-
-    #[test]
-    fn quantile_sorted_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(quantile_sorted(&v, 0.50), 50);
-        assert_eq!(quantile_sorted(&v, 0.95), 95);
-        assert_eq!(quantile_sorted(&v, 0.99), 99);
-        assert_eq!(quantile_sorted(&v, 1.0), 100);
-        assert_eq!(quantile_sorted(&[42], 0.5), 42);
-        assert_eq!(quantile_sorted(&[], 0.5), 0);
     }
 
     #[test]

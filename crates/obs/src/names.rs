@@ -7,15 +7,6 @@
 //! binary" check (the constants are dead-code-eliminated when the
 //! `metrics` feature is off because every consumer is an inlined no-op).
 
-/// Tasks ever dispatched to a [`PipelinePool`] (inline fast path included).
-pub const POOL_TASKS: &str = "spacetime_pool_tasks_total";
-/// Tasks currently queued or executing on pool workers.
-pub const POOL_QUEUE_DEPTH: &str = "spacetime_pool_queue_depth";
-/// Cumulative nanoseconds pool workers spent executing tasks.
-pub const POOL_WORKER_BUSY_NS: &str = "spacetime_pool_worker_busy_ns_total";
-/// Workers respawned after a task panic unwound one.
-pub const POOL_RESPAWNS: &str = "spacetime_pool_respawned_workers_total";
-
 /// Optimizer `SharedQueryCache` probes.
 pub const QUERY_CACHE_LOOKUPS: &str = "spacetime_query_cache_lookups_total";
 /// `SharedQueryCache` probes answered from the cache.
@@ -54,25 +45,16 @@ pub const OPT_TRACKS_TRUNCATED: &str = "spacetime_opt_tracks_truncated_total";
 /// Weighted cost of the current best (incumbent) view set, updated live.
 pub const OPT_INCUMBENT_COST: &str = "spacetime_opt_incumbent_cost";
 
-/// Transactions accepted by the shard-footprint scheduler.
+/// Transactions accepted by the transaction scheduler.
 pub const SCHED_TXNS: &str = "spacetime_sched_txns_total";
-/// Transactions run under a dispatch of two or more drain tasks (free to
-/// overlap a transaction with a disjoint shard footprint).
-pub const SCHED_ADMITTED_CONCURRENT: &str = "spacetime_sched_admitted_concurrent_total";
-/// Always 0 since the per-shard sequencer: a transaction is enqueued once
-/// and never re-scanned. Kept while `/statusz` and the books checks read it.
-pub const SCHED_CONFLICT_SERIALIZED: &str = "spacetime_sched_conflict_serialized_total";
 /// Transactions whose footprint spanned more than one shard (committed
 /// through the cross-shard protocol).
 pub const SCHED_CROSS_SHARD_TXNS: &str = "spacetime_sched_cross_shard_txns_total";
-/// Pool dispatches the scheduler made: one per run that routed any work
-/// (the name predates the sequencer; a dispatch drains the whole run).
-pub const SCHED_WAVES: &str = "spacetime_sched_waves_total";
-/// Transactions enqueued and not yet decided, across all shards.
+/// Transactions admitted to a run and not yet decided, across all shards.
 pub const SCHED_QUEUE_DEPTH: &str = "spacetime_sched_queue_depth";
 
-/// Per-shard sequencer queue depth (up at enqueue, down at decision),
-/// labeled by [`shard_label`].
+/// Per-shard count of admitted, undecided transactions (up at admission,
+/// down at decision), labeled by [`shard_label`].
 pub const SCHED_SHARD_QUEUE_DEPTH: &str = "spacetime_sched_shard_queue_depth";
 /// Dispatched transactions per participating shard, labeled by
 /// [`shard_label`] (a cross-shard transaction counts once per shard).

@@ -16,8 +16,8 @@
 //! With the feature on but no plan installed, each hit is one mutex lock
 //! on an empty `Option` — negligible, and only test builds enable it.
 //!
-//! Plans are process-global (worker threads must observe them), so tests
-//! that install plans must serialize; [`serial_guard`] provides the lock.
+//! Plans are process-global (every thread observes them), so tests that
+//! install plans must serialize; [`serial_guard`] provides the lock.
 
 use crate::error::StorageResult;
 
@@ -72,10 +72,11 @@ pub const SITES: &[Site] = &[
         supports_error: true,
         supports_panic: true,
     },
-    // Fired by the transaction scheduler once per transaction, before its
-    // body and inside that transaction's own `catch_unwind` (the site
-    // name predates the per-shard sequencer). Panic-only: the unwind is
-    // caught and surfaced as that transaction's `IvmError::TaskPanicked`.
+    // Fired by the transaction scheduler once per transaction, before any
+    // shard is touched and inside that transaction's own `catch_unwind`
+    // (the name predates the scheduler's one drain loop; there is no
+    // pool). Panic-only: the unwind is caught and surfaced as that
+    // transaction's `IvmError::TaskPanicked`.
     Site {
         name: "ivm::pool_dispatch",
         supports_error: false,
@@ -125,10 +126,10 @@ mod imp {
 
     /// A deterministic fault schedule: site name → armed spec.
     ///
-    /// The plan is deterministic in the sense that *which site fires, on
-    /// which hit, with which action* is fixed up front; when shards run
-    /// concurrently the hit that reaches the threshold may come from any
-    /// worker, but every firing must trigger the same full rollback.
+    /// The plan is deterministic: *which site fires, on which hit, with
+    /// which action* is fixed up front, and the scheduler runs
+    /// transactions one at a time in admission order, so the hit that
+    /// reaches the threshold is the same one on every run.
     #[derive(Debug, Clone, Default)]
     pub struct FaultPlan {
         specs: BTreeMap<&'static str, FaultSpec>,
@@ -217,7 +218,7 @@ mod imp {
 
     fn lock_active() -> MutexGuard<'static, Option<Active>> {
         // A panic injected *while the lock is held* is impossible (firing
-        // happens after the guard drops), but a panicking worker elsewhere
+        // happens after the guard drops), but a thread panicking elsewhere
         // must not poison the plan for the rest of the harness.
         active().lock().unwrap_or_else(|e| e.into_inner())
     }

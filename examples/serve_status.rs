@@ -15,7 +15,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use spacetime::ivm::{PipelinePool, PropagationMode, ShardedDatabase, Txn, TxnScheduler};
+use spacetime::ivm::{PropagationMode, ShardedDatabase, Txn, TxnScheduler};
 use spacetime::obs;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_storage::ShardSpec;
@@ -68,7 +68,7 @@ fn main() {
     };
     txns.push(cross);
 
-    let scheduler = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(4)));
+    let scheduler = TxnScheduler::new(&sharded, Arc::default());
     let out = scheduler.run(&txns).expect("scheduler run");
     let ok = out.results.iter().filter(|r| r.is_ok()).count();
     println!("served {ok}/{} transactions over 4 shards\n", txns.len());
@@ -77,8 +77,8 @@ fn main() {
     let stats = out.stats;
     let status: obs::http::StatusFn = Arc::new(move || {
         format!(
-            "{{ \"example\": \"serve_status\", \"committed\": {}, \"dispatches\": {}, \"drain_tasks\": {} }}",
-            stats.committed, stats.waves, stats.max_wave_width
+            "{{ \"example\": \"serve_status\", \"committed\": {}, \"aborted\": {} }}",
+            stats.committed, stats.aborted
         )
     });
     let server = obs::http::ObsServer::start_with_status("127.0.0.1:0", status).expect("bind");

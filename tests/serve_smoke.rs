@@ -1,23 +1,19 @@
 //! Tier-1 smoke test of the serving path.
 //!
-//! `cargo test -q` runs only the root package; this puts the scheduler,
-//! the transaction scope, the abort path and the cross-shard commit under
-//! it. The paper database is partitioned over two shards (one drain task
-//! each) and over four shards on a width-2 pool (more sequencer queues
-//! than workers) and served a short stream that holds one of each thing
-//! the path can do: commits on one shard, a cross-shard transfer, a
-//! violation the assertion gate rejects before any write, and a violation
-//! that only shows on the second participant once the transaction's first
-//! update is in place. The oracles are the repository's usual three: `run`
-//! equals `run_serial`, the shard unions equal an unsharded control, and
-//! every shard equals recomputation.
+//! This puts the scheduler, the transaction scope, the abort path and the
+//! cross-shard commit under the root package's tests. The paper database
+//! is partitioned over two shards and over four and served a short
+//! stream that holds one of each thing the path can do: commits on one
+//! shard, a cross-shard transfer, a violation the assertion gate rejects
+//! before any write, and a violation that only shows on the second
+//! participant once the transaction's first update is in place. The
+//! oracles: every outcome equals an unsharded control's, the shard unions
+//! equal its tables, and every shard equals recomputation.
 
 use std::sync::Arc;
 
 use spacetime::delta::Delta;
-use spacetime::ivm::{
-    verify_all_views, Database, IvmError, PipelinePool, ShardedDatabase, Txn, TxnScheduler,
-};
+use spacetime::ivm::{verify_all_views, Database, IvmError, ShardedDatabase, Txn, TxnScheduler};
 use spacetime::storage::{tuple, ShardSpec};
 use spacetime_bench::workload::{load_paper_data, paper_schema_db};
 
@@ -73,15 +69,17 @@ fn one(table: &str, delta: Delta) -> Txn {
 
 #[test]
 fn two_shard_serving_commits_aborts_and_matches_its_oracles() {
-    serve_and_check(2, 2);
+    serve_and_check(2);
 }
 
+/// The same stream over four shards (the name predates the one drain
+/// loop: there are no workers any more).
 #[test]
 fn four_shards_on_two_workers_commit_abort_and_match_their_oracles() {
-    serve_and_check(4, 2);
+    serve_and_check(4);
 }
 
-fn serve_and_check(n_shards: usize, width: usize) {
+fn serve_and_check(n_shards: usize) {
     let template = paper_db();
     let sharded = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
     // Departments on the lowest and the highest occupied shard, for the
@@ -132,12 +130,8 @@ fn serve_and_check(n_shards: usize, width: usize) {
     ];
     let expect_ok = [true, true, true, false, false, true, true];
 
-    let out = TxnScheduler::new(&sharded, Arc::new(PipelinePool::new(width)))
+    let out = TxnScheduler::new(&sharded, Arc::default())
         .run(&txns)
-        .unwrap();
-    let replayed = ShardedDatabase::partition(&template, shard_spec(), n_shards).unwrap();
-    let replay = TxnScheduler::new(&replayed, Arc::new(PipelinePool::new(1)))
-        .run_serial(&txns)
         .unwrap();
     let mut control = template.clone();
 
@@ -148,13 +142,11 @@ fn serve_and_check(n_shards: usize, width: usize) {
             expect_ok[i],
             "txn {i}: control outcome: {ctrl:?}"
         );
-        match (&out.results[i], &replay.results[i]) {
-            (Ok(r), Ok(s)) => assert_eq!(r, s, "txn {i}: report differs from the serial replay"),
-            (Err(e), Err(_)) => assert!(
+        if let Err(e) = &out.results[i] {
+            assert!(
                 matches!(e, IvmError::AssertionViolated { name, .. } if name == "DeptConstraint"),
                 "txn {i}: {e}"
-            ),
-            (r, s) => panic!("txn {i}: run {r:?} but run_serial {s:?}"),
+            );
         }
         assert_eq!(
             out.results[i].is_ok(),
@@ -165,20 +157,8 @@ fn serve_and_check(n_shards: usize, width: usize) {
     }
     assert_eq!(out.stats.cross_shard_txns, 2);
     assert_eq!((out.stats.committed, out.stats.aborted), (5, 2));
-    // One dispatch served the whole run, on at most `width` drain tasks.
-    assert_eq!((out.stats.waves, out.stats.conflict_deferrals), (1, 0));
-    assert!((2..=width as u64).contains(&out.stats.max_wave_width));
-
     for s in 0..n_shards {
-        let (live, serial) = (sharded.shard(s), replayed.shard(s));
-        for (name, table) in live.catalog.iter() {
-            assert_eq!(
-                table.relation.data(),
-                serial.catalog.table(name).unwrap().relation.data(),
-                "shard {s} table {name} differs from the serial replay"
-            );
-        }
-        live.integrity_check().unwrap();
+        sharded.shard(s).integrity_check().unwrap();
     }
     for (name, table) in control.catalog.iter() {
         assert_eq!(
