@@ -8,10 +8,11 @@
 //! * the scheduler counters and the labeled serving families (per-shard
 //!   transactions, outcomes, cross-shard decisions) = the `SchedStats`
 //!   the runs returned, and the queue-depth gauges drained to zero;
-//! * the WAL record families = what a durable two-shard run logged
-//!   (one `begin` and one `delta` per participant, one `prepared` per
-//!   cross-shard participant, one `commit` per transaction), and the
-//!   recovery counter and gauges = the `RecoveryStats` of reopening it.
+//! * the WAL record families = what a durable two-shard run logged in
+//!   its one log (one `begin` per dispatched transaction, one `delta` per
+//!   logged update, one `commit` per committed transaction, one
+//!   checkpoint marker), and the recovery counter and gauges = the
+//!   `RecoveryStats` of reopening it.
 //!
 //! The registry is process-global and the books are equalities, so this
 //! binary holds exactly one `#[test]`.
@@ -84,7 +85,7 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
         .expect("create durable db");
     let logged = serve(TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals()));
     drop(dur); // crash-stop: no final checkpoint
-    assert!(logged.cross_shard_txns > 0, "the workload must exercise two-phase commit");
+    assert!(logged.cross_shard_txns > 0, "the workload must exercise cross-shard commits");
     // The fields the one drain loop pins to constants: four runs, each
     // routing work, one transaction at a time.
     let pinned = (sched.admitted_concurrent, sched.conflict_deferrals, sched.waves);
@@ -130,16 +131,17 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     assert!(!snap.txn_mix.is_empty(), "txn-mix drift window is empty");
     assert!(!snap.view_cost_ewma.is_empty(), "view-cost EWMAs are empty");
 
-    // The WAL plane, as deltas over the durable run. Its transactions are
-    // single-delta, so a participant logs one begin and one delta.
+    // The WAL plane, as deltas over the durable run: a transaction is
+    // logged as submitted, whatever its footprint.
     assert_eq!(snap.labeled_counter_sum(metric::WAL_RECORDS), snap.counter(metric::WAL_APPENDS));
-    let single_shard = logged.txns - logged.cross_shard_txns;
+    let dispatched = logged.committed + logged.aborted;
+    let updates = txns.iter().map(Vec::len).sum::<usize>() as u64;
+    assert_eq!(dispatched, logged.txns, "every transaction was dispatched");
     for (kind, want) in [
-        (metric::LABEL_WAL_BEGIN, logged.shard_participations),
-        (metric::LABEL_WAL_DELTA, logged.shard_participations),
-        (metric::LABEL_WAL_PREPARED, logged.shard_participations - single_shard),
-        (metric::LABEL_WAL_COMMIT, logged.txns),
-        (metric::LABEL_WAL_CHECKPOINT, 2),
+        (metric::LABEL_WAL_BEGIN, dispatched),
+        (metric::LABEL_WAL_DELTA, updates),
+        (metric::LABEL_WAL_COMMIT, logged.committed),
+        (metric::LABEL_WAL_CHECKPOINT, 1),
     ] {
         let at = |s: &MetricsSnapshot| s.labeled_counter(metric::WAL_RECORDS, kind);
         assert_eq!(at(&snap) - at(&before_wal), want, "WAL records of {kind}");
@@ -148,13 +150,13 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     let age = |s: &MetricsSnapshot| s.gauge(metric::WAL_CHECKPOINT_AGE_TXNS);
     assert_eq!(
         age(&snap) - age(&before_wal),
-        logged.shard_participations as f64,
-        "checkpoint age vs logged participants"
+        logged.committed as f64,
+        "checkpoint age vs committed transactions"
     );
 
     let (_recovered, stats) = DurableSharded::open(&dir, 2).expect("recovery");
     let after = spacetime_obs::snapshot();
-    assert_eq!(stats.replayed_txns, logged.shard_participations, "every participant replays");
+    assert_eq!(stats.replayed_txns, logged.committed, "every committed transaction replays");
     let replayed = |s: &MetricsSnapshot| s.counter(metric::WAL_RECOVERY_REPLAYED_TXNS);
     assert_eq!(
         replayed(&after) - replayed(&snap),

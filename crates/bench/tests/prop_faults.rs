@@ -3,8 +3,9 @@
 //!
 //! Sweeps every failpoint site in `spacetime_storage::fault::SITES` across
 //! every supported action (typed error / injected panic) and hit
-//! thresholds, on one database and across the shards of a scheduler,
-//! asserting the all-or-nothing contract each time:
+//! thresholds, on one database and across the shards of a scheduler —
+//! and the WAL's append site inside a durable run — asserting the
+//! all-or-nothing contract each time:
 //!
 //! * a transaction interrupted by a fault leaves every catalog table
 //!   **bit-identical** to its pre-transaction state, with
@@ -640,4 +641,84 @@ fn cross_shard_dispatch_panic_fails_alone_and_later_txns_commit() {
         "shards diverged from the followers-only control"
     );
     assert!(sharded.verify_all_shards().unwrap().is_empty());
+}
+
+/// A WAL append that fails inside a durable run — at a transaction's
+/// begin, before any shard applies, or at its commit record, after every
+/// shard applied — fails that transaction alone, for a single-shard and
+/// a cross-shard one. The shards equal a control run without it, so does
+/// what reopening the directory recovers, and a retry equals the full
+/// control. Hit numbers are calibrated by counting appends.
+#[cfg(feature = "durability")]
+#[test]
+fn durable_wal_append_fault_fails_its_transaction_alone() {
+    use spacetime_ivm::{DurabilityOptions, DurableSharded};
+    let _serial = fault::serial_guard();
+    let template = template();
+    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
+    const N_SHARDS: usize = 4;
+    let raise = |dept: usize, emp: usize| {
+        let row = |s: i64| {
+            spacetime_storage::tuple![format!("emp{dept:05}_{emp}"), format!("dept{dept:05}"), s]
+        };
+        Delta::modify(row(100), row(180), 1)
+    };
+    let mut spanning = Delta::new();
+    (0..5).for_each(|dept| spanning.merge(raise(dept, 0)));
+    // A single-shard transaction, a cross-shard one, and a follower.
+    let txns: Vec<Txn> = [raise(0, 1), spanning, raise(1, 1)]
+        .into_iter()
+        .map(|d| vec![("Emp".to_string(), d)])
+        .collect();
+    let control = |txns: &[Txn]| {
+        let db = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
+        TxnScheduler::new(&db, Arc::default()).run(txns).unwrap();
+        shard_contents(&db)
+    };
+    let create = |dir: &std::path::Path| {
+        let opts = DurabilityOptions::default();
+        DurableSharded::create(&template, spec.clone(), N_SHARDS, dir, opts).unwrap()
+    };
+    let run = |dur: &DurableSharded, txns: &[Txn]| {
+        let sched = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals());
+        sched.run(txns).unwrap().results
+    };
+    // Calibrate: the append count after each transaction, run one at a time.
+    let dir = spacetime_wal::test_dir("wal_fault_calibrate");
+    let dur = create(&dir);
+    let guard = fault::install(FaultPlan::new().error_at("wal::append", u64::MAX));
+    let appends: Vec<u64> = txns
+        .iter()
+        .map(|t| {
+            assert!(run(&dur, std::slice::from_ref(t))[0].is_ok(), "calibration run must pass");
+            guard.hits("wal::append")
+        })
+        .collect();
+    drop((guard, dur));
+    std::fs::remove_dir_all(&dir).ok();
+    for target in [0, 1] {
+        let first = if target == 0 { 1 } else { appends[target - 1] + 1 };
+        for (point, on_hit) in [("begin", first), ("commit", appends[target])] {
+            let label = format!("txn {target}, {point} append (hit {on_hit})");
+            let dir = spacetime_wal::test_dir("wal_fault_cell");
+            let dur = create(&dir);
+            let guard = fault::install(FaultPlan::new().error_at("wal::append", on_hit));
+            let results = run(&dur, &txns);
+            assert!(guard.fired("wal::append"), "{label}: the fault never fired");
+            drop(guard);
+            let failed: Vec<usize> = (0..txns.len()).filter(|&i| results[i].is_err()).collect();
+            assert_eq!(failed, [target], "{label}: {results:?}");
+            let mut rest = txns.clone();
+            let lone = rest.remove(target);
+            let without = control(&rest);
+            assert_eq!(shard_contents(dur.db()), without, "{label}: shards vs control");
+            drop(dur);
+            let (rec, stats) = DurableSharded::open(&dir, N_SHARDS).unwrap();
+            assert_eq!(shard_contents(rec.db()), without, "{label}: recovery vs control");
+            assert_eq!(stats.skipped_txns, u64::from(point == "commit"), "{label}");
+            assert!(run(&rec, &[lone])[0].is_ok(), "{label}: retry failed");
+            assert_eq!(shard_contents(rec.db()), control(&txns), "{label}: retry vs full control");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

@@ -4,10 +4,10 @@
 //! Every cell of the sweep follows one shape:
 //!
 //! 1. run a workload durably (WAL + initial checkpoint) and *crash* by
-//!    mutilating the log files at a deterministic frame boundary
+//!    mutilating the one log at a deterministic frame boundary
 //!    (`spacetime_wal::crash`) — torn final record, corrupted CRC,
-//!    truncated segment, or a dropped global commit record between the
-//!    phases of a cross-shard commit;
+//!    truncated segment, or a cross-shard transaction's dropped commit
+//!    record — or by stopping between two shard checkpoints;
 //! 2. recover with `DurableSharded::open`;
 //! 3. assert the recovered state is **bit-identical** (every table,
 //!    every shard) to a fresh control database fed exactly the
@@ -63,7 +63,7 @@ fn build_db(departments: usize, emps_per_dept: usize, mode: PropagationMode) -> 
 
 /// A crafted single-insert transaction: one fresh Emp row. Exactly one
 /// shard in its footprint, exactly three WAL frames (begin + delta +
-/// commit) on that shard's log, and it always succeeds.
+/// commit) in the log, and it always succeeds.
 fn tail_txn(i: usize, dname: &str) -> Txn {
     let t = Tuple::new(vec![
         Value::str(format!("crash_e{i:03}")),
@@ -90,9 +90,9 @@ fn dname_routing_to(spec: &ShardSpec, n_shards: usize, want: usize) -> String {
     panic!("no department routes to shard {want} of {n_shards}");
 }
 
-/// The crash sites that mutilate a single shard's (or the unsharded)
-/// log, with the exactly-known number of tail transactions each loses
-/// when the log ends in crafted three-frame transactions.
+/// The crash sites that mutilate the log, with the exactly-known number
+/// of tail transactions each loses when the log ends in crafted
+/// three-frame transactions.
 #[derive(Debug, Clone, Copy)]
 enum Site {
     /// The final frame is cut mid-payload: the last commit record is
@@ -140,7 +140,10 @@ fn assert_db_eq(a: &Database, b: &Database, ctx: &str) {
     }
 }
 
+/// `a` (the recovered side) equals `b` shard by shard, table by table,
+/// and the recompute oracle finds every view of `a` consistent.
 fn assert_sharded_eq(a: &ShardedDatabase, b: &ShardedDatabase, ctx: &str) {
+    assert!(a.verify_all_shards().unwrap().is_empty(), "oracle mismatch ({ctx})");
     assert_eq!(a.n_shards(), b.n_shards(), "shard counts diverged ({ctx})");
     for s in 0..a.n_shards() {
         let da = a.shard(s);
@@ -175,8 +178,26 @@ fn unsharded_txns() -> Vec<Txn> {
     txns
 }
 
-fn create_unsharded(template: &Database, dir: &Path, opts: DurabilityOptions) -> DurableSharded {
-    DurableSharded::create(template, shard_spec(), 1, dir, opts).unwrap()
+/// A durable database over `template` at `n_shards`, default options.
+fn create(template: &Database, n_shards: usize, dir: &Path) -> DurableSharded {
+    DurableSharded::create(template, shard_spec(), n_shards, dir, DurabilityOptions::default())
+        .unwrap()
+}
+
+/// The unlogged unsharded control: `template` fed `txns`; how many
+/// committed.
+fn db_control(template: &Database, txns: &[Txn]) -> (Database, u64) {
+    let mut db = template.clone();
+    let committed = txns.iter().filter(|&t| db.apply_transaction(t.clone()).is_ok()).count();
+    (db, committed as u64)
+}
+
+/// The unlogged control: `template` partitioned like the durable run and
+/// fed `txns` through the scheduler.
+fn control(template: &Database, n_shards: usize, txns: &[Txn]) -> ShardedDatabase {
+    let db = ShardedDatabase::partition(template, shard_spec(), n_shards).unwrap();
+    TxnScheduler::new(&db, Arc::default()).run(txns).unwrap();
+    db
 }
 
 /// Run `txns` durably, one at a time in order; how many committed.
@@ -193,7 +214,7 @@ fn wal_unsharded_clean_reopen_is_identical() {
         let dir = test_dir("clean_reopen");
         let template = build_db(3, 4, mode);
         let txns = unsharded_txns();
-        let dur = create_unsharded(&template, &dir, DurabilityOptions::default());
+        let dur = create(&template, 1, &dir);
         let committed = run_durable(&dur, &txns);
         drop(dur);
         let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
@@ -202,10 +223,7 @@ fn wal_unsharded_clean_reopen_is_identical() {
         assert_eq!(stats.discarded_bytes, 0, "clean log has no torn bytes ({mode:?})");
         let rec = rec.db().shard(0);
         assert_eq!(rec.propagation_mode(), mode, "mode not restored");
-        let mut control = template.clone();
-        for t in &txns {
-            let _ = control.apply_transaction(t.clone());
-        }
+        let (control, _) = db_control(&template, &txns);
         assert_db_eq(&rec, &control, &format!("clean reopen, {mode:?}"));
         assert!(verify_all_views(&rec).unwrap().is_empty());
         cleanup(&dir);
@@ -223,19 +241,13 @@ fn wal_unsharded_crash_matrix() {
             let total = txns.len();
             let keep = total - site.lost_txns();
 
-            let dur = create_unsharded(&template, &dir, DurabilityOptions::default());
+            let dur = create(&template, 1, &dir);
             run_durable(&dur, &txns);
             drop(dur);
-            site.mutilate(&dir.join("shard-000").join("wal.log"));
+            site.mutilate(&dir.join("global.log"));
 
             let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
-            let mut control = template.clone();
-            let mut committed = 0u64;
-            for t in &txns[..keep] {
-                if control.apply_transaction(t.clone()).is_ok() {
-                    committed += 1;
-                }
-            }
+            let (control, committed) = db_control(&template, &txns[..keep]);
             assert_eq!(
                 stats.replayed_txns, committed,
                 "replayed only the committed prefix ({ctx})"
@@ -248,10 +260,7 @@ fn wal_unsharded_crash_matrix() {
 
             // Retry the lost tail: the recovered database serves on.
             run_durable(&rec, &txns[keep..]);
-            let mut control_full = template.clone();
-            for t in &txns {
-                let _ = control_full.apply_transaction(t.clone());
-            }
+            let (control_full, _) = db_control(&template, &txns);
             assert_db_eq(&rec.db().shard(0), &control_full, &format!("retry == control ({ctx})"));
             cleanup(&dir);
         }
@@ -264,7 +273,7 @@ fn wal_checkpoint_replays_only_the_tail() {
     let template = build_db(3, 4, PropagationMode::Fused);
     let before: Vec<Txn> = (0..4).map(|i| tail_txn(i, "dept00000")).collect();
     let after: Vec<Txn> = (4..7).map(|i| tail_txn(i, "dept00001")).collect();
-    let mut dur = create_unsharded(&template, &dir, DurabilityOptions::default());
+    let mut dur = create(&template, 1, &dir);
     assert_eq!(run_durable(&dur, &before), 4);
     dur.checkpoint().unwrap();
     assert_eq!(run_durable(&dur, &after), 3);
@@ -272,10 +281,8 @@ fn wal_checkpoint_replays_only_the_tail() {
     let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
     assert_eq!(stats.checkpoint_last_txn, 4, "checkpoint covers the first four");
     assert_eq!(stats.replayed_txns, 3, "only the post-checkpoint tail replays");
-    let mut control = template.clone();
-    for t in before.into_iter().chain(after) {
-        control.apply_transaction(t).unwrap();
-    }
+    let (control, committed) = db_control(&template, &[before, after].concat());
+    assert_eq!(committed, 7);
     let rec = rec.db().shard(0);
     assert_db_eq(&rec, &control, "checkpoint + tail");
     assert!(verify_all_views(&rec).unwrap().is_empty());
@@ -295,19 +302,17 @@ fn wal_checkpoint_policy_triggers_automatically() {
         },
         ..DurabilityOptions::default()
     };
-    let mut dur = create_unsharded(&template, &dir, opts);
-    for i in 0..5 {
-        assert_eq!(run_durable(&dur, &[tail_txn(i, "dept00000")]), 1);
+    let mut dur = DurableSharded::create(&template, shard_spec(), 1, &dir, opts).unwrap();
+    let txns: Vec<Txn> = (0..5).map(|i| tail_txn(i, "dept00000")).collect();
+    for t in &txns {
+        assert_eq!(run_durable(&dur, std::slice::from_ref(t)), 1);
         dur.maybe_checkpoint().unwrap();
     }
     drop(dur);
     // Checkpoints fired after txns 2 and 4; only txn 5 is in the log.
     let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
     assert_eq!(stats.replayed_txns, 1, "policy checkpoints bound the replay");
-    let mut control = template.clone();
-    for i in 0..5 {
-        control.apply_transaction(tail_txn(i, "dept00000")).unwrap();
-    }
+    let (control, _) = db_control(&template, &txns);
     assert_db_eq(&rec.db().shard(0), &control, "auto-checkpoint recovery");
     cleanup(&dir);
 }
@@ -329,16 +334,11 @@ fn wal_interrupted_create_can_be_retried() {
 
     let dur = create().unwrap_or_else(|e| panic!("retry over the half-made directory: {e}"));
     let txns = sharded_txns(&shard_spec(), 2);
-    TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
-        .run(&txns)
-        .unwrap();
+    run_durable(&dur, &txns);
     drop(dur);
     let (rec, stats) = DurableSharded::open_with(&dir, 2, DurabilityOptions::default()).unwrap();
     assert_eq!(stats.replayed_txns, txns.len() as u64);
-    let control = ShardedDatabase::partition(&template, shard_spec(), 2).unwrap();
-    TxnScheduler::new(&control, Arc::default())
-        .run(&txns)
-        .unwrap();
+    let control = control(&template, 2, &txns);
     assert_sharded_eq(rec.db(), &control, "recovery after a retried create");
     assert!(create().is_err(), "an initialized directory still refuses create");
     cleanup(&dir);
@@ -348,9 +348,8 @@ fn wal_interrupted_create_can_be_retried() {
 // Sharded
 // ---------------------------------------------------------------------
 
-/// Base workload plus three crafted tail transactions that all route to
-/// shard 0 — the mutilated log — so the lost transactions are exactly
-/// the globally-last ones.
+/// Base workload plus three crafted single-shard tail transactions, all
+/// on shard 0, so each crash site loses an exactly-known suffix.
 fn sharded_txns(spec: &ShardSpec, n_shards: usize) -> Vec<Txn> {
     let mut txns: Vec<Txn> = mixed_workload(4, 3, 6, 23)
         .into_iter()
@@ -371,46 +370,21 @@ fn wal_sharded_crash_matrix() {
                 let dir = test_dir("sharded_crash");
                 let ctx = format!("{n_shards} shard(s), {mode:?}, {site:?}");
                 let template = build_db(4, 3, mode);
-                let spec = shard_spec();
-                let txns = sharded_txns(&spec, n_shards);
-                let total = txns.len();
-                let keep = total - site.lost_txns();
+                let txns = sharded_txns(&shard_spec(), n_shards);
+                let keep = txns.len() - site.lost_txns();
 
-                let dur = DurableSharded::create(
-                    &template,
-                    spec.clone(),
-                    n_shards,
-                    &dir,
-                    DurabilityOptions::default(),
-                )
-                .unwrap();
-                TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
-                    .run(&txns)
-                    .unwrap();
+                let dur = create(&template, n_shards, &dir);
+                run_durable(&dur, &txns);
                 drop(dur);
-                site.mutilate(&dir.join("shard-000").join("wal.log"));
+                site.mutilate(&dir.join("global.log"));
 
                 let (rec, _stats) = DurableSharded::open(&dir, n_shards).unwrap();
-                let control =
-                    ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-                TxnScheduler::new(&control, Arc::default())
-                    .run(&txns[..keep])
-                    .unwrap();
-                assert_sharded_eq(rec.db(), &control, &format!("recovery == control ({ctx})"));
-                assert!(
-                    rec.db().verify_all_shards().unwrap().is_empty(),
-                    "oracle mismatch after recovery ({ctx})"
-                );
+                let prefix = control(&template, n_shards, &txns[..keep]);
+                assert_sharded_eq(rec.db(), &prefix, &format!("recovery == control ({ctx})"));
 
                 // Retry the lost tail durably on the recovered shards.
-                TxnScheduler::with_wals(rec.db(), Arc::default(), rec.wals())
-                    .run(&txns[keep..])
-                    .unwrap();
-                let control_full =
-                    ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-                TxnScheduler::new(&control_full, Arc::default())
-                    .run(&txns)
-                    .unwrap();
+                run_durable(&rec, &txns[keep..]);
+                let control_full = control(&template, n_shards, &txns);
                 assert_sharded_eq(rec.db(), &control_full, &format!("retry == control ({ctx})"));
                 cleanup(&dir);
             }
@@ -418,22 +392,21 @@ fn wal_sharded_crash_matrix() {
     }
 }
 
-/// The inter-phase cross-shard crash: every participant logged `begin +
-/// deltas + prepared` and applied in memory, but the global commit
-/// record was lost — 2PC's presumed abort. The final transaction spans
-/// two shards; dropping the last `global.log` frame must abort exactly
-/// it, on every shard it touched.
+/// A crash at a cross-shard transaction's commit point: its begin and
+/// deltas are in the log and it applied in memory on every shard it
+/// touched, but its one commit record was lost. Dropping the log's last
+/// frame must abort exactly it, on every shard.
 #[test]
-fn wal_global_commit_crash_aborts_cross_shard_txn() {
+fn wal_cross_shard_commit_crash_aborts_on_every_shard() {
     for &n_shards in &[2usize, 4] {
         for &mode in MODES {
-            let dir = test_dir("global_crash");
+            let dir = test_dir("cross_commit_crash");
             let ctx = format!("{n_shards} shard(s), {mode:?}");
             let template = build_db(4, 3, mode);
             let spec = shard_spec();
             let mut txns = sharded_txns(&spec, n_shards);
             // The final transaction: two inserts routing to different
-            // shards, forcing the 2PC path.
+            // shards.
             let d0 = dname_routing_to(&spec, n_shards, 0);
             let d1 = dname_routing_to(&spec, n_shards, 1);
             let mut cross = tail_txn(90, &d0);
@@ -441,81 +414,79 @@ fn wal_global_commit_crash_aborts_cross_shard_txn() {
             txns.push(cross);
             let total = txns.len();
 
-            let dur = DurableSharded::create(
-                &template,
-                spec.clone(),
-                n_shards,
-                &dir,
-                DurabilityOptions::default(),
-            )
-            .unwrap();
-            // Global commit records land in admission order, so the last
-            // global frame belongs to the last transaction.
-            TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
-                .run(&txns)
-                .unwrap();
+            let dur = create(&template, n_shards, &dir);
+            assert_eq!(run_durable(&dur, &txns), total as u64, "all commit ({ctx})");
             drop(dur);
             crash::drop_last_frame(&dir.join("global.log")).unwrap();
 
             let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
-            assert!(
-                stats.skipped_txns >= 2,
-                "both prepared participants must be presumed aborted ({ctx})"
-            );
-            let control = ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-            TxnScheduler::new(&control, Arc::default())
-                .run(&txns[..total - 1])
-                .unwrap();
-            assert_sharded_eq(rec.db(), &control, &format!("recovery == control ({ctx})"));
-            assert!(
-                rec.db().verify_all_shards().unwrap().is_empty(),
-                "oracle mismatch after recovery ({ctx})"
-            );
+            assert_eq!(stats.skipped_txns, 1, "exactly the cross-shard txn aborts ({ctx})");
+            let prefix = control(&template, n_shards, &txns[..total - 1]);
+            assert_sharded_eq(rec.db(), &prefix, &format!("recovery == control ({ctx})"));
 
             // Retry the aborted cross-shard transaction.
-            TxnScheduler::with_wals(rec.db(), Arc::default(), rec.wals())
-                .run(&txns[total - 1..])
-                .unwrap();
-            let control_full =
-                ShardedDatabase::partition(&template, spec.clone(), n_shards).unwrap();
-            TxnScheduler::new(&control_full, Arc::default())
-                .run(&txns)
-                .unwrap();
+            run_durable(&rec, &txns[total - 1..]);
+            let control_full = control(&template, n_shards, &txns);
             assert_sharded_eq(rec.db(), &control_full, &format!("retry == control ({ctx})"));
             cleanup(&dir);
         }
     }
 }
 
-/// A sharded checkpoint truncates every shard's log *and* the global
-/// log; recovery replays nothing and still matches.
+/// A crash between two shard checkpoints: shard 0's new checkpoint is in
+/// place, shard 1's is the one before, and the log was not yet
+/// truncated. Replay is filtered per shard — shard 0 skips what its
+/// checkpoint covers, shard 1 replays it — so recovery equals control.
+#[test]
+fn wal_crash_between_shard_checkpoints_recovers() {
+    let n_shards = 2;
+    let dir = test_dir("between_ckpts");
+    let template = build_db(4, 3, PropagationMode::Fused);
+    let txns = sharded_txns(&shard_spec(), n_shards);
+    let half = txns.len() / 2;
+    let mut dur = create(&template, n_shards, &dir);
+    run_durable(&dur, &txns[..half]);
+    dur.checkpoint().unwrap();
+    run_durable(&dur, &txns[half..]);
+    let (old_ckpt, log) = (dir.join("shard-001/checkpoint.ckpt"), dir.join("global.log"));
+    let saved = (std::fs::read(&old_ckpt).unwrap(), std::fs::read(&log).unwrap());
+    dur.checkpoint().unwrap();
+    drop(dur);
+    std::fs::write(&old_ckpt, saved.0).unwrap();
+    std::fs::write(&log, saved.1).unwrap();
+
+    let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
+    assert!(stats.replayed_txns > 0, "shard 1 replays the second half");
+    let control = control(&template, n_shards, &txns);
+    assert_sharded_eq(rec.db(), &control, "recovery between shard checkpoints");
+    cleanup(&dir);
+}
+
+/// A sharded checkpoint truncates the one log; recovery replays nothing
+/// and still matches. The log is the only WAL file in the directory.
 #[test]
 fn wal_sharded_checkpoint_then_recover() {
     let n_shards = 2;
     let dir = test_dir("sharded_ckpt");
     let template = build_db(4, 3, PropagationMode::Fused);
-    let spec = shard_spec();
-    let txns = sharded_txns(&spec, n_shards);
-    let mut dur = DurableSharded::create(
-        &template,
-        spec.clone(),
-        n_shards,
-        &dir,
-        DurabilityOptions::default(),
-    )
-    .unwrap();
-    TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
-        .run(&txns)
-        .unwrap();
+    let txns = sharded_txns(&shard_spec(), n_shards);
+    let mut dur = create(&template, n_shards, &dir);
+    run_durable(&dur, &txns);
     dur.checkpoint().unwrap();
     drop(dur);
+    let ls = |d: &Path| {
+        let names = std::fs::read_dir(d).unwrap().map(|e| e.unwrap().file_name());
+        let mut names: Vec<_> = names.collect();
+        names.sort();
+        names
+    };
+    assert_eq!(ls(&dir), ["META", "global.log", "shard-000", "shard-001"]);
+    for s in ["shard-000", "shard-001"] {
+        assert_eq!(ls(&dir.join(s)), ["checkpoint.ckpt"], "{s} holds no log");
+    }
     let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
     assert_eq!(stats.replayed_txns, 0, "checkpoint absorbed the whole log");
-    let control = ShardedDatabase::partition(&template, spec, n_shards).unwrap();
-    TxnScheduler::new(&control, Arc::default())
-        .run(&txns)
-        .unwrap();
+    let control = control(&template, n_shards, &txns);
     assert_sharded_eq(rec.db(), &control, "post-checkpoint recovery");
-    assert!(rec.db().verify_all_shards().unwrap().is_empty());
     cleanup(&dir);
 }

@@ -18,14 +18,13 @@
 //! * [`shard`] — the partitioned layout: [`shard::ShardedDatabase`]
 //!   splits a database into N shard domains by declared shard keys, each
 //!   shard a full database with its own engines and per-shard
-//!   materializations (and, under `durability`, its own log and
-//!   checkpoint).
+//!   materializations (and, under `durability`, its own checkpoint).
 //! * [`sched`] — the transaction scheduler ([`sched::TxnScheduler`]):
 //!   routes each transaction to the shards it touches and runs the batch
 //!   in admission order on the calling thread, cross-shard ones through
 //!   an all-or-nothing commit protocol.
-//! * `durability` (feature `durability`) — per-shard write-ahead
-//!   logging, checkpoints, and crash recovery proven bit-identical
+//! * `durability` (feature `durability`) — one write-ahead log,
+//!   per-shard checkpoints, and crash recovery proven bit-identical
 //!   (DESIGN.md §17). Off by default; the default build does not link
 //!   the wal crate.
 //! * [`trace`] — propagation-trace recording: the opt-in, always-compiled
@@ -48,9 +47,7 @@ pub mod verify;
 pub use constraints::{Assertion, Violation};
 pub use database::{Database, ExecutionMode, PhaseTotals, PipelinePool, ViewSelection};
 #[cfg(feature = "durability")]
-pub use durability::{
-    DurabilityOptions, DurableSharded, RecoveryStats, ShardWals,
-};
+pub use durability::{DurabilityOptions, DurableSharded, RecoveryStats};
 pub use engine::{IvmEngine, PropagationMode, UpdateReport};
 pub use sched::{SchedOutcome, SchedStats, Txn, TxnScheduler};
 pub use shard::ShardedDatabase;

@@ -15,16 +15,15 @@
 //! several shards applies to them one at a time in ascending shard order,
 //! each inside the shard's own transaction scope
 //! (`Database::apply_open`), and every participant's undo journal stays
-//! open until the decision point: the WAL commit record for a
-//! single-shard transaction, the global commit record for a cross-shard
-//! one, or simply the last participant's success when nothing is logged.
-//! Then every participant commits (its journal is forgotten). If any
-//! participant fails first — a typed error, an injected fault, or a
-//! contained panic — it has already rolled itself back, and every earlier
-//! participant aborts, newest first, by replaying its journal. Nothing
-//! else runs until the transaction is decided, so it is all-or-nothing
-//! across its whole footprint and no shard's catalog is ever copied to
-//! make it so.
+//! open until the decision point: the transaction's one WAL commit record
+//! when it is logged — single-shard and cross-shard alike — or simply the
+//! last participant's success when nothing is logged. Then every
+//! participant commits (its journal is forgotten). If anything fails
+//! first — a participant's typed error, injected fault or contained
+//! panic, or a WAL append — every participant still open aborts, newest
+//! first, by replaying its journal. Nothing else runs until the
+//! transaction is decided, so it is all-or-nothing across its whole
+//! footprint and no shard's catalog is ever copied to make it so.
 //!
 //! **Panic containment.** Each transaction runs under its own
 //! `catch_unwind`: a panicking body is that transaction's
@@ -113,8 +112,7 @@ pub struct SchedOutcome {
     /// unsharded [`Database::apply_transaction`] trace — the shard id
     /// rides along as a non-structural note); a cross-shard transaction
     /// gets a structural `cross-shard commit` root wrapping each
-    /// participant's trace in ascending shard order, plus a `wal
-    /// global-commit` child when write-ahead logged.
+    /// participant's trace in ascending shard order.
     pub traces: Vec<Option<TraceNode>>,
     /// The whole run as one span — `schedule` → one `txn` node per
     /// dispatched transaction, in admission order, each wrapping its span
@@ -123,18 +121,29 @@ pub struct SchedOutcome {
 }
 
 #[cfg(feature = "durability")]
-use crate::durability::ShardWals;
+use crate::durability::{log_begin, log_commit, Wal};
+
 /// Uninhabited stand-in so `apply_parts` keeps one signature when the
-/// `durability` feature (and with it the real `ShardWals`) is off: an
-/// `Option<Arc<…>>` of this type can only ever be `None`.
+/// `durability` feature (and with it the real log) is off: an
+/// `Option<&Wal>` can only ever be `None`.
 #[cfg(not(feature = "durability"))]
-type ShardWals = std::convert::Infallible;
+enum Wal {}
+
+#[cfg(not(feature = "durability"))]
+fn log_begin(wal: &Wal, _: &Txn) -> IvmResult<u64> {
+    match *wal {}
+}
+
+#[cfg(not(feature = "durability"))]
+fn log_commit(wal: &Wal, _: u64) -> IvmResult<()> {
+    match *wal {}
+}
 
 /// A scheduler bound to a sharded database.
 pub struct TxnScheduler<'a> {
     db: &'a ShardedDatabase,
-    /// Per-shard WAL sessions + global commit log for durable serving.
-    wals: Option<Arc<ShardWals>>,
+    /// The database's one write-ahead log, for durable serving.
+    wal: Option<Arc<Wal>>,
 }
 
 /// A transaction's routed form: per-shard sub-transactions in ascending
@@ -192,48 +201,23 @@ impl<'a> TxnScheduler<'a> {
     /// compile shim for the frozen benchmark harness (`PipelinePool` in
     /// `database.rs`).
     pub fn new(db: &'a ShardedDatabase, _pool: Arc<PipelinePool>) -> Self {
-        TxnScheduler { db, wals: None }
+        TxnScheduler { db, wal: None }
     }
 
-    /// A durable scheduler: every transaction is write-ahead logged on
-    /// the shards it touches (cross-shard transactions through the 2PC
-    /// global commit record) before its results are reported. `wals`
-    /// must come from the [`crate::durability::DurableSharded`] that
-    /// owns `db`'s logs. The pool argument is ignored, as in
+    /// A durable scheduler: every transaction is write-ahead logged —
+    /// one begin with its deltas before any shard applies, one commit
+    /// record after the last one has — before its result is reported.
+    /// `wal` must come from [`crate::durability::DurableSharded::wals`]
+    /// of the handle that owns `db`. The pool argument is ignored, as in
     /// [`TxnScheduler::new`].
     #[cfg(feature = "durability")]
-    pub fn with_wals(
-        db: &'a ShardedDatabase,
-        _pool: Arc<PipelinePool>,
-        wals: Arc<ShardWals>,
-    ) -> Self {
-        TxnScheduler {
-            db,
-            wals: Some(wals),
-        }
+    pub fn with_wals(db: &'a ShardedDatabase, _pool: Arc<PipelinePool>, wal: Arc<Wal>) -> Self {
+        TxnScheduler { db, wal: Some(wal) }
     }
 
     /// The sharded database this scheduler serves.
     pub fn db(&self) -> &ShardedDatabase {
         self.db
-    }
-
-    /// Route one transaction to its per-shard sub-transactions: one part
-    /// per shard it touches, ascending.
-    fn route(&self, txn: &Txn) -> IvmResult<ShardParts> {
-        let mut parts = ShardParts::new();
-        for (table, delta) in txn {
-            for (s, d) in self.db.route_delta(table, delta)? {
-                let at = parts
-                    .binary_search_by_key(&s, |(shard, _)| *shard)
-                    .unwrap_or_else(|at| {
-                        parts.insert(at, (s, Txn::new()));
-                        at
-                    });
-                parts[at].1.push((table.clone(), d));
-            }
-        }
-        Ok(parts)
     }
 
     /// Route every transaction, then run them one at a time in admission
@@ -254,7 +238,7 @@ impl<'a> TxnScheduler<'a> {
         let mut results: Vec<IvmResult<UpdateReport>> = Vec::with_capacity(n);
         let mut admitted: Vec<(usize, Vec<usize>, ShardParts)> = Vec::with_capacity(n);
         for (slot, txn) in txns.iter().enumerate() {
-            let parts = match self.route(txn) {
+            let parts = match self.db.route_txn(txn) {
                 Ok(p) if !p.is_empty() => p,
                 done => {
                     results.push(done.map(|_| UpdateReport::default()));
@@ -289,7 +273,7 @@ impl<'a> TxnScheduler<'a> {
             // alone.
             let out = catch_unwind(AssertUnwindSafe(|| {
                 fault::fire_panic("ivm::pool_dispatch");
-                apply_parts(cells, parts, self.wals.as_deref())
+                apply_parts(cells, &txns[slot], parts, self.wal.as_deref())
             }));
             latencies[slot] = t0.elapsed().as_nanos() as u64;
             let (result, trace) = out.unwrap_or_else(|p| {
@@ -327,13 +311,12 @@ impl<'a> TxnScheduler<'a> {
 /// commit protocol (module docs). Single-shard transactions take the same
 /// path with a one-element footprint — open the scope, apply, decide.
 ///
-/// With `wals` present every participant is write-ahead logged: `begin +
-/// deltas` (plus `prepared` for cross-shard transactions) before its
-/// in-memory apply, the commit record after. A cross-shard transaction's
-/// atomic commit point is the global commit record appended *after* every
-/// participant applied and flushed — recovery aborts prepared
-/// participants whose global record is absent, which is exactly what the
-/// in-memory aborts below converge to.
+/// With `wal` present the transaction is logged as submitted — one begin
+/// and its unrouted deltas — before the first participant applies, and
+/// its one commit record is appended after the last participant applied.
+/// That record is the commit point: a failure before it or at it aborts
+/// every open participant below, and recovery, finding no commit record,
+/// replays nothing of the transaction.
 ///
 /// The second return is the transaction's assembled span when tracing is
 /// on and the transaction committed (see [`SchedOutcome::traces`] for the
@@ -341,49 +324,32 @@ impl<'a> TxnScheduler<'a> {
 /// [`Database::apply_transaction`].
 fn apply_parts(
     cells: &[Mutex<Database>],
+    txn: &Txn,
     parts: ShardParts,
-    wals: Option<&ShardWals>,
+    wal: Option<&Wal>,
 ) -> (IvmResult<UpdateReport>, Option<TraceNode>) {
-    #[cfg(not(feature = "durability"))]
-    let _ = wals; // uninhabited: always `None` without the feature
     let n_parts = parts.len();
-    #[cfg(feature = "durability")]
-    let gid: Option<u64> = match wals {
-        Some(w) if n_parts > 1 => Some(w.alloc_gid()),
-        _ => None,
-    };
-    #[cfg(not(feature = "durability"))]
-    let gid: Option<u64> = None;
-    // The global commit names its participants; the parts move into the
-    // loop below, so note them first (cross-shard transactions only).
-    #[cfg(feature = "durability")]
-    let fp: Vec<usize> = match gid {
-        Some(_) => parts.iter().map(|(s, _)| *s).collect(),
-        None => Vec::new(),
-    };
     // Participants whose apply succeeded, in ascending shard order, each
     // with its transaction scope still open. The guards are held to the
     // decision point; nothing else runs meanwhile, so holding them blocks
     // nobody.
     let mut open: Vec<MutexGuard<'_, Database>> = Vec::with_capacity(n_parts);
     let mut combined = UpdateReport::default();
-    let mut failure: Option<IvmError> = None;
     // Per-shard transaction traces, collected in parts order (ascending
     // shard id) so assembly is deterministic.
     let mut shard_traces: Vec<(usize, TraceNode)> = Vec::new();
+    let logged = wal.map(|w| log_begin(w, txn).map(|id| (w, id))).transpose();
+    let (logged, mut failure) = match logged {
+        Ok(logged) => (logged, None),
+        Err(e) => (None, Some(e)),
+    };
     for (shard, updates) in parts {
+        // A failed begin append or an earlier participant's failure
+        // decides the transaction: no later participant applies.
+        if failure.is_some() {
+            break;
+        }
         let mut db = cells[shard].lock().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "durability")]
-        let wal_txn: Option<u64> = match wals {
-            Some(w) => match w.begin_shard(shard, gid, &updates) {
-                Ok(id) => Some(id),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            },
-            None => None,
-        };
         // `apply_open` aborts its own scope on an error and on a panic
         // (planning of update k can unwind after updates 1..k landed), so
         // a participant that did not succeed is already rolled back.
@@ -394,47 +360,26 @@ fn apply_parts(
                     shard_traces.push((shard, t));
                 }
                 open.push(db);
-                #[cfg(feature = "durability")]
-                if let (Some(w), Some(txn_id), None) = (wals, wal_txn, gid) {
-                    // Single-shard durable commit point. If the record
-                    // cannot be written, memory must not run ahead of
-                    // the log: the transaction fails and aborts below.
-                    if let Err(e) = w.commit_shard(shard, txn_id) {
-                        failure = Some(e);
-                        break;
-                    }
-                }
             }
-            Ok(Err(e)) => {
-                failure = Some(e);
-                break;
-            }
+            Ok(Err(e)) => failure = Some(e),
             Err(p) => {
                 failure = Some(IvmError::TaskPanicked {
                     message: panic_message(p.as_ref()),
-                });
-                break;
+                })
             }
         }
     }
-    #[cfg(feature = "durability")]
-    if failure.is_none() {
-        if let (Some(w), Some(g)) = (wals, gid) {
-            // Cross-shard commit point: flush the participants, then
-            // one global commit record. Failure converges to the
-            // aborts below — and to abort-at-recovery, since no
-            // global record was made durable.
-            if let Err(e) = w.commit_global(g, &fp) {
-                failure = Some(e);
-            }
-        }
+    if let (None, Some((w, id))) = (&failure, logged) {
+        // The commit point. If the record cannot be written, memory must
+        // not run ahead of the log: the transaction aborts below.
+        failure = log_commit(w, id).err();
     }
     match failure {
         None => {
             for mut db in open {
                 db.commit_transaction();
             }
-            (Ok(combined), assemble_txn_trace(shard_traces, n_parts, gid))
+            (Ok(combined), assemble_txn_trace(shard_traces, n_parts))
         }
         Some(mut e) => {
             // Abort every participant still open, newest first. Replaying
@@ -459,13 +404,10 @@ fn apply_parts(
 /// unsharded trace, with the shard id as a non-structural note — and a
 /// cross-shard transaction gets a structural `cross-shard commit` root
 /// with one `shard N` child per participant (ascending shard order, which
-/// routing fixes deterministically) plus a `wal global-commit` child when
-/// a global commit record was logged (`wal_global` carries its gid, which
-/// rides as a note).
+/// routing fixes deterministically).
 fn assemble_txn_trace(
     mut shard_traces: Vec<(usize, TraceNode)>,
     n_parts: usize,
-    wal_global: Option<u64>,
 ) -> Option<TraceNode> {
     if shard_traces.is_empty() {
         return None;
@@ -480,11 +422,6 @@ fn assemble_txn_trace(
         let mut sn = TraceNode::new(format!("shard {s}"));
         sn.push_child(t);
         root.push_child(sn);
-    }
-    if let Some(gid) = wal_global {
-        let mut w = TraceNode::new("wal global-commit").with_field("participants", n_parts);
-        w.push_note(format!("gid {gid}"));
-        root.push_child(w);
     }
     Some(root)
 }

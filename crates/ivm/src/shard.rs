@@ -18,10 +18,10 @@
 //! every shard whose views it affects. The property tests cross-check the
 //! contract by comparing the shard union against an unsharded control.
 //!
-//! Shards are a layout, not a throughput setting: per-shard logs,
-//! checkpoints and recovery (`crate::durability`) follow it, but the
-//! scheduler ([`crate::sched`]) runs one transaction at a time whatever
-//! the shard count.
+//! Shards are a layout, not a throughput setting: per-shard checkpoints
+//! (`crate::durability`) follow it, but a durable database keeps one log,
+//! and the scheduler ([`crate::sched`]) runs one transaction at a time
+//! whatever the shard count.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -29,6 +29,7 @@ use spacetime_delta::Delta;
 use spacetime_storage::{Bag, ShardSpec};
 
 use crate::database::Database;
+use crate::sched::Txn;
 use crate::{IvmError, IvmResult};
 
 /// A database partitioned into shard domains.
@@ -123,9 +124,8 @@ impl ShardedDatabase {
         Ok(ShardedDatabase { spec, shards })
     }
 
-    /// Reassemble a sharded database from recovered shard cells (crash
-    /// recovery restores each shard independently; see
-    /// `crate::durability`).
+    /// Reassemble a sharded database from the shard cells restored from
+    /// their checkpoints (see `crate::durability`).
     #[cfg(feature = "durability")]
     pub(crate) fn from_parts(spec: ShardSpec, shards: Vec<Mutex<Database>>) -> ShardedDatabase {
         ShardedDatabase { spec, shards }
@@ -165,6 +165,25 @@ impl ShardedDatabase {
             .enumerate()
             .filter(|(_, d)| !d.is_empty())
             .collect())
+    }
+
+    /// Route one transaction to its per-shard sub-transactions: one part
+    /// per shard it touches, ascending. The scheduler routes with this,
+    /// and so does recovery when it replays the one log into the shards.
+    pub(crate) fn route_txn(&self, txn: &Txn) -> IvmResult<Vec<(usize, Txn)>> {
+        let mut parts: Vec<(usize, Txn)> = Vec::new();
+        for (table, delta) in txn {
+            for (s, d) in self.route_delta(table, delta)? {
+                let at = parts
+                    .binary_search_by_key(&s, |(shard, _)| *shard)
+                    .unwrap_or_else(|at| {
+                        parts.insert(at, (s, Txn::new()));
+                        at
+                    });
+                parts[at].1.push((table.clone(), d));
+            }
+        }
+        Ok(parts)
     }
 
     /// The union of a table's contents across all shards (tests and

@@ -62,9 +62,9 @@ pub const SHARD_TXNS: &str = "spacetime_shard_txns_total";
 /// Dispatched transactions by outcome, labeled [`LABEL_OUTCOME_COMMITTED`]
 /// or [`LABEL_OUTCOME_ABORTED`].
 pub const SCHED_TXN_OUTCOMES: &str = "spacetime_sched_txn_outcomes_total";
-/// Cross-shard transactions that reached the global commit record.
+/// Cross-shard transactions that committed.
 pub const SCHED_CROSS_SHARD_COMMITS: &str = "spacetime_sched_cross_shard_commits_total";
-/// Cross-shard transactions rolled back before the global commit record.
+/// Cross-shard transactions rolled back on every participating shard.
 pub const SCHED_CROSS_SHARD_ABORTS: &str = "spacetime_sched_cross_shard_aborts_total";
 
 // --- label dimension ------------------------------------------------------
@@ -115,8 +115,6 @@ pub const LABEL_WAL_BEGIN: &str = "kind=\"begin\"";
 pub const LABEL_WAL_DELTA: &str = "kind=\"delta\"";
 /// WAL record-kind label: commit frames.
 pub const LABEL_WAL_COMMIT: &str = "kind=\"commit\"";
-/// WAL record-kind label: cross-shard prepared frames.
-pub const LABEL_WAL_PREPARED: &str = "kind=\"prepared\"";
 /// WAL record-kind label: checkpoint marker frames.
 pub const LABEL_WAL_CHECKPOINT: &str = "kind=\"checkpoint\"";
 

@@ -82,22 +82,15 @@ pub const SITES: &[Site] = &[
         supports_error: false,
         supports_panic: true,
     },
-    // Fired by `WalWriter::append` before any bytes are framed — a
-    // durable-commit append that errors must leave memory and disk
-    // agreeing (the durability layer aborts its open transaction scope).
-    // Only reachable in `durability` builds; the fault sweep tolerates
-    // sites that never fire.
+    // Fired by `WalWriter::append` before any bytes are framed — at a
+    // transaction's begin (before any shard applies) and at its one
+    // commit record (after every shard applied). An append that errors
+    // must leave memory and disk agreeing: the scheduler aborts every
+    // open participant and recovery finds no commit record. Only
+    // reachable in `durability` builds (the durable cell of
+    // `prop_faults.rs`); the non-durable sweeps never cross it.
     Site {
         name: "wal::append",
-        supports_error: true,
-        supports_panic: false,
-    },
-    // Fired immediately before the cross-shard global commit record is
-    // appended — the 2PC decision point. An error here must abort the
-    // whole transaction (presumed abort: prepared-but-uncommitted
-    // participants roll back at recovery).
-    Site {
-        name: "wal::global_commit",
         supports_error: true,
         supports_panic: false,
     },

@@ -279,12 +279,17 @@ pub fn put_bag(buf: &mut Vec<u8>, b: &Bag) {
     }
 }
 
+/// Decoding rejects a bag whose counts sum past `u64::MAX` — no real bag
+/// holds that many rows, and [`Bag::insert`] would overflow.
 pub fn get_bag(cur: &mut Cur) -> WalResult<Bag> {
     let n = cur.u32()? as usize;
     let mut b = Bag::default();
     for _ in 0..n {
         let t = get_tuple(cur)?;
         let c = cur.u64()?;
+        if b.len().checked_add(c).is_none() {
+            return Err(WalError::Corrupt("bag counts overflow".into()));
+        }
         b.insert(t, c);
     }
     Ok(b)
@@ -693,6 +698,18 @@ mod tests {
         assert_eq!(back.inserts.sorted(), d.inserts.sorted());
         assert_eq!(back.deletes.sorted(), d.deletes.sorted());
         assert_eq!(back.modifies, d.modifies);
+    }
+
+    /// Two rows of `u64::MAX` copies: corruption, not an overflow panic.
+    #[test]
+    fn bag_counts_that_overflow_are_corrupt() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        for i in 1..=2 {
+            put_tuple(&mut buf, &Tuple::new(vec![Value::Int(i)]));
+            put_u64(&mut buf, u64::MAX);
+        }
+        assert!(matches!(get_bag(&mut Cur::new(&buf)), Err(WalError::Corrupt(_))));
     }
 
     #[test]

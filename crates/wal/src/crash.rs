@@ -1,8 +1,9 @@
 //! Deterministic crash-site surgery on log files.
 //!
-//! Each helper mutilates a log file exactly the way a specific crash
+//! Each helper mutilates the log file exactly the way a specific crash
 //! would: a torn final append, a truncated segment, a corrupted frame,
-//! or a missing commit record. All cuts land on frame boundaries
+//! or a missing commit record — the one commit point of a transaction,
+//! single-shard or cross-shard alike. All cuts land on frame boundaries
 //! computed by [`frame_spans`], so a test knows precisely which
 //! transactions survive — that's what makes recovery-equals-control
 //! assertable bit-for-bit rather than statistically.
@@ -57,9 +58,9 @@ pub fn corrupt_last_frame(path: &Path) -> WalResult<()> {
     Ok(())
 }
 
-/// Crash between cross-shard phase K and K+1: the last complete frame
-/// (on the coordinator's global log, the global commit record) never
-/// hit the disk.
+/// Crash at the commit point: the last complete frame — a log ending in
+/// a transaction, that transaction's one commit record — never hit the
+/// disk.
 pub fn drop_last_frame(path: &Path) -> WalResult<()> {
     let removed = truncate_frames(path, 1)?;
     if removed == 0 {

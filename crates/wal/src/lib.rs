@@ -7,10 +7,11 @@
 //! DESIGN.md §17):
 //!
 //! * **Write-ahead log** ([`log`]): CRC32-framed, length-prefixed
-//!   records (txn-begin, per-relation delta payload, txn-commit /
-//!   2PC prepared, checkpoint marker) appended at the existing commit
-//!   points. Readers accept the longest valid prefix; torn or
-//!   corrupted crash suffixes are discarded and truncated.
+//!   records (txn-begin, per-relation delta payload, txn-commit,
+//!   checkpoint marker) in one log per database: a transaction is one
+//!   begin, its deltas and one commit record, the commit point. Readers
+//!   accept the longest valid prefix; torn or corrupted crash suffixes
+//!   are discarded and truncated.
 //! * **Checkpoints** ([`checkpoint`]): a full catalog snapshot (base
 //!   relations *and* chosen materializations) written to a temp file,
 //!   fsynced, and atomically renamed over the previous checkpoint, so
@@ -82,9 +83,6 @@ pub enum SyncPolicy {
     Flush,
     /// fsync at every commit: survives power loss.
     Always,
-    /// Only flush/fsync when a checkpoint is taken; commits in between
-    /// may be lost on any crash. For bulk loads.
-    OnCheckpoint,
 }
 
 /// When [`WalSession::should_checkpoint`] starts answering `true`.
@@ -107,8 +105,8 @@ impl Default for CheckpointPolicy {
     }
 }
 
-/// One shard's live WAL handle: the writer plus txn-id allocation and
-/// checkpoint-policy accounting. The IVM layer drives it; this type
+/// A database's one live WAL handle: the writer plus txn-id allocation
+/// and checkpoint-policy accounting. The IVM layer drives it; this type
 /// only knows about records and bytes.
 #[derive(Debug)]
 pub struct WalSession {
@@ -140,25 +138,20 @@ impl WalSession {
         })
     }
 
-    pub fn writer(&mut self) -> &mut WalWriter {
-        &mut self.writer
-    }
-
     pub fn next_txn_id(&self) -> u64 {
         self.next_txn
     }
 
     /// Allocate a txn id and append its begin + delta records
-    /// (buffered). The commit point is [`WalSession::commit`] /
-    /// [`WalSession::prepared`].
-    pub fn begin(
-        &mut self,
-        global: Option<u64>,
-        updates: &[(String, spacetime_delta::Delta)],
-    ) -> WalResult<u64> {
+    /// (buffered). The commit point is [`WalSession::commit`].
+    pub fn begin(&mut self, updates: &[(String, spacetime_delta::Delta)]) -> WalResult<u64> {
         let txn_id = self.next_txn;
         self.next_txn += 1;
-        let mut bytes = self.writer.append(&Record::TxnBegin { txn_id, global })?;
+        let begin = Record::TxnBegin {
+            txn_id,
+            global: None,
+        };
+        let mut bytes = self.writer.append(&begin)?;
         for (table, delta) in updates {
             bytes += self.writer.append(&Record::Delta {
                 txn_id,
@@ -170,21 +163,11 @@ impl WalSession {
         Ok(txn_id)
     }
 
-    /// Append the commit record for a single-shard txn and make it
-    /// durable per the sync policy.
+    /// Append a transaction's commit record — its commit point, however
+    /// many shards it touched — and make it durable per the sync policy.
     pub fn commit(&mut self, txn_id: u64) -> WalResult<()> {
         let bytes = self.writer.append(&Record::TxnCommit { txn_id })?;
         self.writer.commit_durable(self.sync)?;
-        self.txns_since_checkpoint += 1;
-        self.bytes_since_checkpoint += bytes;
-        spacetime_obs::gauge_add(spacetime_obs::names::WAL_CHECKPOINT_AGE_TXNS, 1.0);
-        Ok(())
-    }
-
-    /// Append the 2PC prepared marker for a cross-shard participant
-    /// (durability is deferred to the coordinator's pre-commit flush).
-    pub fn prepared(&mut self, txn_id: u64) -> WalResult<()> {
-        let bytes = self.writer.append(&Record::Prepared { txn_id })?;
         self.txns_since_checkpoint += 1;
         self.bytes_since_checkpoint += bytes;
         spacetime_obs::gauge_add(spacetime_obs::names::WAL_CHECKPOINT_AGE_TXNS, 1.0);
@@ -208,10 +191,7 @@ impl WalSession {
     pub fn after_checkpoint(&mut self, last_txn: u64) -> WalResult<()> {
         self.writer.truncate()?;
         self.writer.append(&Record::Checkpoint { last_txn })?;
-        self.writer.commit_durable(match self.sync {
-            SyncPolicy::OnCheckpoint => SyncPolicy::Always,
-            s => s,
-        })?;
+        self.writer.commit_durable(self.sync)?;
         // Drop this session's contribution to the process-wide
         // checkpoint-age gauge (other live sessions keep theirs).
         spacetime_obs::gauge_add(

@@ -32,16 +32,17 @@ fn record_kind_label(rec: &Record) -> &'static str {
         Record::TxnBegin { .. } => names::LABEL_WAL_BEGIN,
         Record::Delta { .. } => names::LABEL_WAL_DELTA,
         Record::TxnCommit { .. } => names::LABEL_WAL_COMMIT,
-        Record::Prepared { .. } => names::LABEL_WAL_PREPARED,
         Record::Checkpoint { .. } => names::LABEL_WAL_CHECKPOINT,
     }
 }
 
-/// One durable log record.
+/// One durable log record. Kind 4 belonged to the deleted two-phase
+/// commit's prepared vote and now decodes as corruption.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
-    /// A transaction starts. `global` carries the cross-shard global
-    /// commit id for 2PC participants, `None` for single-shard txns.
+    /// A transaction starts. The product always writes `global: None`
+    /// (the bytes of the old single-shard begin); the field stays only
+    /// because the frozen benchmark harness constructs this record.
     TxnBegin { txn_id: u64, global: Option<u64> },
     /// One relation's delta within the surrounding transaction.
     Delta {
@@ -49,13 +50,8 @@ pub enum Record {
         table: String,
         delta: Delta,
     },
-    /// Durable commit point for a single-shard transaction (and, on the
-    /// coordinator's global log, for a cross-shard transaction).
+    /// The transaction's durable commit point.
     TxnCommit { txn_id: u64 },
-    /// End-of-prepare marker for a 2PC participant: the txn's deltas
-    /// are durable on this shard, but it commits only if the global log
-    /// carries a [`Record::TxnCommit`] for its `global` id.
-    Prepared { txn_id: u64 },
     /// A checkpoint covering every txn up to and including `last_txn`
     /// was installed; the log was truncated at this point.
     Checkpoint { last_txn: u64 },
@@ -90,10 +86,6 @@ impl Record {
                 codec::put_u8(&mut buf, 3);
                 codec::put_u64(&mut buf, *txn_id);
             }
-            Record::Prepared { txn_id } => {
-                codec::put_u8(&mut buf, 4);
-                codec::put_u64(&mut buf, *txn_id);
-            }
             Record::Checkpoint { last_txn } => {
                 codec::put_u8(&mut buf, 5);
                 codec::put_u64(&mut buf, *last_txn);
@@ -125,7 +117,6 @@ impl Record {
                 }
             }
             3 => Record::TxnCommit { txn_id: cur.u64()? },
-            4 => Record::Prepared { txn_id: cur.u64()? },
             5 => Record::Checkpoint { last_txn: cur.u64()? },
             t => return Err(WalError::Corrupt(format!("invalid record kind {t}"))),
         };
@@ -222,7 +213,6 @@ impl WalWriter {
         match policy {
             SyncPolicy::Flush => self.flush(),
             SyncPolicy::Always => self.sync(),
-            SyncPolicy::OnCheckpoint => Ok(()),
         }
     }
 
@@ -349,7 +339,6 @@ mod tests {
                 txn_id: 2,
                 global: Some(7),
             },
-            Record::Prepared { txn_id: 2 },
             Record::Checkpoint { last_txn: 2 },
         ]
     }

@@ -45,7 +45,7 @@ fn main() {
     sharded.set_tracing(true);
 
     // A mixed workload plus one deliberately cross-shard transaction so
-    // the 2PC span below has more than one participant.
+    // the cross-shard span below has more than one participant.
     let mut txns: Vec<Txn> = mixed_workload(24, 5, 60, 42)
         .into_iter()
         .map(|(table, delta)| vec![(table, delta)])
