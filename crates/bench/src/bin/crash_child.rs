@@ -10,23 +10,15 @@
 
 use std::io::{BufRead, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 use spacetime_bench::workload::{crash_fixture_db, crash_fixture_txn};
-use spacetime_ivm::{DurabilityOptions, DurableSharded, TxnScheduler};
-use spacetime_storage::ShardSpec;
+use spacetime_ivm::DurabilityOptions;
 
 fn main() {
     let dir = std::env::args().nth(1).expect("usage: crash_child <dir>");
-    let dur = DurableSharded::create(
-        &crash_fixture_db(),
-        ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]),
-        1,
-        Path::new(&dir),
-        DurabilityOptions::default(),
-    )
-    .expect("create durable db");
-    let sched = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals());
+    let mut db = crash_fixture_db();
+    db.make_durable(Path::new(&dir), DurabilityOptions::default())
+        .expect("make durable");
 
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
@@ -38,7 +30,7 @@ fn main() {
         let line = line.unwrap();
         match line.trim() {
             "go" => {
-                let mut out = sched.run(&[crash_fixture_txn(i)]).expect("run");
+                let mut out = db.run(&[crash_fixture_txn(i)]);
                 out.results.remove(0).expect("apply");
                 writeln!(stdout, "ACK {i}").unwrap();
                 stdout.flush().unwrap();

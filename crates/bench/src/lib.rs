@@ -18,8 +18,9 @@
 //! * `crash_child` — the victim process of `tests/crash_kill.rs`.
 //!
 //! `tests/` holds the suites that need the whole stack: the paper-report
-//! goldens, PerKey ≡ Fused (`prop_fused`, `data_plane_invariants`), serial
-//! replay ≡ concurrent (`prop_shard`), rollback under injected faults
+//! goldens, PerKey ≡ Fused (`prop_fused`, `data_plane_invariants`),
+//! `Database::run` ≡ sequential `apply_transaction` (`prop_run`), rollback
+//! under injected faults
 //! (`prop_faults`), recovery ≡ control (`prop_wal`, `crash_kill`) and the
 //! metrics plane's books (`endpoint`, `metrics_books`).
 //!

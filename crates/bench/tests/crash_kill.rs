@@ -18,7 +18,7 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
 use spacetime_bench::workload::{crash_fixture_db, crash_fixture_txn};
-use spacetime_ivm::{verify_all_views, Database, DurableSharded};
+use spacetime_ivm::{verify_all_views, Database, DurabilityOptions};
 use spacetime_wal::test_dir;
 
 /// The fixture state after the first `n` crash transactions, built
@@ -90,9 +90,10 @@ fn sigkill_mid_commit_recovers_an_acked_prefix() {
         let dir = test_dir(&format!("crash_kill_{acked}"));
         run_victim(&dir, acked);
 
-        let (dur, stats) = DurableSharded::open(&dir, 1).expect("recovery after SIGKILL");
-        // One shard holds the whole database; the retry below needs no log.
-        let recovered = dur.db().shard(0).clone();
+        let (dur, stats) =
+            Database::open(&dir, DurabilityOptions::default()).expect("recovery after SIGKILL");
+        // An in-memory copy: the retry below needs no log.
+        let recovered = dur.clone();
 
         // Every acked transaction is durable; the in-flight one either
         // committed to the log before the kill or it did not.

@@ -1,10 +1,9 @@
-//! Integration test for the serving-plane telemetry endpoint: drives a
-//! [`ShardedDatabase`] through the [`TxnScheduler`], stands up the
-//! `spacetime-obs` HTTP endpoint on an ephemeral port, and asserts that
-//! what `/metrics` and `/statusz` serve is *self-consistent* — the
-//! exposition's scheduler counters equal the [`SchedStats`] the run
-//! returned, the labeled per-shard families balance against the
-//! footprint books, and the queue-depth gauges have drained.
+//! Integration test for the serving-plane telemetry endpoint: serves a
+//! batch through `Database::run`, stands up the `spacetime-obs` HTTP
+//! endpoint on an ephemeral port, and asserts that what `/metrics` and
+//! `/statusz` serve is *self-consistent* — the exposition's transaction
+//! and outcome books equal the `SchedStats` the run returned, and the
+//! queue-depth gauge has drained.
 //!
 //! The whole file is feature-gated: in the default build there is no
 //! recorder and no HTTP module, and this binary compiles to nothing.
@@ -15,10 +14,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
-use spacetime_ivm::{PropagationMode, ShardedDatabase, Txn, TxnScheduler};
+use spacetime_ivm::{PropagationMode, Txn};
 use spacetime_obs::http::ObsServer;
 use spacetime_obs::names as metric;
-use spacetime_storage::ShardSpec;
 
 /// One blocking HTTP/1.0 GET against the server; returns (status, body).
 fn get(addr: &std::net::SocketAddr, path: &str) -> (String, String) {
@@ -63,26 +61,21 @@ fn json_u64(doc: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn endpoint_serves_self_consistent_metrics_and_status() {
-    // Drive the serving stack far enough that every family moves.
-    let mut template = paper_schema_db();
-    template.set_propagation_mode(PropagationMode::Fused);
-    load_paper_data(&mut template, 12, 4);
-    template
-        .execute_sql(
-            "CREATE MATERIALIZED VIEW DeptProfile AS \
-             SELECT DName, COUNT(*) AS Heads, MAX(Salary) AS TopSal \
-             FROM Emp GROUP BY DName",
-        )
-        .expect("view DDL");
-    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
-    let sharded = ShardedDatabase::partition(&template, spec, 4).expect("partition");
+    // Serve far enough that every family moves.
+    let mut db = paper_schema_db();
+    db.set_propagation_mode(PropagationMode::Fused);
+    load_paper_data(&mut db, 12, 4);
+    db.execute_sql(
+        "CREATE MATERIALIZED VIEW DeptProfile AS \
+         SELECT DName, COUNT(*) AS Heads, MAX(Salary) AS TopSal \
+         FROM Emp GROUP BY DName",
+    )
+    .expect("view DDL");
     let txns: Vec<Txn> = mixed_workload(12, 4, 40, 7)
         .into_iter()
         .map(|(table, delta)| vec![(table, delta)])
         .collect();
-    let out = TxnScheduler::new(&sharded, Arc::default())
-        .run(&txns)
-        .expect("scheduler run");
+    let out = db.run(&txns);
     assert!(out.results.iter().all(|r| r.is_ok()));
 
     let status: spacetime_obs::http::StatusFn =
@@ -94,48 +87,36 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
     assert!(status_line.contains("200"), "healthz: {status_line}");
     assert_eq!(health, "ok\n");
 
-    // /metrics: the exposition's scheduler counters must equal the
-    // SchedStats this process accumulated (this test binary is the only
-    // scheduler user in the process).
+    // /metrics: the exposition's books must equal the SchedStats of the
+    // run (this test binary serves nothing else).
     let (status_line, text) = get(&addr, "/metrics");
     assert!(status_line.contains("200"), "metrics: {status_line}");
     let stats = &out.stats;
-    for (name, want) in [
-        (metric::SCHED_TXNS, stats.txns),
-        (metric::SCHED_CROSS_SHARD_TXNS, stats.cross_shard_txns),
-    ] {
-        assert_eq!(
-            prom_value(&text, name),
-            Some(want as f64),
-            "exposition disagrees with SchedStats for {name}"
-        );
-    }
     assert_eq!(
-        prom_labeled_sum(&text, metric::SHARD_TXNS),
-        stats.shard_participations as f64,
-        "labeled per-shard txn family does not sum to the footprint books"
+        prom_value(&text, metric::SCHED_TXNS),
+        Some(stats.txns as f64),
+        "exposition disagrees with SchedStats on txns"
     );
     assert_eq!(
         prom_labeled_sum(&text, metric::SCHED_TXN_OUTCOMES),
         (stats.committed + stats.aborted) as f64,
-        "outcome family does not sum to the dispatched txns"
+        "outcome family does not sum to the decided txns"
     );
-    // Every admitted transaction completed: the queue gauges read zero.
+    // Every transaction was decided: the queue gauge reads zero.
     assert_eq!(prom_value(&text, metric::SCHED_QUEUE_DEPTH), Some(0.0));
-    assert_eq!(prom_labeled_sum(&text, metric::SCHED_SHARD_QUEUE_DEPTH), 0.0);
 
     // /statusz: same books through the JSON route, plus liveness fields
     // and the caller-supplied serving section verbatim.
     let (status_line, doc) = get(&addr, "/statusz");
     assert!(status_line.contains("200"), "statusz: {status_line}");
     assert_eq!(json_u64(&doc, "txns"), Some(stats.txns));
-    assert_eq!(json_u64(&doc, "cross_shard_txns"), Some(stats.cross_shard_txns));
     assert_eq!(json_u64(&doc, "committed"), Some(stats.committed));
     assert_eq!(json_u64(&doc, "aborted"), Some(stats.aborted));
+    assert_eq!(json_u64(&doc, "queue_depth"), Some(0));
     assert!(json_u64(&doc, "uptime_ns").is_some_and(|ns| ns > 0));
     assert!(doc.contains("\"probe\": true"), "serving section missing: {doc}");
     assert!(doc.contains("\"drift\""), "drift section missing");
-    assert!(doc.contains("\"shards\""), "per-shard section missing");
+    assert!(!doc.contains("shard"), "a shard field outlived the shards: {doc}");
 
     // /debug/events: the flight recorder saw the admissions and commits.
     let (status_line, events) = get(&addr, "/debug/events");

@@ -3,30 +3,23 @@
 //!
 //! * every cache's hits + misses = its lookups;
 //! * `QUERIES_POSED` = Σ `UpdateReport::queries_posed` over every update
-//!   applied in the process, in both propagation modes and through the
-//!   scheduler at 1, 2 and 4 shards;
-//! * the scheduler counters and the labeled serving families (per-shard
-//!   transactions, outcomes, cross-shard decisions) = the `SchedStats`
-//!   the runs returned, and the queue-depth gauges drained to zero;
-//! * the WAL record families = what a durable two-shard run logged in
-//!   its one log (one `begin` per dispatched transaction, one `delta` per
-//!   logged update, one `commit` per committed transaction, one
-//!   checkpoint marker), and the recovery counter and gauges = the
-//!   `RecoveryStats` of reopening it.
+//!   applied in the process, in both propagation modes and through three
+//!   `Database::run` batches;
+//! * the transaction and outcome books (`spacetime_sched_txns_total`, the
+//!   committed/aborted outcome family) = the `SchedStats` the runs
+//!   returned, and the queue-depth gauge drained to zero;
+//! * the WAL record families = what a durable run logged (one `begin` per
+//!   transaction, one `delta` per update, one `commit` per committed
+//!   transaction, one checkpoint marker), and the recovery counter and
+//!   gauges = the `RecoveryStats` of reopening it.
 //!
 //! The registry is process-global and the books are equalities, so this
 //! binary holds exactly one `#[test]`.
 #![cfg(all(feature = "metrics", feature = "durability"))]
 
-use std::sync::Arc;
-
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
-use spacetime_ivm::{
-    DurabilityOptions, DurableSharded, PropagationMode, SchedStats, ShardedDatabase, Txn,
-    TxnScheduler, ViewSelection,
-};
+use spacetime_ivm::{Database, DurabilityOptions, PropagationMode, SchedStats, Txn, ViewSelection};
 use spacetime_obs::{names as metric, MetricsSnapshot};
-use spacetime_storage::ShardSpec;
 
 const DEPARTMENTS: usize = 24;
 const EMPS_PER_DEPT: usize = 5;
@@ -65,31 +58,33 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     }
 
     // The serving plane; the last run is write-ahead logged.
-    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
-    let mut sched = SchedStats::default();
-    let mut serve = |sched_run: TxnScheduler<'_>| {
-        let out = sched_run.run(&txns).expect("scheduler run");
+    let mut runs: Vec<SchedStats> = Vec::new();
+    let mut serve = |db: &mut Database| {
+        let out = db.run(&txns);
         for r in &out.results {
             queries_posed += r.as_ref().expect("serve txn").queries_posed;
         }
-        sched.absorb(&out.stats);
+        runs.push(out.stats);
         out.stats
     };
-    for shards in [1, 2, 4] {
-        let db = ShardedDatabase::partition(&template, spec.clone(), shards).expect("partition");
-        serve(TxnScheduler::new(&db, Arc::default()));
+    for _ in 0..2 {
+        serve(&mut template.clone());
     }
     let dir = spacetime_wal::test_dir("metrics_books");
     let before_wal = spacetime_obs::snapshot();
-    let dur = DurableSharded::create(&template, spec, 2, &dir, DurabilityOptions::default())
-        .expect("create durable db");
-    let logged = serve(TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals()));
+    let mut dur = template.clone();
+    dur.make_durable(&dir, DurabilityOptions::default()).expect("make durable");
+    let logged = serve(&mut dur);
     drop(dur); // crash-stop: no final checkpoint
-    assert!(logged.cross_shard_txns > 0, "the workload must exercise cross-shard commits");
-    // The fields the one drain loop pins to constants: four runs, each
-    // routing work, one transaction at a time.
-    let pinned = (sched.admitted_concurrent, sched.conflict_deferrals, sched.waves);
-    assert_eq!((pinned, sched.max_wave_width), ((0, 0, 4), 1), "SchedStats constants");
+    let total = |f: fn(&SchedStats) -> u64| runs.iter().map(f).sum::<u64>();
+    // The fields only the frozen benchmark reads are constants of the one
+    // loop: three non-empty runs, one transaction at a time, one database.
+    for s in &runs {
+        let pinned = (s.waves, s.max_wave_width, s.admitted_concurrent, s.conflict_deferrals);
+        assert_eq!(pinned, (1, 1, 0, 0), "SchedStats constants");
+        assert_eq!((s.cross_shard_txns, s.shard_participations), (0, s.txns));
+        assert_eq!(s.committed + s.aborted, s.txns, "every transaction is decided");
+    }
 
     let snap = spacetime_obs::snapshot();
     for (lookups, hits, misses) in [
@@ -102,43 +97,24 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     assert_eq!(snap.counter(metric::QUERIES_POSED), queries_posed, "posed queries vs reports");
     assert!(snap.counter(metric::UPDATES_APPLIED) > 0);
     assert!(snap.histogram(metric::UPDATE_LATENCY_NS).is_some_and(|h| h.count > 0));
-    for (name, want) in [
-        (metric::SCHED_TXNS, sched.txns),
-        (metric::SCHED_CROSS_SHARD_TXNS, sched.cross_shard_txns),
-    ] {
-        assert_eq!(snap.counter(name), want, "{name} vs SchedStats");
-    }
-    assert_eq!(snap.labeled_counter_sum(metric::SHARD_TXNS), sched.shard_participations);
+    assert_eq!(snap.counter(metric::SCHED_TXNS), total(|s| s.txns), "txns vs SchedStats");
     for (label, want) in [
-        (metric::LABEL_OUTCOME_COMMITTED, sched.committed),
-        (metric::LABEL_OUTCOME_ABORTED, sched.aborted),
+        (metric::LABEL_OUTCOME_COMMITTED, total(|s| s.committed)),
+        (metric::LABEL_OUTCOME_ABORTED, total(|s| s.aborted)),
     ] {
         assert_eq!(snap.labeled_counter(metric::SCHED_TXN_OUTCOMES, label), want, "{label}");
     }
-    let decisions = [metric::SCHED_CROSS_SHARD_COMMITS, metric::SCHED_CROSS_SHARD_ABORTS];
-    assert_eq!(
-        decisions.iter().map(|name| snap.counter(name)).sum::<u64>(),
-        sched.cross_shard_txns,
-        "cross-shard decisions vs cross-shard txns"
-    );
-    // Every admitted transaction completed: the gauges drained.
+    // Every transaction was decided: the gauge drained.
     assert_eq!(snap.gauge(metric::SCHED_QUEUE_DEPTH), 0.0);
-    assert_eq!(snap.labeled_gauge_sum(metric::SCHED_SHARD_QUEUE_DEPTH), 0.0);
-    for s in 0..4 {
-        let depth = snap.labeled_gauge(metric::SCHED_SHARD_QUEUE_DEPTH, metric::shard_label(s));
-        assert_eq!(depth, 0.0, "shard {s} queue depth");
-    }
     assert!(!snap.txn_mix.is_empty(), "txn-mix drift window is empty");
     assert!(!snap.view_cost_ewma.is_empty(), "view-cost EWMAs are empty");
 
-    // The WAL plane, as deltas over the durable run: a transaction is
-    // logged as submitted, whatever its footprint.
+    // The WAL plane, as deltas over the durable run: every transaction is
+    // logged as submitted.
     assert_eq!(snap.labeled_counter_sum(metric::WAL_RECORDS), snap.counter(metric::WAL_APPENDS));
-    let dispatched = logged.committed + logged.aborted;
     let updates = txns.iter().map(Vec::len).sum::<usize>() as u64;
-    assert_eq!(dispatched, logged.txns, "every transaction was dispatched");
     for (kind, want) in [
-        (metric::LABEL_WAL_BEGIN, dispatched),
+        (metric::LABEL_WAL_BEGIN, logged.txns),
         (metric::LABEL_WAL_DELTA, updates),
         (metric::LABEL_WAL_COMMIT, logged.committed),
         (metric::LABEL_WAL_CHECKPOINT, 1),
@@ -154,7 +130,7 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
         "checkpoint age vs committed transactions"
     );
 
-    let (_recovered, stats) = DurableSharded::open(&dir, 2).expect("recovery");
+    let (_recovered, stats) = Database::open(&dir, DurabilityOptions::default()).expect("recovery");
     let after = spacetime_obs::snapshot();
     assert_eq!(stats.replayed_txns, logged.committed, "every committed transaction replays");
     let replayed = |s: &MetricsSnapshot| s.counter(metric::WAL_RECOVERY_REPLAYED_TXNS);

@@ -3,16 +3,16 @@
 //!
 //! Sweeps every failpoint site in `spacetime_storage::fault::SITES` across
 //! every supported action (typed error / injected panic) and hit
-//! thresholds, on one database and across the shards of a scheduler —
-//! and the WAL's append site inside a durable run — asserting the
-//! all-or-nothing contract each time:
+//! thresholds, on single updates, on transactions and through
+//! `Database::run` — and the WAL's append site inside a durable run —
+//! asserting the all-or-nothing contract each time:
 //!
 //! * a transaction interrupted by a fault leaves every catalog table
 //!   **bit-identical** to its pre-transaction state, with
 //!   `Database::integrity_check` clean;
 //! * an injected panic reaches the caller only after the rollback, and one
-//!   in a scheduled transaction surfaces as that transaction's
-//!   `IvmError::TaskPanicked` (the run and the shards survive it);
+//!   inside `Database::run` surfaces as that transaction's
+//!   `IvmError::TaskPanicked` (the run and the database survive it);
 //! * retrying after clearing the fault produces exactly the report and
 //!   contents an unfaulted run produces.
 //!
@@ -21,15 +21,11 @@
 
 #![cfg(feature = "failpoints")]
 
-use std::sync::Arc;
-
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
-use spacetime_ivm::{
-    verify_all_views, Database, IvmError, ShardedDatabase, Txn, TxnScheduler, UpdateReport,
-};
+use spacetime_ivm::{verify_all_views, Database, IvmError, Txn, UpdateReport};
 use spacetime_storage::fault::{self, FaultAction, FaultPlan, SITES};
-use spacetime_storage::{Bag, ShardSpec};
+use spacetime_storage::Bag;
 
 /// Quiet the default panic hook for injected panics: the sweep triggers
 /// dozens of *expected* panics, whose backtraces would drown the test log.
@@ -86,11 +82,6 @@ fn contents(db: &Database) -> Vec<(String, Bag)> {
         .iter()
         .map(|(n, t)| (n.to_string(), t.relation.data().clone()))
         .collect()
-}
-
-/// Every table of every shard, in shard order.
-fn shard_contents(s: &ShardedDatabase) -> Vec<Vec<(String, Bag)>> {
-    (0..s.n_shards()).map(|i| contents(&s.shard(i))).collect()
 }
 
 /// A workload of transactions that all succeed unfaulted (pre-filtered
@@ -179,8 +170,8 @@ fn sweep_cell(
 /// The full deterministic sweep: every site x hit threshold, typed
 /// errors. An injected panic unwinds the calling thread here, so panics
 /// have their own sweeps below (`commit_panic_rolls_back_before_resuming`,
-/// `three_update_transaction_fault_sweep`) and, inside the scheduler's
-/// per-transaction containment, `cross_shard_commit_fault_sweep`.
+/// `three_update_transaction_fault_sweep`) and, inside `Database::run`'s
+/// per-transaction containment, `run_commit_fault_sweep`.
 #[test]
 fn fault_sweep_preserves_atomicity_at_every_site() {
     let _serial = fault::serial_guard();
@@ -375,32 +366,42 @@ fn seeded_fault_plans_preserve_atomicity() {
     }
 }
 
-/// One cross-shard sweep cell: partition fresh, fault (site, action,
-/// on_hit), run the spanning transaction through the scheduler, and
-/// assert the all-or-nothing contract across the whole footprint — every
-/// shard bit-identical to its pre-transaction state after a fault, and a
-/// clean retry reproducing the unfaulted control.
-#[allow(clippy::too_many_arguments)]
-fn cross_shard_cell(
+/// A raise of employee `emp` in `dept`, 100 → 180.
+fn raise(dept: usize, emp: usize) -> Delta {
+    let row = |s: i64| {
+        spacetime_storage::tuple![format!("emp{dept:05}_{emp}"), format!("dept{dept:05}"), s]
+    };
+    Delta::modify(row(100), row(180), 1)
+}
+
+/// Employee `emp` of every department raised in one delta.
+fn raise_everywhere(emp: usize) -> Delta {
+    let mut d = Delta::new();
+    (0..5).for_each(|dept| d.merge(raise(dept, emp)));
+    d
+}
+
+/// One `run` sweep cell: fault (site, action, on_hit), serve the
+/// transaction through `Database::run`, and assert the all-or-nothing
+/// contract — the database bit-identical to its pre-transaction state
+/// after a fault, and a clean retry reproducing the unfaulted control.
+fn run_cell(
     template: &Database,
-    spec: &ShardSpec,
-    n_shards: usize,
     txn: &Txn,
     ctrl_report: &UpdateReport,
-    ctrl_contents: &[Vec<(String, Bag)>],
+    ctrl_contents: &[(String, Bag)],
     site: &'static str,
     action: FaultAction,
     on_hit: u64,
 ) {
-    let sharded = ShardedDatabase::partition(template, spec.clone(), n_shards).unwrap();
-    let pre = shard_contents(&sharded);
+    let mut db = template.clone();
+    let pre = contents(&db);
     let plan = match action {
         FaultAction::Error => FaultPlan::new().error_at(site, on_hit),
         FaultAction::Panic => FaultPlan::new().panic_at(site, on_hit),
     };
     let guard = fault::install(plan);
-    let sched = TxnScheduler::new(&sharded, Arc::default());
-    let out = sched.run(std::slice::from_ref(txn)).unwrap();
+    let out = db.run(std::slice::from_ref(txn));
     let fired = guard.fired(site);
     let label = format!("{site}/{action:?}/hit{on_hit}");
     match &out.results[0] {
@@ -417,14 +418,9 @@ fn cross_shard_cell(
                     "{label}: expected TaskPanicked, got: {err}"
                 ),
             }
-            // The protocol's core promise: a failure mid-footprint
-            // restores every already-committed shard — all shards are
-            // bit-identical to their pre-transaction state.
-            assert_eq!(
-                shard_contents(&sharded),
-                pre,
-                "{label}: a shard was torn by the fault"
-            );
+            assert_eq!(contents(&db), pre, "{label}: catalog torn by the fault");
+            db.integrity_check()
+                .unwrap_or_else(|e| panic!("{label}: integrity after fault: {e}"));
         }
         Ok(report) => {
             // The armed hit count was never reached: indistinguishable
@@ -434,99 +430,47 @@ fn cross_shard_cell(
         }
     }
     // Clear the fault and retry (if the fault aborted the transaction):
-    // the sharded database converges to the unfaulted control exactly.
+    // the database converges to the unfaulted control exactly.
     guard.clear();
-    if shard_contents(&sharded) == pre {
-        let retry = sched.run(std::slice::from_ref(txn)).unwrap();
+    if contents(&db) == pre {
+        let retry = db.run(std::slice::from_ref(txn));
         let r = retry.results[0]
             .as_ref()
             .unwrap_or_else(|e| panic!("{label}: retry failed: {e}"));
         assert_eq!(r, ctrl_report, "{label}: retry report diverged");
     }
     drop(guard);
-    assert_eq!(
-        shard_contents(&sharded),
-        ctrl_contents,
-        "{label}: final contents diverged from control"
-    );
-    assert!(
-        sharded.verify_all_shards().unwrap().is_empty(),
-        "{label}: a shard diverged from recomputation"
-    );
+    assert_eq!(contents(&db), ctrl_contents, "{label}: final contents diverged");
+    assert!(verify_all_views(&db).unwrap().is_empty(), "{label}");
 }
 
-/// The cross-shard commit protocol under fault injection: a transaction
-/// whose footprint spans several shards, faulted at every commit-path
-/// site (typed error *and* injected panic) at hit thresholds reaching
-/// from the first shard's commit into the last one's — plus the
-/// dispatch-site panic, which fires before any shard is touched. Every
-/// cell asserts post-failure bit-identity of *every* shard and
-/// retry-equals-control.
+/// `Database::run` under fault injection: a transaction raising one
+/// employee in every department, faulted at every commit-path site (typed
+/// error *and* injected panic) at hit thresholds reaching from its first
+/// crossing into its last — plus the dispatch-site panic, which fires
+/// before the transaction touches anything. Every cell asserts
+/// post-failure bit-identity and retry-equals-control.
 #[test]
-fn cross_shard_commit_fault_sweep() {
+fn run_commit_fault_sweep() {
     quiet_injected_panics();
     let _serial = fault::serial_guard();
     let template = template();
-    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
-    const N_SHARDS: usize = 4;
-
-    // One transaction spanning several shards: a raise in every
-    // department (each department lives in exactly one shard, so the
-    // footprint is however many shards the five departments hash into).
-    let txn: Txn = {
-        let mut emp = Delta::new();
-        for dept in 0..5 {
-            emp.push_modify(
-                spacetime_storage::tuple![
-                    format!("emp{dept:05}_0"),
-                    format!("dept{dept:05}"),
-                    100_i64
-                ],
-                spacetime_storage::tuple![
-                    format!("emp{dept:05}_0"),
-                    format!("dept{dept:05}"),
-                    180_i64
-                ],
-                1,
-            );
-        }
-        vec![("Emp".to_string(), emp)]
-    };
-    {
-        // The fixture must actually exercise the cross-shard path.
-        let sharded = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
-        let parts = sharded.route_delta("Emp", &txn[0].1).unwrap();
-        assert!(
-            parts.len() >= 2,
-            "cross-shard fixture only spans {} shard(s)",
-            parts.len()
-        );
-    }
-
-    // The unfaulted control: the transaction's report and the final
-    // contents of every shard.
+    let txn: Txn = vec![("Emp".to_string(), raise_everywhere(0))];
     let (ctrl_report, ctrl_contents) = {
-        let sharded = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
-        let out = TxnScheduler::new(&sharded, Arc::default())
-            .run(std::slice::from_ref(&txn))
-            .unwrap();
-        let report = out.results.into_iter().next().unwrap().unwrap();
-        (report, shard_contents(&sharded))
+        let mut db = template.clone();
+        let report = db.apply_transaction(txn.clone()).unwrap();
+        (report, contents(&db))
     };
 
-    // Calibrate each site's total crossings of one unfaulted protocol run
-    // (armed far past any plausible threshold so nothing fires), so the
-    // sweep can land faults in the *last* shard's commit — after earlier
-    // shards already committed.
+    // Calibrate each site's crossings of one unfaulted run (armed far past
+    // any plausible threshold so nothing fires), so the sweep can land
+    // faults in the last crossing too.
     let commit_sites = ["ivm::commit_view", "delta::apply_to", "storage::restore_table"];
     let mut site_hits = Vec::new();
     for site in commit_sites {
-        let sharded = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
+        let mut db = template.clone();
         let guard = fault::install(FaultPlan::new().error_at(site, u64::MAX));
-        let out = TxnScheduler::new(&sharded, Arc::default())
-            .run(std::slice::from_ref(&txn))
-            .unwrap();
-        assert!(out.results[0].is_ok(), "calibration run must pass");
+        assert!(db.run(std::slice::from_ref(&txn)).results[0].is_ok(), "calibration run");
         site_hits.push((site, guard.hits(site)));
     }
 
@@ -544,27 +488,12 @@ fn cross_shard_commit_fault_sweep() {
                 continue;
             }
             for &on_hit in &on_hits {
-                cross_shard_cell(
-                    &template,
-                    &spec,
-                    N_SHARDS,
-                    &txn,
-                    &ctrl_report,
-                    &ctrl_contents,
-                    site,
-                    action,
-                    on_hit,
-                );
+                run_cell(&template, &txn, &ctrl_report, &ctrl_contents, site, action, on_hit);
             }
         }
     }
-    // The dispatch-site panic fires before the transaction body runs: no
-    // shard is ever touched, and the scheduler surfaces a typed
-    // TaskPanicked.
-    cross_shard_cell(
+    run_cell(
         &template,
-        &spec,
-        N_SHARDS,
         &txn,
         &ctrl_report,
         &ctrl_contents,
@@ -574,57 +503,36 @@ fn cross_shard_commit_fault_sweep() {
     );
 }
 
-/// A body panic fails its transaction alone: the first transaction spans
-/// several shards and dies at the dispatch site (inside its own
-/// `catch_unwind`, before any shard is touched); after it, on *each* of
-/// its shards, comes a later single-shard transaction. Every follower
-/// must commit, and the shards must equal a no-fault run of the followers
-/// alone.
+/// A body panic fails its transaction alone: the first transaction of a
+/// run touches every department and dies at the dispatch site (inside its
+/// own `catch_unwind`, before it touches anything); after it come one
+/// follower per department. Every follower must commit exactly as in a
+/// no-fault run of the followers alone, and the database must equal that
+/// run's.
 #[test]
-fn cross_shard_dispatch_panic_fails_alone_and_later_txns_commit() {
+fn dispatch_panic_fails_its_transaction_alone() {
     quiet_injected_panics();
     let _serial = fault::serial_guard();
     let template = template();
-    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
-    const N_SHARDS: usize = 4;
-    let raise = |dept: usize, emp: usize| {
-        let row = |s: i64| {
-            spacetime_storage::tuple![format!("emp{dept:05}_{emp}"), format!("dept{dept:05}"), s]
-        };
-        Delta::modify(row(100), row(180), 1)
-    };
-    // Employee 0 of every department in one transaction, then employee 1
-    // of each department on its own: one follower per department, so at
-    // least one after the spanning transaction on every shard it touches.
-    let mut spanning = Delta::new();
-    (0..5).for_each(|dept| spanning.merge(raise(dept, 0)));
     let followers: Vec<Txn> = (0..5).map(|dept| vec![("Emp".to_string(), raise(dept, 1))]).collect();
-    let mut txns: Vec<Txn> = vec![vec![("Emp".to_string(), spanning)]];
+    let mut txns: Vec<Txn> = vec![vec![("Emp".to_string(), raise_everywhere(0))]];
     txns.extend(followers.iter().cloned());
 
-    let control = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
-    let ctrl = TxnScheduler::new(&control, Arc::default())
-        .run(&followers)
-        .unwrap();
+    let mut control = template.clone();
+    let ctrl = control.run(&followers);
     assert!(ctrl.results.iter().all(|r| r.is_ok()), "control followers must commit");
 
-    let sharded = ShardedDatabase::partition(&template, spec, N_SHARDS).unwrap();
-    assert!(
-        sharded.route_delta("Emp", &txns[0][0].1).unwrap().len() >= 2,
-        "fixture mis-built: the panicking transaction is single-shard"
-    );
+    let mut db = template.clone();
     let out = {
         // Transactions run in admission order, so the first hit of the
-        // site is necessarily the spanning transaction's.
+        // site is necessarily the first transaction's.
         let _guard = fault::install(FaultPlan::new().panic_at("ivm::pool_dispatch", 1));
-        TxnScheduler::new(&sharded, Arc::default())
-            .run(&txns)
-            .unwrap()
+        db.run(&txns)
     };
     assert!(
         matches!(&out.results[0], Err(IvmError::TaskPanicked { message })
             if message.contains("injected panic")),
-        "expected the spanning transaction to panic, got {:?}",
+        "expected the first transaction to panic, got {:?}",
         out.results[0]
     );
     for (i, (r, c)) in out.results[1..].iter().zip(&ctrl.results).enumerate() {
@@ -635,62 +543,46 @@ fn cross_shard_dispatch_panic_fails_alone_and_later_txns_commit() {
         );
     }
     assert_eq!((out.stats.committed, out.stats.aborted), (5, 1));
-    assert_eq!(
-        shard_contents(&sharded),
-        shard_contents(&control),
-        "shards diverged from the followers-only control"
-    );
-    assert!(sharded.verify_all_shards().unwrap().is_empty());
+    assert_eq!(contents(&db), contents(&control), "diverged from the followers-only control");
+    assert!(verify_all_views(&db).unwrap().is_empty());
 }
 
 /// A WAL append that fails inside a durable run — at a transaction's
-/// begin, before any shard applies, or at its commit record, after every
-/// shard applied — fails that transaction alone, for a single-shard and
-/// a cross-shard one. The shards equal a control run without it, so does
-/// what reopening the directory recovers, and a retry equals the full
-/// control. Hit numbers are calibrated by counting appends.
+/// begin, before anything applies, or at its commit record, after
+/// everything applied — fails that transaction alone, for a one-row and a
+/// five-department transaction. The database equals a control run
+/// without it, so does what reopening the directory recovers, and a retry
+/// equals the full control. Hit numbers are calibrated by counting
+/// appends.
 #[cfg(feature = "durability")]
 #[test]
 fn durable_wal_append_fault_fails_its_transaction_alone() {
-    use spacetime_ivm::{DurabilityOptions, DurableSharded};
+    use spacetime_ivm::DurabilityOptions;
     let _serial = fault::serial_guard();
     let template = template();
-    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
-    const N_SHARDS: usize = 4;
-    let raise = |dept: usize, emp: usize| {
-        let row = |s: i64| {
-            spacetime_storage::tuple![format!("emp{dept:05}_{emp}"), format!("dept{dept:05}"), s]
-        };
-        Delta::modify(row(100), row(180), 1)
-    };
-    let mut spanning = Delta::new();
-    (0..5).for_each(|dept| spanning.merge(raise(dept, 0)));
-    // A single-shard transaction, a cross-shard one, and a follower.
-    let txns: Vec<Txn> = [raise(0, 1), spanning, raise(1, 1)]
+    // A one-row transaction, a five-department one, and a follower.
+    let txns: Vec<Txn> = [raise(0, 1), raise_everywhere(0), raise(1, 1)]
         .into_iter()
         .map(|d| vec![("Emp".to_string(), d)])
         .collect();
     let control = |txns: &[Txn]| {
-        let db = ShardedDatabase::partition(&template, spec.clone(), N_SHARDS).unwrap();
-        TxnScheduler::new(&db, Arc::default()).run(txns).unwrap();
-        shard_contents(&db)
+        let mut db = template.clone();
+        db.run(txns);
+        contents(&db)
     };
     let create = |dir: &std::path::Path| {
-        let opts = DurabilityOptions::default();
-        DurableSharded::create(&template, spec.clone(), N_SHARDS, dir, opts).unwrap()
-    };
-    let run = |dur: &DurableSharded, txns: &[Txn]| {
-        let sched = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals());
-        sched.run(txns).unwrap().results
+        let mut db = template.clone();
+        db.make_durable(dir, DurabilityOptions::default()).unwrap();
+        db
     };
     // Calibrate: the append count after each transaction, run one at a time.
     let dir = spacetime_wal::test_dir("wal_fault_calibrate");
-    let dur = create(&dir);
+    let mut dur = create(&dir);
     let guard = fault::install(FaultPlan::new().error_at("wal::append", u64::MAX));
     let appends: Vec<u64> = txns
         .iter()
         .map(|t| {
-            assert!(run(&dur, std::slice::from_ref(t))[0].is_ok(), "calibration run must pass");
+            assert!(dur.run(std::slice::from_ref(t)).results[0].is_ok(), "calibration run");
             guard.hits("wal::append")
         })
         .collect();
@@ -701,9 +593,9 @@ fn durable_wal_append_fault_fails_its_transaction_alone() {
         for (point, on_hit) in [("begin", first), ("commit", appends[target])] {
             let label = format!("txn {target}, {point} append (hit {on_hit})");
             let dir = spacetime_wal::test_dir("wal_fault_cell");
-            let dur = create(&dir);
+            let mut dur = create(&dir);
             let guard = fault::install(FaultPlan::new().error_at("wal::append", on_hit));
-            let results = run(&dur, &txns);
+            let results = dur.run(&txns).results;
             assert!(guard.fired("wal::append"), "{label}: the fault never fired");
             drop(guard);
             let failed: Vec<usize> = (0..txns.len()).filter(|&i| results[i].is_err()).collect();
@@ -711,13 +603,13 @@ fn durable_wal_append_fault_fails_its_transaction_alone() {
             let mut rest = txns.clone();
             let lone = rest.remove(target);
             let without = control(&rest);
-            assert_eq!(shard_contents(dur.db()), without, "{label}: shards vs control");
+            assert_eq!(contents(&dur), without, "{label}: database vs control");
             drop(dur);
-            let (rec, stats) = DurableSharded::open(&dir, N_SHARDS).unwrap();
-            assert_eq!(shard_contents(rec.db()), without, "{label}: recovery vs control");
+            let (mut rec, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
+            assert_eq!(contents(&rec), without, "{label}: recovery vs control");
             assert_eq!(stats.skipped_txns, u64::from(point == "commit"), "{label}");
-            assert!(run(&rec, &[lone])[0].is_ok(), "{label}: retry failed");
-            assert_eq!(shard_contents(rec.db()), control(&txns), "{label}: retry vs full control");
+            assert!(rec.run(&[lone]).results[0].is_ok(), "{label}: retry failed");
+            assert_eq!(contents(&rec), control(&txns), "{label}: retry vs full control");
             std::fs::remove_dir_all(&dir).ok();
         }
     }

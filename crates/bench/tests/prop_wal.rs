@@ -3,23 +3,23 @@
 //!
 //! Every cell of the sweep follows one shape:
 //!
-//! 1. run a workload durably (WAL + initial checkpoint) and *crash* by
-//!    mutilating the one log at a deterministic frame boundary
-//!    (`spacetime_wal::crash`) — torn final record, corrupted CRC,
-//!    truncated segment, or a cross-shard transaction's dropped commit
-//!    record — or by stopping between two shard checkpoints;
-//! 2. recover with `DurableSharded::open`;
-//! 3. assert the recovered state is **bit-identical** (every table,
-//!    every shard) to a fresh control database fed exactly the
-//!    transactions the mutilated log still proves committed, and that
-//!    the recompute oracle finds no mismatch;
+//! 1. run a workload on a durable `Database` (WAL + initial checkpoint)
+//!    and *crash* by mutilating the one log at a deterministic frame
+//!    boundary (`spacetime_wal::crash`) — torn final record, corrupted
+//!    CRC, truncated segment, or a transaction's dropped commit record —
+//!    or by stopping between a checkpoint and the log's truncation;
+//! 2. recover with `Database::open`;
+//! 3. assert the recovered state is **bit-identical** (every table) to a
+//!    fresh control database fed exactly the transactions the mutilated
+//!    log still proves committed, and that the recompute oracle finds no
+//!    mismatch;
 //! 4. re-apply the lost tail and assert the retried state matches a
 //!    control fed the whole workload — recovery leaves the database
 //!    fully serviceable, not merely readable.
 //!
 //! The crafted workload tails make the loss deterministic: the last
-//! transactions are single-insert, single-shard commits of known frame
-//! counts, so each crash site loses an exactly-known suffix.
+//! transactions are single-insert commits of known frame counts, so each
+//! crash site loses an exactly-known suffix.
 
 #![cfg(feature = "durability")]
 
@@ -29,11 +29,11 @@ use std::sync::Arc;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, DurabilityOptions, DurableSharded, PropagationMode,
-    ShardedDatabase, Txn, TxnScheduler,
+    verify_all_views, Database, DurabilityOptions, DurableSharded, PropagationMode, Txn,
+    TxnScheduler,
 };
-use spacetime_storage::{ShardSpec, Tuple, Value};
-use spacetime_wal::{crash, test_dir, CheckpointPolicy};
+use spacetime_storage::{tuple, ShardSpec, Tuple, Value};
+use spacetime_wal::{crash, test_dir};
 
 const MODES: &[PropagationMode] = &[PropagationMode::PerKey, PropagationMode::Fused];
 
@@ -47,9 +47,9 @@ const VIEWS: &[&str] = &[
     "CREATE MATERIALIZED VIEW ActiveDepts AS SELECT DISTINCT DName FROM Emp",
 ];
 
-fn shard_spec() -> ShardSpec {
-    ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0])
-}
+const DEPT_CONSTRAINT: &str = "CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS ( \
+    SELECT Dept.DName FROM Emp, Dept WHERE Dept.DName = Emp.DName \
+    GROUP BY Dept.DName, Budget HAVING SUM(Salary) > Budget))";
 
 fn build_db(departments: usize, emps_per_dept: usize, mode: PropagationMode) -> Database {
     let mut db = paper_schema_db();
@@ -61,9 +61,8 @@ fn build_db(departments: usize, emps_per_dept: usize, mode: PropagationMode) -> 
     db
 }
 
-/// A crafted single-insert transaction: one fresh Emp row. Exactly one
-/// shard in its footprint, exactly three WAL frames (begin + delta +
-/// commit) in the log, and it always succeeds.
+/// A crafted single-insert transaction: one fresh Emp row. Exactly three
+/// WAL frames (begin + delta + commit) in the log, and it always succeeds.
 fn tail_txn(i: usize, dname: &str) -> Txn {
     let t = Tuple::new(vec![
         Value::str(format!("crash_e{i:03}")),
@@ -71,23 +70,6 @@ fn tail_txn(i: usize, dname: &str) -> Txn {
         Value::Int(200 + i as i64),
     ]);
     vec![("Emp".to_string(), Delta::insert(t, 1))]
-}
-
-/// A department name (existing or synthetic) routing to `want` under
-/// the Emp shard key.
-fn dname_routing_to(spec: &ShardSpec, n_shards: usize, want: usize) -> String {
-    for i in 0..64 {
-        let dname = if i < 16 {
-            format!("dept{i:05}")
-        } else {
-            format!("xdept{i}")
-        };
-        let probe = Tuple::new(vec![Value::str("probe"), Value::str(&dname), Value::Int(0)]);
-        if spec.route("Emp", &probe, n_shards).unwrap() == want {
-            return dname;
-        }
-    }
-    panic!("no department routes to shard {want} of {n_shards}");
 }
 
 /// The crash sites that mutilate the log, with the exactly-known number
@@ -127,7 +109,13 @@ impl Site {
     }
 }
 
+/// `a` (the recovered side) equals `b` table by table, and the recompute
+/// oracle finds every view of `a` consistent.
 fn assert_db_eq(a: &Database, b: &Database, ctx: &str) {
+    assert!(
+        verify_all_views(a).unwrap().is_empty(),
+        "oracle mismatch ({ctx})"
+    );
     let names_a: Vec<&str> = a.catalog.iter().map(|(n, _)| n).collect();
     let names_b: Vec<&str> = b.catalog.iter().map(|(n, _)| n).collect();
     assert_eq!(names_a, names_b, "table sets diverged ({ctx})");
@@ -140,35 +128,13 @@ fn assert_db_eq(a: &Database, b: &Database, ctx: &str) {
     }
 }
 
-/// `a` (the recovered side) equals `b` shard by shard, table by table,
-/// and the recompute oracle finds every view of `a` consistent.
-fn assert_sharded_eq(a: &ShardedDatabase, b: &ShardedDatabase, ctx: &str) {
-    assert!(a.verify_all_shards().unwrap().is_empty(), "oracle mismatch ({ctx})");
-    assert_eq!(a.n_shards(), b.n_shards(), "shard counts diverged ({ctx})");
-    for s in 0..a.n_shards() {
-        let da = a.shard(s);
-        let db = b.shard(s);
-        for (name, t) in da.catalog.iter() {
-            assert_eq!(
-                t.relation.data(),
-                db.catalog.table(name).unwrap().relation.data(),
-                "shard {s} table {name} diverged ({ctx})"
-            );
-        }
-    }
-}
-
 fn cleanup(dir: &PathBuf) {
     std::fs::remove_dir_all(dir).ok();
 }
 
-// ---------------------------------------------------------------------
-// Unsharded: one shard, compared against a plain `Database` control
-// ---------------------------------------------------------------------
-
-/// Base workload plus three crafted tail transactions.
-fn unsharded_txns() -> Vec<Txn> {
-    let mut txns: Vec<Txn> = mixed_workload(3, 4, 6, 17)
+/// A base workload plus three crafted tail transactions.
+fn workload(departments: usize, emps_per_dept: usize, seed: u64) -> Vec<Txn> {
+    let mut txns: Vec<Txn> = mixed_workload(departments, emps_per_dept, 6, seed)
         .into_iter()
         .map(|(table, delta)| vec![(table, delta)])
         .collect();
@@ -178,34 +144,30 @@ fn unsharded_txns() -> Vec<Txn> {
     txns
 }
 
-/// A durable database over `template` at `n_shards`, default options.
-fn create(template: &Database, n_shards: usize, dir: &Path) -> DurableSharded {
-    DurableSharded::create(template, shard_spec(), n_shards, dir, DurabilityOptions::default())
-        .unwrap()
-}
-
-/// The unlogged unsharded control: `template` fed `txns`; how many
-/// committed.
-fn db_control(template: &Database, txns: &[Txn]) -> (Database, u64) {
+/// A durable copy of `template` in `dir`, default options.
+fn create(template: &Database, dir: &Path) -> Database {
     let mut db = template.clone();
-    let committed = txns.iter().filter(|&t| db.apply_transaction(t.clone()).is_ok()).count();
-    (db, committed as u64)
-}
-
-/// The unlogged control: `template` partitioned like the durable run and
-/// fed `txns` through the scheduler.
-fn control(template: &Database, n_shards: usize, txns: &[Txn]) -> ShardedDatabase {
-    let db = ShardedDatabase::partition(template, shard_spec(), n_shards).unwrap();
-    TxnScheduler::new(&db, Arc::default()).run(txns).unwrap();
+    db.make_durable(dir, DurabilityOptions::default()).unwrap();
     db
 }
 
-/// Run `txns` durably, one at a time in order; how many committed.
-fn run_durable(dur: &DurableSharded, txns: &[Txn]) -> u64 {
-    let out = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
-        .run(txns)
-        .unwrap();
-    out.results.iter().filter(|r| r.is_ok()).count() as u64
+fn open(dir: &Path) -> (Database, spacetime_ivm::RecoveryStats) {
+    Database::open(dir, DurabilityOptions::default()).unwrap()
+}
+
+/// The unlogged control: `template` fed `txns`; how many committed.
+fn control(template: &Database, txns: &[Txn]) -> (Database, u64) {
+    let mut db = template.clone();
+    let committed = txns
+        .iter()
+        .filter(|&t| db.apply_transaction(t.clone()).is_ok())
+        .count();
+    (db, committed as u64)
+}
+
+/// Run `txns` through `Database::run`; how many committed.
+fn run(db: &mut Database, txns: &[Txn]) -> u64 {
+    db.run(txns).results.iter().filter(|r| r.is_ok()).count() as u64
 }
 
 #[test]
@@ -213,56 +175,111 @@ fn wal_unsharded_clean_reopen_is_identical() {
     for &mode in MODES {
         let dir = test_dir("clean_reopen");
         let template = build_db(3, 4, mode);
-        let txns = unsharded_txns();
-        let dur = create(&template, 1, &dir);
-        let committed = run_durable(&dur, &txns);
+        let txns = workload(3, 4, 17);
+        let mut dur = create(&template, &dir);
+        let committed = run(&mut dur, &txns);
         drop(dur);
-        let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
-        assert_eq!(stats.replayed_txns, committed, "replayed != committed ({mode:?})");
+        let (rec, stats) = open(&dir);
+        assert_eq!(
+            stats.replayed_txns, committed,
+            "replayed != committed ({mode:?})"
+        );
         assert_eq!(stats.skipped_txns, 0, "clean log has no aborts ({mode:?})");
-        assert_eq!(stats.discarded_bytes, 0, "clean log has no torn bytes ({mode:?})");
-        let rec = rec.db().shard(0);
+        assert_eq!(
+            stats.discarded_bytes, 0,
+            "clean log has no torn bytes ({mode:?})"
+        );
         assert_eq!(rec.propagation_mode(), mode, "mode not restored");
-        let (control, _) = db_control(&template, &txns);
+        let (control, _) = control(&template, &txns);
         assert_db_eq(&rec, &control, &format!("clean reopen, {mode:?}"));
-        assert!(verify_all_views(&rec).unwrap().is_empty());
         cleanup(&dir);
     }
 }
 
+/// Every crash site × propagation mode, on two workloads.
 #[test]
 fn wal_unsharded_crash_matrix() {
-    for &mode in MODES {
-        for &site in SITES {
-            let dir = test_dir("unsharded_crash");
-            let ctx = format!("{mode:?}, {site:?}");
-            let template = build_db(3, 4, mode);
-            let txns = unsharded_txns();
-            let total = txns.len();
-            let keep = total - site.lost_txns();
+    for (departments, emps_per_dept, seed) in [(3, 4, 17), (4, 3, 23)] {
+        for &mode in MODES {
+            for &site in SITES {
+                let dir = test_dir("crash_matrix");
+                let ctx = format!("{departments}x{emps_per_dept} seed {seed}, {mode:?}, {site:?}");
+                let template = build_db(departments, emps_per_dept, mode);
+                let txns = workload(departments, emps_per_dept, seed);
+                let keep = txns.len() - site.lost_txns();
 
-            let dur = create(&template, 1, &dir);
-            run_durable(&dur, &txns);
-            drop(dur);
-            site.mutilate(&dir.join("global.log"));
+                let mut dur = create(&template, &dir);
+                run(&mut dur, &txns);
+                drop(dur);
+                site.mutilate(&dir.join("global.log"));
 
-            let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
-            let (control, committed) = db_control(&template, &txns[..keep]);
-            assert_eq!(
-                stats.replayed_txns, committed,
-                "replayed only the committed prefix ({ctx})"
-            );
-            assert_db_eq(&rec.db().shard(0), &control, &format!("recovery == control ({ctx})"));
-            assert!(
-                verify_all_views(&rec.db().shard(0)).unwrap().is_empty(),
-                "oracle mismatch after recovery ({ctx})"
-            );
+                let (mut rec, stats) = open(&dir);
+                let (prefix, committed) = control(&template, &txns[..keep]);
+                assert_eq!(
+                    stats.replayed_txns, committed,
+                    "replayed only the committed prefix ({ctx})"
+                );
+                assert_db_eq(&rec, &prefix, &format!("recovery == control ({ctx})"));
 
-            // Retry the lost tail: the recovered database serves on.
-            run_durable(&rec, &txns[keep..]);
-            let (control_full, _) = db_control(&template, &txns);
-            assert_db_eq(&rec.db().shard(0), &control_full, &format!("retry == control ({ctx})"));
-            cleanup(&dir);
+                // Retry the lost tail: the recovered database serves on.
+                run(&mut rec, &txns[keep..]);
+                let (full, _) = control(&template, &txns);
+                assert_db_eq(&rec, &full, &format!("retry == control ({ctx})"));
+                cleanup(&dir);
+            }
+        }
+    }
+}
+
+/// The crash matrix through the sharded API the frozen benchmark harness
+/// still serves through (`DurableSharded`, `TxnScheduler::with_wals`), at
+/// the shard counts it passes: the counts are ignored, so every count must
+/// recover exactly as the one database does.
+#[test]
+fn wal_sharded_crash_matrix() {
+    let opts = DurabilityOptions::default;
+    for &n_shards in &[1usize, 2, 4, 8] {
+        for &mode in MODES {
+            for &site in SITES {
+                let dir = test_dir("sharded_crash");
+                let ctx = format!("{n_shards} shard(s), {mode:?}, {site:?}");
+                let template = build_db(4, 3, mode);
+                let txns = workload(4, 3, 23);
+                let keep = txns.len() - site.lost_txns();
+                let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
+
+                let dur = DurableSharded::create(&template, spec, n_shards, &dir, opts()).unwrap();
+                TxnScheduler::with_wals(dur.db(), Arc::default(), ())
+                    .run(&txns)
+                    .unwrap();
+                drop(dur);
+                site.mutilate(&dir.join("global.log"));
+
+                let (rec, stats) = DurableSharded::open_with(&dir, n_shards, opts()).unwrap();
+                assert_eq!(rec.db().n_shards(), 1, "the shard count is ignored");
+                let (prefix, committed) = control(&template, &txns[..keep]);
+                assert_eq!(
+                    stats.replayed_txns, committed,
+                    "replayed only the committed prefix ({ctx})"
+                );
+                assert_db_eq(
+                    &rec.db().shard(0),
+                    &prefix,
+                    &format!("recovery == control ({ctx})"),
+                );
+
+                // Retry the lost tail durably on the recovered database.
+                TxnScheduler::with_wals(rec.db(), Arc::default(), ())
+                    .run(&txns[keep..])
+                    .unwrap();
+                let (full, _) = control(&template, &txns);
+                assert_db_eq(
+                    &rec.db().shard(0),
+                    &full,
+                    &format!("retry == control ({ctx})"),
+                );
+                cleanup(&dir);
+            }
         }
     }
 }
@@ -273,220 +290,254 @@ fn wal_checkpoint_replays_only_the_tail() {
     let template = build_db(3, 4, PropagationMode::Fused);
     let before: Vec<Txn> = (0..4).map(|i| tail_txn(i, "dept00000")).collect();
     let after: Vec<Txn> = (4..7).map(|i| tail_txn(i, "dept00001")).collect();
-    let mut dur = create(&template, 1, &dir);
-    assert_eq!(run_durable(&dur, &before), 4);
+    let mut dur = create(&template, &dir);
+    assert_eq!(run(&mut dur, &before), 4);
     dur.checkpoint().unwrap();
-    assert_eq!(run_durable(&dur, &after), 3);
+    assert_eq!(run(&mut dur, &after), 3);
     drop(dur);
-    let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
-    assert_eq!(stats.checkpoint_last_txn, 4, "checkpoint covers the first four");
-    assert_eq!(stats.replayed_txns, 3, "only the post-checkpoint tail replays");
-    let (control, committed) = db_control(&template, &[before, after].concat());
+    let (rec, stats) = open(&dir);
+    assert_eq!(
+        stats.checkpoint_last_txn, 4,
+        "checkpoint covers the first four"
+    );
+    assert_eq!(
+        stats.replayed_txns, 3,
+        "only the post-checkpoint tail replays"
+    );
+    let (control, committed) = control(&template, &[before, after].concat());
     assert_eq!(committed, 7);
-    let rec = rec.db().shard(0);
     assert_db_eq(&rec, &control, "checkpoint + tail");
-    assert!(verify_all_views(&rec).unwrap().is_empty());
     cleanup(&dir);
 }
 
-/// The policy only says *when*; the caller checkpoints between runs
-/// (`maybe_checkpoint` takes `&mut self`, a scheduler borrows the handle).
+/// Checkpoints taken between transactions bound what recovery replays.
 #[test]
-fn wal_checkpoint_policy_triggers_automatically() {
-    let dir = test_dir("ckpt_policy");
+fn wal_explicit_checkpoints_bound_the_replay() {
+    let dir = test_dir("ckpt_explicit");
     let template = build_db(3, 4, PropagationMode::Fused);
-    let opts = DurabilityOptions {
-        checkpoint: CheckpointPolicy {
-            every_txns: Some(2),
-            every_bytes: None,
-        },
-        ..DurabilityOptions::default()
-    };
-    let mut dur = DurableSharded::create(&template, shard_spec(), 1, &dir, opts).unwrap();
+    let mut dur = create(&template, &dir);
     let txns: Vec<Txn> = (0..5).map(|i| tail_txn(i, "dept00000")).collect();
-    for t in &txns {
-        assert_eq!(run_durable(&dur, std::slice::from_ref(t)), 1);
-        dur.maybe_checkpoint().unwrap();
+    for (i, t) in txns.iter().enumerate() {
+        assert_eq!(run(&mut dur, std::slice::from_ref(t)), 1);
+        if i % 2 == 1 {
+            dur.checkpoint().unwrap();
+        }
     }
     drop(dur);
-    // Checkpoints fired after txns 2 and 4; only txn 5 is in the log.
-    let (rec, stats) = DurableSharded::open(&dir, 1).unwrap();
-    assert_eq!(stats.replayed_txns, 1, "policy checkpoints bound the replay");
-    let (control, _) = db_control(&template, &txns);
-    assert_db_eq(&rec.db().shard(0), &control, "auto-checkpoint recovery");
+    // Checkpoints after txns 2 and 4; only txn 5 is in the log.
+    let (rec, stats) = open(&dir);
+    assert_eq!(stats.checkpoint_last_txn, 4);
+    assert_eq!(stats.replayed_txns, 1, "checkpoints bound the replay");
+    let (control, _) = control(&template, &txns);
+    assert_db_eq(&rec, &control, "recovery after explicit checkpoints");
     cleanup(&dir);
 }
 
-/// `META` is the commit point of `create`: a creation that failed part-way
-/// leaves a directory the same `create` can still initialize.
+/// `META` is the commit point of `make_durable`: a call that failed
+/// part-way leaves a directory the same call can still initialize.
 #[test]
 fn wal_interrupted_create_can_be_retried() {
     let dir = test_dir("interrupted_create");
     let template = build_db(4, 3, PropagationMode::Fused);
-    let create =
-        || DurableSharded::create(&template, shard_spec(), 2, &dir, DurabilityOptions::default());
-    // Shard 1's directory cannot be made: a regular file sits in its place.
+    let make = || {
+        let mut db = template.clone();
+        db.make_durable(&dir, DurabilityOptions::default())
+            .map(|()| db)
+    };
+    // The checkpoint's directory cannot be made: a regular file sits in
+    // its place.
     std::fs::create_dir_all(&dir).unwrap();
-    let obstacle = dir.join("shard-001");
+    let obstacle = dir.join("shard-000");
     std::fs::write(&obstacle, b"in the way").unwrap();
-    assert!(create().is_err(), "create must fail at shard 1");
+    assert!(make().is_err(), "make_durable must fail at the checkpoint");
     std::fs::remove_file(&obstacle).unwrap();
 
-    let dur = create().unwrap_or_else(|e| panic!("retry over the half-made directory: {e}"));
-    let txns = sharded_txns(&shard_spec(), 2);
-    run_durable(&dur, &txns);
+    let mut dur = make().unwrap_or_else(|e| panic!("retry over the half-made directory: {e}"));
+    let txns = workload(4, 3, 23);
+    let committed = run(&mut dur, &txns);
     drop(dur);
-    let (rec, stats) = DurableSharded::open_with(&dir, 2, DurabilityOptions::default()).unwrap();
-    assert_eq!(stats.replayed_txns, txns.len() as u64);
-    let control = control(&template, 2, &txns);
-    assert_sharded_eq(rec.db(), &control, "recovery after a retried create");
-    assert!(create().is_err(), "an initialized directory still refuses create");
+    let (rec, stats) = open(&dir);
+    assert_eq!(stats.replayed_txns, committed);
+    let (control, _) = control(&template, &txns);
+    assert_db_eq(&rec, &control, "recovery after a retried create");
+    assert!(
+        make().is_err(),
+        "an initialized directory still refuses make_durable"
+    );
+    let mut twice = rec;
+    assert!(
+        twice
+            .make_durable(&test_dir("twice"), DurabilityOptions::default())
+            .is_err(),
+        "a durable database refuses a second directory"
+    );
     cleanup(&dir);
 }
 
-// ---------------------------------------------------------------------
-// Sharded
-// ---------------------------------------------------------------------
-
-/// Base workload plus three crafted single-shard tail transactions, all
-/// on shard 0, so each crash site loses an exactly-known suffix.
-fn sharded_txns(spec: &ShardSpec, n_shards: usize) -> Vec<Txn> {
-    let mut txns: Vec<Txn> = mixed_workload(4, 3, 6, 23)
-        .into_iter()
-        .map(|(table, delta)| vec![(table, delta)])
-        .collect();
-    let dname = dname_routing_to(spec, n_shards, 0);
-    for i in 0..3 {
-        txns.push(tail_txn(i, &dname));
-    }
-    txns
-}
-
+/// A crash at a multi-update transaction's commit point: its begin and
+/// deltas are in the log and it applied in memory, but its one commit
+/// record was lost. Dropping the log's last frame must abort exactly it.
 #[test]
-fn wal_sharded_crash_matrix() {
-    for &n_shards in &[1usize, 2, 4, 8] {
-        for &mode in MODES {
-            for &site in SITES {
-                let dir = test_dir("sharded_crash");
-                let ctx = format!("{n_shards} shard(s), {mode:?}, {site:?}");
-                let template = build_db(4, 3, mode);
-                let txns = sharded_txns(&shard_spec(), n_shards);
-                let keep = txns.len() - site.lost_txns();
+fn wal_dropped_commit_record_aborts_the_transaction() {
+    for &mode in MODES {
+        let dir = test_dir("dropped_commit");
+        let template = build_db(4, 3, mode);
+        let mut txns = workload(4, 3, 23);
+        let mut two = tail_txn(90, "dept00000");
+        two.extend(tail_txn(91, "dept00003"));
+        txns.push(two);
+        let total = txns.len();
 
-                let dur = create(&template, n_shards, &dir);
-                run_durable(&dur, &txns);
-                drop(dur);
-                site.mutilate(&dir.join("global.log"));
+        let mut dur = create(&template, &dir);
+        let committed = run(&mut dur, &txns);
+        drop(dur);
+        crash::drop_last_frame(&dir.join("global.log")).unwrap();
 
-                let (rec, _stats) = DurableSharded::open(&dir, n_shards).unwrap();
-                let prefix = control(&template, n_shards, &txns[..keep]);
-                assert_sharded_eq(rec.db(), &prefix, &format!("recovery == control ({ctx})"));
+        let (mut rec, stats) = open(&dir);
+        assert_eq!(
+            stats.skipped_txns, 1,
+            "exactly the last transaction aborts ({mode:?})"
+        );
+        assert_eq!(stats.replayed_txns, committed - 1, "{mode:?}");
+        let (prefix, _) = control(&template, &txns[..total - 1]);
+        assert_db_eq(&rec, &prefix, &format!("recovery == control ({mode:?})"));
 
-                // Retry the lost tail durably on the recovered shards.
-                run_durable(&rec, &txns[keep..]);
-                let control_full = control(&template, n_shards, &txns);
-                assert_sharded_eq(rec.db(), &control_full, &format!("retry == control ({ctx})"));
-                cleanup(&dir);
-            }
-        }
+        // Retry the aborted transaction.
+        assert_eq!(run(&mut rec, &txns[total - 1..]), 1);
+        let (full, _) = control(&template, &txns);
+        assert_db_eq(&rec, &full, &format!("retry == control ({mode:?})"));
+        cleanup(&dir);
     }
 }
 
-/// A crash at a cross-shard transaction's commit point: its begin and
-/// deltas are in the log and it applied in memory on every shard it
-/// touched, but its one commit record was lost. Dropping the log's last
-/// frame must abort exactly it, on every shard.
+/// A crash between installing a checkpoint and truncating the log: the
+/// new checkpoint is in place and the log still holds the transactions it
+/// covers. Recovery must skip them, not apply them twice.
 #[test]
-fn wal_cross_shard_commit_crash_aborts_on_every_shard() {
-    for &n_shards in &[2usize, 4] {
-        for &mode in MODES {
-            let dir = test_dir("cross_commit_crash");
-            let ctx = format!("{n_shards} shard(s), {mode:?}");
-            let template = build_db(4, 3, mode);
-            let spec = shard_spec();
-            let mut txns = sharded_txns(&spec, n_shards);
-            // The final transaction: two inserts routing to different
-            // shards.
-            let d0 = dname_routing_to(&spec, n_shards, 0);
-            let d1 = dname_routing_to(&spec, n_shards, 1);
-            let mut cross = tail_txn(90, &d0);
-            cross.extend(tail_txn(91, &d1));
-            txns.push(cross);
-            let total = txns.len();
-
-            let dur = create(&template, n_shards, &dir);
-            assert_eq!(run_durable(&dur, &txns), total as u64, "all commit ({ctx})");
-            drop(dur);
-            crash::drop_last_frame(&dir.join("global.log")).unwrap();
-
-            let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
-            assert_eq!(stats.skipped_txns, 1, "exactly the cross-shard txn aborts ({ctx})");
-            let prefix = control(&template, n_shards, &txns[..total - 1]);
-            assert_sharded_eq(rec.db(), &prefix, &format!("recovery == control ({ctx})"));
-
-            // Retry the aborted cross-shard transaction.
-            run_durable(&rec, &txns[total - 1..]);
-            let control_full = control(&template, n_shards, &txns);
-            assert_sharded_eq(rec.db(), &control_full, &format!("retry == control ({ctx})"));
-            cleanup(&dir);
-        }
-    }
-}
-
-/// A crash between two shard checkpoints: shard 0's new checkpoint is in
-/// place, shard 1's is the one before, and the log was not yet
-/// truncated. Replay is filtered per shard — shard 0 skips what its
-/// checkpoint covers, shard 1 replays it — so recovery equals control.
-#[test]
-fn wal_crash_between_shard_checkpoints_recovers() {
-    let n_shards = 2;
-    let dir = test_dir("between_ckpts");
+fn wal_crash_between_checkpoint_and_truncation_recovers() {
+    let dir = test_dir("ckpt_before_truncate");
     let template = build_db(4, 3, PropagationMode::Fused);
-    let txns = sharded_txns(&shard_spec(), n_shards);
+    let txns = workload(4, 3, 23);
     let half = txns.len() / 2;
-    let mut dur = create(&template, n_shards, &dir);
-    run_durable(&dur, &txns[..half]);
+    let mut dur = create(&template, &dir);
+    run(&mut dur, &txns[..half]);
     dur.checkpoint().unwrap();
-    run_durable(&dur, &txns[half..]);
-    let (old_ckpt, log) = (dir.join("shard-001/checkpoint.ckpt"), dir.join("global.log"));
-    let saved = (std::fs::read(&old_ckpt).unwrap(), std::fs::read(&log).unwrap());
+    run(&mut dur, &txns[half..]);
+    let log = dir.join("global.log");
+    let untruncated = std::fs::read(&log).unwrap();
     dur.checkpoint().unwrap();
     drop(dur);
-    std::fs::write(&old_ckpt, saved.0).unwrap();
-    std::fs::write(&log, saved.1).unwrap();
+    std::fs::write(&log, untruncated).unwrap();
 
-    let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
-    assert!(stats.replayed_txns > 0, "shard 1 replays the second half");
-    let control = control(&template, n_shards, &txns);
-    assert_sharded_eq(rec.db(), &control, "recovery between shard checkpoints");
+    let (rec, stats) = open(&dir);
+    assert_eq!(
+        stats.replayed_txns, 0,
+        "the checkpoint covers every logged transaction"
+    );
+    let (control, _) = control(&template, &txns);
+    assert_db_eq(&rec, &control, "recovery between checkpoint and truncation");
     cleanup(&dir);
 }
 
-/// A sharded checkpoint truncates the one log; recovery replays nothing
-/// and still matches. The log is the only WAL file in the directory.
+/// A checkpoint truncates the one log; recovery replays nothing and still
+/// matches. The directory holds `META`, the log and the checkpoint only.
 #[test]
-fn wal_sharded_checkpoint_then_recover() {
-    let n_shards = 2;
-    let dir = test_dir("sharded_ckpt");
+fn wal_checkpoint_then_recover() {
+    let dir = test_dir("ckpt_recover");
     let template = build_db(4, 3, PropagationMode::Fused);
-    let txns = sharded_txns(&shard_spec(), n_shards);
-    let mut dur = create(&template, n_shards, &dir);
-    run_durable(&dur, &txns);
+    let txns = workload(4, 3, 23);
+    let mut dur = create(&template, &dir);
+    run(&mut dur, &txns);
     dur.checkpoint().unwrap();
     drop(dur);
     let ls = |d: &Path| {
-        let names = std::fs::read_dir(d).unwrap().map(|e| e.unwrap().file_name());
+        let names = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name());
         let mut names: Vec<_> = names.collect();
         names.sort();
         names
     };
-    assert_eq!(ls(&dir), ["META", "global.log", "shard-000", "shard-001"]);
-    for s in ["shard-000", "shard-001"] {
-        assert_eq!(ls(&dir.join(s)), ["checkpoint.ckpt"], "{s} holds no log");
-    }
-    let (rec, stats) = DurableSharded::open(&dir, n_shards).unwrap();
+    assert_eq!(ls(&dir), ["META", "global.log", "shard-000"]);
+    assert_eq!(ls(&dir.join("shard-000")), ["checkpoint.ckpt"]);
+    let (rec, stats) = open(&dir);
     assert_eq!(stats.replayed_txns, 0, "checkpoint absorbed the whole log");
-    let control = control(&template, n_shards, &txns);
-    assert_sharded_eq(rec.db(), &control, "post-checkpoint recovery");
+    let (control, _) = control(&template, &txns);
+    assert_db_eq(&rec, &control, "post-checkpoint recovery");
+    cleanup(&dir);
+}
+
+/// Any view set serves durably: a view that neither joins nor groups on
+/// `DName` — a payroll total over all of Emp — beside `DeptConstraint`,
+/// on a stream of hires, raises, employees moving department, two-update
+/// transfers (hire in one department, re-budget another) and violations.
+/// Crash-stop without a checkpoint, recover, then serve the rest.
+#[test]
+fn wal_any_view_set_serves_durably() {
+    let dir = test_dir("any_view_set");
+    let mut template = paper_schema_db();
+    load_paper_data(&mut template, 6, 3);
+    template
+        .execute_sql(
+            "CREATE MATERIALIZED VIEW Payroll AS \
+             SELECT COUNT(*) AS N, SUM(Salary) AS Total FROM Emp",
+        )
+        .unwrap();
+    template.execute_sql(DEPT_CONSTRAINT).unwrap();
+    // Budgets are 600, each department's three salaries sum to 300.
+    let emp = |e: &str, d: usize, s: i64| tuple![e, format!("dept{d:05}"), s];
+    let budget = |d: usize, from: i64, to: i64| {
+        let row = |b: i64| tuple![format!("dept{d:05}"), format!("mgr{d}"), b];
+        ("Dept".to_string(), Delta::modify(row(from), row(to), 1))
+    };
+    let hire = |e: &str, d: usize, s: i64| ("Emp".to_string(), Delta::insert(emp(e, d, s), 1));
+    let change = |e: &str, from: (usize, i64), to: (usize, i64)| {
+        let delta = Delta::modify(emp(e, from.0, from.1), emp(e, to.0, to.1), 1);
+        ("Emp".to_string(), delta)
+    };
+    let txns: Vec<Txn> = vec![
+        vec![hire("new_a", 0, 150), budget(1, 600, 650)],
+        vec![change("emp00002_0", (2, 100), (2, 180))],
+        vec![change("emp00003_1", (3, 100), (4, 100))],
+        // Over budget: 300 + 400 > 600.
+        vec![hire("new_b", 5, 400)],
+        vec![hire("new_c", 2, 50), budget(0, 600, 700)],
+        // A transfer whose second update cuts department 4's budget below
+        // its payroll (400 > 300) after its hire landed.
+        vec![hire("new_d", 1, 100), budget(4, 600, 300)],
+        vec![change("emp00005_2", (5, 100), (1, 100))],
+        vec![hire("new_e", 3, 120), budget(5, 600, 550)],
+    ];
+    let expect_ok = [true, true, true, false, true, false, true, true];
+    let (full, committed) = control(&template, &txns);
+    assert_eq!(committed, 6, "fixture mis-built");
+    let keep = 5;
+
+    let mut dur = create(&template, &dir);
+    let out = dur.run(&txns[..keep]);
+    let ok: Vec<bool> = out.results.iter().map(|r| r.is_ok()).collect();
+    assert_eq!(ok, expect_ok[..keep], "{:?}", out.results);
+    drop(dur);
+
+    let (mut rec, stats) = open(&dir);
+    assert_eq!(stats.replayed_txns, 4);
+    let (prefix, _) = control(&template, &txns[..keep]);
+    assert_db_eq(&rec, &prefix, "recovery == control");
+    let ok: Vec<bool> = rec
+        .run(&txns[keep..])
+        .results
+        .iter()
+        .map(|r| r.is_ok())
+        .collect();
+    assert_eq!(ok, expect_ok[keep..]);
+    assert_db_eq(&rec, &full, "retry == full control");
+    let payroll = rec
+        .catalog
+        .table("Payroll")
+        .unwrap()
+        .relation
+        .data()
+        .clone();
+    assert_eq!(payroll.len(), 1, "one payroll row: {payroll:?}");
     cleanup(&dir);
 }

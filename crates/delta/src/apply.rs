@@ -7,10 +7,9 @@
 //! charged by [`Relation`]'s mutation methods.
 //!
 //! Every successful relation op is recorded in an [`UndoLog`] so a failure
-//! later in the same transaction — in the same update, in a later update,
-//! or on another shard of a cross-shard commit — can be rolled back by
-//! replaying exact inverse ops in reverse order: no copy-on-write staging,
-//! no whole-table copies.
+//! later in the same transaction — in the same update or in a later one —
+//! can be rolled back by replaying exact inverse ops in reverse order: no
+//! copy-on-write staging, no whole-table copies.
 
 use spacetime_storage::{Bag, Catalog, IoMeter, Relation, StorageResult};
 

@@ -147,38 +147,6 @@ impl Delta {
         self.modifies.extend(other.modifies);
     }
 
-    /// Partition this delta across `n` shard domains by routing every
-    /// tuple through `route`. Modifications whose old and new sides route
-    /// to the same shard stay paired there; a shard-crossing modification
-    /// degrades to a delete in the old shard plus an insert in the new one
-    /// (the same group-migration logic as [`Delta::split_modifies_on`],
-    /// applied to shard domains). The concatenation of the returned deltas
-    /// is therefore equivalent to `self` up to modify pairing. Routing
-    /// errors (e.g. an undeclared shard key) abort the split.
-    pub fn split_by<F>(&self, n: usize, mut route: F) -> StorageResult<Vec<Delta>>
-    where
-        F: FnMut(&Tuple) -> StorageResult<usize>,
-    {
-        let mut parts = vec![Delta::new(); n.max(1)];
-        for (t, c) in self.inserts.iter() {
-            parts[route(t)?].inserts.insert(t.clone(), c);
-        }
-        for (t, c) in self.deletes.iter() {
-            parts[route(t)?].deletes.insert(t.clone(), c);
-        }
-        for m in &self.modifies {
-            let from = route(&m.old)?;
-            let to = route(&m.new)?;
-            if from == to {
-                parts[from].modifies.push(m.clone());
-            } else {
-                parts[from].deletes.insert(m.old.clone(), m.count);
-                parts[to].inserts.insert(m.new.clone(), m.count);
-            }
-        }
-        Ok(parts)
-    }
-
     /// Split modifications whose projection onto `cols` changed into
     /// delete+insert pairs, keeping same-key modifications paired. Used by
     /// the aggregate rule (a salary change stays a modification within its
@@ -274,92 +242,6 @@ mod tests {
     use spacetime_storage::tuple;
 
     #[test]
-    fn split_by_keeps_same_shard_modifies_paired() {
-        // Route by the first column. Old and new agree on it, so the
-        // modification stays a modification — in its own shard, with
-        // the multiplicity preserved.
-        let d = Delta::modify(tuple![1, "a"], tuple![1, "b"], 3);
-        let parts = d.split_by(4, |t| match t.get(0) {
-            Some(Value::Int(k)) => Ok(*k as usize % 4),
-            _ => unreachable!(),
-        })
-        .unwrap();
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts[1].modifies.len(), 1);
-        assert_eq!(parts[1].modifies[0].old, tuple![1, "a"]);
-        assert_eq!(parts[1].modifies[0].new, tuple![1, "b"]);
-        assert_eq!(parts[1].modifies[0].count, 3);
-        assert!(parts[1].inserts.is_empty() && parts[1].deletes.is_empty());
-        for (s, p) in parts.iter().enumerate() {
-            if s != 1 {
-                assert!(p.is_empty(), "shard {s} should be untouched");
-            }
-        }
-    }
-
-    #[test]
-    fn split_by_degrades_cross_shard_modify_to_delete_insert() {
-        // The key column changes, so the old and new sides route to
-        // different shards: a delete where the tuple was, an insert
-        // where it moved to, counts > 1 preserved on both sides, and no
-        // modify survives anywhere.
-        let d = Delta::modify(tuple![2, "a"], tuple![5, "a"], 7);
-        let parts = d.split_by(4, |t| match t.get(0) {
-            Some(Value::Int(k)) => Ok(*k as usize % 4),
-            _ => unreachable!(),
-        })
-        .unwrap();
-        assert!(parts.iter().all(|p| p.modifies.is_empty()));
-        assert_eq!(parts[2].deletes.count(&tuple![2, "a"]), 7);
-        assert!(parts[2].inserts.is_empty());
-        assert_eq!(parts[1].inserts.count(&tuple![5, "a"]), 7);
-        assert!(parts[1].deletes.is_empty());
-        // Net effect is preserved: concatenating the parts equals the
-        // normalized original.
-        let mut merged = Delta::new();
-        for p in parts {
-            merged.merge(p);
-        }
-        assert_eq!(merged, d.normalized());
-    }
-
-    #[test]
-    fn split_by_mixed_modifies_route_independently() {
-        // One same-shard and one cross-shard modification in a single
-        // delta: the first stays paired, the second degrades; inserts
-        // and deletes route alongside untouched.
-        let mut d = Delta::insert(tuple![4, "i"], 2);
-        d.deletes.insert(tuple![8, "d"], 1);
-        d.push_modify(tuple![0, "x"], tuple![0, "y"], 2); // same shard 0
-        d.push_modify(tuple![1, "x"], tuple![2, "x"], 5); // shard 1 -> 2
-        let parts = d.split_by(3, |t| match t.get(0) {
-            Some(Value::Int(k)) => Ok(*k as usize % 3),
-            _ => unreachable!(),
-        })
-        .unwrap();
-        assert_eq!(parts[0].modifies.len(), 1, "same-shard modify stays");
-        assert_eq!(parts[0].modifies[0].count, 2);
-        assert_eq!(parts[1].deletes.count(&tuple![1, "x"]), 5);
-        assert_eq!(parts[2].inserts.count(&tuple![2, "x"]), 5);
-        assert!(parts[1].modifies.is_empty() && parts[2].modifies.is_empty());
-        // The plain inserts/deletes landed on their own shards (4 % 3 =
-        // 1, 8 % 3 = 2).
-        assert_eq!(parts[1].inserts.count(&tuple![4, "i"]), 2);
-        assert_eq!(parts[2].deletes.count(&tuple![8, "d"]), 1);
-    }
-
-    #[test]
-    fn split_by_routing_error_aborts() {
-        let d = Delta::modify(tuple![1, "a"], tuple![2, "a"], 1);
-        let r = d.split_by(2, |_| {
-            Err(spacetime_storage::StorageError::BadIndexColumns(
-                "no shard key".into(),
-            ))
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn noop_modifies_dropped() {
         let d = Delta::modify(tuple![1, 2], tuple![1, 2], 1);
         assert!(d.is_empty());
@@ -449,43 +331,6 @@ mod tests {
         d.deletes.insert(tuple![2], 1);
         d.push_modify(tuple![3], tuple![4], 5);
         assert_eq!(d.size(), 8);
-    }
-
-    #[test]
-    fn split_by_routes_and_degrades_crossings() {
-        let mut d = Delta::insert(tuple!["a", 0], 1);
-        d.deletes.insert(tuple!["b", 1], 2);
-        // Same-shard modify stays paired; cross-shard one degrades.
-        d.push_modify(tuple!["c", 1, 10], tuple!["c", 1, 20], 1);
-        d.push_modify(tuple!["m", 0, 5], tuple!["m", 1, 5], 3);
-        let route = |t: &Tuple| -> spacetime_storage::StorageResult<usize> {
-            Ok(match t.get(1).unwrap() {
-                Value::Int(i) => (*i as usize) % 2,
-                _ => 0,
-            })
-        };
-        let parts = d.split_by(2, route).unwrap();
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].inserts.count(&tuple!["a", 0]), 1);
-        assert_eq!(parts[1].deletes.count(&tuple!["b", 1]), 2);
-        assert_eq!(parts[1].modifies.len(), 1);
-        assert_eq!(parts[0].deletes.count(&tuple!["m", 0, 5]), 3);
-        assert_eq!(parts[1].inserts.count(&tuple!["m", 1, 5]), 3);
-        // The concatenation preserves net effect.
-        let mut merged = Delta::new();
-        for p in parts {
-            merged.merge(p);
-        }
-        assert_eq!(merged.net(), d.net());
-    }
-
-    #[test]
-    fn split_by_propagates_route_errors() {
-        let d = Delta::insert(tuple!["a"], 1);
-        let res = d.split_by(2, |_| {
-            Err(spacetime_storage::StorageError::Internal("boom".into()))
-        });
-        assert!(res.is_err());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! DML statements are converted to deltas, planned against every dependent
 //! engine, gated on assertions (a violating transaction is rejected
 //! *before* anything is applied — SQL-92 semantics), and committed with
-//! full I/O accounting.
+//! full I/O accounting. Under the `durability` feature a database can own
+//! a write-ahead log, a checkpoint and recovery (`crate::durability`);
+//! batches are served by [`Database::run`] (`crate::sched`).
 
 use std::sync::Arc;
 
@@ -40,28 +42,6 @@ pub enum ViewSelection {
     RuleOfThumb,
 }
 
-// Compile shims for the frozen benchmark harness, which still names the one
-// execution mode left and hands `TxnScheduler::new`/`with_wals` an
-// `Arc<PipelinePool>` that both ignore (transactions run on the calling
-// thread); the follow-up benchmark PR removes those calls, then these.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    #[default]
-    Sequential,
-}
-
-#[doc(hidden)]
-#[derive(Debug, Default)]
-pub struct PipelinePool;
-
-impl PipelinePool {
-    #[doc(hidden)]
-    pub fn new(_width: usize) -> Self {
-        PipelinePool
-    }
-}
-
 /// Outcome of one executed statement.
 #[derive(Debug)]
 pub enum SqlOutcome {
@@ -84,6 +64,8 @@ pub enum SqlOutcome {
 /// `Clone` is cheap: the catalog's tables and the engines sit behind
 /// `Arc`s, so a clone shares all storage copy-on-write. The fault harness
 /// relies on this to stamp out fresh databases from a prebuilt template.
+/// A clone of a durable database is an in-memory copy: it never writes
+/// the original's log.
 #[derive(Clone)]
 pub struct Database {
     /// Storage: base tables and materialized views.
@@ -108,6 +90,10 @@ pub struct Database {
     /// [`Database::set_phase_stats`]).
     collect_phases: bool,
     phase_totals: PhaseTotals,
+    /// The write-ahead log of a durable database (off until
+    /// `make_durable` or `open`; a clone never carries it).
+    #[cfg(feature = "durability")]
+    pub(crate) log: crate::durability::Log,
 }
 
 /// What an open transaction scope puts back if it aborts: the trace the
@@ -163,6 +149,8 @@ impl Database {
             txn: None,
             collect_phases: false,
             phase_totals: PhaseTotals::default(),
+            #[cfg(feature = "durability")]
+            log: Default::default(),
         }
     }
 
@@ -207,13 +195,6 @@ impl Database {
         self.last_trace.as_ref()
     }
 
-    /// Take ownership of the most recent trace, leaving none behind. The
-    /// serving layer uses this to move per-shard transaction traces into
-    /// assembled cross-shard spans without cloning.
-    pub fn take_trace(&mut self) -> Option<TraceNode> {
-        self.last_trace.take()
-    }
-
     /// A snapshot of the process-wide metrics registry: pool, track, and
     /// latency series accumulated across every database in the
     /// process. Empty (all maps empty) in default builds — metrics only
@@ -237,16 +218,6 @@ impl Database {
         for e in &mut self.engines {
             Arc::make_mut(e).set_propagation_mode(mode);
         }
-    }
-
-    // Compile shim, see `ExecutionMode`.
-    #[doc(hidden)]
-    pub fn set_execution_mode(&mut self, _exec: ExecutionMode) {}
-
-    // Compile shim, see `ExecutionMode`.
-    #[doc(hidden)]
-    pub fn execution_mode(&self) -> ExecutionMode {
-        ExecutionMode::Sequential
     }
 
     /// The active propagation mode (checkpoints persist it).
@@ -553,8 +524,20 @@ impl Database {
 
     /// Apply a delta to a base table, incrementally maintaining every
     /// dependent view and checking assertions *before* committing
-    /// anything. Returns the combined maintenance report.
+    /// anything. Returns the combined maintenance report. On a durable
+    /// database the update is a one-update transaction, logged like any
+    /// other (its trace is then that transaction's).
     pub fn apply_delta(&mut self, table: &str, delta: Delta) -> IvmResult<UpdateReport> {
+        #[cfg(feature = "durability")]
+        if self.txn.is_none() && self.log.is_on() {
+            return self.transact(&[(table.to_string(), delta)]);
+        }
+        self.apply_update(table, &delta)
+    }
+
+    /// One update: plan, gate, commit (inside a transaction scope, its
+    /// writes join the scope's journal).
+    fn apply_update(&mut self, table: &str, delta: &Delta) -> IvmResult<UpdateReport> {
         if self.tracing {
             // A failed or empty update leaves no trace behind; the prior
             // trace never masquerades as this update's.
@@ -570,7 +553,7 @@ impl Database {
         // Phase 1: plan against pre-update state.
         let mut planned = Vec::with_capacity(self.engines.len());
         for e in &self.engines {
-            planned.push(e.plan_update_with(&self.catalog, table, &delta, self.tracing)?);
+            planned.push(e.plan_update_with(&self.catalog, table, delta, self.tracing)?);
         }
         let plan_dur = t_plan.map(|t| t.elapsed());
         let t_gate = timed.then(std::time::Instant::now);
@@ -599,7 +582,7 @@ impl Database {
         let commit_watch = obs::stopwatch();
         let t_commit = timed.then(std::time::Instant::now);
         let mut combined = UpdateReport::default();
-        self.commit(table, &delta, &planned, &mut combined)?;
+        self.commit(table, delta, &planned, &mut combined)?;
         commit_watch.observe(metric::COMMIT_LATENCY_NS);
         update_watch.observe(metric::UPDATE_LATENCY_NS);
         let commit_dur = t_commit.map(|t| t.elapsed());
@@ -612,7 +595,7 @@ impl Database {
         if self.tracing {
             self.last_trace = Some(self.update_trace(
                 table,
-                &delta,
+                delta,
                 &mut planned,
                 plan_dur,
                 gate_dur,
@@ -784,7 +767,23 @@ impl Database {
     /// landed is replayed in reverse. Nothing is copied to make that
     /// possible, so a transaction costs its updates and no more.
     pub fn apply_transaction(&mut self, updates: Vec<(String, Delta)>) -> IvmResult<UpdateReport> {
+        self.transact(&updates)
+    }
+
+    /// The one transaction door ([`Database::apply_transaction`],
+    /// [`Database::run`], a durable database's `apply_delta`). On a
+    /// durable database the transaction is logged as submitted — its
+    /// begin and deltas — before anything applies, and its commit record
+    /// is the decision point: if the record cannot be written the
+    /// transaction aborts, so memory never runs ahead of the log.
+    pub(crate) fn transact(&mut self, updates: &[(String, Delta)]) -> IvmResult<UpdateReport> {
+        #[cfg(feature = "durability")]
+        let logged = self.log.begin(updates)?;
         let report = self.apply_open(updates)?;
+        #[cfg(feature = "durability")]
+        if let Err(e) = self.log.commit(logged) {
+            return Err(self.abort_transaction().err().unwrap_or(e));
+        }
         self.commit_transaction();
         Ok(report)
     }
@@ -794,7 +793,7 @@ impl Database {
     /// in one journal. The scope takes the session's current trace, to
     /// put back on abort. A scope already open is a caller bug
     /// and an error — journals are never silently merged.
-    pub(crate) fn begin_transaction(&mut self) -> IvmResult<()> {
+    fn begin_transaction(&mut self) -> IvmResult<()> {
         if self.txn.is_some() {
             return Err(IvmError::Internal(
                 "a transaction scope is already open on this database".into(),
@@ -808,9 +807,9 @@ impl Database {
     }
 
     /// Close the open scope keeping its writes: the journal is forgotten.
-    /// The layers above call this at their decision point — after the WAL
-    /// commit record, or after the cross-shard global commit.
-    pub(crate) fn commit_transaction(&mut self) {
+    /// [`Database::transact`] calls this at its decision point — after the
+    /// WAL commit record when the database is durable.
+    fn commit_transaction(&mut self) {
         self.undo.reset();
         self.txn = None;
     }
@@ -819,7 +818,7 @@ impl Database {
     /// reverse (a no-op if a failing commit already replayed it) and the
     /// pre-transaction trace comes back. Without an open scope
     /// there is nothing to abort.
-    pub(crate) fn abort_transaction(&mut self) -> IvmResult<()> {
+    fn abort_transaction(&mut self) -> IvmResult<()> {
         let Some(scope) = self.txn.take() else {
             return Ok(());
         };
@@ -832,7 +831,7 @@ impl Database {
     /// with the summed report and the `transaction` trace in place. On
     /// any failure, a panic unwinding through included, the scope is
     /// aborted before the failure propagates.
-    pub(crate) fn apply_open(&mut self, updates: Vec<(String, Delta)>) -> IvmResult<UpdateReport> {
+    fn apply_open(&mut self, updates: &[(String, Delta)]) -> IvmResult<UpdateReport> {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
         self.begin_transaction()?;
         let outcome = catch_unwind(AssertUnwindSafe(|| self.apply_updates(updates)));
@@ -844,14 +843,14 @@ impl Database {
 
     /// The body of a transaction: the updates in order, their reports
     /// summed and their traces gathered under one `transaction` node.
-    fn apply_updates(&mut self, updates: Vec<(String, Delta)>) -> IvmResult<UpdateReport> {
+    fn apply_updates(&mut self, updates: &[(String, Delta)]) -> IvmResult<UpdateReport> {
         let mut txn_trace = self
             .tracing
             .then(|| TraceNode::new("transaction").with_field("updates", updates.len()));
         let t0 = self.tracing.then(std::time::Instant::now);
         let mut combined = UpdateReport::default();
         for (table, delta) in updates {
-            let r = self.apply_delta(&table, delta)?;
+            let r = self.apply_update(table, delta)?;
             combined.merge(&r);
             // Collect the per-update trace into the transaction node
             // (empty deltas record nothing).
@@ -946,7 +945,7 @@ impl Database {
 
 /// Replay the journal against the catalog. A mismatch between the two is
 /// a recording bug; it fails the transaction with a typed error rather
-/// than a panic, so a scheduler run reports it in that transaction's slot
+/// than a panic, so [`Database::run`] reports it in that transaction's slot
 /// and goes on.
 fn replay_journal(undo: &mut spacetime_delta::UndoLog, catalog: &mut Catalog) -> IvmResult<()> {
     undo.rollback(catalog).map_err(|e| {

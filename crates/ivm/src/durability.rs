@@ -1,93 +1,92 @@
-//! Durable commits: one write-ahead log, per-shard checkpoints, and
-//! crash recovery (DESIGN.md §17).
+//! Durable commits: one write-ahead log, one checkpoint, and crash
+//! recovery (DESIGN.md §17).
 //!
 //! The paper's traded space — every materialization — is recomputable,
 //! but recomputing it after a crash costs exactly the query time the
-//! space was traded to avoid. This module makes the trade durable:
+//! space was traded to avoid. This module makes the trade durable, on
+//! the one [`Database`]:
 //!
-//! * [`DurableSharded`] — the one durable handle — wraps a
-//!   [`ShardedDatabase`] with one WAL; an unsharded durable database is
-//!   the `n_shards = 1` case. Transactions go through
-//!   [`crate::sched::TxnScheduler::with_wals`]: a transaction appends
-//!   one `begin` and its deltas, as submitted, before any shard touches
-//!   memory, and one `commit` record after the last shard applied — the
-//!   commit point for single-shard and cross-shard transactions alike.
-//!   So the log never claims a transaction the memory state rejected,
-//!   and recovery never replays a transaction the log does not prove
-//!   committed.
-//! * On disk a durable directory is `META` (shard count and spec — its
-//!   presence is what makes the directory a database, so it is written
-//!   last), the log `global.log`, and one `shard-NNN/checkpoint.ckpt`
-//!   per shard.
-//! * Checkpoints snapshot the whole catalog — base relations *and*
-//!   materializations — plus each engine's creation trees. Recovery
-//!   restores the snapshot, replays the creation trees through
-//!   `Memo::insert_tree` + `explore` (deterministic, so the memo is
-//!   bit-identical and no group id is ever trusted from disk), re-pins
+//! * [`Database::make_durable`] turns a built database durable over an
+//!   empty directory; [`Database::open`] recovers one. From then on the
+//!   database owns its log: the one transaction door
+//!   ([`Database::apply_transaction`], [`Database::run`], and
+//!   `apply_delta` as a one-update transaction) appends a `begin` and the
+//!   deltas, as submitted, before anything applies, and one `commit`
+//!   record at the decision point. So the log never claims a transaction
+//!   the memory state rejected, and recovery never replays a transaction
+//!   the log does not prove committed. A clone of a durable database is
+//!   an in-memory copy that never writes the original's log.
+//! * On disk a durable directory is `META` (its presence is what makes
+//!   the directory a database, so it is written last), the log and the
+//!   checkpoint. The two file names (`crate::shim`) are kept because the
+//!   frozen benchmark harness sizes both files by path.
+//! * A checkpoint ([`Database::checkpoint`]) snapshots the whole catalog —
+//!   base relations *and* materializations — plus each engine's creation
+//!   trees. Recovery restores the snapshot, replays the creation trees
+//!   through `Memo::insert_tree` + `explore` (deterministic, so the memo
+//!   is bit-identical and no group id is ever trusted from disk), re-pins
 //!   the restored materialization tables, and then replays the log's
-//!   committed transactions, each routed by the META spec into every
-//!   shard whose checkpoint does not already cover it.
+//!   committed transactions the checkpoint does not cover through
+//!   [`Database::apply_transaction`].
 //!
-//! Recovery is proven bit-identical by `prop_wal.rs`: every crash site
-//! × shard count × propagation mode recovers to exactly the committed
-//! prefix, cross-checked against the recompute oracle.
+//! Recovery is proven bit-identical by `prop_wal.rs`: every crash site ×
+//! propagation mode recovers to exactly the committed prefix,
+//! cross-checked against the recompute oracle.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
 
+use spacetime_delta::Delta;
 use spacetime_memo::{explore, Memo};
 use spacetime_obs::{self as obs, names as metric};
 use spacetime_optimizer::ViewSet;
-use spacetime_storage::{Bag, Catalog, Column, Schema, ShardSpec};
-use spacetime_wal::codec::{self, crc32, Cur};
+use spacetime_storage::{Bag, Catalog, Column, Schema};
 use spacetime_wal::{
-    read_checkpoint, scan_log, write_checkpoint, CheckpointDoc, CheckpointPolicy, EngineDump,
-    RawCheckpoint, Record, SyncPolicy, TableDump, WalError, WalSession,
+    read_checkpoint, scan_log, write_checkpoint, CheckpointDoc, EngineDump, RawCheckpoint,
+    Record, SyncPolicy, TableDump, WalError, WalSession,
 };
 
 use crate::constraints::Assertion;
 use crate::database::Database;
 use crate::engine::{IvmEngine, PropagationMode};
 use crate::sched::Txn;
-use crate::shard::ShardedDatabase;
+use crate::shim::{CHECKPOINT_FILE, LOG_FILE};
 use crate::{IvmError, IvmResult};
 
-/// File names inside a durable directory.
-const CHECKPOINT_FILE: &str = "checkpoint.ckpt";
-/// The one log. It keeps the name the cross-shard commit log had because
-/// the frozen benchmark harness sizes the log by this name
-/// (`Serve::log_bytes`); the file and that call are renamed together.
-const LOG_FILE: &str = "global.log";
+// The frozen benchmark harness imports the durable shim from here.
+#[doc(hidden)]
+pub use crate::shim::durable::*;
+
 const META_FILE: &str = "META";
-/// `STWALMET` was the per-shard-log layout; a directory written with it
-/// fails `open` with [`IvmError::Unsupported`].
-const META_MAGIC: &[u8; 8] = b"STWALME2";
+/// `STWALMET` was the per-shard-log layout and `STWALME2` the sharded
+/// one-log layout; a directory written with either fails `open` with
+/// [`IvmError::Unsupported`].
+const META_MAGIC: &[u8; 8] = b"STWALME3";
 
 /// Convert a wal-layer error into the IVM error space.
-pub(crate) fn wal_err(e: WalError) -> IvmError {
+fn wal_err(e: WalError) -> IvmError {
     IvmError::Internal(format!("wal: {e}"))
 }
 
-/// Durability configuration: when appended frames hit disk and when
-/// checkpoints are taken automatically.
+fn io_err(e: std::io::Error) -> IvmError {
+    wal_err(e.into())
+}
+
+/// Durability configuration. Checkpoints are taken by calling
+/// [`Database::checkpoint`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurabilityOptions {
     /// When commits become durable (default: flush to the OS, which
     /// survives process death but not power loss).
     pub sync: SyncPolicy,
-    /// When to checkpoint automatically (default: never — callers
-    /// invoke [`DurableSharded::checkpoint`] explicitly).
-    pub checkpoint: CheckpointPolicy,
 }
 
 /// What recovery did: how much was replayed, how much was discarded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Every shard's restored checkpoint covered every txn with id <= this.
+    /// The restored checkpoint covered every txn with id <= this.
     pub checkpoint_last_txn: u64,
-    /// Committed transactions replayed from the log into at least one
-    /// shard (a transaction counts once, however many shards it touches).
+    /// Committed transactions replayed from the log.
     pub replayed_txns: u64,
     /// Transactions in the log without a commit record — discarded as
     /// aborted.
@@ -283,22 +282,16 @@ struct ReplaySummary {
     replayed: u64,
     skipped: u64,
     /// Highest txn id seen anywhere in the log (committed or not) —
-    /// the reopened session allocates above it.
+    /// the reopened log allocates above it.
     max_txn: u64,
 }
 
-/// Replay the log's committed transactions through the normal
-/// propagation engines, in log order — the original apply order, because
-/// the scheduler runs transactions one at a time in admission order.
-/// Each is routed with the scheduler's router and applied to every shard
-/// whose checkpoint (`covered[s]`, its `last_txn`) does not include it:
-/// a crash between two shard checkpoints leaves one shard ahead of
-/// another, and each replays exactly what it lacks.
-fn replay_log(
-    db: &ShardedDatabase,
-    records: &[Record],
-    covered: &[u64],
-) -> IvmResult<ReplaySummary> {
+/// Replay the log's committed transactions through
+/// [`Database::apply_transaction`], in log order — the original apply
+/// order. A transaction the checkpoint covers (`id <= last_txn`) is
+/// skipped: a crash between installing a checkpoint and truncating the
+/// log leaves it in both.
+fn replay_log(db: &mut Database, records: &[Record], last_txn: u64) -> IvmResult<ReplaySummary> {
     let mut open: BTreeMap<u64, Txn> = BTreeMap::new();
     let mut sum = ReplaySummary::default();
     for rec in records {
@@ -319,14 +312,10 @@ fn replay_log(
             }
             Record::TxnCommit { txn_id } => {
                 let Some(txn) = open.remove(txn_id) else { continue };
-                let mut applied = false;
-                for (s, part) in db.route_txn(&txn)? {
-                    if covered[s] < *txn_id {
-                        db.shard(s).apply_transaction(part)?;
-                        applied = true;
-                    }
+                if *txn_id > last_txn {
+                    db.apply_transaction(txn)?;
+                    sum.replayed += 1;
                 }
-                sum.replayed += u64::from(applied);
             }
         }
     }
@@ -336,255 +325,170 @@ fn replay_log(
     Ok(sum)
 }
 
-/// The one log, shared with the scheduler (`TxnScheduler::with_wals`).
-/// The scheduler runs one transaction at a time, so the lock is always
-/// free when it takes it.
-pub(crate) type Wal = Mutex<WalSession>;
+/// A durable database's log and directory; off for an in-memory one.
+/// Cloning yields an empty slot, so a clone of a durable database is an
+/// in-memory copy that can never append to the original's log.
+#[derive(Default)]
+pub(crate) struct Log(Option<Box<Durable>>);
 
-fn lock(wal: &Wal) -> MutexGuard<'_, WalSession> {
-    wal.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Log a transaction as submitted: its begin and unrouted deltas.
-/// Returns its id in the log.
-pub(crate) fn log_begin(wal: &Wal, txn: &Txn) -> IvmResult<u64> {
-    lock(wal).begin(txn).map_err(wal_err)
-}
-
-/// Append a logged transaction's commit record — its commit point — and
-/// make it durable per the sync policy.
-pub(crate) fn log_commit(wal: &Wal, txn_id: u64) -> IvmResult<()> {
-    lock(wal).commit(txn_id).map_err(wal_err)
-}
-
-fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:03}"))
-}
-
-fn write_meta(dir: &Path, n_shards: usize, spec: &ShardSpec) -> IvmResult<()> {
-    let mut body = Vec::new();
-    codec::put_u32(&mut body, n_shards as u32);
-    let tables: Vec<(&str, &[usize])> = spec.tables().collect();
-    codec::put_u32(&mut body, tables.len() as u32);
-    for (name, cols) in tables {
-        codec::put_str(&mut body, name);
-        codec::put_usize_vec(&mut body, cols);
-    }
-    let mut bytes = Vec::with_capacity(body.len() + 12);
-    bytes.extend_from_slice(META_MAGIC);
-    codec::put_u32(&mut bytes, crc32(&body));
-    bytes.extend_from_slice(&body);
-    let tmp = dir.join(format!("{META_FILE}.tmp"));
-    std::fs::write(&tmp, &bytes).map_err(|e| wal_err(e.into()))?;
-    std::fs::rename(&tmp, dir.join(META_FILE)).map_err(|e| wal_err(e.into()))?;
-    Ok(())
-}
-
-fn read_meta(dir: &Path) -> IvmResult<(usize, ShardSpec)> {
-    let path = dir.join(META_FILE);
-    let bytes = std::fs::read(&path).map_err(|e| wal_err(e.into()))?;
-    if bytes.len() < 12 || &bytes[..8] != META_MAGIC {
-        return Err(IvmError::Unsupported(format!(
-            "{} is not a one-log durable directory (unknown META magic)",
-            path.display()
-        )));
-    }
-    let want = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let body = &bytes[12..];
-    if crc32(body) != want {
-        return Err(IvmError::Internal(format!("META crc mismatch at {}", path.display())));
-    }
-    let mut cur = Cur::new(body);
-    let mut read = || -> Result<(usize, ShardSpec), WalError> {
-        let n_shards = cur.u32()? as usize;
-        let ntables = cur.u32()? as usize;
-        let mut spec = ShardSpec::new();
-        for _ in 0..ntables {
-            let name = cur.str()?;
-            let cols = cur.usize_vec()?;
-            spec.declare(name, cols);
-        }
-        Ok((n_shards, spec))
-    };
-    read().map_err(wal_err)
-}
-
-/// A [`ShardedDatabase`] with one write-ahead log. Construct a durable
-/// scheduler over it with [`crate::sched::TxnScheduler::with_wals`].
-pub struct DurableSharded {
-    db: ShardedDatabase,
-    wal: Arc<Wal>,
+struct Durable {
+    wal: WalSession,
     dir: PathBuf,
 }
 
-impl DurableSharded {
-    /// Partition `template` across `n_shards` (exactly like
-    /// [`ShardedDatabase::partition`]) and attach durability: per-shard
-    /// initial checkpoints, the log holding only a checkpoint marker,
-    /// and a META file recording the shard count and spec. META goes
-    /// last, by rename: it is the commit point of creation, so a `create`
-    /// that failed part-way leaves a directory the next `create`
-    /// overwrites file by file instead of refusing. Errors if `dir`
-    /// already holds a durable database — use [`DurableSharded::open`].
-    pub fn create(
-        template: &Database,
-        spec: ShardSpec,
-        n_shards: usize,
-        dir: &Path,
-        opts: DurabilityOptions,
-    ) -> IvmResult<Self> {
-        std::fs::create_dir_all(dir).map_err(|e| wal_err(e.into()))?;
+impl Clone for Log {
+    fn clone(&self) -> Self {
+        Log(None)
+    }
+}
+
+impl Log {
+    pub(crate) fn is_on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Log a transaction as submitted — its begin and deltas — and return
+    /// its id in the log (`None` when the database is in memory).
+    pub(crate) fn begin(&mut self, txn: &[(String, Delta)]) -> IvmResult<Option<u64>> {
+        match &mut self.0 {
+            Some(d) => d.wal.begin(txn).map(Some).map_err(wal_err),
+            None => Ok(None),
+        }
+    }
+
+    /// Append a logged transaction's commit record — its commit point —
+    /// and make it durable per the sync policy.
+    pub(crate) fn commit(&mut self, logged: Option<u64>) -> IvmResult<()> {
+        match (&mut self.0, logged) {
+            (Some(d), Some(id)) => d.wal.commit(id).map_err(wal_err),
+            _ => Ok(()),
+        }
+    }
+}
+
+fn write_meta(dir: &Path) -> IvmResult<()> {
+    let tmp = dir.join(format!("{META_FILE}.tmp"));
+    std::fs::write(&tmp, META_MAGIC).map_err(io_err)?;
+    std::fs::rename(&tmp, dir.join(META_FILE)).map_err(io_err)
+}
+
+fn check_meta(dir: &Path) -> IvmResult<()> {
+    let path = dir.join(META_FILE);
+    if std::fs::read(&path).map_err(io_err)? != META_MAGIC {
+        return Err(IvmError::Unsupported(format!(
+            "{} is not a one-database durable directory (unknown META magic)",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
+impl Database {
+    /// Make this database durable in `dir`: the initial checkpoint, the
+    /// log holding only a checkpoint marker, and `META` last, by rename.
+    /// `META` is the commit point of creation, so a call that failed
+    /// part-way leaves a directory the next call overwrites file by file
+    /// instead of refusing. Errors if `dir` already holds a durable
+    /// database (use [`Database::open`]) or this one is already durable;
+    /// on error the database stays in memory.
+    ///
+    /// Schema and view changes made afterwards are durable from the next
+    /// [`Database::checkpoint`] on.
+    pub fn make_durable(&mut self, dir: &Path, opts: DurabilityOptions) -> IvmResult<()> {
+        if self.log.is_on() {
+            return Err(IvmError::Unsupported("the database is already durable".into()));
+        }
         if dir.join(META_FILE).exists() {
             return Err(IvmError::Internal(format!(
                 "durable directory {} is already initialized; use open()",
                 dir.display()
             )));
         }
-        let db = ShardedDatabase::partition(template, spec, n_shards)?;
-        for s in 0..n_shards {
-            let sdir = shard_dir(dir, s);
-            std::fs::create_dir_all(&sdir).map_err(|e| wal_err(e.into()))?;
-            let doc = build_checkpoint_doc(&db.shard(s), 0)?;
-            write_checkpoint(&sdir.join(CHECKPOINT_FILE), &doc).map_err(wal_err)?;
-        }
-        let mut wal = WalSession::open(&dir.join(LOG_FILE), 0, 1, opts.sync, opts.checkpoint)
-            .map_err(wal_err)?;
+        let ckpt = dir.join(CHECKPOINT_FILE);
+        std::fs::create_dir_all(ckpt.parent().unwrap_or(dir)).map_err(io_err)?;
+        write_checkpoint(&ckpt, &build_checkpoint_doc(self, 0)?).map_err(wal_err)?;
+        let mut wal = WalSession::open(&dir.join(LOG_FILE), 0, 1, opts.sync).map_err(wal_err)?;
         wal.after_checkpoint(0).map_err(wal_err)?;
-        write_meta(dir, n_shards, db.spec())?;
-        Ok(DurableSharded {
-            db,
-            wal: Arc::new(Mutex::new(wal)),
+        write_meta(dir)?;
+        self.log = Log(Some(Box::new(Durable {
+            wal,
             dir: dir.to_path_buf(),
-        })
+        })));
+        Ok(())
     }
 
-    /// Recover from `dir` with default options.
-    pub fn open(dir: &Path, n_shards: usize) -> IvmResult<(Self, RecoveryStats)> {
-        Self::open_with(dir, n_shards, DurabilityOptions::default())
-    }
-
-    /// Recover from `dir`: every shard restores its checkpoint, the log's
-    /// valid prefix replays into the shards that lack it (see
-    /// `replay_log`), and the log reopens for appending.
-    pub fn open_with(
-        dir: &Path,
-        n_shards: usize,
-        opts: DurabilityOptions,
-    ) -> IvmResult<(Self, RecoveryStats)> {
-        let (meta_shards, spec) = read_meta(dir)?;
-        if meta_shards != n_shards {
-            return Err(IvmError::Unsupported(format!(
-                "directory {} holds {meta_shards} shards, not {n_shards}",
-                dir.display()
-            )));
-        }
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut covered = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let ckpt = shard_dir(dir, s).join(CHECKPOINT_FILE);
-            let raw = read_checkpoint(&ckpt).map_err(wal_err)?.ok_or_else(|| {
-                IvmError::Internal(format!("no checkpoint at {}", ckpt.display()))
-            })?;
-            shards.push(Mutex::new(restore_database(&raw)?));
-            covered.push(raw.last_txn);
-        }
-        let db = ShardedDatabase::from_parts(spec, shards);
+    /// Recover the durable database in `dir`: restore its checkpoint,
+    /// replay the committed transactions of the log's valid prefix that
+    /// the checkpoint does not cover, and reopen the log for appending.
+    pub fn open(dir: &Path, opts: DurabilityOptions) -> IvmResult<(Database, RecoveryStats)> {
+        check_meta(dir)?;
+        let ckpt = dir.join(CHECKPOINT_FILE);
+        let raw = read_checkpoint(&ckpt)
+            .map_err(wal_err)?
+            .ok_or_else(|| IvmError::Internal(format!("no checkpoint at {}", ckpt.display())))?;
+        let mut db = restore_database(&raw)?;
         let log = dir.join(LOG_FILE);
         let scan = scan_log(&log).map_err(wal_err)?;
-        let sum = replay_log(&db, &scan.records, &covered)?;
+        let sum = replay_log(&mut db, &scan.records, raw.last_txn)?;
         let stats = RecoveryStats {
-            checkpoint_last_txn: covered.iter().copied().min().unwrap_or(0),
+            checkpoint_last_txn: raw.last_txn,
             replayed_txns: sum.replayed,
             skipped_txns: sum.skipped,
             discarded_bytes: scan.discarded_bytes,
         };
-        let next_txn = covered.iter().copied().fold(sum.max_txn, u64::max) + 1;
-        let wal = WalSession::open(&log, scan.valid_len, next_txn, opts.sync, opts.checkpoint)
-            .map_err(wal_err)?;
+        let next_txn = sum.max_txn.max(raw.last_txn) + 1;
+        let wal = WalSession::open(&log, scan.valid_len, next_txn, opts.sync).map_err(wal_err)?;
+        db.log = Log(Some(Box::new(Durable {
+            wal,
+            dir: dir.to_path_buf(),
+        })));
         obs::gauge_set(metric::WAL_REPLAY_LAG_TXNS, stats.replayed_txns as f64);
         obs::flight::record("recovery", || {
             format!(
-                "{} ({n_shards} shards): replayed {} skipped {} discarded {}B",
+                "{}: replayed {} skipped {} discarded {}B",
                 dir.display(),
                 stats.replayed_txns,
                 stats.skipped_txns,
                 stats.discarded_bytes
             )
         });
-        let wal = Arc::new(Mutex::new(wal));
-        Ok((DurableSharded { db, wal, dir: dir.to_path_buf() }, stats))
+        Ok((db, stats))
     }
 
-    /// The wrapped sharded database.
-    pub fn db(&self) -> &ShardedDatabase {
-        &self.db
-    }
-
-    /// Mutable access (e.g. [`ShardedDatabase::set_propagation_mode`]).
-    pub fn db_mut(&mut self) -> &mut ShardedDatabase {
-        &mut self.db
-    }
-
-    /// The one log, for [`crate::sched::TxnScheduler::with_wals`].
-    pub fn wals(&self) -> Arc<Mutex<WalSession>> {
-        Arc::clone(&self.wal)
-    }
-
-    /// The durable directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Checkpoint every shard at one `last_txn`, then truncate the log
-    /// down to one checkpoint marker.
-    ///
-    /// Must not run concurrently with a scheduler run (`&mut self`
-    /// guarantees it). A crash between two shard checkpoints is safe:
-    /// the log is truncated only after the last one, and replay is
-    /// filtered per shard, so a shard whose new checkpoint landed skips
-    /// what it covers and the others replay it.
+    /// Checkpoint every committed transaction, then truncate the log down
+    /// to one checkpoint marker. A crash between the two is safe: recovery
+    /// skips what the new checkpoint covers. Errors on an in-memory
+    /// database.
     pub fn checkpoint(&mut self) -> IvmResult<()> {
-        let mut wal = lock(&self.wal);
-        let last_txn = wal.next_txn_id().saturating_sub(1);
-        for s in 0..self.db.n_shards() {
-            let doc = build_checkpoint_doc(&self.db.shard(s), last_txn)?;
-            write_checkpoint(&shard_dir(&self.dir, s).join(CHECKPOINT_FILE), &doc)
-                .map_err(wal_err)?;
-        }
-        wal.after_checkpoint(last_txn).map_err(wal_err)
-    }
-
-    /// Checkpoint if the policy calls for it.
-    pub fn maybe_checkpoint(&mut self) -> IvmResult<bool> {
-        let due = lock(&self.wal).should_checkpoint();
-        if due {
-            self.checkpoint()?;
-        }
-        Ok(due)
+        let Some(d) = &self.log.0 else {
+            return Err(IvmError::Unsupported(
+                "checkpoint of an in-memory database".into(),
+            ));
+        };
+        let last_txn = d.wal.next_txn_id() - 1;
+        let path = d.dir.join(CHECKPOINT_FILE);
+        write_checkpoint(&path, &build_checkpoint_doc(self, last_txn)?).map_err(wal_err)?;
+        let d = self.log.0.as_mut().expect("checked durable above");
+        d.wal.after_checkpoint(last_txn).map_err(wal_err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::TxnScheduler;
-    use spacetime_delta::Delta;
     use spacetime_storage::tuple;
 
-    /// A one-shard durable database over `db`, whose only base table is
-    /// `T`, keyed on its first column.
-    fn create(db: &Database, dir: &Path) -> DurableSharded {
-        let spec = ShardSpec::new().with("T", vec![0]);
-        DurableSharded::create(db, spec, 1, dir, DurabilityOptions::default()).unwrap()
+    /// A durable copy of `db` in `dir`.
+    fn create(db: &Database, dir: &Path) -> Database {
+        let mut db = db.clone();
+        db.make_durable(dir, DurabilityOptions::default()).unwrap();
+        db
     }
 
-    /// Insert `a` into `T` durably.
-    fn insert(dur: &DurableSharded, a: i64) {
+    /// Insert `a` into `T`.
+    fn insert(db: &mut Database, a: i64) {
         let txn = vec![("T".to_string(), Delta::insert(tuple![a], 1))];
-        let out = TxnScheduler::with_wals(dur.db(), Arc::default(), dur.wals())
-            .run(&[txn])
-            .unwrap();
-        assert!(out.results[0].is_ok(), "{:?}", out.results[0]);
+        db.apply_transaction(txn).unwrap();
     }
 
     fn one_column_db() -> Database {
@@ -594,6 +498,10 @@ mod tests {
             .create_table("T", Schema::new(vec![Column::new("T", "a", DataType::Int)]))
             .unwrap();
         db
+    }
+
+    fn rows(db: &Database) -> Bag {
+        db.catalog.table("T").unwrap().relation.data().clone()
     }
 
     /// `STWALCK1` outlives the modes it named: a checkpoint written with
@@ -608,32 +516,31 @@ mod tests {
              CREATE MATERIALIZED VIEW Big AS SELECT a FROM T WHERE a > 1",
         )
         .unwrap();
-        let dur = create(&db, &dir);
-        insert(&dur, 5);
+        let mut dur = create(&db, &dir);
+        insert(&mut dur, 5);
         drop(dur);
 
         let rewrite = |prop: u8, exec: u8| {
             let mut doc = build_checkpoint_doc(&db, 0).unwrap();
             doc.propagation_mode = prop;
             doc.execution_mode = exec;
-            write_checkpoint(&shard_dir(&dir, 0).join(CHECKPOINT_FILE), &doc).unwrap();
+            write_checkpoint(&dir.join(CHECKPOINT_FILE), &doc).unwrap();
         };
         rewrite(1, 1);
-        let (recovered, stats) = DurableSharded::open(&dir, 1).unwrap();
+        let (recovered, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(stats.replayed_txns, 1);
-        {
-            let shard = recovered.db().shard(0);
-            assert_eq!(shard.propagation_mode(), PropagationMode::Fused);
-            for table in ["T", "Big"] {
-                let rel = &shard.catalog.table(table).unwrap().relation;
-                assert!(rel.data().contains(&tuple![5_i64]), "{table} lost the replayed row");
-            }
+        assert_eq!(recovered.propagation_mode(), PropagationMode::Fused);
+        for table in ["T", "Big"] {
+            let rel = &recovered.catalog.table(table).unwrap().relation;
+            assert!(rel.data().contains(&tuple![5_i64]), "{table} lost the replayed row");
         }
         drop(recovered);
 
         for (prop, exec) in [(3, 0), (2, 2)] {
             rewrite(prop, exec);
-            let err = DurableSharded::open(&dir, 1).err().expect("unknown tag must not open");
+            let err = Database::open(&dir, DurabilityOptions::default())
+                .err()
+                .expect("unknown tag must not open");
             assert!(
                 matches!(&err, IvmError::Internal(m) if m.contains("mode tag")),
                 "({prop}, {exec}): {err}"
@@ -642,17 +549,61 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A directory of the per-shard-log layout (META magic `STWALMET`)
-    /// does not open: the error is typed, not a panic or a misread.
+    /// A directory of an older layout — per-shard logs (`STWALMET`) or the
+    /// sharded one-log layout (`STWALME2`) — does not open: the error is
+    /// typed, not a panic or a misread.
     #[test]
     fn old_layout_meta_fails_open_with_a_typed_error() {
         let dir = spacetime_wal::test_dir("durability_old_meta");
         drop(create(&one_column_db(), &dir));
-        let mut meta = std::fs::read(dir.join(META_FILE)).unwrap();
-        meta[..8].copy_from_slice(b"STWALMET");
-        std::fs::write(dir.join(META_FILE), meta).unwrap();
-        let err = DurableSharded::open(&dir, 1).err().expect("the old layout must not open");
-        assert!(matches!(err, IvmError::Unsupported(_)), "{err}");
+        for magic in [b"STWALMET", b"STWALME2"] {
+            std::fs::write(dir.join(META_FILE), magic).unwrap();
+            let err = Database::open(&dir, DurabilityOptions::default())
+                .err()
+                .expect("an old layout must not open");
+            assert!(matches!(err, IvmError::Unsupported(_)), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A clone of a durable database is an in-memory copy: it commits
+    /// without touching the original's log, and it cannot checkpoint.
+    #[test]
+    fn a_clone_of_a_durable_database_never_writes_its_log() {
+        let dir = spacetime_wal::test_dir("durability_clone");
+        let mut dur = create(&one_column_db(), &dir);
+        insert(&mut dur, 1);
+        let log = || std::fs::read(dir.join(LOG_FILE)).unwrap();
+        let before = log();
+        let mut copy = dur.clone();
+        insert(&mut copy, 2);
+        copy.apply_delta("T", Delta::insert(tuple![3_i64], 1)).unwrap();
+        assert!(matches!(copy.checkpoint(), Err(IvmError::Unsupported(_))));
+        assert_eq!(log(), before, "the clone wrote the original's log");
+        drop((dur, copy));
+        let (rec, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
+        assert_eq!(stats.replayed_txns, 1);
+        assert_eq!(rows(&rec), Bag::from_tuples([tuple![1_i64]]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// No committing entry point of a durable database skips the log:
+    /// `apply_delta`, SQL DML, `apply_transaction` and `run` all recover.
+    #[test]
+    fn every_committing_entry_point_is_logged() {
+        let dir = spacetime_wal::test_dir("durability_entry_points");
+        let mut dur = create(&one_column_db(), &dir);
+        dur.apply_delta("T", Delta::insert(tuple![1_i64], 1)).unwrap();
+        dur.execute_sql("INSERT INTO T VALUES (2)").unwrap();
+        insert(&mut dur, 3);
+        let txn = vec![("T".to_string(), Delta::insert(tuple![4_i64], 1))];
+        assert!(dur.run(&[txn]).results[0].is_ok());
+        let want = rows(&dur);
+        drop(dur);
+        let (rec, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
+        assert_eq!(stats.replayed_txns, 4);
+        assert_eq!(rows(&rec), want);
+        assert_eq!(want.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -665,14 +616,14 @@ mod tests {
     #[test]
     fn recovery_bumps_the_replayed_txns_counter() {
         let dir = spacetime_wal::test_dir("durability_metric");
-        let dur = create(&one_column_db(), &dir);
+        let mut dur = create(&one_column_db(), &dir);
         for i in 0..3 {
-            insert(&dur, i);
+            insert(&mut dur, i);
         }
         drop(dur);
 
         let before = obs::snapshot().counter(metric::WAL_RECOVERY_REPLAYED_TXNS);
-        let (_, stats) = DurableSharded::open(&dir, 1).unwrap();
+        let (_, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(stats.replayed_txns, 3);
         assert!(
             obs::snapshot().counter(metric::WAL_RECOVERY_REPLAYED_TXNS) >= before + 3,
@@ -692,9 +643,9 @@ mod tests {
     fn wal_record_kinds_and_age_gauges_move() {
         let dir = spacetime_wal::test_dir("durability_labeled_metric");
         let before = obs::snapshot();
-        let dur = create(&one_column_db(), &dir);
+        let mut dur = create(&one_column_db(), &dir);
         for i in 0..4 {
-            insert(&dur, i);
+            insert(&mut dur, i);
         }
         drop(dur);
         let snap = obs::snapshot();
@@ -709,7 +660,7 @@ mod tests {
                 "WAL record family did not move for {kind}"
             );
         }
-        // `create` installs the initial checkpoint marker.
+        // `make_durable` installs the initial checkpoint marker.
         assert!(
             snap.labeled_counter(metric::WAL_RECORDS, metric::LABEL_WAL_CHECKPOINT)
                 > before.labeled_counter(metric::WAL_RECORDS, metric::LABEL_WAL_CHECKPOINT),
@@ -723,11 +674,11 @@ mod tests {
             "checkpoint-age gauge did not accumulate the commits"
         );
 
-        let (_, stats) = DurableSharded::open(&dir, 1).unwrap();
+        let (_, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(stats.replayed_txns, 4);
         assert!(
             obs::snapshot().gauge(metric::WAL_REPLAY_LAG_TXNS) > 0.0,
-            "recovery must publish its replay lag"
+            "recovery publishes its replay lag"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

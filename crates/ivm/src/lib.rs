@@ -14,19 +14,14 @@
 //!   (§1, §6): incremental checking and violation reporting.
 //! * [`database`] — [`database::Database`]: the user-facing session tying
 //!   everything together (DDL, DML with automatic view maintenance, SQL
-//!   front end, workload declaration, view-selection strategies).
-//! * [`shard`] — the partitioned layout: [`shard::ShardedDatabase`]
-//!   splits a database into N shard domains by declared shard keys, each
-//!   shard a full database with its own engines and per-shard
-//!   materializations (and, under `durability`, its own checkpoint).
-//! * [`sched`] — the transaction scheduler ([`sched::TxnScheduler`]):
-//!   routes each transaction to the shards it touches and runs the batch
-//!   in admission order on the calling thread, cross-shard ones through
-//!   an all-or-nothing commit protocol.
-//! * `durability` (feature `durability`) — one write-ahead log,
-//!   per-shard checkpoints, and crash recovery proven bit-identical
-//!   (DESIGN.md §17). Off by default; the default build does not link
-//!   the wal crate.
+//!   front end, workload declaration, view-selection strategies) — the
+//!   one way in.
+//! * [`sched`] — [`Database::run`]: a batch of transactions applied one
+//!   at a time in admission order, each under its own `catch_unwind`.
+//! * `durability` (feature `durability`) — a [`Database`] that owns one
+//!   write-ahead log and one checkpoint, and crash recovery proven
+//!   bit-identical (DESIGN.md §17). Off by default; the default build
+//!   does not link the wal crate.
 //! * [`trace`] — propagation-trace recording: the opt-in, always-compiled
 //!   `EXPLAIN ANALYZE` plane ([`Database::set_tracing`] /
 //!   [`Database::last_trace`]).
@@ -40,17 +35,19 @@ pub mod durability;
 pub mod engine;
 pub mod qexec;
 pub mod sched;
-pub mod shard;
+#[doc(hidden)]
+pub mod shim;
 pub mod trace;
 pub mod verify;
 
 pub use constraints::{Assertion, Violation};
-pub use database::{Database, ExecutionMode, PhaseTotals, PipelinePool, ViewSelection};
+pub use database::{Database, PhaseTotals, ViewSelection};
 #[cfg(feature = "durability")]
-pub use durability::{DurabilityOptions, DurableSharded, RecoveryStats};
+pub use durability::{DurabilityOptions, RecoveryStats};
 pub use engine::{IvmEngine, PropagationMode, UpdateReport};
-pub use sched::{SchedOutcome, SchedStats, Txn, TxnScheduler};
-pub use shard::ShardedDatabase;
+pub use sched::{SchedOutcome, SchedStats, Txn};
+#[doc(hidden)]
+pub use shim::*;
 pub use trace::TraceNode;
 pub use verify::verify_all_views;
 
@@ -68,10 +65,10 @@ pub enum IvmError {
         /// Sample violating tuples (rendered).
         sample: Vec<String>,
     },
-    /// A scheduled transaction panicked. The panic was contained: the
-    /// journal was replayed, the catalog is bit-identical to its
-    /// pre-transaction state — the transaction simply never happened —
-    /// and the run went on with the next transaction.
+    /// A transaction of a [`Database::run`] panicked. The panic was
+    /// contained: the journal was replayed, the catalog is bit-identical
+    /// to its pre-transaction state — the transaction simply never
+    /// happened — and the run went on with the next transaction.
     TaskPanicked {
         /// The panic payload, rendered (when it was a string).
         message: String,

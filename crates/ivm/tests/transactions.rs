@@ -6,13 +6,9 @@
 //! atomic: the earlier updates must be undone and the catalog must be
 //! bit-identical to its pre-transaction state.
 
-use std::sync::Arc;
-
 use spacetime_delta::Delta;
-use spacetime_ivm::{
-    verify_all_views, Database, IvmError, PropagationMode, ShardedDatabase, Txn, TxnScheduler,
-};
-use spacetime_storage::{tuple, Bag, IoMeter, ShardSpec, Table};
+use spacetime_ivm::{verify_all_views, Database, IvmError, PropagationMode, Txn};
+use spacetime_storage::{tuple, Bag, IoMeter, Table};
 
 /// A small paper-shaped database: 5 departments x 3 employees, budget 600,
 /// salary 100 each, with the paper's DeptConstraint assertion and one
@@ -256,24 +252,16 @@ fn neither_commit_nor_rollback_copies_a_table() {
     assert!(verify_all_views(&db).unwrap().is_empty());
 }
 
-/// The same through the scheduler: a cross-shard commit, and a cross-shard
-/// abort in which the first participant's journal is still open when the
-/// last participant violates.
+/// The same through `Database::run`: a commit of one delta moving two
+/// departments, and a transaction whose second update violates while the
+/// first one's writes are in place.
 #[test]
-fn cross_shard_commit_and_abort_copy_no_table() {
-    let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
-    let sharded = ShardedDatabase::partition(&small_db(), spec, 2).unwrap();
-    // One department on each shard.
-    let shard_of = |d: usize| {
-        let probe = raise(&format!("emp{d}_0"), &format!("dept{d}"), 101);
-        sharded.route_delta("Emp", &probe).unwrap()[0].0
-    };
-    let on0 = (0..5).find(|&d| shard_of(d) == 0).expect("a department on shard 0");
-    let on1 = (0..5).find(|&d| shard_of(d) == 1).expect("a department on shard 1");
-    // One Emp delta moving emp<d>_0's salary on both shards at once.
+fn run_commit_and_abort_copy_no_table() {
+    let mut db = small_db();
+    // One Emp delta moving emp<d>_0's salary in departments 0 and 1.
     let both = |from: i64, to0: i64, to1: i64| -> Txn {
         let mut d = Delta::new();
-        for (dept, to) in [(on0, to0), (on1, to1)] {
+        for (dept, to) in [(0, to0), (1, to1)] {
             d.push_modify(
                 tuple![format!("emp{dept}_0"), format!("dept{dept}"), from],
                 tuple![format!("emp{dept}_0"), format!("dept{dept}"), to],
@@ -282,27 +270,22 @@ fn cross_shard_commit_and_abort_copy_no_table() {
         }
         vec![("Emp".to_string(), d)]
     };
-    let addresses: Vec<_> = (0..2).map(|s| table_addresses(&sharded.shard(s))).collect();
-    let sched = TxnScheduler::new(&sharded, Arc::default());
+    let addresses = table_addresses(&db);
 
-    let out = sched.run(&[both(100, 110, 110)]).unwrap();
+    let out = db.run(&[both(100, 110, 110)]);
     assert!(out.results[0].is_ok(), "{:?}", out.results[0]);
-    assert_eq!(out.stats.cross_shard_txns, 1);
-    for (s, addrs) in addresses.iter().enumerate() {
-        assert_no_table_copied(&sharded.shard(s), addrs, &format!("commit, shard {s}"));
-    }
+    assert_no_table_copied(&db, &addresses, "commit");
 
-    // Shard 0 applies cleanly and waits; shard 1 then blows its budget.
-    let before: Vec<_> = (0..2).map(|s| contents(&sharded.shard(s))).collect();
-    let out = sched.run(&[both(110, 120, 9_999)]).unwrap();
+    let before = contents(&db);
+    let mut bad = both(110, 120, 120);
+    bad.push(("Emp".to_string(), raise("emp1_1", "dept1", 9_999)));
+    let out = db.run(&[bad]);
     assert!(
         matches!(&out.results[0], Err(IvmError::AssertionViolated { .. })),
         "{:?}",
         out.results[0]
     );
-    for (s, addrs) in addresses.iter().enumerate() {
-        assert_eq!(contents(&sharded.shard(s)), before[s], "abort, shard {s}");
-        assert_no_table_copied(&sharded.shard(s), addrs, &format!("abort, shard {s}"));
-    }
-    assert!(sharded.verify_all_shards().unwrap().is_empty());
+    assert_eq!(contents(&db), before, "abort");
+    assert_no_table_copied(&db, &addresses, "abort");
+    assert!(verify_all_views(&db).unwrap().is_empty());
 }

@@ -185,7 +185,7 @@ mod tests {
             seq: 3,
             at_ns: 42,
             kind: "txn_committed",
-            detail: "slot 1 shards [0]".to_string(),
+            detail: "slot 1".to_string(),
         }];
         let json = events_json(&events);
         assert!(json.contains("\"seq\": 3"));

@@ -40,16 +40,12 @@ pub trait Recorder: Send + Sync {
 
     /// Add `v` to the `label` series of the labeled counter `name`.
     ///
-    /// `label` is a full `key="value"` pair (see `names::shard_label` and
-    /// friends) with fixed small cardinality, so recorders can key on the
+    /// `label` is a full `key="value"` pair (see `names::LABEL_OUTCOME_COMMITTED`
+    /// and friends) with fixed small cardinality, so recorders can key on the
     /// `(name, label)` pointer pair with zero allocation. Default: drop
     /// the event, so pre-existing custom recorders keep compiling (they
     /// simply don't see labeled series).
     fn counter_add_labeled(&self, _name: &'static str, _label: &'static str, _v: u64) {}
-    /// Add `v` (possibly negative) to the `label` series of the labeled
-    /// gauge `name`. Default: drop the event (see
-    /// [`counter_add_labeled`](Recorder::counter_add_labeled)).
-    fn gauge_add_labeled(&self, _name: &'static str, _label: &'static str, _v: f64) {}
 }
 
 /// Recorder that drops every event — the conceptual default when the
@@ -147,8 +143,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Labeled counters: name → (`key="value"` label → value).
     pub labeled_counters: BTreeMap<String, BTreeMap<String, u64>>,
-    /// Labeled gauges: name → (`key="value"` label → value).
-    pub labeled_gauges: BTreeMap<String, BTreeMap<String, f64>>,
     /// Workload drift: sliding-window transaction counts per updated base
     /// table (see the `drift` module). Empty unless drift events fired.
     pub txn_mix: BTreeMap<String, u64>,
@@ -189,30 +183,12 @@ impl MetricsSnapshot {
             .unwrap_or(0)
     }
 
-    /// Labeled gauge value for one `key="value"` label, 0.0 if untouched.
-    pub fn labeled_gauge(&self, name: &str, label: &str) -> f64 {
-        self.labeled_gauges
-            .get(name)
-            .and_then(|m| m.get(label))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Sum of a labeled gauge across every label, 0.0 if untouched.
-    pub fn labeled_gauge_sum(&self, name: &str) -> f64 {
-        self.labeled_gauges
-            .get(name)
-            .map(|m| m.values().sum())
-            .unwrap_or(0.0)
-    }
-
     /// True when no series exist (always true in default builds).
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
             && self.labeled_counters.is_empty()
-            && self.labeled_gauges.is_empty()
             && self.txn_mix.is_empty()
             && self.view_cost_ewma.is_empty()
     }
@@ -228,12 +204,6 @@ impl MetricsSnapshot {
         }
         for (name, series) in &self.labeled_counters {
             out.push_str(&format!("# TYPE {name} counter\n"));
-            for (label, v) in series {
-                out.push_str(&format!("{name}{{{label}}} {v}\n"));
-            }
-        }
-        for (name, series) in &self.labeled_gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n"));
             for (label, v) in series {
                 out.push_str(&format!("{name}{{{label}}} {v}\n"));
             }
@@ -311,23 +281,6 @@ impl MetricsSnapshot {
             out.push('}');
         }
         if !self.labeled_counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"labeled_gauges\": {");
-        for (i, (name, series)) in self.labeled_gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {{", json_escape(name)));
-            for (j, (label, v)) in series.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", json_escape(label), fmt_f64(*v)));
-            }
-            out.push('}');
-        }
-        if !self.labeled_gauges.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("},\n  \"txn_mix\": {");
@@ -429,7 +382,6 @@ mod imp {
         gauges: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
         histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
         labeled_counters: RwLock<BTreeMap<(&'static str, &'static str), Arc<AtomicU64>>>,
-        labeled_gauges: RwLock<BTreeMap<(&'static str, &'static str), Arc<AtomicU64>>>,
     }
 
     impl Registry {
@@ -471,12 +423,6 @@ mod imp {
             Arc::clone(self.labeled_counters.write().unwrap().entry((name, label)).or_default())
         }
 
-        fn labeled_gauge(&self, name: &'static str, label: &'static str) -> Arc<AtomicU64> {
-            if let Some(g) = self.labeled_gauges.read().unwrap().get(&(name, label)) {
-                return Arc::clone(g);
-            }
-            Arc::clone(self.labeled_gauges.write().unwrap().entry((name, label)).or_default())
-        }
     }
 
     impl Recorder for Registry {
@@ -508,18 +454,6 @@ mod imp {
             self.labeled_counter(name, label).fetch_add(v, Ordering::Relaxed);
         }
 
-        fn gauge_add_labeled(&self, name: &'static str, label: &'static str, v: f64) {
-            let g = self.labeled_gauge(name, label);
-            let mut cur = g.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + v).to_bits();
-                match g.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => return,
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-
         fn snapshot(&self) -> MetricsSnapshot {
             MetricsSnapshot {
                 counters: self
@@ -549,16 +483,6 @@ mod imp {
                         out.entry(name.to_string())
                             .or_default()
                             .insert(label.to_string(), v.load(Ordering::Relaxed));
-                    }
-                    out
-                },
-                labeled_gauges: {
-                    let mut out: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
-                    for ((name, label), v) in self.labeled_gauges.read().unwrap().iter() {
-                        out.entry(name.to_string()).or_default().insert(
-                            label.to_string(),
-                            f64::from_bits(v.load(Ordering::Relaxed)),
-                        );
                     }
                     out
                 },
@@ -622,13 +546,6 @@ mod api {
         imp::recorder().counter_add_labeled(name, label, v);
     }
 
-    /// Add `v` (possibly negative) to the `label` series of the labeled
-    /// gauge `name`.
-    #[inline]
-    pub fn gauge_add_labeled(name: &'static str, label: &'static str, v: f64) {
-        imp::recorder().gauge_add_labeled(name, label, v);
-    }
-
     /// Snapshot every series of the active recorder, with the workload
     /// drift accounting (`txn_mix`, `view_cost_ewma`) merged in.
     pub fn snapshot() -> MetricsSnapshot {
@@ -676,9 +593,6 @@ mod api {
     #[inline(always)]
     pub fn counter_add_labeled(_name: &'static str, _label: &'static str, _v: u64) {}
 
-    #[inline(always)]
-    pub fn gauge_add_labeled(_name: &'static str, _label: &'static str, _v: f64) {}
-
     /// Empty snapshot: no recorder is compiled in.
     #[inline]
     pub fn snapshot() -> MetricsSnapshot {
@@ -701,8 +615,8 @@ mod api {
 }
 
 pub use api::{
-    counter_add, counter_add_labeled, gauge_add, gauge_add_labeled, gauge_set, observe_ns,
-    snapshot, stopwatch, StopWatch,
+    counter_add, counter_add_labeled, gauge_add, gauge_set, observe_ns, snapshot, stopwatch,
+    StopWatch,
 };
 
 #[cfg(test)]
@@ -775,8 +689,7 @@ mod tests {
         assert!(!compiled());
         counter_add("spacetime_never_recorded_total", 1);
         observe_ns("spacetime_never_recorded_ns", 5);
-        counter_add_labeled("spacetime_never_recorded_total", "shard=\"s0\"", 1);
-        gauge_add_labeled("spacetime_never_recorded_depth", "shard=\"s0\"", 1.0);
+        counter_add_labeled("spacetime_never_recorded_total", "outcome=\"committed\"", 1);
         stopwatch().observe("spacetime_never_recorded_ns");
         assert!(snapshot().is_empty());
     }
@@ -787,27 +700,21 @@ mod tests {
         s.labeled_counters
             .entry("spacetime_test_labeled_total".into())
             .or_default()
-            .insert("shard=\"s0\"".into(), 3);
+            .insert("kind=\"a\"".into(), 3);
         s.labeled_counters
             .get_mut("spacetime_test_labeled_total")
             .unwrap()
-            .insert("shard=\"s1\"".into(), 4);
-        s.labeled_gauges
-            .entry("spacetime_test_labeled_depth".into())
-            .or_default()
-            .insert("shard=\"s0\"".into(), 1.5);
+            .insert("kind=\"b\"".into(), 4);
         assert!(!s.is_empty());
-        assert_eq!(s.labeled_counter("spacetime_test_labeled_total", "shard=\"s0\""), 3);
+        assert_eq!(s.labeled_counter("spacetime_test_labeled_total", "kind=\"a\""), 3);
         assert_eq!(s.labeled_counter_sum("spacetime_test_labeled_total"), 7);
-        assert_eq!(s.labeled_gauge("spacetime_test_labeled_depth", "shard=\"s0\""), 1.5);
         let text = s.render_prometheus();
         assert!(text.contains("# TYPE spacetime_test_labeled_total counter"));
-        assert!(text.contains("spacetime_test_labeled_total{shard=\"s0\"} 3"));
-        assert!(text.contains("spacetime_test_labeled_total{shard=\"s1\"} 4"));
-        assert!(text.contains("spacetime_test_labeled_depth{shard=\"s0\"} 1.5"));
+        assert!(text.contains("spacetime_test_labeled_total{kind=\"a\"} 3"));
+        assert!(text.contains("spacetime_test_labeled_total{kind=\"b\"} 4"));
         let json = s.render_json();
         assert!(json.contains("\"spacetime_test_labeled_total\""));
-        assert!(json.contains("\"shard=\\\"s0\\\"\": 3"));
+        assert!(json.contains("\"kind=\\\"a\\\"\": 3"));
     }
 
     #[test]
@@ -846,16 +753,13 @@ mod tests {
     #[test]
     fn registry_records_labeled_series() {
         let r = Registry::new();
-        r.counter_add_labeled("lc", "shard=\"s0\"", 2);
-        r.counter_add_labeled("lc", "shard=\"s0\"", 3);
-        r.counter_add_labeled("lc", "shard=\"s1\"", 1);
-        r.gauge_add_labeled("lg", "shard=\"s0\"", 2.0);
-        r.gauge_add_labeled("lg", "shard=\"s0\"", -0.5);
+        r.counter_add_labeled("lc", "kind=\"a\"", 2);
+        r.counter_add_labeled("lc", "kind=\"a\"", 3);
+        r.counter_add_labeled("lc", "kind=\"b\"", 1);
         let s = r.snapshot();
-        assert_eq!(s.labeled_counter("lc", "shard=\"s0\""), 5);
-        assert_eq!(s.labeled_counter("lc", "shard=\"s1\""), 1);
+        assert_eq!(s.labeled_counter("lc", "kind=\"a\""), 5);
+        assert_eq!(s.labeled_counter("lc", "kind=\"b\""), 1);
         assert_eq!(s.labeled_counter_sum("lc"), 6);
-        assert!((s.labeled_gauge("lg", "shard=\"s0\"") - 1.5).abs() < 1e-9);
     }
 
     #[cfg(feature = "metrics")]

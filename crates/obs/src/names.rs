@@ -45,27 +45,14 @@ pub const OPT_TRACKS_TRUNCATED: &str = "spacetime_opt_tracks_truncated_total";
 /// Weighted cost of the current best (incumbent) view set, updated live.
 pub const OPT_INCUMBENT_COST: &str = "spacetime_opt_incumbent_cost";
 
-/// Transactions accepted by the transaction scheduler.
+/// Transactions handed to `Database::run`.
 pub const SCHED_TXNS: &str = "spacetime_sched_txns_total";
-/// Transactions whose footprint spanned more than one shard (committed
-/// through the cross-shard protocol).
-pub const SCHED_CROSS_SHARD_TXNS: &str = "spacetime_sched_cross_shard_txns_total";
-/// Transactions admitted to a run and not yet decided, across all shards.
+/// Transactions of a `Database::run` batch not yet decided (up when the
+/// batch is admitted, down at each decision).
 pub const SCHED_QUEUE_DEPTH: &str = "spacetime_sched_queue_depth";
-
-/// Per-shard count of admitted, undecided transactions (up at admission,
-/// down at decision), labeled by [`shard_label`].
-pub const SCHED_SHARD_QUEUE_DEPTH: &str = "spacetime_sched_shard_queue_depth";
-/// Dispatched transactions per participating shard, labeled by
-/// [`shard_label`] (a cross-shard transaction counts once per shard).
-pub const SHARD_TXNS: &str = "spacetime_shard_txns_total";
-/// Dispatched transactions by outcome, labeled [`LABEL_OUTCOME_COMMITTED`]
+/// Decided transactions by outcome, labeled [`LABEL_OUTCOME_COMMITTED`]
 /// or [`LABEL_OUTCOME_ABORTED`].
 pub const SCHED_TXN_OUTCOMES: &str = "spacetime_sched_txn_outcomes_total";
-/// Cross-shard transactions that committed.
-pub const SCHED_CROSS_SHARD_COMMITS: &str = "spacetime_sched_cross_shard_commits_total";
-/// Cross-shard transactions rolled back on every participating shard.
-pub const SCHED_CROSS_SHARD_ABORTS: &str = "spacetime_sched_cross_shard_aborts_total";
 
 // --- label dimension ------------------------------------------------------
 //
@@ -75,38 +62,10 @@ pub const SCHED_CROSS_SHARD_ABORTS: &str = "spacetime_sched_cross_shard_aborts_t
 // stays out of the label space and goes through the drift accounting
 // instead.
 
-/// `shard="sN"` labels for the first 16 shard domains; higher ids share
-/// [`SHARD_LABEL_OVERFLOW`].
-const SHARD_LABELS: [&str; 16] = [
-    "shard=\"s0\"",
-    "shard=\"s1\"",
-    "shard=\"s2\"",
-    "shard=\"s3\"",
-    "shard=\"s4\"",
-    "shard=\"s5\"",
-    "shard=\"s6\"",
-    "shard=\"s7\"",
-    "shard=\"s8\"",
-    "shard=\"s9\"",
-    "shard=\"s10\"",
-    "shard=\"s11\"",
-    "shard=\"s12\"",
-    "shard=\"s13\"",
-    "shard=\"s14\"",
-    "shard=\"s15\"",
-];
-/// Shared label for shard ids ≥ 16.
-pub const SHARD_LABEL_OVERFLOW: &str = "shard=\"overflow\"";
-
-/// The `shard="sN"` label for a shard id.
-pub fn shard_label(shard: usize) -> &'static str {
-    SHARD_LABELS.get(shard).copied().unwrap_or(SHARD_LABEL_OVERFLOW)
-}
-
 /// Outcome label: the transaction committed.
 pub const LABEL_OUTCOME_COMMITTED: &str = "outcome=\"committed\"";
 /// Outcome label: the transaction rolled back (assertion violation,
-/// contained panic, or cross-shard abort).
+/// injected fault, contained panic, or a failed log append).
 pub const LABEL_OUTCOME_ABORTED: &str = "outcome=\"aborted\"";
 
 /// WAL record-kind label: transaction begin frames.

@@ -72,21 +72,21 @@ pub const SITES: &[Site] = &[
         supports_error: true,
         supports_panic: true,
     },
-    // Fired by the transaction scheduler once per transaction, before any
-    // shard is touched and inside that transaction's own `catch_unwind`
-    // (the name predates the scheduler's one drain loop; there is no
-    // pool). Panic-only: the unwind is caught and surfaced as that
-    // transaction's `IvmError::TaskPanicked`.
+    // Fired by `Database::run` once per transaction, before the
+    // transaction touches anything and inside its own `catch_unwind` (the
+    // name predates the one loop; there is no pool). Panic-only: the
+    // unwind is caught and surfaced as that transaction's
+    // `IvmError::TaskPanicked`.
     Site {
         name: "ivm::pool_dispatch",
         supports_error: false,
         supports_panic: true,
     },
     // Fired by `WalWriter::append` before any bytes are framed — at a
-    // transaction's begin (before any shard applies) and at its one
-    // commit record (after every shard applied). An append that errors
-    // must leave memory and disk agreeing: the scheduler aborts every
-    // open participant and recovery finds no commit record. Only
+    // transaction's begin (before anything applies) and at its one
+    // commit record (after everything applied). An append that errors
+    // must leave memory and disk agreeing: the transaction aborts and
+    // recovery finds no commit record. Only
     // reachable in `durability` builds (the durable cell of
     // `prop_faults.rs`); the non-durable sweeps never cross it.
     Site {

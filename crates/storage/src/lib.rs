@@ -14,7 +14,7 @@
 //! * [`smallstr`] — compact strings ([`SmallStr`]): small-string inlining
 //!   plus an interned spill path ([`Interner`]).
 //! * [`fx`] — the deterministic fixed-seed hasher used by hot-path maps
-//!   and shard routing.
+//!   and the bag and index shard layouts.
 //! * [`tuple`] — cheaply-clonable tuples ([`Tuple`]).
 //! * [`schema`] — column/schema metadata and name resolution.
 //! * [`bag`] — multisets of tuples ([`Bag`]); all relations and views have
@@ -29,8 +29,6 @@
 //!   estimation.
 //! * [`catalog`] — the database catalog ([`Catalog`], [`Table`]): schemas,
 //!   data, statistics, keys and indices by table name.
-//! * [`shard`] — declared shard keys ([`ShardSpec`]) and the fixed-seed
-//!   router mapping tuples to shard domains.
 //! * [`error`] — the crate-wide error type ([`StorageError`]).
 //! * [`fault`] — deterministic fault injection (failpoints), compiled to
 //!   no-ops unless the `failpoints` feature is enabled.
@@ -45,7 +43,8 @@ pub mod index;
 pub mod io;
 pub mod relation;
 pub mod schema;
-pub mod shard;
+#[doc(hidden)]
+pub mod shim;
 pub mod smallstr;
 pub mod stats;
 pub mod tuple;
@@ -60,7 +59,8 @@ pub use io::{IoMeter, IoSnapshot};
 pub use fx::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use relation::Relation;
 pub use schema::{Column, Schema};
-pub use shard::ShardSpec;
+#[doc(hidden)]
+pub use shim::*;
 pub use smallstr::{Interner, SmallStr};
 pub use stats::TableStats;
 pub use tuple::Tuple;

@@ -136,7 +136,7 @@ impl Ord for SmallStr {
 impl Hash for SmallStr {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Content hashing, spelled out as `str::hash` does it: every hash
-        // value (and so every shard route) equals the one `&str` gives.
+        // value (and so every bag and index layout) equals the one `&str` gives.
         state.write(self.bytes());
         state.write_u8(0xff);
     }
@@ -286,7 +286,7 @@ mod tests {
     proptest::proptest! {
         /// `Eq`/`Ord`/`Hash` read the bytes, never `as_str()`: they must
         /// still be exactly `str`'s, and the fixed-seed hash the very value
-        /// `&str` gives (shard routes and bag layouts hang off it).
+        /// `&str` gives (bag and index layouts hang off it).
         #[test]
         fn bytewise_eq_ord_hash_are_strs(a in utf8_upto_40(), b in utf8_upto_40()) {
             use proptest::prelude::*;
@@ -310,9 +310,9 @@ mod tests {
     #[test]
     fn value_hashes_are_the_ones_recorded_before_bytewise_hashing() {
         // Recorded at the parent commit, when `SmallStr::hash` still went
-        // through `as_str().hash()`. Shard routing (`ShardSpec`), bag and
-        // index shard layout and therefore iteration order all hang off
-        // these values: a change here re-routes stored data.
+        // through `as_str().hash()`. Bag and index shard layout and
+        // therefore iteration order all hang off these values: a change
+        // here re-lays stored data.
         use crate::tuple::Tuple;
         use crate::value::Value;
         let golden: [(Value, u64); 21] = [

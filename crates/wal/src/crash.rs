@@ -2,8 +2,8 @@
 //!
 //! Each helper mutilates the log file exactly the way a specific crash
 //! would: a torn final append, a truncated segment, a corrupted frame,
-//! or a missing commit record — the one commit point of a transaction,
-//! single-shard or cross-shard alike. All cuts land on frame boundaries
+//! or a missing commit record — the one commit point of a transaction.
+//! All cuts land on frame boundaries
 //! computed by [`frame_spans`], so a test knows precisely which
 //! transactions survive — that's what makes recovery-equals-control
 //! assertable bit-for-bit rather than statistically.

@@ -85,56 +85,26 @@ pub enum SyncPolicy {
     Always,
 }
 
-/// When [`WalSession::should_checkpoint`] starts answering `true`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Checkpoint after this many committed transactions.
-    pub every_txns: Option<u64>,
-    /// Checkpoint after this many appended WAL bytes.
-    pub every_bytes: Option<u64>,
-}
-
-impl Default for CheckpointPolicy {
-    /// Never checkpoint automatically; callers invoke `checkpoint()`
-    /// explicitly.
-    fn default() -> Self {
-        CheckpointPolicy {
-            every_txns: None,
-            every_bytes: None,
-        }
-    }
-}
-
 /// A database's one live WAL handle: the writer plus txn-id allocation
-/// and checkpoint-policy accounting. The IVM layer drives it; this type
+/// and checkpoint-age accounting. The IVM layer drives it; this type
 /// only knows about records and bytes.
 #[derive(Debug)]
 pub struct WalSession {
     writer: WalWriter,
     pub sync: SyncPolicy,
-    pub policy: CheckpointPolicy,
     next_txn: u64,
     txns_since_checkpoint: u64,
-    bytes_since_checkpoint: u64,
 }
 
 impl WalSession {
     /// Open a session over `path`, truncating to `valid_len` (from a
     /// prior [`scan_log`]) and allocating txn ids from `next_txn` up.
-    pub fn open(
-        path: &Path,
-        valid_len: u64,
-        next_txn: u64,
-        sync: SyncPolicy,
-        policy: CheckpointPolicy,
-    ) -> WalResult<Self> {
+    pub fn open(path: &Path, valid_len: u64, next_txn: u64, sync: SyncPolicy) -> WalResult<Self> {
         Ok(WalSession {
             writer: WalWriter::open(path, valid_len)?,
             sync,
-            policy,
             next_txn,
             txns_since_checkpoint: 0,
-            bytes_since_checkpoint: 0,
         })
     }
 
@@ -151,43 +121,30 @@ impl WalSession {
             txn_id,
             global: None,
         };
-        let mut bytes = self.writer.append(&begin)?;
+        self.writer.append(&begin)?;
         for (table, delta) in updates {
-            bytes += self.writer.append(&Record::Delta {
+            self.writer.append(&Record::Delta {
                 txn_id,
                 table: table.clone(),
                 delta: delta.clone(),
             })?;
         }
-        self.bytes_since_checkpoint += bytes;
         Ok(txn_id)
     }
 
-    /// Append a transaction's commit record — its commit point, however
-    /// many shards it touched — and make it durable per the sync policy.
+    /// Append a transaction's commit record — its commit point — and make
+    /// it durable per the sync policy.
     pub fn commit(&mut self, txn_id: u64) -> WalResult<()> {
-        let bytes = self.writer.append(&Record::TxnCommit { txn_id })?;
+        self.writer.append(&Record::TxnCommit { txn_id })?;
         self.writer.commit_durable(self.sync)?;
         self.txns_since_checkpoint += 1;
-        self.bytes_since_checkpoint += bytes;
         spacetime_obs::gauge_add(spacetime_obs::names::WAL_CHECKPOINT_AGE_TXNS, 1.0);
         Ok(())
     }
 
-    /// Does the configured policy call for a checkpoint now?
-    pub fn should_checkpoint(&self) -> bool {
-        self.policy
-            .every_txns
-            .is_some_and(|n| self.txns_since_checkpoint >= n)
-            || self
-                .policy
-                .every_bytes
-                .is_some_and(|n| self.bytes_since_checkpoint >= n)
-    }
-
     /// The caller installed a checkpoint covering everything through
-    /// `last_txn`: truncate the log, append the marker, reset policy
-    /// accounting.
+    /// `last_txn`: truncate the log, append the marker, reset the
+    /// checkpoint age.
     pub fn after_checkpoint(&mut self, last_txn: u64) -> WalResult<()> {
         self.writer.truncate()?;
         self.writer.append(&Record::Checkpoint { last_txn })?;
@@ -199,7 +156,6 @@ impl WalSession {
             -(self.txns_since_checkpoint as f64),
         );
         self.txns_since_checkpoint = 0;
-        self.bytes_since_checkpoint = 0;
         Ok(())
     }
 }

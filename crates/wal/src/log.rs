@@ -40,9 +40,9 @@ fn record_kind_label(rec: &Record) -> &'static str {
 /// commit's prepared vote and now decodes as corruption.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
-    /// A transaction starts. The product always writes `global: None`
-    /// (the bytes of the old single-shard begin); the field stays only
-    /// because the frozen benchmark harness constructs this record.
+    /// A transaction starts. The product always writes `global: None`;
+    /// the field stays only because the frozen benchmark harness
+    /// constructs this record.
     TxnBegin { txn_id: u64, global: Option<u64> },
     /// One relation's delta within the surrounding transaction.
     Delta {
