@@ -1,7 +1,7 @@
 //! Fused streaming kernels for access-free operator chains.
 //!
 //! A [`FusedProgram`] compiles a `Select`/`Project` chain (the access-free
-//! prefixes `level_plan` fingerprints for the shared-delta cache) into a
+//! track prefixes the engine's `chain_plan` collects) into a
 //! flat pipeline of [`KernelStage`]s. Delta elements are then *pushed*
 //! through the whole chain one at a time — no intermediate `Delta` or
 //! `Bag` is materialized per operator, and a tuple that a filter drops

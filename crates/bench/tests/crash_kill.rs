@@ -11,8 +11,6 @@
 //! (the in-flight one either reached the log or it did not), and the
 //! recompute oracle must find every materialized view consistent.
 
-#![cfg(feature = "durability")]
-
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};

@@ -15,7 +15,7 @@
 //!
 //! The registry is process-global and the books are equalities, so this
 //! binary holds exactly one `#[test]`.
-#![cfg(all(feature = "metrics", feature = "durability"))]
+#![cfg(feature = "metrics")]
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_ivm::{Database, DurabilityOptions, PropagationMode, SchedStats, Txn, ViewSelection};

@@ -554,7 +554,6 @@ fn dispatch_panic_fails_its_transaction_alone() {
 /// without it, so does what reopening the directory recovers, and a retry
 /// equals the full control. Hit numbers are calibrated by counting
 /// appends.
-#[cfg(feature = "durability")]
 #[test]
 fn durable_wal_append_fault_fails_its_transaction_alone() {
     use spacetime_ivm::DurabilityOptions;

@@ -21,8 +21,6 @@
 //! transactions are single-insert commits of known frame counts, so each
 //! crash site loses an exactly-known suffix.
 
-#![cfg(feature = "durability")]
-
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

@@ -6,21 +6,24 @@
 //! DML statements are converted to deltas, planned against every dependent
 //! engine, gated on assertions (a violating transaction is rejected
 //! *before* anything is applied — SQL-92 semantics), and committed with
-//! full I/O accounting. Under the `durability` feature a database can own
-//! a write-ahead log, a checkpoint and recovery (`crate::durability`);
-//! batches are served by [`Database::run`] (`crate::sched`).
+//! full I/O accounting. Every committing write — `apply_delta` and so SQL
+//! DML, `apply_transaction`, `run` — is a transaction through one door,
+//! `Database::transact`, the one place a journal is replayed. A database
+//! can own a write-ahead log, a checkpoint and recovery
+//! (`crate::durability`); batches are served by [`Database::run`]
+//! (`crate::sched`).
 
 use std::sync::Arc;
 
 use spacetime_algebra::{eval_uncharged, ExprNode, ExprTree, ScalarExpr};
 use spacetime_cost::{PageIoCostModel, TransactionType};
 use spacetime_delta::Delta;
-use spacetime_memo::{explore, Memo};
+use spacetime_memo::{explore, GroupId, Memo};
 use spacetime_optimizer::heuristics::rule_of_thumb_optimize;
 use spacetime_optimizer::{greedy_add, optimal_view_set, shielding_optimize, EvalConfig, ViewSet};
 use spacetime_obs::{self as obs, names as metric, MetricsSnapshot, TraceNode};
 use spacetime_sql::{lower::lower_literal_row, lower_select, parse_statements, Statement};
-use spacetime_storage::{Bag, Catalog, Column, IoMeter, Schema, Tuple, Value};
+use spacetime_storage::{Bag, Catalog, Column, Schema, Tuple, Value};
 
 use crate::constraints::{Assertion, Violation};
 use crate::engine::{IvmEngine, PlannedUpdate, PropagationMode, UpdateReport};
@@ -78,30 +81,18 @@ pub struct Database {
     tracing: bool,
     last_trace: Option<TraceNode>,
     /// The rollback journal — the one rollback mechanism (DESIGN.md §12).
-    /// Outside a transaction scope each update resets it on entry and on
-    /// success; inside one it accumulates across updates until the scope
-    /// commits (reset) or aborts (replay). Held on the session so its
-    /// buffers are pooled across transactions (reset, never freed).
+    /// A transaction starts it empty, its updates append to it, and
+    /// `Database::transact` resets it on commit or replays it on abort.
+    /// Held on the session so its buffers are pooled across transactions
+    /// (reset, never freed).
     undo: spacetime_delta::UndoLog,
-    /// The open transaction scope, if any (see
-    /// [`Database::begin_transaction`]).
-    txn: Option<TxnScope>,
     /// Accumulate per-phase wall clock across updates (see
     /// [`Database::set_phase_stats`]).
     collect_phases: bool,
     phase_totals: PhaseTotals,
     /// The write-ahead log of a durable database (off until
     /// `make_durable` or `open`; a clone never carries it).
-    #[cfg(feature = "durability")]
     pub(crate) log: crate::durability::Log,
-}
-
-/// What an open transaction scope puts back if it aborts: the trace the
-/// session showed before the transaction began. The scope owns it (moved
-/// in, moved back), so no layer above copies it.
-#[derive(Debug, Clone)]
-struct TxnScope {
-    prior_trace: Option<TraceNode>,
 }
 
 /// Cumulative wall-clock attribution of [`Database::apply_delta`] across
@@ -146,10 +137,8 @@ impl Database {
             tracing: false,
             last_trace: None,
             undo: spacetime_delta::UndoLog::new(),
-            txn: None,
             collect_phases: false,
             phase_totals: PhaseTotals::default(),
-            #[cfg(feature = "durability")]
             log: Default::default(),
         }
     }
@@ -225,16 +214,8 @@ impl Database {
         self.mode
     }
 
-    /// Recovery hook: register an engine rebuilt from a checkpoint (its
-    /// tables are already restored and bound via `rebuild_pinned`).
-    #[cfg(feature = "durability")]
-    pub(crate) fn install_engine(&mut self, engine: IvmEngine) {
-        self.engines.push(Arc::new(engine));
-    }
-
     /// Recovery hook: re-register a checkpointed assertion without
     /// re-running its creation path (its backing view already exists).
-    #[cfg(feature = "durability")]
     pub(crate) fn install_assertion(&mut self, assertion: Assertion) {
         self.assertions.push(assertion);
     }
@@ -387,20 +368,17 @@ impl Database {
 
     /// Programmatic view creation: build the DAG, run the configured
     /// view-selection strategy against the declared workload, materialize,
-    /// and register the engine. Returns the chosen additional view count.
+    /// and register the engine.
     pub fn create_materialized_view(
         &mut self,
         name: &str,
         tree: ExprTree,
     ) -> IvmResult<&IvmEngine> {
-        let mut memo = Memo::new();
-        let root = memo.insert_tree(&tree);
-        memo.set_root(root);
-        explore(&mut memo, &self.catalog)?;
-        let root = memo.find(root);
-
+        let creation = vec![(name.to_string(), tree)];
+        let (memo, named_roots) = explore_views(&creation, &self.catalog)?;
+        let root = named_roots[0].1;
         let txns = if self.workload.is_empty() {
-            default_workload(&memo, root)
+            default_workload(&memo, &[root])
         } else {
             self.workload.clone()
         };
@@ -424,16 +402,14 @@ impl Database {
                     .view_set
             }
             ViewSelection::RuleOfThumb => {
-                rule_of_thumb_optimize(&memo, &self.catalog, &model, root, &tree, &txns, &config)
+                let tree = &creation[0].1;
+                rule_of_thumb_optimize(&memo, &self.catalog, &model, root, tree, &txns, &config)
                     .best
                     .view_set
             }
         };
-        let mut engine = IvmEngine::build(name, memo, root, view_set, &mut self.catalog)?;
-        engine.creation = vec![(name.to_string(), tree)];
-        engine.set_propagation_mode(self.mode);
-        self.engines.push(Arc::new(engine));
-        Ok(self.engines.last().expect("just pushed"))
+        let engine = IvmEngine::build(name, memo, root, view_set, &mut self.catalog)?;
+        Ok(self.register(engine, creation))
     }
 
     /// Create several views over **one shared DAG** (§6: "the expression
@@ -447,58 +423,42 @@ impl Database {
         if views.is_empty() {
             return Err(IvmError::Unsupported("empty view group".into()));
         }
-        let mut memo = Memo::new();
-        let mut named_roots = Vec::with_capacity(views.len());
-        for (name, tree) in &views {
-            let g = memo.insert_tree(tree);
-            named_roots.push((name.clone(), g));
-        }
-        memo.set_root(named_roots[0].1);
-        explore(&mut memo, &self.catalog)?;
-        let roots: Vec<spacetime_memo::GroupId> =
-            named_roots.iter().map(|&(_, g)| memo.find(g)).collect();
-        let named_roots: Vec<(String, spacetime_memo::GroupId)> = named_roots
-            .into_iter()
-            .map(|(n, g)| (n, memo.find(g)))
-            .collect();
-
+        let (memo, named_roots) = explore_views(&views, &self.catalog)?;
+        let roots: Vec<GroupId> = named_roots.iter().map(|&(_, g)| g).collect();
         let txns = if self.workload.is_empty() {
-            let mut tables = Vec::new();
-            for &r in &roots {
-                for t in crate::engine::leaf_tables(&memo, r) {
-                    if !tables.contains(&t) {
-                        tables.push(t);
-                    }
-                }
-            }
-            tables
-                .into_iter()
-                .map(|t| TransactionType::modify(format!(">{t}"), t, 1.0))
-                .collect()
+            default_workload(&memo, &roots)
         } else {
             self.workload.clone()
         };
-        let model = PageIoCostModel::default();
-        let config = EvalConfig::default();
         let outcome = spacetime_optimizer::optimal_view_set_multi(
             &memo,
             &self.catalog,
-            &model,
+            &PageIoCostModel::default(),
             &roots,
             &txns,
-            &config,
+            &EvalConfig::default(),
             Some(3),
         );
-        let mut engine = IvmEngine::build_with_roots(
+        let engine = IvmEngine::build_with_roots(
             named_roots,
             memo,
             outcome.best.view_set,
             &mut self.catalog,
         )?;
-        engine.creation = views;
+        Ok(self.register(engine, views))
+    }
+
+    /// Register a built engine under the session's propagation mode, with
+    /// its creation trees — the recipe recovery rebuilds it from.
+    pub(crate) fn register(
+        &mut self,
+        mut engine: IvmEngine,
+        creation: Vec<(String, ExprTree)>,
+    ) -> &IvmEngine {
+        engine.creation = creation;
         engine.set_propagation_mode(self.mode);
         self.engines.push(Arc::new(engine));
-        Ok(self.engines.last().expect("just pushed"))
+        self.engines.last().expect("just pushed")
     }
 
     /// Create an assertion: a maintained view that must stay empty. Fails
@@ -524,25 +484,20 @@ impl Database {
 
     /// Apply a delta to a base table, incrementally maintaining every
     /// dependent view and checking assertions *before* committing
-    /// anything. Returns the combined maintenance report. On a durable
-    /// database the update is a one-update transaction, logged like any
-    /// other (its trace is then that transaction's).
+    /// anything. Returns the combined maintenance report. The update is a
+    /// one-update transaction through the one transaction door — logged
+    /// on a durable database, traced as a `transaction` — and nothing is
+    /// allocated to make it one.
     pub fn apply_delta(&mut self, table: &str, delta: Delta) -> IvmResult<UpdateReport> {
-        #[cfg(feature = "durability")]
-        if self.txn.is_none() && self.log.is_on() {
-            return self.transact(&[(table.to_string(), delta)]);
-        }
-        self.apply_update(table, &delta)
+        self.transact(&[(table, delta)])
     }
 
-    /// One update: plan, gate, commit (inside a transaction scope, its
-    /// writes join the scope's journal).
+    /// One update of a transaction: plan, gate, commit. Its writes join
+    /// the transaction's journal.
     fn apply_update(&mut self, table: &str, delta: &Delta) -> IvmResult<UpdateReport> {
-        if self.tracing {
-            // A failed or empty update leaves no trace behind; the prior
-            // trace never masquerades as this update's.
-            self.last_trace = None;
-        }
+        // No trace is pending here: the door took the prior one and the
+        // transaction body takes each update's, so a failed or empty
+        // update leaves none behind.
         if delta.is_empty() {
             return Ok(UpdateReport::default());
         }
@@ -571,18 +526,15 @@ impl Database {
                 }
             }
         }
-        // Phase 2: commit everywhere, all-or-nothing (DESIGN.md §12):
-        // writes are applied in place on the live catalog, journaling an
-        // inverse op per landed write, so ANY failure (storage error,
-        // injected fault, panic) leaves the catalog bit-identical to its
-        // pre-transaction state — inside a transaction scope, to the state
-        // before its first update. Reports merge each engine's planning
-        // report with its apply report in engine order.
+        // Phase 2: commit everywhere (DESIGN.md §12): writes are applied
+        // in place on the live catalog, journaling an inverse op per
+        // landed write, so on ANY failure (storage error, injected fault,
+        // panic) the transaction door puts the catalog back bit-identical
+        // to its state before the transaction's first update.
         let gate_dur = t_gate.map(|t| t.elapsed());
         let commit_watch = obs::stopwatch();
         let t_commit = timed.then(std::time::Instant::now);
-        let mut combined = UpdateReport::default();
-        self.commit(table, delta, &planned, &mut combined)?;
+        let combined = self.commit(table, delta, &planned)?;
         commit_watch.observe(metric::COMMIT_LATENCY_NS);
         update_watch.observe(metric::UPDATE_LATENCY_NS);
         let commit_dur = t_commit.map(|t| t.elapsed());
@@ -672,86 +624,50 @@ impl Database {
         root
     }
 
-    /// The journaled commit — the dirty-shard fast path. View
-    /// deltas and the base delta are applied *in place* on the live
-    /// catalog, recording an inverse operation in the session's
+    /// The journaled commit — the dirty-shard fast path. View deltas and
+    /// the base delta are applied *in place* on the live catalog,
+    /// recording an inverse operation in the session's
     /// [`spacetime_delta::UndoLog`] for each landed write. In the steady
     /// state the cataloged `Arc<Table>`s are unshared — nothing on the
     /// transaction path holds a second reference — so `Arc::make_mut` is
     /// free and only the storage shards a transaction actually disturbs
-    /// are touched.
+    /// are touched. Reports merge each engine's planning report with its
+    /// apply report in engine order.
     ///
-    /// All-or-nothing is preserved by the journal: on any failure — a
-    /// storage error, an injected fault (including the
+    /// A failure — a storage error, or an injected fault including the
     /// `storage::restore_table` commit gate, fired once per table this
-    /// update journaled), or a panic unwinding apply code — the **whole**
-    /// journal replays in reverse with an uncharged meter before the error
-    /// propagates (or the panic resumes). Outside a transaction scope that
-    /// is this update's writes; inside one it is every update so far,
-    /// which is what immediate-mode semantics ask for (the first failing
-    /// update aborts the transaction), and it leaves the scope's own
-    /// abort nothing to replay.
+    /// update journaled — propagates with every write the transaction
+    /// landed so far in the journal, and so does a panic:
+    /// `Database::transact` replays it.
     fn commit(
         &mut self,
         table: &str,
         delta: &Delta,
         planned: &[PlannedUpdate],
-        combined: &mut UpdateReport,
-    ) -> IvmResult<()> {
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        let in_txn = self.txn.is_some();
-        if !in_txn {
-            self.undo.reset();
+    ) -> IvmResult<UpdateReport> {
+        // Entries before `mark` belong to earlier updates of the transaction.
+        let mark = self.undo.table_count();
+        let mut combined = UpdateReport::default();
+        for (e, plan) in self.engines.iter().zip(planned) {
+            combined.merge(&plan.report);
+            let r = e.commit_in_place(&mut self.catalog, plan, &mut self.undo)?;
+            combined.merge(&r);
         }
-        let engines = &self.engines;
-        let catalog = &mut self.catalog;
-        let undo = &mut self.undo;
-        // Entries before `mark` belong to earlier updates of the scope.
-        let mark = undo.table_count();
-        let outcome = catch_unwind(AssertUnwindSafe(
-            || -> IvmResult<(UpdateReport, IoMeter)> {
-                let mut rep = UpdateReport::default();
-                for (e, plan) in engines.iter().zip(planned) {
-                    rep.merge(&plan.report);
-                    let r = e.commit_in_place(catalog, plan, undo)?;
-                    rep.merge(&r);
-                }
-                let mut base_io = IoMeter::new();
-                let rel = &mut catalog.table_mut(table)?.relation;
-                spacetime_delta::apply_to_relation_undo(delta, rel, &mut base_io, undo)?;
-                // The commit gate: the last point a fault can stop the
-                // update, with every write of it already in place.
-                for _ in mark..undo.table_count() {
-                    spacetime_storage::fault::fire("storage::restore_table")?;
-                }
-                Ok((rep, base_io))
-            },
-        ));
-        match outcome {
-            Ok(Ok((rep, base_io))) => {
-                combined.merge(&rep);
-                combined.base_io = base_io;
-                let mut dirty = 0u64;
-                for name in undo.tables().skip(mark) {
-                    let rel = &mut catalog.table_mut(name)?.relation;
-                    dirty += u64::from(rel.dirty_shards());
-                    rel.clear_dirty();
-                }
-                obs::counter_add(metric::COMMIT_DIRTY_SHARDS, dirty);
-                if !in_txn {
-                    undo.reset();
-                }
-                Ok(())
-            }
-            Ok(Err(e)) => {
-                replay_journal(undo, catalog)?;
-                Err(e)
-            }
-            Err(panic) => {
-                replay_journal(undo, catalog)?;
-                resume_unwind(panic)
-            }
+        let rel = &mut self.catalog.table_mut(table)?.relation;
+        spacetime_delta::apply_to_relation_undo(delta, rel, &mut combined.base_io, &mut self.undo)?;
+        // The commit gate: the last point a fault can stop the update,
+        // with every write of it already in place.
+        for _ in mark..self.undo.table_count() {
+            spacetime_storage::fault::fire("storage::restore_table")?;
         }
+        let mut dirty = 0u64;
+        for name in self.undo.tables().skip(mark) {
+            let rel = &mut self.catalog.table_mut(name)?.relation;
+            dirty += u64::from(rel.dirty_shards());
+            rel.clear_dirty();
+        }
+        obs::counter_add(metric::COMMIT_DIRTY_SHARDS, dirty);
+        Ok(combined)
     }
 
     /// Apply a multi-relation transaction (the §3.2 transaction types may
@@ -770,87 +686,54 @@ impl Database {
         self.transact(&updates)
     }
 
-    /// The one transaction door ([`Database::apply_transaction`],
-    /// [`Database::run`], a durable database's `apply_delta`). On a
-    /// durable database the transaction is logged as submitted — its
-    /// begin and deltas — before anything applies, and its commit record
-    /// is the decision point: if the record cannot be written the
-    /// transaction aborts, so memory never runs ahead of the log.
-    pub(crate) fn transact(&mut self, updates: &[(String, Delta)]) -> IvmResult<UpdateReport> {
-        #[cfg(feature = "durability")]
-        let logged = self.log.begin(updates)?;
-        let report = self.apply_open(updates)?;
-        #[cfg(feature = "durability")]
-        if let Err(e) = self.log.commit(logged) {
-            return Err(self.abort_transaction().err().unwrap_or(e));
-        }
-        self.commit_transaction();
-        Ok(report)
-    }
-
-    /// Open a transaction scope: until [`Database::commit_transaction`] or
-    /// [`Database::abort_transaction`], every update's writes accumulate
-    /// in one journal. The scope takes the session's current trace, to
-    /// put back on abort. A scope already open is a caller bug
-    /// and an error — journals are never silently merged.
-    fn begin_transaction(&mut self) -> IvmResult<()> {
-        if self.txn.is_some() {
-            return Err(IvmError::Internal(
-                "a transaction scope is already open on this database".into(),
-            ));
-        }
-        self.undo.reset();
-        self.txn = Some(TxnScope {
-            prior_trace: self.last_trace.take(),
-        });
-        Ok(())
-    }
-
-    /// Close the open scope keeping its writes: the journal is forgotten.
-    /// [`Database::transact`] calls this at its decision point — after the
-    /// WAL commit record when the database is durable.
-    fn commit_transaction(&mut self) {
-        self.undo.reset();
-        self.txn = None;
-    }
-
-    /// Close the open scope undoing its writes: the journal replays in
-    /// reverse (a no-op if a failing commit already replayed it) and the
-    /// pre-transaction trace comes back. Without an open scope
-    /// there is nothing to abort.
-    fn abort_transaction(&mut self) -> IvmResult<()> {
-        let Some(scope) = self.txn.take() else {
-            return Ok(());
-        };
-        self.last_trace = scope.prior_trace;
-        replay_journal(&mut self.undo, &mut self.catalog)
-    }
-
-    /// Open a scope and apply every update in it. On success the scope is
-    /// left **open** — the caller decides when the transaction commits —
-    /// with the summed report and the `transaction` trace in place. On
-    /// any failure, a panic unwinding through included, the scope is
-    /// aborted before the failure propagates.
-    fn apply_open(&mut self, updates: &[(String, Delta)]) -> IvmResult<UpdateReport> {
+    /// The one transaction door: `apply_delta` (and so SQL DML),
+    /// [`Database::apply_transaction`] and [`Database::run`] all commit
+    /// through it, and it is the one place a journal is replayed.
+    ///
+    /// The journal starts empty and every update appends the inverse of
+    /// each write it lands. On a durable database the transaction is
+    /// logged as submitted — its begin and deltas — before anything
+    /// applies, and its commit record is the decision point: if the record
+    /// cannot be written the transaction aborts, so memory never runs
+    /// ahead of the log. On any failure — an error, an assertion
+    /// violation, a panic unwinding an update — the journal replays in
+    /// reverse and the trace the session showed before comes back, then
+    /// the error propagates (or the panic resumes). A journal that does
+    /// not match the catalog fails the transaction with
+    /// [`IvmError::Internal`] instead, and `integrity_check` reports the
+    /// entries left behind.
+    pub(crate) fn transact<T: AsRef<str>>(
+        &mut self,
+        updates: &[(T, Delta)],
+    ) -> IvmResult<UpdateReport> {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        self.begin_transaction()?;
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.apply_updates(updates)));
-        if !matches!(outcome, Ok(Ok(_))) {
-            self.abort_transaction()?;
+        let logged = self.log.begin(updates)?;
+        let prior_trace = self.last_trace.take();
+        self.undo.reset();
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> IvmResult<UpdateReport> {
+            let report = self.apply_updates(updates)?;
+            self.log.commit(logged)?;
+            Ok(report)
+        }));
+        if matches!(outcome, Ok(Ok(_))) {
+            self.undo.reset();
+        } else {
+            self.last_trace = prior_trace;
+            replay_journal(&mut self.undo, &mut self.catalog)?;
         }
         outcome.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
     /// The body of a transaction: the updates in order, their reports
     /// summed and their traces gathered under one `transaction` node.
-    fn apply_updates(&mut self, updates: &[(String, Delta)]) -> IvmResult<UpdateReport> {
+    fn apply_updates<T: AsRef<str>>(&mut self, updates: &[(T, Delta)]) -> IvmResult<UpdateReport> {
         let mut txn_trace = self
             .tracing
             .then(|| TraceNode::new("transaction").with_field("updates", updates.len()));
         let t0 = self.tracing.then(std::time::Instant::now);
         let mut combined = UpdateReport::default();
         for (table, delta) in updates {
-            let r = self.apply_update(table, delta)?;
+            let r = self.apply_update(table.as_ref(), delta)?;
             combined.merge(&r);
             // Collect the per-update trace into the transaction node
             // (empty deltas record nothing).
@@ -889,9 +772,9 @@ impl Database {
     /// 2. every assertion's backing view matches recomputation from the
     ///    base relations (an assertion view that drifted would silently
     ///    stop enforcing its constraint);
-    /// 3. no journal entries are left outside a transaction scope — a
-    ///    rollback that hit a journal/catalog mismatch stops where it
-    ///    failed and leaves the rest behind.
+    /// 3. no journal entries are left behind — a rollback that hit a
+    ///    journal/catalog mismatch stops where it failed and leaves the
+    ///    rest.
     ///
     /// Cheap relative to [`verify_all_views`] (which recomputes *every*
     /// engine): only assertion-backing engines are recomputed here.
@@ -908,9 +791,9 @@ impl Database {
     }
 
     fn integrity_check_inner(&self) -> IvmResult<()> {
-        if self.txn.is_none() && !self.undo.is_empty() {
+        if !self.undo.is_empty() {
             return Err(IvmError::Integrity(format!(
-                "{} undo journal entries outside a transaction: a rollback did not complete",
+                "{} undo journal entries left behind: a rollback did not complete",
                 self.undo.table_count()
             )));
         }
@@ -981,10 +864,32 @@ fn rename_outputs(tree: ExprTree, names: &[String]) -> IvmResult<ExprTree> {
     Ok(ExprNode::project(tree, exprs)?)
 }
 
-/// Default workload: one unit modification per base relation, equal
-/// weights (§3.2's model with no further information).
-fn default_workload(memo: &Memo, root: spacetime_memo::GroupId) -> Vec<TransactionType> {
-    crate::engine::leaf_tables(memo, root)
+/// A fresh memo holding every view's creation tree, explored against
+/// `catalog`, with each view's canonical root group; the first view roots
+/// the memo. View creation, view groups and recovery all build their DAG
+/// this way, which is what lets recovery reproduce a memo bit-identically.
+pub(crate) fn explore_views(
+    views: &[(String, ExprTree)],
+    catalog: &Catalog,
+) -> IvmResult<(Memo, Vec<(String, GroupId)>)> {
+    let mut memo = Memo::new();
+    let inserted: Vec<GroupId> = views.iter().map(|(_, tree)| memo.insert_tree(tree)).collect();
+    if let Some(&first) = inserted.first() {
+        memo.set_root(first);
+    }
+    explore(&mut memo, catalog)?;
+    let named_roots = views
+        .iter()
+        .zip(inserted)
+        .map(|((name, _), g)| (name.clone(), memo.find(g)))
+        .collect();
+    Ok((memo, named_roots))
+}
+
+/// Default workload: one unit modification per base relation under
+/// `roots`, equal weights (§3.2's model with no further information).
+fn default_workload(memo: &Memo, roots: &[GroupId]) -> Vec<TransactionType> {
+    crate::engine::leaf_tables(memo, roots.iter().copied())
         .into_iter()
         .map(|t| TransactionType::modify(format!(">{t}"), t, 1.0))
         .collect()
@@ -993,6 +898,7 @@ fn default_workload(memo: &Memo, root: spacetime_memo::GroupId) -> Vec<Transacti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spacetime_storage::tuple;
 
     fn one_table_db() -> Database {
         let mut db = Database::new();
@@ -1001,30 +907,44 @@ mod tests {
         db
     }
 
+    /// A failed transaction undoes its own writes — an update that had
+    /// already landed included — and nothing an earlier transaction
+    /// committed: journals never merge, and none is left behind.
     #[test]
-    fn a_second_scope_is_an_error_not_a_merge() {
+    fn a_failed_transaction_rolls_back_only_its_own_writes() {
         let mut db = one_table_db();
-        db.begin_transaction().unwrap();
-        assert!(matches!(db.begin_transaction(), Err(IvmError::Internal(_))));
-        // The first scope is unharmed and closes normally; then a new one opens.
-        db.abort_transaction().unwrap();
-        db.begin_transaction().unwrap();
-        db.commit_transaction();
+        db.apply_delta("T", Delta::insert(tuple![1_i64, 10_i64], 1))
+            .unwrap();
+        let before = db.catalog.table("T").unwrap().relation.data().clone();
+        // The second update deletes a row that is not there.
+        let err = db
+            .apply_transaction(vec![
+                ("T".to_string(), Delta::insert(tuple![2_i64, 20_i64], 1)),
+                ("T".to_string(), Delta::delete(tuple![3_i64, 30_i64], 1)),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, IvmError::Storage(_)), "{err}");
+        assert_eq!(db.catalog.table("T").unwrap().relation.data(), &before);
         db.integrity_check().unwrap();
     }
 
+    /// A journal that does not match its catalog — a recording bug — fails
+    /// the rollback with a typed error rather than a panic, and the
+    /// entries it could not replay stay behind for `integrity_check`.
     #[test]
     fn a_journal_that_does_not_match_the_catalog_fails_the_abort() {
         let mut db = one_table_db();
-        db.begin_transaction().unwrap();
-        db.apply_delta(
-            "T",
-            Delta::insert(spacetime_storage::tuple![1_i64, 10_i64], 1),
+        let rel = &mut db.catalog.table_mut("T").unwrap().relation;
+        spacetime_delta::apply_to_relation_undo(
+            &Delta::insert(tuple![1_i64, 10_i64], 1),
+            rel,
+            &mut spacetime_storage::IoMeter::new(),
+            &mut db.undo,
         )
         .unwrap();
-        // Pull the journaled table out from under the open scope.
+        // Pull the journaled table out from under the journal.
         db.catalog.drop_table("T").unwrap();
-        let err = db.abort_transaction().unwrap_err();
+        let err = replay_journal(&mut db.undo, &mut db.catalog).unwrap_err();
         assert!(matches!(err, IvmError::Internal(_)), "{err}");
         let err = db.integrity_check_inner().unwrap_err();
         assert!(matches!(err, IvmError::Integrity(_)), "{err}");

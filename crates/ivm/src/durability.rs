@@ -37,7 +37,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use spacetime_delta::Delta;
-use spacetime_memo::{explore, Memo};
 use spacetime_obs::{self as obs, names as metric};
 use spacetime_optimizer::ViewSet;
 use spacetime_storage::{Bag, Catalog, Column, Schema};
@@ -47,7 +46,7 @@ use spacetime_wal::{
 };
 
 use crate::constraints::Assertion;
-use crate::database::Database;
+use crate::database::{explore_views, Database};
 use crate::engine::{IvmEngine, PropagationMode};
 use crate::sched::Txn;
 use crate::shim::{CHECKPOINT_FILE, LOG_FILE};
@@ -193,18 +192,7 @@ fn rebuild_engine(catalog: &mut Catalog, dump: &EngineDump) -> IvmResult<IvmEngi
             dump.name
         )));
     }
-    let mut memo = Memo::new();
-    let mut named_roots: Vec<(String, spacetime_memo::GroupId)> = Vec::new();
-    for (name, tree) in &dump.creation {
-        let g = memo.insert_tree(tree);
-        named_roots.push((name.clone(), g));
-    }
-    memo.set_root(named_roots[0].1);
-    explore(&mut memo, catalog).map_err(IvmError::Storage)?;
-    let named_roots: Vec<(String, spacetime_memo::GroupId)> = named_roots
-        .into_iter()
-        .map(|(n, g)| (n, memo.find(g)))
-        .collect();
+    let (mut memo, named_roots) = explore_views(&dump.creation, catalog)?;
     let mut view_set: ViewSet = named_roots.iter().map(|&(_, g)| g).collect();
     let mut pins = BTreeMap::new();
     for (table, tree) in &dump.pins {
@@ -218,9 +206,7 @@ fn rebuild_engine(catalog: &mut Catalog, dump: &EngineDump) -> IvmResult<IvmEngi
             )));
         }
     }
-    let mut engine = IvmEngine::rebuild_pinned(named_roots, memo, view_set, catalog, &pins)?;
-    engine.creation = dump.creation.clone();
-    Ok(engine)
+    IvmEngine::rebuild_pinned(named_roots, memo, view_set, catalog, &pins)
 }
 
 /// Restore a full [`Database`] from a checkpoint: tables first (so the
@@ -263,7 +249,7 @@ fn restore_database(raw: &RawCheckpoint) -> IvmResult<Database> {
     let dumps = raw.decode_engines(&db.catalog).map_err(wal_err)?;
     for dump in &dumps {
         let engine = rebuild_engine(&mut db.catalog, dump)?;
-        db.install_engine(engine);
+        db.register(engine, dump.creation.clone());
     }
     for (name, view) in &raw.assertions {
         db.install_assertion(Assertion {
@@ -349,7 +335,7 @@ impl Log {
 
     /// Log a transaction as submitted — its begin and deltas — and return
     /// its id in the log (`None` when the database is in memory).
-    pub(crate) fn begin(&mut self, txn: &[(String, Delta)]) -> IvmResult<Option<u64>> {
+    pub(crate) fn begin<T: AsRef<str>>(&mut self, txn: &[(T, Delta)]) -> IvmResult<Option<u64>> {
         match &mut self.0 {
             Some(d) => d.wal.begin(txn).map(Some).map_err(wal_err),
             None => Ok(None),

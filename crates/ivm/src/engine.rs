@@ -49,9 +49,9 @@ pub enum PropagationMode {
     /// interior chain groups skipped entirely (their deltas exist only to
     /// feed the next chain op, which the kernel fuses away). Chains pose
     /// no queries and charge no I/O, so deltas, reports, and view contents
-    /// are bit-identical to [`PropagationMode::PerKey`]. With tracing on,
-    /// chains run one step per group instead, so traces keep their
-    /// one-span-per-group structure.
+    /// are bit-identical to [`PropagationMode::PerKey`]. Tracing runs the
+    /// same kernels: a needed chain group records one span carrying its
+    /// stage count.
     #[default]
     Fused,
 }
@@ -72,10 +72,6 @@ struct PropagationCtx {
     topo: BTreeMap<String, Vec<GroupId>>,
     /// The leaf group scanning each table.
     leaves: BTreeMap<String, GroupId>,
-    /// The same groups sliced into topological levels (per table): a
-    /// group's level is one more than its deepest delta-carrying child.
-    /// The propagation trace is laid out by level.
-    levels: BTreeMap<String, Vec<Vec<GroupId>>>,
     /// Per (table, group), the access-free chain from the base scan
     /// through `Select`/`Project` steps only, compiled into a fused
     /// streaming kernel that [`PropagationMode::Fused`] runs straight off
@@ -279,7 +275,6 @@ impl IvmEngine {
     /// create/evaluate/load/analyze step is skipped wholesale, while
     /// track choice and propagation state are computed fresh against
     /// the restored statistics.
-    #[cfg(feature = "durability")]
     pub(crate) fn rebuild_pinned(
         named_roots: Vec<(String, GroupId)>,
         memo: Memo,
@@ -367,17 +362,9 @@ impl IvmEngine {
         // same tracks its cost tables did).
         let mut tracks = BTreeMap::new();
         let mut complete: BTreeMap<String, BTreeMap<OpId, bool>> = BTreeMap::new();
-        let mut leaf_tables: Vec<String> = Vec::new();
-        for &r in &roots {
-            for t in self_leaf_tables(&memo, r) {
-                if !leaf_tables.contains(&t) {
-                    leaf_tables.push(t);
-                }
-            }
-        }
         let config = EvalConfig::default();
         let mut ctx = CostCtx::new(&memo, catalog, &model);
-        for table in &leaf_tables {
+        for table in &leaf_tables(&memo, roots.iter().copied()) {
             let txn = TransactionType::modify(format!(">{table}"), table.clone(), 1.0);
             let root_vec: Vec<GroupId> = roots.iter().copied().collect();
             let eval = spacetime_optimizer::evaluate_multi(
@@ -396,7 +383,7 @@ impl IvmEngine {
             };
             let track = best.track.clone();
             // Precompute key-elimination per aggregate op on this track.
-            for (&g, &op) in &track.choices {
+            for &op in track.choices.values() {
                 if let OpKind::Aggregate { group_by, .. } = &memo.op(op).op {
                     let child = memo.op_children(op)[0];
                     let ok = spacetime_optimizer::delta_group_complete(
@@ -404,14 +391,13 @@ impl IvmEngine {
                     );
                     complete.entry(table.clone()).or_default().insert(op, ok);
                 }
-                let _ = g;
             }
             tracks.insert(table.clone(), track);
         }
 
         // Per-table propagation state, computed once instead of on every
-        // update: topo order, leaf group, topological levels, and the
-        // access-free chains' fused kernels.
+        // update: topo order, leaf group, and the access-free chains' fused
+        // kernels.
         let mut prop_ctx = PropagationCtx {
             marking: materialized.keys().copied().collect(),
             ..Default::default()
@@ -425,7 +411,7 @@ impl IvmEngine {
             }
             let order = topo_order(&memo, track);
             if let Some(leaf) = roots.iter().find_map(|&r| leaf_group(&memo, r, table)) {
-                let (levels, chains) = level_plan(&memo, track, &order, leaf, table);
+                let chains = chain_plan(&memo, track, &order, leaf, table);
                 // Compile each access-free chain into a fused kernel
                 // (skipping the leading `Scan`), and record which chain
                 // groups still need their delta under fusion: those that
@@ -455,7 +441,6 @@ impl IvmEngine {
                     }
                 }
                 prop_ctx.leaves.insert(table.clone(), leaf);
-                prop_ctx.levels.insert(table.clone(), levels);
                 prop_ctx.programs.insert(table.clone(), programs);
                 prop_ctx.needed.insert(table.clone(), needed);
             }
@@ -538,11 +523,10 @@ impl IvmEngine {
         if batched {
             exec = exec.with_plans(&self.prop_ctx.plans);
         }
-        // Fused chain kernels: active only without tracing (traces keep
-        // their one-span-per-group structure on the per-step path).
-        // Chains pose no queries and charge no I/O in any mode, so the
-        // plan, report, and view deltas stay bit-identical.
-        let fused = (batched && !trace)
+        // Fused chain kernels, traced or not. Chains pose no queries and
+        // charge no I/O in any mode, so the plan, report, and view deltas
+        // stay bit-identical to the per-step path.
+        let fused = batched
             .then(|| self.prop_ctx.programs.get(table))
             .flatten();
         let fused_needed = fused.and_then(|_| self.prop_ctx.needed.get(table));
@@ -571,9 +555,25 @@ impl IvmEngine {
             if let Some(prog) = fused.and_then(|progs| progs.get(&g)) {
                 // Fused chain group: run the whole compiled chain off the
                 // base delta if anything downstream needs this group's
-                // delta; skip it entirely otherwise.
+                // delta (traced as one span); skip it entirely otherwise.
                 if fused_needed.is_some_and(|n| n.contains(&g)) {
+                    let t0 = trace.then(std::time::Instant::now);
                     let d = spacetime_delta::propagate_chain(prog, base_delta)?;
+                    if let Some(t0) = t0 {
+                        recs.insert(
+                            g,
+                            GroupRec {
+                                probe: GroupProbe {
+                                    delta_in: base_delta.size(),
+                                    ..GroupProbe::default()
+                                },
+                                delta_out: d.size(),
+                                stages: Some(prog.stage_count()),
+                                wall_ns: t0.elapsed().as_nanos() as u64,
+                                ..GroupRec::default()
+                            },
+                        );
+                    }
                     if !d.is_empty() {
                         deltas.insert(g, Cow::Owned(d));
                     }
@@ -602,6 +602,7 @@ impl IvmEngine {
                             probe,
                             delta_out: d.size(),
                             posed,
+                            stages: None,
                             wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
                         },
                     );
@@ -637,8 +638,9 @@ impl IvmEngine {
         })
     }
 
-    /// Assemble the propagation trace from the per-group recordings, in
-    /// the build-time level plan's order.
+    /// Assemble the propagation trace from the per-group recordings: the
+    /// leaf scan, then every group that ran, in the track's topological
+    /// order.
     fn plan_trace(
         &self,
         catalog: &Catalog,
@@ -653,51 +655,39 @@ impl IvmEngine {
             .with_field("table", table)
             .with_field("mode", format!("{:?}", self.mode))
             .with_field("track", track_path.join("→"));
-
-        let mut l0 = TraceNode::new("level 0");
-        l0.push_child(
+        root.push_child(
             TraceNode::new(format!("N{} Scan", leaf.0))
                 .with_field("op", format!("Scan({table})"))
                 .with_field("Δout", base_delta.size()),
         );
-        root.push_child(l0);
-
-        for (i, level) in self.prop_ctx.levels.get(table).into_iter().flatten().enumerate() {
-            let members: Vec<(GroupId, &GroupRec)> = level
-                .iter()
-                .filter_map(|&g| recs.get(&g).map(|r| (g, r)))
-                .collect();
-            if members.is_empty() {
+        let choices = self.tracks.get(table).map(|t| &t.choices);
+        for g in order {
+            let (Some(rec), Some(&op)) = (recs.get(g), choices.and_then(|c| c.get(g))) else {
                 continue;
+            };
+            let kind = &self.memo.op(op).op;
+            let mut node = TraceNode::new(format!("N{} {}", g.0, kind_name(kind)))
+                .with_field("op", kind)
+                .with_field("Δin", rec.probe.delta_in)
+                .with_field("Δout", rec.delta_out)
+                .with_field("posed", rec.posed);
+            if let Some(stages) = rec.stages {
+                node.push_field("stages", stages);
             }
-            let mut ln = TraceNode::new(format!("level {}", i + 1));
-            ln.wall_ns = Some(members.iter().map(|(_, r)| r.wall_ns).sum());
-            for (g, rec) in members {
-                let Some(&op) = self.tracks.get(table).and_then(|t| t.choices.get(&g)) else {
-                    continue;
-                };
-                let kind = &self.memo.op(op).op;
-                let mut node = TraceNode::new(format!("N{} {}", g.0, kind_name(kind)))
-                    .with_field("op", kind)
-                    .with_field("Δin", rec.probe.delta_in)
-                    .with_field("Δout", rec.delta_out)
-                    .with_field("posed", rec.posed);
-                if let Some(mv) = self.materialized.get(&g) {
-                    node.push_field("mv", mv);
-                }
-                for q in &rec.probe.queries {
-                    node.push_child(
-                        TraceNode::new("query")
-                            .with_field("child", format!("N{}", q.child.0))
-                            .with_field("cols", format!("{:?}", q.cols))
-                            .with_field("keys", q.keys)
-                            .with_field("via", self.access_resolution(catalog, q.child, &q.cols)),
-                    );
-                }
-                node.wall_ns = Some(rec.wall_ns);
-                ln.push_child(node);
+            if let Some(mv) = self.materialized.get(g) {
+                node.push_field("mv", mv);
             }
-            root.push_child(ln);
+            for q in &rec.probe.queries {
+                node.push_child(
+                    TraceNode::new("query")
+                        .with_field("child", format!("N{}", q.child.0))
+                        .with_field("cols", format!("{:?}", q.cols))
+                        .with_field("keys", q.keys)
+                        .with_field("via", self.access_resolution(catalog, q.child, &q.cols)),
+                );
+            }
+            node.wall_ns = Some(rec.wall_ns);
+            root.push_child(node);
         }
         root
     }
@@ -960,23 +950,23 @@ impl InputAccess for EngineAccess<'_, '_, '_> {
     }
 }
 
-fn self_leaf_tables(memo: &Memo, root: GroupId) -> Vec<String> {
-    leaf_tables(memo, root)
-}
-
-/// Distinct base tables scanned under `root`.
-pub fn leaf_tables(memo: &Memo, root: GroupId) -> Vec<String> {
-    let mut out = Vec::new();
-    for g in spacetime_memo::descendant_groups(memo, root) {
-        for op in memo.group_ops(g) {
-            if let OpKind::Scan { table } = &memo.op(op).op {
-                if !out.contains(table) {
-                    out.push(table.clone());
+/// Distinct base tables scanned under `roots`: each root's tables not
+/// already listed, sorted, in root order.
+pub fn leaf_tables(memo: &Memo, roots: impl IntoIterator<Item = GroupId>) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for root in roots {
+        let start = out.len();
+        for g in spacetime_memo::descendant_groups(memo, root) {
+            for op in memo.group_ops(g) {
+                if let OpKind::Scan { table } = &memo.op(op).op {
+                    if !out.contains(table) {
+                        out.push(table.clone());
+                    }
                 }
             }
         }
+        out[start..].sort();
     }
-    out.sort();
     out
 }
 
@@ -1021,20 +1011,16 @@ fn topo_order(memo: &Memo, track: &UpdateTrack) -> Vec<GroupId> {
     order
 }
 
-/// Group a track's topo order into *levels*: a group's level is one more
-/// than the deepest delta-carrying child (the leaf is level 0). Also
-/// collects each group's access-free prefix chain (`Scan → Select/Project…`
+/// Each track group's access-free prefix chain (`Scan → Select/Project…`
 /// from the leaf), the input of the fused kernels; chains stop at the
 /// first op that poses queries.
-fn level_plan(
+fn chain_plan(
     memo: &Memo,
     track: &UpdateTrack,
     order: &[GroupId],
     leaf: GroupId,
     table: &str,
-) -> (Vec<Vec<GroupId>>, BTreeMap<GroupId, Vec<OpKind>>) {
-    let mut level_of: BTreeMap<GroupId, usize> = BTreeMap::new();
-    level_of.insert(leaf, 0);
+) -> BTreeMap<GroupId, Vec<OpKind>> {
     let mut chains: BTreeMap<GroupId, Vec<OpKind>> = BTreeMap::new();
     chains.insert(
         leaf,
@@ -1042,44 +1028,23 @@ fn level_plan(
             table: table.to_string(),
         }],
     );
-    let mut levels: Vec<Vec<GroupId>> = Vec::new();
     for &g in order {
-        if g == leaf {
-            continue;
-        }
         let Some(&op) = track.choices.get(&g) else {
             continue;
         };
-        let children = memo.op_children(op);
-        // Deepest child that can carry a delta this track; groups with no
-        // such child never receive deltas and need no level.
-        let Some(deepest) = children
-            .iter()
-            .filter_map(|c| level_of.get(c))
-            .max()
-            .copied()
-        else {
-            continue;
-        };
-        let lvl = deepest + 1;
-        level_of.insert(g, lvl);
-        while levels.len() < lvl {
-            levels.push(Vec::new());
-        }
-        levels[lvl - 1].push(g);
-        // Extend the access-free chain through unary Select/Project only.
         let kind = &memo.op(op).op;
-        if matches!(kind, OpKind::Select { .. } | OpKind::Project { .. }) {
-            if let Some(parent_chain) = children.first().and_then(|c| chains.get(c)) {
-                let mut chain = parent_chain.clone();
-                chain.push(kind.clone());
-                chains.insert(g, chain);
-            }
+        if g == leaf || !matches!(kind, OpKind::Select { .. } | OpKind::Project { .. }) {
+            continue;
+        }
+        if let Some(parent_chain) = memo.op_children(op).first().and_then(|c| chains.get(c)) {
+            let mut chain = parent_chain.clone();
+            chain.push(kind.clone());
+            chains.insert(g, chain);
         }
     }
     // The leaf's "chain" is the base delta itself: nothing to compile.
     chains.remove(&leaf);
-    (levels, chains)
+    chains
 }
 
 /// Short variant name of an op, for trace span labels.

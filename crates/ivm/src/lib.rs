@@ -18,10 +18,9 @@
 //!   one way in.
 //! * [`sched`] — [`Database::run`]: a batch of transactions applied one
 //!   at a time in admission order, each under its own `catch_unwind`.
-//! * `durability` (feature `durability`) — a [`Database`] that owns one
-//!   write-ahead log and one checkpoint, and crash recovery proven
-//!   bit-identical (DESIGN.md §17). Off by default; the default build
-//!   does not link the wal crate.
+//! * [`durability`] — a [`Database`] that owns one write-ahead log and
+//!   one checkpoint, and crash recovery proven bit-identical (DESIGN.md
+//!   §17).
 //! * [`trace`] — propagation-trace recording: the opt-in, always-compiled
 //!   `EXPLAIN ANALYZE` plane ([`Database::set_tracing`] /
 //!   [`Database::last_trace`]).
@@ -30,7 +29,6 @@
 
 pub mod constraints;
 pub mod database;
-#[cfg(feature = "durability")]
 pub mod durability;
 pub mod engine;
 pub mod qexec;
@@ -42,7 +40,6 @@ pub mod verify;
 
 pub use constraints::{Assertion, Violation};
 pub use database::{Database, PhaseTotals, ViewSelection};
-#[cfg(feature = "durability")]
 pub use durability::{DurabilityOptions, RecoveryStats};
 pub use engine::{IvmEngine, PropagationMode, UpdateReport};
 pub use sched::{SchedOutcome, SchedStats, Txn};

@@ -14,7 +14,7 @@
 //!
 //! **Panic containment.** Each transaction runs under its own
 //! `catch_unwind`: a panicking body is that transaction's
-//! [`IvmError::TaskPanicked`] (its scope already rolled back), and the
+//! [`IvmError::TaskPanicked`] (its journal already replayed), and the
 //! run continues with the next one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -15,11 +15,9 @@ use crate::IvmResult;
 
 /// The one log's file name. The frozen harness sizes the log by this name
 /// (`Serve::log_bytes`); the benchmark PR renames it.
-#[cfg(feature = "durability")]
 pub(crate) const LOG_FILE: &str = "global.log";
 /// The one checkpoint's path. The frozen harness sizes the checkpoint by
 /// this path (`Serve::checkpoint_bytes`); the benchmark PR renames it.
-#[cfg(feature = "durability")]
 pub(crate) const CHECKPOINT_FILE: &str = "shard-000/checkpoint.ckpt";
 
 /// The one execution mode. The frozen harness names it; the benchmark PR
@@ -113,7 +111,6 @@ impl<'a> TxnScheduler<'a> {
 
     /// A durable database logs through its own door, so the log argument
     /// is only [`DurableSharded::wals`]'s unit token.
-    #[cfg(feature = "durability")]
     pub fn with_wals(db: &'a ShardedDatabase, _pool: Arc<PipelinePool>, _wal: ()) -> Self {
         TxnScheduler { db }
     }
@@ -124,10 +121,8 @@ impl<'a> TxnScheduler<'a> {
     }
 }
 
-#[cfg(feature = "durability")]
 pub use durable::DurableSharded;
 
-#[cfg(feature = "durability")]
 pub mod durable {
     use std::path::{Path, PathBuf};
 

@@ -10,7 +10,8 @@
 //!
 //! Recording is collected per track group by [`GroupProbe`] (filled inside
 //! `IvmEngine::propagate_group` and its `InputAccess`), then assembled in
-//! the *build-time level plan's* order.
+//! the track's topological order. Traced updates run the served path: a
+//! fused chain group records one span carrying its stage count.
 
 use spacetime_memo::GroupId;
 pub use spacetime_obs::TraceNode;
@@ -46,6 +47,8 @@ pub(crate) struct GroupRec {
     pub delta_out: u64,
     /// Queries posed by this group (mode-independent §2.2 count).
     pub posed: u64,
+    /// The fused kernel's stage count, when the group ran as one chain.
+    pub stages: Option<usize>,
     /// Wall-clock nanoseconds spent propagating the group.
     pub wall_ns: u64,
 }

@@ -1,7 +1,7 @@
 //! The propagation-trace plane: opt-in and zero behavior change.
 
 use spacetime_delta::Delta;
-use spacetime_ivm::{verify_all_views, Database};
+use spacetime_ivm::{verify_all_views, Database, ViewSelection};
 use spacetime_storage::{tuple, Bag, IoMeter};
 
 /// The paper's Emp/Dept schema with an aggregate view and an assertion, so
@@ -83,11 +83,17 @@ fn trace_shape_covers_propagation_and_commit() {
     assert!(db.tracing());
     db.apply_delta("Emp", raise()).unwrap();
     let trace = db.last_trace().expect("tracing on records a trace");
-    assert_eq!(trace.label, "update Emp");
-    assert_eq!(trace.field("rows"), Some("1"));
+    // `apply_delta` is a one-update transaction.
+    assert_eq!(trace.label, "transaction");
+    assert_eq!(trace.field("updates"), Some("1"));
+    let [update] = &trace.children[..] else {
+        panic!("one update span under the transaction");
+    };
+    assert_eq!(update.label, "update Emp");
+    assert_eq!(update.field("rows"), Some("1"));
     // One propagate child per dependent engine (view + assertion), plus
     // the commit section.
-    let propagates: Vec<_> = trace
+    let propagates: Vec<_> = update
         .children
         .iter()
         .filter(|c| c.label.starts_with("propagate "))
@@ -96,10 +102,10 @@ fn trace_shape_covers_propagation_and_commit() {
     for p in &propagates {
         assert_eq!(p.field("table"), Some("Emp"));
         assert!(p.field("track").is_some(), "track field present");
-        // Every propagate subtree starts from a leaf scan level.
-        assert!(p.children.iter().any(|l| l.label.starts_with("level ")));
+        // Every propagate span starts from the leaf scan.
+        assert!(p.children[0].label.ends_with(" Scan"), "{}", p.children[0].label);
     }
-    let commit = trace
+    let commit = update
         .children
         .iter()
         .find(|c| c.label == "commit")
@@ -121,7 +127,11 @@ fn empty_delta_clears_the_last_trace() {
     db.apply_delta("Emp", raise()).unwrap();
     assert!(db.last_trace().is_some());
     db.apply_delta("Emp", Delta::new()).unwrap();
-    assert!(db.last_trace().is_none(), "empty update leaves no trace");
+    // The prior update's trace never masquerades as this one's: an empty
+    // update is a transaction with no update span.
+    let trace = db.last_trace().expect("a transaction trace");
+    assert_eq!(trace.label, "transaction");
+    assert!(trace.children.is_empty(), "an empty update records no span");
 }
 
 #[test]
@@ -178,4 +188,45 @@ fn failed_transaction_restores_the_prior_trace() {
     assert!(db.apply_transaction(bad).is_err());
     let after = db.last_trace().expect("prior trace restored");
     assert_eq!(before, after.structure_json());
+}
+
+/// Tracing observes the served path: a σ(Salary > 150)→π chain runs as
+/// one fused kernel, whose span carries its stage count, and the interior
+/// σ group, which never runs on its own, has no span. Reports and
+/// contents equal the untraced run's.
+#[test]
+fn a_traced_chain_runs_fused_as_one_span() {
+    let chain_db = || {
+        let mut db = small_db();
+        db.set_view_selection(ViewSelection::RootOnly);
+        db.execute_sql("CREATE MATERIALIZED VIEW WellPaid AS SELECT EName FROM Emp WHERE Salary > 150")
+            .unwrap();
+        db
+    };
+    let mut plain = chain_db();
+    let mut traced = chain_db();
+    traced.set_tracing(true);
+    let (old, new) = (tuple!["emp2_1", "dept2", 100_i64], tuple!["emp2_1", "dept2", 200_i64]);
+    let hike = Delta::modify(old, new, 1);
+    let r0 = plain.apply_delta("Emp", hike.clone()).unwrap();
+    let r1 = traced.apply_delta("Emp", hike).unwrap();
+    assert_eq!(r0, r1, "tracing must not perturb the report");
+    assert_eq!(contents(&plain), contents(&traced));
+
+    let update = &traced.last_trace().unwrap().children[0];
+    let propagate = update
+        .children
+        .iter()
+        .find(|c| c.label == "propagate WellPaid")
+        .expect("the chain view propagates");
+    // Leaf, interior σ, π: three groups on the track, two spans.
+    assert_eq!(propagate.field("track").unwrap().split('→').count(), 3);
+    let labels: Vec<&str> = propagate.children.iter().map(|c| c.label.as_str()).collect();
+    assert_eq!(labels.len(), 2, "{labels:?}");
+    assert!(labels[0].ends_with(" Scan"), "{labels:?}");
+    let chain = &propagate.children[1];
+    assert!(chain.label.ends_with(" Project"), "{labels:?}");
+    assert_eq!(chain.field("stages"), Some("2"));
+    assert_eq!(chain.field("mv"), Some("WellPaid"));
+    assert_eq!(chain.field("Δout"), Some("1"));
 }

@@ -7,7 +7,9 @@
 //! bit-identical to its pre-transaction state.
 
 use spacetime_delta::Delta;
-use spacetime_ivm::{verify_all_views, Database, IvmError, PropagationMode, Txn};
+use spacetime_ivm::{
+    verify_all_views, Database, DurabilityOptions, IvmError, PropagationMode, TraceNode, Txn,
+};
 use spacetime_storage::{tuple, Bag, IoMeter, Table};
 
 /// A small paper-shaped database: 5 departments x 3 employees, budget 600,
@@ -288,4 +290,51 @@ fn run_commit_and_abort_copy_no_table() {
     assert_eq!(contents(&db), before, "abort");
     assert_no_table_copied(&db, &addresses, "abort");
     assert!(verify_all_views(&db).unwrap().is_empty());
+}
+
+/// `apply_delta`s, SQL `INSERT`/`UPDATE` and an assertion-violating update,
+/// with each step's trace structure; every step leaves the journal empty.
+fn one_door_steps(db: &mut Database) -> Vec<Option<String>> {
+    let step = |db: &Database| {
+        db.integrity_check().unwrap();
+        db.last_trace().map(TraceNode::structure_json)
+    };
+    db.set_tracing(true);
+    let mut steps = Vec::new();
+    let raise = Delta::modify(
+        tuple!["emp0_0", "dept0", 100_i64],
+        tuple!["emp0_0", "dept0", 120_i64],
+        1,
+    );
+    db.apply_delta("Emp", raise).unwrap();
+    steps.push(step(db));
+    db.execute_sql("INSERT INTO Emp VALUES ('emp9_0', 'dept2', 50)").unwrap();
+    steps.push(step(db));
+    db.execute_sql("UPDATE Dept SET Budget = 650 WHERE DName = 'dept3'").unwrap();
+    steps.push(step(db));
+    let over_budget = Delta::modify(
+        tuple!["emp1_0", "dept1", 100_i64],
+        tuple!["emp1_0", "dept1", 100_000_i64],
+        1,
+    );
+    let err = db.apply_delta("Emp", over_budget).unwrap_err();
+    assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
+    steps.push(step(db));
+    steps
+}
+
+/// One door: an in-memory and a durable database served the same
+/// `apply_delta`s, SQL DML and violating update end with identical
+/// catalogs and identical trace structures after every step.
+#[test]
+fn in_memory_and_durable_databases_commit_through_one_door() {
+    let dir = spacetime_wal::test_dir("transactions_one_door");
+    let mut mem = small_db();
+    let mut dur = small_db();
+    dur.make_durable(&dir, DurabilityOptions::default()).unwrap();
+    let mem_steps = one_door_steps(&mut mem);
+    assert!(mem_steps.iter().all(Option::is_some), "every step is traced");
+    assert_eq!(mem_steps, one_door_steps(&mut dur));
+    assert_eq!(contents(&mem), contents(&dur));
+    let _ = std::fs::remove_dir_all(&dir);
 }

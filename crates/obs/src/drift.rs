@@ -17,7 +17,7 @@
 //!
 //! Both are merged into [`MetricsSnapshot`](crate::MetricsSnapshot) by the
 //! free [`snapshot`](crate::snapshot) function (they live outside the
-//! [`Recorder`](crate::Recorder) because their keys are dynamic strings,
+//! [`Registry`](crate::Registry) because their keys are dynamic strings,
 //! not `'static` label pairs). With the `metrics` feature off every entry
 //! point is an inlined empty body, same contract as the metrics free
 //! functions — callers gate any argument computation on

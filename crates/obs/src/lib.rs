@@ -5,7 +5,7 @@
 //! * **Metrics** ([`metrics`]): a lock-cheap registry of atomic counters,
 //!   gauges, fixed-bucket histograms, and labeled counters/gauges (fixed
 //!   small-cardinality `key="value"` labels: txn outcome, WAL record
-//!   kind) behind a [`Recorder`] trait. The whole plane is gated
+//!   kind) in one process-global [`Registry`]. The whole plane is gated
 //!   behind the `metrics` cargo feature, mirroring the `failpoints`
 //!   pattern in `spacetime-storage::fault`: with the feature off (the
 //!   default) every instrumentation call site is an inlined empty
@@ -47,6 +47,6 @@ pub mod trace;
 
 pub use metrics::{
     compiled, counter_add, counter_add_labeled, gauge_add, gauge_set, observe_ns, snapshot,
-    stopwatch, HistogramSnapshot, MetricsSnapshot, NoopRecorder, Recorder, StopWatch,
+    stopwatch, HistogramSnapshot, MetricsSnapshot, Registry, StopWatch,
 };
 pub use trace::TraceNode;

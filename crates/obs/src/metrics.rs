@@ -5,8 +5,7 @@
 //! `metrics` feature off they are `#[inline(always)]` empty bodies, so the
 //! call and its `&'static str` name argument vanish from optimized builds
 //! — the same contract `spacetime_storage::fault` gives for failpoints.
-//! With the feature on they route through the installed [`Recorder`]
-//! (default: a process-global [`Registry`]).
+//! With the feature on they record into the process-global [`Registry`].
 //!
 //! The registry itself is lock-cheap: each series is an `Arc` of atomics
 //! resolved through a sharded-free `RwLock<BTreeMap>` that is only write-
@@ -14,6 +13,8 @@
 //! one read-lock acquisition plus one atomic RMW.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// Whether the metrics recorder was compiled into this build.
 ///
@@ -21,47 +22,6 @@ use std::collections::BTreeMap;
 /// the default build reports `false`.
 pub const fn compiled() -> bool {
     cfg!(feature = "metrics")
-}
-
-/// Sink for instrumentation events. The default recorder is the global
-/// [`Registry`]; tests can install their own with [`set_recorder`] before
-/// the first event.
-pub trait Recorder: Send + Sync {
-    /// Add `v` to the monotone counter `name`.
-    fn counter_add(&self, name: &'static str, v: u64);
-    /// Set gauge `name` to `v`.
-    fn gauge_set(&self, name: &'static str, v: f64);
-    /// Add `v` (possibly negative) to gauge `name`.
-    fn gauge_add(&self, name: &'static str, v: f64);
-    /// Record one observation of `nanos` in histogram `name`.
-    fn observe_ns(&self, name: &'static str, nanos: u64);
-    /// Materialize a point-in-time snapshot of every series.
-    fn snapshot(&self) -> MetricsSnapshot;
-
-    /// Add `v` to the `label` series of the labeled counter `name`.
-    ///
-    /// `label` is a full `key="value"` pair (see `names::LABEL_OUTCOME_COMMITTED`
-    /// and friends) with fixed small cardinality, so recorders can key on the
-    /// `(name, label)` pointer pair with zero allocation. Default: drop
-    /// the event, so pre-existing custom recorders keep compiling (they
-    /// simply don't see labeled series).
-    fn counter_add_labeled(&self, _name: &'static str, _label: &'static str, _v: u64) {}
-}
-
-/// Recorder that drops every event — the conceptual default when the
-/// `metrics` feature is off (in that build it is never even called; the
-/// free functions short-circuit first).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn counter_add(&self, _name: &'static str, _v: u64) {}
-    fn gauge_set(&self, _name: &'static str, _v: f64) {}
-    fn gauge_add(&self, _name: &'static str, _v: f64) {}
-    fn observe_ns(&self, _name: &'static str, _nanos: u64) {}
-    fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
 }
 
 /// Histogram bucket upper bounds in nanoseconds, shared by every
@@ -332,224 +292,218 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, OnceLock, RwLock};
+struct Histogram {
+    counts: [AtomicU64; BUCKET_BOUNDS_NS.len() + 1],
+    sum: AtomicU64,
+    count: AtomicU64,
+}
 
-    struct Histogram {
-        counts: [AtomicU64; BUCKET_BOUNDS_NS.len() + 1],
-        sum: AtomicU64,
-        count: AtomicU64,
-    }
-
-    impl Histogram {
-        fn new() -> Self {
-            Histogram {
-                counts: std::array::from_fn(|_| AtomicU64::new(0)),
-                sum: AtomicU64::new(0),
-                count: AtomicU64::new(0),
-            }
-        }
-
-        fn observe(&self, v: u64) {
-            let idx = BUCKET_BOUNDS_NS
-                .iter()
-                .position(|&b| v <= b)
-                .unwrap_or(BUCKET_BOUNDS_NS.len());
-            self.counts[idx].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot {
-                bounds: BUCKET_BOUNDS_NS.to_vec(),
-                counts: self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                sum: self.sum.load(Ordering::Relaxed),
-                count: self.count.load(Ordering::Relaxed),
-            }
+impl Histogram {
+    fn new() -> Self {
+        Histogram {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
         }
     }
 
-    /// The default [`Recorder`]: a process-global map from metric name to
-    /// atomic storage. Gauges store `f64` bits in an `AtomicU64` and
-    /// update via CAS so concurrent `gauge_add` never loses increments.
-    #[derive(Default)]
-    pub struct Registry {
-        counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
-        gauges: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
-        histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
-        labeled_counters: RwLock<BTreeMap<(&'static str, &'static str), Arc<AtomicU64>>>,
+    fn observe(&self, v: u64) {
+        let idx = BUCKET_BOUNDS_NS
+            .iter()
+            .position(|&b| v <= b)
+            .unwrap_or(BUCKET_BOUNDS_NS.len());
+        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    impl Registry {
-        pub fn new() -> Self {
-            Self::default()
+    fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            bounds: BUCKET_BOUNDS_NS.to_vec(),
+            counts: self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            sum: self.sum.load(Ordering::Relaxed),
+            count: self.count.load(Ordering::Relaxed),
         }
-
-        fn counter(&self, name: &'static str) -> Arc<AtomicU64> {
-            if let Some(c) = self.counters.read().unwrap().get(name) {
-                return Arc::clone(c);
-            }
-            Arc::clone(self.counters.write().unwrap().entry(name).or_default())
-        }
-
-        fn gauge(&self, name: &'static str) -> Arc<AtomicU64> {
-            if let Some(g) = self.gauges.read().unwrap().get(name) {
-                return Arc::clone(g);
-            }
-            Arc::clone(self.gauges.write().unwrap().entry(name).or_default())
-        }
-
-        fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-            if let Some(h) = self.histograms.read().unwrap().get(name) {
-                return Arc::clone(h);
-            }
-            Arc::clone(
-                self.histograms
-                    .write()
-                    .unwrap()
-                    .entry(name)
-                    .or_insert_with(|| Arc::new(Histogram::new())),
-            )
-        }
-
-        fn labeled_counter(&self, name: &'static str, label: &'static str) -> Arc<AtomicU64> {
-            if let Some(c) = self.labeled_counters.read().unwrap().get(&(name, label)) {
-                return Arc::clone(c);
-            }
-            Arc::clone(self.labeled_counters.write().unwrap().entry((name, label)).or_default())
-        }
-
-    }
-
-    impl Recorder for Registry {
-        fn counter_add(&self, name: &'static str, v: u64) {
-            self.counter(name).fetch_add(v, Ordering::Relaxed);
-        }
-
-        fn gauge_set(&self, name: &'static str, v: f64) {
-            self.gauge(name).store(v.to_bits(), Ordering::Relaxed);
-        }
-
-        fn gauge_add(&self, name: &'static str, v: f64) {
-            let g = self.gauge(name);
-            let mut cur = g.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + v).to_bits();
-                match g.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => return,
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-
-        fn observe_ns(&self, name: &'static str, nanos: u64) {
-            self.histogram(name).observe(nanos);
-        }
-
-        fn counter_add_labeled(&self, name: &'static str, label: &'static str, v: u64) {
-            self.labeled_counter(name, label).fetch_add(v, Ordering::Relaxed);
-        }
-
-        fn snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot {
-                counters: self
-                    .counters
-                    .read()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
-                    .collect(),
-                gauges: self
-                    .gauges
-                    .read()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), f64::from_bits(v.load(Ordering::Relaxed))))
-                    .collect(),
-                histograms: self
-                    .histograms
-                    .read()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.snapshot()))
-                    .collect(),
-                labeled_counters: {
-                    let mut out: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
-                    for ((name, label), v) in self.labeled_counters.read().unwrap().iter() {
-                        out.entry(name.to_string())
-                            .or_default()
-                            .insert(label.to_string(), v.load(Ordering::Relaxed));
-                    }
-                    out
-                },
-                // Drift accounting lives outside the recorder (it is keyed
-                // by dynamic table/view names); the free `snapshot()`
-                // function merges it in.
-                txn_mix: BTreeMap::new(),
-                view_cost_ewma: BTreeMap::new(),
-            }
-        }
-    }
-
-    static RECORDER: OnceLock<Box<dyn Recorder>> = OnceLock::new();
-
-    /// Install a custom recorder. Fails (returning it back) if any event
-    /// or snapshot already forced the default registry into place.
-    pub fn set_recorder(r: Box<dyn Recorder>) -> Result<(), Box<dyn Recorder>> {
-        RECORDER.set(r)
-    }
-
-    pub(super) fn recorder() -> &'static dyn Recorder {
-        RECORDER.get_or_init(|| Box::new(Registry::new())).as_ref()
     }
 }
 
-#[cfg(feature = "metrics")]
-pub use imp::{set_recorder, Registry};
+/// A map from metric name to atomic storage. Gauges store `f64` bits in
+/// an `AtomicU64` and update via CAS so concurrent `gauge_add` never loses
+/// increments. Always compiled; only `metrics` builds record into the
+/// process-global one behind the free functions.
+#[derive(Default)]
+pub struct Registry {
+    counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
+    gauges: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
+    histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
+    labeled_counters: RwLock<BTreeMap<(&'static str, &'static str), Arc<AtomicU64>>>,
+}
+
+impl Registry {
+    pub const fn new() -> Self {
+        Registry {
+            counters: RwLock::new(BTreeMap::new()),
+            gauges: RwLock::new(BTreeMap::new()),
+            histograms: RwLock::new(BTreeMap::new()),
+            labeled_counters: RwLock::new(BTreeMap::new()),
+        }
+    }
+
+    fn counter(&self, name: &'static str) -> Arc<AtomicU64> {
+        if let Some(c) = self.counters.read().unwrap().get(name) {
+            return Arc::clone(c);
+        }
+        Arc::clone(self.counters.write().unwrap().entry(name).or_default())
+    }
+
+    fn gauge(&self, name: &'static str) -> Arc<AtomicU64> {
+        if let Some(g) = self.gauges.read().unwrap().get(name) {
+            return Arc::clone(g);
+        }
+        Arc::clone(self.gauges.write().unwrap().entry(name).or_default())
+    }
+
+    fn histogram(&self, name: &'static str) -> Arc<Histogram> {
+        if let Some(h) = self.histograms.read().unwrap().get(name) {
+            return Arc::clone(h);
+        }
+        Arc::clone(
+            self.histograms
+                .write()
+                .unwrap()
+                .entry(name)
+                .or_insert_with(|| Arc::new(Histogram::new())),
+        )
+    }
+
+    fn labeled_counter(&self, name: &'static str, label: &'static str) -> Arc<AtomicU64> {
+        if let Some(c) = self.labeled_counters.read().unwrap().get(&(name, label)) {
+            return Arc::clone(c);
+        }
+        Arc::clone(self.labeled_counters.write().unwrap().entry((name, label)).or_default())
+    }
+
+    /// Add `v` to the monotone counter `name`.
+    pub fn counter_add(&self, name: &'static str, v: u64) {
+        self.counter(name).fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Set gauge `name` to `v`.
+    pub fn gauge_set(&self, name: &'static str, v: f64) {
+        self.gauge(name).store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Add `v` (possibly negative) to gauge `name`.
+    pub fn gauge_add(&self, name: &'static str, v: f64) {
+        let g = self.gauge(name);
+        let mut cur = g.load(Ordering::Relaxed);
+        loop {
+            let next = (f64::from_bits(cur) + v).to_bits();
+            match g.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// Record one observation of `nanos` in histogram `name`.
+    pub fn observe_ns(&self, name: &'static str, nanos: u64) {
+        self.histogram(name).observe(nanos);
+    }
+
+    /// Add `v` to the `label` series of the labeled counter `name`.
+    ///
+    /// `label` is a full `key="value"` pair (see `names::LABEL_OUTCOME_COMMITTED`
+    /// and friends) with fixed small cardinality, so series key on the
+    /// `(name, label)` pointer pair with zero allocation.
+    pub fn counter_add_labeled(&self, name: &'static str, label: &'static str, v: u64) {
+        self.labeled_counter(name, label).fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Materialize a point-in-time snapshot of every series.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self
+                .counters
+                .read()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
+                .collect(),
+            gauges: self
+                .gauges
+                .read()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.to_string(), f64::from_bits(v.load(Ordering::Relaxed))))
+                .collect(),
+            histograms: self
+                .histograms
+                .read()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.snapshot()))
+                .collect(),
+            labeled_counters: {
+                let mut out: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
+                for ((name, label), v) in self.labeled_counters.read().unwrap().iter() {
+                    out.entry(name.to_string())
+                        .or_default()
+                        .insert(label.to_string(), v.load(Ordering::Relaxed));
+                }
+                out
+            },
+            // Drift accounting lives outside the registry (it is keyed by
+            // dynamic table/view names); the free `snapshot()` function
+            // merges it in.
+            txn_mix: BTreeMap::new(),
+            view_cost_ewma: BTreeMap::new(),
+        }
+    }
+}
 
 #[cfg(feature = "metrics")]
 mod api {
     use super::*;
     use std::time::Instant;
 
+    /// The process-wide registry every free function records into.
+    static REGISTRY: Registry = Registry::new();
+
     /// Add `v` to counter `name`.
     #[inline]
     pub fn counter_add(name: &'static str, v: u64) {
-        imp::recorder().counter_add(name, v);
+        REGISTRY.counter_add(name, v);
     }
 
     /// Set gauge `name` to `v`.
     #[inline]
     pub fn gauge_set(name: &'static str, v: f64) {
-        imp::recorder().gauge_set(name, v);
+        REGISTRY.gauge_set(name, v);
     }
 
     /// Add `v` (possibly negative) to gauge `name`.
     #[inline]
     pub fn gauge_add(name: &'static str, v: f64) {
-        imp::recorder().gauge_add(name, v);
+        REGISTRY.gauge_add(name, v);
     }
 
     /// Record one `nanos` observation in histogram `name`.
     #[inline]
     pub fn observe_ns(name: &'static str, nanos: u64) {
-        imp::recorder().observe_ns(name, nanos);
+        REGISTRY.observe_ns(name, nanos);
     }
 
     /// Add `v` to the `label` series of the labeled counter `name`.
     #[inline]
     pub fn counter_add_labeled(name: &'static str, label: &'static str, v: u64) {
-        imp::recorder().counter_add_labeled(name, label, v);
+        REGISTRY.counter_add_labeled(name, label, v);
     }
 
-    /// Snapshot every series of the active recorder, with the workload
-    /// drift accounting (`txn_mix`, `view_cost_ewma`) merged in.
+    /// Snapshot every series of the registry, with the workload drift
+    /// accounting (`txn_mix`, `view_cost_ewma`) merged in.
     pub fn snapshot() -> MetricsSnapshot {
-        let mut s = imp::recorder().snapshot();
+        let mut s = REGISTRY.snapshot();
         s.txn_mix = crate::drift::txn_mix();
         s.view_cost_ewma = crate::drift::view_cost_ewma();
         s
@@ -677,10 +631,8 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_snapshot_is_empty() {
-        let r = NoopRecorder;
-        r.counter_add("x", 1);
-        assert!(r.snapshot().is_empty());
+    fn a_fresh_registry_snapshots_empty() {
+        assert!(Registry::new().snapshot().is_empty());
     }
 
     #[cfg(not(feature = "metrics"))]

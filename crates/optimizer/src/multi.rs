@@ -16,13 +16,11 @@
 //! generalize for free because [`crate::tracks::enumerate_tracks`] already
 //! seeds from *every* marked affected node.
 
-use std::collections::BTreeSet;
-
 use spacetime_cost::{CostCtx, CostModel, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_storage::Catalog;
 
-use crate::candidates::{candidate_groups, ViewSet};
+use crate::candidates::{candidate_groups, enumerate_view_sets, ViewSet};
 use crate::evaluate::{evaluate_with_catalog, EvalConfig, ViewSetEvaluation};
 use crate::exhaustive::OptimizeOutcome;
 use crate::search::search_view_sets;
@@ -48,7 +46,8 @@ pub fn evaluate_multi(
 
 /// Exhaustive `OptimalViewSet` over a multi-rooted DAG: every root is
 /// always marked; candidates are the union of non-root, non-leaf
-/// descendants. `max_extra` caps additional views per set.
+/// descendants. `max_extra` caps additional views per set. `roots` is
+/// non-empty.
 pub fn optimal_view_set_multi(
     memo: &Memo,
     catalog: &Catalog,
@@ -59,31 +58,18 @@ pub fn optimal_view_set_multi(
     max_extra: Option<usize>,
 ) -> OptimizeOutcome {
     let roots: Vec<GroupId> = roots.iter().map(|&r| memo.find(r)).collect();
-    let root_set: BTreeSet<GroupId> = roots.iter().copied().collect();
     let mut candidates: Vec<GroupId> = Vec::new();
     for &r in &roots {
         for g in candidate_groups(memo, r) {
-            if !root_set.contains(&g) && !candidates.contains(&g) {
+            if !roots.contains(&g) && !candidates.contains(&g) {
                 candidates.push(g);
             }
         }
     }
-    let n = candidates.len();
-    assert!(n < 63, "candidate space too large to enumerate");
-    let mut sets: Vec<ViewSet> = Vec::new();
-    for mask in 0u64..(1u64 << n) {
-        if let Some(cap) = max_extra {
-            if mask.count_ones() as usize > cap {
-                continue;
-            }
-        }
-        let mut set: ViewSet = root_set.clone();
-        for (i, &g) in candidates.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                set.insert(g);
-            }
-        }
-        sets.push(set);
+    // Only the capped sets, in ascending-mask order, each with every root.
+    let mut sets = enumerate_view_sets(roots[0], &candidates, max_extra);
+    for set in &mut sets {
+        set.extend(roots.iter().copied());
     }
     search_view_sets(memo, catalog, model, &roots, &sets, txns, config)
 }

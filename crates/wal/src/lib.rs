@@ -114,7 +114,10 @@ impl WalSession {
 
     /// Allocate a txn id and append its begin + delta records
     /// (buffered). The commit point is [`WalSession::commit`].
-    pub fn begin(&mut self, updates: &[(String, spacetime_delta::Delta)]) -> WalResult<u64> {
+    pub fn begin<T: AsRef<str>>(
+        &mut self,
+        updates: &[(T, spacetime_delta::Delta)],
+    ) -> WalResult<u64> {
         let txn_id = self.next_txn;
         self.next_txn += 1;
         let begin = Record::TxnBegin {
@@ -125,7 +128,7 @@ impl WalSession {
         for (table, delta) in updates {
             self.writer.append(&Record::Delta {
                 txn_id,
-                table: table.clone(),
+                table: table.as_ref().to_string(),
                 delta: delta.clone(),
             })?;
         }

@@ -1,7 +1,8 @@
 //! `EXPLAIN ANALYZE` for delta propagation: enable tracing, push one
 //! update through the wide ten-view pipeline scenario, and print the
 //! recorded span tree — which track each engine chose, the queries posed
-//! at every operator (index vs. scan), per-level delta sizes, and what
+//! at every operator (index vs. scan), per-operator delta sizes (a fused
+//! `Select`/`Project` chain is one span with its stage count), and what
 //! the commit applied where.
 //!
 //! ```text

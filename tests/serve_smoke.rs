@@ -1,6 +1,6 @@
 //! Tier-1 smoke test of the serving path.
 //!
-//! This puts `Database::run`, the transaction scope and the abort path
+//! This puts `Database::run`, the transaction door and the abort path
 //! under the root package's tests. The paper database is served a short
 //! stream that holds one of each thing the path can do: commits, a
 //! two-update transfer of budget between departments, a violation the
