@@ -51,11 +51,13 @@ impl Drop for ChildGuard {
     }
 }
 
-/// Spawn the victim, let it ack `acked` transactions, hand it one more,
+/// Spawn the victim, checkpointing after every `checkpoint_every`th
+/// commit if given, let it ack `acked` transactions, hand it one more,
 /// and SIGKILL it without waiting for the ack.
-fn run_victim(dir: &Path, acked: usize) {
+fn run_victim(dir: &Path, acked: usize, checkpoint_every: Option<usize>) {
     let child = Command::new(env!("CARGO_BIN_EXE_crash_child"))
         .arg(dir)
+        .args(checkpoint_every.map(|n| n.to_string()))
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -84,9 +86,22 @@ fn run_victim(dir: &Path, acked: usize) {
 
 #[test]
 fn sigkill_mid_commit_recovers_an_acked_prefix() {
+    sigkill_recovers_an_acked_prefix(None);
+}
+
+/// The victim checkpoints after every commit, before its ack, so the kill
+/// can land while a checkpoint seals the log or while its install runs on
+/// the writer thread: the recovered state is still the acked prefix or
+/// one more.
+#[test]
+fn sigkill_mid_checkpoint_install_recovers_an_acked_prefix() {
+    sigkill_recovers_an_acked_prefix(Some(1));
+}
+
+fn sigkill_recovers_an_acked_prefix(checkpoint_every: Option<usize>) {
     for acked in [0usize, 3, 7] {
         let dir = test_dir(&format!("crash_kill_{acked}"));
-        run_victim(&dir, acked);
+        run_victim(&dir, acked, checkpoint_every);
 
         let (dur, stats) =
             Database::open(&dir, DurabilityOptions::default()).expect("recovery after SIGKILL");

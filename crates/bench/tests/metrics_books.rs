@@ -10,7 +10,8 @@
 //!   returned, and the queue-depth gauge drained to zero;
 //! * the WAL record families = what a durable run logged (one `begin` per
 //!   transaction, one `delta` per update, one `commit` per committed
-//!   transaction, one checkpoint marker), and the recovery counter and
+//!   transaction, one checkpoint marker per checkpoint), the installed
+//!   checkpoints = the checkpoints taken, and the recovery counter and
 //!   gauges = the `RecoveryStats` of reopening it.
 //!
 //! The registry is process-global and the books are equalities, so this
@@ -74,8 +75,9 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     let before_wal = spacetime_obs::snapshot();
     let mut dur = template.clone();
     dur.make_durable(&dir, DurabilityOptions::default()).expect("make durable");
+    dur.checkpoint().expect("checkpoint");
     let logged = serve(&mut dur);
-    drop(dur); // crash-stop: no final checkpoint
+    drop(dur); // crash-stop: no final checkpoint; waits for the install
     let total = |f: fn(&SchedStats) -> u64| runs.iter().map(f).sum::<u64>();
     // The fields only the frozen benchmark reads are constants of the one
     // loop: three non-empty runs, one transaction at a time, one database.
@@ -117,11 +119,15 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
         (metric::LABEL_WAL_BEGIN, logged.txns),
         (metric::LABEL_WAL_DELTA, updates),
         (metric::LABEL_WAL_COMMIT, logged.committed),
-        (metric::LABEL_WAL_CHECKPOINT, 1),
+        (metric::LABEL_WAL_CHECKPOINT, 2),
     ] {
         let at = |s: &MetricsSnapshot| s.labeled_counter(metric::WAL_RECORDS, kind);
         assert_eq!(at(&snap) - at(&before_wal), want, "WAL records of {kind}");
     }
+    // `make_durable` installs the initial checkpoint, the writer thread
+    // the one `checkpoint` took.
+    let installs = |s: &MetricsSnapshot| s.counter(metric::WAL_CHECKPOINTS);
+    assert_eq!(installs(&snap) - installs(&before_wal), 2, "installed checkpoints");
     // A crash-stopped session never hands its uncheckpointed commits back.
     let age = |s: &MetricsSnapshot| s.gauge(metric::WAL_CHECKPOINT_AGE_TXNS);
     assert_eq!(

@@ -613,3 +613,76 @@ fn durable_wal_append_fault_fails_its_transaction_alone() {
         }
     }
 }
+
+/// A checkpoint install that fails on the writer thread — an injected
+/// error or panic at `wal::checkpoint`, after the body is streamed and
+/// before the rename — leaves the old checkpoint and the sealed log
+/// segment in place, and reaches the serving thread as a typed error,
+/// never as an unwind: from `finish_checkpoint` (the error) or from the
+/// next `checkpoint` (the panic). While the sealed segment is left, the
+/// log is not sealed again, so a second failed install loses nothing
+/// either. Reopening the directory recovers the control, and a later
+/// checkpoint installs and deletes the sealed segment.
+#[test]
+fn checkpoint_writer_fault_keeps_the_old_checkpoint_and_the_sealed_segment() {
+    use spacetime_ivm::DurabilityOptions;
+    quiet_injected_panics();
+    let _serial = fault::serial_guard();
+    let template = template();
+    let txns: Vec<Txn> = passing_txns(&template, 6).into_iter().map(|u| vec![u]).collect();
+    let control = |n: usize| {
+        let mut db = template.clone();
+        db.run(&txns[..n]);
+        contents(&db)
+    };
+    let serve = |db: &mut Database, txns: &[Txn]| {
+        assert!(db.run(txns).results.iter().all(Result::is_ok), "a passing transaction failed");
+    };
+    let open = |dir: &std::path::Path| Database::open(dir, DurabilityOptions::default()).unwrap();
+    for action in [FaultAction::Error, FaultAction::Panic] {
+        let dir = spacetime_wal::test_dir("ckpt_writer_fault");
+        let sealed = dir.join("global.log.sealed");
+        let ckpt = dir.join("shard-000/checkpoint.ckpt");
+        let mut dur = template.clone();
+        dur.make_durable(&dir, DurabilityOptions::default()).unwrap();
+        let initial = std::fs::read(&ckpt).unwrap();
+        serve(&mut dur, &txns[..2]);
+        let guard = fault::install(match action {
+            FaultAction::Error => FaultPlan::new().error_at("wal::checkpoint", 1),
+            FaultAction::Panic => FaultPlan::new().panic_at("wal::checkpoint", 1),
+        });
+        dur.checkpoint().unwrap();
+        serve(&mut dur, &txns[2..4]);
+        let err = match action {
+            FaultAction::Error => dur.finish_checkpoint(),
+            FaultAction::Panic => dur.checkpoint(),
+        }
+        .expect_err("the failed install must come back as an error");
+        assert!(guard.fired("wal::checkpoint"), "{action:?}: the fault never fired");
+        drop(guard);
+        assert!(err.to_string().contains("injected"), "{action:?}: {err}");
+        assert_eq!(std::fs::read(&ckpt).unwrap(), initial, "{action:?}: the old checkpoint");
+        assert!(sealed.exists(), "{action:?}: the sealed segment is gone");
+        assert_eq!(contents(&dur), control(4), "{action:?}: database vs control");
+        serve(&mut dur, &txns[4..5]);
+        let guard = fault::install(FaultPlan::new().error_at("wal::checkpoint", 1));
+        dur.checkpoint().unwrap();
+        assert!(dur.finish_checkpoint().is_err(), "{action:?}: the second install");
+        drop(guard);
+        assert!(sealed.exists(), "{action:?}: the sealed segment is gone");
+        drop(dur);
+
+        let (mut rec, stats) = open(&dir);
+        assert_eq!((stats.checkpoint_last_txn, stats.replayed_txns), (0, 5), "{action:?}");
+        assert_eq!(contents(&rec), control(5), "{action:?}: recovery vs control");
+        serve(&mut rec, &txns[5..]);
+        rec.checkpoint().unwrap();
+        rec.finish_checkpoint().unwrap();
+        assert!(!sealed.exists(), "{action:?}: the install left the sealed segment");
+        drop(rec);
+        let (rec, stats) = open(&dir);
+        assert_eq!((stats.checkpoint_last_txn, stats.replayed_txns), (6, 0), "{action:?}");
+        assert_eq!(contents(&rec), control(6), "{action:?}: second recovery vs control");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

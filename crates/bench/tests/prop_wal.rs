@@ -7,7 +7,9 @@
 //!    and *crash* by mutilating the one log at a deterministic frame
 //!    boundary (`spacetime_wal::crash`) — torn final record, corrupted
 //!    CRC, truncated segment, or a transaction's dropped commit record —
-//!    or by stopping between a checkpoint and the log's truncation;
+//!    by stopping between a checkpoint and the log's truncation, or by
+//!    leaving a background checkpoint's install half done (the sealed
+//!    segment beside the live log, before or after the rename);
 //! 2. recover with `Database::open`;
 //! 3. assert the recovered state is **bit-identical** (every table) to a
 //!    fresh control database fed exactly the transactions the mutilated
@@ -537,5 +539,140 @@ fn wal_any_view_set_serves_durably() {
         .data()
         .clone();
     assert_eq!(payroll.len(), 1, "one payroll row: {payroll:?}");
+    cleanup(&dir);
+}
+
+/// The log as a checkpoint seals it: renamed to this name until the
+/// checkpoint's install, on the writer thread, supersedes it.
+const SEALED: &str = "global.log.sealed";
+
+/// Transactions committed after `checkpoint()` returns, while its install
+/// may still be running on the writer thread, go to the fresh log and
+/// replay exactly; the checkpoint covers the transactions of its snapshot.
+#[test]
+fn wal_commits_during_a_background_install_replay_exactly() {
+    let dir = test_dir("ckpt_during_install");
+    let template = build_db(4, 3, PropagationMode::Fused);
+    let txns = workload(4, 3, 23);
+    let half = txns.len() / 2;
+    let mut dur = create(&template, &dir);
+    run(&mut dur, &txns[..half]);
+    dur.checkpoint().unwrap();
+    let during = run(&mut dur, &txns[half..]);
+    dur.finish_checkpoint().unwrap();
+    assert!(!dir.join(SEALED).exists(), "the install deletes the sealed segment");
+    drop(dur);
+    let (rec, stats) = open(&dir);
+    assert_eq!(stats.checkpoint_last_txn, half as u64, "the snapshot's last transaction");
+    assert_eq!(stats.replayed_txns, during, "exactly the commits after the snapshot");
+    let (control, _) = control(&template, &txns);
+    assert_db_eq(&rec, &control, "commits during the install");
+    cleanup(&dir);
+}
+
+/// Serve half of `txns`, checkpoint, serve the rest, and then leave the
+/// directory as a crash during that checkpoint's install would: the log
+/// as it was sealed is put back as the sealed segment, and — for a crash
+/// before the install's rename — the previous checkpoint is put back too.
+fn crash_mid_install(template: &Database, dir: &Path, txns: &[Txn], before_rename: bool) {
+    let ckpt = dir.join("shard-000/checkpoint.ckpt");
+    let mut dur = create(template, dir);
+    run(&mut dur, &txns[..txns.len() / 2]);
+    let old_ckpt = std::fs::read(&ckpt).unwrap();
+    let old_log = std::fs::read(dir.join("global.log")).unwrap();
+    dur.checkpoint().unwrap();
+    run(&mut dur, &txns[txns.len() / 2..]);
+    drop(dur);
+    std::fs::write(dir.join(SEALED), old_log).unwrap();
+    if before_rename {
+        std::fs::write(&ckpt, old_ckpt).unwrap();
+    }
+}
+
+/// A crash while a checkpoint installs leaves the sealed segment beside
+/// the live log, before or after the new checkpoint's rename. Recovery
+/// replays the sealed segment, then the live log — whose tail may be
+/// torn — skipping what the checkpoint on disk covers. The next
+/// checkpoint does not seal again: its install deletes the sealed segment.
+#[test]
+fn wal_crash_mid_install_recovers_from_the_sealed_segment() {
+    for before_rename in [true, false] {
+        for torn in [false, true] {
+            let dir = test_dir("crash_mid_install");
+            let ctx = format!("before rename {before_rename}, torn tail {torn}");
+            let template = build_db(4, 3, PropagationMode::Fused);
+            let txns = workload(4, 3, 23);
+            crash_mid_install(&template, &dir, &txns, before_rename);
+            if torn {
+                Site::TornTail.mutilate(&dir.join("global.log"));
+            }
+            let keep = txns.len() - usize::from(torn);
+
+            let (mut rec, stats) = open(&dir);
+            let covered = if before_rename { 0 } else { txns.len() as u64 / 2 };
+            assert_eq!(stats.checkpoint_last_txn, covered, "{ctx}");
+            let (prefix, committed) = control(&template, &txns[..keep]);
+            let (_, in_checkpoint) = control(&template, &txns[..covered as usize]);
+            assert_eq!(stats.replayed_txns, committed - in_checkpoint, "{ctx}");
+            assert_db_eq(&rec, &prefix, &format!("recovery == control ({ctx})"));
+
+            run(&mut rec, &txns[keep..]);
+            rec.checkpoint().unwrap();
+            rec.finish_checkpoint().unwrap();
+            assert!(!dir.join(SEALED).exists(), "the install left the sealed segment ({ctx})");
+            drop(rec);
+            let (rec, stats) = open(&dir);
+            assert_eq!(stats.replayed_txns, 0, "{ctx}");
+            let (full, _) = control(&template, &txns);
+            assert_db_eq(&rec, &full, &format!("after the next checkpoint ({ctx})"));
+            cleanup(&dir);
+        }
+    }
+}
+
+/// The sealed segment was complete when it was sealed, so unlike the
+/// live log's tail, a corrupt or torn frame in it is corruption: `open`
+/// fails with a typed error rather than recovering a shortened history.
+#[test]
+fn wal_corrupt_sealed_segment_fails_open() {
+    for site in [Site::CorruptLast, Site::TornTail] {
+        let dir = test_dir("corrupt_sealed");
+        let template = build_db(4, 3, PropagationMode::Fused);
+        crash_mid_install(&template, &dir, &workload(4, 3, 23), true);
+        site.mutilate(&dir.join(SEALED));
+        let err = Database::open(&dir, DurabilityOptions::default())
+            .err()
+            .expect("a damaged sealed segment must not open");
+        assert!(
+            matches!(&err, spacetime_ivm::IvmError::Internal(m) if m.contains("corrupt wal data")),
+            "{site:?}: {err}"
+        );
+        cleanup(&dir);
+    }
+}
+
+/// A crash mid-install can leave the temporary checkpoint file behind; it
+/// is never read, and the next install overwrites it.
+#[test]
+fn wal_leftover_checkpoint_tmp_is_ignored() {
+    let dir = test_dir("leftover_tmp");
+    let template = build_db(4, 3, PropagationMode::Fused);
+    let txns = workload(4, 3, 23);
+    let mut dur = create(&template, &dir);
+    let committed = run(&mut dur, &txns);
+    drop(dur);
+    let tmp = dir.join("shard-000/checkpoint.tmp");
+    std::fs::write(&tmp, b"STWALCK1 torn by a crash").unwrap();
+    let (mut rec, stats) = open(&dir);
+    assert_eq!(stats.replayed_txns, committed);
+    let (control, _) = control(&template, &txns);
+    assert_db_eq(&rec, &control, "recovery beside a leftover checkpoint.tmp");
+    rec.checkpoint().unwrap();
+    rec.finish_checkpoint().unwrap();
+    assert!(!tmp.exists(), "the install renames its temporary file away");
+    drop(rec);
+    let (rec, stats) = open(&dir);
+    assert_eq!(stats.replayed_txns, 0);
+    assert_db_eq(&rec, &control, "after the next checkpoint");
     cleanup(&dir);
 }

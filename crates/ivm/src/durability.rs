@@ -17,16 +17,20 @@
 //!   the log does not prove committed. A clone of a durable database is
 //!   an in-memory copy that never writes the original's log.
 //! * On disk a durable directory is `META` (its presence is what makes
-//!   the directory a database, so it is written last), the log and the
-//!   checkpoint. The two file names (`crate::shim`) are kept because the
+//!   the directory a database, so it is written last), the log, the
+//!   checkpoint and, while a checkpoint installs, the sealed log segment.
+//!   The log and checkpoint names (`crate::shim`) are kept because the
 //!   frozen benchmark harness sizes both files by path.
 //! * A checkpoint ([`Database::checkpoint`]) snapshots the whole catalog —
 //!   base relations *and* materializations — plus each engine's creation
-//!   trees. Recovery restores the snapshot, replays the creation trees
-//!   through `Memo::insert_tree` + `explore` (deterministic, so the memo
-//!   is bit-identical and no group id is ever trusted from disk), re-pins
-//!   the restored materialization tables, and then replays the log's
-//!   committed transactions the checkpoint does not cover through
+//!   trees, on the serving thread in O(tables), and seals the log. One
+//!   writer thread sorts, streams, fsyncs and installs the snapshot, and
+//!   only then deletes the sealed segment. Recovery restores the
+//!   checkpoint, replays the creation trees through `Memo::insert_tree` +
+//!   `explore` (deterministic, so the memo is bit-identical and no group
+//!   id is ever trusted from disk), re-pins the restored materialization
+//!   tables, and then replays the committed transactions the checkpoint
+//!   does not cover — the sealed segment's, then the live log's — through
 //!   [`Database::apply_transaction`].
 //!
 //! Recovery is proven bit-identical by `prop_wal.rs`: every crash site ×
@@ -35,6 +39,8 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use spacetime_delta::Delta;
 use spacetime_obs::{self as obs, names as metric};
@@ -57,6 +63,9 @@ use crate::{IvmError, IvmResult};
 pub use crate::shim::durable::*;
 
 const META_FILE: &str = "META";
+/// The sealed log segment: the log as it stood when the last checkpoint
+/// was taken, kept until that checkpoint is installed.
+const SEALED_FILE: &str = "global.log.sealed";
 /// `STWALMET` was the per-shard-log layout and `STWALME2` the sharded
 /// one-log layout; a directory written with either fails `open` with
 /// [`IvmError::Unsupported`].
@@ -121,30 +130,53 @@ fn check_exec_mode_tag(b: u8) -> IvmResult<()> {
     }
 }
 
-/// Snapshot `db` into a checkpoint document covering txns `<= last_txn`.
+/// What a checkpoint freezes on the serving thread: each table's metadata
+/// and rows, each engine's recipe, the assertions and the mode. Nothing
+/// here is sorted or encoded — the writer thread does that
+/// ([`Snapshot::into_doc`]).
+///
+/// A table's rows are a clone of its [`Bag`], one `Arc` bump per shard, so
+/// a write while the snapshot is alive copies only the row shard it lands
+/// in. The snapshot shares nothing else with the live catalog: sharing
+/// the whole table (a `Catalog::clone`) would also share its indexes, and
+/// the first write to an index shard would copy every bucket in it.
+struct Snapshot {
+    last_txn: u64,
+    /// Every table's dump with its rows still to sort, beside its rows.
+    tables: Vec<(TableDump, Bag)>,
+    engines: Vec<EngineDump>,
+    assertions: Vec<(String, String)>,
+    propagation_mode: u8,
+}
+
+/// Snapshot `db` as a checkpoint covering txns `<= last_txn`.
 ///
 /// Every engine must carry its creation recipe (engines built through
 /// [`Database::create_materialized_view`] / `create_view_group` do);
 /// directly-constructed engines cannot be made durable.
-fn build_checkpoint_doc(db: &Database, last_txn: u64) -> IvmResult<CheckpointDoc> {
-    let mut tables = Vec::new();
-    for (name, t) in db.catalog.iter() {
-        tables.push(TableDump {
-            name: name.to_string(),
-            is_base: t.is_base,
-            columns: t
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| (c.qualifier.clone(), c.name.clone(), c.dtype))
-                .collect(),
-            keys: t.keys.clone(),
-            index_defs: t.relation.index_defs(),
-            relation_tuples_per_page: t.relation.tuples_per_page(),
-            stats_tuples_per_page: t.stats.tuples_per_page,
-            rows: t.relation.data().sorted(),
-        });
-    }
+fn snapshot(db: &Database, last_txn: u64) -> IvmResult<Snapshot> {
+    let tables = db
+        .catalog
+        .iter()
+        .map(|(name, t)| {
+            let dump = TableDump {
+                name: name.to_string(),
+                is_base: t.is_base,
+                columns: t
+                    .schema()
+                    .columns()
+                    .iter()
+                    .map(|c| (c.qualifier.clone(), c.name.clone(), c.dtype))
+                    .collect(),
+                keys: t.keys.clone(),
+                index_defs: t.relation.index_defs(),
+                relation_tuples_per_page: t.relation.tuples_per_page(),
+                stats_tuples_per_page: t.stats.tuples_per_page,
+                rows: Vec::new(),
+            };
+            (dump, t.relation.data().clone())
+        })
+        .collect();
     let mut engines = Vec::new();
     for e in db.engines() {
         if e.creation.is_empty() {
@@ -163,18 +195,58 @@ fn build_checkpoint_doc(db: &Database, last_txn: u64) -> IvmResult<CheckpointDoc
                 .collect(),
         });
     }
-    Ok(CheckpointDoc {
+    Ok(Snapshot {
         last_txn,
-        propagation_mode: prop_mode_to_u8(db.propagation_mode()),
-        execution_mode: 0,
         tables,
+        engines,
         assertions: db
             .assertions()
             .iter()
             .map(|a| (a.name.clone(), a.view.clone()))
             .collect(),
-        engines,
+        propagation_mode: prop_mode_to_u8(db.propagation_mode()),
     })
+}
+
+impl Snapshot {
+    /// The checkpoint document, every table's rows in `Bag::sorted` order.
+    fn into_doc(self) -> CheckpointDoc {
+        let tables = self
+            .tables
+            .into_iter()
+            .map(|(dump, rows)| TableDump {
+                rows: rows.sorted(),
+                ..dump
+            })
+            .collect();
+        CheckpointDoc {
+            last_txn: self.last_txn,
+            propagation_mode: self.propagation_mode,
+            execution_mode: 0,
+            tables,
+            assertions: self.assertions,
+            engines: self.engines,
+        }
+    }
+}
+
+/// Install a snapshot as the checkpoint of `dir`: sort and stream it into
+/// the checkpoint file (fsync, rename, directory fsync), and only then
+/// delete the sealed log segment it supersedes. The one writer function:
+/// `make_durable` calls it inline, `checkpoint` on the writer thread.
+fn install(snap: Snapshot, dir: &Path) -> IvmResult<()> {
+    let t0 = Instant::now();
+    let last_txn = snap.last_txn;
+    write_checkpoint(&dir.join(CHECKPOINT_FILE), &snap.into_doc()).map_err(wal_err)?;
+    match std::fs::remove_file(dir.join(SEALED_FILE)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(io_err(e)),
+        _ => {}
+    }
+    obs::flight::record("checkpoint_installed", || {
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        format!("{}: last_txn {last_txn} in {ms:.1} ms", dir.display())
+    });
+    Ok(())
 }
 
 /// Rebuild one engine from its dump against the restored catalog.
@@ -274,10 +346,15 @@ struct ReplaySummary {
 
 /// Replay the log's committed transactions through
 /// [`Database::apply_transaction`], in log order — the original apply
-/// order. A transaction the checkpoint covers (`id <= last_txn`) is
-/// skipped: a crash between installing a checkpoint and truncating the
-/// log leaves it in both.
-fn replay_log(db: &mut Database, records: &[Record], last_txn: u64) -> IvmResult<ReplaySummary> {
+/// order, the sealed segment before the live log. A transaction the
+/// checkpoint covers (`id <= last_txn`) is skipped: a crash between
+/// installing a checkpoint and deleting the sealed segment leaves it in
+/// both.
+fn replay_log<'r>(
+    db: &mut Database,
+    records: impl IntoIterator<Item = &'r Record>,
+    last_txn: u64,
+) -> IvmResult<ReplaySummary> {
     let mut open: BTreeMap<u64, Txn> = BTreeMap::new();
     let mut sum = ReplaySummary::default();
     for rec in records {
@@ -320,6 +397,35 @@ pub(crate) struct Log(Option<Box<Durable>>);
 struct Durable {
     wal: WalSession,
     dir: PathBuf,
+    /// The checkpoint install running on the writer thread, if any.
+    install: Option<JoinHandle<IvmResult<()>>>,
+}
+
+impl Durable {
+    /// Wait for the in-flight install, if any, and return its result. A
+    /// panic on the writer thread comes back as an error, never as an
+    /// unwind.
+    fn finish(&mut self) -> IvmResult<()> {
+        let Some(handle) = self.install.take() else {
+            return Ok(());
+        };
+        let result = handle.join().unwrap_or_else(|payload| {
+            let message = crate::sched::panic_message(payload.as_ref());
+            Err(IvmError::Internal(format!("checkpoint writer panicked: {message}")))
+        });
+        if let Err(e) = &result {
+            obs::flight::record("checkpoint_failed", || e.to_string());
+        }
+        result
+    }
+}
+
+/// Dropping a durable database waits for its checkpoint install; a
+/// failure there is left to the flight recorder.
+impl Drop for Durable {
+    fn drop(&mut self) {
+        let _ = self.finish();
+    }
 }
 
 impl Clone for Log {
@@ -329,6 +435,14 @@ impl Clone for Log {
 }
 
 impl Log {
+    fn durable(wal: WalSession, dir: &Path) -> Log {
+        Log(Some(Box::new(Durable {
+            wal,
+            dir: dir.to_path_buf(),
+            install: None,
+        })))
+    }
+
     pub(crate) fn is_on(&self) -> bool {
         self.0.is_some()
     }
@@ -370,13 +484,13 @@ fn check_meta(dir: &Path) -> IvmResult<()> {
 }
 
 impl Database {
-    /// Make this database durable in `dir`: the initial checkpoint, the
-    /// log holding only a checkpoint marker, and `META` last, by rename.
-    /// `META` is the commit point of creation, so a call that failed
-    /// part-way leaves a directory the next call overwrites file by file
-    /// instead of refusing. Errors if `dir` already holds a durable
-    /// database (use [`Database::open`]) or this one is already durable;
-    /// on error the database stays in memory.
+    /// Make this database durable in `dir`: the initial checkpoint
+    /// (written inline), the log holding only a checkpoint marker, and
+    /// `META` last, by rename. `META` is the commit point of creation, so
+    /// a call that failed part-way leaves a directory the next call
+    /// overwrites file by file instead of refusing. Errors if `dir`
+    /// already holds a durable database (use [`Database::open`]) or this
+    /// one is already durable; on error the database stays in memory.
     ///
     /// Schema and view changes made afterwards are durable from the next
     /// [`Database::checkpoint`] on.
@@ -392,20 +506,20 @@ impl Database {
         }
         let ckpt = dir.join(CHECKPOINT_FILE);
         std::fs::create_dir_all(ckpt.parent().unwrap_or(dir)).map_err(io_err)?;
-        write_checkpoint(&ckpt, &build_checkpoint_doc(self, 0)?).map_err(wal_err)?;
+        install(snapshot(self, 0)?, dir)?;
         let mut wal = WalSession::open(&dir.join(LOG_FILE), 0, 1, opts.sync).map_err(wal_err)?;
-        wal.after_checkpoint(0).map_err(wal_err)?;
+        wal.mark_checkpoint(0).map_err(wal_err)?;
         write_meta(dir)?;
-        self.log = Log(Some(Box::new(Durable {
-            wal,
-            dir: dir.to_path_buf(),
-        })));
+        self.log = Log::durable(wal, dir);
         Ok(())
     }
 
     /// Recover the durable database in `dir`: restore its checkpoint,
-    /// replay the committed transactions of the log's valid prefix that
-    /// the checkpoint does not cover, and reopen the log for appending.
+    /// replay the committed transactions it does not cover from the
+    /// sealed log segment, if one is left, and then from the live log's
+    /// valid prefix, and reopen the live log for appending. Only the live
+    /// log may end in a torn tail; a torn or corrupt sealed segment is an
+    /// error.
     pub fn open(dir: &Path, opts: DurabilityOptions) -> IvmResult<(Database, RecoveryStats)> {
         check_meta(dir)?;
         let ckpt = dir.join(CHECKPOINT_FILE);
@@ -413,9 +527,14 @@ impl Database {
             .map_err(wal_err)?
             .ok_or_else(|| IvmError::Internal(format!("no checkpoint at {}", ckpt.display())))?;
         let mut db = restore_database(&raw)?;
+        let sealed = scan_log(&dir.join(SEALED_FILE)).map_err(wal_err)?;
+        if let Some(why) = sealed.torn {
+            let why = format!("sealed log segment {SEALED_FILE}: {why}");
+            return Err(wal_err(WalError::Corrupt(why)));
+        }
         let log = dir.join(LOG_FILE);
         let scan = scan_log(&log).map_err(wal_err)?;
-        let sum = replay_log(&mut db, &scan.records, raw.last_txn)?;
+        let sum = replay_log(&mut db, sealed.records.iter().chain(&scan.records), raw.last_txn)?;
         let stats = RecoveryStats {
             checkpoint_last_txn: raw.last_txn,
             replayed_txns: sum.replayed,
@@ -424,10 +543,7 @@ impl Database {
         };
         let next_txn = sum.max_txn.max(raw.last_txn) + 1;
         let wal = WalSession::open(&log, scan.valid_len, next_txn, opts.sync).map_err(wal_err)?;
-        db.log = Log(Some(Box::new(Durable {
-            wal,
-            dir: dir.to_path_buf(),
-        })));
+        db.log = Log::durable(wal, dir);
         obs::gauge_set(metric::WAL_REPLAY_LAG_TXNS, stats.replayed_txns as f64);
         obs::flight::record("recovery", || {
             format!(
@@ -441,21 +557,45 @@ impl Database {
         Ok((db, stats))
     }
 
-    /// Checkpoint every committed transaction, then truncate the log down
-    /// to one checkpoint marker. A crash between the two is safe: recovery
-    /// skips what the new checkpoint covers. Errors on an in-memory
+    /// Checkpoint every committed transaction, off the serving thread.
+    /// This call waits for the previous install and returns its error if
+    /// it failed; otherwise it snapshots the database, seals the log — the
+    /// live log becomes the sealed segment and a fresh one starts with the
+    /// checkpoint marker — and starts the install on the writer thread
+    /// ([`Database::finish_checkpoint`] waits for it). While a sealed
+    /// segment from a failed install is left, the log is not sealed again:
+    /// the next install covers both segments. Errors on an in-memory
     /// database.
     pub fn checkpoint(&mut self) -> IvmResult<()> {
-        let Some(d) = &self.log.0 else {
+        let Some(d) = self.log.0.as_mut() else {
             return Err(IvmError::Unsupported(
                 "checkpoint of an in-memory database".into(),
             ));
         };
+        d.finish()?;
         let last_txn = d.wal.next_txn_id() - 1;
-        let path = d.dir.join(CHECKPOINT_FILE);
-        write_checkpoint(&path, &build_checkpoint_doc(self, last_txn)?).map_err(wal_err)?;
+        let snap = snapshot(self, last_txn)?;
         let d = self.log.0.as_mut().expect("checked durable above");
-        d.wal.after_checkpoint(last_txn).map_err(wal_err)
+        let sealed = d.dir.join(SEALED_FILE);
+        if !sealed.exists() {
+            d.wal.seal(&sealed, last_txn).map_err(wal_err)?;
+            obs::flight::record("checkpoint_sealed", || {
+                format!("{}: last_txn {last_txn}", d.dir.display())
+            });
+        }
+        let dir = d.dir.clone();
+        let writer = std::thread::Builder::new()
+            .name("checkpoint-writer".into())
+            .spawn(move || install(snap, &dir))
+            .map_err(io_err)?;
+        d.install = Some(writer);
+        Ok(())
+    }
+
+    /// Wait for the checkpoint install [`Database::checkpoint`] started,
+    /// if one is in flight, and return its result.
+    pub fn finish_checkpoint(&mut self) -> IvmResult<()> {
+        self.log.0.as_mut().map_or(Ok(()), |d| d.finish())
     }
 }
 
@@ -507,7 +647,7 @@ mod tests {
         drop(dur);
 
         let rewrite = |prop: u8, exec: u8| {
-            let mut doc = build_checkpoint_doc(&db, 0).unwrap();
+            let mut doc = snapshot(&db, 0).unwrap().into_doc();
             doc.propagation_mode = prop;
             doc.execution_mode = exec;
             write_checkpoint(&dir.join(CHECKPOINT_FILE), &doc).unwrap();
@@ -615,6 +755,28 @@ mod tests {
             obs::snapshot().counter(metric::WAL_RECOVERY_REPLAYED_TXNS) >= before + 3,
             "recovery must count the replayed tail"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint leaves its seal and its install on the flight
+    /// recorder, each naming the directory and the snapshot's last
+    /// transaction.
+    #[cfg(feature = "metrics")]
+    #[test]
+    fn checkpoint_seal_and_install_reach_the_flight_recorder() {
+        let dir = spacetime_wal::test_dir("durability_flight");
+        let mut dur = create(&one_column_db(), &dir);
+        insert(&mut dur, 1);
+        dur.checkpoint().unwrap();
+        dur.finish_checkpoint().unwrap();
+        let events = obs::flight::dump();
+        for kind in ["checkpoint_sealed", "checkpoint_installed"] {
+            let want = format!("{}: last_txn 1", dir.display());
+            assert!(
+                events.iter().any(|e| e.kind == kind && e.detail.starts_with(&want)),
+                "no {kind} event for {want}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -107,7 +107,7 @@ pub struct SchedOutcome {
 }
 
 /// Render a panic payload (string payloads verbatim, anything else typed).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

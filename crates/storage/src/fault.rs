@@ -33,10 +33,11 @@ pub enum FaultAction {
 /// One failpoint site in the catalog: its name and which actions the
 /// surrounding code can absorb while keeping the all-or-nothing contract.
 ///
-/// Panic-capable sites are those whose unwind the commit survives: the
-/// journal replays before the panic resumes on the caller's thread, and
-/// the scheduler's pool turns it into a typed error. The sweeps do not
-/// inject panics at error-only sites.
+/// Panic-capable sites are those whose unwind is contained: on the commit
+/// path the journal replays before the panic resumes on the caller's
+/// thread, and `Database::run` turns it into a typed error; on the
+/// checkpoint writer the thread's join does. The sweeps do not inject
+/// panics at error-only sites.
 #[derive(Debug, Clone, Copy)]
 pub struct Site {
     /// The site's name, as passed to [`fire`].
@@ -86,13 +87,23 @@ pub const SITES: &[Site] = &[
     // transaction's begin (before anything applies) and at its one
     // commit record (after everything applied). An append that errors
     // must leave memory and disk agreeing: the transaction aborts and
-    // recovery finds no commit record. Only
-    // reachable in `durability` builds (the durable cell of
-    // `prop_faults.rs`); the non-durable sweeps never cross it.
+    // recovery finds no commit record. Only the durable cell of
+    // `prop_faults.rs` crosses it; the in-memory sweeps never do.
     Site {
         name: "wal::append",
         supports_error: true,
         supports_panic: false,
+    },
+    // Fired by `write_checkpoint` after the body is streamed into the
+    // temporary file and before its fsync and rename: on the background
+    // checkpoint writer, where an error or a panic must leave the old
+    // checkpoint and the sealed log segment in place and come back to the
+    // serving thread as a typed error. Only the durable checkpoint cell of
+    // `prop_faults.rs` crosses it.
+    Site {
+        name: "wal::checkpoint",
+        supports_error: true,
+        supports_panic: true,
     },
 ];
 

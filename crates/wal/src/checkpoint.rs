@@ -1,10 +1,11 @@
 //! Checkpoint segments: a full catalog snapshot plus enough engine
 //! metadata to rebuild every propagation engine deterministically.
 //!
-//! A checkpoint is written to `<name>.tmp`, fsynced, then atomically
+//! A checkpoint is streamed to `<name>.tmp`, fsynced, then atomically
 //! renamed over the previous checkpoint — a crash mid-write always
-//! leaves the prior checkpoint intact ("background-safe"). The file is
-//! `[magic][crc32(body)][body]`; any mismatch rejects the whole file.
+//! leaves the prior checkpoint intact, which is what lets a background
+//! thread write it. The file is `[magic][crc32(body)][body]`; any
+//! mismatch rejects the whole file.
 //!
 //! Decoding is two-phase because expression trees re-derive their
 //! schemas against a live catalog: [`read_checkpoint`] decodes the
@@ -12,17 +13,17 @@
 //! engine section as raw bytes; the caller restores the tables into a
 //! [`Catalog`] and then calls [`RawCheckpoint::decode_engines`].
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use spacetime_algebra::ExprTree;
 use spacetime_obs::metrics as obs;
 use spacetime_obs::names;
-use spacetime_storage::{Catalog, DataType, Tuple};
+use spacetime_storage::{fault, Catalog, DataType, Tuple};
 
-use crate::codec::{self, crc32, Cur};
-use crate::{WalError, WalResult};
+use crate::codec::{self, crc32, Crc32, Cur};
+use crate::{sync_dir, WalError, WalResult};
 
 const MAGIC: &[u8; 8] = b"STWALCK1";
 
@@ -76,30 +77,56 @@ pub struct RawCheckpoint {
     engine_bytes: Vec<u8>,
 }
 
-fn put_table(buf: &mut Vec<u8>, t: &TableDump) {
-    codec::put_str(buf, &t.name);
-    codec::put_bool(buf, t.is_base);
-    codec::put_u32(buf, t.columns.len() as u32);
-    for (q, name, dt) in &t.columns {
-        codec::put_opt_str(buf, q.as_deref());
-        codec::put_str(buf, name);
-        codec::put_datatype(buf, *dt);
+/// The checkpoint body on its way to disk: each piece is encoded into a
+/// reused scratch buffer, folded into the running CRC and written through
+/// the file's buffer, so the body never exists in memory whole.
+struct Body {
+    file: BufWriter<File>,
+    scratch: Vec<u8>,
+    crc: Crc32,
+    len: u64,
+}
+
+impl Body {
+    fn put(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> WalResult<()> {
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        self.crc.update(&self.scratch);
+        self.len += self.scratch.len() as u64;
+        self.file.write_all(&self.scratch)?;
+        Ok(())
     }
-    codec::put_u32(buf, t.keys.len() as u32);
-    for k in &t.keys {
-        codec::put_usize_vec(buf, k);
-    }
-    codec::put_u32(buf, t.index_defs.len() as u32);
-    for d in &t.index_defs {
-        codec::put_usize_vec(buf, d);
-    }
-    codec::put_u64(buf, t.relation_tuples_per_page);
-    codec::put_u64(buf, t.stats_tuples_per_page);
-    codec::put_u32(buf, t.rows.len() as u32);
+}
+
+fn put_table(body: &mut Body, t: &TableDump) -> WalResult<()> {
+    body.put(|buf| {
+        codec::put_str(buf, &t.name);
+        codec::put_bool(buf, t.is_base);
+        codec::put_u32(buf, t.columns.len() as u32);
+        for (q, name, dt) in &t.columns {
+            codec::put_opt_str(buf, q.as_deref());
+            codec::put_str(buf, name);
+            codec::put_datatype(buf, *dt);
+        }
+        codec::put_u32(buf, t.keys.len() as u32);
+        for k in &t.keys {
+            codec::put_usize_vec(buf, k);
+        }
+        codec::put_u32(buf, t.index_defs.len() as u32);
+        for d in &t.index_defs {
+            codec::put_usize_vec(buf, d);
+        }
+        codec::put_u64(buf, t.relation_tuples_per_page);
+        codec::put_u64(buf, t.stats_tuples_per_page);
+        codec::put_u32(buf, t.rows.len() as u32);
+    })?;
     for (tuple, n) in &t.rows {
-        codec::put_tuple(buf, tuple);
-        codec::put_u64(buf, *n);
+        body.put(|buf| {
+            codec::put_tuple(buf, tuple);
+            codec::put_u64(buf, *n);
+        })?;
     }
+    Ok(())
 }
 
 fn get_table(cur: &mut Cur) -> WalResult<TableDump> {
@@ -144,65 +171,65 @@ fn get_table(cur: &mut Cur) -> WalResult<TableDump> {
     })
 }
 
-fn encode(doc: &CheckpointDoc) -> Vec<u8> {
-    let mut body = Vec::new();
-    codec::put_u64(&mut body, doc.last_txn);
-    codec::put_u8(&mut body, doc.propagation_mode);
-    codec::put_u8(&mut body, doc.execution_mode);
-    codec::put_u32(&mut body, doc.tables.len() as u32);
+fn put_body(body: &mut Body, doc: &CheckpointDoc) -> WalResult<()> {
+    body.put(|buf| {
+        codec::put_u64(buf, doc.last_txn);
+        codec::put_u8(buf, doc.propagation_mode);
+        codec::put_u8(buf, doc.execution_mode);
+        codec::put_u32(buf, doc.tables.len() as u32);
+    })?;
     for t in &doc.tables {
-        put_table(&mut body, t);
+        put_table(body, t)?;
     }
-    codec::put_u32(&mut body, doc.assertions.len() as u32);
-    for (name, view) in &doc.assertions {
-        codec::put_str(&mut body, name);
-        codec::put_str(&mut body, view);
-    }
-    codec::put_u32(&mut body, doc.engines.len() as u32);
-    for e in &doc.engines {
-        codec::put_str(&mut body, &e.name);
-        codec::put_u32(&mut body, e.creation.len() as u32);
-        for (name, tree) in &e.creation {
-            codec::put_str(&mut body, name);
-            codec::put_tree(&mut body, tree);
+    body.put(|buf| {
+        codec::put_u32(buf, doc.assertions.len() as u32);
+        for (name, view) in &doc.assertions {
+            codec::put_str(buf, name);
+            codec::put_str(buf, view);
         }
-        codec::put_u32(&mut body, e.pins.len() as u32);
-        for (name, tree) in &e.pins {
-            codec::put_str(&mut body, name);
-            codec::put_tree(&mut body, tree);
+        codec::put_u32(buf, doc.engines.len() as u32);
+        for e in &doc.engines {
+            codec::put_str(buf, &e.name);
+            for trees in [&e.creation, &e.pins] {
+                codec::put_u32(buf, trees.len() as u32);
+                for (name, tree) in trees {
+                    codec::put_str(buf, name);
+                    codec::put_tree(buf, tree);
+                }
+            }
         }
-    }
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(MAGIC);
-    codec::put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
+    })
 }
 
-/// Write `doc` to `path` via tmp-file + fsync + atomic rename. Returns
-/// the segment size in bytes.
+/// Write `doc` to `path` via tmp-file + fsync + atomic rename, streaming
+/// the body behind a CRC placeholder that is filled in before the fsync.
+/// Returns the segment size in bytes. The rename is made durable by an
+/// fsync of the directory; on Unix its failure is an error, because the
+/// caller may delete what the checkpoint supersedes once this returns.
 pub fn write_checkpoint(path: &Path, doc: &CheckpointDoc) -> WalResult<u64> {
-    let bytes = encode(doc);
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
+    let mut file = BufWriter::new(File::create(&tmp)?);
+    file.write_all(MAGIC)?;
+    file.write_all(&[0; 4])?;
+    let mut body = Body {
+        file,
+        scratch: Vec::new(),
+        crc: Crc32::default(),
+        len: 0,
+    };
+    put_body(&mut body, doc)?;
+    fault::fire("wal::checkpoint").map_err(WalError::Storage)?;
+    let mut file = body.file.into_inner().map_err(|e| e.into_error())?;
+    file.seek(SeekFrom::Start(MAGIC.len() as u64))?;
+    file.write_all(&body.crc.finish().to_le_bytes())?;
+    file.sync_data()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
-    // Persist the rename itself (directory entry) where the platform
-    // allows opening directories; ignore failures on those that don't.
     if let Some(parent) = path.parent() {
-        if let Ok(d) = File::open(parent) {
-            let _ = d.sync_all();
-        }
+        sync_dir(parent)?;
     }
     obs::counter_add(names::WAL_CHECKPOINTS, 1);
-    Ok(bytes.len() as u64)
+    Ok(MAGIC.len() as u64 + 4 + body.len)
 }
 
 /// Read and validate the checkpoint at `path`. `Ok(None)` if the file
@@ -317,6 +344,39 @@ mod tests {
             assertions: vec![("no_orphans".into(), "__assert_no_orphans".into())],
             engines: Vec::new(),
         }
+    }
+
+    /// A document whose body spans many encoder chunks: 6 000 rows of
+    /// mixed types in one table, an empty table, two assertions.
+    fn large_doc() -> CheckpointDoc {
+        let mut doc = sample_doc();
+        doc.last_txn = 9_201;
+        doc.tables[0].rows = (0..6_000)
+            .map(|i| {
+                let t = Tuple::new(vec![Value::Int(i), Value::str(format!("emp{i:05}"))]);
+                (t, 1 + (i as u64 % 3))
+            })
+            .collect();
+        let mut empty = doc.tables[0].clone();
+        empty.name = "Dept".into();
+        empty.is_base = false;
+        empty.rows.clear();
+        doc.tables.push(empty);
+        doc.assertions.push(("budget".into(), "SELECT 1".into()));
+        doc
+    }
+
+    /// The segment's bytes are the format: its length and CRC were
+    /// recorded from the one-buffer encoder the streaming one replaced.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let dir = test_dir("ckpt_pinned");
+        let path = dir.join("checkpoint.ckpt");
+        let len = write_checkpoint(&path, &large_doc()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!((len, bytes.len() as u64), (204_270, 204_270));
+        assert_eq!(crc32(&bytes), 0x3699_b008);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

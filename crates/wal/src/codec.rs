@@ -39,11 +39,32 @@ static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC32 checksum (IEEE polynomial) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut crc = Crc32::default();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A running [`crc32`] over data that arrives in pieces: the checksum of
+/// the concatenation of everything passed to [`Crc32::update`].
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32(0xFFFF_FFFF)
     }
-    c ^ 0xFFFF_FFFF
+}
+
+impl Crc32 {
+    pub fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 = CRC32_TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
+        }
+    }
+
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -636,6 +657,12 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+        // Fed in pieces, the running CRC is the CRC of the whole.
+        let mut crc = Crc32::default();
+        for piece in [&b"1234"[..], b"", b"56789"] {
+            crc.update(piece);
+        }
+        assert_eq!(crc.finish(), 0xCBF4_3926);
     }
 
     #[test]

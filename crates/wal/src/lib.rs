@@ -13,9 +13,11 @@
 //!   accept the longest valid prefix; torn or corrupted crash suffixes
 //!   are discarded and truncated.
 //! * **Checkpoints** ([`checkpoint`]): a full catalog snapshot (base
-//!   relations *and* chosen materializations) written to a temp file,
+//!   relations *and* chosen materializations) streamed to a temp file,
 //!   fsynced, and atomically renamed over the previous checkpoint, so
-//!   a crash mid-checkpoint always leaves a valid one.
+//!   a crash mid-checkpoint always leaves a valid one. Taking one seals
+//!   the log ([`WalSession::seal`]): the frames it covers move to a
+//!   sealed segment, deleted once the checkpoint is installed.
 //! * **Crash surgery** ([`crash`]): deterministic frame-boundary file
 //!   mutilation (torn tail, truncated segment, corrupted CRC, dropped
 //!   commit frame) used by the recovery property suites.
@@ -145,13 +147,32 @@ impl WalSession {
         Ok(())
     }
 
-    /// The caller installed a checkpoint covering everything through
-    /// `last_txn`: truncate the log, append the marker, reset the
-    /// checkpoint age.
-    pub fn after_checkpoint(&mut self, last_txn: u64) -> WalResult<()> {
-        self.writer.truncate()?;
+    /// Append the marker of a checkpoint covering every txn through
+    /// `last_txn` and make it durable per the sync policy.
+    pub fn mark_checkpoint(&mut self, last_txn: u64) -> WalResult<()> {
         self.writer.append(&Record::Checkpoint { last_txn })?;
-        self.writer.commit_durable(self.sync)?;
+        self.writer.commit_durable(self.sync)
+    }
+
+    /// Seal the log for a checkpoint covering every txn through
+    /// `last_txn`: rename it to `sealed`, where its frames stay readable
+    /// until that checkpoint is installed, and go on in a fresh log at
+    /// the old path that holds only the checkpoint marker. Resets the
+    /// checkpoint age.
+    pub fn seal(&mut self, sealed: &Path, last_txn: u64) -> WalResult<()> {
+        self.writer.flush()?;
+        let path = self.writer.path().to_path_buf();
+        std::fs::rename(&path, sealed)?;
+        self.writer = WalWriter::open(&path, 0).inspect_err(|_| {
+            // Appends must never go on into the sealed segment.
+            let _ = std::fs::rename(sealed, &path);
+        })?;
+        self.mark_checkpoint(last_txn)?;
+        if self.sync == SyncPolicy::Always {
+            if let Some(dir) = path.parent() {
+                sync_dir(dir)?;
+            }
+        }
         // Drop this session's contribution to the process-wide
         // checkpoint-age gauge (other live sessions keep theirs).
         spacetime_obs::gauge_add(
@@ -160,6 +181,19 @@ impl WalSession {
         );
         self.txns_since_checkpoint = 0;
         Ok(())
+    }
+}
+
+/// fsync `dir`, making the renames and creations inside it durable. A
+/// platform that cannot open a directory cannot fsync one, so that is
+/// not an error; a failed fsync is, on Unix.
+pub fn sync_dir(dir: &Path) -> WalResult<()> {
+    let Ok(d) = std::fs::File::open(dir) else {
+        return Ok(());
+    };
+    match d.sync_all() {
+        Err(e) if cfg!(unix) => Err(e.into()),
+        _ => Ok(()),
     }
 }
 

@@ -52,8 +52,9 @@ pub enum Record {
     },
     /// The transaction's durable commit point.
     TxnCommit { txn_id: u64 },
-    /// A checkpoint covering every txn up to and including `last_txn`
-    /// was installed; the log was truncated at this point.
+    /// The log was sealed here for a checkpoint covering every txn up to
+    /// and including `last_txn`: it opens the fresh log, and the frames
+    /// before it went to the sealed segment that checkpoint supersedes.
     Checkpoint { last_txn: u64 },
 }
 
@@ -214,16 +215,6 @@ impl WalWriter {
             SyncPolicy::Flush => self.flush(),
             SyncPolicy::Always => self.sync(),
         }
-    }
-
-    /// Truncate the log to empty (after a checkpoint supersedes it).
-    pub fn truncate(&mut self) -> WalResult<()> {
-        self.file.flush()?;
-        let f = self.file.get_mut();
-        f.set_len(0)?;
-        f.seek(SeekFrom::Start(0))?;
-        self.len = 0;
-        Ok(())
     }
 }
 
