@@ -8,8 +8,6 @@
 //! not only when it syntactically is one — which is exactly what the
 //! paper's Example 3.1 (the three-way `ADeptsStatus` join) requires.
 
-use std::collections::BTreeSet;
-
 use crate::ops::OpKind;
 use crate::scalar::{CmpOp, ScalarExpr};
 use crate::tree::ExprNode;
@@ -51,14 +49,6 @@ impl ColClasses {
     /// Whether `col` is equivalent to *some* column of `set`.
     pub fn intersects(&self, col: usize, set: &[usize]) -> bool {
         set.iter().any(|&s| self.same(col, s))
-    }
-
-    /// All columns equivalent to `col` (including itself).
-    pub fn class_of(&self, col: usize) -> BTreeSet<usize> {
-        let r = self.find(col);
-        (0..self.parent.len())
-            .filter(|&i| self.find(i) == r)
-            .collect()
     }
 }
 

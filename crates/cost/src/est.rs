@@ -486,12 +486,6 @@ impl<'a> CostCtx<'a> {
         self.delta_guarded(self.memo.find(g), update, &mut vec![])
     }
 
-    /// Total estimated delta at `g` over all of a transaction's table
-    /// updates.
-    pub fn delta_for_txn(&mut self, g: GroupId, txn: &TransactionType) -> Vec<DeltaEst> {
-        txn.updates.iter().map(|u| self.delta_for(g, u)).collect()
-    }
-
     fn delta_guarded(
         &mut self,
         g: GroupId,

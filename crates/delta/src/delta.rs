@@ -1,7 +1,7 @@
 //! The delta type: inserts, deletes, and paired modifications.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use spacetime_storage::{Bag, StorageResult, Tuple, Value};
@@ -179,28 +179,6 @@ impl Delta {
         Cow::Owned(d)
     }
 
-    /// The distinct values of `cols` touched by this delta (both old and
-    /// new sides) — the paper's "affected groups" / probe keys.
-    pub fn touched_keys(&self, cols: &[usize]) -> BTreeSet<Vec<Value>> {
-        let mut keys = BTreeSet::new();
-        let project = |t: &Tuple| -> Vec<Value> {
-            cols.iter()
-                .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
-                .collect()
-        };
-        for (t, _) in self.inserts.iter() {
-            keys.insert(project(t));
-        }
-        for (t, _) in self.deletes.iter() {
-            keys.insert(project(t));
-        }
-        for m in &self.modifies {
-            keys.insert(project(&m.old));
-            keys.insert(project(&m.new));
-        }
-        keys
-    }
-
     /// Apply to an in-memory bag (the verification oracle's state
     /// transition). Errors if a delete or modify refers to absent tuples.
     pub fn apply_to(&self, bag: &mut Bag) -> StorageResult<()> {
@@ -294,15 +272,6 @@ mod tests {
         assert_eq!(s.modifies.len(), 1);
         assert_eq!(s.deletes.count(&tuple!["bob", "Sales", 80]), 1);
         assert_eq!(s.inserts.count(&tuple!["bob", "Eng", 80]), 1);
-    }
-
-    #[test]
-    fn touched_keys_covers_old_and_new() {
-        let d = Delta::modify(tuple!["bob", "Sales", 80], tuple!["bob", "Eng", 80], 1);
-        let keys = d.touched_keys(&[1]);
-        assert_eq!(keys.len(), 2);
-        assert!(keys.contains(&vec![Value::str("Sales")]));
-        assert!(keys.contains(&vec![Value::str("Eng")]));
     }
 
     #[test]

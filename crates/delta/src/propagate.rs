@@ -34,7 +34,7 @@ use spacetime_algebra::eval::aggregate_group;
 use spacetime_algebra::kernel::{FusedProgram, KernelScratch, PairOutcome};
 use spacetime_algebra::{AggExpr, AggFunc, ExprNode, JoinCondition, OpKind, ScalarExpr};
 use spacetime_storage::{
-    Bag, FxHashMap, HashIndex, StorageError, StorageResult, Tuple, Value,
+    Bag, FxHashMap, StorageError, StorageResult, Tuple, Value,
 };
 
 use crate::delta::{Delta, Modify};
@@ -96,12 +96,6 @@ pub struct BagAccess {
     pub complete: bool,
     /// Number of posed queries answered (one per key).
     pub queries_posed: usize,
-    /// Answer `matching_all` by partitioning the child once with a
-    /// [`HashIndex`] instead of filtering per key. Output and
-    /// `queries_posed` accounting are identical either way (property-tested
-    /// in `tests/prop_delta.rs`); this double exists so tests can compare
-    /// the two paths.
-    pub batched: bool,
 }
 
 impl BagAccess {
@@ -148,21 +142,12 @@ impl InputAccess for BagAccess {
         cols: &[usize],
         keys: &[Vec<Value>],
     ) -> StorageResult<Vec<Cow<'_, Bag>>> {
-        // One *posed query* per key on either path.
+        // One *posed query* per key.
         self.queries_posed += keys.len();
         let child = &self.children[child];
-        if !self.batched {
-            return Ok(keys
-                .iter()
-                .map(|key| filter_by_key(child, cols, key))
-                .collect());
-        }
-        // One physical pass over the child, then O(1) probes.
-        let mut partition = HashIndex::new(cols.to_vec());
-        partition.rebuild(child);
         Ok(keys
             .iter()
-            .map(|key| Cow::Owned(partition.probe(key).cloned().unwrap_or_default()))
+            .map(|key| filter_by_key(child, cols, key))
             .collect())
     }
 
@@ -1229,43 +1214,33 @@ mod tests {
             vec![Value::Null],
             vec![Value::str("Eng")],
         ];
-        for batched in [false, true] {
-            let mut access = BagAccess::new(vec![child.clone()]);
-            access.batched = batched;
-            let answers = access.matching_all(0, &[1], &keys).unwrap();
-            let sizes: Vec<u64> = answers.iter().map(|b| b.len()).collect();
-            assert_eq!(sizes, [2, 0, 2, 2, 1], "one answer per key, in order");
-            assert_eq!(answers[0], answers[2], "a repeated key is answered again");
-            assert_eq!(answers[3].count(&null_dept), 2);
-            assert!(answers[4].contains(&tuple!["carol", "Eng", 120]));
-            drop(answers);
-            assert_eq!(access.queries_posed, keys.len(), "and posed again");
+        let mut access = BagAccess::new(vec![child.clone()]);
+        let answers = access.matching_all(0, &[1], &keys).unwrap();
+        let sizes: Vec<u64> = answers.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes, [2, 0, 2, 2, 1], "one answer per key, in order");
+        assert_eq!(answers[0], answers[2], "a repeated key is answered again");
+        assert_eq!(answers[3].count(&null_dept), 2);
+        assert!(answers[4].contains(&tuple!["carol", "Eng", 120]));
+        drop(answers);
+        assert_eq!(access.queries_posed, keys.len(), "and posed again");
 
-            // An empty batch: no answers, nothing posed.
-            assert!(access.matching_all(0, &[1], &[]).unwrap().is_empty());
-            assert_eq!(access.queries_posed, keys.len());
+        // An empty batch: no answers, nothing posed.
+        assert!(access.matching_all(0, &[1], &[]).unwrap().is_empty());
+        assert_eq!(access.queries_posed, keys.len());
 
-            // Probe columns in an order no tuple stores them in.
-            let keys = vec![
-                vec![Value::Int(80), Value::str("bob")],
-                vec![Value::Int(80), Value::str("alice")],
-                vec![Value::Int(100), Value::str("alice")],
-            ];
-            let answers = access.matching_all(0, &[2, 0], &keys).unwrap();
-            let sizes: Vec<u64> = answers.iter().map(|b| b.len()).collect();
-            assert_eq!(sizes, [1, 0, 1]);
-        }
+        // Probe columns in an order no tuple stores them in.
+        let keys = vec![
+            vec![Value::Int(80), Value::str("bob")],
+            vec![Value::Int(80), Value::str("alice")],
+            vec![Value::Int(100), Value::str("alice")],
+        ];
+        let answers = access.matching_all(0, &[2, 0], &keys).unwrap();
+        let sizes: Vec<u64> = answers.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes, [1, 0, 1]);
 
-        // With nothing bound the answer *is* the child: borrowed, and equal
-        // to the owned copy the partitioned path hands back.
-        let mut plain = BagAccess::new(vec![child.clone()]);
-        let mut partitioned = BagAccess::new(vec![child.clone()]);
-        partitioned.batched = true;
-        let borrowed = plain.matching_all(0, &[], &[vec![]]).unwrap();
-        let owned = partitioned.matching_all(0, &[], &[vec![]]).unwrap();
+        // With nothing bound the answer *is* the child, borrowed.
+        let borrowed = access.matching_all(0, &[], &[vec![]]).unwrap();
         assert!(matches!(borrowed[0], Cow::Borrowed(_)));
-        assert!(matches!(owned[0], Cow::Owned(_)));
-        assert_eq!(borrowed, owned);
         assert_eq!(*borrowed[0], child);
     }
 

@@ -4,12 +4,51 @@
 //! self-materialized, group-complete is exercised separately since it
 //! needs the key guarantee).
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
 use spacetime_algebra::eval::{aggregate_bag, join_bags, project_bag};
 use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, JoinCondition, ScalarExpr};
-use spacetime_delta::{propagate, BagAccess, Delta};
-use spacetime_storage::{tuple, Bag, Catalog, DataType, Schema, Tuple};
+use spacetime_delta::{propagate, BagAccess, Delta, InputAccess};
+use spacetime_storage::{
+    tuple, Bag, Catalog, DataType, HashIndex, Schema, StorageResult, Tuple, Value,
+};
+
+/// [`BagAccess`] answering each batched query by partitioning the child
+/// once with a [`HashIndex`] instead of filtering it per key — the shape of
+/// the engine's batched data plane. Answers and the posed-query count must
+/// not depend on which of the two answers.
+struct Partitioned(BagAccess);
+
+impl InputAccess for Partitioned {
+    fn matching_all(
+        &mut self,
+        child: usize,
+        cols: &[usize],
+        keys: &[Vec<Value>],
+    ) -> StorageResult<Vec<Cow<'_, Bag>>> {
+        self.0.queries_posed += keys.len();
+        let mut partition = HashIndex::new(cols.to_vec());
+        partition.rebuild(&self.0.children[child]);
+        Ok(keys
+            .iter()
+            .map(|key| Cow::Owned(partition.probe(key).cloned().unwrap_or_default()))
+            .collect())
+    }
+
+    fn self_rows(
+        &mut self,
+        cols: &[usize],
+        key: &[Value],
+    ) -> StorageResult<Option<Cow<'_, Bag>>> {
+        self.0.self_rows(cols, key)
+    }
+
+    fn group_complete(&self, cols: &[usize]) -> bool {
+        self.0.group_complete(cols)
+    }
+}
 
 fn catalog() -> Catalog {
     let mut cat = Catalog::new();
@@ -226,12 +265,11 @@ proptest! {
         let delta = delta_from(if side == 0 { &lbase } else { &rbase }, &ops);
 
         let mut per_key = BagAccess::new(vec![lbase.clone(), rbase.clone()]);
-        let mut batched = BagAccess::new(vec![lbase.clone(), rbase.clone()]);
-        batched.batched = true;
+        let mut batched = Partitioned(BagAccess::new(vec![lbase.clone(), rbase.clone()]));
         let d_pk = propagate(&node, side, &delta, &mut per_key).unwrap();
         let d_b = propagate(&node, side, &delta, &mut batched).unwrap();
         prop_assert_eq!(canon(d_pk.clone()), canon(d_b));
-        prop_assert_eq!(per_key.queries_posed, batched.queries_posed);
+        prop_assert_eq!(per_key.queries_posed, batched.0.queries_posed);
 
         let mut old_out = join_bags(&lbase, &rbase, &cond).unwrap();
         let (mut nl, mut nr) = (lbase.clone(), rbase.clone());
@@ -274,21 +312,19 @@ proptest! {
         if base.is_empty() {
             old_out = Bag::new();
         }
-        let make = |batched: bool| -> BagAccess {
-            let mut a = if materialized {
+        let make = || -> BagAccess {
+            if materialized {
                 BagAccess::materialized(vec![base.clone()], old_out.clone())
             } else {
                 BagAccess::new(vec![base.clone()])
-            };
-            a.batched = batched;
-            a
+            }
         };
-        let mut per_key = make(false);
-        let mut batched = make(true);
+        let mut per_key = make();
+        let mut batched = Partitioned(make());
         let d_pk = propagate(&node, 0, &delta, &mut per_key).unwrap();
         let d_b = propagate(&node, 0, &delta, &mut batched).unwrap();
         prop_assert_eq!(canon(d_pk.clone()), canon(d_b));
-        prop_assert_eq!(per_key.queries_posed, batched.queries_posed);
+        prop_assert_eq!(per_key.queries_posed, batched.0.queries_posed);
 
         let mut new_base = base.clone();
         delta.apply_to(&mut new_base).unwrap();
@@ -309,12 +345,11 @@ proptest! {
         let base = bag_from(&rows);
         let delta = delta_from(&base, &ops);
         let mut per_key = BagAccess::new(vec![base.clone()]);
-        let mut batched = BagAccess::new(vec![base.clone()]);
-        batched.batched = true;
+        let mut batched = Partitioned(BagAccess::new(vec![base.clone()]));
         let d_pk = propagate(&node, 0, &delta, &mut per_key).unwrap();
         let d_b = propagate(&node, 0, &delta, &mut batched).unwrap();
         prop_assert_eq!(canon(d_pk), canon(d_b));
-        prop_assert_eq!(per_key.queries_posed, batched.queries_posed);
+        prop_assert_eq!(per_key.queries_posed, batched.0.queries_posed);
     }
 
     /// Two-level tree: the join's output delta feeds an aggregate over the
@@ -357,20 +392,19 @@ proptest! {
 
         // Stage 1: through the join, both modes.
         let mut per_key = BagAccess::new(vec![lbase.clone(), rbase.clone()]);
-        let mut batched = BagAccess::new(vec![lbase.clone(), rbase.clone()]);
-        batched.batched = true;
+        let mut batched = Partitioned(BagAccess::new(vec![lbase.clone(), rbase.clone()]));
         let dj = propagate(&join, side, &delta, &mut per_key).unwrap();
         let dj_b = propagate(&join, side, &delta, &mut batched).unwrap();
         prop_assert_eq!(canon(dj.clone()), canon(dj_b));
 
         // Stage 2: the same join delta through the aggregate, both modes.
         let mut per_key = BagAccess::materialized(vec![old_join.clone()], old_out.clone());
-        let mut batched = BagAccess::materialized(vec![old_join.clone()], old_out.clone());
-        batched.batched = true;
+        let mut batched =
+            Partitioned(BagAccess::materialized(vec![old_join.clone()], old_out.clone()));
         let da = propagate(&agg, 0, &dj, &mut per_key).unwrap();
         let da_b = propagate(&agg, 0, &dj, &mut batched).unwrap();
         prop_assert_eq!(canon(da.clone()), canon(da_b));
-        prop_assert_eq!(per_key.queries_posed, batched.queries_posed);
+        prop_assert_eq!(per_key.queries_posed, batched.0.queries_posed);
 
         // Oracle for the whole tree.
         let (mut nl, mut nr) = (lbase.clone(), rbase.clone());

@@ -5,24 +5,15 @@
 //! > as a materialized view, and the problem then becomes one of computing
 //! > the incremental update to the materialized view."*
 //!
-//! An [`Assertion`] names an engine-maintained view; the constraint holds
-//! while that view's materialization is empty. Because the view (and
-//! whatever auxiliary views the optimizer picked) is incrementally
+//! An assertion is a flag on an engine ([`IvmEngine::assertion`]): the
+//! constraint holds while that engine's view is empty. Because the view
+//! (and whatever auxiliary views the optimizer picked) is incrementally
 //! maintained, *checking* the constraint after an update is free — the
 //! interesting cost, which the paper optimizes, is maintaining it.
 
 use spacetime_storage::{Bag, Catalog, StorageResult};
 
 use crate::engine::{IvmEngine, PlannedUpdate};
-
-/// A named integrity constraint backed by a maintained view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Assertion {
-    /// The assertion's name (e.g. the paper's `DeptConstraint`).
-    pub name: String,
-    /// The backing view's name (the engine root's table).
-    pub view: String,
-}
 
 /// A violation: the assertion plus sample witness tuples.
 #[derive(Debug, Clone)]
@@ -33,28 +24,38 @@ pub struct Violation {
     pub witnesses: Vec<String>,
 }
 
-impl Assertion {
-    /// Check the assertion against current state.
-    pub fn check(&self, catalog: &Catalog) -> StorageResult<Option<Violation>> {
-        let data = catalog.table(&self.view)?.relation.data();
-        Ok(violation_from(&self.name, data))
+impl IvmEngine {
+    /// The violation of the assertion this engine backs, against current
+    /// state; `None` when the view is empty or backs no assertion.
+    pub(crate) fn violation(&self, catalog: &Catalog) -> StorageResult<Option<Violation>> {
+        match &self.assertion {
+            Some(name) => check(name, &self.name, catalog),
+            None => Ok(None),
+        }
     }
 
-    /// Check what the assertion's view would hold *after* a planned update
-    /// commits — this is how the database aborts violating transactions
-    /// without applying them.
-    pub fn check_planned(
+    /// The violation the view would hold *after* a planned update commits
+    /// — this is how the database aborts violating transactions without
+    /// applying them.
+    pub(crate) fn violation_after(
         &self,
         catalog: &Catalog,
-        engine: &IvmEngine,
         planned: &PlannedUpdate,
     ) -> StorageResult<Option<Violation>> {
-        let mut future = catalog.table(&self.view)?.relation.data().clone();
-        if let Some(delta) = planned.root_delta(engine.root) {
+        let Some(name) = &self.assertion else {
+            return Ok(None);
+        };
+        let mut future = catalog.table(&self.name)?.relation.data().clone();
+        if let Some(delta) = planned.root_delta(self.root) {
             delta.apply_to(&mut future)?;
         }
-        Ok(violation_from(&self.name, &future))
+        Ok(violation_from(name, &future))
     }
+}
+
+/// Assertion `name` against its backing `view`'s current contents.
+fn check(name: &str, view: &str, catalog: &Catalog) -> StorageResult<Option<Violation>> {
+    Ok(violation_from(name, catalog.table(view)?.relation.data()))
 }
 
 fn violation_from(name: &str, data: &Bag) -> Option<Violation> {
@@ -83,11 +84,7 @@ mod tests {
         let mut cat = Catalog::new();
         cat.create_materialized("V", Schema::of_table("V", &[("x", DataType::Int)]))
             .unwrap();
-        let a = Assertion {
-            name: "C".into(),
-            view: "V".into(),
-        };
-        assert!(a.check(&cat).unwrap().is_none());
+        assert!(check("C", "V", &cat).unwrap().is_none());
     }
 
     #[test]
@@ -103,11 +100,7 @@ mod tests {
                 .insert(tuple![i], 1, &mut io)
                 .unwrap();
         }
-        let a = Assertion {
-            name: "C".into(),
-            view: "V".into(),
-        };
-        let v = a.check(&cat).unwrap().unwrap();
+        let v = check("C", "V", &cat).unwrap().unwrap();
         assert_eq!(v.assertion, "C");
         assert_eq!(v.witnesses.len(), 3, "sample capped at 3");
     }

@@ -2,7 +2,8 @@
 //!
 //! [`Database`] ties everything together: a storage catalog, a SQL front
 //! end, a declared workload of transaction types, a view-selection
-//! strategy, and one [`IvmEngine`] per materialized view or assertion.
+//! strategy, and one [`IvmEngine`] per materialized view, view group or
+//! assertion (an assertion is a flag on its view's engine).
 //! DML statements are converted to deltas, planned against every dependent
 //! engine, gated on assertions (a violating transaction is rejected
 //! *before* anything is applied — SQL-92 semantics), and committed with
@@ -19,13 +20,14 @@ use spacetime_algebra::{eval_uncharged, ExprNode, ExprTree, ScalarExpr};
 use spacetime_cost::{PageIoCostModel, TransactionType};
 use spacetime_delta::Delta;
 use spacetime_memo::{explore, GroupId, Memo};
-use spacetime_optimizer::heuristics::rule_of_thumb_optimize;
-use spacetime_optimizer::{greedy_add, optimal_view_set, shielding_optimize, EvalConfig, ViewSet};
 use spacetime_obs::{self as obs, names as metric, MetricsSnapshot, TraceNode};
+use spacetime_optimizer::{
+    greedy_add, optimal_view_set, optimal_view_set_multi, EvalConfig, ViewSet,
+};
 use spacetime_sql::{lower::lower_literal_row, lower_select, parse_statements, Statement};
 use spacetime_storage::{Bag, Catalog, Column, Schema, Tuple, Value};
 
-use crate::constraints::{Assertion, Violation};
+use crate::constraints::Violation;
 use crate::engine::{IvmEngine, PlannedUpdate, PropagationMode, UpdateReport};
 use crate::{IvmError, IvmResult};
 
@@ -37,12 +39,8 @@ pub enum ViewSelection {
     /// Algorithm OptimalViewSet (Figure 4) — exhaustive.
     #[default]
     Exhaustive,
-    /// Exhaustive with the Shielding-Principle decomposition (§4).
-    Shielding,
     /// Greedy hill-climbing (§5, approximate costing).
     Greedy,
-    /// The §5 rule-of-thumb marking.
-    RuleOfThumb,
 }
 
 /// Outcome of one executed statement.
@@ -65,7 +63,8 @@ pub enum SqlOutcome {
 /// A database session.
 ///
 /// `Clone` is cheap: the catalog's tables and the engines sit behind
-/// `Arc`s, so a clone shares all storage copy-on-write. The fault harness
+/// `Arc`s, so a clone shares all storage copy-on-write, and every engine
+/// for good (engines never change once registered). The fault harness
 /// relies on this to stamp out fresh databases from a prebuilt template.
 /// A clone of a durable database is an in-memory copy: it never writes
 /// the original's log.
@@ -73,8 +72,9 @@ pub enum SqlOutcome {
 pub struct Database {
     /// Storage: base tables and materialized views.
     pub catalog: Catalog,
+    /// One engine per view, view group or assertion, in creation order;
+    /// never changed once registered, so clones share them.
     engines: Vec<Arc<IvmEngine>>,
-    assertions: Vec<Assertion>,
     workload: Vec<TransactionType>,
     selection: ViewSelection,
     mode: PropagationMode,
@@ -130,7 +130,6 @@ impl Database {
         Database {
             catalog: Catalog::new(),
             engines: Vec::new(),
-            assertions: Vec::new(),
             workload: Vec::new(),
             selection: ViewSelection::default(),
             mode: PropagationMode::default(),
@@ -198,26 +197,18 @@ impl Database {
         self.selection = s;
     }
 
-    /// Set the propagation data plane for every engine, existing and
-    /// future. Both modes produce identical deltas and charge identical
-    /// I/O; [`PropagationMode::PerKey`] is the reference the suites
-    /// compare [`PropagationMode::Fused`] against.
+    /// Set the propagation data plane every update plans with. The mode is
+    /// the session's and is passed into planning; engines do not hold it.
+    /// Both modes produce identical deltas and charge identical I/O;
+    /// [`PropagationMode::PerKey`] is the reference the suites compare
+    /// [`PropagationMode::Fused`] against.
     pub fn set_propagation_mode(&mut self, mode: PropagationMode) {
         self.mode = mode;
-        for e in &mut self.engines {
-            Arc::make_mut(e).set_propagation_mode(mode);
-        }
     }
 
     /// The active propagation mode (checkpoints persist it).
     pub fn propagation_mode(&self) -> PropagationMode {
         self.mode
-    }
-
-    /// Recovery hook: re-register a checkpointed assertion without
-    /// re-running its creation path (its backing view already exists).
-    pub(crate) fn install_assertion(&mut self, assertion: Assertion) {
-        self.assertions.push(assertion);
     }
 
     /// Declare the workload (transaction types with weights) the optimizer
@@ -374,42 +365,7 @@ impl Database {
         name: &str,
         tree: ExprTree,
     ) -> IvmResult<&IvmEngine> {
-        let creation = vec![(name.to_string(), tree)];
-        let (memo, named_roots) = explore_views(&creation, &self.catalog)?;
-        let root = named_roots[0].1;
-        let txns = if self.workload.is_empty() {
-            default_workload(&memo, &[root])
-        } else {
-            self.workload.clone()
-        };
-        let model = PageIoCostModel::default();
-        let config = EvalConfig::default();
-        let view_set: ViewSet = match self.selection {
-            ViewSelection::RootOnly => [root].into_iter().collect(),
-            ViewSelection::Exhaustive => {
-                optimal_view_set(&memo, &self.catalog, &model, root, &txns, &config)
-                    .best
-                    .view_set
-            }
-            ViewSelection::Shielding => {
-                shielding_optimize(&memo, &self.catalog, &model, root, &txns, &config)
-                    .best
-                    .view_set
-            }
-            ViewSelection::Greedy => {
-                greedy_add(&memo, &self.catalog, &model, root, &txns, &config)
-                    .best
-                    .view_set
-            }
-            ViewSelection::RuleOfThumb => {
-                let tree = &creation[0].1;
-                rule_of_thumb_optimize(&memo, &self.catalog, &model, root, tree, &txns, &config)
-                    .best
-                    .view_set
-            }
-        };
-        let engine = IvmEngine::build(name, memo, root, view_set, &mut self.catalog)?;
-        Ok(self.register(engine, creation))
+        self.create(vec![(name.to_string(), tree)], None)
     }
 
     /// Create several views over **one shared DAG** (§6: "the expression
@@ -423,63 +379,97 @@ impl Database {
         if views.is_empty() {
             return Err(IvmError::Unsupported("empty view group".into()));
         }
-        let (memo, named_roots) = explore_views(&views, &self.catalog)?;
+        self.create(views, None)
+    }
+
+    /// Create an assertion: a maintained view that must stay empty, its
+    /// engine flagged with the assertion's name. Fails if the current data
+    /// already violates it, and then leaves nothing behind.
+    pub fn create_assertion(&mut self, name: &str, tree: ExprTree) -> IvmResult<()> {
+        self.create(vec![(format!("__assert_{name}"), tree)], Some(name))?;
+        Ok(())
+    }
+
+    /// The one creation path: explore the views into one DAG, choose its
+    /// view set for the declared (or default) workload, materialize it,
+    /// and register the engine — unless building fails or the engine backs
+    /// an `assertion` the current data violates, in which case every table
+    /// it materialized is dropped again. One root runs the session's
+    /// [`ViewSelection`]; several run the multi-rooted exhaustive search.
+    fn create(
+        &mut self,
+        views: Vec<(String, ExprTree)>,
+        assertion: Option<&str>,
+    ) -> IvmResult<&IvmEngine> {
+        let before: Vec<String> = self.catalog.iter().map(|(n, _)| n.to_string()).collect();
+        match self.build_engine(&views, assertion) {
+            Ok(engine) => Ok(self.register(engine, views)),
+            Err(e) => {
+                let created: Vec<String> = self
+                    .catalog
+                    .iter()
+                    .map(|(n, _)| n.to_string())
+                    .filter(|n| !before.contains(n))
+                    .collect();
+                for table in created {
+                    self.catalog.drop_table(&table)?;
+                }
+                Err(e)
+            }
+        }
+    }
+
+    fn build_engine(
+        &mut self,
+        views: &[(String, ExprTree)],
+        assertion: Option<&str>,
+    ) -> IvmResult<IvmEngine> {
+        let (memo, named_roots) = explore_views(views, &self.catalog)?;
         let roots: Vec<GroupId> = named_roots.iter().map(|&(_, g)| g).collect();
         let txns = if self.workload.is_empty() {
             default_workload(&memo, &roots)
         } else {
             self.workload.clone()
         };
-        let outcome = spacetime_optimizer::optimal_view_set_multi(
-            &memo,
-            &self.catalog,
-            &PageIoCostModel::default(),
-            &roots,
-            &txns,
-            &EvalConfig::default(),
-            Some(3),
-        );
-        let engine = IvmEngine::build_with_roots(
-            named_roots,
-            memo,
-            outcome.best.view_set,
-            &mut self.catalog,
-        )?;
-        Ok(self.register(engine, views))
+        let (catalog, model) = (&self.catalog, PageIoCostModel::default());
+        let config = EvalConfig::default();
+        let view_set: ViewSet = match (roots.as_slice(), self.selection) {
+            (&[root], ViewSelection::RootOnly) => [root].into_iter().collect(),
+            (&[root], ViewSelection::Exhaustive) => {
+                optimal_view_set(&memo, catalog, &model, root, &txns, &config)
+                    .best
+                    .view_set
+            }
+            (&[root], ViewSelection::Greedy) => {
+                greedy_add(&memo, catalog, &model, root, &txns, &config)
+                    .best
+                    .view_set
+            }
+            _ => {
+                optimal_view_set_multi(&memo, catalog, &model, &roots, &txns, &config, Some(3))
+                    .best
+                    .view_set
+            }
+        };
+        let mut engine =
+            IvmEngine::build_with_roots(named_roots, memo, view_set, &mut self.catalog)?;
+        engine.assertion = assertion.map(str::to_string);
+        if let Some(v) = engine.violation(&self.catalog)? {
+            return Err(violation_error(v));
+        }
+        Ok(engine)
     }
 
-    /// Register a built engine under the session's propagation mode, with
-    /// its creation trees — the recipe recovery rebuilds it from.
+    /// Register a built engine with its creation trees — the recipe
+    /// recovery rebuilds it from. The engine never changes afterwards.
     pub(crate) fn register(
         &mut self,
         mut engine: IvmEngine,
         creation: Vec<(String, ExprTree)>,
     ) -> &IvmEngine {
         engine.creation = creation;
-        engine.set_propagation_mode(self.mode);
         self.engines.push(Arc::new(engine));
         self.engines.last().expect("just pushed")
-    }
-
-    /// Create an assertion: a maintained view that must stay empty. Fails
-    /// immediately if the current data already violates it.
-    pub fn create_assertion(&mut self, name: &str, tree: ExprTree) -> IvmResult<()> {
-        let view_name = format!("__assert_{name}");
-        self.create_materialized_view(&view_name, tree)?;
-        let assertion = Assertion {
-            name: name.to_string(),
-            view: view_name,
-        };
-        if let Some(v) = assertion.check(&self.catalog)? {
-            return Err(violation_error(v));
-        }
-        self.assertions.push(assertion);
-        Ok(())
-    }
-
-    /// The declared assertions.
-    pub fn assertions(&self) -> &[Assertion] {
-        &self.assertions
     }
 
     /// Apply a delta to a base table, incrementally maintaining every
@@ -508,22 +498,17 @@ impl Database {
         // Phase 1: plan against pre-update state.
         let mut planned = Vec::with_capacity(self.engines.len());
         for e in &self.engines {
-            planned.push(e.plan_update_with(&self.catalog, table, delta, self.tracing)?);
+            let plan = e.plan_update_with(&self.catalog, table, delta, self.mode, self.tracing)?;
+            planned.push(plan);
         }
         let plan_dur = t_plan.map(|t| t.elapsed());
         let t_gate = timed.then(std::time::Instant::now);
         // Assertion gate (always against pre-update state — a violating
-        // transaction is rejected before any write).
-        for a in &self.assertions {
-            if let Some((engine, plan)) = self
-                .engines
-                .iter()
-                .zip(&planned)
-                .find(|(e, _)| e.name == a.view)
-            {
-                if let Some(v) = a.check_planned(&self.catalog, engine, plan)? {
-                    return Err(violation_error(v));
-                }
+        // transaction is rejected before any write): one pass over the
+        // engines, each checking its own plan if it backs an assertion.
+        for (e, plan) in self.engines.iter().zip(&planned) {
+            if let Some(v) = e.violation_after(&self.catalog, plan)? {
+                return Err(violation_error(v));
             }
         }
         // Phase 2: commit everywhere (DESIGN.md §12): writes are applied
@@ -755,8 +740,8 @@ impl Database {
     /// Check every assertion against current state.
     pub fn check_assertions(&self) -> IvmResult<Vec<Violation>> {
         let mut out = Vec::new();
-        for a in &self.assertions {
-            if let Some(v) = a.check(&self.catalog)? {
+        for e in &self.engines {
+            if let Some(v) = e.violation(&self.catalog)? {
                 out.push(v);
             }
         }
@@ -807,18 +792,13 @@ impl Database {
                 }
             }
         }
-        for a in &self.assertions {
-            let Some(engine) = self.engines.iter().find(|e| e.name == a.view) else {
-                return Err(IvmError::Integrity(format!(
-                    "assertion `{}` has no backing engine `{}`",
-                    a.name, a.view
-                )));
-            };
-            let mismatches = crate::verify::verify_engine(engine, &self.catalog)?;
+        for e in &self.engines {
+            let Some(name) = &e.assertion else { continue };
+            let mismatches = crate::verify::verify_engine(e, &self.catalog)?;
             if let Some(m) = mismatches.first() {
                 return Err(IvmError::Integrity(format!(
-                    "assertion `{}` view `{}` diverged from recomputation: {}",
-                    a.name, m.table, m.detail
+                    "assertion `{name}` view `{}` diverged from recomputation: {}",
+                    m.table, m.detail
                 )));
             }
         }
@@ -948,5 +928,52 @@ mod tests {
         assert!(matches!(err, IvmError::Internal(_)), "{err}");
         let err = db.integrity_check_inner().unwrap_err();
         assert!(matches!(err, IvmError::Integrity(_)), "{err}");
+    }
+
+    /// A `CREATE ASSERTION` the current data violates fails and leaves
+    /// nothing behind — no backing table, no engine — so the same
+    /// statement succeeds once the data allows it.
+    #[test]
+    fn a_violated_create_assertion_leaves_nothing_behind() {
+        let mut db = one_table_db();
+        db.execute_sql("INSERT INTO T VALUES (1, 5)").unwrap();
+        let tables = |db: &Database| -> Vec<String> {
+            db.catalog.iter().map(|(n, _)| n.to_string()).collect()
+        };
+        let before = tables(&db);
+        let stmt = "CREATE ASSERTION Pos CHECK (NOT EXISTS (SELECT K FROM T WHERE V > 0))";
+        let err = db.execute_sql(stmt).unwrap_err();
+        assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
+        assert_eq!(tables(&db), before);
+        assert_eq!(db.engines().len(), 0);
+        db.integrity_check().unwrap();
+
+        db.execute_sql("DELETE FROM T").unwrap();
+        db.execute_sql(stmt).unwrap();
+        assert_eq!(db.engines().len(), 1);
+        assert_eq!(db.engines()[0].assertion.as_deref(), Some("Pos"));
+        let err = db.execute_sql("INSERT INTO T VALUES (2, 7)").unwrap_err();
+        assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
+    }
+
+    /// Engines are built once: changing the session's propagation mode
+    /// leaves every engine shared between a database and its clone.
+    #[test]
+    fn a_mode_change_keeps_every_engine_shared_with_clones() {
+        let mut db = one_table_db();
+        db.execute_sql(
+            "CREATE MATERIALIZED VIEW Big AS SELECT K FROM T WHERE V > 1;
+             CREATE ASSERTION Small CHECK (NOT EXISTS (SELECT K FROM T WHERE V > 100))",
+        )
+        .unwrap();
+        let copy = db.clone();
+        db.set_propagation_mode(PropagationMode::PerKey);
+        assert_eq!(db.engines().len(), 2);
+        for (a, b) in db.engines().iter().zip(copy.engines()) {
+            assert!(Arc::ptr_eq(a, b), "engine `{}` was copied", a.name);
+        }
+        db.apply_delta("T", Delta::insert(tuple![1_i64, 10_i64], 1))
+            .unwrap();
+        assert!(crate::verify_all_views(&db).unwrap().is_empty());
     }
 }

@@ -51,7 +51,6 @@ use spacetime_wal::{
     Record, SyncPolicy, TableDump, WalError, WalSession,
 };
 
-use crate::constraints::Assertion;
 use crate::database::{explore_views, Database};
 use crate::engine::{IvmEngine, PropagationMode};
 use crate::sched::Txn;
@@ -131,7 +130,8 @@ fn check_exec_mode_tag(b: u8) -> IvmResult<()> {
 }
 
 /// What a checkpoint freezes on the serving thread: each table's metadata
-/// and rows, each engine's recipe, the assertions and the mode. Nothing
+/// and rows, each engine's recipe, the assertions (written from the
+/// engines' flags) and the mode. Nothing
 /// here is sorted or encoded — the writer thread does that
 /// ([`Snapshot::into_doc`]).
 ///
@@ -200,9 +200,9 @@ fn snapshot(db: &Database, last_txn: u64) -> IvmResult<Snapshot> {
         tables,
         engines,
         assertions: db
-            .assertions()
+            .engines()
             .iter()
-            .map(|a| (a.name.clone(), a.view.clone()))
+            .filter_map(|e| Some((e.assertion.clone()?, e.name.clone())))
             .collect(),
         propagation_mode: prop_mode_to_u8(db.propagation_mode()),
     })
@@ -282,8 +282,10 @@ fn rebuild_engine(catalog: &mut Catalog, dump: &EngineDump) -> IvmResult<IvmEngi
 }
 
 /// Restore a full [`Database`] from a checkpoint: tables first (so the
-/// engine trees can re-derive schemas), then engines, assertions, and
-/// the configured modes.
+/// engine trees can re-derive schemas), then engines — each flagged with
+/// the assertion that names its view, if one does — and the configured
+/// modes. An assertion that names no restored view is an
+/// [`IvmError::Integrity`] error.
 fn restore_database(raw: &RawCheckpoint) -> IvmResult<Database> {
     let mut db = Database::new();
     for t in &raw.tables {
@@ -319,15 +321,23 @@ fn restore_database(raw: &RawCheckpoint) -> IvmResult<Database> {
         table.analyze();
     }
     let dumps = raw.decode_engines(&db.catalog).map_err(wal_err)?;
+    let mut engines = Vec::with_capacity(dumps.len());
     for dump in &dumps {
-        let engine = rebuild_engine(&mut db.catalog, dump)?;
-        db.register(engine, dump.creation.clone());
+        engines.push(rebuild_engine(&mut db.catalog, dump)?);
     }
     for (name, view) in &raw.assertions {
-        db.install_assertion(Assertion {
-            name: name.clone(),
-            view: view.clone(),
-        });
+        match engines.iter_mut().find(|e| &e.name == view) {
+            Some(e) if e.assertion.is_none() => e.assertion = Some(name.clone()),
+            _ => {
+                return Err(IvmError::Integrity(format!(
+                    "checkpointed assertion `{name}` names view `{view}`, which is no \
+                     restored engine's view or backs another assertion"
+                )))
+            }
+        }
+    }
+    for (engine, dump) in engines.into_iter().zip(&dumps) {
+        db.register(engine, dump.creation.clone());
     }
     db.set_propagation_mode(prop_mode_from_u8(raw.propagation_mode)?);
     check_exec_mode_tag(raw.execution_mode)?;
@@ -672,6 +682,39 @@ mod tests {
                 "({prop}, {exec}): {err}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Assertions are flags on restored engines: a checkpoint whose
+    /// assertion names a view no restored engine has does not open, and
+    /// one that names a real view comes back flagged and enforced.
+    #[test]
+    fn a_checkpointed_assertion_must_name_a_restored_view() {
+        let dir = spacetime_wal::test_dir("durability_assertion_views");
+        let mut db = Database::new();
+        db.execute_sql(
+            "CREATE TABLE T (a INTEGER PRIMARY KEY);
+             CREATE ASSERTION Small CHECK (NOT EXISTS (SELECT a FROM T WHERE a > 9))",
+        )
+        .unwrap();
+        drop(create(&db, &dir));
+        let (mut recovered, _) = Database::open(&dir, DurabilityOptions::default()).unwrap();
+        let flags: Vec<_> = recovered.engines().iter().map(|e| e.assertion.clone()).collect();
+        assert_eq!(flags, [Some("Small".to_string())]);
+        let err = recovered.apply_delta("T", Delta::insert(tuple![10_i64], 1)).unwrap_err();
+        assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
+        drop(recovered);
+
+        let mut doc = snapshot(&db, 0).unwrap().into_doc();
+        doc.assertions.push(("Ghost".into(), "__assert_Ghost".into()));
+        write_checkpoint(&dir.join(CHECKPOINT_FILE), &doc).unwrap();
+        let err = Database::open(&dir, DurabilityOptions::default())
+            .err()
+            .expect("an assertion without its view must not open");
+        assert!(
+            matches!(&err, IvmError::Integrity(m) if m.contains("__assert_Ghost")),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

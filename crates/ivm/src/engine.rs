@@ -59,15 +59,15 @@ pub enum PropagationMode {
 /// Per-engine state the propagation hot path reuses across updates, so a
 /// stream of transactions does zero per-update setup: per-table topo
 /// orders and leaf groups, the materialized set as a cost-model marking
-/// and every track op's children (all computed once at build), and the
-/// runtime plan cache (valid until statistics change, which only
-/// `analyze()` does).
-#[derive(Debug, Default, Clone)]
+/// and every track op's children and detached node (all computed once at
+/// build), and the runtime plan cache (valid until statistics change,
+/// which only `analyze()` does).
+#[derive(Debug, Default)]
 struct PropagationCtx {
     /// `materialized`'s keys as the marking posed queries are costed under.
     marking: Marking,
-    /// Canonical children of every op some track chose.
-    children: BTreeMap<OpId, Vec<GroupId>>,
+    /// Every op some track chose.
+    ops: BTreeMap<OpId, TrackOp>,
     /// Children-first order of each table's track groups.
     topo: BTreeMap<String, Vec<GroupId>>,
     /// The leaf group scanning each table.
@@ -84,41 +84,18 @@ struct PropagationCtx {
     needed: BTreeMap<String, BTreeSet<GroupId>>,
     /// Cached runtime plan decisions (unused by the per-key reference).
     plans: PlanCache,
-    /// Lazily-built per-op expression nodes handed to `delta::propagate`
-    /// — pure functions of the (immutable) memo, cached so propagation
-    /// does not re-clone op/schema trees on every update.
-    nodes: NodeCache,
 }
 
-/// Interior-mutable `OpId -> Arc<ExprNode>` cache (see
-/// [`PropagationCtx::nodes`]).
-#[derive(Debug, Default)]
-struct NodeCache(std::sync::Mutex<BTreeMap<OpId, Arc<ExprNode>>>);
-
-impl Clone for NodeCache {
-    fn clone(&self) -> Self {
-        NodeCache(std::sync::Mutex::new(
-            self.0.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-        ))
-    }
-}
-
-impl NodeCache {
-    /// The detached single-op node for `op` (children stripped; the
-    /// propagation rules read only the op and the output schema).
-    fn node(&self, op: OpId, g: GroupId, memo: &Memo) -> Arc<ExprNode> {
-        let mut cache = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        cache
-            .entry(op)
-            .or_insert_with(|| {
-                Arc::new(ExprNode {
-                    op: memo.op(op).op.clone(),
-                    children: vec![],
-                    schema: memo.schema(g).clone(),
-                })
-            })
-            .clone()
-    }
+/// A track op as propagation reads it, built once from the (immutable)
+/// memo so propagation never re-clones op or schema trees.
+#[derive(Debug)]
+struct TrackOp {
+    /// The op's canonical children.
+    children: Vec<GroupId>,
+    /// The detached single-op node handed to `delta::propagate` (children
+    /// stripped; the propagation rules read only the op and the output
+    /// schema).
+    node: ExprNode,
 }
 
 /// Per-bucket I/O accounting for one propagated update.
@@ -177,8 +154,6 @@ impl UpdateReport {
 /// node plus the query I/O already spent computing them.
 #[derive(Debug, Clone)]
 pub struct PlannedUpdate {
-    /// The updated base table.
-    pub table: String,
     /// Deltas per materialized group (in application order).
     pub view_deltas: Vec<(GroupId, Delta)>,
     /// Report with `query_io` filled in.
@@ -198,12 +173,11 @@ impl PlannedUpdate {
     }
 }
 
-/// One maintained view (plus its chosen auxiliary materializations).
-///
-/// `Clone` exists so the database can hold engines behind `Arc` and
-/// copy-on-write them for configuration changes; a clone snapshots the
-/// plan cache's current decisions.
-#[derive(Debug, Clone)]
+/// One maintained view (plus its chosen auxiliary materializations), or
+/// one assertion: the view an assertion requires to stay empty. An engine
+/// is built once and never changes after the database registers it, so
+/// database clones share it behind an `Arc`.
+#[derive(Debug)]
 pub struct IvmEngine {
     /// The view's name (backing table of the root).
     pub name: String,
@@ -236,8 +210,9 @@ pub struct IvmEngine {
     complete: BTreeMap<String, BTreeMap<OpId, bool>>,
     /// Reused propagation state (topo orders, leaf groups, plan cache).
     prop_ctx: PropagationCtx,
-    /// Which data plane answers posed queries.
-    mode: PropagationMode,
+    /// The assertion this engine's view backs (§1, §6: a view required to
+    /// be empty), if any.
+    pub assertion: Option<String>,
 }
 
 impl IvmEngine {
@@ -403,11 +378,15 @@ impl IvmEngine {
             ..Default::default()
         };
         for (table, track) in &tracks {
-            for &op in track.choices.values() {
-                prop_ctx
-                    .children
-                    .entry(op)
-                    .or_insert_with(|| memo.op_children(op));
+            for (&g, &op) in &track.choices {
+                prop_ctx.ops.entry(op).or_insert_with(|| TrackOp {
+                    children: memo.op_children(op),
+                    node: ExprNode {
+                        op: memo.op(op).op.clone(),
+                        children: vec![],
+                        schema: memo.schema(g).clone(),
+                    },
+                });
             }
             let order = topo_order(&memo, track);
             if let Some(leaf) = roots.iter().find_map(|&r| leaf_group(&memo, r, table)) {
@@ -459,20 +438,8 @@ impl IvmEngine {
             tracks,
             complete,
             prop_ctx,
-            mode: PropagationMode::default(),
+            assertion: None,
         })
-    }
-
-    /// Switch the data plane answering posed queries. Both modes produce
-    /// identical deltas and charge identical I/O; `PerKey` exists as the
-    /// reference the suites compare against.
-    pub fn set_propagation_mode(&mut self, mode: PropagationMode) {
-        self.mode = mode;
-    }
-
-    /// The active propagation mode.
-    pub fn propagation_mode(&self) -> PropagationMode {
-        self.mode
     }
 
     /// Whether this engine's DAG reads `table`.
@@ -481,39 +448,41 @@ impl IvmEngine {
     }
 
     /// Phase 1: propagate a base delta along the chosen track, computing
-    /// the delta of every affected materialized node. Reads only
-    /// *pre-update* state; applies nothing.
+    /// the delta of every affected materialized node with the
+    /// [`PropagationMode::Fused`] data plane. Reads only *pre-update*
+    /// state; applies nothing.
     pub fn plan_update(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
     ) -> IvmResult<PlannedUpdate> {
-        self.plan_update_with(catalog, table, base_delta, false)
+        self.plan_update_with(catalog, table, base_delta, PropagationMode::Fused, false)
     }
 
-    /// [`IvmEngine::plan_update`], recording a propagation trace into
-    /// [`PlannedUpdate::trace`] when `trace` is set. Tracing does extra
-    /// work (probes + `Instant` reads) but never changes the planned
-    /// deltas or the report.
+    /// [`IvmEngine::plan_update`] on the data plane `mode` (the session's:
+    /// both modes produce identical deltas and charge identical I/O),
+    /// recording a propagation trace into [`PlannedUpdate::trace`] when
+    /// `trace` is set. Tracing does extra work (probes + `Instant` reads)
+    /// but never changes the planned deltas or the report.
     pub fn plan_update_with(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
+        mode: PropagationMode,
         trace: bool,
     ) -> IvmResult<PlannedUpdate> {
         let mut report = UpdateReport::default();
         let Some(track) = self.tracks.get(table) else {
             return Ok(PlannedUpdate {
-                table: table.to_string(),
                 view_deltas: Vec::new(),
                 report,
                 trace: None,
             });
         };
         obs::counter_add(metric::TRACK_PROPAGATIONS, 1);
-        let batched = self.mode == PropagationMode::Fused;
+        let batched = mode == PropagationMode::Fused;
         let mut exec = QueryExec::with_marking(
             &self.memo,
             catalog,
@@ -590,6 +559,7 @@ impl IvmEngine {
                 op,
                 &deltas,
                 &exec,
+                batched,
                 &mut ctx,
                 &mut report.query_io,
                 &mut posed,
@@ -629,9 +599,9 @@ impl IvmEngine {
             .filter(|(_, d)| !d.is_empty())
             .collect();
         obs::counter_add(metric::QUERIES_POSED, report.queries_posed);
-        let trace = trace.then(|| self.plan_trace(catalog, table, base_delta, leaf, order, &recs));
+        let trace =
+            trace.then(|| self.plan_trace(catalog, table, base_delta, mode, leaf, order, &recs));
         Ok(PlannedUpdate {
-            table: table.to_string(),
             view_deltas,
             report,
             trace,
@@ -641,11 +611,13 @@ impl IvmEngine {
     /// Assemble the propagation trace from the per-group recordings: the
     /// leaf scan, then every group that ran, in the track's topological
     /// order.
+    #[allow(clippy::too_many_arguments)]
     fn plan_trace(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
+        mode: PropagationMode,
         leaf: GroupId,
         order: &[GroupId],
         recs: &BTreeMap<GroupId, GroupRec>,
@@ -653,7 +625,7 @@ impl IvmEngine {
         let track_path: Vec<String> = order.iter().map(|g| format!("N{}", g.0)).collect();
         let mut root = TraceNode::new(format!("propagate {}", self.name))
             .with_field("table", table)
-            .with_field("mode", format!("{:?}", self.mode))
+            .with_field("mode", format!("{mode:?}"))
             .with_field("track", track_path.join("→"));
         root.push_child(
             TraceNode::new(format!("N{} Scan", leaf.0))
@@ -738,13 +710,14 @@ impl IvmEngine {
         op: OpId,
         deltas: &BTreeMap<GroupId, Cow<'_, Delta>>,
         exec: &QueryExec<'_>,
+        batched: bool,
         ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
         posed: &mut u64,
         mut probe: Option<&mut GroupProbe>,
     ) -> IvmResult<Option<Delta>> {
-        let children = self.prop_ctx.children.get(&op).ok_or_else(|| {
-            IvmError::Internal("track op has no children entry (must be computed at build)".into())
+        let TrackOp { children, node } = self.prop_ctx.ops.get(&op).ok_or_else(|| {
+            IvmError::Internal("track op has no entry (must be computed at build)".into())
         })?;
         // Exactly one child may carry a delta (sequential propagation;
         // a self-join of the updated table would put deltas on both).
@@ -771,7 +744,6 @@ impl IvmEngine {
         if let Some(p) = probe.as_mut() {
             p.delta_in = d_in.size();
         }
-        let node = self.prop_ctx.nodes.node(op, g, &self.memo);
         let self_mv = self
             .materialized
             .get(&g)
@@ -789,12 +761,12 @@ impl IvmEngine {
             children,
             self_rel: self_mv.map(|t| &t.relation),
             complete,
-            batched: self.mode == PropagationMode::Fused,
+            batched,
             io,
             posed,
             queries: probe.map(|p| &mut p.queries),
         };
-        Ok(Some(spacetime_delta::propagate(&node, delta_child, d_in, &mut access)?))
+        Ok(Some(spacetime_delta::propagate(node, delta_child, d_in, &mut access)?))
     }
 
     /// Phase 2: apply a planned update's view deltas (the base relation is
@@ -848,11 +820,6 @@ impl IvmEngine {
     /// to find attached in the catalog.
     pub fn materialized_tables(&self) -> impl Iterator<Item = &String> {
         self.materialized.values()
-    }
-
-    /// The root view's current contents.
-    pub fn root_contents<'a>(&self, catalog: &'a Catalog) -> StorageResult<&'a Bag> {
-        Ok(catalog.table(&self.name)?.relation.data())
     }
 }
 

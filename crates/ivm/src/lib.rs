@@ -11,7 +11,8 @@
 //!   and propagates base-table deltas along the cheapest update tracks,
 //!   maintaining every materialized view and reporting per-bucket I/O.
 //! * [`constraints`] — SQL-92 assertions as views required to be empty
-//!   (§1, §6): incremental checking and violation reporting.
+//!   (§1, §6): an assertion is a flag on its view's engine, checked
+//!   incrementally, with violation reporting.
 //! * [`database`] — [`database::Database`]: the user-facing session tying
 //!   everything together (DDL, DML with automatic view maintenance, SQL
 //!   front end, workload declaration, view-selection strategies) — the
@@ -38,7 +39,7 @@ pub mod shim;
 pub mod trace;
 pub mod verify;
 
-pub use constraints::{Assertion, Violation};
+pub use constraints::Violation;
 pub use database::{Database, PhaseTotals, ViewSelection};
 pub use durability::{DurabilityOptions, RecoveryStats};
 pub use engine::{IvmEngine, PropagationMode, UpdateReport};
@@ -70,8 +71,9 @@ pub enum IvmError {
         /// The panic payload, rendered (when it was a string).
         message: String,
     },
-    /// A post-failure integrity check found damage (a missing table or an
-    /// assertion view diverging from recomputation).
+    /// An integrity check found damage: a missing table, an assertion view
+    /// diverging from recomputation, or a checkpoint whose assertion names
+    /// no view.
     Integrity(String),
     /// An internal invariant did not hold (a bug, not a user error).
     Internal(String),

@@ -46,24 +46,6 @@ pub struct PlanCache {
 
 type BoundPlans = FxHashMap<GroupId, FxHashMap<Vec<usize>, Option<OpId>>>;
 
-impl Clone for PlanCache {
-    // Manual because `Mutex` is not `Clone`: snapshot the cached decisions.
-    fn clone(&self) -> Self {
-        PlanCache {
-            bound: Mutex::new(self.bound.lock().unwrap_or_else(|e| e.into_inner()).clone()),
-            full: Mutex::new(self.full.lock().unwrap_or_else(|e| e.into_inner()).clone()),
-        }
-    }
-}
-
-impl PlanCache {
-    /// Drop every cached decision (call after `analyze()` changes stats).
-    pub fn clear(&self) {
-        self.bound.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.full.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
 /// Executes queries over the DAG against the catalog.
 pub struct QueryExec<'a> {
     /// The expression DAG.

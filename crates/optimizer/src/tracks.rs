@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use spacetime_cost::{CostCtx, TableUpdate, TransactionType, UpdateKind};
+use spacetime_cost::{CostCtx, TableUpdate, UpdateKind};
 use spacetime_memo::{affected_groups, GroupId, Memo, OpId};
 use spacetime_storage::Catalog;
 
@@ -403,22 +403,6 @@ pub fn track_queries(
 ) -> Vec<PosedQuery> {
     let prepared = prepare_track_queries(ctx, catalog, track, update);
     resolve_prepared(&prepared, marked)
-}
-
-/// Derive all queries for a whole transaction (sequential propagation of
-/// each table's update).
-pub fn txn_queries(
-    ctx: &mut CostCtx<'_>,
-    catalog: &Catalog,
-    track: &UpdateTrack,
-    marked: &ViewSet,
-    txn: &TransactionType,
-) -> Vec<PosedQuery> {
-    let mut out = Vec::new();
-    for u in &txn.updates {
-        out.extend(track_queries(ctx, catalog, track, marked, u));
-    }
-    out
 }
 
 #[cfg(test)]

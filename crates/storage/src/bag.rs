@@ -26,7 +26,6 @@
 //! compares shard-wise with an `Arc::ptr_eq` fast path (undisturbed shards
 //! of a copied table compare in O(1)).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -253,12 +252,6 @@ impl Bag {
             .flat_map(|m| m.iter().map(|(t, &c)| (t, c)))
     }
 
-    /// Iterate tuples, repeating each per its multiplicity.
-    pub fn iter_expanded(&self) -> impl Iterator<Item = &Tuple> {
-        self.iter()
-            .flat_map(|(t, c)| std::iter::repeat_n(t, c as usize))
-    }
-
     /// Deterministically-ordered `(tuple, multiplicity)` pairs (for output
     /// and testing).
     pub fn sorted(&self) -> Vec<(Tuple, u64)> {
@@ -286,21 +279,6 @@ impl Bag {
             }
         }
         out
-    }
-
-    /// Consume into a count map.
-    pub fn into_counts(self) -> HashMap<Tuple, u64> {
-        match self.store {
-            Store::Flat(m) => m.into_iter().collect(),
-            Store::Sharded(s) => s
-                .into_iter()
-                .flat_map(|sh| {
-                    Arc::try_unwrap(sh)
-                        .unwrap_or_else(|a| (*a).clone())
-                        .into_iter()
-                })
-                .collect(),
-        }
     }
 }
 
@@ -429,12 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_expanded_repeats() {
-        let a: Bag = [(tuple![7], 3)].into_iter().collect();
-        assert_eq!(a.iter_expanded().count(), 3);
-    }
-
-    #[test]
     fn sorted_is_deterministic() {
         let a: Bag = [(tuple![2], 1), (tuple![1], 1)].into_iter().collect();
         let s = a.sorted();
@@ -514,15 +486,5 @@ mod tests {
         let mut c = b.clone();
         c.clear_dirty();
         assert_eq!(b, c);
-    }
-
-    #[test]
-    fn into_counts_roundtrips_across_representations() {
-        for n in [10i64, (PROMOTE_AT as i64) * 2] {
-            let b = big(n);
-            let counts = b.clone().into_counts();
-            assert_eq!(counts.len(), n as usize);
-            assert!(counts.values().all(|&c| c == 1));
-        }
     }
 }

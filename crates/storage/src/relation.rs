@@ -78,11 +78,6 @@ impl Relation {
         &self.data
     }
 
-    /// Number of secondary indices maintained.
-    pub fn index_count(&self) -> usize {
-        self.indexes.len()
-    }
-
     /// The index definitions (column position sets).
     pub fn index_defs(&self) -> Vec<Vec<usize>> {
         self.indexes.iter().map(|i| i.key_cols().to_vec()).collect()
@@ -153,12 +148,6 @@ impl Relation {
         let result = self.indexes[index_id].probe(key).unwrap_or(Bag::empty());
         io.read_tuples(result.len());
         result
-    }
-
-    /// Indexed existence/count check: charges only the index probe.
-    pub fn lookup_count(&self, index_id: usize, key: &[Value], io: &mut IoMeter) -> u64 {
-        io.index_probe();
-        self.indexes[index_id].probe_count(key)
     }
 
     /// Full scan: charges sequential pages and returns the bag.
