@@ -18,7 +18,7 @@
 //! * [`keys`] — candidate-key derivation through operators (feeds the
 //!   eager-aggregation rewrite and the paper's key-based query
 //!   elimination).
-//! * [`eval`] — the executor: evaluates a tree to a [`Bag`], selecting
+//! * [`eval`](mod@eval) — the executor: evaluates a tree to a [`Bag`], selecting
 //!   index-backed access paths where the physical model provides them.
 //! * [`kernel`] — fused streaming kernels: `Select`/`Project` chains
 //!   compiled into flat stage pipelines that push borrowed rows without

@@ -80,11 +80,10 @@ struct Scenario {
     wide: bool,
     /// Committed `io_total`, `paper_cost_io`, `queries_posed`, both modes.
     golden: [u64; 3],
-    /// Committed fused allocations per transaction. Each was re-recorded
-    /// downward when engines began building their track-op nodes at build
-    /// time rather than on an update's first use, and planned updates
-    /// stopped copying the table name into one `String` per engine; the
-    /// comment on each figure gives the earlier value and what it lost.
+    /// Committed fused allocations per transaction. Each was last
+    /// re-recorded downward when propagation stopped collecting each
+    /// group's delta-carrying children into a `Vec`; the comment on each
+    /// figure gives the earlier value and what it lost.
     fused_allocs_per_txn: f64,
 }
 
@@ -96,8 +95,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 40,
         wide: false,
         golden: [1841, 1244, 272],
-        // 131.8 earlier: -3.95 table-name `String`s, -2.85 lazy nodes.
-        fused_allocs_per_txn: 125.0,
+        // 125.0 earlier: -7.4 carrier `Vec`s.
+        fused_allocs_per_txn: 117.6,
     },
     Scenario {
         name: "scaling",
@@ -106,8 +105,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 80,
         wide: false,
         golden: [7864, 5938, 964],
-        // 181.8 earlier: -4.0 table-name `String`s, -1.5 lazy nodes.
-        fused_allocs_per_txn: 176.3,
+        // 176.3 earlier: -7.3 carrier `Vec`s.
+        fused_allocs_per_txn: 169.0,
     },
     Scenario {
         name: "wide",
@@ -116,8 +115,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 50,
         wide: true,
         golden: [5794, 3327, 571],
-        // 254.6 earlier: -9.0 table-name `String`s, -3.1 lazy nodes.
-        fused_allocs_per_txn: 242.5,
+        // 242.5 earlier: -11.7 carrier `Vec`s.
+        fused_allocs_per_txn: 230.8,
     },
 ];
 

@@ -129,11 +129,17 @@ pub struct PageIoCostModel {
     pub indexes_per_view: f64,
 }
 
+impl PageIoCostModel {
+    /// The paper's setting, a single index per view: the default, and the
+    /// model the runtime picks its query plans under.
+    pub const PAPER: PageIoCostModel = PageIoCostModel {
+        indexes_per_view: 1.0,
+    };
+}
+
 impl Default for PageIoCostModel {
     fn default() -> Self {
-        PageIoCostModel {
-            indexes_per_view: 1.0,
-        }
+        Self::PAPER
     }
 }
 

@@ -9,7 +9,7 @@
 //! > problem of determining the cost of evaluating a query Q on an
 //! > equivalence node in D_V, in the presence of the materialized views in
 //! > V. This is a standard query optimization problem, and the
-//! > optimization techniques of Chaudhuri et al. [4] … can be easily
+//! > optimization techniques of Chaudhuri et al. \[4\] … can be easily
 //! > adapted for this task."* (§3.4)
 //!
 //! [`CostCtx::query_cost`] is that adaptation: a best-plan search over the

@@ -11,7 +11,7 @@
 //!   first-class *modified* tuple pairs (the paper's three update kinds).
 //!   Keeping modifications paired is what lets aggregate maintenance "add
 //!   to or subtract from the previous aggregate values" (§1).
-//! * [`propagate`] — per-operator rules computing the output delta of a
+//! * [`propagate`](mod@propagate) — per-operator rules computing the output delta of a
 //!   node from one input's delta. Queries the rules pose on the *other*
 //!   inputs (the semijoin lookups of §2.2) go through the [`InputAccess`]
 //!   trait, so the caller decides whether each query is answered by a

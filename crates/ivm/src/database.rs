@@ -761,7 +761,7 @@ impl Database {
     ///    journal/catalog mismatch stops where it failed and leaves the
     ///    rest.
     ///
-    /// Cheap relative to [`verify_all_views`] (which recomputes *every*
+    /// Cheap relative to [`crate::verify_all_views`] (which recomputes *every*
     /// engine): only assertion-backing engines are recomputed here.
     pub fn integrity_check(&self) -> IvmResult<()> {
         let r = self.integrity_check_inner();
@@ -869,9 +869,9 @@ pub(crate) fn explore_views(
 /// Default workload: one unit modification per base relation under
 /// `roots`, equal weights (§3.2's model with no further information).
 fn default_workload(memo: &Memo, roots: &[GroupId]) -> Vec<TransactionType> {
-    crate::engine::leaf_tables(memo, roots.iter().copied())
+    crate::engine::leaves(memo, roots.iter().copied())
         .into_iter()
-        .map(|t| TransactionType::modify(format!(">{t}"), t, 1.0))
+        .map(|(t, _)| TransactionType::modify(format!(">{t}"), t, 1.0))
         .collect()
 }
 

@@ -1,12 +1,16 @@
 //! The maintenance engine: materialize a chosen view set and keep it
 //! incrementally maintained under base-table deltas.
 //!
-//! The engine executes the paper's §3.2 propagation model: for each updated
-//! base relation it follows a pre-chosen (cheapest) update track, computes
-//! each affected node's delta with the `spacetime-delta` rules — posing
-//! queries through [`QueryExec`] so lookups hit materialized views exactly
-//! where the optimizer assumed — and finally applies the deltas to every
-//! materialized relation, charging the §3.6 update costs.
+//! The engine executes the paper's §3.2 propagation model. At build it
+//! chooses the cheapest update track of every base relation the DAG reads
+//! and compiles it once into a `TrackPlan`: the track's groups as steps in
+//! topological order, each child resolved to the slot its delta lands in,
+//! the aggregates' key elimination decided and the access-free chains
+//! compiled into fused kernels. An update then walks its table's steps,
+//! computing each affected node's delta with the `spacetime-delta` rules —
+//! posing queries through [`QueryExec`] so lookups hit materialized views
+//! exactly where the optimizer assumed — and finally applies the deltas to
+//! every materialized relation, charging the §3.6 update costs.
 //!
 //! I/O is reported per bucket ([`UpdateReport`]) so callers can reproduce
 //! the paper's accounting, which excludes base-relation and top-level-view
@@ -14,12 +18,12 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::time::Instant;
 
 use spacetime_algebra::{ExprNode, ExprTree, FusedProgram, OpKind};
 use spacetime_cost::{CostCtx, Marking, PageIoCostModel, TransactionType};
 use spacetime_delta::{Delta, InputAccess};
-use spacetime_memo::{GroupId, Memo, OpId};
+use spacetime_memo::{GroupId, Memo};
 use spacetime_optimizer::tracks::UpdateTrack;
 use spacetime_optimizer::{EvalConfig, ViewSet};
 use spacetime_storage::{Bag, Catalog, IoMeter, StorageResult, Value};
@@ -30,72 +34,82 @@ use crate::qexec::{filter_binding, index_key_remap, permuted_key, PlanCache, Que
 use crate::trace::{GroupProbe, GroupRec, QueryRec};
 use crate::{IvmError, IvmResult};
 
-/// Which data plane [`IvmEngine::plan_update`] uses to answer the posed
-/// queries of delta propagation.
+/// Which data plane [`IvmEngine::plan_update`] runs a compiled update
+/// track on. Both run the same steps in the same order and produce the
+/// same deltas, reports and view contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PropagationMode {
-    /// One posed query at a time, plans re-costed per key, self-rows found
-    /// by filtering the whole materialization. Not a serving mode: it is
-    /// the reference the test suites hold [`PropagationMode::Fused`]
+    /// Every step through the propagation rules, chain steps included: one
+    /// posed query at a time, plans re-costed per key, self-rows found by
+    /// filtering the whole materialization. Not a serving mode: it is the
+    /// reference the test suites hold [`PropagationMode::Fused`]
     /// bit-identical to.
     #[doc(hidden)]
     PerKey,
     /// The production path. Each delta's distinct keys are collected up
     /// front and answered by one batched query per (child, columns), with
     /// plan choices cached across updates and self-maintenance reads
-    /// answered by index probes; each access-free `Select`/`Project`
-    /// chain executes as a compiled [`spacetime_algebra::FusedProgram`]
-    /// streaming the base delta through every stage in one pass, with
-    /// interior chain groups skipped entirely (their deltas exist only to
-    /// feed the next chain op, which the kernel fuses away). Chains pose
-    /// no queries and charge no I/O, so deltas, reports, and view contents
-    /// are bit-identical to [`PropagationMode::PerKey`]. Tracing runs the
-    /// same kernels: a needed chain group records one span carrying its
-    /// stage count.
+    /// answered by index probes. A chain step (an access-free
+    /// `Select`/`Project` chain off the base scan) runs its compiled
+    /// [`spacetime_algebra::FusedProgram`] straight off the base delta
+    /// when its delta is needed, and is skipped otherwise (an interior
+    /// chain group's delta only feeds the next stage, which the kernel
+    /// fuses away). Chains pose no queries and charge no I/O, so nothing
+    /// the report counts changes. Tracing runs the same kernels: a needed
+    /// chain step records one span carrying its stage count.
     #[default]
     Fused,
 }
 
-/// Per-engine state the propagation hot path reuses across updates, so a
-/// stream of transactions does zero per-update setup: per-table topo
-/// orders and leaf groups, the materialized set as a cost-model marking
-/// and every track op's children and detached node (all computed once at
-/// build), and the runtime plan cache (valid until statistics change,
-/// which only `analyze()` does).
-#[derive(Debug, Default)]
-struct PropagationCtx {
-    /// `materialized`'s keys as the marking posed queries are costed under.
-    marking: Marking,
-    /// Every op some track chose.
-    ops: BTreeMap<OpId, TrackOp>,
-    /// Children-first order of each table's track groups.
-    topo: BTreeMap<String, Vec<GroupId>>,
-    /// The leaf group scanning each table.
-    leaves: BTreeMap<String, GroupId>,
-    /// Per (table, group), the access-free chain from the base scan
-    /// through `Select`/`Project` steps only, compiled into a fused
-    /// streaming kernel that [`PropagationMode::Fused`] runs straight off
-    /// the base delta.
-    programs: BTreeMap<String, BTreeMap<GroupId, Arc<FusedProgram>>>,
-    /// Chain groups whose deltas are still *needed* under fusion: those
-    /// that are materialized, or feed a non-chain op. Interior chain
-    /// groups (everything else) are skipped by the fused path — their
-    /// deltas existed only to carry data to the next chain stage.
-    needed: BTreeMap<String, BTreeSet<GroupId>>,
-    /// Cached runtime plan decisions (unused by the per-key reference).
-    plans: PlanCache,
+/// One base table's update track, compiled once at build: the table's
+/// leaf group and the track's groups as steps in topological order
+/// (children first). Propagation walks the steps front to back and keeps
+/// the deltas in slots: slot 0 holds the base delta, slot `i + 1` step
+/// `i`'s output.
+#[derive(Debug)]
+struct TrackPlan {
+    /// The leaf group scanning the table.
+    leaf: GroupId,
+    /// Whether the leaf is materialized: a view that is the bare table
+    /// (`SELECT * FROM t`) takes the base delta as it is.
+    leaf_mv: bool,
+    /// Every group the track chose an op for, children first.
+    steps: Vec<Step>,
+    /// The topological order as the trace's `track` field renders it: the
+    /// steps plus the leaf and the off-track inputs they read.
+    path: String,
 }
 
-/// A track op as propagation reads it, built once from the (immutable)
-/// memo so propagation never re-clones op or schema trees.
+/// One group of a compiled track.
 #[derive(Debug)]
-struct TrackOp {
-    /// The op's canonical children.
-    children: Vec<GroupId>,
+struct Step {
+    group: GroupId,
     /// The detached single-op node handed to `delta::propagate` (children
     /// stripped; the propagation rules read only the op and the output
     /// schema).
     node: ExprNode,
+    /// The op's children, each with the slot its delta lives in (`None`
+    /// for a child off the track, which never carries a delta).
+    children: Vec<(GroupId, Option<usize>)>,
+    /// Key elimination (§3.4) for an aggregate op: its child's delta
+    /// covers every row of each group it touches.
+    complete: bool,
+    /// The backing table when the group is materialized.
+    mv: Option<String>,
+    /// The access-free chain from the base scan through `Select`/`Project`
+    /// steps only, compiled into a kernel [`PropagationMode::Fused`] runs
+    /// straight off the base delta.
+    chain: Option<Chain>,
+}
+
+/// A fused chain step.
+#[derive(Debug)]
+struct Chain {
+    program: FusedProgram,
+    /// Whether the fused path still needs the group's delta: it is
+    /// materialized or feeds a non-chain step. An interior chain group is
+    /// skipped, its delta existed only to carry data to the next stage.
+    needed: bool,
 }
 
 /// Per-bucket I/O accounting for one propagated update.
@@ -187,7 +201,7 @@ pub struct IvmEngine {
     pub root: GroupId,
     /// All root groups (one per view when several views share this
     /// engine's DAG, §6's multi-rooted case; contains `root`).
-    pub roots: std::collections::BTreeSet<GroupId>,
+    pub roots: BTreeSet<GroupId>,
     /// The materialized view set (root included).
     pub view_set: ViewSet,
     /// Materialized group → backing table.
@@ -201,15 +215,13 @@ pub struct IvmEngine {
     /// [`IvmEngine::build`] (checkpointing requires database-created
     /// engines).
     pub creation: Vec<(String, ExprTree)>,
-    /// Cost model used for runtime plan choices.
-    pub model: PageIoCostModel,
-    /// Chosen update track per base table.
-    tracks: BTreeMap<String, UpdateTrack>,
-    /// Key-elimination result per table, per aggregate op on that track
-    /// (nested so the hot path can look up with a borrowed table name).
-    complete: BTreeMap<String, BTreeMap<OpId, bool>>,
-    /// Reused propagation state (topo orders, leaf groups, plan cache).
-    prop_ctx: PropagationCtx,
+    /// The compiled update track of each base table the DAG reads.
+    track_plans: BTreeMap<String, TrackPlan>,
+    /// `materialized`'s keys as the marking posed queries are costed under.
+    marking: Marking,
+    /// Runtime plan choices, filled on first use (unused by the per-key
+    /// reference).
+    plan_cache: PlanCache,
     /// The assertion this engine's view backs (§1, §6: a view required to
     /// be empty), if any.
     pub assertion: Option<String>,
@@ -217,7 +229,8 @@ pub struct IvmEngine {
 
 impl IvmEngine {
     /// Materialize `view_set` (the root plus auxiliaries) into the
-    /// catalog, choose per-table update tracks, and return the engine.
+    /// catalog, choose and compile per-table update tracks, and return
+    /// the engine.
     /// Initial materialization is a full (uncharged) computation.
     pub fn build(
         name: impl Into<String>,
@@ -247,9 +260,9 @@ impl IvmEngine {
     /// the catalog (restored from a checkpoint with contents, indexes,
     /// and statistics) instead of creating and computing them. `pins`
     /// maps every view-set group to its backing-table name; the normal
-    /// create/evaluate/load/analyze step is skipped wholesale, while
-    /// track choice and propagation state are computed fresh against
-    /// the restored statistics.
+    /// create/evaluate/load/analyze step is skipped wholesale, while the
+    /// tracks are chosen and compiled fresh against the restored
+    /// statistics.
     pub(crate) fn rebuild_pinned(
         named_roots: Vec<(String, GroupId)>,
         memo: Memo,
@@ -267,21 +280,21 @@ impl IvmEngine {
         catalog: &mut Catalog,
         pins: Option<&BTreeMap<GroupId, String>>,
     ) -> IvmResult<IvmEngine> {
-        assert!(!named_roots.is_empty(), "at least one root view");
         let named_roots: Vec<(String, GroupId)> = named_roots
             .into_iter()
             .map(|(n, g)| (n, memo.find(g)))
             .collect();
-        let name = named_roots[0].0.clone();
-        let root = named_roots[0].1;
-        let roots: std::collections::BTreeSet<GroupId> =
-            named_roots.iter().map(|&(_, g)| g).collect();
+        let Some((name, root)) = named_roots.first().cloned() else {
+            return Err(IvmError::Unsupported(
+                "an engine needs at least one root view".into(),
+            ));
+        };
+        let roots: BTreeSet<GroupId> = named_roots.iter().map(|&(_, g)| g).collect();
         let view_set: ViewSet = view_set
             .iter()
             .map(|&g| memo.find(g))
             .chain(roots.iter().copied())
             .collect();
-        let model = PageIoCostModel::default();
 
         // Materialize every marked group. Queryable column sets for the
         // whole memo are collected in one pass, instead of re-walking
@@ -334,14 +347,13 @@ impl IvmEngine {
 
         // Choose the cheapest track per base table (unit-modify probe
         // transactions; the optimizer's evaluation machinery picks the
-        // same tracks its cost tables did).
-        let mut tracks = BTreeMap::new();
-        let mut complete: BTreeMap<String, BTreeMap<OpId, bool>> = BTreeMap::new();
+        // same tracks its cost tables did) and compile it.
+        let mut track_plans = BTreeMap::new();
         let config = EvalConfig::default();
-        let mut ctx = CostCtx::new(&memo, catalog, &model);
-        for table in &leaf_tables(&memo, roots.iter().copied()) {
+        let mut ctx = CostCtx::new(&memo, catalog, &PageIoCostModel::PAPER);
+        let root_vec: Vec<GroupId> = roots.iter().copied().collect();
+        for (table, leaf) in leaves(&memo, roots.iter().copied()) {
             let txn = TransactionType::modify(format!(">{table}"), table.clone(), 1.0);
-            let root_vec: Vec<GroupId> = roots.iter().copied().collect();
             let eval = spacetime_optimizer::evaluate_multi(
                 &mut ctx,
                 catalog,
@@ -350,80 +362,15 @@ impl IvmEngine {
                 &[txn],
                 &config,
             );
-            let Some(txn_eval) = eval.per_txn.first() else {
+            let Some(best) = eval
+                .per_txn
+                .first()
+                .and_then(|e| e.tracks.get(e.best_track))
+            else {
                 continue;
             };
-            let Some(best) = txn_eval.tracks.get(txn_eval.best_track) else {
-                continue;
-            };
-            let track = best.track.clone();
-            // Precompute key-elimination per aggregate op on this track.
-            for &op in track.choices.values() {
-                if let OpKind::Aggregate { group_by, .. } = &memo.op(op).op {
-                    let child = memo.op_children(op)[0];
-                    let ok = spacetime_optimizer::delta_group_complete(
-                        &memo, catalog, &track, child, group_by, table,
-                    );
-                    complete.entry(table.clone()).or_default().insert(op, ok);
-                }
-            }
-            tracks.insert(table.clone(), track);
-        }
-
-        // Per-table propagation state, computed once instead of on every
-        // update: topo order, leaf group, and the access-free chains' fused
-        // kernels.
-        let mut prop_ctx = PropagationCtx {
-            marking: materialized.keys().copied().collect(),
-            ..Default::default()
-        };
-        for (table, track) in &tracks {
-            for (&g, &op) in &track.choices {
-                prop_ctx.ops.entry(op).or_insert_with(|| TrackOp {
-                    children: memo.op_children(op),
-                    node: ExprNode {
-                        op: memo.op(op).op.clone(),
-                        children: vec![],
-                        schema: memo.schema(g).clone(),
-                    },
-                });
-            }
-            let order = topo_order(&memo, track);
-            if let Some(leaf) = roots.iter().find_map(|&r| leaf_group(&memo, r, table)) {
-                let chains = chain_plan(&memo, track, &order, leaf, table);
-                // Compile each access-free chain into a fused kernel
-                // (skipping the leading `Scan`), and record which chain
-                // groups still need their delta under fusion: those that
-                // are materialized or feed a non-chain track op.
-                let programs: BTreeMap<GroupId, Arc<FusedProgram>> = chains
-                    .iter()
-                    .filter_map(|(g, chain)| {
-                        FusedProgram::compile(chain.iter().skip(1)).map(|p| (*g, Arc::new(p)))
-                    })
-                    .collect();
-                let mut needed: BTreeSet<GroupId> = programs
-                    .keys()
-                    .filter(|g| materialized.contains_key(g))
-                    .copied()
-                    .collect();
-                for &h in &order {
-                    let Some(&op) = track.choices.get(&h) else {
-                        continue;
-                    };
-                    if programs.contains_key(&h) {
-                        continue;
-                    }
-                    for c in memo.op_children(op) {
-                        if programs.contains_key(&c) {
-                            needed.insert(c);
-                        }
-                    }
-                }
-                prop_ctx.leaves.insert(table.clone(), leaf);
-                prop_ctx.programs.insert(table.clone(), programs);
-                prop_ctx.needed.insert(table.clone(), needed);
-            }
-            prop_ctx.topo.insert(table.clone(), order);
+            let plan = compile_track(&memo, catalog, &best.track, &table, leaf, &materialized);
+            track_plans.insert(table, plan);
         }
 
         Ok(IvmEngine {
@@ -432,19 +379,18 @@ impl IvmEngine {
             root,
             roots,
             view_set,
+            marking: materialized.keys().copied().collect(),
             materialized,
             creation: Vec::new(),
-            model,
-            tracks,
-            complete,
-            prop_ctx,
+            track_plans,
+            plan_cache: PlanCache::default(),
             assertion: None,
         })
     }
 
     /// Whether this engine's DAG reads `table`.
     pub fn depends_on(&self, table: &str) -> bool {
-        self.tracks.contains_key(table)
+        self.track_plans.contains_key(table)
     }
 
     /// Phase 1: propagate a base delta along the chosen track, computing
@@ -474,7 +420,7 @@ impl IvmEngine {
         trace: bool,
     ) -> IvmResult<PlannedUpdate> {
         let mut report = UpdateReport::default();
-        let Some(track) = self.tracks.get(table) else {
+        let Some(plan) = self.track_plans.get(table) else {
             return Ok(PlannedUpdate {
                 view_deltas: Vec::new(),
                 report,
@@ -482,125 +428,95 @@ impl IvmEngine {
             });
         };
         obs::counter_add(metric::TRACK_PROPAGATIONS, 1);
-        let batched = mode == PropagationMode::Fused;
-        let mut exec = QueryExec::with_marking(
-            &self.memo,
-            catalog,
-            &self.materialized,
-            &self.prop_ctx.marking,
-        );
-        if batched {
-            exec = exec.with_plans(&self.prop_ctx.plans);
+        let fused = mode == PropagationMode::Fused;
+        let mut exec =
+            QueryExec::with_marking(&self.memo, catalog, &self.materialized, &self.marking);
+        if fused {
+            exec = exec.with_plans(&self.plan_cache);
         }
-        // Fused chain kernels, traced or not. Chains pose no queries and
-        // charge no I/O in any mode, so the plan, report, and view deltas
-        // stay bit-identical to the per-step path.
-        let fused = batched
-            .then(|| self.prop_ctx.programs.get(table))
-            .flatten();
-        let fused_needed = fused.and_then(|_| self.prop_ctx.needed.get(table));
-
-        // Topological order of the track's groups (children first) and the
-        // table's leaf group, both computed once at build time.
-        let order = self.prop_ctx.topo.get(table).ok_or_else(|| {
-            IvmError::Internal(format!(
-                "track for `{table}` has no topo order (must be computed at build)"
-            ))
-        })?;
-        let leaf = self.prop_ctx.leaves.get(table).copied().ok_or_else(|| {
-            IvmError::Unsupported(format!("table `{table}` not under view `{}`", self.name))
-        })?;
-        // Group deltas accumulate as owned values; the leaf seed stays a
-        // borrow of the caller's base delta (never cloned into the map).
-        let mut deltas: BTreeMap<GroupId, Cow<'_, Delta>> = BTreeMap::new();
-        deltas.insert(leaf, Cow::Borrowed(base_delta));
-        let mut recs: BTreeMap<GroupId, GroupRec> = BTreeMap::new();
-
-        let mut ctx = CostCtx::new(&self.memo, catalog, &self.model);
-        for &g in order {
-            let Some(&op) = track.choices.get(&g) else {
-                continue;
-            };
-            if let Some(prog) = fused.and_then(|progs| progs.get(&g)) {
-                // Fused chain group: run the whole compiled chain off the
-                // base delta if anything downstream needs this group's
-                // delta (traced as one span); skip it entirely otherwise.
-                if fused_needed.is_some_and(|n| n.contains(&g)) {
-                    let t0 = trace.then(std::time::Instant::now);
-                    let d = spacetime_delta::propagate_chain(prog, base_delta)?;
-                    if let Some(t0) = t0 {
-                        recs.insert(
-                            g,
-                            GroupRec {
-                                probe: GroupProbe {
-                                    delta_in: base_delta.size(),
-                                    ..GroupProbe::default()
-                                },
-                                delta_out: d.size(),
-                                stages: Some(prog.stage_count()),
-                                wall_ns: t0.elapsed().as_nanos() as u64,
-                                ..GroupRec::default()
-                            },
-                        );
-                    }
-                    if !d.is_empty() {
-                        deltas.insert(g, Cow::Owned(d));
-                    }
+        // The base delta's slot borrows the caller's delta (never cloned);
+        // each step pushes its own, `None` when the update leaves the group
+        // alone. Trace records are kept per step, and only when tracing.
+        let mut slots: Vec<Option<Cow<'_, Delta>>> = Vec::with_capacity(plan.steps.len() + 1);
+        slots.push(Some(Cow::Borrowed(base_delta)));
+        let mut recs: Vec<Option<GroupRec>> = Vec::new();
+        for step in &plan.steps {
+            let t0 = trace.then(Instant::now);
+            let (out, rec) = match &step.chain {
+                // A fused chain step runs the whole compiled chain off the
+                // base delta if anything downstream needs its delta (traced
+                // as one span), and is skipped entirely otherwise. Chains
+                // pose no queries and charge no I/O in any mode, so the
+                // report and view deltas stay bit-identical to the per-step
+                // path.
+                Some(chain) if fused && !chain.needed => (None, None),
+                Some(chain) if fused => {
+                    let d = spacetime_delta::propagate_chain(&chain.program, base_delta)?;
+                    let rec = t0.map(|t0| GroupRec {
+                        probe: GroupProbe {
+                            delta_in: base_delta.size(),
+                            ..GroupProbe::default()
+                        },
+                        delta_out: d.size(),
+                        stages: Some(chain.program.stage_count()),
+                        wall_ns: t0.elapsed().as_nanos() as u64,
+                        ..GroupRec::default()
+                    });
+                    ((!d.is_empty()).then_some(d), rec)
                 }
-                continue;
-            }
-            let mut posed = 0u64;
-            let mut probe = trace.then(GroupProbe::default);
-            let t0 = trace.then(std::time::Instant::now);
-            if let Some(d) = self.propagate_group(
-                catalog,
-                table,
-                g,
-                op,
-                &deltas,
-                &exec,
-                batched,
-                &mut ctx,
-                &mut report.query_io,
-                &mut posed,
-                probe.as_mut(),
-            )? {
-                if let Some(probe) = probe {
-                    recs.insert(
-                        g,
-                        GroupRec {
+                _ => {
+                    let mut posed = 0u64;
+                    let mut probe = trace.then(GroupProbe::default);
+                    let out = propagate_group(
+                        catalog,
+                        step,
+                        &slots,
+                        &mut exec,
+                        fused,
+                        &mut report.query_io,
+                        &mut posed,
+                        probe.as_mut(),
+                    )?;
+                    report.queries_posed += posed;
+                    let rec = match (&out, probe, t0) {
+                        (Some(d), Some(probe), Some(t0)) => Some(GroupRec {
                             probe,
                             delta_out: d.size(),
                             posed,
                             stages: None,
-                            wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                        },
-                    );
+                            wall_ns: t0.elapsed().as_nanos() as u64,
+                        }),
+                        _ => None,
+                    };
+                    (out, rec)
                 }
-                deltas.insert(g, Cow::Owned(d));
+            };
+            slots.push(out.map(Cow::Owned));
+            if trace {
+                recs.push(rec);
             }
-            report.queries_posed += posed;
         }
 
-        // All delta-carrying groups minus the leaf's seed entry. (Read
-        // before view deltas are moved out of the map below.)
+        // Every step that got a delta this update.
         obs::counter_add(
             metric::TRACK_GROUPS_PROPAGATED,
-            deltas.len().saturating_sub(1) as u64,
+            slots[1..].iter().flatten().count() as u64,
         );
-        // Deltas for materialized nodes, children before parents (same
-        // topo order), so commit order never violates referential
-        // assumptions. Moved out of the map, not cloned — each group
-        // appears once in `order`.
-        let view_deltas: Vec<(GroupId, Delta)> = order
-            .iter()
-            .filter(|g| self.materialized.contains_key(g))
-            .filter_map(|&g| deltas.remove(&g).map(|d| (g, d.into_owned())))
+        // Deltas for materialized nodes, children before parents (the leaf,
+        // then the steps' order), so commit order never violates
+        // referential assumptions. Moved out of their slots, not cloned.
+        let groups = std::iter::once((plan.leaf, plan.leaf_mv)).chain(
+            plan.steps
+                .iter()
+                .map(|step| (step.group, step.mv.is_some())),
+        );
+        let view_deltas: Vec<(GroupId, Delta)> = groups
+            .zip(slots)
+            .filter_map(|((g, mv), d)| Some((g, d.filter(|_| mv)?.into_owned())))
             .filter(|(_, d)| !d.is_empty())
             .collect();
         obs::counter_add(metric::QUERIES_POSED, report.queries_posed);
-        let trace =
-            trace.then(|| self.plan_trace(catalog, table, base_delta, mode, leaf, order, &recs));
+        let trace = trace.then(|| self.plan_trace(catalog, table, base_delta, mode, plan, &recs));
         Ok(PlannedUpdate {
             view_deltas,
             report,
@@ -608,37 +524,33 @@ impl IvmEngine {
         })
     }
 
-    /// Assemble the propagation trace from the per-group recordings: the
-    /// leaf scan, then every group that ran, in the track's topological
+    /// Assemble the propagation trace from the per-step recordings: the
+    /// leaf scan, then every step that ran, in the track's topological
     /// order.
-    #[allow(clippy::too_many_arguments)]
     fn plan_trace(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
         mode: PropagationMode,
-        leaf: GroupId,
-        order: &[GroupId],
-        recs: &BTreeMap<GroupId, GroupRec>,
+        plan: &TrackPlan,
+        recs: &[Option<GroupRec>],
     ) -> TraceNode {
-        let track_path: Vec<String> = order.iter().map(|g| format!("N{}", g.0)).collect();
         let mut root = TraceNode::new(format!("propagate {}", self.name))
             .with_field("table", table)
             .with_field("mode", format!("{mode:?}"))
-            .with_field("track", track_path.join("→"));
+            .with_field("track", &plan.path);
         root.push_child(
-            TraceNode::new(format!("N{} Scan", leaf.0))
+            TraceNode::new(format!("N{} Scan", plan.leaf.0))
                 .with_field("op", format!("Scan({table})"))
                 .with_field("Δout", base_delta.size()),
         );
-        let choices = self.tracks.get(table).map(|t| &t.choices);
-        for g in order {
-            let (Some(rec), Some(&op)) = (recs.get(g), choices.and_then(|c| c.get(g))) else {
+        for (step, rec) in plan.steps.iter().zip(recs) {
+            let Some(rec) = rec else {
                 continue;
             };
-            let kind = &self.memo.op(op).op;
-            let mut node = TraceNode::new(format!("N{} {}", g.0, kind_name(kind)))
+            let kind = &step.node.op;
+            let mut node = TraceNode::new(format!("N{} {}", step.group.0, kind_name(kind)))
                 .with_field("op", kind)
                 .with_field("Δin", rec.probe.delta_in)
                 .with_field("Δout", rec.delta_out)
@@ -646,7 +558,7 @@ impl IvmEngine {
             if let Some(stages) = rec.stages {
                 node.push_field("stages", stages);
             }
-            if let Some(mv) = self.materialized.get(g) {
+            if let Some(mv) = &step.mv {
                 node.push_field("mv", mv);
             }
             for q in &rec.probe.queries {
@@ -696,77 +608,6 @@ impl IvmEngine {
             Some((_, true)) => format!("index({table}) permuted"),
             None => format!("scan({table})"),
         }
-    }
-
-    /// Compute one group's output delta from its children's deltas (and
-    /// the pre-update catalog). Returns `None` when no child carries a
-    /// delta (the group is unaffected this transaction).
-    #[allow(clippy::too_many_arguments)]
-    fn propagate_group(
-        &self,
-        catalog: &Catalog,
-        table: &str,
-        g: GroupId,
-        op: OpId,
-        deltas: &BTreeMap<GroupId, Cow<'_, Delta>>,
-        exec: &QueryExec<'_>,
-        batched: bool,
-        ctx: &mut CostCtx<'_>,
-        io: &mut IoMeter,
-        posed: &mut u64,
-        mut probe: Option<&mut GroupProbe>,
-    ) -> IvmResult<Option<Delta>> {
-        let TrackOp { children, node } = self.prop_ctx.ops.get(&op).ok_or_else(|| {
-            IvmError::Internal("track op has no entry (must be computed at build)".into())
-        })?;
-        // Exactly one child may carry a delta (sequential propagation;
-        // a self-join of the updated table would put deltas on both).
-        let carriers: Vec<usize> = children
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| deltas.get(c).is_some_and(|d| !d.is_empty()))
-            .map(|(i, _)| i)
-            .collect();
-        if carriers.len() > 1 {
-            return Err(IvmError::Unsupported(
-                "propagation through a self-join of the updated relation".into(),
-            ));
-        }
-        let Some(&delta_child) = carriers.first() else {
-            return Ok(None);
-        };
-        let d_in: &Delta = deltas
-            .get(&children[delta_child])
-            .ok_or_else(|| {
-                IvmError::Internal("carrier child lost its delta during propagation".into())
-            })?
-            .as_ref();
-        if let Some(p) = probe.as_mut() {
-            p.delta_in = d_in.size();
-        }
-        let self_mv = self
-            .materialized
-            .get(&g)
-            .map(|t| catalog.table(t))
-            .transpose()?;
-        let complete = self
-            .complete
-            .get(table)
-            .and_then(|per_op| per_op.get(&op))
-            .copied()
-            .unwrap_or(false);
-        let mut access = EngineAccess {
-            exec,
-            ctx,
-            children,
-            self_rel: self_mv.map(|t| &t.relation),
-            complete,
-            batched,
-            io,
-            posed,
-            queries: probe.map(|p| &mut p.queries),
-        };
-        Ok(Some(spacetime_delta::propagate(node, delta_child, d_in, &mut access)?))
     }
 
     /// Phase 2: apply a planned update's view deltas (the base relation is
@@ -823,24 +664,78 @@ impl IvmEngine {
     }
 }
 
+/// Compute one step's output delta from its children's slots (and the
+/// pre-update catalog). Returns `None` when no child carries a delta (the
+/// group is unaffected this transaction).
+#[allow(clippy::too_many_arguments)]
+fn propagate_group(
+    catalog: &Catalog,
+    step: &Step,
+    slots: &[Option<Cow<'_, Delta>>],
+    exec: &mut QueryExec<'_>,
+    batched: bool,
+    io: &mut IoMeter,
+    posed: &mut u64,
+    mut probe: Option<&mut GroupProbe>,
+) -> IvmResult<Option<Delta>> {
+    // Exactly one child may carry a delta (sequential propagation; a
+    // self-join of the updated table would put deltas on both). A child's
+    // slot precedes its parent's, so it has been filled already.
+    let mut carriers = step
+        .children
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &(_, slot))| {
+            let d = slots[slot?].as_deref()?;
+            (!d.is_empty()).then_some((i, d))
+        });
+    let Some((delta_child, d_in)) = carriers.next() else {
+        return Ok(None);
+    };
+    if carriers.next().is_some() {
+        return Err(IvmError::Unsupported(
+            "propagation through a self-join of the updated relation".into(),
+        ));
+    }
+    if let Some(p) = probe.as_mut() {
+        p.delta_in = d_in.size();
+    }
+    let self_mv = step.mv.as_deref().map(|t| catalog.table(t)).transpose()?;
+    let mut access = EngineAccess {
+        exec,
+        children: &step.children,
+        self_rel: self_mv.map(|t| &t.relation),
+        complete: step.complete,
+        batched,
+        io,
+        posed,
+        queries: probe.map(|p| &mut p.queries),
+    };
+    Ok(Some(spacetime_delta::propagate(
+        &step.node,
+        delta_child,
+        d_in,
+        &mut access,
+    )?))
+}
+
 /// `InputAccess` over the engine: queries via [`QueryExec`] (charged),
 /// self-rows from the node's own materialization (uncharged — the
 /// subsequent update application pays for reading the tuple, per §3.6's
 /// "reading, modifying and writing 1 tuple" arithmetic).
-struct EngineAccess<'e, 'c, 'x> {
-    exec: &'e QueryExec<'e>,
-    ctx: &'e mut CostCtx<'c>,
-    children: &'e [GroupId],
+struct EngineAccess<'e, 'c> {
+    exec: &'e mut QueryExec<'c>,
+    children: &'e [(GroupId, Option<usize>)],
     self_rel: Option<&'e spacetime_storage::Relation>,
     complete: bool,
     batched: bool,
-    io: &'x mut IoMeter,
-    posed: &'x mut u64,
+    io: &'e mut IoMeter,
+    posed: &'e mut u64,
     /// When tracing, every posed query is also recorded here.
-    queries: Option<&'x mut Vec<QueryRec>>,
+    queries: Option<&'e mut Vec<QueryRec>>,
 }
 
-impl EngineAccess<'_, '_, '_> {
+impl EngineAccess<'_, '_> {
     /// Count `keys` posed queries on `child` (and trace them as one
     /// record; an empty batch poses nothing — no phantom query).
     fn note_posed(&mut self, child: usize, cols: &[usize], keys: u64) {
@@ -848,7 +743,7 @@ impl EngineAccess<'_, '_, '_> {
         if let Some(q) = self.queries.as_mut() {
             if keys > 0 {
                 q.push(QueryRec {
-                    child: self.children[child],
+                    child: self.children[child].0,
                     cols: cols.to_vec(),
                     keys,
                 });
@@ -857,21 +752,20 @@ impl EngineAccess<'_, '_, '_> {
     }
 }
 
-impl InputAccess for EngineAccess<'_, '_, '_> {
+impl InputAccess for EngineAccess<'_, '_> {
     fn matching_all(
         &mut self,
         child: usize,
         cols: &[usize],
         keys: &[Vec<Value>],
     ) -> StorageResult<Vec<Cow<'_, Bag>>> {
+        let g = self.children[child].0;
         if self.batched {
             // One posed query per binding, same as the per-key path, so the
             // count is mode-independent (the *plans* differ, not the set of
             // posed queries — §2.2).
             self.note_posed(child, cols, keys.len() as u64);
-            return self
-                .exec
-                .query_all(self.children[child], cols, keys, self.ctx, self.io);
+            return self.exec.query_all(g, cols, keys, self.io);
         }
         // Per-key baseline: pose and plan each query individually. The
         // executor's answers borrow the catalog, not `self`, so they are
@@ -879,10 +773,7 @@ impl InputAccess for EngineAccess<'_, '_, '_> {
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
             self.note_posed(child, cols, 1);
-            out.push(
-                self.exec
-                    .query(self.children[child], cols, key, self.ctx, self.io)?,
-            );
+            out.push(self.exec.query(g, cols, key, self.io)?);
         }
         Ok(out)
     }
@@ -917,17 +808,21 @@ impl InputAccess for EngineAccess<'_, '_, '_> {
     }
 }
 
-/// Distinct base tables scanned under `roots`: each root's tables not
-/// already listed, sorted, in root order.
-pub fn leaf_tables(memo: &Memo, roots: impl IntoIterator<Item = GroupId>) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
+/// Distinct base tables scanned under `roots`, each with the first group
+/// found scanning it: each root's tables not already listed, sorted, in
+/// root order.
+pub(crate) fn leaves(
+    memo: &Memo,
+    roots: impl IntoIterator<Item = GroupId>,
+) -> Vec<(String, GroupId)> {
+    let mut out: Vec<(String, GroupId)> = Vec::new();
     for root in roots {
         let start = out.len();
         for g in spacetime_memo::descendant_groups(memo, root) {
             for op in memo.group_ops(g) {
                 if let OpKind::Scan { table } = &memo.op(op).op {
-                    if !out.contains(table) {
-                        out.push(table.clone());
+                    if !out.iter().any(|(t, _)| t == table) {
+                        out.push((table.clone(), g));
                     }
                 }
             }
@@ -937,81 +832,121 @@ pub fn leaf_tables(memo: &Memo, roots: impl IntoIterator<Item = GroupId>) -> Vec
     out
 }
 
-/// The leaf group scanning `table` under `root`.
-fn leaf_group(memo: &Memo, root: GroupId, table: &str) -> Option<GroupId> {
-    spacetime_memo::descendant_groups(memo, root)
-        .into_iter()
-        .find(|&g| {
-            memo.group_ops(g)
-                .iter()
-                .any(|&op| matches!(&memo.op(op).op, OpKind::Scan { table: t } if t == table))
-        })
-}
-
-/// Children-first order of a track's chosen groups.
-fn topo_order(memo: &Memo, track: &UpdateTrack) -> Vec<GroupId> {
-    let mut order = Vec::new();
-    let mut state: BTreeMap<GroupId, u8> = BTreeMap::new();
-    fn visit(
-        memo: &Memo,
-        track: &UpdateTrack,
-        g: GroupId,
-        state: &mut BTreeMap<GroupId, u8>,
-        order: &mut Vec<GroupId>,
-    ) {
-        if state.get(&g).copied().unwrap_or(0) != 0 {
-            return;
-        }
-        state.insert(g, 1);
-        if let Some(&op) = track.choices.get(&g) {
-            for c in memo.op_children(op) {
-                visit(memo, track, c, state, order);
-            }
-        }
-        state.insert(g, 2);
-        order.push(g);
-    }
-    let keys: Vec<GroupId> = track.choices.keys().copied().collect();
-    for g in keys {
-        visit(memo, track, g, &mut state, &mut order);
-    }
-    order
-}
-
-/// Each track group's access-free prefix chain (`Scan → Select/Project…`
-/// from the leaf), the input of the fused kernels; chains stop at the
-/// first op that poses queries.
-fn chain_plan(
+/// Compile `table`'s chosen track into its [`TrackPlan`]: the track's
+/// groups in topological order, each child resolved to its delta slot,
+/// the aggregates' key elimination decided, and every access-free chain
+/// compiled into a fused kernel.
+fn compile_track(
     memo: &Memo,
+    catalog: &Catalog,
     track: &UpdateTrack,
-    order: &[GroupId],
-    leaf: GroupId,
     table: &str,
-) -> BTreeMap<GroupId, Vec<OpKind>> {
-    let mut chains: BTreeMap<GroupId, Vec<OpKind>> = BTreeMap::new();
-    chains.insert(
-        leaf,
-        vec![OpKind::Scan {
-            table: table.to_string(),
-        }],
-    );
-    for &g in order {
+    leaf: GroupId,
+    materialized: &BTreeMap<GroupId, String>,
+) -> TrackPlan {
+    let order = topo_order(memo, track);
+    // The ops of each access-free chain off the base scan (the leaf's is
+    // empty: its delta is the base delta), which the fused kernels run.
+    let mut chain_ops: BTreeMap<GroupId, Vec<OpKind>> = BTreeMap::from([(leaf, vec![])]);
+    let mut slot_of: BTreeMap<GroupId, usize> = BTreeMap::from([(leaf, 0)]);
+    let mut steps: Vec<Step> = Vec::new();
+    for &g in &order {
         let Some(&op) = track.choices.get(&g) else {
             continue;
         };
         let kind = &memo.op(op).op;
-        if g == leaf || !matches!(kind, OpKind::Select { .. } | OpKind::Project { .. }) {
-            continue;
-        }
-        if let Some(parent_chain) = memo.op_children(op).first().and_then(|c| chains.get(c)) {
-            let mut chain = parent_chain.clone();
-            chain.push(kind.clone());
-            chains.insert(g, chain);
+        let children = memo.op_children(op);
+        let complete = match kind {
+            OpKind::Aggregate { group_by, .. } => spacetime_optimizer::delta_group_complete(
+                memo,
+                catalog,
+                track,
+                children[0],
+                group_by,
+                table,
+            ),
+            _ => false,
+        };
+        // A `Select` or `Project` over a chain extends it; any other op
+        // does not compile.
+        let ops: Option<Vec<OpKind>> = children
+            .first()
+            .and_then(|c| chain_ops.get(c))
+            .map(|ops| ops.iter().chain([kind]).cloned().collect());
+        let chain = ops.and_then(|ops| {
+            let program = FusedProgram::compile(&ops)?;
+            chain_ops.insert(g, ops);
+            Some(Chain {
+                program,
+                needed: materialized.contains_key(&g),
+            })
+        });
+        steps.push(Step {
+            group: g,
+            node: ExprNode {
+                op: kind.clone(),
+                children: vec![],
+                schema: memo.schema(g).clone(),
+            },
+            children: children
+                .into_iter()
+                .map(|c| (c, slot_of.get(&c).copied()))
+                .collect(),
+            complete,
+            mv: materialized.get(&g).cloned(),
+            chain,
+        });
+        slot_of.insert(g, steps.len());
+    }
+    // A chain group's delta is also needed when a non-chain step reads it.
+    let fed: Vec<usize> = steps
+        .iter()
+        .filter(|s| s.chain.is_none())
+        .flat_map(|s| {
+            s.children
+                .iter()
+                .filter_map(|&(_, slot)| slot?.checked_sub(1))
+        })
+        .collect();
+    for i in fed {
+        if let Some(chain) = &mut steps[i].chain {
+            chain.needed = true;
         }
     }
-    // The leaf's "chain" is the base delta itself: nothing to compile.
-    chains.remove(&leaf);
-    chains
+    let path: Vec<String> = order.iter().map(|g| format!("N{}", g.0)).collect();
+    TrackPlan {
+        leaf,
+        leaf_mv: materialized.contains_key(&leaf),
+        steps,
+        path: path.join("→"),
+    }
+}
+
+/// Children-first order of a track's chosen groups and the groups they
+/// read.
+fn topo_order(memo: &Memo, track: &UpdateTrack) -> Vec<GroupId> {
+    fn visit(
+        memo: &Memo,
+        track: &UpdateTrack,
+        g: GroupId,
+        seen: &mut BTreeSet<GroupId>,
+        order: &mut Vec<GroupId>,
+    ) {
+        if !seen.insert(g) {
+            return;
+        }
+        if let Some(&op) = track.choices.get(&g) {
+            for c in memo.op_children(op) {
+                visit(memo, track, c, seen, order);
+            }
+        }
+        order.push(g);
+    }
+    let (mut seen, mut order) = (BTreeSet::new(), Vec::new());
+    for &g in track.choices.keys() {
+        visit(memo, track, g, &mut seen, &mut order);
+    }
+    order
 }
 
 /// Short variant name of an op, for trace span labels.

@@ -8,6 +8,11 @@
 //! binding down. Executing the plans the optimizer priced is what makes
 //! the engine's *measured* page I/Os comparable to the *estimated* ones.
 //!
+//! An executor lives for one update, borrowing the pre-update catalog, and
+//! owns the [`CostCtx`] that prices those alternatives: no caller threads
+//! a cost context through a query. The decisions outlive the executor in
+//! the engine's [`PlanCache`].
+//!
 //! Answers are `Cow<'a, Bag>` over the catalog's lifetime: a query that
 //! resolves to a stored relation **borrows** the index bucket (or the
 //! whole relation, for a scan) where it lies; only an answer derived
@@ -20,7 +25,7 @@ use std::sync::Mutex;
 
 use spacetime_algebra::eval::{aggregate_bag, join_bags};
 use spacetime_algebra::{JoinCondition, OpKind, ScalarExpr};
-use spacetime_cost::{Cost, CostCtx, Marking};
+use spacetime_cost::{Cost, CostCtx, Marking, PageIoCostModel};
 use spacetime_memo::{GroupId, Memo, OpId};
 use spacetime_obs::{self as obs, names as metric};
 use spacetime_storage::{
@@ -59,6 +64,10 @@ pub struct QueryExec<'a> {
     pub marking: Cow<'a, Marking>,
     /// Cached plan choices (batched data plane); `None` re-costs per query.
     plans: Option<&'a PlanCache>,
+    /// Prices the alternatives of a non-stored node under
+    /// [`PageIoCostModel::PAPER`]; its estimates are memoized for the
+    /// executor's lifetime (one update, on the engine's path).
+    ctx: CostCtx<'a>,
 }
 
 impl<'a> QueryExec<'a> {
@@ -74,6 +83,7 @@ impl<'a> QueryExec<'a> {
             materialized,
             marking: Cow::Owned(materialized.keys().copied().collect()),
             plans: None,
+            ctx: CostCtx::new(memo, catalog, &PageIoCostModel::PAPER),
         }
     }
 
@@ -91,6 +101,7 @@ impl<'a> QueryExec<'a> {
             materialized,
             marking: Cow::Borrowed(marking),
             plans: None,
+            ctx: CostCtx::new(memo, catalog, &PageIoCostModel::PAPER),
         }
     }
 
@@ -103,24 +114,23 @@ impl<'a> QueryExec<'a> {
     /// All tuples of `g` whose `cols` equal `key`: borrowed from storage
     /// when `g` is a stored relation, owned when derived.
     pub fn query(
-        &self,
+        &mut self,
         g: GroupId,
         cols: &[usize],
         key: &[Value],
-        ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
     ) -> StorageResult<Cow<'a, Bag>> {
         let g = self.memo.find(g);
         if cols.is_empty() {
-            return self.full_eval(g, ctx, io);
+            return self.full_eval(g, io);
         }
         if let Some(table) = self.backing_table(g) {
             return self.stored_lookup(table, cols, key, io);
         }
-        let Some(op) = self.best_query_op(g, cols, ctx) else {
+        let Some(op) = self.best_query_op(g, cols) else {
             return Ok(Cow::Borrowed(Bag::empty()));
         };
-        self.query_via_op(op, cols, key, ctx, io)
+        self.query_via_op(op, cols, key, io)
     }
 
     /// Batched variant of [`QueryExec::query`]: answer one posed query per
@@ -129,11 +139,10 @@ impl<'a> QueryExec<'a> {
     /// per-key path would — batching is a wall-clock optimization, never
     /// an accounting one.
     pub fn query_all(
-        &self,
+        &mut self,
         g: GroupId,
         cols: &[usize],
         keys: &[Vec<Value>],
-        ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
     ) -> StorageResult<Vec<Cow<'a, Bag>>> {
         if keys.is_empty() {
@@ -141,16 +150,16 @@ impl<'a> QueryExec<'a> {
         }
         let g = self.memo.find(g);
         if cols.is_empty() {
-            return keys.iter().map(|_| self.full_eval(g, ctx, io)).collect();
+            return keys.iter().map(|_| self.full_eval(g, io)).collect();
         }
         if let Some(table) = self.backing_table(g) {
             return self.stored_lookup_all(table, cols, keys, io);
         }
-        let Some(op) = self.best_query_op(g, cols, ctx) else {
+        let Some(op) = self.best_query_op(g, cols) else {
             return Ok(vec![Cow::Borrowed(Bag::empty()); keys.len()]);
         };
         keys.iter()
-            .map(|key| self.query_via_op(op, cols, key, ctx, io))
+            .map(|key| self.query_via_op(op, cols, key, io))
             .collect()
     }
 
@@ -158,7 +167,7 @@ impl<'a> QueryExec<'a> {
     /// exactly as the optimizer priced it (first strictly-cheaper op wins,
     /// matching the costing loop's tie-break). Cached when a [`PlanCache`]
     /// is attached.
-    fn best_query_op(&self, g: GroupId, cols: &[usize], ctx: &mut CostCtx<'_>) -> Option<OpId> {
+    fn best_query_op(&mut self, g: GroupId, cols: &[usize]) -> Option<OpId> {
         if let Some(pc) = self.plans {
             obs::counter_add(metric::PLAN_CACHE_LOOKUPS, 1);
             let cache = pc.bound.lock().unwrap_or_else(|e| e.into_inner());
@@ -172,7 +181,7 @@ impl<'a> QueryExec<'a> {
         }
         let mut best: Option<(Cost, OpId)> = None;
         for op in self.memo.group_ops(g) {
-            let c = ctx.op_query_cost(op, cols, &self.marking);
+            let c = self.ctx.op_query_cost(op, cols, &self.marking);
             if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
                 best = Some((c, op));
             }
@@ -273,11 +282,10 @@ impl<'a> QueryExec<'a> {
     }
 
     fn query_via_op(
-        &self,
+        &mut self,
         op: OpId,
         cols: &[usize],
         key: &[Value],
-        ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
     ) -> StorageResult<Cow<'a, Bag>> {
         // Borrow the op node rather than cloning it: `OpKind` owns
@@ -287,11 +295,11 @@ impl<'a> QueryExec<'a> {
         let derived = match node {
             OpKind::Scan { table } => return self.stored_lookup(table, cols, key, io),
             OpKind::Select { predicate } => {
-                let r = self.query(children[0], cols, key, ctx, io)?;
+                let r = self.query(children[0], cols, key, io)?;
                 filter_pred(&r, predicate)?
             }
             OpKind::Distinct => {
-                let r = self.query(children[0], cols, key, ctx, io)?;
+                let r = self.query(children[0], cols, key, io)?;
                 r.iter().map(|(t, _)| (t.clone(), 1)).collect()
             }
             OpKind::Project { exprs } => {
@@ -303,8 +311,8 @@ impl<'a> QueryExec<'a> {
                     })
                     .collect();
                 let input = match mapped {
-                    Some(m) => self.query(children[0], &m, key, ctx, io)?,
-                    None => self.full_eval(children[0], ctx, io)?,
+                    Some(m) => self.query(children[0], &m, key, io)?,
+                    None => self.full_eval(children[0], io)?,
                 };
                 let projected = spacetime_algebra::eval::project_bag(&input, exprs)?;
                 filter_binding(&projected, cols, key)
@@ -313,26 +321,23 @@ impl<'a> QueryExec<'a> {
                 let mapped: Option<Vec<usize>> =
                     cols.iter().map(|&c| group_by.get(c).copied()).collect();
                 let input = match mapped {
-                    Some(m) => self.query(children[0], &m, key, ctx, io)?,
-                    None => self.full_eval(children[0], ctx, io)?,
+                    Some(m) => self.query(children[0], &m, key, io)?,
+                    None => self.full_eval(children[0], io)?,
                 };
                 let out = aggregate_bag(&input, group_by, aggs)?;
                 filter_binding(&out, cols, key)
             }
-            OpKind::Join { condition } => {
-                self.query_join(condition, children, cols, key, ctx, io)?
-            }
+            OpKind::Join { condition } => self.query_join(condition, children, cols, key, io)?,
         };
         Ok(Cow::Owned(derived))
     }
 
     fn query_join(
-        &self,
+        &mut self,
         condition: &JoinCondition,
         children: Vec<GroupId>,
         cols: &[usize],
         key: &[Value],
-        ctx: &mut CostCtx<'_>,
         io: &mut IoMeter,
     ) -> StorageResult<Bag> {
         let (a, b) = (children[0], children[1]);
@@ -355,10 +360,10 @@ impl<'a> QueryExec<'a> {
         // Drive from the bound side; probe the other per distinct join key.
         let (drive_left, outer) = if rp.is_empty() || !lp.is_empty() {
             let (c, k): (Vec<usize>, Vec<Value>) = lp.iter().cloned().unzip();
-            (true, self.query(a, &c, &k, ctx, io)?)
+            (true, self.query(a, &c, &k, io)?)
         } else {
             let (c, k): (Vec<usize>, Vec<Value>) = rp.iter().cloned().unzip();
-            (false, self.query(b, &c, &k, ctx, io)?)
+            (false, self.query(b, &c, &k, io)?)
         };
 
         let (my_cols, other_cols, other_group) = if drive_left {
@@ -386,7 +391,7 @@ impl<'a> QueryExec<'a> {
                 continue;
             }
             if !cache.contains_key(probe.as_slice()) {
-                let m = self.query(other_group, other_cols, &probe, ctx, io)?;
+                let m = self.query(other_group, other_cols, &probe, io)?;
                 cache.insert(probe.clone(), m);
             }
             let matches = &cache[probe.as_slice()];
@@ -406,7 +411,7 @@ impl<'a> QueryExec<'a> {
     /// Cheapest full evaluation among the alternatives; mirrors the cost
     /// model by summing children's full-eval costs. Cached when a
     /// [`PlanCache`] is attached.
-    fn best_full_op(&self, g: GroupId, ctx: &mut CostCtx<'_>) -> Option<OpId> {
+    fn best_full_op(&mut self, g: GroupId) -> Option<OpId> {
         if let Some(pc) = self.plans {
             obs::counter_add(metric::PLAN_CACHE_LOOKUPS, 1);
             let cache = pc.full.lock().unwrap_or_else(|e| e.into_inner());
@@ -422,7 +427,7 @@ impl<'a> QueryExec<'a> {
                 .memo
                 .op_children(op)
                 .into_iter()
-                .map(|c| ctx.full_eval_cost(c, &self.marking))
+                .map(|c| self.ctx.full_eval_cost(c, &self.marking))
                 .sum();
             if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
                 best = Some((cost, op));
@@ -437,17 +442,12 @@ impl<'a> QueryExec<'a> {
 
     /// Fully evaluate a group (used when a binding cannot be pushed). A
     /// stored relation is scanned where it lies — charged, not copied.
-    pub fn full_eval(
-        &self,
-        g: GroupId,
-        ctx: &mut CostCtx<'_>,
-        io: &mut IoMeter,
-    ) -> StorageResult<Cow<'a, Bag>> {
+    pub fn full_eval(&mut self, g: GroupId, io: &mut IoMeter) -> StorageResult<Cow<'a, Bag>> {
         let g = self.memo.find(g);
         if let Some(table) = self.backing_table(g) {
             return Ok(Cow::Borrowed(self.catalog.table(table)?.relation.scan(io)));
         }
-        let Some(op) = self.best_full_op(g, ctx) else {
+        let Some(op) = self.best_full_op(g) else {
             return Ok(Cow::Borrowed(Bag::empty()));
         };
         let node = &self.memo.op(op).op;
@@ -457,24 +457,24 @@ impl<'a> QueryExec<'a> {
                 return Ok(Cow::Borrowed(self.catalog.table(table)?.relation.scan(io)));
             }
             OpKind::Select { predicate } => {
-                let input = self.full_eval(children[0], ctx, io)?;
+                let input = self.full_eval(children[0], io)?;
                 filter_pred(&input, predicate)?
             }
             OpKind::Project { exprs } => {
-                let input = self.full_eval(children[0], ctx, io)?;
+                let input = self.full_eval(children[0], io)?;
                 spacetime_algebra::eval::project_bag(&input, exprs)?
             }
             OpKind::Distinct => {
-                let input = self.full_eval(children[0], ctx, io)?;
+                let input = self.full_eval(children[0], io)?;
                 input.iter().map(|(t, _)| (t.clone(), 1)).collect()
             }
             OpKind::Aggregate { group_by, aggs } => {
-                let input = self.full_eval(children[0], ctx, io)?;
+                let input = self.full_eval(children[0], io)?;
                 aggregate_bag(&input, group_by, aggs)?
             }
             OpKind::Join { condition } => {
-                let left = self.full_eval(children[0], ctx, io)?;
-                let right = self.full_eval(children[1], ctx, io)?;
+                let left = self.full_eval(children[0], io)?;
+                let right = self.full_eval(children[1], io)?;
                 join_bags(&left, &right, condition)?
             }
         };

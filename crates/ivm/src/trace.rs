@@ -8,8 +8,8 @@
 //! durations are non-structural and excluded from
 //! `TraceNode::structure_json`.
 //!
-//! Recording is collected per track group by [`GroupProbe`] (filled inside
-//! `IvmEngine::propagate_group` and its `InputAccess`), then assembled in
+//! Recording is collected per track group by `GroupProbe` (filled inside
+//! the engine's `propagate_group` and its `InputAccess`), then assembled in
 //! the track's topological order. Traced updates run the served path: a
 //! fused chain group records one span carrying its stage count.
 

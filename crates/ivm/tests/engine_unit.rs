@@ -2,7 +2,6 @@
 //! paths, engine planning/commit phases, and report accounting.
 
 use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ScalarExpr};
-use spacetime_cost::{CostCtx, PageIoCostModel};
 use spacetime_delta::{Delta, UndoLog};
 use spacetime_ivm::engine::IvmEngine;
 use spacetime_ivm::qexec::QueryExec;
@@ -98,12 +97,10 @@ fn qexec_leaf_lookup_uses_index() {
         })
         .unwrap();
     let mats = Default::default();
-    let exec = QueryExec::new(&memo, &cat, &mats);
-    let model = PageIoCostModel::default();
-    let mut ctx = CostCtx::new(&memo, &cat, &model);
+    let mut exec = QueryExec::new(&memo, &cat, &mats);
     let mut io = IoMeter::new();
     let hits = exec
-        .query(emp_group, &[1], &[Value::str("y")], &mut ctx, &mut io)
+        .query(emp_group, &[1], &[Value::str("y")], &mut io)
         .unwrap();
     assert_eq!(hits.len(), 2);
     assert!(
@@ -123,13 +120,9 @@ fn qexec_pushes_binding_through_aggregate() {
         memo.op_children(op)[0]
     };
     let mats = Default::default();
-    let exec = QueryExec::new(&memo, &cat, &mats);
-    let model = PageIoCostModel::default();
-    let mut ctx = CostCtx::new(&memo, &cat, &model);
+    let mut exec = QueryExec::new(&memo, &cat, &mats);
     let mut io = IoMeter::new();
-    let rows = exec
-        .query(n2, &[0], &[Value::str("y")], &mut ctx, &mut io)
-        .unwrap();
+    let rows = exec.query(n2, &[0], &[Value::str("y")], &mut io).unwrap();
     assert_eq!(rows.len(), 1);
     assert!(
         matches!(rows, std::borrow::Cow::Owned(_)),
@@ -145,11 +138,9 @@ fn qexec_full_eval_matches_executor() {
     let cat = catalog();
     let (memo, root) = sum_view(&cat);
     let mats = Default::default();
-    let exec = QueryExec::new(&memo, &cat, &mats);
-    let model = PageIoCostModel::default();
-    let mut ctx = CostCtx::new(&memo, &cat, &model);
+    let mut exec = QueryExec::new(&memo, &cat, &mats);
     let mut io = IoMeter::new();
-    let got = exec.full_eval(root, &mut ctx, &mut io).unwrap();
+    let got = exec.full_eval(root, &mut io).unwrap();
     let reference = spacetime_algebra::eval_uncharged(&memo.extract_one(root), &cat).unwrap();
     assert_eq!(*got, reference);
     // y: 70 > 25 — the only over-budget department.
@@ -255,4 +246,78 @@ fn engine_rejects_unknown_table_under_view() {
         .plan_update(&cat, "Emp", &bad)
         .and_then(|p| engine.commit_in_place(&mut cat, &p, &mut UndoLog::new()));
     assert!(result.is_err());
+}
+
+/// A self-join puts the updated table's delta on both join inputs, which
+/// sequential propagation does not support: the view can be created, but
+/// an update to its table fails with a typed error and leaves nothing
+/// behind.
+#[test]
+fn self_join_update_is_unsupported_and_rolls_back() {
+    use spacetime_ivm::{verify_all_views, Database, IvmError};
+    let mut db = Database::new();
+    db.execute_sql(
+        "CREATE TABLE T (K INTEGER PRIMARY KEY, G INTEGER, V INTEGER);
+         INSERT INTO T VALUES (1, 10, 100);
+         INSERT INTO T VALUES (2, 10, 200);
+         CREATE MATERIALIZED VIEW P AS SELECT A.K, B.K FROM T A, T B WHERE A.G = B.G",
+    )
+    .unwrap();
+    let before = db.catalog.clone();
+    let err = db
+        .apply_delta("T", Delta::insert(tuple![3, 10, 300], 1))
+        .unwrap_err();
+    assert!(matches!(err, IvmError::Unsupported(_)), "{err:?}");
+    for name in ["T", "P"] {
+        assert_eq!(
+            db.catalog.table(name).unwrap().relation.data(),
+            before.table(name).unwrap().relation.data(),
+            "`{name}` rolled back"
+        );
+    }
+    assert!(verify_all_views(&db).unwrap().is_empty());
+}
+
+/// An engine needs at least one root view: an empty root list is a typed
+/// error, not a panic.
+#[test]
+fn build_with_no_roots_is_an_error() {
+    use spacetime_ivm::IvmError;
+    let mut cat = catalog();
+    let (memo, _root) = sum_view(&cat);
+    let err = IvmEngine::build_with_roots(vec![], memo, ViewSet::new(), &mut cat).unwrap_err();
+    assert!(matches!(err, IvmError::Unsupported(_)), "{err:?}");
+}
+
+/// A view that is the bare table (`SELECT * FROM t`) is the table's leaf
+/// group materialized: it takes the base delta as it is, alone or beside
+/// another view of the same table.
+#[test]
+fn a_bare_table_view_is_maintained() {
+    use spacetime_algebra::ExprTree;
+    use spacetime_ivm::{verify_all_views, Database};
+    let mut db = Database::new();
+    db.execute_sql(
+        "CREATE TABLE T (K INTEGER PRIMARY KEY, G INTEGER, V INTEGER);
+         INSERT INTO T VALUES (1, 10, 100);
+         CREATE MATERIALIZED VIEW P AS SELECT * FROM T",
+    )
+    .unwrap();
+    let scan = ExprNode::scan(&db.catalog, "T").unwrap();
+    let big = ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(2), ScalarExpr::lit(150));
+    let group: Vec<(String, ExprTree)> = vec![
+        ("V1".into(), scan.clone()),
+        ("V2".into(), ExprNode::select(scan, big).unwrap()),
+    ];
+    db.create_view_group(group).unwrap();
+    db.apply_delta("T", Delta::insert(tuple![3, 10, 300], 1))
+        .unwrap();
+    for (view, rows) in [("P", 2), ("V1", 2), ("V2", 1)] {
+        assert_eq!(
+            db.catalog.table(view).unwrap().relation.len(),
+            rows,
+            "{view}"
+        );
+    }
+    assert!(verify_all_views(&db).unwrap().is_empty());
 }

@@ -1,6 +1,6 @@
 //! # spacetime-memo
 //!
-//! The **expression DAG** of §2.1 — the Volcano-style memo structure [5,12]
+//! The **expression DAG** of §2.1 — the Volcano-style memo structure \[5,12\]
 //! the paper builds its view-selection search on:
 //!
 //! > *"An expression DAG is a bipartite directed acyclic graph with
@@ -16,7 +16,7 @@
 //!   associativity, selection push/pull/merge, projection merge and
 //!   identity elimination, and the Yan–Larson-style **eager aggregation**
 //!   rewrite that relates the two trees of the paper's Figure 1.
-//! * [`explore`] — the exploration driver applying rules to fixpoint (with
+//! * [`explore`](mod@explore) — the exploration driver applying rules to fixpoint (with
 //!   a budget), as rule-based optimizers do when "generating an expression
 //!   DAG representation of the set of equivalent expression trees".
 //! * [`analysis`] — graph analyses the optimizer needs: update-affected

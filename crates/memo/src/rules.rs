@@ -19,7 +19,7 @@
 //! * [`ProjectMerge`] — compose stacked projections.
 //! * [`ProjectIdentity`] — an identity projection *is* its child (group
 //!   merge).
-//! * [`EagerAggregation`] — the Yan–Larson [19] rewrite that relates the
+//! * [`EagerAggregation`] — the Yan–Larson \[19\] rewrite that relates the
 //!   two trees of the paper's Figure 1: push grouping/aggregation below a
 //!   join when the other side is joined on a key. (The paper: "One can be
 //!   generated from the other by using equivalence rules such as those

@@ -33,7 +33,7 @@
 //!   online view-set re-selection (ROADMAP item 4). Merged into
 //!   [`MetricsSnapshot`] by [`snapshot`]. Feature-gated like metrics.
 //!
-//! * **HTTP endpoint** ([`http`], `metrics` builds only): a zero-dependency
+//! * **HTTP endpoint** (`http`, `metrics` builds only): a zero-dependency
 //!   `TcpListener` server exposing `/metrics` (Prometheus text),
 //!   `/healthz`, `/statusz` (JSON status page), and `/debug/events`.
 

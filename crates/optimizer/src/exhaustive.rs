@@ -1,7 +1,7 @@
 //! Algorithm `OptimalViewSet` (Figure 4, Theorem 3.1).
 //!
 //! Enumerate every view set (every subset of non-leaf equivalence nodes
-//! containing the root), price each with [`evaluate_view_set`], and return
+//! containing the root), price each with [`crate::evaluate_view_set`], and return
 //! the one with the lowest workload-weighted maintenance cost. Valid under
 //! any monotonic cost model.
 

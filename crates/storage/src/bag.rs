@@ -12,10 +12,10 @@
 //! `Arc<Table>`),
 //! so the cost of cloning a bag decides what sharing costs. A small bag
 //! (a per-key query result, an index bucket) is a single flat hash map —
-//! cheap to build, cheap to drop. Once a bag grows past [`PROMOTE_AT`]
-//! distinct tuples it promotes to [`SHARD_COUNT`] *individually shared*
+//! cheap to build, cheap to drop. Once a bag grows past `PROMOTE_AT`
+//! distinct tuples it promotes to `SHARD_COUNT` *individually shared*
 //! shards: cloning the bag then costs one `Arc` bump per shard, and a
-//! mutation deep-copies only the one shard (~1/[`SHARD_COUNT`] of the
+//! mutation deep-copies only the one shard (~1/`SHARD_COUNT` of the
 //! data) it lands in. A write to a shared 40 000-row table copies a few
 //! hundred entries instead of 40 000. The transaction path shares
 //! nothing (its rollback is an undo journal, not a copy), so there a
@@ -54,7 +54,7 @@ enum Store {
 /// A multiset of tuples: distinct tuple → multiplicity (> 0).
 ///
 /// Mutations additionally record which shards they disturbed in a
-/// [`SHARD_COUNT`]-bit dirty mask (bit 0 for the flat representation), so
+/// `SHARD_COUNT`-bit dirty mask (bit 0 for the flat representation), so
 /// a commit can report — and a rollback can be checked against — exactly
 /// how much of the bag one transaction touched. The mask is bookkeeping,
 /// not content: equality ignores it.

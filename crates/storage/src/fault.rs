@@ -5,7 +5,7 @@
 //! trustworthy if failures can be *produced on demand* at every point
 //! where the commit protocol could be interrupted. This module provides
 //! named failpoint **sites** threaded through the storage/delta/ivm
-//! runtime; a test installs a [`FaultPlan`] mapping a site to an action
+//! runtime; a test installs a `FaultPlan` mapping a site to an action
 //! (typed error or panic) that fires on the Nth hit of that site.
 //!
 //! Zero cost when disabled: without the `failpoints` cargo feature,
@@ -17,14 +17,14 @@
 //! on an empty `Option` — negligible, and only test builds enable it.
 //!
 //! Plans are process-global (every thread observes them), so tests that
-//! install plans must serialize; [`serial_guard`] provides the lock.
+//! install plans must serialize; `serial_guard` provides the lock.
 
 use crate::error::StorageResult;
 
 /// What an armed failpoint does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Return a typed [`StorageError::FaultInjected`].
+    /// Return a typed [`crate::StorageError::FaultInjected`].
     Error,
     /// Panic with a recognizable message (`"injected panic at <site>"`).
     Panic,

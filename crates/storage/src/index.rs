@@ -8,7 +8,7 @@
 //!
 //! ## Representation
 //!
-//! Buckets live in [`SHARD_COUNT`] copy-on-write shards routed by the
+//! Buckets live in `SHARD_COUNT` copy-on-write shards routed by the
 //! fixed-seed [`crate::fx`] hash of the key, mirroring
 //! [`crate::bag::Bag`]'s large representation: cloning an index is one
 //! `Arc` bump per shard, and a mutation deep-copies only the shard its key

@@ -15,7 +15,7 @@
 //!   plus an interned spill path ([`Interner`]).
 //! * [`fx`] — the deterministic fixed-seed hasher used by hot-path maps
 //!   and the bag and index shard layouts.
-//! * [`tuple`] — cheaply-clonable tuples ([`Tuple`]).
+//! * [`tuple`](mod@tuple) — cheaply-clonable tuples ([`Tuple`]).
 //! * [`schema`] — column/schema metadata and name resolution.
 //! * [`bag`] — multisets of tuples ([`Bag`]); all relations and views have
 //!   SQL multiset semantics.

@@ -63,7 +63,7 @@ impl SmallStr {
 
     /// The string content. Re-validates an inline string's UTF-8, so only
     /// `Display`/`Deref` come through here; `Eq`/`Ord`/`Hash` read
-    /// [`SmallStr::bytes`].
+    /// `SmallStr::bytes`.
     #[inline]
     pub fn as_str(&self) -> &str {
         match &self.0 {
