@@ -7,10 +7,7 @@
 
 use std::io::Write as _;
 
-use spacetime_bench::tables::{
-    all_table_sections, eheur_strategies, espj_enumeration, f3_adepts_status, f5_articulation,
-    h1_headline, t1_query_costs, t2_maintenance_costs, t3_track_costs, t4_combined_costs,
-};
+use spacetime_bench::tables::paper_tables_report;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -20,42 +17,14 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.to_ascii_lowercase());
 
-    let sections = match which.as_deref() {
-        Some("t1") => vec![t1_query_costs()],
-        Some("t2") => vec![t2_maintenance_costs()],
-        Some("t3") => vec![t3_track_costs()],
-        Some("t4") => vec![t4_combined_costs()],
-        Some("h1") => vec![h1_headline()],
-        Some("espj") => vec![espj_enumeration()],
-        Some("eheur") => vec![eheur_strategies()],
-        Some("f3") => vec![f3_adepts_status()],
-        Some("f5") => vec![f5_articulation()],
-        Some(other) => {
-            eprintln!("unknown table `{other}`");
-            std::process::exit(2);
-        }
-        None => {
-            let mut all = all_table_sections();
-            all.push(f3_adepts_status());
-            all.push(f5_articulation());
-            all
-        }
+    let Some((report, mismatches)) = paper_tables_report(which.as_deref()) else {
+        eprintln!("unknown table `{}`", which.unwrap_or_default());
+        std::process::exit(2);
     };
-
-    let stdout = std::io::stdout();
-    let mut lock = stdout.lock();
-    let mut mismatches = 0;
-    writeln!(
-        lock,
-        "Ross, Srivastava & Sudarshan (SIGMOD '96) — regenerated evaluation\n"
-    )
-    .expect("stdout");
-    for s in &sections {
-        writeln!(lock, "{}", s.render()).expect("stdout");
-        if s.matches_paper == Some(false) {
-            mismatches += 1;
-        }
-    }
+    std::io::stdout()
+        .lock()
+        .write_all(report.as_bytes())
+        .expect("stdout");
     if mismatches > 0 {
         eprintln!("{mismatches} section(s) deviate from the paper");
         std::process::exit(1);

@@ -14,7 +14,8 @@ use spacetime_optimizer::candidates::render_view_set;
 use spacetime_optimizer::exhaustive::optimal_view_set_over;
 use spacetime_optimizer::heuristics::{rule_of_thumb_optimize, single_tree_optimize};
 use spacetime_optimizer::{
-    evaluate_view_set, greedy_add, optimal_view_set, shielding_optimize, EvalConfig, ViewSet,
+    evaluate_view_set, evaluate_with_catalog, greedy_add, optimal_view_set, shielding_optimize,
+    EvalConfig, TrackCatalog, ViewSet,
 };
 
 use crate::scenarios::{adepts_status, paper_names, problem_dept, PaperScenario};
@@ -178,16 +179,20 @@ pub fn t3_track_costs() -> Section {
         let mut per_track: BTreeMap<String, BTreeMap<&str, Cost>> = BTreeMap::new();
         for (set_name, set) in &sets {
             let mut cc = CostCtx::new(&ctx.scenario.memo, &ctx.scenario.catalog, &model);
-            let eval = evaluate_view_set(
-                &mut cc,
+            let tcat = TrackCatalog::new(
+                &ctx.scenario.memo,
                 &ctx.scenario.catalog,
-                ctx.scenario.root,
-                set,
+                &[ctx.scenario.root],
                 std::slice::from_ref(txn),
-                &config,
+                config.max_tracks,
             );
-            for te in &eval.per_txn[0].tracks {
-                let label = te.track.render(
+            let eval = evaluate_with_catalog(&mut cc, &tcat, set, &config, None)
+                .expect("no abort threshold");
+            // The evaluation prices the catalog's prepared tracks in their
+            // enumeration order: pair each with its cost.
+            let prepared = tcat.prepared(0, set, &mut cc);
+            for (pt, &cost) in prepared.tracks.iter().zip(&eval.per_txn[0].track_costs) {
+                let label = pt.track.render(
                     &ctx.scenario.memo,
                     |g| {
                         rev_names
@@ -200,7 +205,7 @@ pub fn t3_track_costs() -> Section {
                 per_track
                     .entry(format!("{} {}", txn.name, label))
                     .or_default()
-                    .insert(set_name, te.query_cost);
+                    .insert(set_name, cost);
             }
         }
         for (label, costs) in per_track {
@@ -584,6 +589,42 @@ pub fn all_table_sections() -> Vec<Section> {
         espj_enumeration(),
         eheur_strategies(),
     ]
+}
+
+/// The `paper_tables` report for `--table which` (every section when
+/// `None`): the title line, then each section rendered, as the binary
+/// prints it. Returns the report and how many sections deviate from the
+/// paper, or `None` for an unknown table name.
+pub fn paper_tables_report(which: Option<&str>) -> Option<(String, usize)> {
+    let sections = match which {
+        Some("t1") => vec![t1_query_costs()],
+        Some("t2") => vec![t2_maintenance_costs()],
+        Some("t3") => vec![t3_track_costs()],
+        Some("t4") => vec![t4_combined_costs()],
+        Some("h1") => vec![h1_headline()],
+        Some("espj") => vec![espj_enumeration()],
+        Some("eheur") => vec![eheur_strategies()],
+        Some("f3") => vec![f3_adepts_status()],
+        Some("f5") => vec![f5_articulation()],
+        Some(_) => return None,
+        None => {
+            let mut all = all_table_sections();
+            all.push(f3_adepts_status());
+            all.push(f5_articulation());
+            all
+        }
+    };
+    let mut report =
+        "Ross, Srivastava & Sudarshan (SIGMOD '96) — regenerated evaluation\n\n".to_string();
+    for s in &sections {
+        report.push_str(&s.render());
+        report.push('\n');
+    }
+    let mismatches = sections
+        .iter()
+        .filter(|s| s.matches_paper == Some(false))
+        .count();
+    Some((report, mismatches))
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Statistics and delta-size estimation over memo groups.
 //!
 //! [`CostCtx`] wraps a memo + catalog + cost model and memoizes group
-//! cardinalities, per-column distinct counts, candidate keys and delta-size
-//! estimates. The formulas are the classic System-R heuristics — the paper
-//! is explicit that "our techniques are independent of the exact formulae
-//! for computing the size of the Δs, although our examples use specific
-//! formulae" (§2.2); these are the specific formulas that reproduce the
-//! §3.6 tables.
+//! cardinalities, per-column and combined distinct counts, candidate keys
+//! and delta-size estimates. The formulas are the classic System-R
+//! heuristics — the paper is explicit that "our techniques are independent
+//! of the exact formulae for computing the size of the Δs, although our
+//! examples use specific formulae" (§2.2); these are the specific formulas
+//! that reproduce the §3.6 tables.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -49,7 +49,14 @@ pub struct CostCtx<'a> {
     pub model: &'a dyn CostModel,
     card_cache: HashMap<GroupId, f64>,
     distinct_cache: HashMap<(GroupId, usize), f64>,
+    /// Top-level [`Self::combined_distinct`] answers, keyed by the column
+    /// slice as asked so that a hit builds no key.
+    combined_cache: HashMap<GroupId, HashMap<Vec<usize>, f64>>,
     key_cache: HashMap<GroupId, Vec<Key>>,
+    /// Top-level [`Self::delta_for`] answers: one table per distinct table
+    /// update (a workload has a handful), found by comparison, so that a
+    /// hit builds no key.
+    delta_cache: Vec<(TableUpdate, HashMap<GroupId, DeltaEst>)>,
     query_cache: HashMap<(GroupId, Vec<usize>, u64), crate::model::Cost>,
     /// Canonical groups reachable from each canonical group through any op
     /// alternative, memoized: the marking slice a query on that group can
@@ -67,7 +74,9 @@ impl<'a> CostCtx<'a> {
             model,
             card_cache: HashMap::new(),
             distinct_cache: HashMap::new(),
+            combined_cache: HashMap::new(),
             key_cache: HashMap::new(),
+            delta_cache: Vec::new(),
             query_cache: HashMap::new(),
             reach_cache: HashMap::new(),
             shared_queries: None,
@@ -171,18 +180,18 @@ impl<'a> CostCtx<'a> {
     }
 
     fn op_card(&mut self, op: OpId, path: &mut Vec<GroupId>) -> f64 {
-        let node = self.memo.op(op).op.clone();
-        let children = self.memo.op_children(op);
-        match node {
+        let memo = self.memo;
+        let children = memo.op_children(op);
+        match &memo.op(op).op {
             OpKind::Scan { table } => self
                 .catalog
-                .table(&table)
+                .table(table)
                 .map(|t| t.stats.cardinality as f64)
                 .unwrap_or(0.0),
             OpKind::Select { predicate } => {
                 let child = children[0];
                 let input = self.card_guarded(child, path);
-                input * self.selectivity(&predicate, child, path)
+                input * self.selectivity(predicate, child, path)
             }
             OpKind::Project { .. } => self.card_guarded(children[0], path),
             OpKind::Join { condition } => {
@@ -291,12 +300,12 @@ impl<'a> CostCtx<'a> {
     }
 
     fn op_distinct(&mut self, op: OpId, col: usize, path: &mut Vec<GroupId>) -> f64 {
-        let node = self.memo.op(op).op.clone();
-        let children = self.memo.op_children(op);
-        match node {
+        let memo = self.memo;
+        let children = memo.op_children(op);
+        match &memo.op(op).op {
             OpKind::Scan { table } => self
                 .catalog
-                .table(&table)
+                .table(table)
                 .map(|t| t.stats.distinct_or_card(col) as f64)
                 .unwrap_or(1.0),
             OpKind::Select { .. } | OpKind::Distinct => {
@@ -331,15 +340,12 @@ impl<'a> CostCtx<'a> {
 
     /// Candidate keys of a group's output (derived from one representative
     /// tree).
-    pub fn keys(&mut self, g: GroupId) -> Vec<Key> {
+    pub fn keys(&mut self, g: GroupId) -> &[Key] {
         let g = self.memo.find(g);
-        if let Some(k) = self.key_cache.get(&g) {
-            return k.clone();
-        }
-        let tree = self.memo.extract_one(g);
-        let keys = derive_keys(&tree, self.catalog);
-        self.key_cache.insert(g, keys.clone());
-        keys
+        let (memo, catalog) = (self.memo, self.catalog);
+        self.key_cache
+            .entry(g)
+            .or_insert_with(|| derive_keys(&memo.extract_one(g), catalog))
     }
 
     /// Estimated number of distinct value *combinations* of a column set.
@@ -351,9 +357,22 @@ impl<'a> CostCtx<'a> {
     /// Q3e arithmetic: on N4 = Emp ⋈ Dept, the binding (Dept.DName,
     /// Budget) has 1000 combinations (Budget is determined by the key
     /// DName), so one department matches 10000/1000 = 10 tuples.
+    ///
+    /// Memoized per `(group, cols)`: like [`Self::delta_for`], the answer
+    /// starts from an empty cycle guard and reads only the memo, the
+    /// catalog and this context's estimates of them.
     pub fn combined_distinct(&mut self, g: GroupId, cols: &[usize]) -> f64 {
+        let g = self.memo.find(g);
+        if let Some(&d) = self.combined_cache.get(&g).and_then(|m| m.get(cols)) {
+            return d;
+        }
         let set: BTreeSet<usize> = cols.iter().copied().collect();
-        self.combined_distinct_guarded(self.memo.find(g), &set, &mut vec![])
+        let d = self.combined_distinct_guarded(g, &set, &mut vec![]);
+        self.combined_cache
+            .entry(g)
+            .or_default()
+            .insert(cols.to_vec(), d);
+        d
     }
 
     fn combined_distinct_guarded(
@@ -374,21 +393,18 @@ impl<'a> CostCtx<'a> {
             return 1.0;
         }
         path.push(g);
+        let memo = self.memo;
         let raw = match self.repr_op(g, path) {
             Some(op) => {
-                let node = self.memo.op(op).op.clone();
-                let children = self.memo.op_children(op);
-                match node {
-                    OpKind::Scan { table } => {
-                        let stats = self.catalog.table(&table).map(|t| t.stats.clone());
-                        match stats {
-                            Ok(st) => cols
-                                .iter()
-                                .map(|&c| st.distinct_or_card(c) as f64)
-                                .product(),
-                            Err(_) => 1.0,
-                        }
-                    }
+                let children = memo.op_children(op);
+                match &memo.op(op).op {
+                    OpKind::Scan { table } => match self.catalog.table(table) {
+                        Ok(t) => cols
+                            .iter()
+                            .map(|&c| t.stats.distinct_or_card(c) as f64)
+                            .product(),
+                        Err(_) => 1.0,
+                    },
                     OpKind::Select { .. } | OpKind::Distinct => {
                         self.combined_distinct_guarded(children[0], cols, path)
                     }
@@ -406,7 +422,7 @@ impl<'a> CostCtx<'a> {
                         }
                     }
                     OpKind::Join { condition } => {
-                        let la = self.memo.schema(children[0]).arity();
+                        let la = memo.schema(children[0]).arity();
                         // Columns equated by the join condition carry the
                         // same value: keep one representative so equated
                         // columns don't multiply the combination count
@@ -453,8 +469,11 @@ impl<'a> CostCtx<'a> {
         if card == 0.0 {
             return 0.0;
         }
-        let set: BTreeSet<usize> = cols.iter().copied().collect();
-        if self.keys(g).iter().any(|k| k.is_subset(&set)) {
+        if self
+            .keys(g)
+            .iter()
+            .any(|k| k.iter().all(|c| cols.contains(c)))
+        {
             return 1.0;
         }
         let denom = self.combined_distinct(g, cols).max(1.0);
@@ -482,8 +501,31 @@ impl<'a> CostCtx<'a> {
 
     /// Estimated delta arriving at `g` when one table update of `txn` is
     /// propagated (sequential propagation: one updated table at a time).
+    ///
+    /// Memoized per `(group, update)`. The answer starts from an empty
+    /// cycle guard and reads only the memo, the catalog and this context's
+    /// estimates of them, all frozen for the context's lifetime, so it is
+    /// a pure function of its arguments: the track catalog asks it for
+    /// every group of every prepared track, and it is derived once.
     pub fn delta_for(&mut self, g: GroupId, update: &TableUpdate) -> DeltaEst {
-        self.delta_guarded(self.memo.find(g), update, &mut vec![])
+        let g = self.memo.find(g);
+        let slot = match self
+            .delta_cache
+            .iter()
+            .position(|(u, _)| same_update(u, update))
+        {
+            Some(i) => i,
+            None => {
+                self.delta_cache.push((update.clone(), HashMap::new()));
+                self.delta_cache.len() - 1
+            }
+        };
+        if let Some(&d) = self.delta_cache[slot].1.get(&g) {
+            return d;
+        }
+        let d = self.delta_guarded(g, update, &mut vec![]);
+        self.delta_cache[slot].1.insert(g, d);
+        d
     }
 
     fn delta_guarded(
@@ -506,11 +548,11 @@ impl<'a> CostCtx<'a> {
     }
 
     fn op_delta(&mut self, op: OpId, update: &TableUpdate, path: &mut Vec<GroupId>) -> DeltaEst {
-        let node = self.memo.op(op).op.clone();
-        let children = self.memo.op_children(op);
-        match node {
+        let memo = self.memo;
+        let children = memo.op_children(op);
+        match &memo.op(op).op {
             OpKind::Scan { table } => {
-                if table == update.table {
+                if *table == update.table {
                     DeltaEst {
                         size: update.size,
                         kind: update.kind,
@@ -524,7 +566,7 @@ impl<'a> CostCtx<'a> {
                 if d.is_zero() {
                     return d;
                 }
-                let sel = self.selectivity(&predicate, children[0], path);
+                let sel = self.selectivity(predicate, children[0], path);
                 DeltaEst {
                     size: d.size * sel,
                     kind: d.kind,
@@ -547,15 +589,14 @@ impl<'a> CostCtx<'a> {
                 }
                 DeltaEst { size, kind }
             }
-            OpKind::Aggregate { group_by, .. } => {
+            OpKind::Aggregate { .. } => {
                 let d = self.delta_guarded(children[0], update, path);
                 if d.is_zero() {
                     return DeltaEst::NONE;
                 }
                 // One output row per affected group; updates to existing
                 // groups are modifications of the aggregate values.
-                let groups = self.card_guarded(self.memo.op_group(op), path).max(1.0);
-                let _ = group_by;
+                let groups = self.card_guarded(memo.op_group(op), path).max(1.0);
                 DeltaEst {
                     size: d.size.min(groups),
                     kind: UpdateKind::Modify,
@@ -563,7 +604,7 @@ impl<'a> CostCtx<'a> {
             }
             OpKind::Distinct => {
                 let d = self.delta_guarded(children[0], update, path);
-                let card = self.card_guarded(self.memo.op_group(op), path).max(1.0);
+                let card = self.card_guarded(memo.op_group(op), path).max(1.0);
                 DeltaEst {
                     size: d.size.min(card),
                     kind: d.kind,
@@ -584,6 +625,12 @@ impl<'a> CostCtx<'a> {
         }
         total
     }
+}
+
+/// Whether two table updates are the same question to [`CostCtx::delta_for`]
+/// (the size compared by bits, so `0.0` and `-0.0` stay apart).
+fn same_update(a: &TableUpdate, b: &TableUpdate) -> bool {
+    a.kind == b.kind && a.size.to_bits() == b.size.to_bits() && a.table == b.table
 }
 
 #[cfg(test)]

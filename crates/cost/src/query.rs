@@ -51,13 +51,14 @@ fn narrowed_marking_hash(ctx: &mut CostCtx<'_>, g: GroupId, marked: &Marking) ->
     h.finish()
 }
 
-/// One query in a batch: (node, binding columns, probes).
+/// One query in a batch: (node, binding columns, probes). The columns are
+/// borrowed from the posed query, so building a batch copies nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchQuery {
+pub struct BatchQuery<'q> {
     /// The queried equivalence node.
     pub group: GroupId,
     /// Binding columns (output positions of `group`).
-    pub cols: Vec<usize>,
+    pub cols: &'q [usize],
     /// How many times the query is probed (distinct delta keys).
     pub probes: f64,
 }
@@ -133,9 +134,9 @@ impl<'a> CostCtx<'a> {
         path: &mut Vec<GroupId>,
     ) -> Cost {
         {
-            let node = self.memo.op(op).op.clone();
-            let children = self.memo.op_children(op);
-            let cost = match node {
+            let memo = self.memo;
+            let children = memo.op_children(op);
+            let cost = match &memo.op(op).op {
                 OpKind::Scan { .. } => {
                     // A scan alternative inside a non-leaf group (possible
                     // only through merges); treat as a lookup.
@@ -241,19 +242,20 @@ impl<'a> CostCtx<'a> {
     /// and charged once with their maximum probe count (§3.4: "this set of
     /// queries can have common subexpressions, and multi-query
     /// optimization techniques can be used").
-    pub fn batch_query_cost(&mut self, queries: &[BatchQuery], marked: &Marking) -> Cost {
+    pub fn batch_query_cost(&mut self, queries: &[BatchQuery<'_>], marked: &Marking) -> Cost {
         // BTreeMap, not HashMap: the f64 summation below must happen in a
         // deterministic order so serial and parallel searches produce
         // bit-identical weighted costs run over run.
-        let mut shared: BTreeMap<(GroupId, Vec<usize>), f64> = BTreeMap::new();
+        let mut shared: BTreeMap<(GroupId, &[usize]), f64> = BTreeMap::new();
         for q in queries {
-            let key = (self.memo.find(q.group), q.cols.clone());
-            let e = shared.entry(key).or_insert(0.0);
+            let e = shared
+                .entry((self.memo.find(q.group), q.cols))
+                .or_insert(0.0);
             *e = e.max(q.probes);
         }
         let mut total = Cost::ZERO;
         for ((g, cols), probes) in shared {
-            total += self.query_cost(g, &cols, marked) * probes;
+            total += self.query_cost(g, cols, marked) * probes;
         }
         total
     }
@@ -388,7 +390,7 @@ mod tests {
         let none = Marking::new();
         let q = BatchQuery {
             group: dept,
-            cols: vec![0],
+            cols: &[0],
             probes: 1.0,
         };
         let single = ctx.batch_query_cost(std::slice::from_ref(&q), &none);

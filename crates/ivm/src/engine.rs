@@ -362,14 +362,10 @@ impl IvmEngine {
                 &[txn],
                 &config,
             );
-            let Some(best) = eval
-                .per_txn
-                .first()
-                .and_then(|e| e.tracks.get(e.best_track))
-            else {
+            let Some(best) = eval.per_txn.first().and_then(|e| e.best.as_ref()) else {
                 continue;
             };
-            let plan = compile_track(&memo, catalog, &best.track, &table, leaf, &materialized);
+            let plan = compile_track(&mut ctx, &best.track, &table, leaf, &materialized);
             track_plans.insert(table, plan);
         }
 
@@ -834,16 +830,16 @@ pub(crate) fn leaves(
 
 /// Compile `table`'s chosen track into its [`TrackPlan`]: the track's
 /// groups in topological order, each child resolved to its delta slot,
-/// the aggregates' key elimination decided, and every access-free chain
-/// compiled into a fused kernel.
+/// the aggregates' key elimination decided (from `ctx`'s cached keys),
+/// and every access-free chain compiled into a fused kernel.
 fn compile_track(
-    memo: &Memo,
-    catalog: &Catalog,
+    ctx: &mut CostCtx<'_>,
     track: &UpdateTrack,
     table: &str,
     leaf: GroupId,
     materialized: &BTreeMap<GroupId, String>,
 ) -> TrackPlan {
+    let memo = ctx.memo;
     let order = topo_order(memo, track);
     // The ops of each access-free chain off the base scan (the leaf's is
     // empty: its delta is the base delta), which the fused kernels run.
@@ -857,14 +853,9 @@ fn compile_track(
         let kind = &memo.op(op).op;
         let children = memo.op_children(op);
         let complete = match kind {
-            OpKind::Aggregate { group_by, .. } => spacetime_optimizer::delta_group_complete(
-                memo,
-                catalog,
-                track,
-                children[0],
-                group_by,
-                table,
-            ),
+            OpKind::Aggregate { group_by, .. } => {
+                spacetime_optimizer::delta_group_complete(ctx, track, children[0], group_by, table)
+            }
             _ => false,
         };
         // A `Select` or `Project` over a chain extends it; any other op

@@ -26,38 +26,35 @@
 
 use std::collections::BTreeSet;
 
-use spacetime_algebra::{cols_contain_key, OpKind, ScalarExpr};
-use spacetime_memo::{GroupId, Memo, OpId};
-use spacetime_storage::Catalog;
+use spacetime_algebra::{OpKind, ScalarExpr};
+use spacetime_cost::CostCtx;
+use spacetime_memo::{GroupId, OpId};
 
 use crate::tracks::UpdateTrack;
 
 /// Whether the delta arriving at `group` (on `track`, originating from
 /// `updated_table`) is complete w.r.t. the column set `cols` of `group`'s
-/// output.
+/// output. "Do these columns cover a key" is read from the context's
+/// cached [`CostCtx::keys`].
 pub fn delta_group_complete(
-    memo: &Memo,
-    catalog: &Catalog,
+    ctx: &mut CostCtx<'_>,
     track: &UpdateTrack,
     group: GroupId,
     cols: &[usize],
     updated_table: &str,
 ) -> bool {
     let cols: BTreeSet<usize> = cols.iter().copied().collect();
-    complete_at(
-        memo,
-        catalog,
-        track,
-        memo.find(group),
-        &cols,
-        updated_table,
-        0,
-    )
+    let group = ctx.memo.find(group);
+    complete_at(ctx, track, group, &cols, updated_table, 0)
+}
+
+/// Whether `cols` (output positions of `g`) contain a candidate key of `g`.
+fn covers_key(ctx: &mut CostCtx<'_>, g: GroupId, cols: &BTreeSet<usize>) -> bool {
+    ctx.keys(g).iter().any(|k| k.is_subset(cols))
 }
 
 fn complete_at(
-    memo: &Memo,
-    catalog: &Catalog,
+    ctx: &mut CostCtx<'_>,
     track: &UpdateTrack,
     group: GroupId,
     cols: &BTreeSet<usize>,
@@ -67,64 +64,50 @@ fn complete_at(
     if depth > 64 {
         return false; // degenerate DAG; be conservative
     }
+    let memo = ctx.memo;
     let group = memo.find(group);
     // Leaf: complete iff the columns cover a key of the (updated) table.
     if memo.is_leaf(group) {
-        return leaf_complete(memo, catalog, group, cols, updated_table);
+        return leaf_complete(ctx, group, cols, updated_table);
     }
     let Some(&op) = track.choices.get(&group) else {
         // Not on the track: no delta arrives here at all.
         return false;
     };
-    op_complete(memo, catalog, track, op, cols, updated_table, depth)
+    op_complete(ctx, track, op, cols, updated_table, depth)
 }
 
 fn leaf_complete(
-    memo: &Memo,
-    catalog: &Catalog,
+    ctx: &mut CostCtx<'_>,
     group: GroupId,
     cols: &BTreeSet<usize>,
     updated_table: &str,
 ) -> bool {
-    for op in memo.group_ops(group) {
-        if let OpKind::Scan { table } = &memo.op(op).op {
-            if table == updated_table {
-                let tree = memo.extract_one(group);
-                let cols_vec: Vec<usize> = cols.iter().copied().collect();
-                return cols_contain_key(&tree, catalog, &cols_vec);
-            }
-        }
-    }
-    false
+    let memo = ctx.memo;
+    let scans_updated = memo
+        .group_ops(group)
+        .into_iter()
+        .any(|op| matches!(&memo.op(op).op, OpKind::Scan { table } if table == updated_table));
+    scans_updated && covers_key(ctx, group, cols)
 }
 
 fn op_complete(
-    memo: &Memo,
-    catalog: &Catalog,
+    ctx: &mut CostCtx<'_>,
     track: &UpdateTrack,
     op: OpId,
     cols: &BTreeSet<usize>,
     updated_table: &str,
     depth: usize,
 ) -> bool {
-    let node = memo.op(op);
+    let memo = ctx.memo;
     let children = memo.op_children(op);
-    match &node.op {
+    match &memo.op(op).op {
         OpKind::Scan { table } => {
-            table == updated_table && {
-                let g = memo.op_group(op);
-                leaf_complete(memo, catalog, g, cols, updated_table)
-            }
+            table == updated_table && leaf_complete(ctx, memo.op_group(op), cols, updated_table)
         }
-        OpKind::Select { .. } | OpKind::Distinct => complete_at(
-            memo,
-            catalog,
-            track,
-            children[0],
-            cols,
-            updated_table,
-            depth + 1,
-        ),
+        OpKind::Select { .. } | OpKind::Distinct => {
+            complete_at(ctx, track, children[0], cols, updated_table, depth + 1)
+        }
         OpKind::Project { exprs } => {
             let mapped: Option<BTreeSet<usize>> = cols
                 .iter()
@@ -134,15 +117,7 @@ fn op_complete(
                 })
                 .collect();
             match mapped {
-                Some(m) => complete_at(
-                    memo,
-                    catalog,
-                    track,
-                    children[0],
-                    &m,
-                    updated_table,
-                    depth + 1,
-                ),
+                Some(m) => complete_at(ctx, track, children[0], &m, updated_table, depth + 1),
                 None => false,
             }
         }
@@ -169,31 +144,24 @@ fn op_complete(
                     cols.insert(r + la);
                 }
             }
-            let cols = &cols;
-            if a_affected {
-                // All of C must come from the delta side and cover a key
-                // of it (so the group determines the join key, and the
-                // other side contributes all matches).
+            // All of C must come from the delta side and cover a key of it
+            // (so the group determines the join key, and the other side
+            // contributes all matches).
+            let (side, mapped) = if a_affected {
                 if !cols.iter().all(|&c| c < la) {
                     return false;
                 }
-                let mapped: BTreeSet<usize> = cols.clone();
-                let side_tree = memo.extract_one(a);
-                let cols_vec: Vec<usize> = mapped.iter().copied().collect();
-                cols_contain_key(&side_tree, catalog, &cols_vec)
-                    && complete_at(memo, catalog, track, a, &mapped, updated_table, depth + 1)
+                (a, cols)
             } else if b_affected {
                 if !cols.iter().all(|&c| c >= la) {
                     return false;
                 }
-                let mapped: BTreeSet<usize> = cols.iter().map(|&c| c - la).collect();
-                let side_tree = memo.extract_one(b);
-                let cols_vec: Vec<usize> = mapped.iter().copied().collect();
-                cols_contain_key(&side_tree, catalog, &cols_vec)
-                    && complete_at(memo, catalog, track, b, &mapped, updated_table, depth + 1)
+                (b, cols.iter().map(|&c| c - la).collect())
             } else {
-                false
-            }
+                return false;
+            };
+            covers_key(ctx, side, &mapped)
+                && complete_at(ctx, track, side, &mapped, updated_table, depth + 1)
         }
         OpKind::Aggregate { group_by, .. } => {
             // Completeness through an aggregate: each output row *is* its
@@ -202,15 +170,7 @@ fn op_complete(
             let mapped: Option<BTreeSet<usize>> =
                 cols.iter().map(|&c| group_by.get(c).copied()).collect();
             match mapped {
-                Some(m) => complete_at(
-                    memo,
-                    catalog,
-                    track,
-                    children[0],
-                    &m,
-                    updated_table,
-                    depth + 1,
-                ),
+                Some(m) => complete_at(ctx, track, children[0], &m, updated_table, depth + 1),
                 None => false,
             }
         }

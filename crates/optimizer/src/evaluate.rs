@@ -6,12 +6,14 @@
 //! transaction's deltas to every materialized view. The view set's figure
 //! of merit is the workload-weighted average.
 
+use std::sync::Arc;
+
 use spacetime_cost::{BatchQuery, Cost, CostCtx, Marking, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_storage::Catalog;
 
 use crate::candidates::ViewSet;
-use crate::track_catalog::TrackCatalog;
+use crate::track_catalog::{PreparedTracks, TrackCatalog};
 use crate::tracks::{resolve_prepared, PosedQuery, UpdateTrack};
 
 /// Evaluation knobs.
@@ -48,7 +50,7 @@ impl Default for EvalConfig {
     }
 }
 
-/// One priced update track.
+/// One transaction's winning update track.
 #[derive(Debug, Clone)]
 pub struct TrackEval {
     /// The track.
@@ -66,10 +68,12 @@ pub struct TxnEvaluation {
     pub txn_name: String,
     /// Its workload weight.
     pub weight: f64,
-    /// All candidate tracks with their query costs.
-    pub tracks: Vec<TrackEval>,
-    /// Index of the cheapest track.
-    pub best_track: usize,
+    /// The cheapest track (the first of equal cost in enumeration order);
+    /// `None` only when the enumeration yielded no track.
+    pub best: Option<TrackEval>,
+    /// The query cost of every enumerated track, in enumeration order
+    /// (the order of [`TrackCatalog::prepared`]'s tracks).
+    pub track_costs: Vec<Cost>,
     /// Cost of applying updates to the materialized views.
     pub update_cost: Cost,
     /// `min_track(query) + update`.
@@ -91,18 +95,6 @@ pub struct ViewSetEvaluation {
 }
 
 impl ViewSetEvaluation {
-    /// Drop per-track details except each transaction's best track —
-    /// exhaustive searches hold thousands of these, and the track lists
-    /// (with their query objects) dominate memory.
-    pub fn slim(&mut self) {
-        for txn in &mut self.per_txn {
-            if let Some(best) = txn.tracks.get(txn.best_track).cloned() {
-                txn.tracks = vec![best];
-                txn.best_track = 0;
-            }
-        }
-    }
-
     /// The per-transaction total for a named transaction.
     pub fn txn_total(&self, name: &str) -> Option<Cost> {
         self.per_txn
@@ -114,7 +106,9 @@ impl ViewSetEvaluation {
 
 /// Evaluate one view set against a shared [`TrackCatalog`] (the search
 /// engine's inner loop). Track enumeration and query preparation come from
-/// the catalog; only marking-dependent pricing happens here.
+/// the catalog; only marking-dependent pricing happens here. Every track is
+/// priced by reference into the shared prepared tracks, and only each
+/// transaction's winner is copied out, once the set has survived pruning.
 ///
 /// With `abort_above = Some(t)`, the transactions are processed
 /// heaviest-weight-first and the evaluation is abandoned (returning
@@ -133,6 +127,16 @@ pub fn evaluate_with_catalog(
     config: &EvalConfig,
     abort_above: Option<f64>,
 ) -> Option<ViewSetEvaluation> {
+    /// One transaction priced: its prepared tracks, each track's query
+    /// cost, the winner's index, and the update and total costs.
+    struct Priced {
+        prepared: Arc<PreparedTracks>,
+        track_costs: Vec<Cost>,
+        best: Option<usize>,
+        update_cost: Cost,
+        total: Cost,
+    }
+
     let memo = ctx.memo;
     let marked: Marking = view_set.iter().map(|&g| memo.find(g)).collect();
     let txns = tcat.txns();
@@ -145,11 +149,10 @@ pub fn evaluate_with_catalog(
         order.sort_by(|&a, &b| txns[b].weight.total_cmp(&txns[a].weight).then(a.cmp(&b)));
     }
 
-    let mut slots: Vec<Option<TxnEvaluation>> = (0..txns.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<Priced>> = (0..txns.len()).map(|_| None).collect();
     let mut tracks_truncated = 0usize;
     let mut partial = 0.0f64;
     for &ti in &order {
-        let txn = &txns[ti];
         let prepared = tcat.prepared(ti, view_set, ctx);
         tracks_truncated += prepared.truncated;
 
@@ -167,46 +170,36 @@ pub fn evaluate_with_catalog(
         // Cheapest track (Figure 4's q_j). Sequential propagation: MQO
         // shares queries *within* one table-update's propagation (same
         // delta keys), then sums across the transaction's updates.
-        let mut evals: Vec<TrackEval> = Vec::with_capacity(prepared.tracks.len());
+        let mut batch: Vec<BatchQuery<'_>> = Vec::new();
+        let mut track_costs = Vec::with_capacity(prepared.tracks.len());
         for pt in &prepared.tracks {
             let mut query_cost = Cost::ZERO;
-            let mut queries = Vec::new();
-            for qs_prepared in &pt.queries {
-                let qs = resolve_prepared(qs_prepared, view_set);
-                let batch: Vec<BatchQuery> = qs
-                    .iter()
-                    .map(|q| BatchQuery {
-                        group: q.queried,
-                        cols: q.cols.clone(),
-                        probes: q.probes,
-                    })
-                    .collect();
+            for qs in &pt.queries {
+                batch.clear();
+                batch.extend(
+                    qs.iter()
+                        .filter(|p| p.applies(view_set))
+                        .map(|p| BatchQuery {
+                            group: p.query.queried,
+                            cols: &p.query.cols,
+                            probes: p.query.probes,
+                        }),
+                );
                 query_cost += ctx.batch_query_cost(&batch, &marked);
-                queries.extend(qs);
             }
-            evals.push(TrackEval {
-                track: pt.track.clone(),
-                queries,
-                query_cost,
-            });
+            track_costs.push(query_cost);
         }
-        let best_track = evals
+        let best = track_costs
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.query_cost)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let best_query_cost = evals
-            .get(best_track)
-            .map(|e| e.query_cost)
-            .unwrap_or(Cost::ZERO);
-        let total = best_query_cost + update_cost;
-        partial += total.value() * txn.weight;
-        slots[ti] = Some(TxnEvaluation {
-            txn_name: txn.name.clone(),
-            weight: txn.weight,
-            tracks: evals,
-            best_track,
+            .min_by_key(|&(_, &c)| c)
+            .map(|(i, _)| i);
+        let total = best.map_or(Cost::ZERO, |i| track_costs[i]) + update_cost;
+        partial += total.value() * txns[ti].weight;
+        slots[ti] = Some(Priced {
+            prepared,
+            track_costs,
+            best,
             update_cost,
             total,
         });
@@ -219,7 +212,30 @@ pub fn evaluate_with_catalog(
 
     let per_txn: Vec<TxnEvaluation> = slots
         .into_iter()
-        .map(|s| s.expect("every transaction evaluated"))
+        .zip(txns)
+        .map(|(slot, txn)| {
+            let p = slot.expect("every transaction evaluated");
+            let best = p.best.map(|i| {
+                let pt = &p.prepared.tracks[i];
+                TrackEval {
+                    track: pt.track.clone(),
+                    queries: pt
+                        .queries
+                        .iter()
+                        .flat_map(|qs| resolve_prepared(qs, view_set))
+                        .collect(),
+                    query_cost: p.track_costs[i],
+                }
+            });
+            TxnEvaluation {
+                txn_name: txn.name.clone(),
+                weight: txn.weight,
+                best,
+                track_costs: p.track_costs,
+                update_cost: p.update_cost,
+                total: p.total,
+            }
+        })
         .collect();
     let weighted = spacetime_cost::txn::weighted_average(
         &per_txn

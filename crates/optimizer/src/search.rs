@@ -128,10 +128,7 @@ pub fn search_view_sets(
                 None
             };
             match evaluate_with_catalog(&mut ctx, &tcat, set, config, abort_above) {
-                Some(mut eval) => {
-                    eval.slim();
-                    top.insert(eval);
-                }
+                Some(eval) => top.insert(eval),
                 None => {
                     pruned.fetch_add(1, Ordering::Relaxed);
                 }

@@ -134,13 +134,18 @@ impl<'a> TrackCatalog<'a> {
     /// The prepared tracks for `(transaction, marking)`, enumerating and
     /// preparing on first use of the induced seed list. Concurrent misses
     /// on the same key may both compute; they produce identical values and
-    /// the first insert wins.
+    /// the first insert wins. `ctx` must estimate against this catalog's
+    /// memo and base-table catalog.
     pub fn prepared(
         &self,
         txn_idx: usize,
         view_set: &ViewSet,
         ctx: &mut CostCtx<'_>,
     ) -> Arc<PreparedTracks> {
+        debug_assert!(
+            std::ptr::eq(self.memo, ctx.memo) && std::ptr::eq(self.catalog, ctx.catalog),
+            "ctx prices another memo or catalog"
+        );
         let seeds = self.seeds(txn_idx, view_set);
         let cache = &self.per_txn[txn_idx].tracks_by_seeds;
         if let Ok(map) = cache.read() {
@@ -164,7 +169,7 @@ impl<'a> TrackCatalog<'a> {
                 let queries = txn
                     .updates
                     .iter()
-                    .map(|u| prepare_track_queries(ctx, self.catalog, &track, u))
+                    .map(|u| prepare_track_queries(ctx, &track, u))
                     .collect();
                 PreparedTrack { track, queries }
             })

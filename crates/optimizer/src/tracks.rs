@@ -277,6 +277,14 @@ pub struct PreparedQuery {
     pub suppress_if_marked: Option<GroupId>,
 }
 
+impl PreparedQuery {
+    /// Whether the query is posed under `marked` (its suppression
+    /// condition does not fire).
+    pub fn applies(&self, marked: &ViewSet) -> bool {
+        !matches!(self.suppress_if_marked, Some(g) if marked.contains(&g))
+    }
+}
+
 /// Derive the marking-independent prepared queries for propagating one
 /// table's update along a track. Implements the three costing regimes at
 /// aggregates: key-based elimination (Q3d) and the input re-query are
@@ -284,7 +292,6 @@ pub struct PreparedQuery {
 /// [`PreparedQuery::suppress_if_marked`] condition.
 pub fn prepare_track_queries(
     ctx: &mut CostCtx<'_>,
-    catalog: &Catalog,
     track: &UpdateTrack,
     update: &TableUpdate,
 ) -> Vec<PreparedQuery> {
@@ -328,7 +335,7 @@ pub fn prepare_track_queries(
                     continue;
                 }
                 // Regime 1: key-eliminated (the delta holds whole groups).
-                if delta_group_complete(memo, catalog, track, child, group_by, &update.table) {
+                if delta_group_complete(ctx, track, child, group_by, &update.table) {
                     continue;
                 }
                 // Regime 2: self-maintainable from the marked output —
@@ -383,17 +390,15 @@ pub fn prepare_track_queries(
 pub fn resolve_prepared(prepared: &[PreparedQuery], marked: &ViewSet) -> Vec<PosedQuery> {
     prepared
         .iter()
-        .filter(|p| match p.suppress_if_marked {
-            Some(g) => !marked.contains(&g),
-            None => true,
-        })
+        .filter(|p| p.applies(marked))
         .map(|p| p.query.clone())
         .collect()
 }
 
 /// Derive the queries posed when propagating one table's update along a
 /// track under a concrete marking. Equivalent to
-/// [`prepare_track_queries`] followed by [`resolve_prepared`].
+/// [`prepare_track_queries`] followed by [`resolve_prepared`]; `catalog`
+/// must be the one `ctx` estimates against.
 pub fn track_queries(
     ctx: &mut CostCtx<'_>,
     catalog: &Catalog,
@@ -401,7 +406,11 @@ pub fn track_queries(
     marked: &ViewSet,
     update: &TableUpdate,
 ) -> Vec<PosedQuery> {
-    let prepared = prepare_track_queries(ctx, catalog, track, update);
+    debug_assert!(
+        std::ptr::eq(catalog, ctx.catalog),
+        "ctx prices another catalog"
+    );
+    let prepared = prepare_track_queries(ctx, track, update);
     resolve_prepared(&prepared, marked)
 }
 
