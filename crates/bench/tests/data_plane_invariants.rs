@@ -81,8 +81,9 @@ struct Scenario {
     /// Committed `io_total`, `paper_cost_io`, `queries_posed`, both modes.
     golden: [u64; 3],
     /// Committed fused allocations per transaction. Each was last
-    /// re-recorded downward when propagation stopped collecting each
-    /// group's delta-carrying children into a `Vec`; the comment on each
+    /// re-recorded downward when `Memo::is_leaf`, which
+    /// `QueryExec::backing_table` asks of every posed query, stopped
+    /// collecting the group's ops into a `Vec`; the comment on each
     /// figure gives the earlier value and what it lost.
     fused_allocs_per_txn: f64,
 }
@@ -95,8 +96,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 40,
         wide: false,
         golden: [1841, 1244, 272],
-        // 125.0 earlier: -7.4 carrier `Vec`s.
-        fused_allocs_per_txn: 117.6,
+        // 117.6 earlier (117.40 measured): -3.35 `is_leaf` `Vec`s.
+        fused_allocs_per_txn: 114.05,
     },
     Scenario {
         name: "scaling",
@@ -105,8 +106,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 80,
         wide: false,
         golden: [7864, 5938, 964],
-        // 176.3 earlier: -7.3 carrier `Vec`s.
-        fused_allocs_per_txn: 169.0,
+        // 169.0 earlier (168.86 measured): -3.54 `is_leaf` `Vec`s.
+        fused_allocs_per_txn: 165.325,
     },
     Scenario {
         name: "wide",
@@ -115,8 +116,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 50,
         wide: true,
         golden: [5794, 3327, 571],
-        // 242.5 earlier: -11.7 carrier `Vec`s.
-        fused_allocs_per_txn: 230.8,
+        // 230.8 earlier (230.66 measured): -3.92 `is_leaf` `Vec`s.
+        fused_allocs_per_txn: 226.74,
     },
 ];
 

@@ -154,13 +154,17 @@ impl Memo {
 
     /// Live operation nodes of a group.
     pub fn group_ops(&self, g: GroupId) -> Vec<OpId> {
+        self.group_ops_iter(g).collect()
+    }
+
+    /// Live operation nodes of a group, without collecting them.
+    pub fn group_ops_iter(&self, g: GroupId) -> impl Iterator<Item = OpId> + '_ {
         let g = self.find(g);
         self.groups[g.0 as usize]
             .ops
             .iter()
             .copied()
             .filter(|&o| self.ops[o.0 as usize].alive)
-            .collect()
     }
 
     /// An operation node by id.
@@ -170,11 +174,15 @@ impl Memo {
 
     /// Canonical children of an operation node.
     pub fn op_children(&self, o: OpId) -> Vec<GroupId> {
+        self.op_children_iter(o).collect()
+    }
+
+    /// Canonical children of an operation node, without collecting them.
+    pub fn op_children_iter(&self, o: OpId) -> impl Iterator<Item = GroupId> + '_ {
         self.ops[o.0 as usize]
             .children
             .iter()
             .map(|&c| self.find(c))
-            .collect()
     }
 
     /// Canonical owning group of an operation node.
@@ -184,9 +192,8 @@ impl Memo {
 
     /// Whether a group is a leaf (contains only `Scan` operators).
     pub fn is_leaf(&self, g: GroupId) -> bool {
-        self.group_ops(g)
-            .iter()
-            .all(|&o| matches!(self.op(o).op, OpKind::Scan { .. }))
+        self.group_ops_iter(g)
+            .all(|o| matches!(self.op(o).op, OpKind::Scan { .. }))
     }
 
     /// Insert an operation over existing groups.

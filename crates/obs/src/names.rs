@@ -40,7 +40,10 @@ pub const COMMIT_DIRTY_SHARDS: &str = "spacetime_commit_dirty_shards_total";
 pub const OPT_SETS_CONSIDERED: &str = "spacetime_opt_sets_considered_total";
 /// View sets abandoned by branch-and-bound pruning.
 pub const OPT_SETS_PRUNED: &str = "spacetime_opt_sets_pruned_total";
-/// Evaluations whose track enumeration hit the `max_tracks` cap.
+/// Track-enumeration branches the `max_tracks` cap discarded, summed
+/// over the enumerations a search ran (one per transaction and seed
+/// list). A set pruned by its maintenance floor is never enumerated, so
+/// it adds nothing.
 pub const OPT_TRACKS_TRUNCATED: &str = "spacetime_opt_tracks_truncated_total";
 /// Weighted cost of the current best (incumbent) view set, updated live.
 pub const OPT_INCUMBENT_COST: &str = "spacetime_opt_incumbent_cost";

@@ -104,22 +104,64 @@ impl ViewSetEvaluation {
     }
 }
 
+/// Figure 4's `m_j` for every transaction, in workload order: the cost of
+/// applying its deltas to every materialized view of `view_set` (the root's
+/// only with [`EvalConfig::include_root_update_cost`]). No `m_j` depends on
+/// the update track, so these are known before any track is enumerated.
+pub fn maintenance_costs(
+    ctx: &mut CostCtx<'_>,
+    tcat: &TrackCatalog<'_>,
+    view_set: &ViewSet,
+    config: &EvalConfig,
+) -> Vec<Cost> {
+    let memo = ctx.memo;
+    (0..tcat.txns().len())
+        .map(|ti| {
+            let mut cost = Cost::ZERO;
+            for &g in view_set {
+                let g = memo.find(g);
+                if tcat.is_root(g) && !config.include_root_update_cost {
+                    continue;
+                }
+                cost += tcat.apply_cost(ti, g, ctx);
+            }
+            cost
+        })
+        .collect()
+}
+
+/// A view set's maintenance floor `Σ_j w_j·m_j / Σw`, from its
+/// [`maintenance_costs`]. Every query cost `q_j` is non-negative under a
+/// monotonic cost model, so the floor never exceeds the set's weighted
+/// cost `Σ_j w_j·(q_j + m_j) / Σw`, and it is summed in the same order.
+pub fn maintenance_floor(txns: &[TransactionType], update_costs: &[Cost]) -> f64 {
+    spacetime_cost::txn::weighted_average(
+        &update_costs
+            .iter()
+            .zip(txns)
+            .map(|(c, t)| (c.value(), t.weight))
+            .collect::<Vec<_>>(),
+    )
+}
+
 /// Evaluate one view set against a shared [`TrackCatalog`] (the search
 /// engine's inner loop). Track enumeration and query preparation come from
 /// the catalog; only marking-dependent pricing happens here. Every track is
 /// priced by reference into the shared prepared tracks, and only each
 /// transaction's winner is copied out, once the set has survived pruning.
 ///
-/// With `abort_above = Some(t)`, the transactions are processed
-/// heaviest-weight-first and the evaluation is abandoned (returning
-/// `None`) as soon as the weighted partial sum provably exceeds `t`:
-/// per-transaction costs are non-negative, so the running sum of
-/// `weight · cost` divided by the total weight is a monotone lower bound
-/// on the final weighted average. The comparison carries a `1e-9` relative
-/// guard so float-summation reordering can never prune a set whose true
-/// weighted cost ties the threshold; completed evaluations recompute the
-/// weighted average in original transaction order, bit-identical to the
-/// serial path.
+/// With `abort_above = Some(t)`, the evaluation is abandoned (returning
+/// `None`) as soon as a lower bound on the set's weighted average provably
+/// exceeds `t`. The first bound is the [`maintenance_floor`], tested before
+/// any track is enumerated. Then the transactions are priced
+/// heaviest-weight-first, and after each one the bound is the weighted sum
+/// of the priced totals plus the unpriced transactions' maintenance costs:
+/// every query cost is non-negative, so it only grows toward the final
+/// weighted sum. The comparison carries a `1e-9` relative guard so
+/// float-summation reordering can never prune a set whose true weighted
+/// cost ties the threshold; completed evaluations recompute the weighted
+/// average in original transaction order, bit-identical to the serial
+/// path.
 pub fn evaluate_with_catalog(
     ctx: &mut CostCtx<'_>,
     tcat: &TrackCatalog<'_>,
@@ -127,45 +169,55 @@ pub fn evaluate_with_catalog(
     config: &EvalConfig,
     abort_above: Option<f64>,
 ) -> Option<ViewSetEvaluation> {
+    let update_costs = maintenance_costs(ctx, tcat, view_set, config);
+    evaluate_bounded(ctx, tcat, view_set, &update_costs, abort_above)
+}
+
+/// [`evaluate_with_catalog`] given the set's [`maintenance_costs`].
+pub(crate) fn evaluate_bounded(
+    ctx: &mut CostCtx<'_>,
+    tcat: &TrackCatalog<'_>,
+    view_set: &ViewSet,
+    update_costs: &[Cost],
+    abort_above: Option<f64>,
+) -> Option<ViewSetEvaluation> {
     /// One transaction priced: its prepared tracks, each track's query
-    /// cost, the winner's index, and the update and total costs.
+    /// cost, the winner's index, and the total cost.
     struct Priced {
         prepared: Arc<PreparedTracks>,
         track_costs: Vec<Cost>,
         best: Option<usize>,
-        update_cost: Cost,
         total: Cost,
     }
 
     let memo = ctx.memo;
-    let marked: Marking = view_set.iter().map(|&g| memo.find(g)).collect();
     let txns = tcat.txns();
     let total_weight: f64 = txns.iter().map(|t| t.weight).sum();
+    let exceeds = |weighted: f64, t: f64| weighted > t * (1.0 + 1e-9);
 
     let mut order: Vec<usize> = (0..txns.len()).collect();
-    if abort_above.is_some() {
+    // `unpriced[k]`: the weighted maintenance costs of `order[k..]`.
+    let mut unpriced = vec![0.0f64; txns.len() + 1];
+    if let Some(t) = abort_above {
+        if exceeds(maintenance_floor(txns, update_costs), t) {
+            return None;
+        }
         // Heaviest transactions first: their weighted costs dominate the
         // partial sum, so bad sets are abandoned as early as possible.
         order.sort_by(|&a, &b| txns[b].weight.total_cmp(&txns[a].weight).then(a.cmp(&b)));
+        for k in (0..order.len()).rev() {
+            let ti = order[k];
+            unpriced[k] = unpriced[k + 1] + update_costs[ti].value() * txns[ti].weight;
+        }
     }
 
+    let marked: Marking = view_set.iter().map(|&g| memo.find(g)).collect();
     let mut slots: Vec<Option<Priced>> = (0..txns.len()).map(|_| None).collect();
     let mut tracks_truncated = 0usize;
     let mut partial = 0.0f64;
-    for &ti in &order {
+    for (k, &ti) in order.iter().enumerate() {
         let prepared = tcat.prepared(ti, view_set, ctx);
         tracks_truncated += prepared.truncated;
-
-        // Cost of performing updates to every materialized view (Figure
-        // 4's m_j) — track-independent.
-        let mut update_cost = Cost::ZERO;
-        for &g in view_set {
-            let g = memo.find(g);
-            if tcat.is_root(g) && !config.include_root_update_cost {
-                continue;
-            }
-            update_cost += tcat.apply_cost(ti, g, ctx);
-        }
 
         // Cheapest track (Figure 4's q_j). Sequential propagation: MQO
         // shares queries *within* one table-update's propagation (same
@@ -194,17 +246,16 @@ pub fn evaluate_with_catalog(
             .enumerate()
             .min_by_key(|&(_, &c)| c)
             .map(|(i, _)| i);
-        let total = best.map_or(Cost::ZERO, |i| track_costs[i]) + update_cost;
+        let total = best.map_or(Cost::ZERO, |i| track_costs[i]) + update_costs[ti];
         partial += total.value() * txns[ti].weight;
         slots[ti] = Some(Priced {
             prepared,
             track_costs,
             best,
-            update_cost,
             total,
         });
-        if let Some(threshold) = abort_above {
-            if total_weight > 0.0 && partial / total_weight > threshold * (1.0 + 1e-9) {
+        if let Some(t) = abort_above {
+            if total_weight > 0.0 && exceeds((partial + unpriced[k + 1]) / total_weight, t) {
                 return None;
             }
         }
@@ -213,7 +264,8 @@ pub fn evaluate_with_catalog(
     let per_txn: Vec<TxnEvaluation> = slots
         .into_iter()
         .zip(txns)
-        .map(|(slot, txn)| {
+        .zip(update_costs)
+        .map(|((slot, txn), &update_cost)| {
             let p = slot.expect("every transaction evaluated");
             let best = p.best.map(|i| {
                 let pt = &p.prepared.tracks[i];
@@ -232,7 +284,7 @@ pub fn evaluate_with_catalog(
                 weight: txn.weight,
                 best,
                 track_costs: p.track_costs,
-                update_cost: p.update_cost,
+                update_cost,
                 total: p.total,
             }
         })
@@ -276,4 +328,47 @@ pub fn evaluate_view_set_fresh(
 ) -> ViewSetEvaluation {
     let mut ctx = CostCtx::new(memo, catalog, model);
     evaluate_view_set(&mut ctx, catalog, root, view_set, txns, config)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exhaustive::tests::paper_setup;
+    use spacetime_cost::PageIoCostModel;
+
+    #[test]
+    fn a_set_is_bounded_before_it_is_enumerated() {
+        let s = paper_setup();
+        let model = PageIoCostModel::default();
+        let config = EvalConfig::default();
+        let set: ViewSet = [s.root, s.n3, s.n4].map(|g| s.memo.find(g)).into();
+        let fresh = || TrackCatalog::new(&s.memo, &s.cat, &[s.root], &s.txns, config.max_tracks);
+        let mut ctx = CostCtx::new(&s.memo, &s.cat, &model);
+        let tcat = fresh();
+        let floor = maintenance_floor(&s.txns, &maintenance_costs(&mut ctx, &tcat, &set, &config));
+        let full =
+            evaluate_with_catalog(&mut ctx, &fresh(), &set, &config, None).expect("no bound");
+        assert!(
+            0.0 < floor && floor < full.weighted,
+            "{floor} vs {}",
+            full.weighted
+        );
+
+        // Below the floor: pruned before a single track is enumerated.
+        let below = Some(floor * (1.0 - 1e-6));
+        assert!(evaluate_with_catalog(&mut ctx, &tcat, &set, &config, below).is_none());
+        assert_eq!(tcat.enumerations(), 0);
+
+        // Within the floor's guard: the set goes on to be enumerated (and
+        // is then pruned by the tighter in-loop bound).
+        let tcat = fresh();
+        let at_floor = Some(floor / (1.0 + 0.5e-9));
+        assert!(evaluate_with_catalog(&mut ctx, &tcat, &set, &config, at_floor).is_none());
+        assert!(tcat.enumerations() > 0);
+
+        // A threshold the set ties within the guard keeps it, bit for bit.
+        let tie = Some(full.weighted / (1.0 + 0.5e-9));
+        let kept = evaluate_with_catalog(&mut ctx, &fresh(), &set, &config, tie).expect("a tie");
+        assert_eq!(kept.weighted.to_bits(), full.weighted.to_bits());
+    }
 }

@@ -37,7 +37,8 @@ pub mod tracks;
 pub use candidates::{candidate_groups, enumerate_view_sets, ViewSet};
 pub use complete::delta_group_complete;
 pub use evaluate::{
-    evaluate_view_set, evaluate_with_catalog, EvalConfig, TxnEvaluation, ViewSetEvaluation,
+    evaluate_view_set, evaluate_with_catalog, maintenance_costs, maintenance_floor, EvalConfig,
+    TxnEvaluation, ViewSetEvaluation,
 };
 pub use exhaustive::{optimal_view_set, optimal_view_set_over, OptimizeOutcome};
 pub use heuristics::{greedy_add, rule_of_thumb_set, single_tree_optimize};

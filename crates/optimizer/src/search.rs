@@ -13,23 +13,31 @@
 //!   lookups go through one [`SharedQueryCache`], so pricing work done by
 //!   any worker benefits all.
 //! * **Branch-and-bound** — an atomic incumbent holds the current K-th
-//!   best weighted cost; a set's evaluation is abandoned as soon as its
-//!   monotone weighted partial sum exceeds it (see
-//!   [`evaluate_with_catalog`]). The threshold only ever decreases, and
-//!   pruning fires strictly above it, so the retained top-K — and in
-//!   particular the winner — is identical with pruning on or off, and
-//!   identical between serial and parallel runs.
+//!   best weighted cost; a set's evaluation is abandoned as soon as a
+//!   lower bound on its weighted cost exceeds it: first its maintenance
+//!   floor, before any track is enumerated, then its monotone weighted
+//!   partial sum (see [`crate::evaluate::evaluate_with_catalog`]). The
+//!   threshold only ever decreases, and pruning fires strictly above it,
+//!   so the retained top-K — and in particular the winner — is identical
+//!   with pruning on or off, and identical between serial and parallel
+//!   runs.
+//! * **Cheapest floor first** — sets are handed out in ascending order of
+//!   their maintenance floor, so the incumbent is tight before the
+//!   expensive sets are reached. The ranking of evaluations is a strict
+//!   total order, so the answer does not depend on the order.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use spacetime_cost::{CostCtx, CostModel, SharedQueryCache, TransactionType};
+use spacetime_cost::{Cost, CostCtx, CostModel, SharedQueryCache, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_obs::{self as obs, names as metric};
 use spacetime_storage::Catalog;
 
 use crate::candidates::ViewSet;
-use crate::evaluate::{evaluate_with_catalog, EvalConfig, ViewSetEvaluation};
+use crate::evaluate::{
+    evaluate_bounded, maintenance_costs, maintenance_floor, EvalConfig, ViewSetEvaluation,
+};
 use crate::exhaustive::OptimizeOutcome;
 use crate::track_catalog::TrackCatalog;
 
@@ -46,9 +54,9 @@ fn rank(a: &ViewSetEvaluation, b: &ViewSetEvaluation) -> std::cmp::Ordering {
 /// The top-K accumulator plus the pruning threshold. The threshold is the
 /// K-th best weighted cost seen so far (`+∞` until K sets have survived),
 /// published as ordered `f64` bits for lock-free reads; it is monotone
-/// non-increasing, and [`evaluate_with_catalog`] abandons a set only when
-/// its lower bound strictly exceeds it — so no set that could enter the
-/// final top-K is ever pruned.
+/// non-increasing, and [`crate::evaluate::evaluate_with_catalog`]
+/// abandons a set only when a lower bound on its cost strictly exceeds it
+/// — so no set that could enter the final top-K is ever pruned.
 struct TopK {
     k: usize,
     entries: Mutex<Vec<ViewSetEvaluation>>,
@@ -104,6 +112,20 @@ pub fn search_view_sets(
 ) -> OptimizeOutcome {
     let tcat = TrackCatalog::new(memo, catalog, roots, txns, config.max_tracks);
     let shared = SharedQueryCache::new();
+    // Every set's maintenance costs (memo lookups after the first few),
+    // and the order of their floors: cheapest first, ties by input index
+    // (the sort is stable).
+    let mut ctx = CostCtx::new(memo, catalog, model);
+    let update_costs: Vec<Vec<Cost>> = sets
+        .iter()
+        .map(|set| maintenance_costs(&mut ctx, &tcat, set, config))
+        .collect();
+    let floors: Vec<f64> = update_costs
+        .iter()
+        .map(|costs| maintenance_floor(txns, costs))
+        .collect();
+    let mut order: Vec<usize> = (0..sets.len()).collect();
+    order.sort_by(|&a, &b| floors[a].total_cmp(&floors[b]));
     let top = TopK::new(config.top_k);
     let next = AtomicUsize::new(0);
     let pruned = AtomicUsize::new(0);
@@ -118,16 +140,14 @@ pub fn search_view_sets(
 
     let run_worker = || {
         let mut ctx = CostCtx::with_shared_cache(memo, catalog, model, shared.clone());
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(set) = sets.get(i) else { break };
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
             let abort_above = if config.prune {
                 let t = top.threshold();
                 t.is_finite().then_some(t)
             } else {
                 None
             };
-            match evaluate_with_catalog(&mut ctx, &tcat, set, config, abort_above) {
+            match evaluate_bounded(&mut ctx, &tcat, &sets[i], &update_costs[i], abort_above) {
                 Some(eval) => top.insert(eval),
                 None => {
                     pruned.fetch_add(1, Ordering::Relaxed);

@@ -24,7 +24,7 @@ use spacetime_storage::Catalog;
 
 use crate::candidates::ViewSet;
 use crate::tracks::{
-    enumerate_tracks_multi_counted, prepare_track_queries, PreparedQuery, UpdateTrack,
+    enumerate_from_seeds, prepare_track_queries, track_seeds, PreparedQuery, UpdateTrack,
 };
 
 /// One track with its prepared (marking-independent) query lists, one list
@@ -47,10 +47,11 @@ pub struct PreparedTracks {
 }
 
 struct TxnCache {
-    /// Groups affected by this transaction (union over all roots).
-    affected: BTreeSet<GroupId>,
-    /// Prepared tracks keyed by the seed list exactly as the enumerator
-    /// derives it from a marking (order matters: it fixes track order).
+    /// Groups affected by this transaction (union over all roots), shared
+    /// by every track enumerated for it.
+    affected: Arc<BTreeSet<GroupId>>,
+    /// Prepared tracks keyed by the seed list a marking induces (order
+    /// matters: it fixes track order).
     tracks_by_seeds: RwLock<HashMap<Vec<GroupId>, Arc<PreparedTracks>>>,
     /// Marking-independent update-application cost per materialized group.
     apply_cost: RwLock<HashMap<GroupId, Cost>>,
@@ -88,7 +89,7 @@ impl<'a> TrackCatalog<'a> {
                     affected.extend(affected_groups(memo, root, &updated));
                 }
                 TxnCache {
-                    affected,
+                    affected: Arc::new(affected),
                     tracks_by_seeds: RwLock::new(HashMap::new()),
                     apply_cost: RwLock::new(HashMap::new()),
                 }
@@ -119,18 +120,6 @@ impl<'a> TrackCatalog<'a> {
         self.txns
     }
 
-    /// The seed list a marking induces for one transaction — the cache
-    /// key. Must mirror [`crate::tracks::enumerate_tracks_multi_counted`]
-    /// exactly, including order.
-    fn seeds(&self, txn_idx: usize, view_set: &ViewSet) -> Vec<GroupId> {
-        let affected = &self.per_txn[txn_idx].affected;
-        view_set
-            .iter()
-            .map(|&g| self.memo.find(g))
-            .filter(|g| affected.contains(g) && !self.memo.is_leaf(*g))
-            .collect()
-    }
-
     /// The prepared tracks for `(transaction, marking)`, enumerating and
     /// preparing on first use of the induced seed list. Concurrent misses
     /// on the same key may both compute; they produce identical values and
@@ -146,22 +135,17 @@ impl<'a> TrackCatalog<'a> {
             std::ptr::eq(self.memo, ctx.memo) && std::ptr::eq(self.catalog, ctx.catalog),
             "ctx prices another memo or catalog"
         );
-        let seeds = self.seeds(txn_idx, view_set);
-        let cache = &self.per_txn[txn_idx].tracks_by_seeds;
+        let per_txn = &self.per_txn[txn_idx];
+        let seeds = track_seeds(self.memo, &per_txn.affected, view_set);
+        let cache = &per_txn.tracks_by_seeds;
         if let Ok(map) = cache.read() {
             if let Some(hit) = map.get(&seeds) {
                 return Arc::clone(hit);
             }
         }
         let txn = &self.txns[txn_idx];
-        let updated = txn.updated_tables();
-        let enumeration = enumerate_tracks_multi_counted(
-            self.memo,
-            &self.roots,
-            view_set,
-            &updated,
-            self.max_tracks,
-        );
+        let enumeration =
+            enumerate_from_seeds(self.memo, &per_txn.affected, seeds.clone(), self.max_tracks);
         let tracks = enumeration
             .tracks
             .into_iter()
@@ -198,6 +182,15 @@ impl<'a> TrackCatalog<'a> {
             map.insert(g, c);
         }
         c
+    }
+
+    /// Cached enumerations, over every transaction.
+    #[cfg(test)]
+    pub(crate) fn enumerations(&self) -> usize {
+        self.per_txn
+            .iter()
+            .map(|t| t.tracks_by_seeds.read().map_or(0, |m| m.len()))
+            .sum()
     }
 
     /// Total branches discarded by the `max_tracks` cap across all cached

@@ -10,6 +10,7 @@
 //! queries' cost depends on which views are materialized.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use spacetime_cost::{CostCtx, TableUpdate, UpdateKind};
 use spacetime_memo::{affected_groups, GroupId, Memo, OpId};
@@ -26,8 +27,9 @@ use crate::complete::delta_group_complete;
 pub struct UpdateTrack {
     /// Chosen operation node per affected non-leaf group on the track.
     pub choices: BTreeMap<GroupId, OpId>,
-    /// All groups affected by the transaction (leaves included).
-    pub affected: BTreeSet<GroupId>,
+    /// All groups affected by the transaction (leaves included), shared
+    /// by every track of one enumeration.
+    pub affected: Arc<BTreeSet<GroupId>>,
 }
 
 impl UpdateTrack {
@@ -129,117 +131,152 @@ pub fn enumerate_tracks_multi_counted(
     for &root in roots {
         affected.extend(affected_groups(memo, memo.find(root), updated_tables));
     }
-    // Seeds: affected materialized nodes (the root is always materialized).
-    let seeds: Vec<GroupId> = marked
+    let seeds = track_seeds(memo, &affected, marked);
+    enumerate_from_seeds(memo, &Arc::new(affected), seeds, max_tracks)
+}
+
+/// The seed list a marking induces: its affected non-leaf nodes, in
+/// marking order (the root is always marked). A track enumeration depends
+/// on the marking only through this list, and its order fixes the order
+/// of the tracks.
+pub(crate) fn track_seeds(
+    memo: &Memo,
+    affected: &BTreeSet<GroupId>,
+    marked: &ViewSet,
+) -> Vec<GroupId> {
+    marked
         .iter()
         .map(|&g| memo.find(g))
         .filter(|g| affected.contains(g) && !memo.is_leaf(*g))
-        .collect();
+        .collect()
+}
+
+/// Enumerate the tracks that reach every seed. Every track shares the one
+/// `affected` set.
+pub(crate) fn enumerate_from_seeds(
+    memo: &Memo,
+    affected: &Arc<BTreeSet<GroupId>>,
+    mut seeds: Vec<GroupId>,
+    max_tracks: usize,
+) -> TrackEnumeration {
     if seeds.is_empty() {
         return TrackEnumeration {
             tracks: vec![UpdateTrack {
                 choices: BTreeMap::new(),
-                affected,
+                affected: Arc::clone(affected),
             }],
             truncated: 0,
         };
     }
-    let mut out = Vec::new();
-    let mut truncated = 0usize;
-    let mut choices = BTreeMap::new();
-    recurse(
+    let mut walk = Walk {
         memo,
-        &affected,
-        seeds,
-        &mut choices,
-        &mut out,
+        affected,
+        choices: BTreeMap::new(),
+        acyclic_state: Vec::new(),
+        out: Vec::new(),
         max_tracks,
-        &mut truncated,
-    );
+        truncated: 0,
+    };
+    walk.recurse(&mut seeds, 0);
     TrackEnumeration {
-        tracks: out,
-        truncated,
+        tracks: walk.out,
+        truncated: walk.truncated,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    memo: &Memo,
-    affected: &BTreeSet<GroupId>,
-    mut pending: Vec<GroupId>,
-    choices: &mut BTreeMap<GroupId, OpId>,
-    out: &mut Vec<UpdateTrack>,
+/// The state of one track enumeration.
+struct Walk<'m> {
+    memo: &'m Memo,
+    affected: &'m Arc<BTreeSet<GroupId>>,
+    choices: BTreeMap<GroupId, OpId>,
+    /// Scratch for [`Walk::is_acyclic`], reused across tracks.
+    acyclic_state: Vec<(GroupId, bool)>,
+    out: Vec<UpdateTrack>,
     max_tracks: usize,
-    truncated: &mut usize,
-) {
-    if out.len() >= max_tracks {
-        *truncated += 1;
-        return;
-    }
-    // Next group that still needs an operation choice.
-    let next = loop {
-        match pending.pop() {
-            Some(g) => {
-                let g = memo.find(g);
-                if choices.contains_key(&g) || memo.is_leaf(g) {
-                    continue;
-                }
+    truncated: usize,
+}
+
+impl Walk<'_> {
+    /// Choose an op for every group on the stack `pending[lo..]` that
+    /// still needs one, depth first. Each branch builds its own stack
+    /// above `pending.len()` and truncates it on the way back, so the
+    /// caller's window is left as it was and one vector serves the walk.
+    fn recurse(&mut self, pending: &mut Vec<GroupId>, lo: usize) {
+        if self.out.len() >= self.max_tracks {
+            self.truncated += 1;
+            return;
+        }
+        let memo = self.memo;
+        // Next group that still needs an operation choice.
+        let mut top = pending.len();
+        let next = loop {
+            if top == lo {
+                break None;
+            }
+            top -= 1;
+            let g = memo.find(pending[top]);
+            if !self.choices.contains_key(&g) && !memo.is_leaf(g) {
                 break Some(g);
             }
-            None => break None,
-        }
-    };
-    let Some(g) = next else {
-        if is_acyclic(memo, choices) {
-            out.push(UpdateTrack {
-                choices: choices.clone(),
-                affected: affected.clone(),
-            });
-        }
-        return;
-    };
-    for op in memo.group_ops(g) {
-        let children = memo.op_children(op);
-        let mut new_pending = pending.clone();
-        for c in children {
-            if affected.contains(&c) && !memo.is_leaf(c) && !choices.contains_key(&c) {
-                new_pending.push(c);
+        };
+        let Some(g) = next else {
+            if self.is_acyclic() {
+                self.out.push(UpdateTrack {
+                    choices: self.choices.clone(),
+                    affected: Arc::clone(self.affected),
+                });
             }
-        }
-        choices.insert(g, op);
-        recurse(memo, affected, new_pending, choices, out, max_tracks, truncated);
-        choices.remove(&g);
-    }
-}
-
-/// Reject assignments whose chosen-op graph contains a cycle (possible
-/// only through exotic merges; such an assignment admits no evaluation
-/// order).
-fn is_acyclic(memo: &Memo, choices: &BTreeMap<GroupId, OpId>) -> bool {
-    let mut state: BTreeMap<GroupId, u8> = BTreeMap::new(); // 1=visiting, 2=done
-    fn dfs(
-        memo: &Memo,
-        choices: &BTreeMap<GroupId, OpId>,
-        g: GroupId,
-        state: &mut BTreeMap<GroupId, u8>,
-    ) -> bool {
-        match state.get(&g) {
-            Some(1) => return false,
-            Some(2) => return true,
-            _ => {}
-        }
-        state.insert(g, 1);
-        if let Some(&op) = choices.get(&g) {
-            for c in memo.op_children(op) {
-                if !dfs(memo, choices, c, state) {
-                    return false;
+            return;
+        };
+        let end = pending.len();
+        for op in memo.group_ops_iter(g) {
+            pending.extend_from_within(lo..top);
+            for c in memo.op_children_iter(op) {
+                if self.affected.contains(&c) && !memo.is_leaf(c) && !self.choices.contains_key(&c)
+                {
+                    pending.push(c);
                 }
             }
+            self.choices.insert(g, op);
+            self.recurse(pending, end);
+            self.choices.remove(&g);
+            pending.truncate(end);
         }
-        state.insert(g, 2);
-        true
     }
-    choices.keys().all(|&g| dfs(memo, choices, g, &mut state))
+
+    /// Reject assignments whose chosen-op graph contains a cycle (possible
+    /// only through exotic merges; such an assignment admits no evaluation
+    /// order).
+    fn is_acyclic(&mut self) -> bool {
+        /// Depth-first search; `state` holds each visited group and
+        /// whether its search is done.
+        fn dfs(
+            memo: &Memo,
+            choices: &BTreeMap<GroupId, OpId>,
+            g: GroupId,
+            state: &mut Vec<(GroupId, bool)>,
+        ) -> bool {
+            if let Some(&(_, done)) = state.iter().find(|(h, _)| *h == g) {
+                return done;
+            }
+            state.push((g, false));
+            let at = state.len() - 1;
+            if let Some(&op) = choices.get(&g) {
+                for c in memo.op_children_iter(op) {
+                    if !dfs(memo, choices, c, state) {
+                        return false;
+                    }
+                }
+            }
+            state[at].1 = true;
+            true
+        }
+        let state = &mut self.acyclic_state;
+        state.clear();
+        self.choices
+            .keys()
+            .all(|&g| dfs(self.memo, &self.choices, g, state))
+    }
 }
 
 /// One query posed while propagating a delta along a track (§3.2's
