@@ -8,6 +8,7 @@
 //! * the transaction and outcome books (`spacetime_sched_txns_total`, the
 //!   committed/aborted outcome family) = the `SchedStats` the runs
 //!   returned, and the queue-depth gauge drained to zero;
+//! * every view's DDL search was exact (`spacetime_opt_search_exact` = 1);
 //! * the WAL record families = what a durable run logged (one `begin` per
 //!   transaction, one `delta` per update, one `commit` per committed
 //!   transaction, one checkpoint marker per checkpoint), the installed
@@ -43,6 +44,8 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
         "CREATE MATERIALIZED VIEW ActiveDepts AS SELECT DISTINCT DName FROM Emp",
     ] {
         template.execute_sql(view).expect("view DDL");
+        // Each view's search covered its whole space.
+        assert_eq!(spacetime_obs::snapshot().gauge(metric::OPT_SEARCH_EXACT), 1.0);
     }
     let workload = mixed_workload(DEPARTMENTS, EMPS_PER_DEPT, 120, 9406);
     let txns: Vec<Txn> = workload.iter().cloned().map(|u| vec![u]).collect();

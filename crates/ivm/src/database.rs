@@ -21,9 +21,7 @@ use spacetime_cost::{PageIoCostModel, TransactionType};
 use spacetime_delta::Delta;
 use spacetime_memo::{explore, GroupId, Memo};
 use spacetime_obs::{self as obs, names as metric, MetricsSnapshot, TraceNode};
-use spacetime_optimizer::{
-    greedy_add, optimal_view_set, optimal_view_set_multi, EvalConfig, ViewSet,
-};
+use spacetime_optimizer::{greedy_add, optimal_view_set_multi, EvalConfig, ViewSet};
 use spacetime_sql::{lower::lower_literal_row, lower_select, parse_statements, Statement};
 use spacetime_storage::{Bag, Catalog, Column, Schema, Tuple, Value};
 
@@ -372,9 +370,10 @@ impl Database {
     /// DAG … may therefore have multiple roots, and every view that must
     /// be materialized will be marked"). The optimizer chooses auxiliary
     /// views once for the whole group, so a subexpression shared by
-    /// several views is materialized and maintained once. Additional
-    /// views per set are capped at 3 to keep the multi-rooted exhaustive
-    /// search tractable.
+    /// several views is materialized and maintained once. The search is
+    /// the same uncapped walk a single view gets; on a DAG too wide to
+    /// finish within `spacetime_optimizer::search::SEARCH_BUDGET` claimed
+    /// sets it returns the best set it priced.
     pub fn create_view_group(&mut self, views: Vec<(String, ExprTree)>) -> IvmResult<&IvmEngine> {
         if views.is_empty() {
             return Err(IvmError::Unsupported("empty view group".into()));
@@ -395,7 +394,7 @@ impl Database {
     /// and register the engine — unless building fails or the engine backs
     /// an `assertion` the current data violates, in which case every table
     /// it materialized is dropped again. One root runs the session's
-    /// [`ViewSelection`]; several run the multi-rooted exhaustive search.
+    /// [`ViewSelection`]; several run the multi-rooted search.
     fn create(
         &mut self,
         views: Vec<(String, ExprTree)>,
@@ -432,21 +431,20 @@ impl Database {
             self.workload.clone()
         };
         let (catalog, model) = (&self.catalog, PageIoCostModel::default());
-        let config = EvalConfig::default();
+        // Only the winner is read.
+        let config = EvalConfig {
+            top_k: 1,
+            ..EvalConfig::default()
+        };
         let view_set: ViewSet = match (roots.as_slice(), self.selection) {
             (&[root], ViewSelection::RootOnly) => [root].into_iter().collect(),
-            (&[root], ViewSelection::Exhaustive) => {
-                optimal_view_set(&memo, catalog, &model, root, &txns, &config)
-                    .best
-                    .view_set
-            }
             (&[root], ViewSelection::Greedy) => {
                 greedy_add(&memo, catalog, &model, root, &txns, &config)
                     .best
                     .view_set
             }
             _ => {
-                optimal_view_set_multi(&memo, catalog, &model, &roots, &txns, &config, Some(3))
+                optimal_view_set_multi(&memo, catalog, &model, &roots, &txns, &config, None)
                     .best
                     .view_set
             }

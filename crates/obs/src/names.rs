@@ -47,6 +47,10 @@ pub const OPT_SETS_PRUNED: &str = "spacetime_opt_sets_pruned_total";
 pub const OPT_TRACKS_TRUNCATED: &str = "spacetime_opt_tracks_truncated_total";
 /// Weighted cost of the current best (incumbent) view set, updated live.
 pub const OPT_INCUMBENT_COST: &str = "spacetime_opt_incumbent_cost";
+/// 1 when the last view-set search covered its whole space, 0 when it
+/// stopped at its budget of claimed sets and returned the best set it
+/// had priced.
+pub const OPT_SEARCH_EXACT: &str = "spacetime_opt_search_exact";
 
 /// Transactions handed to `Database::run`.
 pub const SCHED_TXNS: &str = "spacetime_sched_txns_total";

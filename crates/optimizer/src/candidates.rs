@@ -25,6 +25,51 @@ pub fn candidate_groups(memo: &Memo, root: GroupId) -> Vec<GroupId> {
         .collect()
 }
 
+/// A space of view sets: `base ∪ S` for every `S ⊆ free` with
+/// `|S| ≤ max_extra`. The search walks a space without listing it: a set
+/// is named by the ascending indices of the free candidates it adds.
+#[derive(Debug, Clone)]
+pub struct ViewSetSpace {
+    /// The views every set of the space contains (the roots at least).
+    pub base: ViewSet,
+    /// The candidates a set may add, in a fixed order.
+    pub free: Vec<GroupId>,
+    /// At most this many free candidates per set.
+    pub max_extra: usize,
+}
+
+impl ViewSetSpace {
+    /// The space of `base` alone.
+    pub fn single(base: ViewSet) -> Self {
+        ViewSetSpace {
+            base,
+            free: Vec::new(),
+            max_extra: 0,
+        }
+    }
+
+    /// The number of sets, `Σ_{k ≤ max_extra} C(n, k)`, saturating at
+    /// `usize::MAX`.
+    pub fn size(&self) -> usize {
+        let n = self.free.len() as u128;
+        // The running total and `C(n, k)`; `None` once the total reaches
+        // `usize::MAX`, so `C(n, k) < 2⁶⁴` and no product overflows.
+        (1..=self.max_extra.min(self.free.len()) as u128)
+            .try_fold((1u128, 1u128), |(total, c), k| {
+                let c = c * (n - k + 1) / k;
+                (total + c < usize::MAX as u128).then_some((total + c, c))
+            })
+            .map_or(usize::MAX, |(total, _)| total as usize)
+    }
+
+    /// The set that adds the free candidates at `picked`.
+    pub fn set(&self, picked: &[u32]) -> ViewSet {
+        let mut set = self.base.clone();
+        set.extend(picked.iter().map(|&i| self.free[i as usize]));
+        set
+    }
+}
+
 /// Enumerate all view sets over the given candidates (the root is added to
 /// each). `max_extra` caps the number of *additional* views per set
 /// (`None` = unbounded, the full 2^n space). Sets come out in ascending
@@ -182,7 +227,10 @@ mod tests {
         let sets = enumerate_view_sets(GroupId(99), &cands, Some(2));
         assert_eq!(sets.len(), 821);
         assert_eq!(sets[0], ViewSet::from([GroupId(99)]));
-        assert_eq!(sets[820], ViewSet::from([GroupId(38), GroupId(39), GroupId(99)]));
+        assert_eq!(
+            sets[820],
+            ViewSet::from([GroupId(38), GroupId(39), GroupId(99)])
+        );
     }
 
     #[test]
@@ -197,6 +245,28 @@ mod tests {
         let sets = enumerate_view_sets(root, &joins, Some(2));
         // ∅ + 3 singletons + 3 pairs = 7.
         assert_eq!(sets.len(), 7);
+    }
+
+    #[test]
+    fn a_space_counts_its_sets_without_listing_them() {
+        let space = |n: u32, cap: usize| ViewSetSpace {
+            base: ViewSet::from([GroupId(1000)]),
+            free: (0..n).map(GroupId).collect(),
+            max_extra: cap,
+        };
+        for n in 0..=10 {
+            for cap in [0, 1, 2, 3, 10] {
+                let cands: Vec<GroupId> = (0..n).map(GroupId).collect();
+                let listed = enumerate_view_sets(GroupId(1000), &cands, Some(cap)).len();
+                assert_eq!(space(n, cap).size(), listed, "n={n} cap={cap}");
+            }
+        }
+        assert_eq!(space(28, 2).size(), 407);
+        assert_eq!(space(27, 27).size(), 1 << 27);
+        assert_eq!(space(75, 75).size(), usize::MAX);
+        assert_eq!(space(300, 4).size(), 1 + 300 + 44_850 + 4_455_100 + 330_791_175);
+        let set = space(5, 2).set(&[1, 4]);
+        assert_eq!(set, ViewSet::from([GroupId(1), GroupId(4), GroupId(1000)]));
     }
 
     #[test]

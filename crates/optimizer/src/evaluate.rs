@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use spacetime_cost::{BatchQuery, Cost, CostCtx, Marking, TransactionType};
-use spacetime_memo::{GroupId, Memo};
+use spacetime_memo::GroupId;
 use spacetime_storage::Catalog;
 
 use crate::candidates::ViewSet;
@@ -144,6 +144,13 @@ pub fn maintenance_floor(txns: &[TransactionType], update_costs: &[Cost]) -> f64
     )
 }
 
+/// Whether a lower bound on a set's weighted cost rules it out under
+/// `threshold`. The `1e-9` relative guard keeps float-summation
+/// reordering from ruling out a set whose true cost ties the threshold.
+pub(crate) fn exceeds(bound: f64, threshold: f64) -> bool {
+    bound > threshold * (1.0 + 1e-9)
+}
+
 /// Evaluate one view set against a shared [`TrackCatalog`] (the search
 /// engine's inner loop). Track enumeration and query preparation come from
 /// the catalog; only marking-dependent pricing happens here. Every track is
@@ -169,18 +176,6 @@ pub fn evaluate_with_catalog(
     config: &EvalConfig,
     abort_above: Option<f64>,
 ) -> Option<ViewSetEvaluation> {
-    let update_costs = maintenance_costs(ctx, tcat, view_set, config);
-    evaluate_bounded(ctx, tcat, view_set, &update_costs, abort_above)
-}
-
-/// [`evaluate_with_catalog`] given the set's [`maintenance_costs`].
-pub(crate) fn evaluate_bounded(
-    ctx: &mut CostCtx<'_>,
-    tcat: &TrackCatalog<'_>,
-    view_set: &ViewSet,
-    update_costs: &[Cost],
-    abort_above: Option<f64>,
-) -> Option<ViewSetEvaluation> {
     /// One transaction priced: its prepared tracks, each track's query
     /// cost, the winner's index, and the total cost.
     struct Priced {
@@ -190,10 +185,10 @@ pub(crate) fn evaluate_bounded(
         total: Cost,
     }
 
+    let update_costs = &maintenance_costs(ctx, tcat, view_set, config)[..];
     let memo = ctx.memo;
     let txns = tcat.txns();
     let total_weight: f64 = txns.iter().map(|t| t.weight).sum();
-    let exceeds = |weighted: f64, t: f64| weighted > t * (1.0 + 1e-9);
 
     let mut order: Vec<usize> = (0..txns.len()).collect();
     // `unpriced[k]`: the weighted maintenance costs of `order[k..]`.
@@ -314,20 +309,6 @@ pub fn evaluate_view_set(
 ) -> ViewSetEvaluation {
     let tcat = TrackCatalog::new(ctx.memo, catalog, &[root], txns, config.max_tracks);
     evaluate_with_catalog(ctx, &tcat, view_set, config, None).expect("no abort threshold")
-}
-
-/// Convenience: evaluate with a fresh context.
-pub fn evaluate_view_set_fresh(
-    memo: &Memo,
-    catalog: &Catalog,
-    model: &dyn spacetime_cost::CostModel,
-    root: GroupId,
-    view_set: &ViewSet,
-    txns: &[TransactionType],
-    config: &EvalConfig,
-) -> ViewSetEvaluation {
-    let mut ctx = CostCtx::new(memo, catalog, model);
-    evaluate_view_set(&mut ctx, catalog, root, view_set, txns, config)
 }
 
 #[cfg(test)]

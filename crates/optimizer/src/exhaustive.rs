@@ -1,17 +1,19 @@
 //! Algorithm `OptimalViewSet` (Figure 4, Theorem 3.1).
 //!
-//! Enumerate every view set (every subset of non-leaf equivalence nodes
-//! containing the root), price each with [`crate::evaluate_view_set`], and return
-//! the one with the lowest workload-weighted maintenance cost. Valid under
-//! any monotonic cost model.
+//! Search every view set (every subset of non-leaf equivalence nodes
+//! containing the root), priced as [`crate::evaluate_view_set`] prices
+//! one, and return the one with the lowest workload-weighted maintenance
+//! cost. Valid under any monotonic cost model. The space is walked, not
+//! listed ([`crate::search`]).
 
 use spacetime_cost::{CostModel, TransactionType};
 use spacetime_memo::{GroupId, Memo};
+use spacetime_obs::{self as obs, names as metric};
 use spacetime_storage::Catalog;
 
-use crate::candidates::{candidate_groups, enumerate_view_sets, ViewSet};
+use crate::candidates::{ViewSet, ViewSetSpace};
 use crate::evaluate::{EvalConfig, ViewSetEvaluation};
-use crate::search::search_view_sets;
+use crate::search::search_spaces;
 
 /// The result of an optimization run.
 #[derive(Debug, Clone)]
@@ -21,29 +23,52 @@ pub struct OptimizeOutcome {
     /// The best evaluations (at most [`EvalConfig::top_k`]), sorted by
     /// weighted cost (ascending).
     pub evaluated: Vec<ViewSetEvaluation>,
-    /// Number of view sets considered (enumerated for evaluation).
+    /// The size of the space searched, `Σ_{k ≤ cap} C(n, k)` per space
+    /// (saturating): every set in it counts, whether it was priced,
+    /// bounded by branch-and-bound, or left unclaimed past the budget.
     pub sets_considered: usize,
-    /// Of those, how many were abandoned early by branch-and-bound
+    /// `sets_considered` minus the sets fully priced: those bounded by
     /// pruning (their weighted cost provably exceeded the top-K
-    /// threshold). Pruning never affects `best` or `evaluated`.
+    /// threshold) and, when `exact` is false, those past the budget.
+    /// Pruning never affects `best` or `evaluated`.
     pub sets_pruned: usize,
     /// Track-enumeration branches discarded by `max_tracks` across the
     /// run. Non-zero means some track spaces were not fully explored and
     /// the reported costs are upper bounds.
     pub tracks_truncated: usize,
     /// Probes of the cross-worker [`spacetime_cost::SharedQueryCache`]
-    /// answered from the cache. Zero for entry points that price without
-    /// the shared cache (e.g. `rule_of_thumb_optimize`).
+    /// answered from the cache.
     pub query_cache_hits: u64,
     /// Probes of the shared query-cost cache that missed and had to be
     /// priced. Lookups are `query_cache_hits + query_cache_misses`.
     pub query_cache_misses: u64,
+    /// Whether the search covered its whole space: every set was priced
+    /// or provably could not enter the top-K. False when the walk stopped
+    /// at [`crate::search::SEARCH_BUDGET`]; `best` is then the best set
+    /// priced, never worse than the space's base.
+    pub exact: bool,
 }
 
 impl OptimizeOutcome {
     /// The winning view set.
     pub fn best_set(&self) -> &ViewSet {
         &self.best.view_set
+    }
+
+    /// Add another search's counts to this one's (a search made of
+    /// several, like greedy's rounds or shielding's local solves).
+    pub(crate) fn absorb(&mut self, other: &OptimizeOutcome) {
+        self.sets_considered = self.sets_considered.saturating_add(other.sets_considered);
+        self.sets_pruned = self.sets_pruned.saturating_add(other.sets_pruned);
+        self.tracks_truncated += other.tracks_truncated;
+        self.query_cache_hits += other.query_cache_hits;
+        self.query_cache_misses += other.query_cache_misses;
+        self.exact &= other.exact;
+    }
+
+    /// Publish `exact` on the `OPT_SEARCH_EXACT` gauge (1 or 0).
+    pub(crate) fn publish_exact(&self) {
+        obs::gauge_set(metric::OPT_SEARCH_EXACT, f64::from(u8::from(self.exact)));
     }
 
     /// The additional views (best set minus the root).
@@ -58,7 +83,8 @@ impl OptimizeOutcome {
     }
 }
 
-/// Exhaustive `OptimalViewSet` over the full candidate space.
+/// Exhaustive `OptimalViewSet` over the full candidate space: the
+/// multi-root search with one root.
 pub fn optimal_view_set(
     memo: &Memo,
     catalog: &Catalog,
@@ -67,13 +93,12 @@ pub fn optimal_view_set(
     txns: &[TransactionType],
     config: &EvalConfig,
 ) -> OptimizeOutcome {
-    let candidates = candidate_groups(memo, root);
-    optimal_view_set_over(memo, catalog, model, root, &candidates, txns, config, None)
+    crate::multi::optimal_view_set_multi(memo, catalog, model, &[root], txns, config, None)
 }
 
 /// Exhaustive search over an explicit candidate list (used by the
-/// single-tree heuristic and the shielding decomposition), optionally
-/// capping the number of additional views per set.
+/// single-tree heuristic), optionally capping the number of additional
+/// views per set.
 #[allow(clippy::too_many_arguments)]
 pub fn optimal_view_set_over(
     memo: &Memo,
@@ -86,8 +111,12 @@ pub fn optimal_view_set_over(
     max_extra: Option<usize>,
 ) -> OptimizeOutcome {
     let root = memo.find(root);
-    let sets = enumerate_view_sets(root, candidates, max_extra);
-    search_view_sets(memo, catalog, model, &[root], &sets, txns, config)
+    let space = ViewSetSpace {
+        base: ViewSet::from([root]),
+        free: candidates.to_vec(),
+        max_extra: max_extra.unwrap_or(candidates.len()),
+    };
+    search_spaces(memo, catalog, model, &[root], &[space], txns, config)
 }
 
 #[cfg(test)]
@@ -329,7 +358,7 @@ pub(crate) mod tests {
             &s.txns,
             &EvalConfig::default(),
         );
-        for g in candidate_groups(&s.memo, s.root) {
+        for g in crate::candidates::candidate_groups(&s.memo, s.root) {
             let e = eval_set(&s, &[g]);
             assert!(outcome.best.weighted <= e.weighted + 1e-9);
         }

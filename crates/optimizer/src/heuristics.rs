@@ -15,12 +15,12 @@
 //!   until no addition helps.
 
 use spacetime_algebra::{ExprNode, OpKind};
-use spacetime_cost::{CostCtx, CostModel, TransactionType};
+use spacetime_cost::{CostModel, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_storage::Catalog;
 
 use crate::candidates::{candidate_groups, ViewSet};
-use crate::evaluate::{evaluate_view_set, EvalConfig};
+use crate::evaluate::EvalConfig;
 use crate::exhaustive::{optimal_view_set_over, OptimizeOutcome};
 use crate::search::search_view_sets;
 
@@ -90,7 +90,8 @@ fn mark_rule_of_thumb(memo: &Memo, tree: &ExprNode, set: &mut ViewSet) {
 
 /// Evaluate the rule-of-thumb marking, "provided that the cost of this
 /// option is cheaper than the cost of not materializing any additional
-/// views" — returns whichever of {marking, ∅} is cheaper.
+/// views" — returns whichever of {marking, ∅} is cheaper (∅ on a tie: the
+/// engine's order prefers the smaller set).
 pub fn rule_of_thumb_optimize(
     memo: &Memo,
     catalog: &Catalog,
@@ -101,27 +102,8 @@ pub fn rule_of_thumb_optimize(
     config: &EvalConfig,
 ) -> OptimizeOutcome {
     let root = memo.find(root);
-    let mut ctx = CostCtx::new(memo, catalog, model);
-    let marked = rule_of_thumb_set(memo, root, tree);
-    let empty: ViewSet = [root].into_iter().collect();
-    let e_marked = evaluate_view_set(&mut ctx, catalog, root, &marked, txns, config);
-    let e_empty = evaluate_view_set(&mut ctx, catalog, root, &empty, txns, config);
-    let tracks_truncated = e_marked.tracks_truncated + e_empty.tracks_truncated;
-    let (best, other) = if e_marked.weighted <= e_empty.weighted {
-        (e_marked, e_empty)
-    } else {
-        (e_empty, e_marked)
-    };
-    OptimizeOutcome {
-        best: best.clone(),
-        evaluated: vec![best, other],
-        sets_considered: 2,
-        sets_pruned: 0,
-        tracks_truncated,
-        // Prices through a plain per-ctx CostCtx; no shared cache in play.
-        query_cache_hits: 0,
-        query_cache_misses: 0,
-    }
+    let sets = [rule_of_thumb_set(memo, root, tree), ViewSet::from([root])];
+    search_view_sets(memo, catalog, model, &[root], &sets, txns, config)
 }
 
 /// Greedy hill-climbing: start from ∅ and repeatedly add the single
@@ -143,21 +125,12 @@ pub fn greedy_add(
     let root = memo.find(root);
     let candidates = candidate_groups(memo, root);
     let mut current: ViewSet = [root].into_iter().collect();
-    let base = search_view_sets(
-        memo,
-        catalog,
-        model,
-        &[root],
-        std::slice::from_ref(&current),
-        txns,
-        config,
-    );
-    let mut sets_considered = base.sets_considered;
-    let mut sets_pruned = base.sets_pruned;
-    let mut tracks_truncated = base.tracks_truncated;
-    let mut query_cache_hits = base.query_cache_hits;
-    let mut query_cache_misses = base.query_cache_misses;
-    let mut current_eval = base.best;
+    let search = |sets: &[ViewSet]| {
+        search_view_sets(memo, catalog, model, &[root], sets, txns, config)
+    };
+    // The counts of every round, summed into the first one's outcome.
+    let mut totals = search(std::slice::from_ref(&current));
+    let mut current_eval = totals.best.clone();
     let mut evaluated = vec![current_eval.clone()];
     loop {
         let trials: Vec<ViewSet> = candidates
@@ -172,12 +145,8 @@ pub fn greedy_add(
         if trials.is_empty() {
             break;
         }
-        let round = search_view_sets(memo, catalog, model, &[root], &trials, txns, config);
-        sets_considered += round.sets_considered;
-        sets_pruned += round.sets_pruned;
-        tracks_truncated += round.tracks_truncated;
-        query_cache_hits += round.query_cache_hits;
-        query_cache_misses += round.query_cache_misses;
+        let round = search(&trials);
+        totals.absorb(&round);
         if round.best.weighted < current_eval.weighted {
             current = round.best.view_set.clone();
             evaluated.push(round.best.clone());
@@ -187,23 +156,22 @@ pub fn greedy_add(
         }
     }
     evaluated.sort_by(|a, b| a.weighted.total_cmp(&b.weighted));
-    OptimizeOutcome {
+    let outcome = OptimizeOutcome {
         best: current_eval,
         evaluated,
-        sets_considered,
-        sets_pruned,
-        tracks_truncated,
-        query_cache_hits,
-        query_cache_misses,
-    }
+        ..totals
+    };
+    outcome.publish_exact();
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exhaustive::optimal_view_set;
+    use crate::evaluate::evaluate_view_set;
     use crate::exhaustive::tests::{paper_setup, problem_dept_tree};
-    use spacetime_cost::PageIoCostModel;
+    use spacetime_cost::{CostCtx, PageIoCostModel};
 
     #[test]
     fn single_tree_restricts_but_finds_good_sets() {

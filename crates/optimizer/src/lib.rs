@@ -43,11 +43,11 @@ pub use evaluate::{
 pub use exhaustive::{optimal_view_set, optimal_view_set_over, OptimizeOutcome};
 pub use heuristics::{greedy_add, rule_of_thumb_set, single_tree_optimize};
 pub use multi::{evaluate_multi, optimal_view_set_multi};
-pub use search::search_view_sets;
+pub use search::{search_view_sets, SEARCH_BUDGET};
 pub use shielding::shielding_optimize;
 pub use track_catalog::{PreparedTrack, PreparedTracks, TrackCatalog};
 pub use tracks::{
-    enumerate_tracks, enumerate_tracks_multi, enumerate_tracks_multi_counted, track_queries,
+    enumerate_tracks, track_queries,
     PosedQuery, PreparedQuery, TrackEnumeration, UpdateTrack,
 };
 

@@ -13,17 +13,17 @@
 //! every candidate marking, candidates are the union of the roots'
 //! descendants, and — the §6 payoff — an auxiliary view shared by several
 //! roots is paid for once but helps all of them. Update tracks
-//! generalize for free because [`crate::tracks::enumerate_tracks`] already
-//! seeds from *every* marked affected node.
+//! generalize for free because [`crate::TrackCatalog`] already seeds
+//! from *every* marked affected node.
 
 use spacetime_cost::{CostCtx, CostModel, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_storage::Catalog;
 
-use crate::candidates::{candidate_groups, enumerate_view_sets, ViewSet};
+use crate::candidates::{candidate_groups, ViewSet, ViewSetSpace};
 use crate::evaluate::{evaluate_with_catalog, EvalConfig, ViewSetEvaluation};
 use crate::exhaustive::OptimizeOutcome;
-use crate::search::search_view_sets;
+use crate::search::search_spaces;
 use crate::track_catalog::TrackCatalog;
 
 /// Evaluate a marking that must cover several roots. Mirrors
@@ -66,12 +66,12 @@ pub fn optimal_view_set_multi(
             }
         }
     }
-    // Only the capped sets, in ascending-mask order, each with every root.
-    let mut sets = enumerate_view_sets(roots[0], &candidates, max_extra);
-    for set in &mut sets {
-        set.extend(roots.iter().copied());
-    }
-    search_view_sets(memo, catalog, model, &roots, &sets, txns, config)
+    let space = ViewSetSpace {
+        base: roots.iter().copied().collect(),
+        max_extra: max_extra.unwrap_or(candidates.len()),
+        free: candidates,
+    };
+    search_spaces(memo, catalog, model, &roots, &[space], txns, config)
 }
 
 #[cfg(test)]

@@ -1,17 +1,37 @@
 //! The parallel, cache-sharing, branch-and-bound view-set search engine.
 //!
 //! Every optimizer entry point (exhaustive, multi-root, shielding regions,
-//! greedy rounds) reduces to the same job: price a list of candidate view
-//! sets and keep the best (plus a top-K tail). This module does that job
-//! once, well:
+//! greedy rounds) reduces to the same job: walk one or more
+//! [`ViewSetSpace`]s and keep the best set (plus a top-K tail). This
+//! module does that job once:
 //!
+//! * **One walk over the lattice** — a frontier holds sets as the indices
+//!   of the free candidates they add, cheapest maintenance floor first.
+//!   Claiming a set expands it canonically: its children add one free
+//!   candidate after its last one, so every set of a space has exactly
+//!   one parent and is generated at most once. Adding a view never lowers
+//!   a set's floor, so a child whose floor exceeds the incumbent
+//!   threshold is never pushed, and its whole family of supersets is
+//!   never generated. Sets leave the frontier in ascending floor order;
+//!   once the cheapest one left exceeds the threshold, so does every set
+//!   not yet generated, and the walk is over.
+//! * **A budget** — the walk claims at most [`SEARCH_BUDGET`] sets. Past
+//!   it, the best set priced so far is returned and
+//!   [`OptimizeOutcome::exact`] is false. Each space's base has its
+//!   lowest floor and is claimed first, so a budgeted answer is never
+//!   worse than the bases alone.
 //! * **Shared track catalog** — track enumeration and query preparation
 //!   are hoisted out of the per-set loop into a [`TrackCatalog`] keyed by
 //!   `(transaction, seed list)`, shared by every worker.
-//! * **Parallel workers** — `std::thread::scope` workers claim set indices
-//!   from an atomic counter; each holds its own `CostCtx` whose query-cost
-//!   lookups go through one [`SharedQueryCache`], so pricing work done by
-//!   any worker benefits all.
+//! * **Parallel workers** — `std::thread::scope` workers claim sets from
+//!   the frontier; each holds its own `CostCtx` whose query-cost lookups
+//!   go through one [`SharedQueryCache`], so pricing work done by any
+//!   worker benefits all. A claim pops and expands under the frontier's
+//!   lock, so the frontier never runs dry while a set is being expanded
+//!   and claims come out in one fixed order. A parallel run's threshold
+//!   lags, so it may claim a few sets a serial run would not; each has a
+//!   floor above the final threshold, so none changes the top-K, `exact`
+//!   or which sets fit in the budget.
 //! * **Branch-and-bound** — an atomic incumbent holds the current K-th
 //!   best weighted cost; a set's evaluation is abandoned as soon as a
 //!   lower bound on its weighted cost exceeds it: first its maintenance
@@ -20,26 +40,33 @@
 //!   threshold only ever decreases, and pruning fires strictly above it,
 //!   so the retained top-K — and in particular the winner — is identical
 //!   with pruning on or off, and identical between serial and parallel
-//!   runs.
-//! * **Cheapest floor first** — sets are handed out in ascending order of
-//!   their maintenance floor, so the incumbent is tight before the
-//!   expensive sets are reached. The ranking of evaluations is a strict
-//!   total order, so the answer does not depend on the order.
+//!   runs. The ranking of evaluations is a strict total order, so the
+//!   answer does not depend on the order sets are priced in.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use spacetime_cost::{Cost, CostCtx, CostModel, SharedQueryCache, TransactionType};
+use spacetime_cost::{CostCtx, CostModel, SharedQueryCache, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_obs::{self as obs, names as metric};
 use spacetime_storage::Catalog;
 
-use crate::candidates::ViewSet;
+use crate::candidates::{ViewSet, ViewSetSpace};
 use crate::evaluate::{
-    evaluate_bounded, maintenance_costs, maintenance_floor, EvalConfig, ViewSetEvaluation,
+    evaluate_with_catalog, exceeds, maintenance_costs, maintenance_floor, EvalConfig,
+    ViewSetEvaluation,
 };
 use crate::exhaustive::OptimizeOutcome;
 use crate::track_catalog::TrackCatalog;
+
+/// The most sets one search claims. A claimed set is priced or bounded;
+/// a search that stops here has priced every set cheaper in floor than
+/// the last one it claimed. 2 048 claims keep `join_chain(4)`'s search
+/// exact (it needs 1 470) and bound a `CREATE` over a 6-way chain join to
+/// about half a minute (EXPERIMENTS E-PAR, "One walk over the lattice").
+pub const SEARCH_BUDGET: usize = 2048;
 
 /// Total order on evaluations: weighted cost, then set size, then the set
 /// itself — a strict order, so sorting and top-K truncation are
@@ -96,11 +123,30 @@ impl TopK {
     }
 }
 
+/// A frontier entry `(floor, space, size, picked)`: the set of space
+/// `space` that adds the `size` free candidates at the ascending indices
+/// `picked`, keyed first by its maintenance floor's bits (floors are
+/// non-negative, so their bits order as the floats do). A child's floor
+/// is at least its parent's and its size larger, so it never orders
+/// before its parent, and claims come out in one fixed order.
+type Entry = (u64, usize, usize, Box<[u32]>);
+
+/// Whether the threshold `t` rules out a set whose floor has these bits.
+fn ruled_out(floor_bits: u64, t: Option<f64>) -> bool {
+    t.is_some_and(|t| exceeds(f64::from_bits(floor_bits), t))
+}
+
+/// The sets generated and not yet claimed, cheapest floor first, and how
+/// many have been claimed.
+struct Frontier {
+    heap: BinaryHeap<Reverse<Entry>>,
+    claimed: usize,
+}
+
 /// Price every view set in `sets` under the workload and return the best
-/// (with the top-K tail in `evaluated`, ascending). This is the engine
-/// behind [`crate::exhaustive::optimal_view_set`],
-/// [`crate::multi::optimal_view_set_multi`], the shielding combination
-/// step and the greedy rounds.
+/// (with the top-K tail in `evaluated`, ascending): the walk over spaces
+/// with no free candidates. The greedy rounds and tests that price a
+/// hand-built list come through here.
 pub fn search_view_sets(
     memo: &Memo,
     catalog: &Catalog,
@@ -110,48 +156,84 @@ pub fn search_view_sets(
     txns: &[TransactionType],
     config: &EvalConfig,
 ) -> OptimizeOutcome {
+    let spaces: Vec<ViewSetSpace> = sets.iter().cloned().map(ViewSetSpace::single).collect();
+    search_spaces(memo, catalog, model, roots, &spaces, txns, config)
+}
+
+/// Walk `spaces` under the workload and return the best set (with the
+/// top-K tail in `evaluated`, ascending). This is the engine behind every
+/// optimizer entry point. `sets_considered` is the spaces' total size,
+/// whether each set was priced, bounded or left past the budget.
+pub(crate) fn search_spaces(
+    memo: &Memo,
+    catalog: &Catalog,
+    model: &dyn CostModel,
+    roots: &[GroupId],
+    spaces: &[ViewSetSpace],
+    txns: &[TransactionType],
+    config: &EvalConfig,
+) -> OptimizeOutcome {
     let tcat = TrackCatalog::new(memo, catalog, roots, txns, config.max_tracks);
     let shared = SharedQueryCache::new();
-    // Every set's maintenance costs (memo lookups after the first few),
-    // and the order of their floors: cheapest first, ties by input index
-    // (the sort is stable).
+    let floor_bits = |ctx: &mut CostCtx<'_>, set: &ViewSet| {
+        maintenance_floor(txns, &maintenance_costs(ctx, &tcat, set, config)).to_bits()
+    };
     let mut ctx = CostCtx::new(memo, catalog, model);
-    let update_costs: Vec<Vec<Cost>> = sets
+    let heap = spaces
         .iter()
-        .map(|set| maintenance_costs(&mut ctx, &tcat, set, config))
+        .enumerate()
+        .map(|(si, s)| Reverse((floor_bits(&mut ctx, &s.base), si, 0, Box::default())))
         .collect();
-    let floors: Vec<f64> = update_costs
-        .iter()
-        .map(|costs| maintenance_floor(txns, costs))
-        .collect();
-    let mut order: Vec<usize> = (0..sets.len()).collect();
-    order.sort_by(|&a, &b| floors[a].total_cmp(&floors[b]));
+    let frontier = Mutex::new(Frontier { heap, claimed: 0 });
     let top = TopK::new(config.top_k);
-    let next = AtomicUsize::new(0);
-    let pruned = AtomicUsize::new(0);
+    // The pruning threshold, if pruning is on and K sets have survived.
+    let bound = || {
+        let t = top.threshold();
+        (config.prune && t.is_finite()).then_some(t)
+    };
+    let priced = AtomicUsize::new(0);
 
+    // Pop the cheapest set and push its children, under the lock; `None`
+    // once the budget is spent or no set is left that could still win.
+    let claim = |ctx: &mut CostCtx<'_>| -> Option<ViewSet> {
+        let mut f = frontier.lock().expect("frontier lock");
+        let t = bound();
+        if f.claimed == SEARCH_BUDGET || f.heap.peek().is_some_and(|Reverse(e)| ruled_out(e.0, t)) {
+            return None;
+        }
+        let Reverse((_, si, _, picked)) = f.heap.pop()?;
+        f.claimed += 1;
+        let space = &spaces[si];
+        if picked.len() < space.max_extra {
+            let after = picked.last().map_or(0, |&i| i + 1);
+            for j in after..space.free.len() as u32 {
+                let child: Box<[u32]> = picked.iter().copied().chain([j]).collect();
+                let floor = floor_bits(ctx, &space.set(&child));
+                if !ruled_out(floor, t) {
+                    f.heap.push(Reverse((floor, si, child.len(), child)));
+                }
+            }
+        }
+        Some(space.set(&picked))
+    };
+
+    let sets_considered = spaces
+        .iter()
+        .fold(0usize, |n, s| n.saturating_add(s.size()));
     let workers = match config.parallelism {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         n => n,
     }
-    .min(sets.len().max(1));
+    .min(sets_considered.max(1));
 
     let run_worker = || {
         let mut ctx = CostCtx::with_shared_cache(memo, catalog, model, shared.clone());
-        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let abort_above = if config.prune {
-                let t = top.threshold();
-                t.is_finite().then_some(t)
-            } else {
-                None
-            };
-            match evaluate_bounded(&mut ctx, &tcat, &sets[i], &update_costs[i], abort_above) {
-                Some(eval) => top.insert(eval),
-                None => {
-                    pruned.fetch_add(1, Ordering::Relaxed);
-                }
+        while let Some(set) = claim(&mut ctx) {
+            if let Some(eval) = evaluate_with_catalog(&mut ctx, &tcat, &set, config, bound()) {
+                priced.fetch_add(1, Ordering::Relaxed);
+                top.insert(eval);
             }
         }
     };
@@ -166,22 +248,35 @@ pub fn search_view_sets(
         });
     }
 
+    // Exact when no unclaimed set could still have entered the top-K.
+    let threshold = bound();
+    let exact = frontier
+        .into_inner()
+        .expect("frontier lock")
+        .heap
+        .peek()
+        .is_none_or(|Reverse(e)| ruled_out(e.0, threshold));
     let evaluated = top.into_sorted();
     let best = evaluated.first().cloned().expect("at least one view set");
     let (query_cache_hits, query_cache_misses) = shared.stats();
     let outcome = OptimizeOutcome {
         best,
         evaluated,
-        sets_considered: sets.len(),
-        sets_pruned: pruned.into_inner(),
+        sets_considered,
+        sets_pruned: sets_considered.saturating_sub(priced.into_inner()),
         tracks_truncated: tcat.tracks_truncated(),
         query_cache_hits,
         query_cache_misses,
+        exact,
     };
     obs::counter_add(metric::OPT_SETS_CONSIDERED, outcome.sets_considered as u64);
     obs::counter_add(metric::OPT_SETS_PRUNED, outcome.sets_pruned as u64);
-    obs::counter_add(metric::OPT_TRACKS_TRUNCATED, outcome.tracks_truncated as u64);
+    obs::counter_add(
+        metric::OPT_TRACKS_TRUNCATED,
+        outcome.tracks_truncated as u64,
+    );
     obs::gauge_set(metric::OPT_INCUMBENT_COST, outcome.best.weighted);
+    outcome.publish_exact();
     outcome
 }
 
@@ -214,7 +309,13 @@ mod tests {
         };
         let a = search_view_sets(&s.memo, &s.cat, &model, &[s.root], &sets, &s.txns, &serial);
         let b = search_view_sets(
-            &s.memo, &s.cat, &model, &[s.root], &sets, &s.txns, &parallel,
+            &s.memo,
+            &s.cat,
+            &model,
+            &[s.root],
+            &sets,
+            &s.txns,
+            &parallel,
         );
         assert_eq!(a.best.view_set, b.best.view_set);
         assert_eq!(a.best.weighted.to_bits(), b.best.weighted.to_bits());
@@ -243,6 +344,48 @@ mod tests {
             assert!(rank(&w[0], &w[1]).is_lt());
         }
         assert_eq!(out.best.view_set, out.evaluated[0].view_set);
+    }
+
+    #[test]
+    fn a_walk_stopped_by_its_budget_is_inexact_and_deterministic() {
+        let s = paper_setup();
+        let model = PageIoCostModel::default();
+        // Every paper set many times over, unpruned: more sets than the
+        // budget lets the walk claim.
+        let sets: Vec<ViewSet> = paper_sets(&s)
+            .into_iter()
+            .cycle()
+            .take(SEARCH_BUDGET + 100)
+            .collect();
+        let search = |parallelism| {
+            let config = EvalConfig {
+                top_k: 4,
+                parallelism,
+                prune: false,
+                ..EvalConfig::default()
+            };
+            search_view_sets(&s.memo, &s.cat, &model, &[s.root], &sets, &s.txns, &config)
+        };
+        let (serial, parallel) = (search(1), search(2));
+        assert!(!serial.exact && !parallel.exact);
+        assert_eq!(serial.sets_considered, sets.len());
+        assert_eq!(serial.sets_pruned, 100, "the budget's worth was priced");
+        for (x, y) in serial.evaluated.iter().zip(&parallel.evaluated) {
+            assert_eq!(x.view_set, y.view_set);
+            assert_eq!(x.weighted.to_bits(), y.weighted.to_bits());
+        }
+        // The root alone has the lowest floor, so it is always priced.
+        let root_only = search_view_sets(
+            &s.memo,
+            &s.cat,
+            &model,
+            &[s.root],
+            &[ViewSet::from([s.root])],
+            &s.txns,
+            &EvalConfig::default(),
+        );
+        assert!(root_only.exact);
+        assert!(serial.best.weighted <= root_only.best.weighted);
     }
 
     #[test]

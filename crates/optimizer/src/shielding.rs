@@ -23,10 +23,10 @@ use spacetime_cost::{CostModel, TransactionType};
 use spacetime_memo::{articulation_groups, descendant_groups, GroupId, Memo};
 use spacetime_storage::Catalog;
 
-use crate::candidates::{candidate_groups, ViewSet};
+use crate::candidates::{candidate_groups, ViewSet, ViewSetSpace};
 use crate::evaluate::EvalConfig;
 use crate::exhaustive::OptimizeOutcome;
-use crate::search::search_view_sets;
+use crate::search::search_spaces;
 
 /// Optimize using the Shielding-Principle decomposition. Produces the same
 /// optimum as [`crate::exhaustive::optimal_view_set`] (Theorem 4.1) while
@@ -69,105 +69,49 @@ fn solve(
         })
         .collect();
 
-    let mut sets_considered = 0usize;
-    let mut query_cache_hits = 0u64;
-    let mut query_cache_misses = 0u64;
-
     // Opt(N) for each shield, computed recursively (maintaining N as the
     // local root under the same workload).
-    let mut art_regions: Vec<(GroupId, Vec<GroupId>, Vec<GroupId>)> = Vec::new();
+    let mut locals = Vec::new();
     let mut shielded: BTreeSet<GroupId> = BTreeSet::new();
+    let mut spaces = vec![ViewSetSpace::single(ViewSet::from([root]))];
     for &n in &top_arts {
         let below = candidate_groups(memo, n);
         let local = solve(memo, catalog, model, n, txns, config);
-        sets_considered += local.sets_considered;
-        query_cache_hits += local.query_cache_hits;
-        query_cache_misses += local.query_cache_misses;
-        let extras: Vec<GroupId> = local
-            .best
-            .view_set
-            .iter()
-            .copied()
-            .filter(|&g| memo.find(g) != memo.find(n))
+        // One space per marked/unmarked choice: marked, N brings Opt(N);
+        // unmarked, its region's candidates are free.
+        spaces = spaces
+            .into_iter()
+            .flat_map(|space| {
+                let mut with_n = space.clone();
+                with_n.base.extend(local.best.view_set.iter().map(|&g| memo.find(g)));
+                let mut without_n = space;
+                without_n.free.extend(below.iter().map(|&g| memo.find(g)));
+                [with_n, without_n]
+            })
             .collect();
-        shielded.extend(below.iter().copied());
-        art_regions.push((n, below, extras));
+        shielded.extend(below);
+        locals.push(local);
     }
 
-    // Upper candidates: neither shielded nor shields themselves.
+    // Upper candidates, free in every space: neither shielded nor shields
+    // themselves.
     let upper: Vec<GroupId> = candidates
         .iter()
-        .copied()
         .filter(|g| !shielded.contains(g) && !top_arts.contains(g))
+        .map(|&g| memo.find(g))
         .collect();
-    assert!(upper.len() < 63, "upper region too large to enumerate");
-
-    // Per-shield options: marked-with-Opt(N), or unmarked with every free
-    // descendant combination.
-    let art_options: Vec<Vec<(bool, Vec<GroupId>)>> = art_regions
-        .iter()
-        .map(|(_, below, local_extras)| {
-            assert!(below.len() < 63, "shielded region too large to enumerate");
-            let mut options = vec![(true, local_extras.clone())];
-            for mask in 0u64..(1u64 << below.len()) {
-                let extras: Vec<GroupId> = below
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, &g)| g)
-                    .collect();
-                options.push((false, extras));
-            }
-            options
-        })
-        .collect();
-
-    // Collect every combination set, then price them all in one engine
-    // run (shared track catalog + query cache, parallel workers, pruning).
-    let mut sets: Vec<ViewSet> = Vec::new();
-    let mut idx = vec![0usize; art_options.len()];
-    'outer: loop {
-        for upper_mask in 0u64..(1u64 << upper.len()) {
-            let mut set = ViewSet::new();
-            set.insert(root);
-            for (i, &g) in upper.iter().enumerate() {
-                if upper_mask & (1 << i) != 0 {
-                    set.insert(memo.find(g));
-                }
-            }
-            for (k, options) in art_options.iter().enumerate() {
-                let (marked, extras) = &options[idx[k]];
-                if *marked {
-                    set.insert(memo.find(art_regions[k].0));
-                }
-                for &g in extras {
-                    set.insert(memo.find(g));
-                }
-            }
-            sets.push(set);
-        }
-        // Odometer over the per-shield options.
-        let mut pos = 0;
-        loop {
-            if pos == idx.len() {
-                break 'outer;
-            }
-            idx[pos] += 1;
-            if idx[pos] < art_options[pos].len() {
-                break;
-            }
-            idx[pos] = 0;
-            pos += 1;
-        }
-        if idx.is_empty() {
-            break;
-        }
+    for space in &mut spaces {
+        space.free.splice(0..0, upper.iter().copied());
+        space.max_extra = space.free.len();
     }
 
-    let mut outcome = search_view_sets(memo, catalog, model, &[root], &sets, txns, config);
-    outcome.sets_considered += sets_considered;
-    outcome.query_cache_hits += query_cache_hits;
-    outcome.query_cache_misses += query_cache_misses;
+    // Price every space in one engine run (shared track catalog + query
+    // cache, parallel workers, pruning).
+    let mut outcome = search_spaces(memo, catalog, model, &[root], &spaces, txns, config);
+    for local in &locals {
+        outcome.absorb(local);
+    }
+    outcome.publish_exact();
     outcome
 }
 

@@ -16,6 +16,7 @@
 //! costs, which never depend on the marking at all.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use spacetime_cost::{Cost, CostCtx, TransactionType};
@@ -53,6 +54,8 @@ struct TxnCache {
     /// Prepared tracks keyed by the seed list a marking induces (order
     /// matters: it fixes track order).
     tracks_by_seeds: RwLock<HashMap<Vec<GroupId>, Arc<PreparedTracks>>>,
+    /// Tracks `tracks_by_seeds` holds (changed under its write lock).
+    cached_tracks: AtomicUsize,
     /// Marking-independent update-application cost per materialized group.
     apply_cost: RwLock<HashMap<GroupId, Cost>>,
 }
@@ -66,7 +69,16 @@ pub struct TrackCatalog<'a> {
     txns: &'a [TransactionType],
     max_tracks: usize,
     per_txn: Vec<TxnCache>,
+    /// Branches the cap discarded, summed over the enumerations run.
+    truncated: AtomicUsize,
 }
+
+/// The most prepared tracks one catalog caches (a few hundred MiB). A
+/// transaction's cache that would pass its share is emptied first, and an
+/// enumeration dropped that way is run again if its seed list comes
+/// back: a search that claims thousands of sets of a wide DAG recomputes
+/// rather than hold every enumeration it ever ran.
+pub const MAX_CACHED_TRACKS: usize = 1 << 19;
 
 impl<'a> TrackCatalog<'a> {
     /// Build a catalog. `roots` are canonicalized, deduplicated and
@@ -91,6 +103,7 @@ impl<'a> TrackCatalog<'a> {
                 TxnCache {
                     affected: Arc::new(affected),
                     tracks_by_seeds: RwLock::new(HashMap::new()),
+                    cached_tracks: AtomicUsize::new(0),
                     apply_cost: RwLock::new(HashMap::new()),
                 }
             })
@@ -102,6 +115,7 @@ impl<'a> TrackCatalog<'a> {
             txns,
             max_tracks,
             per_txn,
+            truncated: AtomicUsize::new(0),
         }
     }
 
@@ -162,10 +176,22 @@ impl<'a> TrackCatalog<'a> {
             tracks,
             truncated: enumeration.truncated,
         });
-        match cache.write() {
-            Ok(mut map) => Arc::clone(map.entry(seeds).or_insert(prepared)),
-            Err(_) => prepared,
+        if let Ok(mut map) = cache.write() {
+            if let Some(hit) = map.get(&seeds) {
+                return Arc::clone(hit);
+            }
+            // Full: start over, so the cache holds the latest seed lists.
+            let n = prepared.tracks.len();
+            let share = MAX_CACHED_TRACKS / self.txns.len();
+            if per_txn.cached_tracks.load(Ordering::Relaxed) + n > share {
+                map.clear();
+                per_txn.cached_tracks.store(0, Ordering::Relaxed);
+            }
+            per_txn.cached_tracks.fetch_add(n, Ordering::Relaxed);
+            map.insert(seeds, Arc::clone(&prepared));
         }
+        self.truncated.fetch_add(prepared.truncated, Ordering::Relaxed);
+        prepared
     }
 
     /// The (marking-independent) cost of applying one transaction's deltas
@@ -193,18 +219,10 @@ impl<'a> TrackCatalog<'a> {
             .sum()
     }
 
-    /// Total branches discarded by the `max_tracks` cap across all cached
-    /// enumerations (`0` = every enumeration was exhaustive).
+    /// Total branches discarded by the `max_tracks` cap across the
+    /// enumerations run (`0` = every enumeration was exhaustive).
     pub fn tracks_truncated(&self) -> usize {
-        self.per_txn
-            .iter()
-            .map(|t| {
-                t.tracks_by_seeds
-                    .read()
-                    .map(|m| m.values().map(|p| p.truncated).sum::<usize>())
-                    .unwrap_or(0)
-            })
-            .sum()
+        self.truncated.load(Ordering::Relaxed)
     }
 }
 

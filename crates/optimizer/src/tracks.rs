@@ -94,7 +94,9 @@ pub struct TrackEnumeration {
 /// Enumerate the update tracks for a transaction that updates
 /// `updated_tables`, given the marked view set. Deltas must reach every
 /// affected marked node; each affected non-leaf node on the way picks one
-/// operation node.
+/// operation node. (The search enumerates through its
+/// [`crate::TrackCatalog`], which seeds from every root's marked affected
+/// nodes at once, §6.)
 pub fn enumerate_tracks(
     memo: &Memo,
     root: GroupId,
@@ -102,37 +104,9 @@ pub fn enumerate_tracks(
     updated_tables: &[&str],
     max_tracks: usize,
 ) -> Vec<UpdateTrack> {
-    enumerate_tracks_multi(memo, &[root], marked, updated_tables, max_tracks)
-}
-
-/// Multi-rooted variant (§6): deltas must reach the marked affected nodes
-/// under *any* of the roots, so affectedness is the union over the roots'
-/// scopes and one track covers every root at once.
-pub fn enumerate_tracks_multi(
-    memo: &Memo,
-    roots: &[GroupId],
-    marked: &ViewSet,
-    updated_tables: &[&str],
-    max_tracks: usize,
-) -> Vec<UpdateTrack> {
-    enumerate_tracks_multi_counted(memo, roots, marked, updated_tables, max_tracks).tracks
-}
-
-/// Like [`enumerate_tracks_multi`], but reports how many branches the
-/// `max_tracks` cap discarded instead of truncating silently.
-pub fn enumerate_tracks_multi_counted(
-    memo: &Memo,
-    roots: &[GroupId],
-    marked: &ViewSet,
-    updated_tables: &[&str],
-    max_tracks: usize,
-) -> TrackEnumeration {
-    let mut affected: BTreeSet<GroupId> = BTreeSet::new();
-    for &root in roots {
-        affected.extend(affected_groups(memo, memo.find(root), updated_tables));
-    }
+    let affected = affected_groups(memo, memo.find(root), updated_tables);
     let seeds = track_seeds(memo, &affected, marked);
-    enumerate_from_seeds(memo, &Arc::new(affected), seeds, max_tracks)
+    enumerate_from_seeds(memo, &Arc::new(affected), seeds, max_tracks).tracks
 }
 
 /// The seed list a marking induces: its affected non-leaf nodes, in

@@ -80,8 +80,9 @@ fn main() {
     // `outcome.evaluated` is truncated to the top-K cheapest sets, which
     // need not include the no-extra-views baseline — evaluate it directly.
     let baseline: spacetime::optimizer::ViewSet = [s.root].into_iter().collect();
-    let empty = spacetime::optimizer::evaluate::evaluate_view_set_fresh(
-        &s.memo, &s.catalog, &model, s.root, &baseline, &s.txns, &config,
+    let mut ctx = spacetime::cost::CostCtx::new(&s.memo, &s.catalog, &model);
+    let empty = spacetime::optimizer::evaluate_view_set(
+        &mut ctx, &s.catalog, s.root, &baseline, &s.txns, &config,
     );
     println!(
         "maintaining nothing extra: {} page I/Os per txn; with V1: {} — \

@@ -1,8 +1,9 @@
 //! Robustness of the SQL front end: the parser must never panic — any
 //! input either parses or returns a positioned error — lowering of
 //! parsed-but-nonsensical queries returns semantic errors, not panics, and
-//! a database executing DDL/DML/SELECT soup answers every statement with
-//! `Ok` or a typed error while its views stay equal to recomputation.
+//! a database executing DDL/DML/SELECT soup — join views over a chain
+//! schema among it — answers every statement with `Ok` or a typed error
+//! while its views stay equal to recomputation.
 
 use proptest::prelude::*;
 
@@ -79,13 +80,66 @@ fn statement() -> impl Strategy<Value = String> {
         (-50_i64..400).prop_map(|k| format!(
             "SELECT EName, Budget FROM Emp, Dept WHERE Emp.DName = Dept.DName AND Salary > {k}"
         )),
+        join_view(),
+        (1_u8..5, 0_i64..8, 0_i64..8).prop_map(|(t, a, x)| format!(
+            "INSERT INTO R{t} VALUES ({a}, {x})"
+        )),
+        (1_u8..5, 0_i64..8, 0_i64..8).prop_map(|(t, a, x)| format!(
+            "UPDATE R{t} SET x{t} = {x} WHERE a{t} = {a}"
+        )),
+        (1_u8..5, 0_i64..8).prop_map(|(t, a)| format!("DELETE FROM R{t} WHERE a{t} = {a}")),
     ]
 }
 
+/// A materialized view over a 2- or 3-way join of the `R1…R4` tables: a
+/// chain `Ri.xi = Ri+1.ai+1` from a random start, or a star
+/// `R1.x1 = Ri.ai`, with or without `SUM … GROUP BY`.
+fn join_view() -> impl Strategy<Value = String> {
+    (0_u8..3, 2_usize..4, 1_usize..3, any::<bool>(), any::<bool>()).prop_map(
+        |(v, ways, start, star, aggregate)| {
+            let tables: Vec<usize> = if star {
+                (1..=ways).collect()
+            } else {
+                (start..start + ways).collect()
+            };
+            let from: Vec<String> = tables.iter().map(|t| format!("R{t}")).collect();
+            let on: Vec<String> = tables
+                .windows(2)
+                .map(|w| {
+                    let left = if star { tables[0] } else { w[0] };
+                    format!("R{left}.x{left} = R{}.a{}", w[1], w[1])
+                })
+                .collect();
+            let (first, last) = (tables[0], tables[tables.len() - 1]);
+            let (select, group) = if aggregate {
+                (
+                    format!("R{first}.x{first}, SUM(R{last}.x{last}) AS Total"),
+                    format!(" GROUP BY R{first}.x{first}"),
+                )
+            } else {
+                (format!("R{first}.a{first}, R{last}.a{last}"), String::new())
+            };
+            format!(
+                "CREATE MATERIALIZED VIEW J{v} AS SELECT {select} FROM {} WHERE {}{group}",
+                from.join(", "),
+                on.join(" AND ")
+            )
+        },
+    )
+}
+
 /// An Emp/Dept database with a maintained view and the paper's
-/// DeptConstraint assertion.
+/// DeptConstraint assertion, beside a chain schema `R1…R4` whose tables
+/// each have an integer key `ai` and a join column `xi`.
 fn served_db() -> Database {
     let mut db = Database::new();
+    for t in 1..=4 {
+        db.execute_sql(&format!(
+            "CREATE TABLE R{t} (a{t} INTEGER PRIMARY KEY, x{t} INTEGER);
+             INSERT INTO R{t} VALUES (0, 1), (1, 2), (2, 0), (3, 1)"
+        ))
+        .unwrap();
+    }
     db.execute_sql(
         "CREATE TABLE Emp (EName VARCHAR PRIMARY KEY, DName VARCHAR, Salary INTEGER);
          CREATE TABLE Dept (DName VARCHAR PRIMARY KEY, MName VARCHAR, Budget INTEGER);
