@@ -5,15 +5,17 @@ Counts non-blank, non-comment lines of every ``*.rs`` file of the
 workspace — ``crates/*`` and the root package — and prints one row per
 crate:
 
-* ``src``   code under ``src/`` outside ``#[cfg(test)]`` modules;
-* ``test``  ``#[cfg(test)]`` modules under ``src/`` plus ``tests/``;
+* ``src``   code under ``src/`` outside ``#[cfg(test)]`` items;
+* ``test``  ``#[cfg(test)]`` items under ``src/`` plus ``tests/``;
 * ``other`` ``benches/`` and ``examples/``.
 
 ``vendor/`` (offline stand-ins for published crates), ``benchmark/``
 (the trusted benchmark, frozen between benchmark PRs) and ``target/`` are
-not the product and are left out. A ``#[cfg(test)]`` module is the
-``mod`` item that follows a ``#[cfg(test)]`` / ``#[cfg(all(test, ...))]``
-attribute, up to its matching brace.
+not the product and are left out. Test code under ``src/`` is every
+item that follows a ``#[cfg(test)]`` / ``#[cfg(all(test, ...))]``
+attribute — a ``mod``, whatever its visibility, a ``fn``, an ``impl``, a
+``use`` — from the attribute up to the item's matching brace or, for an
+item without a body, its ``;``.
 
 Usage: loc.py [repo-root]
 """
@@ -48,19 +50,32 @@ def code_lines(path):
     return out
 
 
+def item_end(lines, i):
+    """The index just past the ``#[cfg(test)]`` item whose attribute is
+    ``lines[i]``: its matching closing brace, or its ``;`` if it ends
+    before a brace opens. Further attributes are part of the item."""
+    depth = 0
+    opened = False
+    j = i
+    while j < len(lines):
+        line = lines[j].split("]", 1)[1].strip() if j == i else lines[j]
+        j += 1
+        if not opened and line.startswith("#["):
+            continue
+        depth += line.count("{") - line.count("}")
+        opened = opened or "{" in line
+        if (opened and depth <= 0) or (not opened and line.endswith(";")):
+            break
+    return j
+
+
 def split_src(lines):
     """(non-test, test) counts of one ``src/`` file's code lines."""
     test = 0
     i = 0
     while i < len(lines):
-        if CFG_TEST.match(lines[i]) and i + 1 < len(lines) and lines[i + 1].startswith("mod "):
-            depth = 0
-            j = i + 1
-            while j < len(lines):
-                depth += lines[j].count("{") - lines[j].count("}")
-                j += 1
-                if depth <= 0:
-                    break
+        if CFG_TEST.match(lines[i]):
+            j = item_end(lines, i)
             test += j - i
             i = j
         else:

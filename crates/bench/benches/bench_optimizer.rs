@@ -25,7 +25,12 @@ fn bench_strategies_on_paper_example(c: &mut Criterion) {
     group.bench_function("exhaustive", |b| {
         b.iter(|| {
             black_box(optimal_view_set(
-                &s.memo, &s.catalog, &model, s.root, &s.txns, &config,
+                &s.memo,
+                &s.catalog,
+                &model,
+                &[s.root],
+                &s.txns,
+                &config,
             ))
         })
     });
@@ -39,7 +44,12 @@ fn bench_strategies_on_paper_example(c: &mut Criterion) {
     group.bench_function("greedy", |b| {
         b.iter(|| {
             black_box(greedy_add(
-                &s.memo, &s.catalog, &model, s.root, &s.txns, &config,
+                &s.memo,
+                &s.catalog,
+                &model,
+                &[s.root],
+                &s.txns,
+                &config,
             ))
         })
     });
@@ -66,14 +76,24 @@ fn bench_chain_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exhaustive", n), &n, |b, _| {
             b.iter(|| {
                 black_box(optimal_view_set(
-                    &s.memo, &s.catalog, &model, s.root, &s.txns, &config,
+                    &s.memo,
+                    &s.catalog,
+                    &model,
+                    &[s.root],
+                    &s.txns,
+                    &config,
                 ))
             })
         });
         group.bench_with_input(BenchmarkId::new("greedy", n), &n, |b, _| {
             b.iter(|| {
                 black_box(greedy_add(
-                    &s.memo, &s.catalog, &model, s.root, &s.txns, &config,
+                    &s.memo,
+                    &s.catalog,
+                    &model,
+                    &[s.root],
+                    &s.txns,
+                    &config,
                 ))
             })
         });
@@ -96,7 +116,12 @@ fn bench_shielding_on_stacked(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exhaustive", levels), &levels, |b, _| {
             b.iter(|| {
                 black_box(optimal_view_set(
-                    &s.memo, &s.catalog, &model, s.root, &s.txns, &config,
+                    &s.memo,
+                    &s.catalog,
+                    &model,
+                    &[s.root],
+                    &s.txns,
+                    &config,
                 ))
             })
         });

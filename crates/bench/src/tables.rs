@@ -186,8 +186,8 @@ pub fn t3_track_costs() -> Section {
                 std::slice::from_ref(txn),
                 config.max_tracks,
             );
-            let eval = evaluate_with_catalog(&mut cc, &tcat, set, &config, None)
-                .expect("no abort threshold");
+            let eval =
+                evaluate_with_catalog(&mut cc, &tcat, set, None).expect("no abort threshold");
             // The evaluation prices the catalog's prepared tracks in their
             // enumeration order: pair each with its cost.
             let prepared = tcat.prepared(0, set, &mut cc);
@@ -262,7 +262,7 @@ pub fn t4_combined_costs() -> Section {
         let eval = evaluate_view_set(
             &mut cc,
             &ctx.scenario.catalog,
-            ctx.scenario.root,
+            &[ctx.scenario.root],
             set,
             &ctx.scenario.txns,
             &config,
@@ -304,7 +304,7 @@ pub fn h1_headline() -> Section {
     let e_none = evaluate_view_set(
         &mut cc,
         &ctx.scenario.catalog,
-        ctx.scenario.root,
+        &[ctx.scenario.root],
         &view_set(&ctx, &[]),
         &ctx.scenario.txns,
         &config,
@@ -312,7 +312,7 @@ pub fn h1_headline() -> Section {
     let e_n3 = evaluate_view_set(
         &mut cc,
         &ctx.scenario.catalog,
-        ctx.scenario.root,
+        &[ctx.scenario.root],
         &view_set(&ctx, &["N3"]),
         &ctx.scenario.txns,
         &config,
@@ -434,9 +434,9 @@ pub fn eheur_strategies() -> Section {
     let model = PageIoCostModel::default();
     let config = EvalConfig::default();
     let s = &ctx.scenario;
-    let ex = optimal_view_set(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
+    let ex = optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config);
     let sh = shielding_optimize(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
-    let gr = greedy_add(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
+    let gr = greedy_add(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config);
     let st = single_tree_optimize(
         &s.memo, &s.catalog, &model, s.root, &s.tree, &s.txns, &config,
     );
@@ -506,7 +506,7 @@ pub fn f3_adepts_status() -> Section {
         &config,
         Some(2),
     );
-    let extras = outcome.additional_views(&s.memo, s.root);
+    let extras = outcome.additional_views(&s.memo, &[s.root]);
     let mut body = String::new();
     body.push_str("original (query-optimization-shaped) tree:\n");
     body.push_str(&s.tree.render());
@@ -526,7 +526,7 @@ pub fn f3_adepts_status() -> Section {
     let empty_eval = {
         let mut ctx = CostCtx::new(&s.memo, &s.catalog, &model);
         let empty: ViewSet = [s.root].into_iter().collect();
-        evaluate_view_set(&mut ctx, &s.catalog, s.root, &empty, &s.txns, &config)
+        evaluate_view_set(&mut ctx, &s.catalog, &[s.root], &empty, &s.txns, &config)
     };
     body.push_str(&format!(
         "\n∅ costs {} vs optimal {} — materializing V1 pays for itself because \

@@ -87,7 +87,7 @@ fn wide_searches_are_deterministic_and_the_4_way_one_is_exact() {
                 parallelism,
                 ..EvalConfig::default()
             };
-            optimal_view_set(&s.memo, &s.catalog, &model, s.root, &s.txns, &config)
+            optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config)
         };
         let (serial, parallel) = (search(1), search(2));
         println!(

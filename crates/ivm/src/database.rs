@@ -21,18 +21,20 @@ use spacetime_cost::{PageIoCostModel, TransactionType};
 use spacetime_delta::Delta;
 use spacetime_memo::{explore, GroupId, Memo};
 use spacetime_obs::{self as obs, names as metric, MetricsSnapshot, TraceNode};
-use spacetime_optimizer::{greedy_add, optimal_view_set_multi, EvalConfig, ViewSet};
+use spacetime_optimizer::{greedy_add, optimal_view_set, EvalConfig, ViewSet};
 use spacetime_sql::{lower::lower_literal_row, lower_select, parse_statements, Statement};
 use spacetime_storage::{Bag, Catalog, Column, Schema, Tuple, Value};
 
 use crate::constraints::Violation;
-use crate::engine::{IvmEngine, PlannedUpdate, PropagationMode, UpdateReport};
+use crate::engine::{default_workload, IvmEngine, PlannedUpdate, PropagationMode, UpdateReport};
 use crate::{IvmError, IvmResult};
 
-/// How auxiliary views are chosen when a view/assertion is created.
+/// How auxiliary views are chosen when a view, a view group or an
+/// assertion is created. A view group's choice covers all of its roots
+/// at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViewSelection {
-    /// Materialize only the view itself.
+    /// Materialize only the view itself (every view of a group).
     RootOnly,
     /// Algorithm OptimalViewSet (Figure 4) — exhaustive.
     #[default]
@@ -368,12 +370,14 @@ impl Database {
 
     /// Create several views over **one shared DAG** (§6: "the expression
     /// DAG … may therefore have multiple roots, and every view that must
-    /// be materialized will be marked"). The optimizer chooses auxiliary
-    /// views once for the whole group, so a subexpression shared by
-    /// several views is materialized and maintained once. The search is
-    /// the same uncapped walk a single view gets; on a DAG too wide to
-    /// finish within `spacetime_optimizer::search::SEARCH_BUDGET` claimed
-    /// sets it returns the best set it priced.
+    /// be materialized will be marked"). The session's [`ViewSelection`]
+    /// chooses auxiliary views once for the whole group, so a
+    /// subexpression shared by several views is materialized and
+    /// maintained once: `RootOnly` materializes the group's views alone,
+    /// `Greedy` climbs from them, and `Exhaustive` runs the same uncapped
+    /// walk a single view gets, which on a DAG too wide to finish within
+    /// `spacetime_optimizer::search::SEARCH_BUDGET` claimed sets returns
+    /// the best set it priced.
     pub fn create_view_group(&mut self, views: Vec<(String, ExprTree)>) -> IvmResult<&IvmEngine> {
         if views.is_empty() {
             return Err(IvmError::Unsupported("empty view group".into()));
@@ -393,8 +397,8 @@ impl Database {
     /// view set for the declared (or default) workload, materialize it,
     /// and register the engine — unless building fails or the engine backs
     /// an `assertion` the current data violates, in which case every table
-    /// it materialized is dropped again. One root runs the session's
-    /// [`ViewSelection`]; several run the multi-rooted search.
+    /// it materialized is dropped again. One view and a view group alike
+    /// run the session's [`ViewSelection`] over all their roots.
     fn create(
         &mut self,
         views: Vec<(String, ExprTree)>,
@@ -436,15 +440,15 @@ impl Database {
             top_k: 1,
             ..EvalConfig::default()
         };
-        let view_set: ViewSet = match (roots.as_slice(), self.selection) {
-            (&[root], ViewSelection::RootOnly) => [root].into_iter().collect(),
-            (&[root], ViewSelection::Greedy) => {
-                greedy_add(&memo, catalog, &model, root, &txns, &config)
+        let view_set: ViewSet = match self.selection {
+            ViewSelection::RootOnly => roots.iter().copied().collect(),
+            ViewSelection::Greedy => {
+                greedy_add(&memo, catalog, &model, &roots, &txns, &config)
                     .best
                     .view_set
             }
-            _ => {
-                optimal_view_set_multi(&memo, catalog, &model, &roots, &txns, &config, None)
+            ViewSelection::Exhaustive => {
+                optimal_view_set(&memo, catalog, &model, &roots, &txns, &config)
                     .best
                     .view_set
             }
@@ -862,15 +866,6 @@ pub(crate) fn explore_views(
         .map(|((name, _), g)| (name.clone(), memo.find(g)))
         .collect();
     Ok((memo, named_roots))
-}
-
-/// Default workload: one unit modification per base relation under
-/// `roots`, equal weights (§3.2's model with no further information).
-fn default_workload(memo: &Memo, roots: &[GroupId]) -> Vec<TransactionType> {
-    crate::engine::leaves(memo, roots.iter().copied())
-        .into_iter()
-        .map(|(t, _)| TransactionType::modify(format!(">{t}"), t, 1.0))
-        .collect()
 }
 
 #[cfg(test)]

@@ -109,22 +109,23 @@ fn prop_mode_to_u8(m: PropagationMode) -> u8 {
     }
 }
 
-/// Tag 1 was `Batched`, which `Fused` replaced with identical contents
-/// and reports; checkpoints written with it still open.
+/// The inverse of [`prop_mode_to_u8`]. Tag 1 was the retired `Batched`,
+/// which no `STWALME3` layout ever wrote, so it is a bad checkpoint.
 fn prop_mode_from_u8(b: u8) -> IvmResult<PropagationMode> {
     match b {
         0 => Ok(PropagationMode::PerKey),
-        1 | 2 => Ok(PropagationMode::Fused),
+        2 => Ok(PropagationMode::Fused),
         _ => Err(IvmError::Internal(format!("bad propagation mode tag {b}"))),
     }
 }
 
-/// The `STWALCK1` execution-mode byte: written as 0 to keep the format,
-/// where 1 was the deleted `Parallel` (identical contents and reports).
-/// Nothing is restored from it; unknown tags are still a bad checkpoint.
+/// The `STWALCK1` execution-mode byte: always written as 0 to keep the
+/// format, and nothing is restored from it. Any other tag (1 was the
+/// retired `Parallel`, which no `STWALME3` layout ever wrote) is a bad
+/// checkpoint.
 fn check_exec_mode_tag(b: u8) -> IvmResult<()> {
     match b {
-        0 | 1 => Ok(()),
+        0 => Ok(()),
         _ => Err(IvmError::Internal(format!("bad execution mode tag {b}"))),
     }
 }
@@ -640,12 +641,13 @@ mod tests {
         db.catalog.table("T").unwrap().relation.data().clone()
     }
 
-    /// `STWALCK1` outlives the modes it named: a checkpoint written with
-    /// the retired `Batched` / `Parallel` tags (1, 1) opens as `Fused` and
-    /// replays its tail; a tag nobody ever wrote is still a typed error.
+    /// A checkpoint opens only with the mode tags this layout writes
+    /// (propagation 0 or 2, execution 0): the retired `Batched` /
+    /// `Parallel` tags (1, 0) and (2, 1) fail as a tag nobody ever wrote
+    /// does, with a typed error.
     #[test]
-    fn checkpoints_with_retired_mode_tags_still_open() {
-        let dir = spacetime_wal::test_dir("durability_retired_tags");
+    fn only_the_mode_tags_this_layout_writes_open() {
+        let dir = spacetime_wal::test_dir("durability_mode_tags");
         let mut db = Database::new();
         db.execute_sql(
             "CREATE TABLE T (a INTEGER PRIMARY KEY);
@@ -662,21 +664,21 @@ mod tests {
             doc.execution_mode = exec;
             write_checkpoint(&dir.join(CHECKPOINT_FILE), &doc).unwrap();
         };
-        rewrite(1, 1);
+        rewrite(0, 0);
         let (recovered, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(stats.replayed_txns, 1);
-        assert_eq!(recovered.propagation_mode(), PropagationMode::Fused);
+        assert_eq!(recovered.propagation_mode(), PropagationMode::PerKey);
         for table in ["T", "Big"] {
             let rel = &recovered.catalog.table(table).unwrap().relation;
             assert!(rel.data().contains(&tuple![5_i64]), "{table} lost the replayed row");
         }
         drop(recovered);
 
-        for (prop, exec) in [(3, 0), (2, 2)] {
+        for (prop, exec) in [(1, 0), (2, 1), (3, 0), (2, 2)] {
             rewrite(prop, exec);
             let err = Database::open(&dir, DurabilityOptions::default())
                 .err()
-                .expect("unknown tag must not open");
+                .expect("a tag this layout never writes must not open");
             assert!(
                 matches!(&err, IvmError::Internal(m) if m.contains("mode tag")),
                 "({prop}, {exec}): {err}"

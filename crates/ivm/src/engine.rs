@@ -346,23 +346,23 @@ impl IvmEngine {
         }
 
         // Choose the cheapest track per base table (unit-modify probe
-        // transactions; the optimizer's evaluation machinery picks the
-        // same tracks its cost tables did) and compile it.
+        // transactions, priced together as one workload; the optimizer's
+        // evaluation machinery picks the same tracks its cost tables did)
+        // and compile it.
         let mut track_plans = BTreeMap::new();
-        let config = EvalConfig::default();
         let mut ctx = CostCtx::new(&memo, catalog, &PageIoCostModel::PAPER);
         let root_vec: Vec<GroupId> = roots.iter().copied().collect();
-        for (table, leaf) in leaves(&memo, roots.iter().copied()) {
-            let txn = TransactionType::modify(format!(">{table}"), table.clone(), 1.0);
-            let eval = spacetime_optimizer::evaluate_multi(
-                &mut ctx,
-                catalog,
-                &root_vec,
-                &view_set,
-                &[txn],
-                &config,
-            );
-            let Some(best) = eval.per_txn.first().and_then(|e| e.best.as_ref()) else {
+        let probes = default_workload(&memo, &root_vec);
+        let eval = spacetime_optimizer::evaluate_view_set(
+            &mut ctx,
+            catalog,
+            &root_vec,
+            &view_set,
+            &probes,
+            &EvalConfig::default(),
+        );
+        for ((table, leaf), probe) in leaves(&memo, root_vec).into_iter().zip(&eval.per_txn) {
+            let Some(best) = &probe.best else {
                 continue;
             };
             let plan = compile_track(&mut ctx, &best.track, &table, leaf, &materialized);
@@ -826,6 +826,17 @@ pub(crate) fn leaves(
         out[start..].sort();
     }
     out
+}
+
+/// The default workload: one unit modification per base relation under
+/// `roots`, in [`leaves`] order, equal weights (§3.2's model with no
+/// further information). It is also the set of probes an engine picks its
+/// per-table tracks with.
+pub(crate) fn default_workload(memo: &Memo, roots: &[GroupId]) -> Vec<TransactionType> {
+    leaves(memo, roots.iter().copied())
+        .into_iter()
+        .map(|(t, _)| TransactionType::modify(format!(">{t}"), t, 1.0))
+        .collect()
 }
 
 /// Compile `table`'s chosen track into its [`TrackPlan`]: the track's

@@ -1,10 +1,19 @@
 //! §6 end-to-end: several views sharing one DAG, one auxiliary-view
 //! choice, and one maintenance pass per update.
 
-use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ScalarExpr};
-use spacetime_cost::TransactionType;
-use spacetime_ivm::{verify_all_views, Database};
+use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ExprTree, ScalarExpr};
+use spacetime_cost::{PageIoCostModel, TransactionType};
+use spacetime_ivm::{verify_all_views, Database, ViewSelection};
+use spacetime_memo::GroupId;
+use spacetime_optimizer::{greedy_add, optimal_view_set, EvalConfig};
 use spacetime_storage::{tuple, IoMeter};
+
+fn workload() -> Vec<TransactionType> {
+    vec![
+        TransactionType::modify(">Emp", "Emp", 1.0),
+        TransactionType::modify(">Dept", "Dept", 1.0),
+    ]
+}
 
 fn base_db() -> Database {
     let mut db = Database::new();
@@ -38,10 +47,7 @@ fn base_db() -> Database {
     }
     db.catalog.table_mut("Emp").unwrap().analyze();
     db.catalog.table_mut("Dept").unwrap().analyze();
-    db.declare_workload(vec![
-        TransactionType::modify(">Emp", "Emp", 1.0),
-        TransactionType::modify(">Dept", "Dept", 1.0),
-    ]);
+    db.declare_workload(workload());
     db
 }
 
@@ -195,4 +201,82 @@ fn multi_relation_transaction() {
     // 900 + 9×100 = 1800 > 1700: over budget after both steps.
     assert_eq!(db.catalog.table("OverBudget").unwrap().relation.len(), 1);
     assert!(verify_all_views(&db).unwrap().is_empty());
+}
+
+/// Payroll and BigPayroll: two selections over Emp's
+/// `SUM(Salary) GROUP BY DName`, which is their one shared subexpression.
+fn payroll_group(db: &Database) -> Vec<(String, ExprTree)> {
+    let payroll = |name: &str, floor: i64| {
+        let emp = ExprNode::scan(&db.catalog, "Emp").unwrap();
+        let sums = ExprNode::aggregate(
+            emp,
+            vec![1],
+            vec![AggExpr::new(AggFunc::Sum, ScalarExpr::col(2), "SalSum")],
+        )
+        .unwrap();
+        let tree = ExprNode::select(
+            sums,
+            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(1), ScalarExpr::lit(floor)),
+        )
+        .unwrap();
+        (name.to_string(), tree)
+    };
+    vec![payroll("Payroll", 0), payroll("BigPayroll", 1000)]
+}
+
+/// A view group runs the session's `ViewSelection` over all its roots,
+/// as a single view does: `RootOnly` materializes the two views alone,
+/// `Greedy` and `Exhaustive` choose what `greedy_add` and
+/// `optimal_view_set` choose for the roots. Every choice maintains both
+/// views exactly.
+#[test]
+fn view_group_honours_its_selection() {
+    let model = PageIoCostModel::default();
+    let config = EvalConfig {
+        top_k: 1,
+        ..EvalConfig::default()
+    };
+    for selection in [
+        ViewSelection::RootOnly,
+        ViewSelection::Greedy,
+        ViewSelection::Exhaustive,
+    ] {
+        let mut db = base_db();
+        let base_catalog = db.catalog.clone();
+        db.set_view_selection(selection);
+        let group = payroll_group(&db);
+        db.create_view_group(group).unwrap();
+        let engine = &db.engines()[0];
+        let roots: Vec<GroupId> = engine.roots.iter().copied().collect();
+        assert_eq!(roots.len(), 2);
+        let memo = &engine.memo;
+        let chosen = match selection {
+            ViewSelection::RootOnly => roots.iter().copied().collect(),
+            ViewSelection::Greedy => {
+                greedy_add(memo, &base_catalog, &model, &roots, &workload(), &config)
+                    .best
+                    .view_set
+            }
+            ViewSelection::Exhaustive => {
+                optimal_view_set(memo, &base_catalog, &model, &roots, &workload(), &config)
+                    .best
+                    .view_set
+            }
+        };
+        assert_eq!(engine.view_set, chosen, "{selection:?}");
+        if selection == ViewSelection::RootOnly {
+            let mut tables: Vec<&str> = engine.materialized.values().map(String::as_str).collect();
+            tables.sort();
+            assert_eq!(tables, ["BigPayroll", "Payroll"]);
+        }
+
+        assert_eq!(db.catalog.table("Payroll").unwrap().relation.len(), 100);
+        assert!(db.catalog.table("BigPayroll").unwrap().relation.is_empty());
+        db.execute_sql("UPDATE Emp SET Salary = 5000 WHERE EName = 'e003_0'")
+            .unwrap();
+        db.execute_sql("DELETE FROM Emp WHERE EName = 'e007_1'")
+            .unwrap();
+        assert_eq!(db.catalog.table("BigPayroll").unwrap().relation.len(), 1);
+        assert!(verify_all_views(&db).unwrap().is_empty(), "{selection:?}");
+    }
 }

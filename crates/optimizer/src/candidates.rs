@@ -39,6 +39,26 @@ pub struct ViewSetSpace {
 }
 
 impl ViewSetSpace {
+    /// The whole space of the DAG under `roots` (§6): the roots are the
+    /// base, and the free candidates are the union of every root's
+    /// [`candidate_groups`] in root order, less the roots themselves.
+    pub(crate) fn of_roots(memo: &Memo, roots: &[GroupId]) -> Self {
+        let roots: Vec<GroupId> = roots.iter().map(|&r| memo.find(r)).collect();
+        let mut free: Vec<GroupId> = Vec::new();
+        for &r in &roots {
+            for g in candidate_groups(memo, r) {
+                if !roots.contains(&g) && !free.contains(&g) {
+                    free.push(g);
+                }
+            }
+        }
+        ViewSetSpace {
+            base: roots.into_iter().collect(),
+            max_extra: free.len(),
+            free,
+        }
+    }
+
     /// The space of `base` alone.
     pub fn single(base: ViewSet) -> Self {
         ViewSetSpace {

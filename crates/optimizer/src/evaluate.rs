@@ -19,11 +19,6 @@ use crate::tracks::{resolve_prepared, PosedQuery, UpdateTrack};
 /// Evaluation knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalConfig {
-    /// Whether the root view's own update-application cost is counted.
-    /// The paper's §3.6 tables exclude it ("We do not count the cost of
-    /// updating the database relations, or the top-level view
-    /// ProblemDept"), and it is identical across view sets anyway.
-    pub include_root_update_cost: bool,
     /// Cap on enumerated tracks per (view set, transaction).
     pub max_tracks: usize,
     /// How many evaluations (beyond the best) searches keep in
@@ -41,7 +36,6 @@ pub struct EvalConfig {
 impl Default for EvalConfig {
     fn default() -> Self {
         EvalConfig {
-            include_root_update_cost: false,
             max_tracks: 4096,
             top_k: 16,
             parallelism: 0,
@@ -105,14 +99,16 @@ impl ViewSetEvaluation {
 }
 
 /// Figure 4's `m_j` for every transaction, in workload order: the cost of
-/// applying its deltas to every materialized view of `view_set` (the root's
-/// only with [`EvalConfig::include_root_update_cost`]). No `m_j` depends on
-/// the update track, so these are known before any track is enumerated.
+/// applying its deltas to every materialized view of `view_set` but the
+/// roots. The paper's §3.6 tables leave the root out ("We do not count
+/// the cost of updating the database relations, or the top-level view
+/// ProblemDept"), and it is identical across view sets anyway. No `m_j`
+/// depends on the update track, so these are known before any track is
+/// enumerated.
 pub fn maintenance_costs(
     ctx: &mut CostCtx<'_>,
     tcat: &TrackCatalog<'_>,
     view_set: &ViewSet,
-    config: &EvalConfig,
 ) -> Vec<Cost> {
     let memo = ctx.memo;
     (0..tcat.txns().len())
@@ -120,10 +116,9 @@ pub fn maintenance_costs(
             let mut cost = Cost::ZERO;
             for &g in view_set {
                 let g = memo.find(g);
-                if tcat.is_root(g) && !config.include_root_update_cost {
-                    continue;
+                if !tcat.is_root(g) {
+                    cost += tcat.apply_cost(ti, g, ctx);
                 }
-                cost += tcat.apply_cost(ti, g, ctx);
             }
             cost
         })
@@ -173,7 +168,6 @@ pub fn evaluate_with_catalog(
     ctx: &mut CostCtx<'_>,
     tcat: &TrackCatalog<'_>,
     view_set: &ViewSet,
-    config: &EvalConfig,
     abort_above: Option<f64>,
 ) -> Option<ViewSetEvaluation> {
     /// One transaction priced: its prepared tracks, each track's query
@@ -185,7 +179,7 @@ pub fn evaluate_with_catalog(
         total: Cost,
     }
 
-    let update_costs = &maintenance_costs(ctx, tcat, view_set, config)[..];
+    let update_costs = &maintenance_costs(ctx, tcat, view_set)[..];
     let memo = ctx.memo;
     let txns = tcat.txns();
     let total_weight: f64 = txns.iter().map(|t| t.weight).sum();
@@ -298,17 +292,19 @@ pub fn evaluate_with_catalog(
     })
 }
 
-/// Evaluate one view set under a workload.
+/// Evaluate one view set of the DAG under `roots` (one view or a group,
+/// §6) under a workload. The roots' own update costs are left out (they
+/// are view outputs, not auxiliaries).
 pub fn evaluate_view_set(
     ctx: &mut CostCtx<'_>,
     catalog: &Catalog,
-    root: GroupId,
+    roots: &[GroupId],
     view_set: &ViewSet,
     txns: &[TransactionType],
     config: &EvalConfig,
 ) -> ViewSetEvaluation {
-    let tcat = TrackCatalog::new(ctx.memo, catalog, &[root], txns, config.max_tracks);
-    evaluate_with_catalog(ctx, &tcat, view_set, config, None).expect("no abort threshold")
+    let tcat = TrackCatalog::new(ctx.memo, catalog, roots, txns, config.max_tracks);
+    evaluate_with_catalog(ctx, &tcat, view_set, None).expect("no abort threshold")
 }
 
 #[cfg(test)]
@@ -326,9 +322,8 @@ mod tests {
         let fresh = || TrackCatalog::new(&s.memo, &s.cat, &[s.root], &s.txns, config.max_tracks);
         let mut ctx = CostCtx::new(&s.memo, &s.cat, &model);
         let tcat = fresh();
-        let floor = maintenance_floor(&s.txns, &maintenance_costs(&mut ctx, &tcat, &set, &config));
-        let full =
-            evaluate_with_catalog(&mut ctx, &fresh(), &set, &config, None).expect("no bound");
+        let floor = maintenance_floor(&s.txns, &maintenance_costs(&mut ctx, &tcat, &set));
+        let full = evaluate_with_catalog(&mut ctx, &fresh(), &set, None).expect("no bound");
         assert!(
             0.0 < floor && floor < full.weighted,
             "{floor} vs {}",
@@ -337,19 +332,19 @@ mod tests {
 
         // Below the floor: pruned before a single track is enumerated.
         let below = Some(floor * (1.0 - 1e-6));
-        assert!(evaluate_with_catalog(&mut ctx, &tcat, &set, &config, below).is_none());
+        assert!(evaluate_with_catalog(&mut ctx, &tcat, &set, below).is_none());
         assert_eq!(tcat.enumerations(), 0);
 
         // Within the floor's guard: the set goes on to be enumerated (and
         // is then pruned by the tighter in-loop bound).
         let tcat = fresh();
         let at_floor = Some(floor / (1.0 + 0.5e-9));
-        assert!(evaluate_with_catalog(&mut ctx, &tcat, &set, &config, at_floor).is_none());
+        assert!(evaluate_with_catalog(&mut ctx, &tcat, &set, at_floor).is_none());
         assert!(tcat.enumerations() > 0);
 
         // A threshold the set ties within the guard keeps it, bit for bit.
         let tie = Some(full.weighted / (1.0 + 0.5e-9));
-        let kept = evaluate_with_catalog(&mut ctx, &fresh(), &set, &config, tie).expect("a tie");
+        let kept = evaluate_with_catalog(&mut ctx, &fresh(), &set, tie).expect("a tie");
         assert_eq!(kept.weighted.to_bits(), full.weighted.to_bits());
     }
 }

@@ -5,6 +5,25 @@
 //! one, and return the one with the lowest workload-weighted maintenance
 //! cost. Valid under any monotonic cost model. The space is walked, not
 //! listed ([`crate::search`]).
+//!
+//! A set of views is searched the same way (§6):
+//!
+//! > *"Our results can be applied in a straightforward fashion to the
+//! > problem of determining what views to additionally materialize for
+//! > efficiently maintaining a set of materialized views. The key … is
+//! > that the expression DAG representation can also be used to compactly
+//! > represent the expression trees for a set of queries … the expression
+//! > DAG … may therefore have multiple roots, and every view that must be
+//! > materialized will be marked in the expression DAG. Other details of
+//! > our algorithms remain unchanged."*
+//!
+//! [`optimal_view_set`], [`crate::evaluate_view_set`] and
+//! [`crate::greedy_add`] take their roots as a slice, one view being a
+//! slice of one: every root is in every set, the candidates are the
+//! union of the roots' descendants, and — the §6 payoff — an auxiliary
+//! view shared by several roots is paid for once but helps all of them.
+//! Update tracks generalize for free because [`crate::TrackCatalog`]
+//! already seeds from *every* marked affected node.
 
 use spacetime_cost::{CostModel, TransactionType};
 use spacetime_memo::{GroupId, Memo};
@@ -71,29 +90,31 @@ impl OptimizeOutcome {
         obs::gauge_set(metric::OPT_SEARCH_EXACT, f64::from(u8::from(self.exact)));
     }
 
-    /// The additional views (best set minus the root).
-    pub fn additional_views(&self, memo: &Memo, root: GroupId) -> Vec<GroupId> {
-        let root = memo.find(root);
+    /// The additional views (best set minus the roots).
+    pub fn additional_views(&self, memo: &Memo, roots: &[GroupId]) -> Vec<GroupId> {
+        let roots: Vec<GroupId> = roots.iter().map(|&r| memo.find(r)).collect();
         self.best
             .view_set
             .iter()
             .copied()
-            .filter(|&g| memo.find(g) != root)
+            .filter(|&g| !roots.contains(&memo.find(g)))
             .collect()
     }
 }
 
-/// Exhaustive `OptimalViewSet` over the full candidate space: the
-/// multi-root search with one root.
+/// Exhaustive `OptimalViewSet` over the full candidate space of the DAG
+/// under `roots` (one view, or a group of views, §6): every root is
+/// always marked. `roots` is non-empty.
 pub fn optimal_view_set(
     memo: &Memo,
     catalog: &Catalog,
     model: &dyn CostModel,
-    root: GroupId,
+    roots: &[GroupId],
     txns: &[TransactionType],
     config: &EvalConfig,
 ) -> OptimizeOutcome {
-    crate::multi::optimal_view_set_multi(memo, catalog, model, &[root], txns, config, None)
+    let space = ViewSetSpace::of_roots(memo, roots);
+    search_spaces(memo, catalog, model, roots, &[space], txns, config)
 }
 
 /// Exhaustive search over an explicit candidate list (used by the
@@ -248,7 +269,7 @@ pub(crate) mod tests {
         evaluate_view_set(
             &mut ctx,
             &s.cat,
-            s.root,
+            &[s.root],
             &set,
             &s.txns,
             &EvalConfig::default(),
@@ -323,7 +344,7 @@ pub(crate) mod tests {
             &s.memo,
             &s.cat,
             &model,
-            s.root,
+            &[s.root],
             &s.txns,
             &EvalConfig::default(),
         );
@@ -354,7 +375,7 @@ pub(crate) mod tests {
             &s.memo,
             &s.cat,
             &model,
-            s.root,
+            &[s.root],
             &s.txns,
             &EvalConfig::default(),
         );
@@ -364,5 +385,70 @@ pub(crate) mod tests {
         }
         let empty = eval_set(&s, &[]);
         assert!(outcome.best.weighted <= empty.weighted + 1e-9);
+    }
+
+    /// Two views sharing the SumOfSals subexpression: ProblemDept plus a
+    /// per-department salary report. One shared auxiliary (N3) should
+    /// serve both — §6's "expression DAG … may therefore have multiple
+    /// roots".
+    #[test]
+    fn shared_auxiliary_serves_two_roots() {
+        let cat = paper_catalog();
+        let mut memo = Memo::new();
+        let v1 = memo.insert_tree(&problem_dept_tree(&cat));
+        // V2: SELECT DName, SUM(Salary) ... GROUP BY DName over Emp, with
+        // a projection so it is a *different* root than bare N3.
+        let emp = ExprNode::scan(&cat, "Emp").unwrap();
+        let agg = ExprNode::aggregate(
+            emp,
+            vec![1],
+            vec![AggExpr::new(AggFunc::Sum, ScalarExpr::col(2), "SalSum")],
+        )
+        .unwrap();
+        let v2_tree = ExprNode::select(
+            agg,
+            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(1), ScalarExpr::lit(0)),
+        )
+        .unwrap();
+        let v2 = memo.insert_tree(&v2_tree);
+        memo.set_root(v1);
+        spacetime_memo::explore(&mut memo, &cat).unwrap();
+        let (v1, v2) = (memo.find(v1), memo.find(v2));
+        assert_ne!(v1, v2);
+
+        let model = PageIoCostModel::default();
+        let config = EvalConfig::default();
+        let txns = vec![
+            TransactionType::modify(">Emp", "Emp", 1.0),
+            TransactionType::modify(">Dept", "Dept", 1.0),
+        ];
+        let outcome = optimal_view_set(&memo, &cat, &model, &[v1, v2], &txns, &config);
+        // The optimum shares one auxiliary (N3) across both roots.
+        let extras: Vec<GroupId> = outcome
+            .best
+            .view_set
+            .iter()
+            .copied()
+            .filter(|&g| g != v1 && g != v2)
+            .collect();
+        assert_eq!(
+            extras.len(),
+            1,
+            "one shared auxiliary: {:?}",
+            outcome.best.view_set
+        );
+        // And it is the SumOfSals group: an aggregate over the Emp leaf.
+        let n3 = extras[0];
+        let is_sum_of_sals = memo
+            .group_ops(n3)
+            .iter()
+            .any(|&o| matches!(memo.op(o).op, OpKind::Aggregate { .. }));
+        assert!(is_sum_of_sals);
+        // Sharing pays: the joint optimum beats maintaining both roots
+        // with no auxiliary at all.
+        let empty: ViewSet = [v1, v2].into_iter().collect();
+        let mut ctx = CostCtx::new(&memo, &cat, &model);
+        let base = evaluate_view_set(&mut ctx, &cat, &[v1, v2], &empty, &txns, &config);
+        assert!(outcome.best.weighted < base.weighted);
     }
 }

@@ -19,7 +19,7 @@ use spacetime_cost::{CostModel, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_storage::Catalog;
 
-use crate::candidates::{candidate_groups, ViewSet};
+use crate::candidates::{ViewSet, ViewSetSpace};
 use crate::evaluate::EvalConfig;
 use crate::exhaustive::{optimal_view_set_over, OptimizeOutcome};
 use crate::search::search_view_sets;
@@ -106,9 +106,10 @@ pub fn rule_of_thumb_optimize(
     search_view_sets(memo, catalog, model, &[root], &sets, txns, config)
 }
 
-/// Greedy hill-climbing: start from ∅ and repeatedly add the single
-/// candidate view with the largest weighted-cost reduction; stop when no
-/// addition improves. Evaluates O(n²) sets instead of 2ⁿ. Each round's
+/// Greedy hill-climbing: start from the roots alone (one view, or a group
+/// of views, §6) and repeatedly add the single candidate view with the
+/// largest weighted-cost reduction; stop when no addition improves.
+/// Evaluates O(n²) sets instead of 2ⁿ. Each round's
 /// trial sets are priced in one [`search_view_sets`] engine run (parallel
 /// workers, shared caches); the round winner under the engine's total
 /// order — weighted cost, then size, then the set — matches the serial
@@ -118,16 +119,17 @@ pub fn greedy_add(
     memo: &Memo,
     catalog: &Catalog,
     model: &dyn CostModel,
-    root: GroupId,
+    roots: &[GroupId],
     txns: &[TransactionType],
     config: &EvalConfig,
 ) -> OptimizeOutcome {
-    let root = memo.find(root);
-    let candidates = candidate_groups(memo, root);
-    let mut current: ViewSet = [root].into_iter().collect();
-    let search = |sets: &[ViewSet]| {
-        search_view_sets(memo, catalog, model, &[root], sets, txns, config)
-    };
+    let ViewSetSpace {
+        base: mut current,
+        free: candidates,
+        ..
+    } = ViewSetSpace::of_roots(memo, roots);
+    let search =
+        |sets: &[ViewSet]| search_view_sets(memo, catalog, model, roots, sets, txns, config);
     // The counts of every round, summed into the first one's outcome.
     let mut totals = search(std::slice::from_ref(&current));
     let mut current_eval = totals.best.clone();
@@ -180,7 +182,7 @@ mod tests {
         let config = EvalConfig::default();
         let tree = problem_dept_tree(&s.cat);
         let st = single_tree_optimize(&s.memo, &s.cat, &model, s.root, &tree, &s.txns, &config);
-        let ex = optimal_view_set(&s.memo, &s.cat, &model, s.root, &s.txns, &config);
+        let ex = optimal_view_set(&s.memo, &s.cat, &model, &[s.root], &s.txns, &config);
         assert!(st.sets_considered < ex.sets_considered);
         // The Figure-1-right tree contains N2 and N4 but *not* N3 — the
         // single-tree heuristic over this tree cannot find {N3}, which is
@@ -243,7 +245,7 @@ mod tests {
         let out = rule_of_thumb_optimize(&s.memo, &s.cat, &model, s.root, &tree, &s.txns, &config);
         let mut ctx = CostCtx::new(&s.memo, &s.cat, &model);
         let empty: ViewSet = [s.root].into_iter().collect();
-        let e = evaluate_view_set(&mut ctx, &s.cat, s.root, &empty, &s.txns, &config);
+        let e = evaluate_view_set(&mut ctx, &s.cat, &[s.root], &empty, &s.txns, &config);
         assert!(out.best.weighted <= e.weighted);
         assert_eq!(out.sets_considered, 2);
     }
@@ -253,8 +255,8 @@ mod tests {
         let s = paper_setup();
         let model = PageIoCostModel::default();
         let config = EvalConfig::default();
-        let greedy = greedy_add(&s.memo, &s.cat, &model, s.root, &s.txns, &config);
-        let ex = optimal_view_set(&s.memo, &s.cat, &model, s.root, &s.txns, &config);
+        let greedy = greedy_add(&s.memo, &s.cat, &model, &[s.root], &s.txns, &config);
+        let ex = optimal_view_set(&s.memo, &s.cat, &model, &[s.root], &s.txns, &config);
         // On this example the benefit structure is submodular enough for
         // greedy to reach the optimum with far fewer evaluations.
         assert_eq!(greedy.best.weighted, ex.best.weighted);

@@ -16,7 +16,8 @@
 //! * [`evaluate`] — the cost of maintaining one view set for one
 //!   transaction type: cheapest track's (multi-query-optimized) query cost
 //!   plus the cost of applying updates to every materialized view (§3.4).
-//! * [`exhaustive`] — Algorithm `OptimalViewSet` (Figure 4, Theorem 3.1).
+//! * [`exhaustive`] — Algorithm `OptimalViewSet` (Figure 4, Theorem 3.1),
+//!   for one view or a set of views sharing one multi-rooted DAG (§6).
 //! * [`shielding`] — the Shielding Principle (Theorem 4.1): local
 //!   optimization below articulation nodes restricts the search space
 //!   without losing optimality.
@@ -28,7 +29,6 @@ pub mod complete;
 pub mod evaluate;
 pub mod exhaustive;
 pub mod heuristics;
-pub mod multi;
 pub mod search;
 pub mod shielding;
 pub mod track_catalog;
@@ -42,7 +42,6 @@ pub use evaluate::{
 };
 pub use exhaustive::{optimal_view_set, optimal_view_set_over, OptimizeOutcome};
 pub use heuristics::{greedy_add, rule_of_thumb_set, single_tree_optimize};
-pub use multi::{evaluate_multi, optimal_view_set_multi};
 pub use search::{search_view_sets, SEARCH_BUDGET};
 pub use shielding::shielding_optimize;
 pub use track_catalog::{PreparedTrack, PreparedTracks, TrackCatalog};

@@ -1,7 +1,7 @@
 //! The parallel, cache-sharing, branch-and-bound view-set search engine.
 //!
-//! Every optimizer entry point (exhaustive, multi-root, shielding regions,
-//! greedy rounds) reduces to the same job: walk one or more
+//! Every optimizer entry point (exhaustive over one root or several,
+//! shielding regions, greedy rounds) reduces to the same job: walk one or more
 //! [`ViewSetSpace`]s and keep the best set (plus a top-K tail). This
 //! module does that job once:
 //!
@@ -176,7 +176,7 @@ pub(crate) fn search_spaces(
     let tcat = TrackCatalog::new(memo, catalog, roots, txns, config.max_tracks);
     let shared = SharedQueryCache::new();
     let floor_bits = |ctx: &mut CostCtx<'_>, set: &ViewSet| {
-        maintenance_floor(txns, &maintenance_costs(ctx, &tcat, set, config)).to_bits()
+        maintenance_floor(txns, &maintenance_costs(ctx, &tcat, set)).to_bits()
     };
     let mut ctx = CostCtx::new(memo, catalog, model);
     let heap = spaces
@@ -231,7 +231,7 @@ pub(crate) fn search_spaces(
     let run_worker = || {
         let mut ctx = CostCtx::with_shared_cache(memo, catalog, model, shared.clone());
         while let Some(set) = claim(&mut ctx) {
-            if let Some(eval) = evaluate_with_catalog(&mut ctx, &tcat, &set, config, bound()) {
+            if let Some(eval) = evaluate_with_catalog(&mut ctx, &tcat, &set, bound()) {
                 priced.fetch_add(1, Ordering::Relaxed);
                 top.insert(eval);
             }

@@ -130,7 +130,7 @@ mod tests {
         let s = paper_setup();
         let model = PageIoCostModel::default();
         let config = EvalConfig::default();
-        let ex = optimal_view_set(&s.memo, &s.cat, &model, s.root, &s.txns, &config);
+        let ex = optimal_view_set(&s.memo, &s.cat, &model, &[s.root], &s.txns, &config);
         let sh = shielding_optimize(&s.memo, &s.cat, &model, s.root, &s.txns, &config);
         assert_eq!(
             sh.best.weighted, ex.best.weighted,
@@ -203,7 +203,7 @@ mod tests {
         let (cat, memo, root, txns) = stacked_setup();
         let model = PageIoCostModel::default();
         let config = EvalConfig::default();
-        let ex = optimal_view_set(&memo, &cat, &model, root, &txns, &config);
+        let ex = optimal_view_set(&memo, &cat, &model, &[root], &txns, &config);
         let sh = shielding_optimize(&memo, &cat, &model, root, &txns, &config);
         assert_eq!(sh.best.weighted, ex.best.weighted);
         assert!(

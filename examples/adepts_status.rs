@@ -60,7 +60,7 @@ fn main() {
         );
     }
 
-    let extras = outcome.additional_views(&s.memo, s.root);
+    let extras = outcome.additional_views(&s.memo, &[s.root]);
     println!("\nchosen additional views:");
     for g in &extras {
         let tree = s.memo.extract_one(*g);
@@ -82,7 +82,12 @@ fn main() {
     let baseline: spacetime::optimizer::ViewSet = [s.root].into_iter().collect();
     let mut ctx = spacetime::cost::CostCtx::new(&s.memo, &s.catalog, &model);
     let empty = spacetime::optimizer::evaluate_view_set(
-        &mut ctx, &s.catalog, s.root, &baseline, &s.txns, &config,
+        &mut ctx,
+        &s.catalog,
+        &[s.root],
+        &baseline,
+        &s.txns,
+        &config,
     );
     println!(
         "maintaining nothing extra: {} page I/Os per txn; with V1: {} — \

@@ -32,7 +32,7 @@ fn main() {
 
     let model = PageIoCostModel::default();
     let config = EvalConfig::default();
-    let outcome = optimal_view_set(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
+    let outcome = optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config);
     println!(
         "view sets by weighted maintenance cost (best 8 of {}):",
         outcome.sets_considered

@@ -9,10 +9,8 @@
 use spacetime::algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ScalarExpr};
 use spacetime::cost::PageIoCostModel;
 use spacetime::memo::{explore, Memo};
-use spacetime::optimizer::{
-    optimal_view_set, optimal_view_set_multi, optimal_view_set_over, EvalConfig,
-};
-use spacetime_bench::scenarios::{problem_dept, scaling_workload};
+use spacetime::optimizer::{optimal_view_set, optimal_view_set_over, EvalConfig};
+use spacetime_bench::scenarios::{join_chain, problem_dept, scaling_workload};
 use spacetime_optimizer::candidate_groups;
 use spacetime_optimizer::OptimizeOutcome;
 
@@ -96,11 +94,11 @@ fn problem_dept_serial_vs_parallel_identical() {
         prune: false,
         ..EvalConfig::default()
     };
-    let serial = optimal_view_set(&s.memo, &s.catalog, &model, s.root, &s.txns, &base);
+    let serial = optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &base);
     // §3.6 golden answer: materializing SumOfSals alone wins at 3.5.
     assert_eq!(serial.best.weighted, 3.5);
     for (name, config) in variants(base) {
-        let out = optimal_view_set(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
+        let out = optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config);
         assert_identical(&serial, &out, name);
     }
 }
@@ -136,25 +134,9 @@ fn multi_view_serial_vs_parallel_identical() {
         prune: false,
         ..EvalConfig::default()
     };
-    let serial = optimal_view_set_multi(
-        &memo,
-        &s.catalog,
-        &model,
-        &[v1, v2],
-        &s.txns,
-        &base,
-        Some(2),
-    );
+    let serial = optimal_view_set(&memo, &s.catalog, &model, &[v1, v2], &s.txns, &base);
     for (name, config) in variants(base) {
-        let out = optimal_view_set_multi(
-            &memo,
-            &s.catalog,
-            &model,
-            &[v1, v2],
-            &s.txns,
-            &config,
-            Some(2),
-        );
+        let out = optimal_view_set(&memo, &s.catalog, &model, &[v1, v2], &s.txns, &config);
         assert_identical(&serial, &out, name);
     }
 }
@@ -203,4 +185,40 @@ fn scaling_workload_serial_vs_parallel_identical() {
         "no cross-worker query-cache hit against {} misses",
         probe.query_cache_misses
     );
+}
+
+/// The product's door (`optimal_view_set` over its roots, the DDL's
+/// search) and the harness's door (`optimal_view_set_over` an explicit
+/// candidate list) walk the same space of one root: same winner, same
+/// cost bit for bit, same top-K, same count, same exactness.
+#[test]
+fn product_and_harness_doors_agree() {
+    let model = PageIoCostModel::default();
+    for (what, s) in [
+        ("problem_dept", problem_dept()),
+        ("join_chain(3)", join_chain(3)),
+    ] {
+        let candidates = candidate_groups(&s.memo, s.root);
+        for parallelism in [1, 2] {
+            let config = EvalConfig {
+                parallelism,
+                ..EvalConfig::default()
+            };
+            let product =
+                optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config);
+            let harness = optimal_view_set_over(
+                &s.memo,
+                &s.catalog,
+                &model,
+                s.root,
+                &candidates,
+                &s.txns,
+                &config,
+                None,
+            );
+            let what = format!("{what} at parallelism {parallelism}");
+            assert_identical(&product, &harness, &what);
+            assert_eq!(product.exact, harness.exact, "{what}: exact differs");
+        }
+    }
 }

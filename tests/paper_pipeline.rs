@@ -48,8 +48,8 @@ fn exhaustive_dominates_heuristics_everywhere() {
     let model = PageIoCostModel::default();
     let config = EvalConfig::default();
     for s in [problem_dept(), join_chain(3), stacked_view(1)] {
-        let ex = optimal_view_set(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
-        let gr = greedy_add(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
+        let ex = optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config);
+        let gr = greedy_add(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &config);
         let sh = shielding_optimize(&s.memo, &s.catalog, &model, s.root, &s.txns, &config);
         assert!(ex.best.weighted <= gr.best.weighted + 1e-9);
         assert_eq!(ex.best.weighted, sh.best.weighted, "Theorem 4.1");
@@ -65,12 +65,12 @@ fn weighting_shifts_the_objective_not_the_per_txn_costs() {
     let config = EvalConfig::default();
     let set: ViewSet = [s.root].into_iter().collect();
     let mut ctx = CostCtx::new(&s.memo, &s.catalog, &model);
-    let balanced = evaluate_view_set(&mut ctx, &s.catalog, s.root, &set, &s.txns, &config);
+    let balanced = evaluate_view_set(&mut ctx, &s.catalog, &[s.root], &set, &s.txns, &config);
     let skewed_txns = vec![
         TransactionType::modify(">Emp", "Emp", 1.0).with_weight(3.0),
         TransactionType::modify(">Dept", "Dept", 1.0).with_weight(1.0),
     ];
-    let skewed = evaluate_view_set(&mut ctx, &s.catalog, s.root, &set, &skewed_txns, &config);
+    let skewed = evaluate_view_set(&mut ctx, &s.catalog, &[s.root], &set, &skewed_txns, &config);
     // Per-transaction totals identical; weighted average shifts toward >Emp.
     assert_eq!(
         balanced.txn_total(">Emp").unwrap(),

@@ -106,14 +106,13 @@ proptest! {
             parallelism,
             max_tracks: 256,
             prune: false,
-            ..EvalConfig::default()
         };
-        let unpruned = optimal_view_set(&s.memo, &s.catalog, &model, s.root, &s.txns, &base);
+        let unpruned = optimal_view_set(&s.memo, &s.catalog, &model, &[s.root], &s.txns, &base);
         let pruned = optimal_view_set(
             &s.memo,
             &s.catalog,
             &model,
-            s.root,
+            &[s.root],
             &s.txns,
             &EvalConfig { prune: true, ..base },
         );

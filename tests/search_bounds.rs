@@ -50,10 +50,8 @@ fn the_floor_never_exceeds_the_weighted_cost() {
         let mut ctx = CostCtx::new(&s.memo, &s.catalog, &model);
         let mut positive = 0;
         for set in &sets {
-            let floor =
-                maintenance_floor(&s.txns, &maintenance_costs(&mut ctx, &tcat, set, &config));
-            let eval =
-                evaluate_with_catalog(&mut ctx, &tcat, set, &config, None).expect("no threshold");
+            let floor = maintenance_floor(&s.txns, &maintenance_costs(&mut ctx, &tcat, set));
+            let eval = evaluate_with_catalog(&mut ctx, &tcat, set, None).expect("no threshold");
             assert!(
                 floor <= eval.weighted,
                 "{name}: floor {floor} above weighted {} for {set:?}",

@@ -105,7 +105,7 @@ fn reference(g: &Generated, candidates: &[GroupId]) -> Vec<ViewSetEvaluation> {
             }
         }
         let mut ctx = CostCtx::new(&g.memo, &g.catalog, &model);
-        let eval = evaluate_view_set(&mut ctx, &g.catalog, g.root, &set, &g.txns, &config);
+        let eval = evaluate_view_set(&mut ctx, &g.catalog, &[g.root], &set, &g.txns, &config);
         assert_eq!(eval.tracks_truncated, 0, "{set:?}");
         eval
     };
@@ -150,7 +150,7 @@ fn the_search_returns_the_brute_force_answer() {
                         ..EvalConfig::default()
                     };
                     let out =
-                        optimal_view_set(&g.memo, &g.catalog, &model, g.root, &g.txns, &config);
+                        optimal_view_set(&g.memo, &g.catalog, &model, &[g.root], &g.txns, &config);
                     assert!(out.exact, "{what}");
                     assert_eq!(out.sets_considered, 1 << candidates.len(), "{what}");
                     assert_eq!(out.best.view_set, expected[0].view_set, "{what}");
@@ -206,7 +206,7 @@ proptest! {
         let small = pick(&|i| subset[i]);
         let large = pick(&|i| subset[i] || extra[i]);
         let mut floor = |set: &ViewSet| {
-            maintenance_floor(&s.txns, &maintenance_costs(&mut ctx, &tcat, set, &config))
+            maintenance_floor(&s.txns, &maintenance_costs(&mut ctx, &tcat, set))
         };
         let (lo, hi) = (floor(&small), floor(&large));
         prop_assert!(hi >= lo, "{hi} below {lo}: {small:?} ⊆ {large:?}");
