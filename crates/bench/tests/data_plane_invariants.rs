@@ -81,10 +81,11 @@ struct Scenario {
     /// Committed `io_total`, `paper_cost_io`, `queries_posed`, both modes.
     golden: [u64; 3],
     /// Committed fused allocations per transaction. Each was last
-    /// re-recorded downward when `Memo::is_leaf`, which
-    /// `QueryExec::backing_table` asks of every posed query, stopped
-    /// collecting the group's ops into a `Vec`; the comment on each
-    /// figure gives the earlier value and what it lost.
+    /// re-recorded downward when posed queries began to be resolved once,
+    /// at track compile time: a derived query no longer collects its op's
+    /// children into a `Vec` nor splits its binding into per-side column
+    /// and key vectors on every execution. The comment on each figure
+    /// gives the earlier value and what it lost.
     fused_allocs_per_txn: f64,
 }
 
@@ -96,8 +97,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 40,
         wide: false,
         golden: [1841, 1244, 272],
-        // 117.6 earlier (117.40 measured): -3.35 `is_leaf` `Vec`s.
-        fused_allocs_per_txn: 114.05,
+        // 114.05 earlier (109.475 measured): -4.575 per-query plan `Vec`s.
+        fused_allocs_per_txn: 109.475,
     },
     Scenario {
         name: "scaling",
@@ -106,8 +107,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 80,
         wide: false,
         golden: [7864, 5938, 964],
-        // 169.0 earlier (168.86 measured): -3.54 `is_leaf` `Vec`s.
-        fused_allocs_per_txn: 165.325,
+        // 165.325 earlier (161.05 measured): -4.275 per-query plan `Vec`s.
+        fused_allocs_per_txn: 161.05,
     },
     Scenario {
         name: "wide",
@@ -116,8 +117,8 @@ const SCENARIOS: [Scenario; 3] = [
         transactions: 50,
         wide: true,
         golden: [5794, 3327, 571],
-        // 230.8 earlier (230.66 measured): -3.92 `is_leaf` `Vec`s.
-        fused_allocs_per_txn: 226.74,
+        // 226.74 earlier (221.88 measured): -4.86 per-query plan `Vec`s.
+        fused_allocs_per_txn: 221.88,
     },
 ];
 
@@ -165,7 +166,11 @@ impl Totals {
         let a0 = ALLOCS.load(Ordering::Relaxed);
         let r = db.apply_delta(table, delta).expect("apply_delta");
         self.allocs += ALLOCS.load(Ordering::Relaxed) - a0;
-        for (sum, x) in self.counters.iter_mut().zip([r.total(), r.paper_cost(), r.queries_posed]) {
+        for (sum, x) in self
+            .counters
+            .iter_mut()
+            .zip([r.total(), r.paper_cost(), r.queries_posed])
+        {
             *sum += x;
         }
         r
@@ -182,24 +187,50 @@ fn per_key_and_fused_agree_hit_the_goldens_and_hold_the_allocation_ceiling() {
         for (table, delta) in mixed_workload(s.departments, s.emps_per_dept, s.transactions, SEED) {
             let r_pk = pk.apply(&mut db_pk, &table, delta.clone());
             let r_fu = fu.apply(&mut db_fu, &table, delta.clone());
-            assert_eq!(r_pk, r_fu, "{name}: reports diverged on {table} delta {delta:?}");
+            assert_eq!(
+                r_pk, r_fu,
+                "{name}: reports diverged on {table} delta {delta:?}"
+            );
         }
 
         let names = materialized_names(&db_pk);
-        assert_eq!(names, materialized_names(&db_fu), "{name}: materialized sets differ");
+        assert_eq!(
+            names,
+            materialized_names(&db_fu),
+            "{name}: materialized sets differ"
+        );
         for table in &names {
             assert_eq!(
-                db_pk.catalog.table(table).expect("per-key table").relation.data(),
-                db_fu.catalog.table(table).expect("fused table").relation.data(),
+                db_pk
+                    .catalog
+                    .table(table)
+                    .expect("per-key table")
+                    .relation
+                    .data(),
+                db_fu
+                    .catalog
+                    .table(table)
+                    .expect("fused table")
+                    .relation
+                    .data(),
                 "{name}: materialized table {table} diverged between modes"
             );
         }
         for db in [&db_pk, &db_fu] {
-            assert!(verify_all_views(db).expect("recompute").is_empty(), "{name}: stale view");
+            assert!(
+                verify_all_views(db).expect("recompute").is_empty(),
+                "{name}: stale view"
+            );
         }
 
-        assert_eq!(pk.counters, s.golden, "{name}: per-key io_total/paper_cost_io/queries_posed");
-        assert_eq!(fu.counters, s.golden, "{name}: fused io_total/paper_cost_io/queries_posed");
+        assert_eq!(
+            pk.counters, s.golden,
+            "{name}: per-key io_total/paper_cost_io/queries_posed"
+        );
+        assert_eq!(
+            fu.counters, s.golden,
+            "{name}: fused io_total/paper_cost_io/queries_posed"
+        );
 
         let per_txn = |t: &Totals| t.allocs as f64 / s.transactions as f64;
         assert!(
@@ -214,6 +245,10 @@ fn per_key_and_fused_agree_hit_the_goldens_and_hold_the_allocation_ceiling() {
             per_txn(&fu),
             per_txn(&pk)
         );
-        eprintln!("{name}: allocs/txn fused {:.1} per-key {:.1}", per_txn(&fu), per_txn(&pk));
+        eprintln!(
+            "{name}: allocs/txn fused {:.1} per-key {:.1}",
+            per_txn(&fu),
+            per_txn(&pk)
+        );
     }
 }

@@ -8,9 +8,10 @@
 //! the aggregates' key elimination decided and the access-free chains
 //! compiled into fused kernels. An update then walks its table's steps,
 //! computing each affected node's delta with the `spacetime-delta` rules —
-//! posing queries through [`QueryExec`] so lookups hit materialized views
-//! exactly where the optimizer assumed — and finally applies the deltas to
-//! every materialized relation, charging the §3.6 update costs.
+//! answering the queries they pose through the [`Access`]es resolved at
+//! compile time, so lookups hit materialized views exactly where the
+//! optimizer assumed — and finally applies the deltas to every
+//! materialized relation, charging the §3.6 update costs.
 //!
 //! I/O is reported per bucket ([`UpdateReport`]) so callers can reproduce
 //! the paper's accounting, which excludes base-relation and top-level-view
@@ -21,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use spacetime_algebra::{ExprNode, ExprTree, FusedProgram, OpKind};
-use spacetime_cost::{CostCtx, Marking, PageIoCostModel, TransactionType};
+use spacetime_cost::{CostCtx, PageIoCostModel, TransactionType};
 use spacetime_delta::{Delta, InputAccess};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_optimizer::tracks::UpdateTrack;
@@ -30,7 +31,7 @@ use spacetime_storage::{Bag, Catalog, IoMeter, StorageResult, Value};
 
 use spacetime_obs::{self as obs, names as metric, TraceNode};
 
-use crate::qexec::{filter_binding, index_key_remap, permuted_key, PlanCache, QueryExec};
+use crate::qexec::{self, filter_binding, index_key_remap, permuted_key, Access, QueryExec};
 use crate::trace::{GroupProbe, GroupRec, QueryRec};
 use crate::{IvmError, IvmResult};
 
@@ -40,21 +41,21 @@ use crate::{IvmError, IvmResult};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PropagationMode {
     /// Every step through the propagation rules, chain steps included: one
-    /// posed query at a time, plans re-costed per key, self-rows found by
-    /// filtering the whole materialization. Not a serving mode: it is the
-    /// reference the test suites hold [`PropagationMode::Fused`]
-    /// bit-identical to.
+    /// posed query at a time, each stored read resolving its index anew,
+    /// self-rows found by filtering the whole materialization. Not a
+    /// serving mode: it is the reference the test suites hold
+    /// [`PropagationMode::Fused`] bit-identical to.
     #[doc(hidden)]
     PerKey,
     /// The production path. Each delta's distinct keys are collected up
     /// front and answered by one batched query per (child, columns), with
-    /// plan choices cached across updates and self-maintenance reads
-    /// answered by index probes. A chain step (an access-free
-    /// `Select`/`Project` chain off the base scan) runs its compiled
-    /// [`spacetime_algebra::FusedProgram`] straight off the base delta
-    /// when its delta is needed, and is skipped otherwise (an interior
-    /// chain group's delta only feeds the next stage, which the kernel
-    /// fuses away). Chains pose no queries and charge no I/O, so nothing
+    /// a stored relation's index resolved once per batch and
+    /// self-maintenance reads answered by index probes. A chain step (an
+    /// access-free `Select`/`Project` chain off the base scan) runs its
+    /// compiled [`spacetime_algebra::FusedProgram`] straight off the base
+    /// delta when its delta is needed, and is skipped otherwise (an
+    /// interior chain group's delta only feeds the next stage, which the
+    /// kernel fuses away). Chains pose no queries and charge no I/O, so nothing
     /// the report counts changes. Tracing runs the same kernels: a needed
     /// chain step records one span carrying its stage count.
     #[default]
@@ -88,9 +89,8 @@ struct Step {
     /// stripped; the propagation rules read only the op and the output
     /// schema).
     node: ExprNode,
-    /// The op's children, each with the slot its delta lives in (`None`
-    /// for a child off the track, which never carries a delta).
-    children: Vec<(GroupId, Option<usize>)>,
+    /// The op's children, in the op's order.
+    children: Vec<Child>,
     /// Key elimination (§3.4) for an aggregate op: its child's delta
     /// covers every row of each group it touches.
     complete: bool,
@@ -100,6 +100,20 @@ struct Step {
     /// steps only, compiled into a kernel [`PropagationMode::Fused`] runs
     /// straight off the base delta.
     chain: Option<Chain>,
+}
+
+/// One child of a compiled step.
+#[derive(Debug)]
+struct Child {
+    group: GroupId,
+    /// The slot its delta lives in; `None` for a child off the track,
+    /// which never carries a delta.
+    slot: Option<usize>,
+    /// The query the step poses on this child when a sibling carries the
+    /// delta (a join's other child on the join columns) or when it does
+    /// (an aggregate's child on the group columns, a distinct's on every
+    /// column), resolved at compile time.
+    access: Option<Access>,
 }
 
 /// A fused chain step.
@@ -217,11 +231,6 @@ pub struct IvmEngine {
     pub creation: Vec<(String, ExprTree)>,
     /// The compiled update track of each base table the DAG reads.
     track_plans: BTreeMap<String, TrackPlan>,
-    /// `materialized`'s keys as the marking posed queries are costed under.
-    marking: Marking,
-    /// Runtime plan choices, filled on first use (unused by the per-key
-    /// reference).
-    plan_cache: PlanCache,
     /// The assertion this engine's view backs (§1, §6: a view required to
     /// be empty), if any.
     pub assertion: Option<String>,
@@ -365,7 +374,7 @@ impl IvmEngine {
             let Some(best) = &probe.best else {
                 continue;
             };
-            let plan = compile_track(&mut ctx, &best.track, &table, leaf, &materialized);
+            let plan = compile_track(&mut ctx, &best.track, &table, leaf, &materialized)?;
             track_plans.insert(table, plan);
         }
 
@@ -375,11 +384,9 @@ impl IvmEngine {
             root,
             roots,
             view_set,
-            marking: materialized.keys().copied().collect(),
             materialized,
             creation: Vec::new(),
             track_plans,
-            plan_cache: PlanCache::default(),
             assertion: None,
         })
     }
@@ -425,11 +432,7 @@ impl IvmEngine {
         };
         obs::counter_add(metric::TRACK_PROPAGATIONS, 1);
         let fused = mode == PropagationMode::Fused;
-        let mut exec =
-            QueryExec::with_marking(&self.memo, catalog, &self.materialized, &self.marking);
-        if fused {
-            exec = exec.with_plans(&self.plan_cache);
-        }
+        let exec = QueryExec::new(catalog);
         // The base delta's slot borrows the caller's delta (never cloned);
         // each step pushes its own, `None` when the update leaves the group
         // alone. Trace records are kept per step, and only when tracing.
@@ -464,10 +467,9 @@ impl IvmEngine {
                     let mut posed = 0u64;
                     let mut probe = trace.then(GroupProbe::default);
                     let out = propagate_group(
-                        catalog,
                         step,
                         &slots,
-                        &mut exec,
+                        &exec,
                         fused,
                         &mut report.query_io,
                         &mut posed,
@@ -512,7 +514,7 @@ impl IvmEngine {
             .filter(|(_, d)| !d.is_empty())
             .collect();
         obs::counter_add(metric::QUERIES_POSED, report.queries_posed);
-        let trace = trace.then(|| self.plan_trace(catalog, table, base_delta, mode, plan, &recs));
+        let trace = trace.then(|| self.plan_trace(table, base_delta, mode, plan, &recs));
         Ok(PlannedUpdate {
             view_deltas,
             report,
@@ -525,7 +527,6 @@ impl IvmEngine {
     /// order.
     fn plan_trace(
         &self,
-        catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
         mode: PropagationMode,
@@ -563,47 +564,13 @@ impl IvmEngine {
                         .with_field("child", format!("N{}", q.child.0))
                         .with_field("cols", format!("{:?}", q.cols))
                         .with_field("keys", q.keys)
-                        .with_field("via", self.access_resolution(catalog, q.child, &q.cols)),
+                        .with_field("via", &q.via),
                 );
             }
             node.wall_ns = Some(rec.wall_ns);
             root.push_child(node);
         }
         root
-    }
-
-    /// How a posed query against `g` on `cols` resolves: an exact index
-    /// probe on the backing table (possibly with permuted key columns), a
-    /// scan/partition of it, or on-the-fly derivation when the group is
-    /// not backed by a stored relation. A static property of the
-    /// pre-update catalog.
-    fn access_resolution(&self, catalog: &Catalog, g: GroupId, cols: &[usize]) -> String {
-        let g = self.memo.find(g);
-        let table = self.materialized.get(&g).cloned().or_else(|| {
-            self.memo.is_leaf(g).then(|| {
-                self.memo.group_ops(g).iter().find_map(|&op| {
-                    match &self.memo.op(op).op {
-                        OpKind::Scan { table } => Some(table.clone()),
-                        _ => None,
-                    }
-                })
-            })?
-        });
-        let Some(table) = table else {
-            return "derived".to_string();
-        };
-        if cols.is_empty() {
-            return format!("scan({table})");
-        }
-        match catalog
-            .table(&table)
-            .ok()
-            .and_then(|t| t.relation.find_exact_index(cols))
-        {
-            Some((_, false)) => format!("index({table})"),
-            Some((_, true)) => format!("index({table}) permuted"),
-            None => format!("scan({table})"),
-        }
     }
 
     /// Phase 2: apply a planned update's view deltas (the base relation is
@@ -663,12 +630,10 @@ impl IvmEngine {
 /// Compute one step's output delta from its children's slots (and the
 /// pre-update catalog). Returns `None` when no child carries a delta (the
 /// group is unaffected this transaction).
-#[allow(clippy::too_many_arguments)]
 fn propagate_group(
-    catalog: &Catalog,
     step: &Step,
     slots: &[Option<Cow<'_, Delta>>],
-    exec: &mut QueryExec<'_>,
+    exec: &QueryExec<'_>,
     batched: bool,
     io: &mut IoMeter,
     posed: &mut u64,
@@ -677,14 +642,10 @@ fn propagate_group(
     // Exactly one child may carry a delta (sequential propagation; a
     // self-join of the updated table would put deltas on both). A child's
     // slot precedes its parent's, so it has been filled already.
-    let mut carriers = step
-        .children
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &(_, slot))| {
-            let d = slots[slot?].as_deref()?;
-            (!d.is_empty()).then_some((i, d))
-        });
+    let mut carriers = step.children.iter().enumerate().filter_map(|(i, child)| {
+        let d = slots[child.slot?].as_deref()?;
+        (!d.is_empty()).then_some((i, d))
+    });
     let Some((delta_child, d_in)) = carriers.next() else {
         return Ok(None);
     };
@@ -696,7 +657,11 @@ fn propagate_group(
     if let Some(p) = probe.as_mut() {
         p.delta_in = d_in.size();
     }
-    let self_mv = step.mv.as_deref().map(|t| catalog.table(t)).transpose()?;
+    let self_mv = step
+        .mv
+        .as_deref()
+        .map(|t| exec.catalog.table(t))
+        .transpose()?;
     let mut access = EngineAccess {
         exec,
         children: &step.children,
@@ -706,22 +671,23 @@ fn propagate_group(
         io,
         posed,
         queries: probe.map(|p| &mut p.queries),
+        unresolved: None,
     };
-    Ok(Some(spacetime_delta::propagate(
-        &step.node,
-        delta_child,
-        d_in,
-        &mut access,
-    )?))
+    let out = spacetime_delta::propagate(&step.node, delta_child, d_in, &mut access);
+    if let Some(msg) = access.unresolved {
+        return Err(IvmError::Internal(msg));
+    }
+    Ok(Some(out?))
 }
 
-/// `InputAccess` over the engine: queries via [`QueryExec`] (charged),
+/// `InputAccess` over the engine: queries through the step's resolved
+/// [`Access`]es, run by [`QueryExec`] (charged),
 /// self-rows from the node's own materialization (uncharged — the
 /// subsequent update application pays for reading the tuple, per §3.6's
 /// "reading, modifying and writing 1 tuple" arithmetic).
 struct EngineAccess<'e, 'c> {
-    exec: &'e mut QueryExec<'c>,
-    children: &'e [(GroupId, Option<usize>)],
+    exec: &'e QueryExec<'c>,
+    children: &'e [Child],
     self_rel: Option<&'e spacetime_storage::Relation>,
     complete: bool,
     batched: bool,
@@ -729,19 +695,40 @@ struct EngineAccess<'e, 'c> {
     posed: &'e mut u64,
     /// When tracing, every posed query is also recorded here.
     queries: Option<&'e mut Vec<QueryRec>>,
+    /// Set when the rules pose a query the step did not resolve.
+    unresolved: Option<String>,
 }
 
-impl EngineAccess<'_, '_> {
-    /// Count `keys` posed queries on `child` (and trace them as one
-    /// record; an empty batch poses nothing — no phantom query).
-    fn note_posed(&mut self, child: usize, cols: &[usize], keys: u64) {
+impl<'e> EngineAccess<'e, '_> {
+    /// The access the step resolved for a query on `child` on `cols`. A
+    /// query it did not resolve is a compile bug, surfaced by
+    /// `propagate_group` as an [`IvmError::Internal`].
+    fn access(&mut self, child: usize, cols: &[usize]) -> StorageResult<&'e Access> {
+        let children: &'e [Child] = self.children;
+        match children.get(child) {
+            Some(Child {
+                access: Some(a), ..
+            }) if a.cols == cols => Ok(a),
+            _ => {
+                let msg = format!("a query on child {child} on {cols:?} the step did not resolve");
+                self.unresolved = Some(msg.clone());
+                Err(spacetime_storage::StorageError::Internal(msg))
+            }
+        }
+    }
+
+    /// Count `keys` posed queries through `access` on `child` (and trace
+    /// them as one record; an empty batch poses nothing — no phantom
+    /// query).
+    fn note_posed(&mut self, child: usize, access: &Access, keys: u64) {
         *self.posed += keys;
         if let Some(q) = self.queries.as_mut() {
             if keys > 0 {
                 q.push(QueryRec {
-                    child: self.children[child].0,
-                    cols: cols.to_vec(),
+                    child: self.children[child].group,
+                    cols: access.cols.clone(),
                     keys,
+                    via: access.via(self.exec.catalog),
                 });
             }
         }
@@ -755,30 +742,26 @@ impl InputAccess for EngineAccess<'_, '_> {
         cols: &[usize],
         keys: &[Vec<Value>],
     ) -> StorageResult<Vec<Cow<'_, Bag>>> {
-        let g = self.children[child].0;
+        let access = self.access(child, cols)?;
         if self.batched {
             // One posed query per binding, same as the per-key path, so the
-            // count is mode-independent (the *plans* differ, not the set of
-            // posed queries — §2.2).
-            self.note_posed(child, cols, keys.len() as u64);
-            return self.exec.query_all(g, cols, keys, self.io);
+            // count is mode-independent (the *execution* differs, not the
+            // set of posed queries — §2.2).
+            self.note_posed(child, access, keys.len() as u64);
+            return self.exec.query_all(access, keys, self.io);
         }
-        // Per-key baseline: pose and plan each query individually. The
-        // executor's answers borrow the catalog, not `self`, so they are
-        // kept across the loop as they are.
+        // Per-key baseline: pose each query individually. The executor's
+        // answers borrow the catalog, not `self`, so they are kept across
+        // the loop as they are.
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
-            self.note_posed(child, cols, 1);
-            out.push(self.exec.query(g, cols, key, self.io)?);
+            self.note_posed(child, access, 1);
+            out.push(self.exec.query(access, key, self.io)?);
         }
         Ok(out)
     }
 
-    fn self_rows(
-        &mut self,
-        cols: &[usize],
-        key: &[Value],
-    ) -> StorageResult<Option<Cow<'_, Bag>>> {
+    fn self_rows(&mut self, cols: &[usize], key: &[Value]) -> StorageResult<Option<Cow<'_, Bag>>> {
         let Some(rel) = self.self_rel else {
             return Ok(None);
         };
@@ -840,16 +823,17 @@ pub(crate) fn default_workload(memo: &Memo, roots: &[GroupId]) -> Vec<Transactio
 }
 
 /// Compile `table`'s chosen track into its [`TrackPlan`]: the track's
-/// groups in topological order, each child resolved to its delta slot,
-/// the aggregates' key elimination decided (from `ctx`'s cached keys),
-/// and every access-free chain compiled into a fused kernel.
+/// groups in topological order, each child resolved to its delta slot and
+/// the query the step can pose on it resolved to an [`Access`], the
+/// aggregates' key elimination decided (from `ctx`'s cached keys), and
+/// every access-free chain compiled into a fused kernel.
 fn compile_track(
     ctx: &mut CostCtx<'_>,
     track: &UpdateTrack,
     table: &str,
     leaf: GroupId,
     materialized: &BTreeMap<GroupId, String>,
-) -> TrackPlan {
+) -> IvmResult<TrackPlan> {
     let memo = ctx.memo;
     let order = topo_order(memo, track);
     // The ops of each access-free chain off the base scan (the leaf's is
@@ -883,6 +867,27 @@ fn compile_track(
                 needed: materialized.contains_key(&g),
             })
         });
+        let slots: Vec<Option<usize>> = children.iter().map(|c| slot_of.get(c).copied()).collect();
+        let mut step_children = Vec::with_capacity(children.len());
+        for (i, &group) in children.iter().enumerate() {
+            let posed = match kind {
+                OpKind::Join { condition } if slots[1 - i].is_some() => Some(if i == 0 {
+                    condition.left_cols()
+                } else {
+                    condition.right_cols()
+                }),
+                OpKind::Aggregate { group_by, .. } => Some(group_by.clone()),
+                OpKind::Distinct => Some((0..memo.schema(g).arity()).collect()),
+                _ => None,
+            };
+            step_children.push(Child {
+                group,
+                slot: slots[i],
+                access: posed
+                    .map(|cols| qexec::resolve(ctx, materialized, group, &cols))
+                    .transpose()?,
+            });
+        }
         steps.push(Step {
             group: g,
             node: ExprNode {
@@ -890,10 +895,7 @@ fn compile_track(
                 children: vec![],
                 schema: memo.schema(g).clone(),
             },
-            children: children
-                .into_iter()
-                .map(|c| (c, slot_of.get(&c).copied()))
-                .collect(),
+            children: step_children,
             complete,
             mv: materialized.get(&g).cloned(),
             chain,
@@ -904,11 +906,7 @@ fn compile_track(
     let fed: Vec<usize> = steps
         .iter()
         .filter(|s| s.chain.is_none())
-        .flat_map(|s| {
-            s.children
-                .iter()
-                .filter_map(|&(_, slot)| slot?.checked_sub(1))
-        })
+        .flat_map(|s| s.children.iter().filter_map(|c| c.slot?.checked_sub(1)))
         .collect();
     for i in fed {
         if let Some(chain) = &mut steps[i].chain {
@@ -916,12 +914,12 @@ fn compile_track(
         }
     }
     let path: Vec<String> = order.iter().map(|g| format!("N{}", g.0)).collect();
-    TrackPlan {
+    Ok(TrackPlan {
         leaf,
         leaf_mv: materialized.contains_key(&leaf),
         steps,
         path: path.join("→"),
-    }
+    })
 }
 
 /// Children-first order of a track's chosen groups and the groups they

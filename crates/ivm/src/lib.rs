@@ -4,9 +4,10 @@
 //! planned, against real storage, with measured page I/Os that are
 //! directly comparable to the optimizer's estimates.
 //!
-//! * [`qexec`] — runtime evaluation of the queries posed during delta
-//!   propagation, picking the same plans the cost model priced (lookups on
-//!   materialized nodes, pushed-down evaluation elsewhere).
+//! * [`qexec`] — the queries posed during delta propagation, planned once
+//!   when a track is compiled, with the same choices the cost model
+//!   priced (lookups on materialized nodes, pushed-down evaluation
+//!   elsewhere), and executed on every update.
 //! * [`engine`] — [`engine::IvmEngine`]: materializes a chosen view set,
 //!   and propagates base-table deltas along the cheapest update tracks,
 //!   maintaining every materialized view and reporting per-bucket I/O.

@@ -1,17 +1,22 @@
-//! Runtime evaluation of posed queries.
+//! Posed queries: resolved once at build, executed on every update.
 //!
 //! During delta propagation, queries are posed on equivalence nodes
-//! (§2.2). This module *executes* them, following the same plan space the
-//! cost model priced: a query on a base relation or materialized view is
-//! an index lookup; a query on any other node is answered through the
+//! (§2.2). Which query a compiled track step can pose is known when the
+//! track is compiled — a join poses its other child on the join columns,
+//! an aggregate its child on the group columns, a distinct its child on
+//! every column — so [`resolve`] plans each of them then, as §3.4's
+//! "standard query optimization problem", with the engine's build-time
+//! [`CostCtx`]: a query on a base relation or materialized view reads the
+//! stored relation; a query on any other node goes through the
 //! operation-node alternative with the lowest estimated cost, pushing the
-//! binding down. Executing the plans the optimizer priced is what makes
-//! the engine's *measured* page I/Os comparable to the *estimated* ones.
+//! binding down, and so on recursively. The result is an [`Access`] tree,
+//! and [`QueryExec`] only runs it: executing the plans the optimizer priced
+//! is what makes the engine's *measured* page I/Os comparable to the
+//! *estimated* ones.
 //!
-//! An executor lives for one update, borrowing the pre-update catalog, and
-//! owns the [`CostCtx`] that prices those alternatives: no caller threads
-//! a cost context through a query. The decisions outlive the executor in
-//! the engine's [`PlanCache`].
+//! Which index answers a stored read is the one choice left to run time
+//! (`Relation::find_exact_index`), so an index created after the view is
+//! still used.
 //!
 //! Answers are `Cow<'a, Bag>` over the catalog's lifetime: a query that
 //! resolves to a stored relation **borrows** the index bucket (or the
@@ -21,201 +26,353 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
-use spacetime_algebra::eval::{aggregate_bag, join_bags};
+use spacetime_algebra::eval::{aggregate_bag, join_bags, project_bag};
 use spacetime_algebra::{JoinCondition, OpKind, ScalarExpr};
-use spacetime_cost::{Cost, CostCtx, Marking, PageIoCostModel};
+use spacetime_cost::{Cost, CostCtx, Marking};
 use spacetime_memo::{GroupId, Memo, OpId};
-use spacetime_obs::{self as obs, names as metric};
 use spacetime_storage::{
-    Bag, Catalog, FxHashMap, HashIndex, IoMeter, Relation, StorageError, StorageResult, Value,
+    Bag, Catalog, HashIndex, IoMeter, Relation, StorageError, StorageResult, Value,
 };
 
-/// Cached runtime plan decisions, shared across updates.
-///
-/// [`CostCtx`] borrows the catalog, which is mutated on every commit, so
-/// the *context* cannot outlive one update — but the *decisions* it
-/// produces depend only on the memo, the marking, and table statistics,
-/// and statistics change only on `analyze()`. Caching the chosen `OpId`
-/// per (group, bound columns) therefore reproduces exactly the plan a
-/// fresh cost context would pick, while skipping the costing recursion on
-/// every posed query after the first.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    /// Best op per (group, bound column set); `None` = group has no ops.
-    bound: Mutex<BoundPlans>,
-    /// Best op per group for a full (unbound) evaluation.
-    full: Mutex<FxHashMap<GroupId, Option<OpId>>>,
+use crate::{IvmError, IvmResult};
+
+/// A posed query resolved at build: how "the tuples of a group whose
+/// `cols` equal a key" is answered — all of the group's tuples when `cols`
+/// is empty.
+#[derive(Debug)]
+pub struct Access {
+    /// The bound columns (empty: the whole group).
+    pub(crate) cols: Vec<usize>,
+    plan: Plan,
 }
 
-type BoundPlans = FxHashMap<GroupId, FxHashMap<Vec<usize>, Option<OpId>>>;
-
-/// Executes queries over the DAG against the catalog.
-pub struct QueryExec<'a> {
-    /// The expression DAG.
-    pub memo: &'a Memo,
-    /// Storage (base tables and materialized views).
-    pub catalog: &'a Catalog,
-    /// Materialized groups → backing table name.
-    pub materialized: &'a BTreeMap<GroupId, String>,
-    /// The same set as a cost-model marking (an engine lends the one it
-    /// built once; a standalone executor collects its own).
-    pub marking: Cow<'a, Marking>,
-    /// Cached plan choices (batched data plane); `None` re-costs per query.
-    plans: Option<&'a PlanCache>,
-    /// Prices the alternatives of a non-stored node under
-    /// [`PageIoCostModel::PAPER`]; its estimates are memoized for the
-    /// executor's lifetime (one update, on the engine's path).
-    ctx: CostCtx<'a>,
+#[derive(Debug)]
+enum Plan {
+    /// A base table or materialized view, read where it lies: an index
+    /// probe when an index fits the columns, a scan otherwise.
+    Stored(String),
+    /// A group with no alternative: every answer is empty.
+    Empty,
+    /// Through one op of the group, over its inputs' accesses: bound on
+    /// the same key where the binding pushes through the op column for
+    /// column, whole otherwise (and always, for a join's).
+    Op { op: OpKind, inputs: Vec<Access> },
+    /// A bound join: the side holding the binding is queried on its part
+    /// of the key, the other side probed once per distinct join key.
+    Probe {
+        condition: JoinCondition,
+        drive_left: bool,
+        /// The positions of the binding's key that the driving side is
+        /// queried on.
+        outer_key: Vec<usize>,
+        outer: Box<Access>,
+        /// The driving side's join columns, read off each of its tuples.
+        outer_join_cols: Vec<usize>,
+        inner: Box<Access>,
+    },
 }
 
-impl<'a> QueryExec<'a> {
-    /// Build an executor for a set of materializations.
-    pub fn new(
-        memo: &'a Memo,
-        catalog: &'a Catalog,
-        materialized: &'a BTreeMap<GroupId, String>,
-    ) -> Self {
-        QueryExec {
-            memo,
-            catalog,
-            materialized,
-            marking: Cow::Owned(materialized.keys().copied().collect()),
-            plans: None,
-            ctx: CostCtx::new(memo, catalog, &PageIoCostModel::PAPER),
-        }
-    }
-
-    /// The engine's executor: `marking` is `materialized`'s key set, built
-    /// once per engine instead of once per update.
-    pub(crate) fn with_marking(
-        memo: &'a Memo,
-        catalog: &'a Catalog,
-        materialized: &'a BTreeMap<GroupId, String>,
-        marking: &'a Marking,
-    ) -> Self {
-        QueryExec {
-            memo,
-            catalog,
-            materialized,
-            marking: Cow::Borrowed(marking),
-            plans: None,
-            ctx: CostCtx::new(memo, catalog, &PageIoCostModel::PAPER),
-        }
-    }
-
-    /// Reuse cached plan decisions across posed queries and updates.
-    pub fn with_plans(mut self, plans: &'a PlanCache) -> Self {
-        self.plans = Some(plans);
-        self
-    }
-
-    /// All tuples of `g` whose `cols` equal `key`: borrowed from storage
-    /// when `g` is a stored relation, owned when derived.
-    pub fn query(
-        &mut self,
-        g: GroupId,
-        cols: &[usize],
-        key: &[Value],
-        io: &mut IoMeter,
-    ) -> StorageResult<Cow<'a, Bag>> {
-        let g = self.memo.find(g);
-        if cols.is_empty() {
-            return self.full_eval(g, io);
-        }
-        if let Some(table) = self.backing_table(g) {
-            return self.stored_lookup(table, cols, key, io);
-        }
-        let Some(op) = self.best_query_op(g, cols) else {
-            return Ok(Cow::Borrowed(Bag::empty()));
+impl Access {
+    /// How the access reads its group, as the propagation trace renders
+    /// it: an exact index probe of the stored relation (possibly with
+    /// permuted key columns), a scan of it, or `derived` through an
+    /// operator.
+    pub(crate) fn via(&self, catalog: &Catalog) -> String {
+        let Plan::Stored(table) = &self.plan else {
+            return "derived".to_string();
         };
-        self.query_via_op(op, cols, key, io)
+        if self.cols.is_empty() {
+            return format!("scan({table})");
+        }
+        match catalog
+            .table(table)
+            .ok()
+            .and_then(|t| t.relation.find_exact_index(&self.cols))
+        {
+            Some((_, false)) => format!("index({table})"),
+            Some((_, true)) => format!("index({table}) permuted"),
+            None => format!("scan({table})"),
+        }
     }
+}
 
-    /// Batched variant of [`QueryExec::query`]: answer one posed query per
-    /// key — answer `i` is `keys[i]`'s — resolving the plan (and any index
-    /// choice) once for the whole batch. Charges exactly the I/O the
-    /// per-key path would — batching is a wall-clock optimization, never
-    /// an accounting one.
-    pub fn query_all(
-        &mut self,
-        g: GroupId,
-        cols: &[usize],
-        keys: &[Vec<Value>],
-        io: &mut IoMeter,
-    ) -> StorageResult<Vec<Cow<'a, Bag>>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let g = self.memo.find(g);
-        if cols.is_empty() {
-            return keys.iter().map(|_| self.full_eval(g, io)).collect();
-        }
-        if let Some(table) = self.backing_table(g) {
-            return self.stored_lookup_all(table, cols, keys, io);
-        }
-        let Some(op) = self.best_query_op(g, cols) else {
-            return Ok(vec![Cow::Borrowed(Bag::empty()); keys.len()]);
-        };
-        keys.iter()
-            .map(|key| self.query_via_op(op, cols, key, io))
-            .collect()
+/// Resolve the query "tuples of `g` whose `cols` equal a key" (all of
+/// `g` when `cols` is empty) under the materializations `materialized`,
+/// choosing at every derived node the alternative `ctx` prices cheapest
+/// (the first strictly cheaper op wins, as in the costing loop). A node
+/// revisited on its own resolution path is an [`IvmError::Internal`], as
+/// the cost model's guard prices it infinite.
+pub fn resolve(
+    ctx: &mut CostCtx<'_>,
+    materialized: &BTreeMap<GroupId, String>,
+    g: GroupId,
+    cols: &[usize],
+) -> IvmResult<Access> {
+    let marking: Marking = materialized.keys().copied().collect();
+    Resolver {
+        ctx,
+        materialized,
+        marking,
+        path: Vec::new(),
     }
+    .resolve(g, cols)
+}
 
-    /// The cheapest alternative for answering a bound query on `g`,
-    /// exactly as the optimizer priced it (first strictly-cheaper op wins,
-    /// matching the costing loop's tie-break). Cached when a [`PlanCache`]
-    /// is attached.
-    fn best_query_op(&mut self, g: GroupId, cols: &[usize]) -> Option<OpId> {
-        if let Some(pc) = self.plans {
-            obs::counter_add(metric::PLAN_CACHE_LOOKUPS, 1);
-            let cache = pc.bound.lock().unwrap_or_else(|e| e.into_inner());
-            // Borrowed lookup: `Vec<usize>: Borrow<[usize]>`, so a cache
-            // hit never allocates a key.
-            if let Some(&choice) = cache.get(&g).and_then(|per_cols| per_cols.get(cols)) {
-                obs::counter_add(metric::PLAN_CACHE_HITS, 1);
-                return choice;
+struct Resolver<'r, 'c> {
+    ctx: &'r mut CostCtx<'c>,
+    materialized: &'r BTreeMap<GroupId, String>,
+    marking: Marking,
+    /// The groups being resolved, outermost first.
+    path: Vec<GroupId>,
+}
+
+impl Resolver<'_, '_> {
+    fn resolve(&mut self, g: GroupId, cols: &[usize]) -> IvmResult<Access> {
+        let memo = self.ctx.memo;
+        let g = memo.find(g);
+        let plan = if let Some(table) = stored_table(memo, self.materialized, g) {
+            Plan::Stored(table)
+        } else {
+            match self.best_op(g, cols) {
+                None => Plan::Empty,
+                Some(op) => {
+                    if self.path.contains(&g) {
+                        return Err(IvmError::Internal(format!(
+                            "the query on N{} {cols:?} reaches N{} again",
+                            self.path[0].0, g.0
+                        )));
+                    }
+                    self.path.push(g);
+                    let plan = self.derive(op, cols);
+                    self.path.pop();
+                    plan?
+                }
             }
-            obs::counter_add(metric::PLAN_CACHE_MISSES, 1);
-        }
+        };
+        Ok(Access {
+            cols: cols.to_vec(),
+            plan,
+        })
+    }
+
+    /// The cheapest alternative of `g` for a bound query on `cols`, or for
+    /// a full evaluation (the sum of its children's) when `cols` is empty.
+    fn best_op(&mut self, g: GroupId, cols: &[usize]) -> Option<OpId> {
+        let memo = self.ctx.memo;
         let mut best: Option<(Cost, OpId)> = None;
-        for op in self.memo.group_ops(g) {
-            let c = self.ctx.op_query_cost(op, cols, &self.marking);
+        for op in memo.group_ops(g) {
+            let c = if cols.is_empty() {
+                memo.op_children(op)
+                    .into_iter()
+                    .map(|c| self.ctx.full_eval_cost(c, &self.marking))
+                    .sum()
+            } else {
+                self.ctx.op_query_cost(op, cols, &self.marking)
+            };
             if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
                 best = Some((c, op));
             }
         }
-        let choice = best.map(|(_, op)| op);
-        if let Some(pc) = self.plans {
-            pc.bound
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .entry(g)
-                .or_default()
-                .insert(cols.to_vec(), choice);
-        }
-        choice
+        best.map(|(_, op)| op)
     }
 
-    /// The stored relation backing `g`, if any (base table or MV).
-    fn backing_table(&self, g: GroupId) -> Option<&'a str> {
-        let g = self.memo.find(g);
-        if let Some(t) = self.materialized.get(&g) {
-            return Some(t.as_str());
-        }
-        if self.memo.is_leaf(g) {
-            for op in self.memo.group_ops(g) {
-                if let OpKind::Scan { table } = &self.memo.op(op).op {
-                    return Some(table.as_str());
+    fn derive(&mut self, op: OpId, cols: &[usize]) -> IvmResult<Plan> {
+        let memo = self.ctx.memo;
+        let children = memo.op_children(op);
+        let kind = &memo.op(op).op;
+        // Each input's bound columns; `None` evaluates it whole.
+        let pushed: Option<Vec<usize>> = match kind {
+            OpKind::Join { condition } if !cols.is_empty() => {
+                return self.derive_probe(condition, &children, cols);
+            }
+            OpKind::Scan { .. } | OpKind::Join { .. } => None,
+            OpKind::Select { .. } | OpKind::Distinct => Some(cols.to_vec()),
+            OpKind::Project { exprs } => cols
+                .iter()
+                .map(|&c| match exprs.get(c) {
+                    Some((ScalarExpr::Col(i), _)) => Some(*i),
+                    _ => None,
+                })
+                .collect(),
+            OpKind::Aggregate { group_by, .. } => {
+                cols.iter().map(|&c| group_by.get(c).copied()).collect()
+            }
+        };
+        let pushed = pushed.unwrap_or_default();
+        let inputs = children
+            .into_iter()
+            .map(|c| self.resolve(c, &pushed))
+            .collect::<IvmResult<_>>()?;
+        Ok(Plan::Op {
+            op: kind.clone(),
+            inputs,
+        })
+    }
+
+    /// A bound join drives from the side the binding lies on (the left
+    /// when it lies on both) and probes the other on the join columns.
+    fn derive_probe(
+        &mut self,
+        condition: &JoinCondition,
+        children: &[GroupId],
+        cols: &[usize],
+    ) -> IvmResult<Plan> {
+        let la = self.ctx.memo.schema(children[0]).arity();
+        let on_left = |&(_, &c): &(usize, &usize)| c < la;
+        let drive_left = cols.iter().enumerate().any(|p| on_left(&p))
+            || cols.iter().enumerate().all(|p| on_left(&p));
+        let (outer_key, outer_cols): (Vec<usize>, Vec<usize>) = cols
+            .iter()
+            .enumerate()
+            .filter(|p| on_left(p) == drive_left)
+            .map(|(i, &c)| (i, if drive_left { c } else { c - la }))
+            .unzip();
+        let (l, r) = (condition.left_cols(), condition.right_cols());
+        let ((outer_join_cols, outer_group), (inner_cols, inner_group)) = if drive_left {
+            ((l, children[0]), (r, children[1]))
+        } else {
+            ((r, children[1]), (l, children[0]))
+        };
+        Ok(Plan::Probe {
+            condition: condition.clone(),
+            drive_left,
+            outer_key,
+            outer: Box::new(self.resolve(outer_group, &outer_cols)?),
+            outer_join_cols,
+            inner: Box::new(self.resolve(inner_group, &inner_cols)?),
+        })
+    }
+}
+
+/// The stored relation backing `g`, if any: its materialization, or the
+/// base table a leaf scans.
+fn stored_table(
+    memo: &Memo,
+    materialized: &BTreeMap<GroupId, String>,
+    g: GroupId,
+) -> Option<String> {
+    if let Some(t) = materialized.get(&g) {
+        return Some(t.clone());
+    }
+    if !memo.is_leaf(g) {
+        return None;
+    }
+    memo.group_ops(g)
+        .into_iter()
+        .find_map(|op| match &memo.op(op).op {
+            OpKind::Scan { table } => Some(table.clone()),
+            _ => None,
+        })
+}
+
+/// Runs resolved [`Access`]es against one pre-update catalog.
+pub struct QueryExec<'a> {
+    /// Storage (base tables and materialized views).
+    pub catalog: &'a Catalog,
+}
+
+impl<'a> QueryExec<'a> {
+    /// An executor over `catalog`.
+    pub fn new(catalog: &'a Catalog) -> Self {
+        QueryExec { catalog }
+    }
+
+    /// All tuples `access` answers for `key` (ignored when the access is
+    /// unbound): borrowed from storage when the access reads a stored
+    /// relation, owned when derived.
+    pub fn query(
+        &self,
+        access: &Access,
+        key: &[Value],
+        io: &mut IoMeter,
+    ) -> StorageResult<Cow<'a, Bag>> {
+        let cols = access.cols.as_slice();
+        let derived = match &access.plan {
+            Plan::Stored(table) => return self.stored_lookup(table, cols, key, io),
+            Plan::Empty => return Ok(Cow::Borrowed(Bag::empty())),
+            Plan::Op { op, inputs } => {
+                // A whole input ignores the key, so every input is handed it.
+                let mut input = |i: usize| self.query(&inputs[i], key, io);
+                match op {
+                    OpKind::Scan { table } => return self.stored_lookup(table, cols, key, io),
+                    OpKind::Select { predicate } => filter_pred(&*input(0)?, predicate)?,
+                    OpKind::Distinct => input(0)?.iter().map(|(t, _)| (t.clone(), 1)).collect(),
+                    OpKind::Project { exprs } => bind(project_bag(&*input(0)?, exprs)?, cols, key),
+                    OpKind::Aggregate { group_by, aggs } => {
+                        bind(aggregate_bag(&*input(0)?, group_by, aggs)?, cols, key)
+                    }
+                    OpKind::Join { condition } => join_bags(&*input(0)?, &*input(1)?, condition)?,
                 }
             }
+            Plan::Probe {
+                condition,
+                drive_left,
+                outer_key,
+                outer,
+                outer_join_cols,
+                inner,
+            } => {
+                let outer = self.query(outer, &permuted_key(outer_key, key)?, io)?;
+                let mut cache: BTreeMap<Vec<Value>, Cow<'a, Bag>> = BTreeMap::new();
+                let mut out = Bag::new();
+                // One probe buffer reused across outer tuples; match bags
+                // are borrowed from the cache, never cloned per tuple.
+                let mut probe: Vec<Value> = Vec::with_capacity(outer_join_cols.len());
+                for (t, c) in outer.iter() {
+                    probe.clear();
+                    probe.extend(
+                        outer_join_cols
+                            .iter()
+                            .map(|&mc| t.get(mc).cloned().unwrap_or(Value::Null)),
+                    );
+                    if probe.iter().any(Value::is_null) {
+                        continue;
+                    }
+                    if !cache.contains_key(probe.as_slice()) {
+                        let m = self.query(inner, &probe, io)?;
+                        cache.insert(probe.clone(), m);
+                    }
+                    for (o, oc) in cache[probe.as_slice()].iter() {
+                        let joined = if *drive_left {
+                            t.concat(o)
+                        } else {
+                            o.concat(t)
+                        };
+                        if let Some(res) = &condition.residual {
+                            if !res.eval_predicate(&joined)? {
+                                continue;
+                            }
+                        }
+                        out.insert(joined, c * oc);
+                    }
+                }
+                filter_binding(&out, cols, key)
+            }
+        };
+        Ok(Cow::Owned(derived))
+    }
+
+    /// Batched variant of [`QueryExec::query`]: answer `i` is `keys[i]`'s,
+    /// with a stored relation's index resolved once for the whole batch.
+    /// Charges exactly the I/O the per-key path would — batching is a
+    /// wall-clock optimization, never an accounting one.
+    pub fn query_all(
+        &self,
+        access: &Access,
+        keys: &[Vec<Value>],
+        io: &mut IoMeter,
+    ) -> StorageResult<Vec<Cow<'a, Bag>>> {
+        match &access.plan {
+            Plan::Stored(table) if !access.cols.is_empty() && !keys.is_empty() => {
+                self.stored_lookup_all(table, &access.cols, keys, io)
+            }
+            _ => keys.iter().map(|key| self.query(access, key, io)).collect(),
         }
-        None
     }
 
     /// Index lookup (or filtered scan when no index fits) on a stored
-    /// relation.
+    /// relation; a scan where it lies when `cols` is empty.
     fn stored_lookup(
         &self,
         table: &str,
@@ -224,6 +381,9 @@ impl<'a> QueryExec<'a> {
         io: &mut IoMeter,
     ) -> StorageResult<Cow<'a, Bag>> {
         let rel = &self.catalog.table(table)?.relation;
+        if cols.is_empty() {
+            return Ok(Cow::Borrowed(rel.scan(io)));
+        }
         match rel.find_exact_index(cols) {
             // Order-matching index: probe with the key verbatim.
             Some((idx, false)) => Ok(Cow::Borrowed(rel.lookup(idx, key, io))),
@@ -280,206 +440,6 @@ impl<'a> QueryExec<'a> {
             }
         }
     }
-
-    fn query_via_op(
-        &mut self,
-        op: OpId,
-        cols: &[usize],
-        key: &[Value],
-        io: &mut IoMeter,
-    ) -> StorageResult<Cow<'a, Bag>> {
-        // Borrow the op node rather than cloning it: `OpKind` owns
-        // predicate/expression trees, and this runs once per posed query.
-        let node = &self.memo.op(op).op;
-        let children = self.memo.op_children(op);
-        let derived = match node {
-            OpKind::Scan { table } => return self.stored_lookup(table, cols, key, io),
-            OpKind::Select { predicate } => {
-                let r = self.query(children[0], cols, key, io)?;
-                filter_pred(&r, predicate)?
-            }
-            OpKind::Distinct => {
-                let r = self.query(children[0], cols, key, io)?;
-                r.iter().map(|(t, _)| (t.clone(), 1)).collect()
-            }
-            OpKind::Project { exprs } => {
-                let mapped: Option<Vec<usize>> = cols
-                    .iter()
-                    .map(|&c| match exprs.get(c) {
-                        Some((ScalarExpr::Col(i), _)) => Some(*i),
-                        _ => None,
-                    })
-                    .collect();
-                let input = match mapped {
-                    Some(m) => self.query(children[0], &m, key, io)?,
-                    None => self.full_eval(children[0], io)?,
-                };
-                let projected = spacetime_algebra::eval::project_bag(&input, exprs)?;
-                filter_binding(&projected, cols, key)
-            }
-            OpKind::Aggregate { group_by, aggs } => {
-                let mapped: Option<Vec<usize>> =
-                    cols.iter().map(|&c| group_by.get(c).copied()).collect();
-                let input = match mapped {
-                    Some(m) => self.query(children[0], &m, key, io)?,
-                    None => self.full_eval(children[0], io)?,
-                };
-                let out = aggregate_bag(&input, group_by, aggs)?;
-                filter_binding(&out, cols, key)
-            }
-            OpKind::Join { condition } => self.query_join(condition, children, cols, key, io)?,
-        };
-        Ok(Cow::Owned(derived))
-    }
-
-    fn query_join(
-        &mut self,
-        condition: &JoinCondition,
-        children: Vec<GroupId>,
-        cols: &[usize],
-        key: &[Value],
-        io: &mut IoMeter,
-    ) -> StorageResult<Bag> {
-        let (a, b) = (children[0], children[1]);
-        let la = self.memo.schema(a).arity();
-        let lp: Vec<(usize, Value)> = cols
-            .iter()
-            .zip(key)
-            .filter(|(&c, _)| c < la)
-            .map(|(&c, v)| (c, v.clone()))
-            .collect();
-        let rp: Vec<(usize, Value)> = cols
-            .iter()
-            .zip(key)
-            .filter(|(&c, _)| c >= la)
-            .map(|(&c, v)| (c - la, v.clone()))
-            .collect();
-        let lcols = condition.left_cols();
-        let rcols = condition.right_cols();
-
-        // Drive from the bound side; probe the other per distinct join key.
-        let (drive_left, outer) = if rp.is_empty() || !lp.is_empty() {
-            let (c, k): (Vec<usize>, Vec<Value>) = lp.iter().cloned().unzip();
-            (true, self.query(a, &c, &k, io)?)
-        } else {
-            let (c, k): (Vec<usize>, Vec<Value>) = rp.iter().cloned().unzip();
-            (false, self.query(b, &c, &k, io)?)
-        };
-
-        let (my_cols, other_cols, other_group) = if drive_left {
-            (&lcols, &rcols, b)
-        } else {
-            (&rcols, &lcols, a)
-        };
-        let mut cache: BTreeMap<Vec<Value>, Cow<'a, Bag>> = BTreeMap::new();
-        let mut out = Bag::new();
-        // One probe buffer reused across outer tuples; match bags are
-        // borrowed from the cache, never cloned per tuple.
-        let mut probe: Vec<Value> = Vec::with_capacity(my_cols.len());
-        for (t, c) in outer.iter() {
-            probe.clear();
-            let mut null = false;
-            for &mc in my_cols.iter() {
-                let v = t.get(mc).cloned().unwrap_or(Value::Null);
-                if v.is_null() {
-                    null = true;
-                    break;
-                }
-                probe.push(v);
-            }
-            if null {
-                continue;
-            }
-            if !cache.contains_key(probe.as_slice()) {
-                let m = self.query(other_group, other_cols, &probe, io)?;
-                cache.insert(probe.clone(), m);
-            }
-            let matches = &cache[probe.as_slice()];
-            for (o, oc) in matches.iter() {
-                let joined = if drive_left { t.concat(o) } else { o.concat(t) };
-                if let Some(res) = &condition.residual {
-                    if !res.eval_predicate(&joined)? {
-                        continue;
-                    }
-                }
-                out.insert(joined, c * oc);
-            }
-        }
-        Ok(filter_binding(&out, cols, key))
-    }
-
-    /// Cheapest full evaluation among the alternatives; mirrors the cost
-    /// model by summing children's full-eval costs. Cached when a
-    /// [`PlanCache`] is attached.
-    fn best_full_op(&mut self, g: GroupId) -> Option<OpId> {
-        if let Some(pc) = self.plans {
-            obs::counter_add(metric::PLAN_CACHE_LOOKUPS, 1);
-            let cache = pc.full.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(&choice) = cache.get(&g) {
-                obs::counter_add(metric::PLAN_CACHE_HITS, 1);
-                return choice;
-            }
-            obs::counter_add(metric::PLAN_CACHE_MISSES, 1);
-        }
-        let mut best: Option<(Cost, OpId)> = None;
-        for op in self.memo.group_ops(g) {
-            let cost: Cost = self
-                .memo
-                .op_children(op)
-                .into_iter()
-                .map(|c| self.ctx.full_eval_cost(c, &self.marking))
-                .sum();
-            if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                best = Some((cost, op));
-            }
-        }
-        let choice = best.map(|(_, op)| op);
-        if let Some(pc) = self.plans {
-            pc.full.lock().unwrap_or_else(|e| e.into_inner()).insert(g, choice);
-        }
-        choice
-    }
-
-    /// Fully evaluate a group (used when a binding cannot be pushed). A
-    /// stored relation is scanned where it lies — charged, not copied.
-    pub fn full_eval(&mut self, g: GroupId, io: &mut IoMeter) -> StorageResult<Cow<'a, Bag>> {
-        let g = self.memo.find(g);
-        if let Some(table) = self.backing_table(g) {
-            return Ok(Cow::Borrowed(self.catalog.table(table)?.relation.scan(io)));
-        }
-        let Some(op) = self.best_full_op(g) else {
-            return Ok(Cow::Borrowed(Bag::empty()));
-        };
-        let node = &self.memo.op(op).op;
-        let children = self.memo.op_children(op);
-        let derived = match node {
-            OpKind::Scan { table } => {
-                return Ok(Cow::Borrowed(self.catalog.table(table)?.relation.scan(io)));
-            }
-            OpKind::Select { predicate } => {
-                let input = self.full_eval(children[0], io)?;
-                filter_pred(&input, predicate)?
-            }
-            OpKind::Project { exprs } => {
-                let input = self.full_eval(children[0], io)?;
-                spacetime_algebra::eval::project_bag(&input, exprs)?
-            }
-            OpKind::Distinct => {
-                let input = self.full_eval(children[0], io)?;
-                input.iter().map(|(t, _)| (t.clone(), 1)).collect()
-            }
-            OpKind::Aggregate { group_by, aggs } => {
-                let input = self.full_eval(children[0], io)?;
-                aggregate_bag(&input, group_by, aggs)?
-            }
-            OpKind::Join { condition } => {
-                let left = self.full_eval(children[0], io)?;
-                let right = self.full_eval(children[1], io)?;
-                join_bags(&left, &right, condition)?
-            }
-        };
-        Ok(Cow::Owned(derived))
-    }
 }
 
 /// The positions in `cols` of each of index `idx`'s key columns. An exact
@@ -527,6 +487,15 @@ pub fn filter_binding(bag: &Bag, cols: &[usize], key: &[Value]) -> Bag {
         })
         .map(|(t, c)| (t.clone(), c))
         .collect()
+}
+
+/// [`filter_binding`], skipped for an unbound answer.
+fn bind(bag: Bag, cols: &[usize], key: &[Value]) -> Bag {
+    if cols.is_empty() {
+        bag
+    } else {
+        filter_binding(&bag, cols, key)
+    }
 }
 
 fn filter_pred(bag: &Bag, predicate: &ScalarExpr) -> StorageResult<Bag> {

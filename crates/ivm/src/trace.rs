@@ -27,6 +27,8 @@ pub(crate) struct QueryRec {
     /// Distinct keys answered (1 per call in per-key mode; the batch size
     /// for a batched `matching_all`).
     pub keys: u64,
+    /// How the query's resolved access reads its child (`Access::via`).
+    pub via: String,
 }
 
 /// Per-group recording slot threaded through `propagate_group`.

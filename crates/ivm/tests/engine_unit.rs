@@ -2,9 +2,10 @@
 //! paths, engine planning/commit phases, and report accounting.
 
 use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ScalarExpr};
+use spacetime_cost::{CostCtx, PageIoCostModel};
 use spacetime_delta::{Delta, UndoLog};
 use spacetime_ivm::engine::IvmEngine;
-use spacetime_ivm::qexec::QueryExec;
+use spacetime_ivm::qexec::{self, QueryExec};
 use spacetime_ivm::UpdateReport;
 use spacetime_memo::{explore, Memo};
 use spacetime_optimizer::ViewSet;
@@ -96,11 +97,11 @@ fn qexec_leaf_lookup_uses_index() {
             })
         })
         .unwrap();
-    let mats = Default::default();
-    let mut exec = QueryExec::new(&memo, &cat, &mats);
+    let mut ctx = CostCtx::new(&memo, &cat, &PageIoCostModel::PAPER);
+    let access = qexec::resolve(&mut ctx, &Default::default(), emp_group, &[1]).unwrap();
     let mut io = IoMeter::new();
-    let hits = exec
-        .query(emp_group, &[1], &[Value::str("y")], &mut io)
+    let hits = QueryExec::new(&cat)
+        .query(&access, &[Value::str("y")], &mut io)
         .unwrap();
     assert_eq!(hits.len(), 2);
     assert!(
@@ -119,10 +120,12 @@ fn qexec_pushes_binding_through_aggregate() {
         let op = memo.group_ops(root)[0];
         memo.op_children(op)[0]
     };
-    let mats = Default::default();
-    let mut exec = QueryExec::new(&memo, &cat, &mats);
+    let mut ctx = CostCtx::new(&memo, &cat, &PageIoCostModel::PAPER);
+    let access = qexec::resolve(&mut ctx, &Default::default(), n2, &[0]).unwrap();
     let mut io = IoMeter::new();
-    let rows = exec.query(n2, &[0], &[Value::str("y")], &mut io).unwrap();
+    let rows = QueryExec::new(&cat)
+        .query(&access, &[Value::str("y")], &mut io)
+        .unwrap();
     assert_eq!(rows.len(), 1);
     assert!(
         matches!(rows, std::borrow::Cow::Owned(_)),
@@ -137,10 +140,10 @@ fn qexec_pushes_binding_through_aggregate() {
 fn qexec_full_eval_matches_executor() {
     let cat = catalog();
     let (memo, root) = sum_view(&cat);
-    let mats = Default::default();
-    let mut exec = QueryExec::new(&memo, &cat, &mats);
+    let mut ctx = CostCtx::new(&memo, &cat, &PageIoCostModel::PAPER);
+    let access = qexec::resolve(&mut ctx, &Default::default(), root, &[]).unwrap();
     let mut io = IoMeter::new();
-    let got = exec.full_eval(root, &mut io).unwrap();
+    let got = QueryExec::new(&cat).query(&access, &[], &mut io).unwrap();
     let reference = spacetime_algebra::eval_uncharged(&memo.extract_one(root), &cat).unwrap();
     assert_eq!(*got, reference);
     // y: 70 > 25 — the only over-budget department.
@@ -219,7 +222,10 @@ fn commit_report_contains_only_apply_io() {
     let engine = IvmEngine::build("V", memo, root, set, &mut cat).unwrap();
     let delta = Delta::modify(tuple!["e", "z", 50], tuple!["e", "z", 70], 1);
     let planned = engine.plan_update(&cat, "Emp", &delta).unwrap();
-    assert!(planned.report.query_io.total() > 0, "planning poses queries");
+    assert!(
+        planned.report.query_io.total() > 0,
+        "planning poses queries"
+    );
     assert!(planned.report.queries_posed > 0);
     let commit = engine
         .commit_in_place(&mut cat, &planned, &mut UndoLog::new())
@@ -319,5 +325,56 @@ fn a_bare_table_view_is_maintained() {
             "{view}"
         );
     }
+    assert!(verify_all_views(&db).unwrap().is_empty());
+}
+
+/// Which index answers a posed query stays a run-time decision: the op
+/// choices are fixed when the track is compiled, but a stored read looks
+/// for an index on every query, so an index created after the view exists
+/// turns the next update's scan into a lookup.
+#[test]
+fn an_index_created_after_the_view_is_used() {
+    use spacetime_ivm::{verify_all_views, Database, ViewSelection};
+    let mut db = Database::new();
+    db.set_view_selection(ViewSelection::RootOnly);
+    db.execute_sql(
+        "CREATE TABLE Emp (E INTEGER PRIMARY KEY, D INTEGER, S INTEGER);
+         CREATE TABLE Dept (D INTEGER PRIMARY KEY, B INTEGER)",
+    )
+    .unwrap();
+    let (depts, per_dept) = (20_i64, 10_i64);
+    for d in 0..depts {
+        db.apply_delta("Dept", Delta::insert(tuple![d, 1000], 1))
+            .unwrap();
+        for e in 0..per_dept {
+            db.apply_delta("Emp", Delta::insert(tuple![d * per_dept + e, d, 100], 1))
+                .unwrap();
+        }
+    }
+    // A Dept update poses one query on Emp's unindexed `D` column.
+    db.execute_sql(
+        "CREATE MATERIALIZED VIEW Staff AS SELECT E, Emp.D, B FROM Emp, Dept \
+         WHERE Emp.D = Dept.D",
+    )
+    .unwrap();
+    let budget = |d: i64, old: i64, new: i64| Delta::modify(tuple![d, old], tuple![d, new], 1);
+    let scanned = db.apply_delta("Dept", budget(3, 1000, 2000)).unwrap();
+    let emp_pages = db.catalog.table("Emp").unwrap().relation.pages();
+    assert_eq!(scanned.queries_posed, 1);
+    assert_eq!(
+        scanned.query_io.total(),
+        emp_pages,
+        "no index: the query scans Emp"
+    );
+
+    db.execute_sql("CREATE INDEX ON Emp (D)").unwrap();
+    let looked_up = db.apply_delta("Dept", budget(4, 1000, 2000)).unwrap();
+    assert_eq!(looked_up.queries_posed, 1);
+    assert_eq!(
+        looked_up.query_io.total(),
+        1 + per_dept as u64,
+        "the new index: one index page and one page per matching Emp tuple"
+    );
+    assert!(looked_up.query_io.total() < scanned.query_io.total());
     assert!(verify_all_views(&db).unwrap().is_empty());
 }

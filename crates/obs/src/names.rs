@@ -14,13 +14,6 @@ pub const QUERY_CACHE_HITS: &str = "spacetime_query_cache_hits_total";
 /// `SharedQueryCache` probes that missed.
 pub const QUERY_CACHE_MISSES: &str = "spacetime_query_cache_misses_total";
 
-/// `PlanCache` probes in `QueryExec` (bound and full plans).
-pub const PLAN_CACHE_LOOKUPS: &str = "spacetime_plan_cache_lookups_total";
-/// `PlanCache` probes answered from the cache.
-pub const PLAN_CACHE_HITS: &str = "spacetime_plan_cache_hits_total";
-/// `PlanCache` probes that missed.
-pub const PLAN_CACHE_MISSES: &str = "spacetime_plan_cache_misses_total";
-
 /// Base-table updates applied through `Database::apply_delta`.
 pub const UPDATES_APPLIED: &str = "spacetime_updates_applied_total";
 /// Queries posed against materialized state during propagation (§2.2).

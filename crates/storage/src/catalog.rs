@@ -141,14 +141,6 @@ impl Catalog {
         self.tables.iter().map(|(n, t)| (n.as_str(), t.as_ref()))
     }
 
-    /// The string interner backing this catalog's spilled `Str` values.
-    /// The pool is process-wide (see [`crate::smallstr`] for why pointer
-    /// identity must span catalog clones and table copies); this
-    /// accessor is the catalog-scoped handle to it.
-    pub fn interner(&self) -> crate::smallstr::Interner {
-        crate::smallstr::Interner::global().handle()
-    }
-
     /// Declare a candidate key on a table by column names, creating a hash
     /// index on it as well (keys are always index-backed in our physical
     /// model).

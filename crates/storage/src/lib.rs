@@ -12,7 +12,7 @@
 //! * [`value`] — the SQL-ish value domain ([`Value`], [`DataType`]) with a
 //!   total order suitable for grouping and indexing.
 //! * [`smallstr`] — compact strings ([`SmallStr`]): small-string inlining
-//!   plus an interned spill path ([`Interner`]).
+//!   plus a shared `Arc<str>` spill path.
 //! * [`fx`] — the deterministic fixed-seed hasher used by hot-path maps
 //!   and the bag and index shard layouts.
 //! * [`tuple`](mod@tuple) — cheaply-clonable tuples ([`Tuple`]).
@@ -61,7 +61,7 @@ pub use relation::Relation;
 pub use schema::{Column, Schema};
 #[doc(hidden)]
 pub use shim::*;
-pub use smallstr::{Interner, SmallStr};
+pub use smallstr::SmallStr;
 pub use stats::TableStats;
 pub use tuple::Tuple;
 pub use value::{DataType, Value};

@@ -1,4 +1,4 @@
-//! Compact strings: small-string inlining with an interned spill path.
+//! Compact strings: small-string inlining with a shared spill path.
 //!
 //! Tuple data in this engine is overwhelmingly short identifiers
 //! (`dept00042`, `emp00042_7`): storing each behind an `Arc<str>` costs a
@@ -6,39 +6,32 @@
 //! refcount traffic per clone. [`SmallStr`] stores strings of up to
 //! [`SmallStr::INLINE_CAP`] bytes inline — clone is a `memcpy`, equality is
 //! a couple of word compares, hashing reads no foreign cache line. Longer
-//! strings spill to an `Arc<str>` obtained from the [`Interner`], which
-//! deduplicates them process-wide so equal spilled strings are
-//! pointer-identical and equality short-circuits on `Arc::ptr_eq`.
+//! strings spill to a plain `Arc<str>`: a clone shares it, and equality
+//! and order short-circuit on `Arc::ptr_eq` between a value and its
+//! clones.
 //!
 //! Invariant: a string is inline **iff** `len() <= INLINE_CAP`. Both
 //! constructors enforce this, so two equal strings always have the same
 //! representation and representation-blind `Eq`/`Ord`/`Hash` (all defined
 //! on the string *content*) agree with representation-aware fast paths.
-//!
-//! The interner pool is deliberately process-wide rather than truly
-//! per-catalog: table copies, cloned catalogs and probe keys built
-//! by the parser must agree on pointer identity for the `ptr_eq` fast path
-//! to fire across catalog boundaries. [`Catalog`](crate::catalog::Catalog)
-//! exposes the pool through [`Interner::handle`]. The pool is append-only;
-//! for this engine's workloads (bounded vocabularies of names) that is the
-//! right trade.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use crate::fx::FxHashSet;
-
-/// A string that stores short content inline and interns long content.
+/// A string that stores short content inline and shares long content.
 #[derive(Clone)]
 pub struct SmallStr(Repr);
 
 #[derive(Clone)]
 enum Repr {
     /// Up to `INLINE_CAP` bytes stored in place.
-    Inline { len: u8, buf: [u8; SmallStr::INLINE_CAP] },
-    /// Longer content, deduplicated through the interner.
+    Inline {
+        len: u8,
+        buf: [u8; SmallStr::INLINE_CAP],
+    },
+    /// Longer content, shared by clones.
     Shared(Arc<str>),
 }
 
@@ -47,7 +40,7 @@ impl SmallStr {
     /// paper workloads generate while keeping `Value` a couple of words.
     pub const INLINE_CAP: usize = 22;
 
-    /// Build from a string slice: inline if it fits, interned otherwise.
+    /// Build from a string slice: inline if it fits, spilled otherwise.
     pub fn new(s: &str) -> Self {
         if s.len() <= Self::INLINE_CAP {
             let mut buf = [0u8; Self::INLINE_CAP];
@@ -57,7 +50,7 @@ impl SmallStr {
                 buf,
             })
         } else {
-            SmallStr(Repr::Shared(Interner::global().intern(s)))
+            SmallStr(Repr::Shared(Arc::from(s)))
         }
     }
 
@@ -164,56 +157,14 @@ impl From<String> for SmallStr {
         SmallStr::new(&s)
     }
 }
+/// Long content keeps the `Arc` it is given.
 impl From<Arc<str>> for SmallStr {
     fn from(s: Arc<str>) -> Self {
-        SmallStr::new(&s)
-    }
-}
-
-/// A deduplicating pool of spilled (longer-than-inline) strings.
-#[derive(Clone, Default)]
-pub struct Interner {
-    pool: Arc<Mutex<FxHashSet<Arc<str>>>>,
-}
-
-impl Interner {
-    /// The process-wide pool backing every [`SmallStr`] spill.
-    pub fn global() -> &'static Interner {
-        static GLOBAL: OnceLock<Interner> = OnceLock::new();
-        GLOBAL.get_or_init(Interner::default)
-    }
-
-    /// A clonable handle to this pool (shares the underlying storage).
-    pub fn handle(&self) -> Interner {
-        self.clone()
-    }
-
-    /// Intern a string: returns the pooled `Arc`, pointer-identical for
-    /// equal content.
-    pub fn intern(&self, s: &str) -> Arc<str> {
-        let mut pool = self.pool.lock().expect("interner lock");
-        if let Some(existing) = pool.get(s) {
-            return existing.clone();
+        if s.len() <= SmallStr::INLINE_CAP {
+            SmallStr::new(&s)
+        } else {
+            SmallStr(Repr::Shared(s))
         }
-        let shared: Arc<str> = Arc::from(s);
-        pool.insert(shared.clone());
-        shared
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.pool.lock().expect("interner lock").len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl fmt::Debug for Interner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Interner({} strings)", self.len())
     }
 }
 
@@ -228,18 +179,6 @@ mod tests {
         assert!(SmallStr::new("dept00042").is_inline());
         assert!(SmallStr::new(&"x".repeat(SmallStr::INLINE_CAP)).is_inline());
         assert!(!SmallStr::new(&"x".repeat(SmallStr::INLINE_CAP + 1)).is_inline());
-    }
-
-    #[test]
-    fn spilled_strings_are_pointer_deduplicated() {
-        let long = "y".repeat(40);
-        let a = SmallStr::new(&long);
-        let b = SmallStr::new(&long);
-        match (&a.0, &b.0) {
-            (Repr::Shared(x), Repr::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
-            _ => panic!("long strings must spill"),
-        }
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -291,18 +230,23 @@ mod tests {
         fn bytewise_eq_ord_hash_are_strs(a in utf8_upto_40(), b in utf8_upto_40()) {
             use proptest::prelude::*;
             // `a` against `b`, against itself, and against its own prefixes
-            // (the shorter-is-less corner, across the inline boundary).
+            // (the shorter-is-less corner, across the inline boundary), each
+            // built fresh; and against a clone of its own value, which
+            // shares the very `Arc` when spilled.
             let mut others = vec![b, a.clone()];
             others.extend((0..=a.len()).filter(|&i| a.is_char_boundary(i)).map(|i| a[..i].to_string()));
             let sa = SmallStr::new(&a);
             prop_assert_eq!(sa.is_inline(), a.len() <= SmallStr::INLINE_CAP);
             prop_assert_eq!(fx_hash_one(&sa), fx_hash_one(a.as_str()));
-            for o in &others {
-                let so = SmallStr::new(o);
-                prop_assert_eq!(sa == so, a == *o, "eq({:?},{:?})", a, o);
-                prop_assert_eq!(sa.cmp(&so), a.as_str().cmp(o.as_str()), "ord({:?},{:?})", a, o);
-                prop_assert_eq!(so.cmp(&sa), o.as_str().cmp(a.as_str()));
-                prop_assert_eq!(fx_hash_one(&so), fx_hash_one(o.as_str()));
+            let inputs = others
+                .iter()
+                .map(|o| (o.as_str(), SmallStr::new(o)))
+                .chain([(a.as_str(), sa.clone())]);
+            for (o, so) in inputs {
+                prop_assert_eq!(sa == so, a == o, "eq({:?},{:?})", a, o);
+                prop_assert_eq!(sa.cmp(&so), a.as_str().cmp(o), "ord({:?},{:?})", a, o);
+                prop_assert_eq!(so.cmp(&sa), o.cmp(a.as_str()));
+                prop_assert_eq!(fx_hash_one(&so), fx_hash_one(o));
             }
         }
     }

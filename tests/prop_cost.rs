@@ -7,9 +7,10 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-use spacetime::cost::{Cost, CostCtx, CostModel, Marking, PageIoCostModel, UpdateKind};
+use spacetime::cost::{BatchQuery, Cost, CostCtx, CostModel, Marking, PageIoCostModel, UpdateKind};
+use spacetime::memo::GroupId;
 use spacetime::optimizer::{optimal_view_set, EvalConfig};
-use spacetime_bench::scenarios::{join_chain, problem_dept};
+use spacetime_bench::scenarios::{join_chain, problem_dept, scaling_workload};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -80,6 +81,60 @@ proptest! {
                     prop_assert!(delta.size >= 0.0 && delta.size.is_finite());
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Adding a query to a batch never lowers the batch's cost, under any
+    /// marking: a repeated query is charged once at its largest probe
+    /// count and every query cost is non-negative. Pricing an update
+    /// track's query set as one batch relies on it.
+    #[test]
+    fn adding_a_query_never_lowers_a_batch_cost(
+        scaling in any::<bool>(),
+        mask in any::<u64>(),
+        picks in proptest::collection::vec((any::<usize>(), 0u8..8, 0.0f64..64.0), 1..10),
+    ) {
+        let s = if scaling { scaling_workload() } else { problem_dept() };
+        let model = PageIoCostModel::default();
+        let mut ctx = CostCtx::new(&s.memo, &s.catalog, &model);
+        let groups: Vec<GroupId> = s.memo.groups().collect();
+        let marked: Marking = groups
+            .iter()
+            .enumerate()
+            .filter(|&(i, g)| mask >> (i % 64) & 1 == 1 && !s.memo.is_leaf(*g))
+            .map(|(_, &g)| s.memo.find(g))
+            .collect();
+        // Each pick: a group, a subset of its first three columns (empty:
+        // a full evaluation) and a probe count.
+        let queries: Vec<(GroupId, Vec<usize>, f64)> = picks
+            .iter()
+            .map(|(at, cols, probes)| {
+                let g = groups[at % groups.len()];
+                let arity = s.memo.schema(g).arity().min(3);
+                let cols = (0..arity).filter(|i| cols >> i & 1 == 1).collect();
+                (g, cols, *probes)
+            })
+            .collect();
+        let batch: Vec<BatchQuery<'_>> = queries
+            .iter()
+            .map(|(group, cols, probes)| BatchQuery { group: *group, cols, probes: *probes })
+            .collect();
+        let mut before = ctx.batch_query_cost(&[], &marked);
+        prop_assert_eq!(before, Cost::ZERO);
+        for n in 1..=batch.len() {
+            let after = ctx.batch_query_cost(&batch[..n], &marked);
+            prop_assert!(
+                after >= before,
+                "adding {:?} lowered the batch cost: {} < {}",
+                batch[n - 1],
+                after,
+                before
+            );
+            before = after;
         }
     }
 }
