@@ -387,8 +387,10 @@ mod tests {
                  FROM Emp GROUP BY DName",
             )
             .unwrap();
-            db.execute_sql("CREATE MATERIALIZED VIEW ActiveDepts AS SELECT DISTINCT DName FROM Emp")
-                .unwrap();
+            db.execute_sql(
+                "CREATE MATERIALIZED VIEW ActiveDepts AS SELECT DISTINCT DName FROM Emp",
+            )
+            .unwrap();
             db
         };
         let mut pk = build(PropagationMode::PerKey);

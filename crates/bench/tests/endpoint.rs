@@ -78,8 +78,7 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
     let out = db.run(&txns);
     assert!(out.results.iter().all(|r| r.is_ok()));
 
-    let status: spacetime_obs::http::StatusFn =
-        Arc::new(|| "{ \"probe\": true }".to_string());
+    let status: spacetime_obs::http::StatusFn = Arc::new(|| "{ \"probe\": true }".to_string());
     let server = ObsServer::start_with_status("127.0.0.1:0", status).expect("bind");
     let addr = server.local_addr();
 
@@ -114,15 +113,27 @@ fn endpoint_serves_self_consistent_metrics_and_status() {
     assert_eq!(json_u64(&doc, "aborted"), Some(stats.aborted));
     assert_eq!(json_u64(&doc, "queue_depth"), Some(0));
     assert!(json_u64(&doc, "uptime_ns").is_some_and(|ns| ns > 0));
-    assert!(doc.contains("\"probe\": true"), "serving section missing: {doc}");
+    assert!(
+        doc.contains("\"probe\": true"),
+        "serving section missing: {doc}"
+    );
     assert!(doc.contains("\"drift\""), "drift section missing");
-    assert!(!doc.contains("shard"), "a shard field outlived the shards: {doc}");
+    assert!(
+        !doc.contains("shard"),
+        "a shard field outlived the shards: {doc}"
+    );
 
     // /debug/events: the flight recorder saw the admissions and commits.
     let (status_line, events) = get(&addr, "/debug/events");
     assert!(status_line.contains("200"), "events: {status_line}");
-    assert!(events.contains("txn_admitted"), "no admissions recorded: {events}");
-    assert!(events.contains("txn_committed"), "no commits recorded: {events}");
+    assert!(
+        events.contains("txn_admitted"),
+        "no admissions recorded: {events}"
+    );
+    assert!(
+        events.contains("txn_committed"),
+        "no commits recorded: {events}"
+    );
 
     // Unknown routes 404 without killing the server.
     let (status_line, _) = get(&addr, "/nope");

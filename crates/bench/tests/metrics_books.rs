@@ -45,7 +45,10 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     ] {
         template.execute_sql(view).expect("view DDL");
         // Each view's search covered its whole space.
-        assert_eq!(spacetime_obs::snapshot().gauge(metric::OPT_SEARCH_EXACT), 1.0);
+        assert_eq!(
+            spacetime_obs::snapshot().gauge(metric::OPT_SEARCH_EXACT),
+            1.0
+        );
     }
     let workload = mixed_workload(DEPARTMENTS, EMPS_PER_DEPT, 120, 9406);
     let txns: Vec<Txn> = workload.iter().cloned().map(|u| vec![u]).collect();
@@ -77,7 +80,8 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     let dir = spacetime_wal::test_dir("metrics_books");
     let before_wal = spacetime_obs::snapshot();
     let mut dur = template.clone();
-    dur.make_durable(&dir, DurabilityOptions::default()).expect("make durable");
+    dur.make_durable(&dir, DurabilityOptions::default())
+        .expect("make durable");
     dur.checkpoint().expect("checkpoint");
     let logged = serve(&mut dur);
     drop(dur); // crash-stop: no final checkpoint; waits for the install
@@ -85,26 +89,56 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     // The fields only the frozen benchmark reads are constants of the one
     // loop: three non-empty runs, one transaction at a time, one database.
     for s in &runs {
-        let pinned = (s.waves, s.max_wave_width, s.admitted_concurrent, s.conflict_deferrals);
+        let pinned = (
+            s.waves,
+            s.max_wave_width,
+            s.admitted_concurrent,
+            s.conflict_deferrals,
+        );
         assert_eq!(pinned, (1, 1, 0, 0), "SchedStats constants");
         assert_eq!((s.cross_shard_txns, s.shard_participations), (0, s.txns));
-        assert_eq!(s.committed + s.aborted, s.txns, "every transaction is decided");
+        assert_eq!(
+            s.committed + s.aborted,
+            s.txns,
+            "every transaction is decided"
+        );
     }
 
     let snap = spacetime_obs::snapshot();
-    let (lookups, hits, misses) =
-        (metric::QUERY_CACHE_LOOKUPS, metric::QUERY_CACHE_HITS, metric::QUERY_CACHE_MISSES);
+    let (lookups, hits, misses) = (
+        metric::QUERY_CACHE_LOOKUPS,
+        metric::QUERY_CACHE_HITS,
+        metric::QUERY_CACHE_MISSES,
+    );
     assert!(snap.counter(lookups) > 0, "{lookups} never moved");
-    assert_eq!(snap.counter(hits) + snap.counter(misses), snap.counter(lookups), "{lookups}");
-    assert_eq!(snap.counter(metric::QUERIES_POSED), queries_posed, "posed queries vs reports");
+    assert_eq!(
+        snap.counter(hits) + snap.counter(misses),
+        snap.counter(lookups),
+        "{lookups}"
+    );
+    assert_eq!(
+        snap.counter(metric::QUERIES_POSED),
+        queries_posed,
+        "posed queries vs reports"
+    );
     assert!(snap.counter(metric::UPDATES_APPLIED) > 0);
-    assert!(snap.histogram(metric::UPDATE_LATENCY_NS).is_some_and(|h| h.count > 0));
-    assert_eq!(snap.counter(metric::SCHED_TXNS), total(|s| s.txns), "txns vs SchedStats");
+    assert!(snap
+        .histogram(metric::UPDATE_LATENCY_NS)
+        .is_some_and(|h| h.count > 0));
+    assert_eq!(
+        snap.counter(metric::SCHED_TXNS),
+        total(|s| s.txns),
+        "txns vs SchedStats"
+    );
     for (label, want) in [
         (metric::LABEL_OUTCOME_COMMITTED, total(|s| s.committed)),
         (metric::LABEL_OUTCOME_ABORTED, total(|s| s.aborted)),
     ] {
-        assert_eq!(snap.labeled_counter(metric::SCHED_TXN_OUTCOMES, label), want, "{label}");
+        assert_eq!(
+            snap.labeled_counter(metric::SCHED_TXN_OUTCOMES, label),
+            want,
+            "{label}"
+        );
     }
     // Every transaction was decided: the gauge drained.
     assert_eq!(snap.gauge(metric::SCHED_QUEUE_DEPTH), 0.0);
@@ -113,7 +147,10 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
 
     // The WAL plane, as deltas over the durable run: every transaction is
     // logged as submitted.
-    assert_eq!(snap.labeled_counter_sum(metric::WAL_RECORDS), snap.counter(metric::WAL_APPENDS));
+    assert_eq!(
+        snap.labeled_counter_sum(metric::WAL_RECORDS),
+        snap.counter(metric::WAL_APPENDS)
+    );
     let updates = txns.iter().map(Vec::len).sum::<usize>() as u64;
     for (kind, want) in [
         (metric::LABEL_WAL_BEGIN, logged.txns),
@@ -127,7 +164,11 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     // `make_durable` installs the initial checkpoint, the writer thread
     // the one `checkpoint` took.
     let installs = |s: &MetricsSnapshot| s.counter(metric::WAL_CHECKPOINTS);
-    assert_eq!(installs(&snap) - installs(&before_wal), 2, "installed checkpoints");
+    assert_eq!(
+        installs(&snap) - installs(&before_wal),
+        2,
+        "installed checkpoints"
+    );
     // A crash-stopped session never hands its uncheckpointed commits back.
     let age = |s: &MetricsSnapshot| s.gauge(metric::WAL_CHECKPOINT_AGE_TXNS);
     assert_eq!(
@@ -138,13 +179,19 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
 
     let (_recovered, stats) = Database::open(&dir, DurabilityOptions::default()).expect("recovery");
     let after = spacetime_obs::snapshot();
-    assert_eq!(stats.replayed_txns, logged.committed, "every committed transaction replays");
+    assert_eq!(
+        stats.replayed_txns, logged.committed,
+        "every committed transaction replays"
+    );
     let replayed = |s: &MetricsSnapshot| s.counter(metric::WAL_RECOVERY_REPLAYED_TXNS);
     assert_eq!(
         replayed(&after) - replayed(&snap),
         stats.replayed_txns,
         "replayed-txn counter vs RecoveryStats"
     );
-    assert_eq!(after.gauge(metric::WAL_REPLAY_LAG_TXNS), stats.replayed_txns as f64);
+    assert_eq!(
+        after.gauge(metric::WAL_REPLAY_LAG_TXNS),
+        stats.replayed_txns as f64
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

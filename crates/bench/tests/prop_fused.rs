@@ -62,7 +62,11 @@ fn random_chain(rng: &mut StdRng, mut arity: usize) -> Vec<OpKind> {
                     let e = if rng.gen_range(0..2) == 0 {
                         col
                     } else {
-                        let op = if rng.gen_range(0..2) == 0 { BinOp::Add } else { BinOp::Mul };
+                        let op = if rng.gen_range(0..2) == 0 {
+                            BinOp::Add
+                        } else {
+                            BinOp::Mul
+                        };
                         ScalarExpr::bin(op, col, ScalarExpr::lit(rng.gen_range(0..4_i64)))
                     };
                     (e, format!("c{i}"))
@@ -162,12 +166,7 @@ proptest! {
 ///   a HAVING-style select *plus* a projection above the aggregate — a
 ///   chain in the middle of the DAG whose interior delta the fused path
 ///   skips when nothing else consumes it.
-fn build_tree_db(
-    mode: PropagationMode,
-    thr: i64,
-    agg_pick: u8,
-    having: i64,
-) -> Database {
+fn build_tree_db(mode: PropagationMode, thr: i64, agg_pick: u8, having: i64) -> Database {
     let mut db = paper_schema_db();
     db.set_propagation_mode(mode);
     load_paper_data(&mut db, 4, 3);
@@ -217,8 +216,11 @@ fn build_tree_db(
         ],
     )
     .unwrap();
-    db.create_view_group(vec![("AggAll".to_string(), all), ("AggHigh".to_string(), high)])
-        .unwrap();
+    db.create_view_group(vec![
+        ("AggAll".to_string(), all),
+        ("AggHigh".to_string(), high),
+    ])
+    .unwrap();
     db
 }
 
@@ -281,7 +283,10 @@ fn tree_case(thr: i64, agg_pick: u8, having: i64, seed: u64) {
             r_pk, r_fu,
             "txn {i}: fused report diverged (I/O or posed queries)"
         );
-        assert!(traced.last_trace().is_some(), "txn {i}: tracing on recorded nothing");
+        assert!(
+            traced.last_trace().is_some(),
+            "txn {i}: tracing on recorded nothing"
+        );
     }
     for name in materialized_tables(&pk) {
         let want = pk.catalog.table(&name).unwrap().relation.data();

@@ -560,11 +560,20 @@ fn wal_commits_during_a_background_install_replay_exactly() {
     dur.checkpoint().unwrap();
     let during = run(&mut dur, &txns[half..]);
     dur.finish_checkpoint().unwrap();
-    assert!(!dir.join(SEALED).exists(), "the install deletes the sealed segment");
+    assert!(
+        !dir.join(SEALED).exists(),
+        "the install deletes the sealed segment"
+    );
     drop(dur);
     let (rec, stats) = open(&dir);
-    assert_eq!(stats.checkpoint_last_txn, half as u64, "the snapshot's last transaction");
-    assert_eq!(stats.replayed_txns, during, "exactly the commits after the snapshot");
+    assert_eq!(
+        stats.checkpoint_last_txn, half as u64,
+        "the snapshot's last transaction"
+    );
+    assert_eq!(
+        stats.replayed_txns, during,
+        "exactly the commits after the snapshot"
+    );
     let (control, _) = control(&template, &txns);
     assert_db_eq(&rec, &control, "commits during the install");
     cleanup(&dir);
@@ -609,7 +618,11 @@ fn wal_crash_mid_install_recovers_from_the_sealed_segment() {
             let keep = txns.len() - usize::from(torn);
 
             let (mut rec, stats) = open(&dir);
-            let covered = if before_rename { 0 } else { txns.len() as u64 / 2 };
+            let covered = if before_rename {
+                0
+            } else {
+                txns.len() as u64 / 2
+            };
             assert_eq!(stats.checkpoint_last_txn, covered, "{ctx}");
             let (prefix, committed) = control(&template, &txns[..keep]);
             let (_, in_checkpoint) = control(&template, &txns[..covered as usize]);
@@ -619,7 +632,10 @@ fn wal_crash_mid_install_recovers_from_the_sealed_segment() {
             run(&mut rec, &txns[keep..]);
             rec.checkpoint().unwrap();
             rec.finish_checkpoint().unwrap();
-            assert!(!dir.join(SEALED).exists(), "the install left the sealed segment ({ctx})");
+            assert!(
+                !dir.join(SEALED).exists(),
+                "the install left the sealed segment ({ctx})"
+            );
             drop(rec);
             let (rec, stats) = open(&dir);
             assert_eq!(stats.replayed_txns, 0, "{ctx}");

@@ -277,7 +277,11 @@ mod tests {
         assert_eq!(&pre, rel.data());
         // Index restored too: probes agree with the data bag.
         let mut io = IoMeter::new();
-        assert_eq!(rel.lookup(0, &[spacetime_storage::Value::str("dept2")], &mut io).len(), 1);
+        assert_eq!(
+            rel.lookup(0, &[spacetime_storage::Value::str("dept2")], &mut io)
+                .len(),
+            1
+        );
         assert!(undo.is_empty(), "rollback resets the log");
     }
 
@@ -417,11 +421,7 @@ mod tests {
         let mut undo = UndoLog::new();
         let mut io = IoMeter::new();
         for i in 0..4 {
-            let d = Delta::modify(
-                tuple!["dept1", 100 + i],
-                tuple!["dept1", 100 + i + 1],
-                1,
-            );
+            let d = Delta::modify(tuple!["dept1", 100 + i], tuple!["dept1", 100 + i + 1], 1);
             apply_to_relation_undo(&d, &mut r, &mut io, &mut undo).unwrap();
             assert_eq!(undo.table_count(), 1);
             undo.reset();

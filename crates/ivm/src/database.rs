@@ -532,14 +532,8 @@ impl Database {
             self.phase_totals.updates += 1;
         }
         if self.tracing {
-            self.last_trace = Some(self.update_trace(
-                table,
-                delta,
-                &mut planned,
-                plan_dur,
-                gate_dur,
-                commit_dur,
-            ));
+            self.last_trace =
+                Some(self.update_trace(table, delta, &mut planned, plan_dur, gate_dur, commit_dur));
         }
         // Workload-drift accounting (ROADMAP item 4's input signal): the
         // per-table transaction mix and each view's maintenance-cost EWMA.
@@ -565,8 +559,7 @@ impl Database {
         gate_dur: Option<std::time::Duration>,
         commit_dur: Option<std::time::Duration>,
     ) -> TraceNode {
-        let mut root =
-            TraceNode::new(format!("update {table}")).with_field("rows", delta.size());
+        let mut root = TraceNode::new(format!("update {table}")).with_field("rows", delta.size());
         // Phase timings are observations about *how* the update ran, not
         // *what* it computed — non-structural by contract.
         if let (Some(p), Some(g), Some(c)) = (plan_dur, gate_dur, commit_dur) {
@@ -855,7 +848,10 @@ pub(crate) fn explore_views(
     catalog: &Catalog,
 ) -> IvmResult<(Memo, Vec<(String, GroupId)>)> {
     let mut memo = Memo::new();
-    let inserted: Vec<GroupId> = views.iter().map(|(_, tree)| memo.insert_tree(tree)).collect();
+    let inserted: Vec<GroupId> = views
+        .iter()
+        .map(|(_, tree)| memo.insert_tree(tree))
+        .collect();
     if let Some(&first) = inserted.first() {
         memo.set_root(first);
     }

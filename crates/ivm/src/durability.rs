@@ -47,8 +47,8 @@ use spacetime_obs::{self as obs, names as metric};
 use spacetime_optimizer::ViewSet;
 use spacetime_storage::{Bag, Catalog, Column, Schema};
 use spacetime_wal::{
-    read_checkpoint, scan_log, write_checkpoint, CheckpointDoc, EngineDump, RawCheckpoint,
-    Record, SyncPolicy, TableDump, WalError, WalSession,
+    read_checkpoint, scan_log, write_checkpoint, CheckpointDoc, EngineDump, RawCheckpoint, Record,
+    SyncPolicy, TableDump, WalError, WalSession,
 };
 
 use crate::database::{explore_views, Database};
@@ -301,7 +301,9 @@ fn restore_database(raw: &RawCheckpoint) -> IvmResult<Database> {
             .collect();
         let schema = Schema::new(cols);
         if t.is_base {
-            db.catalog.create_table(&t.name, schema).map_err(IvmError::Storage)?;
+            db.catalog
+                .create_table(&t.name, schema)
+                .map_err(IvmError::Storage)?;
         } else {
             db.catalog
                 .create_materialized(&t.name, schema)
@@ -309,9 +311,14 @@ fn restore_database(raw: &RawCheckpoint) -> IvmResult<Database> {
         }
         let table = db.catalog.table_mut(&t.name).map_err(IvmError::Storage)?;
         table.keys = t.keys.clone();
-        table.relation.set_tuples_per_page(t.relation_tuples_per_page);
+        table
+            .relation
+            .set_tuples_per_page(t.relation_tuples_per_page);
         for def in &t.index_defs {
-            table.relation.create_index(def.clone()).map_err(IvmError::Storage)?;
+            table
+                .relation
+                .create_index(def.clone())
+                .map_err(IvmError::Storage)?;
         }
         let mut bag = Bag::new();
         for (tuple, n) in &t.rows {
@@ -385,7 +392,9 @@ fn replay_log<'r>(
                 }
             }
             Record::TxnCommit { txn_id } => {
-                let Some(txn) = open.remove(txn_id) else { continue };
+                let Some(txn) = open.remove(txn_id) else {
+                    continue;
+                };
                 if *txn_id > last_txn {
                     db.apply_transaction(txn)?;
                     sum.replayed += 1;
@@ -422,7 +431,9 @@ impl Durable {
         };
         let result = handle.join().unwrap_or_else(|payload| {
             let message = crate::sched::panic_message(payload.as_ref());
-            Err(IvmError::Internal(format!("checkpoint writer panicked: {message}")))
+            Err(IvmError::Internal(format!(
+                "checkpoint writer panicked: {message}"
+            )))
         });
         if let Err(e) = &result {
             obs::flight::record("checkpoint_failed", || e.to_string());
@@ -507,7 +518,9 @@ impl Database {
     /// [`Database::checkpoint`] on.
     pub fn make_durable(&mut self, dir: &Path, opts: DurabilityOptions) -> IvmResult<()> {
         if self.log.is_on() {
-            return Err(IvmError::Unsupported("the database is already durable".into()));
+            return Err(IvmError::Unsupported(
+                "the database is already durable".into(),
+            ));
         }
         if dir.join(META_FILE).exists() {
             return Err(IvmError::Internal(format!(
@@ -545,7 +558,11 @@ impl Database {
         }
         let log = dir.join(LOG_FILE);
         let scan = scan_log(&log).map_err(wal_err)?;
-        let sum = replay_log(&mut db, sealed.records.iter().chain(&scan.records), raw.last_txn)?;
+        let sum = replay_log(
+            &mut db,
+            sealed.records.iter().chain(&scan.records),
+            raw.last_txn,
+        )?;
         let stats = RecoveryStats {
             checkpoint_last_txn: raw.last_txn,
             replayed_txns: sum.replayed,
@@ -670,7 +687,10 @@ mod tests {
         assert_eq!(recovered.propagation_mode(), PropagationMode::PerKey);
         for table in ["T", "Big"] {
             let rel = &recovered.catalog.table(table).unwrap().relation;
-            assert!(rel.data().contains(&tuple![5_i64]), "{table} lost the replayed row");
+            assert!(
+                rel.data().contains(&tuple![5_i64]),
+                "{table} lost the replayed row"
+            );
         }
         drop(recovered);
 
@@ -701,14 +721,21 @@ mod tests {
         .unwrap();
         drop(create(&db, &dir));
         let (mut recovered, _) = Database::open(&dir, DurabilityOptions::default()).unwrap();
-        let flags: Vec<_> = recovered.engines().iter().map(|e| e.assertion.clone()).collect();
+        let flags: Vec<_> = recovered
+            .engines()
+            .iter()
+            .map(|e| e.assertion.clone())
+            .collect();
         assert_eq!(flags, [Some("Small".to_string())]);
-        let err = recovered.apply_delta("T", Delta::insert(tuple![10_i64], 1)).unwrap_err();
+        let err = recovered
+            .apply_delta("T", Delta::insert(tuple![10_i64], 1))
+            .unwrap_err();
         assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
         drop(recovered);
 
         let mut doc = snapshot(&db, 0).unwrap().into_doc();
-        doc.assertions.push(("Ghost".into(), "__assert_Ghost".into()));
+        doc.assertions
+            .push(("Ghost".into(), "__assert_Ghost".into()));
         write_checkpoint(&dir.join(CHECKPOINT_FILE), &doc).unwrap();
         let err = Database::open(&dir, DurabilityOptions::default())
             .err()
@@ -748,7 +775,8 @@ mod tests {
         let before = log();
         let mut copy = dur.clone();
         insert(&mut copy, 2);
-        copy.apply_delta("T", Delta::insert(tuple![3_i64], 1)).unwrap();
+        copy.apply_delta("T", Delta::insert(tuple![3_i64], 1))
+            .unwrap();
         assert!(matches!(copy.checkpoint(), Err(IvmError::Unsupported(_))));
         assert_eq!(log(), before, "the clone wrote the original's log");
         drop((dur, copy));
@@ -764,7 +792,8 @@ mod tests {
     fn every_committing_entry_point_is_logged() {
         let dir = spacetime_wal::test_dir("durability_entry_points");
         let mut dur = create(&one_column_db(), &dir);
-        dur.apply_delta("T", Delta::insert(tuple![1_i64], 1)).unwrap();
+        dur.apply_delta("T", Delta::insert(tuple![1_i64], 1))
+            .unwrap();
         dur.execute_sql("INSERT INTO T VALUES (2)").unwrap();
         insert(&mut dur, 3);
         let txn = vec![("T".to_string(), Delta::insert(tuple![4_i64], 1))];
@@ -818,7 +847,9 @@ mod tests {
         for kind in ["checkpoint_sealed", "checkpoint_installed"] {
             let want = format!("{}: last_txn 1", dir.display());
             assert!(
-                events.iter().any(|e| e.kind == kind && e.detail.starts_with(&want)),
+                events
+                    .iter()
+                    .any(|e| e.kind == kind && e.detail.starts_with(&want)),
                 "no {kind} event for {want}"
             );
         }

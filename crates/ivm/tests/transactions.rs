@@ -30,14 +30,22 @@ fn small_db() -> Database {
             .table_mut("Dept")
             .unwrap()
             .relation
-            .insert(tuple![dname.clone(), format!("mgr{d}"), 600_i64], 1, &mut io)
+            .insert(
+                tuple![dname.clone(), format!("mgr{d}"), 600_i64],
+                1,
+                &mut io,
+            )
             .unwrap();
         for e in 0..3 {
             db.catalog
                 .table_mut("Emp")
                 .unwrap()
                 .relation
-                .insert(tuple![format!("emp{d}_{e}"), dname.clone(), 100_i64], 1, &mut io)
+                .insert(
+                    tuple![format!("emp{d}_{e}"), dname.clone(), 100_i64],
+                    1,
+                    &mut io,
+                )
                 .unwrap();
         }
     }
@@ -162,7 +170,11 @@ fn assertion_verdicts_and_reports_match_the_per_key_reference() {
     per_key.set_propagation_mode(PropagationMode::PerKey);
     let budget = |d: usize, from: i64, to: i64| {
         let (dept, mgr) = (format!("dept{d}"), format!("mgr{d}"));
-        Delta::modify(tuple![dept.clone(), mgr.clone(), from], tuple![dept, mgr, to], 1)
+        Delta::modify(
+            tuple![dept.clone(), mgr.clone(), from],
+            tuple![dept, mgr, to],
+            1,
+        )
     };
     let stream = [
         ("Emp", raise("emp0_0", "dept0", 250)),
@@ -179,16 +191,29 @@ fn assertion_verdicts_and_reports_match_the_per_key_reference() {
     let mut violations = 0;
     for (i, (table, delta)) in stream.into_iter().enumerate() {
         let before = contents(&fused);
-        match (fused.apply_delta(table, delta.clone()), per_key.apply_delta(table, delta)) {
+        match (
+            fused.apply_delta(table, delta.clone()),
+            per_key.apply_delta(table, delta),
+        ) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "update {i}: report diverged"),
             (
                 Err(IvmError::AssertionViolated { name, sample }),
-                Err(IvmError::AssertionViolated { name: n2, sample: s2 }),
+                Err(IvmError::AssertionViolated {
+                    name: n2,
+                    sample: s2,
+                }),
             ) => {
                 assert_eq!(name, "DeptConstraint", "update {i}");
-                assert!(!sample.is_empty(), "update {i}: a violation carries witnesses");
+                assert!(
+                    !sample.is_empty(),
+                    "update {i}: a violation carries witnesses"
+                );
                 assert_eq!((name, sample), (n2, s2), "update {i}: violation diverged");
-                assert_eq!(contents(&fused), before, "update {i}: rejected update wrote");
+                assert_eq!(
+                    contents(&fused),
+                    before,
+                    "update {i}: rejected update wrote"
+                );
                 violations += 1;
             }
             (a, b) => panic!("update {i}: outcomes diverged: {a:?} vs {b:?}"),
@@ -216,7 +241,11 @@ fn table_addresses(db: &Database) -> Vec<(String, *const Table)> {
 /// original is still referenced, so it can never land on the same
 /// address.)
 fn assert_no_table_copied(db: &Database, before: &[(String, *const Table)], label: &str) {
-    assert_eq!(table_addresses(db), before, "{label}: a table was replaced by a copy");
+    assert_eq!(
+        table_addresses(db),
+        before,
+        "{label}: a table was replaced by a copy"
+    );
 }
 
 fn raise(emp: &str, dept: &str, to: i64) -> Delta {
@@ -243,7 +272,11 @@ fn neither_commit_nor_rollback_copies_a_table() {
     let bad_txn = vec![
         (
             "Dept".to_string(),
-            Delta::modify(tuple!["dept0", "mgr0", 550], tuple!["dept0", "mgr0", 500], 1),
+            Delta::modify(
+                tuple!["dept0", "mgr0", 550],
+                tuple!["dept0", "mgr0", 500],
+                1,
+            ),
         ),
         ("Emp".to_string(), raise("emp2_0", "dept2", 9_999)),
     ];
@@ -308,9 +341,11 @@ fn one_door_steps(db: &mut Database) -> Vec<Option<String>> {
     );
     db.apply_delta("Emp", raise).unwrap();
     steps.push(step(db));
-    db.execute_sql("INSERT INTO Emp VALUES ('emp9_0', 'dept2', 50)").unwrap();
+    db.execute_sql("INSERT INTO Emp VALUES ('emp9_0', 'dept2', 50)")
+        .unwrap();
     steps.push(step(db));
-    db.execute_sql("UPDATE Dept SET Budget = 650 WHERE DName = 'dept3'").unwrap();
+    db.execute_sql("UPDATE Dept SET Budget = 650 WHERE DName = 'dept3'")
+        .unwrap();
     steps.push(step(db));
     let over_budget = Delta::modify(
         tuple!["emp1_0", "dept1", 100_i64],
@@ -331,9 +366,13 @@ fn in_memory_and_durable_databases_commit_through_one_door() {
     let dir = spacetime_wal::test_dir("transactions_one_door");
     let mut mem = small_db();
     let mut dur = small_db();
-    dur.make_durable(&dir, DurabilityOptions::default()).unwrap();
+    dur.make_durable(&dir, DurabilityOptions::default())
+        .unwrap();
     let mem_steps = one_door_steps(&mut mem);
-    assert!(mem_steps.iter().all(Option::is_some), "every step is traced");
+    assert!(
+        mem_steps.iter().all(Option::is_some),
+        "every step is traced"
+    );
     assert_eq!(mem_steps, one_door_steps(&mut dur));
     assert_eq!(contents(&mem), contents(&dur));
     let _ = std::fs::remove_dir_all(&dir);

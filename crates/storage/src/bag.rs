@@ -291,10 +291,9 @@ impl PartialEq for Bag {
             (Store::Flat(a), Store::Flat(b)) => a == b,
             // Same content ⇒ same shard layout (fixed-seed routing), so
             // compare shard-wise; undisturbed copies are pointer-equal.
-            (Store::Sharded(a), Store::Sharded(b)) => a
-                .iter()
-                .zip(b)
-                .all(|(x, y)| Arc::ptr_eq(x, y) || x == y),
+            (Store::Sharded(a), Store::Sharded(b)) => {
+                a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y) || x == y)
+            }
             // Mixed representations can hold equal content (promotion is
             // size-history dependent); fall back to semantic comparison.
             _ => self.iter().all(|(t, c)| other.count(t) == c),
@@ -458,11 +457,7 @@ mod tests {
         assert_eq!(a.count(&tuple![0]), 1, "original untouched");
         assert_eq!(b.count(&tuple![0]), 2);
         if let (Store::Sharded(sa), Store::Sharded(sb)) = (&a.store, &b.store) {
-            let shared = sa
-                .iter()
-                .zip(sb)
-                .filter(|(x, y)| Arc::ptr_eq(x, y))
-                .count();
+            let shared = sa.iter().zip(sb).filter(|(x, y)| Arc::ptr_eq(x, y)).count();
             assert_eq!(shared, SHARD_COUNT - 1, "only the touched shard copied");
         } else {
             panic!("expected sharded stores");

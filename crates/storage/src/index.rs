@@ -124,9 +124,9 @@ impl HashIndex {
     /// Whether two tuples disagree on this index's key (allocation-free
     /// replacement for `key_of(a) != key_of(b)`).
     pub fn key_changed(&self, a: &Tuple, b: &Tuple) -> bool {
-        self.key_cols.iter().any(|&c| {
-            a.get(c).unwrap_or(&Value::Null) != b.get(c).unwrap_or(&Value::Null)
-        })
+        self.key_cols
+            .iter()
+            .any(|&c| a.get(c).unwrap_or(&Value::Null) != b.get(c).unwrap_or(&Value::Null))
     }
 
     /// Insert `n` copies of a tuple.

@@ -251,7 +251,12 @@ impl Relation {
     /// disturbed since the last [`Relation::clear_dirty`] — how much of
     /// this relation the current transaction actually touched.
     pub fn dirty_shards(&self) -> u32 {
-        self.data.dirty_shards() + self.indexes.iter().map(HashIndex::dirty_shards).sum::<u32>()
+        self.data.dirty_shards()
+            + self
+                .indexes
+                .iter()
+                .map(HashIndex::dirty_shards)
+                .sum::<u32>()
     }
 
     /// Reset all dirty-shard masks (content unchanged).
@@ -367,10 +372,16 @@ mod tests {
                 let key = [Value::str(key)];
                 assert_eq!(swapped.peek(0, &key), reference.peek(0, &key));
                 let (mut a, mut b) = (IoMeter::new(), IoMeter::new());
-                assert_eq!(swapped.lookup(0, &key, &mut a), reference.lookup(0, &key, &mut b));
+                assert_eq!(
+                    swapped.lookup(0, &key, &mut a),
+                    reference.lookup(0, &key, &mut b)
+                );
                 assert_eq!(a, b, "a probe is charged the same either way");
             }
-            assert_eq!(swapped.peek(0, &[Value::str("Sales")]).unwrap().count(&new), n);
+            assert_eq!(
+                swapped.peek(0, &[Value::str("Sales")]).unwrap().count(&new),
+                n
+            );
         }
     }
 
@@ -396,7 +407,12 @@ mod tests {
         assert_eq!(bucket.sorted(), vec![(tuple!["alice", "Sales", 130], 1)]);
         // A failed modify changes and charges nothing.
         let mut io = IoMeter::new();
-        let err = r.modify(&tuple!["ghost", "HR", 1], tuple!["ghost", "HR", 2], 1, &mut io);
+        let err = r.modify(
+            &tuple!["ghost", "HR", 1],
+            tuple!["ghost", "HR", 2],
+            1,
+            &mut io,
+        );
         assert!(matches!(err, Err(StorageError::TupleNotFound { .. })));
         assert_eq!((io.total(), r.len()), (0, 3));
     }

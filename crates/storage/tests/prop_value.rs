@@ -29,8 +29,11 @@ fn hash_of<T: Hash>(v: &T) -> u64 {
 fn any_string() -> impl Strategy<Value = String> {
     prop_oneof![
         // ASCII of every length around the boundary.
-        proptest::collection::vec((b'a'..=b'z').prop_map(|b| b as char), 0..=2 * SmallStr::INLINE_CAP)
-            .prop_map(|cs| cs.into_iter().collect::<String>()),
+        proptest::collection::vec(
+            (b'a'..=b'z').prop_map(|b| b as char),
+            0..=2 * SmallStr::INLINE_CAP
+        )
+        .prop_map(|cs| cs.into_iter().collect::<String>()),
         // Multibyte: é is 2 bytes, 💾 is 4 — byte length ≠ char count.
         proptest::collection::vec(
             prop_oneof![Just('é'), Just('💾'), Just('a')],

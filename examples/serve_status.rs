@@ -24,7 +24,9 @@ fn get(addr: &std::net::SocketAddr, path: &str) -> String {
     write!(conn, "GET {path} HTTP/1.0\r\nHost: example\r\n\r\n").expect("request");
     let mut raw = String::new();
     conn.read_to_string(&mut raw).expect("response");
-    raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or(raw)
+    raw.split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or(raw)
 }
 
 fn main() {
