@@ -13,7 +13,7 @@
 //!
 //! The per-element semantics replicate the per-operator propagation rules
 //! (`spacetime-delta`) exactly, including the modify handling that makes
-//! batched and per-key propagation bit-identical:
+//! a fused chain bit-identical to folding the rules one stage at a time:
 //!
 //! * a filter splits a modify pair when exactly one side passes — the
 //!   surviving side continues alone as a pure insert or delete;

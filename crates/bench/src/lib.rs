@@ -18,11 +18,13 @@
 //! * `crash_child` — the victim process of `tests/crash_kill.rs`.
 //!
 //! `tests/` holds the suites that need the whole stack: the paper-report
-//! goldens, PerKey ≡ Fused (`prop_fused`, `data_plane_invariants`),
+//! goldens, the data plane against recomputation and its I/O, posed-query
+//! and allocation goldens (`prop_fused`, `data_plane_invariants`),
 //! `Database::run` ≡ sequential `apply_transaction` (`prop_run`), rollback
-//! under injected faults
-//! (`prop_faults`), recovery ≡ control (`prop_wal`, `crash_kill`) and the
-//! metrics plane's books (`endpoint`, `metrics_books`).
+//! under injected faults (`prop_faults`), recovery ≡ control (`prop_wal`,
+//! `crash_kill`) and the metrics plane's books (`endpoint`,
+//! `metrics_books`). `ci/mutants.py` checks that these oracles still kill
+//! the mutants listed in `ci/mutants.txt`.
 //!
 //! Criterion benches (print only, gate nothing): `bench_optimizer`,
 //! `bench_maintenance`, `bench_memo`.

@@ -374,41 +374,40 @@ mod tests {
         }
     }
 
+    /// The data plane end to end on a generated stream: after every update
+    /// the views equal their recomputation, and the summed counters equal
+    /// the committed golden (`io_total`, `paper_cost_io`, `queries_posed`),
+    /// recorded when the per-key reference still ran beside the fused
+    /// plane and both charged exactly this.
     #[test]
     fn propagation_modes_agree_end_to_end() {
-        use spacetime_ivm::{verify_all_views, PropagationMode};
-        let build = |mode: PropagationMode| {
-            let mut db = paper_schema_db();
-            db.set_propagation_mode(mode);
-            load_paper_data(&mut db, 10, 5);
-            db.execute_sql(
-                "CREATE MATERIALIZED VIEW DeptProfile AS \
-                 SELECT DName, COUNT(*) AS Heads, MAX(Salary) AS TopSal \
-                 FROM Emp GROUP BY DName",
-            )
+        use spacetime_ivm::verify_all_views;
+        let mut db = paper_schema_db();
+        load_paper_data(&mut db, 10, 5);
+        db.execute_sql(
+            "CREATE MATERIALIZED VIEW DeptProfile AS \
+             SELECT DName, COUNT(*) AS Heads, MAX(Salary) AS TopSal \
+             FROM Emp GROUP BY DName",
+        )
+        .unwrap();
+        db.execute_sql("CREATE MATERIALIZED VIEW ActiveDepts AS SELECT DISTINCT DName FROM Emp")
             .unwrap();
-            db.execute_sql(
-                "CREATE MATERIALIZED VIEW ActiveDepts AS SELECT DISTINCT DName FROM Emp",
-            )
-            .unwrap();
-            db
-        };
-        let mut pk = build(PropagationMode::PerKey);
-        let mut ba = build(PropagationMode::Fused);
+        let mut counters = [0u64; 3];
         for (table, delta) in mixed_workload(10, 5, 50, 7) {
-            let r_pk = pk.apply_delta(&table, delta.clone()).unwrap();
-            let r_ba = ba.apply_delta(&table, delta).unwrap();
-            assert_eq!(r_pk, r_ba, "charged I/O must not depend on the mode");
+            let r = db.apply_delta(&table, delta).unwrap();
+            for (sum, x) in counters
+                .iter_mut()
+                .zip([r.total(), r.paper_cost(), r.queries_posed])
+            {
+                *sum += x;
+            }
+            assert!(verify_all_views(&db).unwrap().is_empty(), "{table}");
         }
-        for name in ["DeptProfile", "ActiveDepts"] {
-            assert_eq!(
-                pk.catalog.table(name).unwrap().relation.data(),
-                ba.catalog.table(name).unwrap().relation.data(),
-                "{name} diverged between modes"
-            );
-        }
-        assert!(verify_all_views(&pk).unwrap().is_empty());
-        assert!(verify_all_views(&ba).unwrap().is_empty());
+        assert_eq!(
+            counters,
+            [1093, 510, 84],
+            "io_total/paper_cost_io/queries_posed"
+        );
     }
 
     #[test]

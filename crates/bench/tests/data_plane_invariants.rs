@@ -1,18 +1,15 @@
 //! Batching and kernel fusion are wall-clock optimisations only: they
 //! must never change a delta or a charged I/O (DESIGN.md §10, §15). One
-//! `mixed_workload` stream goes through two identical databases — the
-//! `PerKey` reference and the production `Fused` mode — on three
+//! `mixed_workload` stream goes through the one data plane on three
 //! scenarios, and per scenario this asserts
 //!
-//! * every transaction's `UpdateReport` is equal across the modes, every
-//!   materialized table ends with identical contents, and both verify
-//!   against full recomputation;
+//! * every materialized view equals its recomputation from the base
+//!   tables after every transaction;
 //! * the summed counters equal the committed goldens (page I/Os are
 //!   invariants, not targets: a ±1 is a behaviour change);
-//! * the fused path's heap allocations per transaction are within ±1 % of
-//!   the committed figure and below the per-key figure — counts are
-//!   workload-determined, so a drift either way is a change to explain
-//!   (and re-record), on any host.
+//! * the heap allocations per transaction are within ±1 % of the
+//!   committed figure — counts are workload-determined, so a drift either
+//!   way is a change to explain (and re-record), on any host.
 //!
 //! The counter is a `#[global_allocator]` over the whole process, so this
 //! binary holds exactly one `#[test]`: nothing else may allocate while a
@@ -25,7 +22,7 @@ use spacetime_bench::scenarios::build_wide_pipeline_db;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_cost::TransactionType;
 use spacetime_delta::Delta;
-use spacetime_ivm::{verify_all_views, Database, PropagationMode, UpdateReport, ViewSelection};
+use spacetime_ivm::{verify_all_views, Database, ViewSelection};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -78,7 +75,7 @@ struct Scenario {
     transactions: usize,
     /// The ten-view setup of `build_wide_pipeline_db` instead of [`VIEWS`].
     wide: bool,
-    /// Committed `io_total`, `paper_cost_io`, `queries_posed`, both modes.
+    /// Committed `io_total`, `paper_cost_io`, `queries_posed`.
     golden: [u64; 3],
     /// Committed fused allocations per transaction. Each was last
     /// re-recorded downward when posed queries began to be resolved once,
@@ -122,15 +119,12 @@ const SCENARIOS: [Scenario; 3] = [
     },
 ];
 
-fn build_db(s: &Scenario, mode: PropagationMode) -> Database {
+fn build_db(s: &Scenario) -> Database {
     if s.wide {
-        let mut db = build_wide_pipeline_db(s.departments, s.emps_per_dept);
-        db.set_propagation_mode(mode);
-        return db;
+        return build_wide_pipeline_db(s.departments, s.emps_per_dept);
     }
     let mut db = paper_schema_db();
     db.set_view_selection(ViewSelection::Exhaustive);
-    db.set_propagation_mode(mode);
     load_paper_data(&mut db, s.departments, s.emps_per_dept);
     db.declare_workload(vec![
         TransactionType::modify(">Emp", "Emp", 1.0),
@@ -142,19 +136,7 @@ fn build_db(s: &Scenario, mode: PropagationMode) -> Database {
     db
 }
 
-/// Every table name materialized by any engine (roots and auxiliaries).
-fn materialized_names(db: &Database) -> Vec<String> {
-    let mut names: Vec<String> = db
-        .engines()
-        .iter()
-        .flat_map(|e| e.materialized.values().cloned())
-        .collect();
-    names.sort();
-    names.dedup();
-    names
-}
-
-/// One mode's running totals: the three golden counters and allocations.
+/// The running totals: the three golden counters and allocations.
 #[derive(Default)]
 struct Totals {
     counters: [u64; 3],
@@ -162,7 +144,7 @@ struct Totals {
 }
 
 impl Totals {
-    fn apply(&mut self, db: &mut Database, table: &str, delta: Delta) -> UpdateReport {
+    fn apply(&mut self, db: &mut Database, table: &str, delta: Delta) {
         let a0 = ALLOCS.load(Ordering::Relaxed);
         let r = db.apply_delta(table, delta).expect("apply_delta");
         self.allocs += ALLOCS.load(Ordering::Relaxed) - a0;
@@ -173,7 +155,6 @@ impl Totals {
         {
             *sum += x;
         }
-        r
     }
 }
 
@@ -181,74 +162,27 @@ impl Totals {
 fn per_key_and_fused_agree_hit_the_goldens_and_hold_the_allocation_ceiling() {
     for s in &SCENARIOS {
         let name = s.name;
-        let mut db_pk = build_db(s, PropagationMode::PerKey);
-        let mut db_fu = build_db(s, PropagationMode::Fused);
-        let (mut pk, mut fu) = (Totals::default(), Totals::default());
+        let mut db = build_db(s);
+        let mut totals = Totals::default();
         for (table, delta) in mixed_workload(s.departments, s.emps_per_dept, s.transactions, SEED) {
-            let r_pk = pk.apply(&mut db_pk, &table, delta.clone());
-            let r_fu = fu.apply(&mut db_fu, &table, delta.clone());
-            assert_eq!(
-                r_pk, r_fu,
-                "{name}: reports diverged on {table} delta {delta:?}"
-            );
-        }
-
-        let names = materialized_names(&db_pk);
-        assert_eq!(
-            names,
-            materialized_names(&db_fu),
-            "{name}: materialized sets differ"
-        );
-        for table in &names {
-            assert_eq!(
-                db_pk
-                    .catalog
-                    .table(table)
-                    .expect("per-key table")
-                    .relation
-                    .data(),
-                db_fu
-                    .catalog
-                    .table(table)
-                    .expect("fused table")
-                    .relation
-                    .data(),
-                "{name}: materialized table {table} diverged between modes"
-            );
-        }
-        for db in [&db_pk, &db_fu] {
+            totals.apply(&mut db, &table, delta.clone());
             assert!(
-                verify_all_views(db).expect("recompute").is_empty(),
-                "{name}: stale view"
+                verify_all_views(&db).expect("recompute").is_empty(),
+                "{name}: a view diverged from its recomputation after {table} delta {delta:?}"
             );
         }
 
         assert_eq!(
-            pk.counters, s.golden,
-            "{name}: per-key io_total/paper_cost_io/queries_posed"
-        );
-        assert_eq!(
-            fu.counters, s.golden,
-            "{name}: fused io_total/paper_cost_io/queries_posed"
+            totals.counters, s.golden,
+            "{name}: io_total/paper_cost_io/queries_posed"
         );
 
-        let per_txn = |t: &Totals| t.allocs as f64 / s.transactions as f64;
+        let per_txn = totals.allocs as f64 / s.transactions as f64;
         assert!(
-            (per_txn(&fu) / s.fused_allocs_per_txn - 1.0).abs() <= 0.01,
-            "{name}: fused allocates {:.1}/txn, committed {:.1} (±1 %)",
-            per_txn(&fu),
+            (per_txn / s.fused_allocs_per_txn - 1.0).abs() <= 0.01,
+            "{name}: fused allocates {per_txn:.1}/txn, committed {:.1} (±1 %)",
             s.fused_allocs_per_txn
         );
-        assert!(
-            per_txn(&fu) < per_txn(&pk),
-            "{name}: fused allocates {:.1}/txn, no less than per-key's {:.1}",
-            per_txn(&fu),
-            per_txn(&pk)
-        );
-        eprintln!(
-            "{name}: allocs/txn fused {:.1} per-key {:.1}",
-            per_txn(&fu),
-            per_txn(&pk)
-        );
+        eprintln!("{name}: allocs/txn fused {per_txn:.1}");
     }
 }

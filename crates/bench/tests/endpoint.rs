@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
-use spacetime_ivm::{PropagationMode, Txn};
+use spacetime_ivm::Txn;
 use spacetime_obs::http::ObsServer;
 use spacetime_obs::names as metric;
 
@@ -63,7 +63,6 @@ fn json_u64(doc: &str, key: &str) -> Option<u64> {
 fn endpoint_serves_self_consistent_metrics_and_status() {
     // Serve far enough that every family moves.
     let mut db = paper_schema_db();
-    db.set_propagation_mode(PropagationMode::Fused);
     load_paper_data(&mut db, 12, 4);
     db.execute_sql(
         "CREATE MATERIALIZED VIEW DeptProfile AS \

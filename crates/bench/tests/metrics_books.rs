@@ -3,8 +3,8 @@
 //!
 //! * every cache's hits + misses = its lookups;
 //! * `QUERIES_POSED` = Σ `UpdateReport::queries_posed` over every update
-//!   applied in the process, in both propagation modes and through three
-//!   `Database::run` batches;
+//!   applied in the process, straight through `apply_delta` and through
+//!   three `Database::run` batches;
 //! * the transaction and outcome books (`spacetime_sched_txns_total`, the
 //!   committed/aborted outcome family) = the `SchedStats` the runs
 //!   returned, and the queue-depth gauge drained to zero;
@@ -20,7 +20,7 @@
 #![cfg(feature = "metrics")]
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
-use spacetime_ivm::{Database, DurabilityOptions, PropagationMode, SchedStats, Txn, ViewSelection};
+use spacetime_ivm::{Database, DurabilityOptions, SchedStats, Txn, ViewSelection};
 use spacetime_obs::{names as metric, MetricsSnapshot};
 
 const DEPARTMENTS: usize = 24;
@@ -54,14 +54,11 @@ fn the_registry_balances_against_reports_sched_stats_and_recovery_stats() {
     let txns: Vec<Txn> = workload.iter().cloned().map(|u| vec![u]).collect();
     let mut queries_posed = 0u64;
 
-    // The data plane, both modes, straight through `apply_delta`.
-    for mode in [PropagationMode::PerKey, PropagationMode::Fused] {
-        let mut db = template.clone();
-        db.set_propagation_mode(mode);
-        for (table, delta) in &workload {
-            let r = db.apply_delta(table, delta.clone()).expect("apply_delta");
-            queries_posed += r.queries_posed;
-        }
+    // The data plane, straight through `apply_delta`.
+    let mut db = template.clone();
+    for (table, delta) in &workload {
+        let r = db.apply_delta(table, delta.clone()).expect("apply_delta");
+        queries_posed += r.queries_posed;
     }
 
     // The serving plane; the last run is write-ahead logged.

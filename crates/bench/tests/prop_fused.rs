@@ -12,14 +12,13 @@
 //!
 //! 2. **Database vs oracle** — random operator trees (a select→project
 //!    chain view, plus a join→aggregate engine with a HAVING-style chain
-//!    *above* the aggregate, shared by two roots) maintained under
-//!    [`PropagationMode::PerKey`], `Fused`, and `Fused` with tracing on
-//!    (chains run one step per group, no kernels) must agree on every
-//!    per-transaction [`UpdateReport`] (charged I/O and posed queries
-//!    included) and on final materialized contents, and all three must
-//!    verify against full recomputation — the materializing evaluator is
-//!    the oracle the fused path can never drift from, and recording a
-//!    trace never perturbs the maintained state.
+//!    *above* the aggregate, shared by two roots) maintained with tracing
+//!    off and on must agree on every per-transaction [`UpdateReport`]
+//!    (charged I/O and posed queries included) and on final materialized
+//!    contents, and both must equal a full recomputation after every
+//!    transaction — the materializing evaluator is the oracle the fused
+//!    path can never drift from, and recording a trace never perturbs the
+//!    maintained state.
 
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ use spacetime_algebra::{
 };
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::{propagate, propagate_chain, BagAccess, Delta};
-use spacetime_ivm::{verify_all_views, Database, PropagationMode};
+use spacetime_ivm::{verify_all_views, Database};
 use spacetime_storage::{tuple, Column, DataType, Schema, Tuple, Value};
 
 // ---------------------------------------------------------------------
@@ -161,14 +160,13 @@ proptest! {
 /// Paper schema + data, with two engines built from raw operator trees:
 ///
 /// * `ChainView` — σ(Salary > thr) then a computed projection: a pure
-///   access-free chain, fully fused under [`PropagationMode::Fused`];
+///   access-free chain, compiled into one fused kernel;
 /// * a two-rooted group over Emp ⋈ Dept → aggregate, where one root adds
 ///   a HAVING-style select *plus* a projection above the aggregate — a
 ///   chain in the middle of the DAG whose interior delta the fused path
 ///   skips when nothing else consumes it.
-fn build_tree_db(mode: PropagationMode, thr: i64, agg_pick: u8, having: i64) -> Database {
+fn build_tree_db(thr: i64, agg_pick: u8, having: i64) -> Database {
     let mut db = paper_schema_db();
-    db.set_propagation_mode(mode);
     load_paper_data(&mut db, 4, 3);
 
     let emp = ExprNode::scan(&db.catalog, "Emp").unwrap();
@@ -268,44 +266,34 @@ fn multi_row_txns() -> Vec<(String, Delta)> {
 }
 
 fn tree_case(thr: i64, agg_pick: u8, having: i64, seed: u64) {
-    let mut pk = build_tree_db(PropagationMode::PerKey, thr, agg_pick, having);
-    let mut fu = build_tree_db(PropagationMode::Fused, thr, agg_pick, having);
-    let mut traced = build_tree_db(PropagationMode::Fused, thr, agg_pick, having);
+    let mut fu = build_tree_db(thr, agg_pick, having);
+    let mut traced = build_tree_db(thr, agg_pick, having);
     traced.set_tracing(true);
     let mut txns = mixed_workload(4, 3, 25, seed);
     txns.extend(multi_row_txns());
     for (i, (table, delta)) in txns.into_iter().enumerate() {
-        let r_pk = pk.apply_delta(&table, delta.clone()).unwrap();
         let r_tr = traced.apply_delta(&table, delta.clone()).unwrap();
         let r_fu = fu.apply_delta(&table, delta).unwrap();
-        assert_eq!(r_pk, r_tr, "txn {i}: tracing perturbed the report");
-        assert_eq!(
-            r_pk, r_fu,
-            "txn {i}: fused report diverged (I/O or posed queries)"
-        );
+        assert_eq!(r_fu, r_tr, "txn {i}: tracing perturbed the report");
         assert!(
             traced.last_trace().is_some(),
             "txn {i}: tracing on recorded nothing"
         );
+        // The materializing evaluator is the oracle: the maintained views
+        // must equal a from-scratch recomputation after every transaction.
+        assert!(
+            verify_all_views(&fu).unwrap().is_empty(),
+            "txn {i}: a view diverged from its recomputation"
+        );
     }
-    for name in materialized_tables(&pk) {
-        let want = pk.catalog.table(&name).unwrap().relation.data();
+    for name in materialized_tables(&fu) {
         assert_eq!(
-            want,
+            fu.catalog.table(&name).unwrap().relation.data(),
             traced.catalog.table(&name).unwrap().relation.data(),
             "tracing perturbed the contents of {name}"
         );
-        assert_eq!(
-            want,
-            fu.catalog.table(&name).unwrap().relation.data(),
-            "fused contents diverged for {name}"
-        );
     }
-    // The materializing evaluator is the oracle: every mode's maintained
-    // views must equal a from-scratch recomputation.
-    for db in [&pk, &traced, &fu] {
-        assert!(verify_all_views(db).unwrap().is_empty());
-    }
+    assert!(verify_all_views(&traced).unwrap().is_empty());
 }
 
 proptest! {
@@ -315,8 +303,8 @@ proptest! {
     })]
 
     /// Random tree parameters x random workloads (plus multi-row delete
-    /// transactions): per-key, fused, and traced agree transaction by
-    /// transaction and verify against recomputation.
+    /// transactions): traced and untraced agree transaction by transaction
+    /// and verify against recomputation after each one.
     #[test]
     fn fused_database_matches_perkey_and_oracle(
         thr in 80_i64..200,

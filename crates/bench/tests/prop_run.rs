@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
-use spacetime_ivm::{verify_all_views, Database, IvmError, PropagationMode, SchedOutcome, Txn};
+use spacetime_ivm::{verify_all_views, Database, IvmError, SchedOutcome, Txn};
 use spacetime_storage::tuple;
 
 const VIEWS: &[&str] = &[
@@ -32,9 +32,8 @@ const DEPT_CONSTRAINT: &str = "CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS
     GROUP BY Dept.DName, Budget \
     HAVING SUM(Salary) > Budget))";
 
-fn build_db(departments: usize, emps_per_dept: usize, mode: PropagationMode) -> Database {
+fn build_db(departments: usize, emps_per_dept: usize) -> Database {
     let mut db = paper_schema_db();
-    db.set_propagation_mode(mode);
     load_paper_data(&mut db, departments, emps_per_dept);
     for sql in VIEWS {
         db.execute_sql(sql).unwrap();
@@ -152,7 +151,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Random workloads × transaction sizes × propagation modes.
+    /// Random workloads × transaction sizes.
     #[test]
     fn run_matches_sequential_apply_transaction(
         departments in 3usize..8,
@@ -160,24 +159,20 @@ proptest! {
         n_updates in 8usize..25,
         seed in any::<u64>(),
         per_txn in 1usize..4,
-        per_key in 0u8..2,
     ) {
-        let mode = if per_key == 1 { PropagationMode::PerKey } else { PropagationMode::Fused };
-        let template = build_db(departments, emps_per_dept, mode);
+        let template = build_db(departments, emps_per_dept);
         let txns = txns(departments, emps_per_dept, n_updates, seed, per_txn);
-        assert_run_matches_sequential(&template, &txns, &format!("seed {seed}, {mode:?}"));
+        assert_run_matches_sequential(&template, &txns, &format!("seed {seed}"));
     }
 }
 
 /// Deterministic smoke version (no proptest shrink noise in CI logs).
 #[test]
 fn run_matches_sequential_apply_transaction_at_fixed_seeds() {
-    for mode in [PropagationMode::PerKey, PropagationMode::Fused] {
-        for per_txn in [1, 3] {
-            let template = build_db(6, 4, mode);
-            let txns = txns(6, 4, 20, 0xC0FFEE, per_txn);
-            assert_run_matches_sequential(&template, &txns, &format!("{mode:?}, {per_txn}/txn"));
-        }
+    for per_txn in [1, 2, 3, 4] {
+        let template = build_db(6, 4);
+        let txns = txns(6, 4, 20, 0xC0FFEE, per_txn);
+        assert_run_matches_sequential(&template, &txns, &format!("{per_txn}/txn"));
     }
 }
 
@@ -186,7 +181,7 @@ fn run_matches_sequential_apply_transaction_at_fixed_seeds() {
 /// four departments, or its second update after the first landed.
 #[test]
 fn assertion_violations_roll_back_through_run() {
-    let mut template = build_db(6, 3, PropagationMode::Fused);
+    let mut template = build_db(6, 3);
     template.execute_sql(DEPT_CONSTRAINT).unwrap();
     let raise = |dept: usize, emp: usize, from: i64, to: i64| {
         let row = |s: i64| tuple![format!("emp{dept:05}_{emp}"), format!("dept{dept:05}"), s];

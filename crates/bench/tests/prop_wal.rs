@@ -29,13 +29,10 @@ use std::sync::Arc;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::Delta;
 use spacetime_ivm::{
-    verify_all_views, Database, DurabilityOptions, DurableSharded, PropagationMode, Txn,
-    TxnScheduler,
+    verify_all_views, Database, DurabilityOptions, DurableSharded, Txn, TxnScheduler,
 };
 use spacetime_storage::{tuple, ShardSpec, Tuple, Value};
 use spacetime_wal::{crash, test_dir};
-
-const MODES: &[PropagationMode] = &[PropagationMode::PerKey, PropagationMode::Fused];
 
 const VIEWS: &[&str] = &[
     "CREATE MATERIALIZED VIEW DeptProfile AS \
@@ -51,9 +48,8 @@ const DEPT_CONSTRAINT: &str = "CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS
     SELECT Dept.DName FROM Emp, Dept WHERE Dept.DName = Emp.DName \
     GROUP BY Dept.DName, Budget HAVING SUM(Salary) > Budget))";
 
-fn build_db(departments: usize, emps_per_dept: usize, mode: PropagationMode) -> Database {
+fn build_db(departments: usize, emps_per_dept: usize) -> Database {
     let mut db = paper_schema_db();
-    db.set_propagation_mode(mode);
     load_paper_data(&mut db, departments, emps_per_dept);
     for sql in VIEWS {
         db.execute_sql(sql).unwrap();
@@ -172,61 +168,50 @@ fn run(db: &mut Database, txns: &[Txn]) -> u64 {
 
 #[test]
 fn wal_unsharded_clean_reopen_is_identical() {
-    for &mode in MODES {
-        let dir = test_dir("clean_reopen");
-        let template = build_db(3, 4, mode);
-        let txns = workload(3, 4, 17);
-        let mut dur = create(&template, &dir);
-        let committed = run(&mut dur, &txns);
-        drop(dur);
-        let (rec, stats) = open(&dir);
-        assert_eq!(
-            stats.replayed_txns, committed,
-            "replayed != committed ({mode:?})"
-        );
-        assert_eq!(stats.skipped_txns, 0, "clean log has no aborts ({mode:?})");
-        assert_eq!(
-            stats.discarded_bytes, 0,
-            "clean log has no torn bytes ({mode:?})"
-        );
-        assert_eq!(rec.propagation_mode(), mode, "mode not restored");
-        let (control, _) = control(&template, &txns);
-        assert_db_eq(&rec, &control, &format!("clean reopen, {mode:?}"));
-        cleanup(&dir);
-    }
+    let dir = test_dir("clean_reopen");
+    let template = build_db(3, 4);
+    let txns = workload(3, 4, 17);
+    let mut dur = create(&template, &dir);
+    let committed = run(&mut dur, &txns);
+    drop(dur);
+    let (rec, stats) = open(&dir);
+    assert_eq!(stats.replayed_txns, committed, "replayed != committed");
+    assert_eq!(stats.skipped_txns, 0, "clean log has no aborts");
+    assert_eq!(stats.discarded_bytes, 0, "clean log has no torn bytes");
+    let (control, _) = control(&template, &txns);
+    assert_db_eq(&rec, &control, "clean reopen");
+    cleanup(&dir);
 }
 
-/// Every crash site × propagation mode, on two workloads.
+/// Every crash site, on two workloads.
 #[test]
 fn wal_unsharded_crash_matrix() {
     for (departments, emps_per_dept, seed) in [(3, 4, 17), (4, 3, 23)] {
-        for &mode in MODES {
-            for &site in SITES {
-                let dir = test_dir("crash_matrix");
-                let ctx = format!("{departments}x{emps_per_dept} seed {seed}, {mode:?}, {site:?}");
-                let template = build_db(departments, emps_per_dept, mode);
-                let txns = workload(departments, emps_per_dept, seed);
-                let keep = txns.len() - site.lost_txns();
+        for &site in SITES {
+            let dir = test_dir("crash_matrix");
+            let ctx = format!("{departments}x{emps_per_dept} seed {seed}, {site:?}");
+            let template = build_db(departments, emps_per_dept);
+            let txns = workload(departments, emps_per_dept, seed);
+            let keep = txns.len() - site.lost_txns();
 
-                let mut dur = create(&template, &dir);
-                run(&mut dur, &txns);
-                drop(dur);
-                site.mutilate(&dir.join("global.log"));
+            let mut dur = create(&template, &dir);
+            run(&mut dur, &txns);
+            drop(dur);
+            site.mutilate(&dir.join("global.log"));
 
-                let (mut rec, stats) = open(&dir);
-                let (prefix, committed) = control(&template, &txns[..keep]);
-                assert_eq!(
-                    stats.replayed_txns, committed,
-                    "replayed only the committed prefix ({ctx})"
-                );
-                assert_db_eq(&rec, &prefix, &format!("recovery == control ({ctx})"));
+            let (mut rec, stats) = open(&dir);
+            let (prefix, committed) = control(&template, &txns[..keep]);
+            assert_eq!(
+                stats.replayed_txns, committed,
+                "replayed only the committed prefix ({ctx})"
+            );
+            assert_db_eq(&rec, &prefix, &format!("recovery == control ({ctx})"));
 
-                // Retry the lost tail: the recovered database serves on.
-                run(&mut rec, &txns[keep..]);
-                let (full, _) = control(&template, &txns);
-                assert_db_eq(&rec, &full, &format!("retry == control ({ctx})"));
-                cleanup(&dir);
-            }
+            // Retry the lost tail: the recovered database serves on.
+            run(&mut rec, &txns[keep..]);
+            let (full, _) = control(&template, &txns);
+            assert_db_eq(&rec, &full, &format!("retry == control ({ctx})"));
+            cleanup(&dir);
         }
     }
 }
@@ -239,47 +224,45 @@ fn wal_unsharded_crash_matrix() {
 fn wal_sharded_crash_matrix() {
     let opts = DurabilityOptions::default;
     for &n_shards in &[1usize, 2, 4, 8] {
-        for &mode in MODES {
-            for &site in SITES {
-                let dir = test_dir("sharded_crash");
-                let ctx = format!("{n_shards} shard(s), {mode:?}, {site:?}");
-                let template = build_db(4, 3, mode);
-                let txns = workload(4, 3, 23);
-                let keep = txns.len() - site.lost_txns();
-                let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
+        for &site in SITES {
+            let dir = test_dir("sharded_crash");
+            let ctx = format!("{n_shards} shard(s), {site:?}");
+            let template = build_db(4, 3);
+            let txns = workload(4, 3, 23);
+            let keep = txns.len() - site.lost_txns();
+            let spec = ShardSpec::new().with("Emp", vec![1]).with("Dept", vec![0]);
 
-                let dur = DurableSharded::create(&template, spec, n_shards, &dir, opts()).unwrap();
-                TxnScheduler::with_wals(dur.db(), Arc::default(), ())
-                    .run(&txns)
-                    .unwrap();
-                drop(dur);
-                site.mutilate(&dir.join("global.log"));
+            let dur = DurableSharded::create(&template, spec, n_shards, &dir, opts()).unwrap();
+            TxnScheduler::with_wals(dur.db(), Arc::default(), ())
+                .run(&txns)
+                .unwrap();
+            drop(dur);
+            site.mutilate(&dir.join("global.log"));
 
-                let (rec, stats) = DurableSharded::open_with(&dir, n_shards, opts()).unwrap();
-                assert_eq!(rec.db().n_shards(), 1, "the shard count is ignored");
-                let (prefix, committed) = control(&template, &txns[..keep]);
-                assert_eq!(
-                    stats.replayed_txns, committed,
-                    "replayed only the committed prefix ({ctx})"
-                );
-                assert_db_eq(
-                    &rec.db().shard(0),
-                    &prefix,
-                    &format!("recovery == control ({ctx})"),
-                );
+            let (rec, stats) = DurableSharded::open_with(&dir, n_shards, opts()).unwrap();
+            assert_eq!(rec.db().n_shards(), 1, "the shard count is ignored");
+            let (prefix, committed) = control(&template, &txns[..keep]);
+            assert_eq!(
+                stats.replayed_txns, committed,
+                "replayed only the committed prefix ({ctx})"
+            );
+            assert_db_eq(
+                &rec.db().shard(0),
+                &prefix,
+                &format!("recovery == control ({ctx})"),
+            );
 
-                // Retry the lost tail durably on the recovered database.
-                TxnScheduler::with_wals(rec.db(), Arc::default(), ())
-                    .run(&txns[keep..])
-                    .unwrap();
-                let (full, _) = control(&template, &txns);
-                assert_db_eq(
-                    &rec.db().shard(0),
-                    &full,
-                    &format!("retry == control ({ctx})"),
-                );
-                cleanup(&dir);
-            }
+            // Retry the lost tail durably on the recovered database.
+            TxnScheduler::with_wals(rec.db(), Arc::default(), ())
+                .run(&txns[keep..])
+                .unwrap();
+            let (full, _) = control(&template, &txns);
+            assert_db_eq(
+                &rec.db().shard(0),
+                &full,
+                &format!("retry == control ({ctx})"),
+            );
+            cleanup(&dir);
         }
     }
 }
@@ -287,7 +270,7 @@ fn wal_sharded_crash_matrix() {
 #[test]
 fn wal_checkpoint_replays_only_the_tail() {
     let dir = test_dir("ckpt_tail");
-    let template = build_db(3, 4, PropagationMode::Fused);
+    let template = build_db(3, 4);
     let before: Vec<Txn> = (0..4).map(|i| tail_txn(i, "dept00000")).collect();
     let after: Vec<Txn> = (4..7).map(|i| tail_txn(i, "dept00001")).collect();
     let mut dur = create(&template, &dir);
@@ -314,7 +297,7 @@ fn wal_checkpoint_replays_only_the_tail() {
 #[test]
 fn wal_explicit_checkpoints_bound_the_replay() {
     let dir = test_dir("ckpt_explicit");
-    let template = build_db(3, 4, PropagationMode::Fused);
+    let template = build_db(3, 4);
     let mut dur = create(&template, &dir);
     let txns: Vec<Txn> = (0..5).map(|i| tail_txn(i, "dept00000")).collect();
     for (i, t) in txns.iter().enumerate() {
@@ -338,7 +321,7 @@ fn wal_explicit_checkpoints_bound_the_replay() {
 #[test]
 fn wal_interrupted_create_can_be_retried() {
     let dir = test_dir("interrupted_create");
-    let template = build_db(4, 3, PropagationMode::Fused);
+    let template = build_db(4, 3);
     let make = || {
         let mut db = template.clone();
         db.make_durable(&dir, DurabilityOptions::default())
@@ -379,35 +362,30 @@ fn wal_interrupted_create_can_be_retried() {
 /// record was lost. Dropping the log's last frame must abort exactly it.
 #[test]
 fn wal_dropped_commit_record_aborts_the_transaction() {
-    for &mode in MODES {
-        let dir = test_dir("dropped_commit");
-        let template = build_db(4, 3, mode);
-        let mut txns = workload(4, 3, 23);
-        let mut two = tail_txn(90, "dept00000");
-        two.extend(tail_txn(91, "dept00003"));
-        txns.push(two);
-        let total = txns.len();
+    let dir = test_dir("dropped_commit");
+    let template = build_db(4, 3);
+    let mut txns = workload(4, 3, 23);
+    let mut two = tail_txn(90, "dept00000");
+    two.extend(tail_txn(91, "dept00003"));
+    txns.push(two);
+    let total = txns.len();
 
-        let mut dur = create(&template, &dir);
-        let committed = run(&mut dur, &txns);
-        drop(dur);
-        crash::drop_last_frame(&dir.join("global.log")).unwrap();
+    let mut dur = create(&template, &dir);
+    let committed = run(&mut dur, &txns);
+    drop(dur);
+    crash::drop_last_frame(&dir.join("global.log")).unwrap();
 
-        let (mut rec, stats) = open(&dir);
-        assert_eq!(
-            stats.skipped_txns, 1,
-            "exactly the last transaction aborts ({mode:?})"
-        );
-        assert_eq!(stats.replayed_txns, committed - 1, "{mode:?}");
-        let (prefix, _) = control(&template, &txns[..total - 1]);
-        assert_db_eq(&rec, &prefix, &format!("recovery == control ({mode:?})"));
+    let (mut rec, stats) = open(&dir);
+    assert_eq!(stats.skipped_txns, 1, "exactly the last transaction aborts");
+    assert_eq!(stats.replayed_txns, committed - 1);
+    let (prefix, _) = control(&template, &txns[..total - 1]);
+    assert_db_eq(&rec, &prefix, "recovery == control");
 
-        // Retry the aborted transaction.
-        assert_eq!(run(&mut rec, &txns[total - 1..]), 1);
-        let (full, _) = control(&template, &txns);
-        assert_db_eq(&rec, &full, &format!("retry == control ({mode:?})"));
-        cleanup(&dir);
-    }
+    // Retry the aborted transaction.
+    assert_eq!(run(&mut rec, &txns[total - 1..]), 1);
+    let (full, _) = control(&template, &txns);
+    assert_db_eq(&rec, &full, "retry == control");
+    cleanup(&dir);
 }
 
 /// A crash between installing a checkpoint and truncating the log: the
@@ -416,7 +394,7 @@ fn wal_dropped_commit_record_aborts_the_transaction() {
 #[test]
 fn wal_crash_between_checkpoint_and_truncation_recovers() {
     let dir = test_dir("ckpt_before_truncate");
-    let template = build_db(4, 3, PropagationMode::Fused);
+    let template = build_db(4, 3);
     let txns = workload(4, 3, 23);
     let half = txns.len() / 2;
     let mut dur = create(&template, &dir);
@@ -444,7 +422,7 @@ fn wal_crash_between_checkpoint_and_truncation_recovers() {
 #[test]
 fn wal_checkpoint_then_recover() {
     let dir = test_dir("ckpt_recover");
-    let template = build_db(4, 3, PropagationMode::Fused);
+    let template = build_db(4, 3);
     let txns = workload(4, 3, 23);
     let mut dur = create(&template, &dir);
     run(&mut dur, &txns);
@@ -552,7 +530,7 @@ const SEALED: &str = "global.log.sealed";
 #[test]
 fn wal_commits_during_a_background_install_replay_exactly() {
     let dir = test_dir("ckpt_during_install");
-    let template = build_db(4, 3, PropagationMode::Fused);
+    let template = build_db(4, 3);
     let txns = workload(4, 3, 23);
     let half = txns.len() / 2;
     let mut dur = create(&template, &dir);
@@ -609,7 +587,7 @@ fn wal_crash_mid_install_recovers_from_the_sealed_segment() {
         for torn in [false, true] {
             let dir = test_dir("crash_mid_install");
             let ctx = format!("before rename {before_rename}, torn tail {torn}");
-            let template = build_db(4, 3, PropagationMode::Fused);
+            let template = build_db(4, 3);
             let txns = workload(4, 3, 23);
             crash_mid_install(&template, &dir, &txns, before_rename);
             if torn {
@@ -653,7 +631,7 @@ fn wal_crash_mid_install_recovers_from_the_sealed_segment() {
 fn wal_corrupt_sealed_segment_fails_open() {
     for site in [Site::CorruptLast, Site::TornTail] {
         let dir = test_dir("corrupt_sealed");
-        let template = build_db(4, 3, PropagationMode::Fused);
+        let template = build_db(4, 3);
         crash_mid_install(&template, &dir, &workload(4, 3, 23), true);
         site.mutilate(&dir.join(SEALED));
         let err = Database::open(&dir, DurabilityOptions::default())
@@ -672,7 +650,7 @@ fn wal_corrupt_sealed_segment_fails_open() {
 #[test]
 fn wal_leftover_checkpoint_tmp_is_ignored() {
     let dir = test_dir("leftover_tmp");
-    let template = build_db(4, 3, PropagationMode::Fused);
+    let template = build_db(4, 3);
     let txns = workload(4, 3, 23);
     let mut dur = create(&template, &dir);
     let committed = run(&mut dur, &txns);

@@ -86,16 +86,9 @@ impl UndoLog {
     }
 
     /// Number of journal entries (one per delta applied, in application
-    /// order; entries are never merged). A
-    /// caller that needs "the entries of this update" remembers the count
-    /// before the update and skips that many [`UndoLog::tables`].
+    /// order; entries are never merged).
     pub fn table_count(&self) -> usize {
         self.live
-    }
-
-    /// The journaled tables, in application order.
-    pub fn tables(&self) -> impl Iterator<Item = &str> {
-        self.entries[..self.live].iter().map(|e| e.table.as_str())
     }
 
     /// Open a new per-relation run (reusing a pooled entry if available).
@@ -114,8 +107,8 @@ impl UndoLog {
     }
 
     /// Undo every entry in reverse order — exact inverse ops replayed —
-    /// restoring every journaled relation to its pre-transaction contents
-    /// with a clear dirty mask, then reset.
+    /// restoring every journaled relation to its pre-transaction contents,
+    /// then reset.
     /// A no-op on an empty journal.
     ///
     /// Errors only on a journal/catalog mismatch, which would indicate a
@@ -135,7 +128,6 @@ impl UndoLog {
                     }
                 }
             }
-            rel.clear_dirty();
         }
         self.reset();
         Ok(())
@@ -269,7 +261,7 @@ mod tests {
             apply_to_relation_undo(&d, rel, &mut io, &mut undo).unwrap();
         }
         assert_eq!(undo.table_count(), 1);
-        assert_eq!(undo.tables().collect::<Vec<_>>(), vec!["SumOfSals"]);
+        assert_eq!(undo.entries[0].table, "SumOfSals");
         assert_ne!(&pre, cat.table("SumOfSals").unwrap().relation.data());
 
         undo.rollback(&mut cat).unwrap();
@@ -289,7 +281,7 @@ mod tests {
     fn same_key_modify_rolls_back_bit_identically() {
         // `Relation::modify` swaps a tuple inside its index bucket when the
         // index key is unchanged; the journal's inverse is another such
-        // swap. Contents, probes and dirty masks must come back exactly —
+        // swap. Contents and probes must come back exactly —
         // for one tuple (the paper's N3 case) and for ten copies under one
         // key (N4).
         for n in [1u64, 10] {
@@ -298,7 +290,6 @@ mod tests {
                 let rel = &mut cat.table_mut("SumOfSals").unwrap().relation;
                 rel.insert(tuple!["dept1", 100], n - 1, &mut IoMeter::new())
                     .unwrap();
-                rel.clear_dirty();
             }
             let pre = cat.table("SumOfSals").unwrap().relation.clone();
             let d = Delta::modify(tuple!["dept1", 100], tuple!["dept1", 130], n);
@@ -311,7 +302,6 @@ mod tests {
             undo.rollback(&mut cat).unwrap();
             let rel = &cat.table("SumOfSals").unwrap().relation;
             assert_eq!(rel.data(), pre.data());
-            assert_eq!(rel.dirty_shards(), 0);
             for d in 0..4 {
                 let key = [spacetime_storage::Value::str(format!("dept{d}"))];
                 assert_eq!(rel.peek(0, &key), pre.peek(0, &key));
@@ -379,15 +369,10 @@ mod tests {
             apply_to_relation_undo(&d, rel, &mut io, &mut undo).unwrap();
         }
         assert_eq!(undo.table_count(), 2);
-        assert_eq!(undo.tables().skip(1).collect::<Vec<_>>(), vec!["SumOfSals"]);
+        assert_eq!(undo.entries[1].table, "SumOfSals");
         undo.rollback(&mut cat).unwrap();
         let rel = &cat.table("SumOfSals").unwrap().relation;
         assert_eq!(&pre, rel.data());
-        assert_eq!(
-            rel.dirty_shards(),
-            0,
-            "an abort leaves no dirty mask behind"
-        );
         // A second rollback — the scope's abort after a commit that already
         // replayed — finds an empty journal and does nothing.
         undo.rollback(&mut cat).unwrap();

@@ -336,7 +336,7 @@ fn keyed_tuples(d: &Delta) -> impl Iterator<Item = &Tuple> {
 
 /// Sort + dedup: the distinct keys in ascending order — the order a
 /// `BTreeSet` would hand them out, so queries are posed and output rows
-/// emitted exactly as the per-key reference does — and, per element, the
+/// emitted in one deterministic order — and, per element, the
 /// position of its key among them (`None` for an element without a key).
 /// Batched answers are positional, so that position is all a rule needs.
 fn distinct_keys(mut elem_keys: Vec<Option<Vec<Value>>>) -> (Vec<Vec<Value>>, Vec<Option<usize>>) {
@@ -530,8 +530,8 @@ fn propagate_aggregate(
     check_positional(&pending, &fetched)?;
     let mut fetched = fetched.iter();
 
-    // Pass 2: emit rows in key order, so the output delta is identical to
-    // the one the per-key path produced.
+    // Pass 2: emit rows in key order, so the output delta does not depend
+    // on how the delta's rows were ordered.
     let mut out = Delta::new();
     let mut leaving = FxHashMap::default();
     for (gd, rows) in groups.iter().zip(resolved) {

@@ -26,7 +26,7 @@ use spacetime_sql::{lower::lower_literal_row, lower_select, parse_statements, St
 use spacetime_storage::{Bag, Catalog, Column, Schema, Tuple, Value};
 
 use crate::constraints::Violation;
-use crate::engine::{default_workload, IvmEngine, PlannedUpdate, PropagationMode, UpdateReport};
+use crate::engine::{default_workload, IvmEngine, PlannedUpdate, UpdateReport};
 use crate::{IvmError, IvmResult};
 
 /// How auxiliary views are chosen when a view, a view group or an
@@ -77,7 +77,6 @@ pub struct Database {
     engines: Vec<Arc<IvmEngine>>,
     workload: Vec<TransactionType>,
     selection: ViewSelection,
-    mode: PropagationMode,
     tracing: bool,
     last_trace: Option<TraceNode>,
     /// The rollback journal — the one rollback mechanism (DESIGN.md §12).
@@ -132,7 +131,6 @@ impl Database {
             engines: Vec::new(),
             workload: Vec::new(),
             selection: ViewSelection::default(),
-            mode: PropagationMode::default(),
             tracing: false,
             last_trace: None,
             undo: spacetime_delta::UndoLog::new(),
@@ -195,20 +193,6 @@ impl Database {
     /// Set the view-selection strategy for subsequently created views.
     pub fn set_view_selection(&mut self, s: ViewSelection) {
         self.selection = s;
-    }
-
-    /// Set the propagation data plane every update plans with. The mode is
-    /// the session's and is passed into planning; engines do not hold it.
-    /// Both modes produce identical deltas and charge identical I/O;
-    /// [`PropagationMode::PerKey`] is the reference the suites compare
-    /// [`PropagationMode::Fused`] against.
-    pub fn set_propagation_mode(&mut self, mode: PropagationMode) {
-        self.mode = mode;
-    }
-
-    /// The active propagation mode (checkpoints persist it).
-    pub fn propagation_mode(&self) -> PropagationMode {
-        self.mode
     }
 
     /// Declare the workload (transaction types with weights) the optimizer
@@ -500,7 +484,7 @@ impl Database {
         // Phase 1: plan against pre-update state.
         let mut planned = Vec::with_capacity(self.engines.len());
         for e in &self.engines {
-            let plan = e.plan_update_with(&self.catalog, table, delta, self.mode, self.tracing)?;
+            let plan = e.plan_update_with(&self.catalog, table, delta, self.tracing)?;
             planned.push(plan);
         }
         let plan_dur = t_plan.map(|t| t.elapsed());
@@ -604,7 +588,7 @@ impl Database {
         root
     }
 
-    /// The journaled commit — the dirty-shard fast path. View deltas and
+    /// The journaled commit. View deltas and
     /// the base delta are applied *in place* on the live catalog,
     /// recording an inverse operation in the session's
     /// [`spacetime_delta::UndoLog`] for each landed write. In the steady
@@ -640,13 +624,6 @@ impl Database {
         for _ in mark..self.undo.table_count() {
             spacetime_storage::fault::fire("storage::restore_table")?;
         }
-        let mut dirty = 0u64;
-        for name in self.undo.tables().skip(mark) {
-            let rel = &mut self.catalog.table_mut(name)?.relation;
-            dirty += u64::from(rel.dirty_shards());
-            rel.clear_dirty();
-        }
-        obs::counter_add(metric::COMMIT_DIRTY_SHARDS, dirty);
         Ok(combined)
     }
 
@@ -945,10 +922,11 @@ mod tests {
         assert!(matches!(err, IvmError::AssertionViolated { .. }), "{err}");
     }
 
-    /// Engines are built once: changing the session's propagation mode
-    /// leaves every engine shared between a database and its clone.
+    /// Engines are built once and never copied: a database and its clone
+    /// share every engine, and an update through one of them still
+    /// maintains its views.
     #[test]
-    fn a_mode_change_keeps_every_engine_shared_with_clones() {
+    fn engines_stay_shared_with_clones() {
         let mut db = one_table_db();
         db.execute_sql(
             "CREATE MATERIALIZED VIEW Big AS SELECT K FROM T WHERE V > 1;
@@ -956,7 +934,6 @@ mod tests {
         )
         .unwrap();
         let copy = db.clone();
-        db.set_propagation_mode(PropagationMode::PerKey);
         assert_eq!(db.engines().len(), 2);
         for (a, b) in db.engines().iter().zip(copy.engines()) {
             assert!(Arc::ptr_eq(a, b), "engine `{}` was copied", a.name);

@@ -33,9 +33,9 @@
 //!   does not cover — the sealed segment's, then the live log's — through
 //!   [`Database::apply_transaction`].
 //!
-//! Recovery is proven bit-identical by `prop_wal.rs`: every crash site ×
-//! propagation mode recovers to exactly the committed prefix,
-//! cross-checked against the recompute oracle.
+//! Recovery is proven bit-identical by `prop_wal.rs`: every crash site
+//! recovers to exactly the committed prefix, cross-checked against the
+//! recompute oracle.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -52,7 +52,7 @@ use spacetime_wal::{
 };
 
 use crate::database::{explore_views, Database};
-use crate::engine::{IvmEngine, PropagationMode};
+use crate::engine::IvmEngine;
 use crate::sched::Txn;
 use crate::shim::{CHECKPOINT_FILE, LOG_FILE};
 use crate::{IvmError, IvmResult};
@@ -102,37 +102,29 @@ pub struct RecoveryStats {
     pub discarded_bytes: u64,
 }
 
-fn prop_mode_to_u8(m: PropagationMode) -> u8 {
-    match m {
-        PropagationMode::PerKey => 0,
-        PropagationMode::Fused => 2,
-    }
-}
+/// The `STWALCK1` propagation-mode byte, kept for the format: always
+/// written as 2 (the one data plane's tag). Nothing is restored from it.
+const PROPAGATION_MODE_TAG: u8 = 2;
 
-/// The inverse of [`prop_mode_to_u8`]. Tag 1 was the retired `Batched`,
-/// which no `STWALME3` layout ever wrote, so it is a bad checkpoint.
-fn prop_mode_from_u8(b: u8) -> IvmResult<PropagationMode> {
-    match b {
-        0 => Ok(PropagationMode::PerKey),
-        2 => Ok(PropagationMode::Fused),
-        _ => Err(IvmError::Internal(format!("bad propagation mode tag {b}"))),
-    }
-}
-
-/// The `STWALCK1` execution-mode byte: always written as 0 to keep the
-/// format, and nothing is restored from it. Any other tag (1 was the
-/// retired `Parallel`, which no `STWALME3` layout ever wrote) is a bad
-/// checkpoint.
-fn check_exec_mode_tag(b: u8) -> IvmResult<()> {
-    match b {
-        0 => Ok(()),
-        _ => Err(IvmError::Internal(format!("bad execution mode tag {b}"))),
+/// Check a checkpoint's two mode bytes, which restore nothing. The
+/// propagation byte may be 2 or 0: the retired per-key mode wrote 0 under
+/// this same `STWALME3` layout, and its checkpoints restore the same
+/// state. The execution byte is always 0. Any other tag (1 was the
+/// retired `Batched` or `Parallel`, which no `STWALME3` layout ever
+/// wrote) is a bad checkpoint.
+fn check_mode_tags(propagation: u8, execution: u8) -> IvmResult<()> {
+    match (propagation, execution) {
+        (0 | PROPAGATION_MODE_TAG, 0) => Ok(()),
+        (0 | PROPAGATION_MODE_TAG, b) => {
+            Err(IvmError::Internal(format!("bad execution mode tag {b}")))
+        }
+        (b, _) => Err(IvmError::Internal(format!("bad propagation mode tag {b}"))),
     }
 }
 
 /// What a checkpoint freezes on the serving thread: each table's metadata
-/// and rows, each engine's recipe, the assertions (written from the
-/// engines' flags) and the mode. Nothing
+/// and rows, each engine's recipe and the assertions (written from the
+/// engines' flags). Nothing
 /// here is sorted or encoded — the writer thread does that
 /// ([`Snapshot::into_doc`]).
 ///
@@ -147,7 +139,6 @@ struct Snapshot {
     tables: Vec<(TableDump, Bag)>,
     engines: Vec<EngineDump>,
     assertions: Vec<(String, String)>,
-    propagation_mode: u8,
 }
 
 /// Snapshot `db` as a checkpoint covering txns `<= last_txn`.
@@ -205,7 +196,6 @@ fn snapshot(db: &Database, last_txn: u64) -> IvmResult<Snapshot> {
             .iter()
             .filter_map(|e| Some((e.assertion.clone()?, e.name.clone())))
             .collect(),
-        propagation_mode: prop_mode_to_u8(db.propagation_mode()),
     })
 }
 
@@ -222,7 +212,7 @@ impl Snapshot {
             .collect();
         CheckpointDoc {
             last_txn: self.last_txn,
-            propagation_mode: self.propagation_mode,
+            propagation_mode: PROPAGATION_MODE_TAG,
             execution_mode: 0,
             tables,
             assertions: self.assertions,
@@ -347,8 +337,7 @@ fn restore_database(raw: &RawCheckpoint) -> IvmResult<Database> {
     for (engine, dump) in engines.into_iter().zip(&dumps) {
         db.register(engine, dump.creation.clone());
     }
-    db.set_propagation_mode(prop_mode_from_u8(raw.propagation_mode)?);
-    check_exec_mode_tag(raw.execution_mode)?;
+    check_mode_tags(raw.propagation_mode, raw.execution_mode)?;
     Ok(db)
 }
 
@@ -684,7 +673,6 @@ mod tests {
         rewrite(0, 0);
         let (recovered, stats) = Database::open(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(stats.replayed_txns, 1);
-        assert_eq!(recovered.propagation_mode(), PropagationMode::PerKey);
         for table in ["T", "Big"] {
             let rel = &recovered.catalog.table(table).unwrap().relation;
             assert!(

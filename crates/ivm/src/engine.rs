@@ -13,6 +13,18 @@
 //! optimizer assumed — and finally applies the deltas to every
 //! materialized relation, charging the §3.6 update costs.
 //!
+//! There is one data plane (DESIGN.md §10). Each delta's distinct keys
+//! are collected up front and answered by one batched query per (child,
+//! columns), with a stored relation's index resolved once per batch, and
+//! self-maintenance reads are index probes. A chain step (an access-free
+//! `Select`/`Project` chain off the base scan) runs its compiled
+//! [`FusedProgram`] straight off the base delta when its delta is needed,
+//! and is skipped otherwise: an interior chain group's delta only feeds
+//! the next stage, which the kernel fuses away. Chains pose no queries
+//! and charge no I/O, so nothing the report counts depends on the fusion.
+//! Tracing runs the same kernels: a needed chain step records one span
+//! carrying its stage count.
+//!
 //! I/O is reported per bucket ([`UpdateReport`]) so callers can reproduce
 //! the paper's accounting, which excludes base-relation and top-level-view
 //! updates.
@@ -34,33 +46,6 @@ use spacetime_obs::{self as obs, names as metric, TraceNode};
 use crate::qexec::{self, filter_binding, index_key_remap, permuted_key, Access, QueryExec};
 use crate::trace::{GroupProbe, GroupRec, QueryRec};
 use crate::{IvmError, IvmResult};
-
-/// Which data plane [`IvmEngine::plan_update`] runs a compiled update
-/// track on. Both run the same steps in the same order and produce the
-/// same deltas, reports and view contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PropagationMode {
-    /// Every step through the propagation rules, chain steps included: one
-    /// posed query at a time, each stored read resolving its index anew,
-    /// self-rows found by filtering the whole materialization. Not a
-    /// serving mode: it is the reference the test suites hold
-    /// [`PropagationMode::Fused`] bit-identical to.
-    #[doc(hidden)]
-    PerKey,
-    /// The production path. Each delta's distinct keys are collected up
-    /// front and answered by one batched query per (child, columns), with
-    /// a stored relation's index resolved once per batch and
-    /// self-maintenance reads answered by index probes. A chain step (an
-    /// access-free `Select`/`Project` chain off the base scan) runs its
-    /// compiled [`spacetime_algebra::FusedProgram`] straight off the base
-    /// delta when its delta is needed, and is skipped otherwise (an
-    /// interior chain group's delta only feeds the next stage, which the
-    /// kernel fuses away). Chains pose no queries and charge no I/O, so nothing
-    /// the report counts changes. Tracing runs the same kernels: a needed
-    /// chain step records one span carrying its stage count.
-    #[default]
-    Fused,
-}
 
 /// One base table's update track, compiled once at build: the table's
 /// leaf group and the track's groups as steps in topological order
@@ -97,8 +82,8 @@ struct Step {
     /// The backing table when the group is materialized.
     mv: Option<String>,
     /// The access-free chain from the base scan through `Select`/`Project`
-    /// steps only, compiled into a kernel [`PropagationMode::Fused`] runs
-    /// straight off the base delta.
+    /// steps only, compiled into a kernel that runs straight off the base
+    /// delta.
     chain: Option<Chain>,
 }
 
@@ -137,9 +122,8 @@ pub struct UpdateReport {
     pub root_io: IoMeter,
     /// I/O spent applying the delta to the base relation.
     pub base_io: IoMeter,
-    /// Number of queries posed during propagation (§2.2). Like the I/O
-    /// buckets, this must be independent of the propagation mode — a
-    /// batched `matching_all` over k keys counts k.
+    /// Number of queries posed during propagation (§2.2). Batching is an
+    /// execution detail: a batched `matching_all` over k keys counts k.
     pub queries_posed: u64,
 }
 
@@ -397,29 +381,26 @@ impl IvmEngine {
     }
 
     /// Phase 1: propagate a base delta along the chosen track, computing
-    /// the delta of every affected materialized node with the
-    /// [`PropagationMode::Fused`] data plane. Reads only *pre-update*
-    /// state; applies nothing.
+    /// the delta of every affected materialized node. Reads only
+    /// *pre-update* state; applies nothing.
     pub fn plan_update(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
     ) -> IvmResult<PlannedUpdate> {
-        self.plan_update_with(catalog, table, base_delta, PropagationMode::Fused, false)
+        self.plan_update_with(catalog, table, base_delta, false)
     }
 
-    /// [`IvmEngine::plan_update`] on the data plane `mode` (the session's:
-    /// both modes produce identical deltas and charge identical I/O),
-    /// recording a propagation trace into [`PlannedUpdate::trace`] when
-    /// `trace` is set. Tracing does extra work (probes + `Instant` reads)
-    /// but never changes the planned deltas or the report.
+    /// [`IvmEngine::plan_update`], recording a propagation trace into
+    /// [`PlannedUpdate::trace`] when `trace` is set. Tracing does extra
+    /// work (probes + `Instant` reads) but never changes the planned
+    /// deltas or the report.
     pub fn plan_update_with(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
-        mode: PropagationMode,
         trace: bool,
     ) -> IvmResult<PlannedUpdate> {
         let mut report = UpdateReport::default();
@@ -431,7 +412,6 @@ impl IvmEngine {
             });
         };
         obs::counter_add(metric::TRACK_PROPAGATIONS, 1);
-        let fused = mode == PropagationMode::Fused;
         let exec = QueryExec::new(catalog);
         // The base delta's slot borrows the caller's delta (never cloned);
         // each step pushes its own, `None` when the update leaves the group
@@ -442,14 +422,12 @@ impl IvmEngine {
         for step in &plan.steps {
             let t0 = trace.then(Instant::now);
             let (out, rec) = match &step.chain {
-                // A fused chain step runs the whole compiled chain off the
-                // base delta if anything downstream needs its delta (traced
-                // as one span), and is skipped entirely otherwise. Chains
-                // pose no queries and charge no I/O in any mode, so the
-                // report and view deltas stay bit-identical to the per-step
-                // path.
-                Some(chain) if fused && !chain.needed => (None, None),
-                Some(chain) if fused => {
+                // A chain step runs the whole compiled chain off the base
+                // delta if anything downstream needs its delta (traced as
+                // one span), and is skipped entirely otherwise. Chains pose
+                // no queries and charge no I/O.
+                Some(chain) if !chain.needed => (None, None),
+                Some(chain) => {
                     let d = spacetime_delta::propagate_chain(&chain.program, base_delta)?;
                     let rec = t0.map(|t0| GroupRec {
                         probe: GroupProbe {
@@ -470,7 +448,6 @@ impl IvmEngine {
                         step,
                         &slots,
                         &exec,
-                        fused,
                         &mut report.query_io,
                         &mut posed,
                         probe.as_mut(),
@@ -514,7 +491,7 @@ impl IvmEngine {
             .filter(|(_, d)| !d.is_empty())
             .collect();
         obs::counter_add(metric::QUERIES_POSED, report.queries_posed);
-        let trace = trace.then(|| self.plan_trace(table, base_delta, mode, plan, &recs));
+        let trace = trace.then(|| self.plan_trace(table, base_delta, plan, &recs));
         Ok(PlannedUpdate {
             view_deltas,
             report,
@@ -529,13 +506,11 @@ impl IvmEngine {
         &self,
         table: &str,
         base_delta: &Delta,
-        mode: PropagationMode,
         plan: &TrackPlan,
         recs: &[Option<GroupRec>],
     ) -> TraceNode {
         let mut root = TraceNode::new(format!("propagate {}", self.name))
             .with_field("table", table)
-            .with_field("mode", format!("{mode:?}"))
             .with_field("track", &plan.path);
         root.push_child(
             TraceNode::new(format!("N{} Scan", plan.leaf.0))
@@ -634,7 +609,6 @@ fn propagate_group(
     step: &Step,
     slots: &[Option<Cow<'_, Delta>>],
     exec: &QueryExec<'_>,
-    batched: bool,
     io: &mut IoMeter,
     posed: &mut u64,
     mut probe: Option<&mut GroupProbe>,
@@ -667,7 +641,6 @@ fn propagate_group(
         children: &step.children,
         self_rel: self_mv.map(|t| &t.relation),
         complete: step.complete,
-        batched,
         io,
         posed,
         queries: probe.map(|p| &mut p.queries),
@@ -681,7 +654,7 @@ fn propagate_group(
 }
 
 /// `InputAccess` over the engine: queries through the step's resolved
-/// [`Access`]es, run by [`QueryExec`] (charged),
+/// [`Access`]es, run by [`QueryExec`] a batch at a time (charged),
 /// self-rows from the node's own materialization (uncharged — the
 /// subsequent update application pays for reading the tuple, per §3.6's
 /// "reading, modifying and writing 1 tuple" arithmetic).
@@ -690,7 +663,6 @@ struct EngineAccess<'e, 'c> {
     children: &'e [Child],
     self_rel: Option<&'e spacetime_storage::Relation>,
     complete: bool,
-    batched: bool,
     io: &'e mut IoMeter,
     posed: &'e mut u64,
     /// When tracing, every posed query is also recorded here.
@@ -743,41 +715,27 @@ impl InputAccess for EngineAccess<'_, '_> {
         keys: &[Vec<Value>],
     ) -> StorageResult<Vec<Cow<'_, Bag>>> {
         let access = self.access(child, cols)?;
-        if self.batched {
-            // One posed query per binding, same as the per-key path, so the
-            // count is mode-independent (the *execution* differs, not the
-            // set of posed queries — §2.2).
-            self.note_posed(child, access, keys.len() as u64);
-            return self.exec.query_all(access, keys, self.io);
-        }
-        // Per-key baseline: pose each query individually. The executor's
-        // answers borrow the catalog, not `self`, so they are kept across
-        // the loop as they are.
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            self.note_posed(child, access, 1);
-            out.push(self.exec.query(access, key, self.io)?);
-        }
-        Ok(out)
+        // One posed query per binding: the batch is how they execute, not
+        // how many the rules posed (§2.2).
+        self.note_posed(child, access, keys.len() as u64);
+        self.exec.query_all(access, keys, self.io)
     }
 
     fn self_rows(&mut self, cols: &[usize], key: &[Value]) -> StorageResult<Option<Cow<'_, Bag>>> {
         let Some(rel) = self.self_rel else {
             return Ok(None);
         };
-        if self.batched {
-            // The build phase indexed every materialized aggregate on its
-            // group columns, so self-maintenance reads are O(1) probes that
-            // borrow the bucket.
-            if let Some((idx, permute)) = rel.find_exact_index(cols) {
-                let bucket = if permute {
-                    let probe = permuted_key(&index_key_remap(rel, idx, cols)?, key)?;
-                    rel.peek(idx, &probe)
-                } else {
-                    rel.peek(idx, key)
-                };
-                return Ok(Some(Cow::Borrowed(bucket.unwrap_or(Bag::empty()))));
-            }
+        // The build phase indexed every materialized aggregate on its group
+        // columns, so self-maintenance reads are O(1) probes that borrow
+        // the bucket.
+        if let Some((idx, permute)) = rel.find_exact_index(cols) {
+            let bucket = if permute {
+                let probe = permuted_key(&index_key_remap(rel, idx, cols)?, key)?;
+                rel.peek(idx, &probe)
+            } else {
+                rel.peek(idx, key)
+            };
+            return Ok(Some(Cow::Borrowed(bucket.unwrap_or(Bag::empty()))));
         }
         Ok(Some(Cow::Owned(filter_binding(rel.data(), cols, key))))
     }

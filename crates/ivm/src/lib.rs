@@ -43,7 +43,7 @@ pub mod verify;
 pub use constraints::Violation;
 pub use database::{Database, PhaseTotals, ViewSelection};
 pub use durability::{DurabilityOptions, RecoveryStats};
-pub use engine::{IvmEngine, PropagationMode, UpdateReport};
+pub use engine::{IvmEngine, UpdateReport};
 pub use sched::{SchedOutcome, SchedStats, Txn};
 #[doc(hidden)]
 pub use shim::*;

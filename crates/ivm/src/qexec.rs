@@ -355,8 +355,8 @@ impl<'a> QueryExec<'a> {
 
     /// Batched variant of [`QueryExec::query`]: answer `i` is `keys[i]`'s,
     /// with a stored relation's index resolved once for the whole batch.
-    /// Charges exactly the I/O the per-key path would — batching is a
-    /// wall-clock optimization, never an accounting one.
+    /// Charges exactly the I/O of one [`QueryExec::query`] per key —
+    /// batching is a wall-clock optimization, never an accounting one.
     pub fn query_all(
         &self,
         access: &Access,

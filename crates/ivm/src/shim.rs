@@ -28,11 +28,24 @@ pub enum ExecutionMode {
     Sequential,
 }
 
+/// The one propagation data plane. The frozen harness names it; the
+/// benchmark PR deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PropagationMode {
+    #[default]
+    Fused,
+}
+
 impl Database {
     /// Does nothing. The frozen harness calls it; the benchmark PR deletes
     /// it.
     #[doc(hidden)]
     pub fn set_execution_mode(&mut self, _exec: ExecutionMode) {}
+
+    /// Does nothing. The frozen harness calls it; the benchmark PR deletes
+    /// it.
+    #[doc(hidden)]
+    pub fn set_propagation_mode(&mut self, _mode: PropagationMode) {}
 }
 
 /// A pool nothing runs on. The frozen harness constructs one; the

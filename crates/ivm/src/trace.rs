@@ -24,8 +24,7 @@ pub(crate) struct QueryRec {
     pub child: GroupId,
     /// Binding columns of the posed query.
     pub cols: Vec<usize>,
-    /// Distinct keys answered (1 per call in per-key mode; the batch size
-    /// for a batched `matching_all`).
+    /// Distinct keys answered: the batch size of the `matching_all`.
     pub keys: u64,
     /// How the query's resolved access reads its child (`Access::via`).
     pub via: String,

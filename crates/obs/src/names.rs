@@ -26,8 +26,6 @@ pub const TRACK_GROUPS_PROPAGATED: &str = "spacetime_track_groups_propagated_tot
 pub const UPDATE_LATENCY_NS: &str = "spacetime_update_latency_ns";
 /// Commit-phase latency histogram.
 pub const COMMIT_LATENCY_NS: &str = "spacetime_commit_latency_ns";
-/// Storage shards (bag + index) disturbed by committed transactions.
-pub const COMMIT_DIRTY_SHARDS: &str = "spacetime_commit_dirty_shards_total";
 
 /// View sets handed to the optimizer's search engine.
 pub const OPT_SETS_CONSIDERED: &str = "spacetime_opt_sets_considered_total";

@@ -52,18 +52,11 @@ enum Store {
 }
 
 /// A multiset of tuples: distinct tuple → multiplicity (> 0).
-///
-/// Mutations additionally record which shards they disturbed in a
-/// `SHARD_COUNT`-bit dirty mask (bit 0 for the flat representation), so
-/// a commit can report — and a rollback can be checked against — exactly
-/// how much of the bag one transaction touched. The mask is bookkeeping,
-/// not content: equality ignores it.
 #[derive(Debug, Clone)]
 pub struct Bag {
     store: Store,
     total: u64,
     distinct: usize,
-    dirty: u64,
 }
 
 impl Default for Bag {
@@ -72,7 +65,6 @@ impl Default for Bag {
             store: Store::Flat(Shard::default()),
             total: 0,
             distinct: 0,
-            dirty: 0,
         }
     }
 }
@@ -143,8 +135,6 @@ impl Bag {
             shards[s].insert(t, c);
         }
         self.store = Store::Sharded(shards.into_iter().map(Arc::new).collect());
-        // A promotion rewrites every shard.
-        self.dirty = u64::MAX;
     }
 
     /// Insert `n` copies of a tuple. Inserting zero copies is a no-op.
@@ -156,15 +146,8 @@ impl Bag {
             self.promote();
         }
         let map = match &mut self.store {
-            Store::Flat(m) => {
-                self.dirty |= 1;
-                m
-            }
-            Store::Sharded(s) => {
-                let sh = shard_of(&t);
-                self.dirty |= 1 << sh;
-                Arc::make_mut(&mut s[sh])
-            }
+            Store::Flat(m) => m,
+            Store::Sharded(s) => Arc::make_mut(&mut s[shard_of(&t)]),
         };
         let entry = map.entry(t).or_insert(0);
         if *entry == 0 {
@@ -175,7 +158,7 @@ impl Bag {
     }
 
     /// Remove `n` copies; errors if fewer than `n` copies are present (and
-    /// then changes neither content nor the dirty mask).
+    /// then changes nothing).
     pub fn remove(&mut self, t: &Tuple, n: u64) -> StorageResult<()> {
         if self.take(t, n, true) == n {
             Ok(())
@@ -192,12 +175,9 @@ impl Bag {
         if n == 0 {
             return 0;
         }
-        let (map, bit) = match &mut self.store {
-            Store::Flat(m) => (m, 1),
-            Store::Sharded(s) => {
-                let sh = shard_of(t);
-                (Arc::make_mut(&mut s[sh]), 1u64 << sh)
-            }
+        let map = match &mut self.store {
+            Store::Flat(m) => m,
+            Store::Sharded(s) => Arc::make_mut(&mut s[shard_of(t)]),
         };
         let Some(c) = map.get_mut(t) else {
             return 0;
@@ -213,25 +193,8 @@ impl Bag {
             map.remove(t);
             self.distinct -= 1;
         }
-        self.dirty |= bit;
         self.total -= take;
         take
-    }
-
-    /// Bitmask of shards disturbed since the last [`Bag::clear_dirty`]
-    /// (bit 0 for the flat representation).
-    pub fn dirty_mask(&self) -> u64 {
-        self.dirty
-    }
-
-    /// Number of shards disturbed since the last [`Bag::clear_dirty`].
-    pub fn dirty_shards(&self) -> u32 {
-        self.dirty.count_ones()
-    }
-
-    /// Reset the dirty-shard mask (content unchanged).
-    pub fn clear_dirty(&mut self) {
-        self.dirty = 0;
     }
 
     /// Remove up to `n` copies, returning how many were actually removed.
@@ -462,24 +425,5 @@ mod tests {
         } else {
             panic!("expected sharded stores");
         }
-    }
-
-    #[test]
-    fn dirty_mask_tracks_disturbed_shards_only() {
-        let n = (PROMOTE_AT as i64) * 2;
-        let mut b = big(n);
-        b.clear_dirty();
-        assert_eq!(b.dirty_shards(), 0);
-        b.insert(tuple![0], 1);
-        b.remove(&tuple![0], 1).unwrap();
-        assert_eq!(b.dirty_shards(), 1, "one tuple disturbs one shard");
-        // Failed removes leave the mask untouched.
-        let mask = b.dirty_mask();
-        assert!(b.remove(&tuple![-123], 1).is_err());
-        assert_eq!(b.dirty_mask(), mask);
-        // Equality ignores the mask.
-        let mut c = b.clone();
-        c.clear_dirty();
-        assert_eq!(b, c);
     }
 }

@@ -39,15 +39,10 @@ enum Buckets {
 
 /// A hash index mapping a key (values of `key_cols`) to the bag of matching
 /// tuples.
-///
-/// Like [`Bag`], maintenance records disturbed bucket shards in a dirty
-/// mask so commits can report how much of the index one transaction
-/// touched.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     key_cols: Vec<usize>,
     buckets: Buckets,
-    dirty: u64,
 }
 
 impl Default for HashIndex {
@@ -102,11 +97,7 @@ impl HashIndex {
         } else {
             Buckets::Multi(empty_shards())
         };
-        HashIndex {
-            key_cols,
-            buckets,
-            dirty: 0,
-        }
+        HashIndex { key_cols, buckets }
     }
 
     /// The indexed column positions.
@@ -138,9 +129,7 @@ impl HashIndex {
             Buckets::Single(shards) => {
                 let col = self.key_cols[0];
                 let key = t.get(col).unwrap_or(&Value::Null);
-                let s = shard_of_value(key);
-                self.dirty |= 1 << s;
-                let map = Arc::make_mut(&mut shards[s]);
+                let map = Arc::make_mut(&mut shards[shard_of_value(key)]);
                 match map.get_mut(key) {
                     Some(bucket) => bucket.insert(t.clone(), n),
                     None => {
@@ -151,9 +140,7 @@ impl HashIndex {
                 }
             }
             Buckets::Multi(shards) => {
-                let s = shard_of_tuple_key(t, &self.key_cols);
-                self.dirty |= 1 << s;
-                let map = Arc::make_mut(&mut shards[s]);
+                let map = Arc::make_mut(&mut shards[shard_of_tuple_key(t, &self.key_cols)]);
                 let key = owned_key(&self.key_cols, t);
                 map.entry(key).or_default().insert(t.clone(), n);
             }
@@ -167,9 +154,7 @@ impl HashIndex {
             Buckets::Single(shards) => {
                 let col = self.key_cols[0];
                 let key = t.get(col).unwrap_or(&Value::Null);
-                let s = shard_of_value(key);
-                self.dirty |= 1 << s;
-                let map = Arc::make_mut(&mut shards[s]);
+                let map = Arc::make_mut(&mut shards[shard_of_value(key)]);
                 if let Some(bucket) = map.get_mut(key) {
                     bucket.remove_up_to(t, n);
                     if bucket.is_empty() {
@@ -178,9 +163,7 @@ impl HashIndex {
                 }
             }
             Buckets::Multi(shards) => {
-                let s = shard_of_tuple_key(t, &self.key_cols);
-                self.dirty |= 1 << s;
-                let map = Arc::make_mut(&mut shards[s]);
+                let map = Arc::make_mut(&mut shards[shard_of_tuple_key(t, &self.key_cols)]);
                 let key = owned_key(&self.key_cols, t);
                 if let Some(bucket) = map.get_mut(&key) {
                     bucket.remove_up_to(t, n);
@@ -197,7 +180,7 @@ impl HashIndex {
     /// bucket — the bucket `Bag` and its map entry stay where they are,
     /// even when `old` was the bucket's only row (a primary-key index
     /// would otherwise free and re-allocate a one-row map per modify).
-    /// Same content and same dirty bit as `remove` + `insert`.
+    /// Same content as `remove` + `insert`.
     pub fn replace(&mut self, old: &Tuple, new: &Tuple, n: u64) -> bool {
         if self.key_changed(old, new) {
             self.remove(old, n);
@@ -207,13 +190,10 @@ impl HashIndex {
         let bucket = match &mut self.buckets {
             Buckets::Single(shards) => {
                 let key = old.get(self.key_cols[0]).unwrap_or(&Value::Null);
-                let s = shard_of_value(key);
-                self.dirty |= 1 << s;
-                Arc::make_mut(&mut shards[s]).get_mut(key)
+                Arc::make_mut(&mut shards[shard_of_value(key)]).get_mut(key)
             }
             Buckets::Multi(shards) => {
                 let s = shard_of_tuple_key(old, &self.key_cols);
-                self.dirty |= 1 << s;
                 let key = owned_key(&self.key_cols, old);
                 Arc::make_mut(&mut shards[s]).get_mut(&key)
             }
@@ -262,27 +242,9 @@ impl HashIndex {
         } else {
             Buckets::Multi(empty_shards())
         };
-        self.dirty = u64::MAX;
         for (t, c) in data.iter() {
             self.insert(t, c);
         }
-    }
-
-    /// Bitmask of bucket shards disturbed since the last
-    /// [`HashIndex::clear_dirty`].
-    pub fn dirty_mask(&self) -> u64 {
-        self.dirty
-    }
-
-    /// Number of bucket shards disturbed since the last
-    /// [`HashIndex::clear_dirty`].
-    pub fn dirty_shards(&self) -> u32 {
-        self.dirty.count_ones()
-    }
-
-    /// Reset the dirty-shard mask (content unchanged).
-    pub fn clear_dirty(&mut self) {
-        self.dirty = 0;
     }
 }
 

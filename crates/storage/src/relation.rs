@@ -246,26 +246,6 @@ impl Relation {
         self.data = data;
         Ok(())
     }
-
-    /// Total number of storage shards (data bag plus every index)
-    /// disturbed since the last [`Relation::clear_dirty`] — how much of
-    /// this relation the current transaction actually touched.
-    pub fn dirty_shards(&self) -> u32 {
-        self.data.dirty_shards()
-            + self
-                .indexes
-                .iter()
-                .map(HashIndex::dirty_shards)
-                .sum::<u32>()
-    }
-
-    /// Reset all dirty-shard masks (content unchanged).
-    pub fn clear_dirty(&mut self) {
-        self.data.clear_dirty();
-        for idx in &mut self.indexes {
-            idx.clear_dirty();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -355,7 +335,6 @@ mod tests {
             let mut r = emp();
             let mut io = IoMeter::new();
             r.insert(old.clone(), n - 1, &mut io).unwrap(); // n copies in all
-            r.clear_dirty();
             let (mut swapped, mut reference) = (r.clone(), r);
 
             let mut io = IoMeter::new();
@@ -367,7 +346,6 @@ mod tests {
             reference.insert(new.clone(), n, &mut ref_io).unwrap();
 
             assert_eq!(swapped.data(), reference.data());
-            assert_eq!(swapped.dirty_shards(), reference.dirty_shards());
             for key in ["Sales", "Eng", "HR"] {
                 let key = [Value::str(key)];
                 assert_eq!(swapped.peek(0, &key), reference.peek(0, &key));

@@ -136,8 +136,8 @@ proptest! {
         }
     }
 
-    /// Short strings — the empty string included — never touch the
-    /// interner: every construction path inlines them.
+    /// Short strings — the empty string included — never allocate a
+    /// shared `Arc<str>`: every construction path inlines them.
     #[test]
     fn short_strings_always_inline(
         s in proptest::collection::vec((b'a'..=b'z').prop_map(|b| b as char), 0..=SmallStr::INLINE_CAP)

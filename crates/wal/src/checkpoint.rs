@@ -379,6 +379,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every field of every table dump reads back as it was written: the
+    /// index definitions, both page densities and each row's multiplicity
+    /// restore the catalog, so none of them may be dropped or swapped.
+    #[test]
+    fn every_table_field_round_trips() {
+        let dir = test_dir("ckpt_table_fields");
+        let path = dir.join("checkpoint.ckpt");
+        let mut doc = large_doc();
+        doc.tables[0].index_defs = vec![vec![1], vec![0, 1]];
+        doc.tables[0].relation_tuples_per_page = 7;
+        doc.tables[0].stats_tuples_per_page = 9;
+        write_checkpoint(&path, &doc).unwrap();
+        let raw = read_checkpoint(&path).unwrap().unwrap();
+        assert_eq!(format!("{:?}", raw.tables), format!("{:?}", doc.tables));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn checkpoint_round_trips() {
         let dir = test_dir("ckpt_roundtrip");

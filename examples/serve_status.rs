@@ -15,7 +15,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use spacetime::ivm::{Database, PropagationMode, Txn};
+use spacetime::ivm::{Database, Txn};
 use spacetime::obs;
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 
@@ -32,7 +32,6 @@ fn get(addr: &std::net::SocketAddr, path: &str) -> String {
 fn main() {
     // The paper schema and data, one view.
     let mut db: Database = paper_schema_db();
-    db.set_propagation_mode(PropagationMode::Fused);
     load_paper_data(&mut db, 24, 5);
     db.execute_sql(
         "CREATE MATERIALIZED VIEW DeptProfile AS \
