@@ -427,10 +427,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x55;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_checkpoint(&path),
-            Err(WalError::Corrupt(_))
-        ));
+        assert!(matches!(read_checkpoint(&path), Err(WalError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 
