@@ -1,14 +1,15 @@
-//! Property tests pinning the fused streaming kernels against the
-//! per-operator propagation rules and the materializing evaluator.
+//! Property tests pinning the fused streaming kernels (the one σ/π rule)
+//! against the materializing evaluator.
 //!
 //! Two layers:
 //!
-//! 1. **Kernel vs stepwise** — random `Select`/`Project` chains over
-//!    random deltas (multi-row deletes and modify pairs included) must
-//!    produce **bit-identical** output deltas whether pushed through a
-//!    compiled [`FusedProgram`] in one pass or folded through
-//!    [`propagate`] one operator at a time. Chains pose no queries in
-//!    either form, which the test also asserts.
+//! 1. **Kernel vs spec** — random `Select`/`Project` chains over random
+//!    deltas (multi-row deletes and modify pairs included) must produce
+//!    **bit-identical** output deltas whether pushed through a compiled
+//!    [`FusedProgram`] in one pass, folded through [`propagate`] one
+//!    operator at a time, or run element by element through the
+//!    evaluator's `filter_bag`/`project_bag`. Chains pose no queries,
+//!    which the test also asserts.
 //!
 //! 2. **Database vs oracle** — random operator trees (a select→project
 //!    chain view, plus a join→aggregate engine with a HAVING-style chain
@@ -26,16 +27,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use spacetime_algebra::eval::{filter_bag, project_bag};
 use spacetime_algebra::{
     AggExpr, AggFunc, BinOp, CmpOp, ExprNode, FusedProgram, OpKind, ScalarExpr,
 };
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::{propagate, propagate_chain, BagAccess, Delta};
 use spacetime_ivm::{verify_all_views, Database};
-use spacetime_storage::{tuple, Column, DataType, Schema, Tuple, Value};
+use spacetime_storage::{tuple, Bag, Column, DataType, Schema, Tuple, Value};
 
 // ---------------------------------------------------------------------
-// Layer 1: compiled chain kernels vs folding `propagate` per operator
+// Layer 1: compiled chain kernels vs the evaluator, element by element
 // ---------------------------------------------------------------------
 
 /// A random access-free chain: 1..=5 `Select`/`Project` ops, each valid
@@ -108,15 +110,54 @@ fn int_schema(arity: usize) -> Schema {
     )
 }
 
+/// The per-element spec of a σ/π chain, over the materializing
+/// evaluator: each row runs through `filter_bag`/`project_bag` stage by
+/// stage as a one-row bag. A filter splits a modify pair when only one side
+/// passes; a projection keeps the pair; identical pairs are dropped (by
+/// `push_modify`).
+fn chain_spec(ops: &[OpKind], d: &Delta) -> Delta {
+    let through = |t: &Tuple| -> Option<Tuple> {
+        let mut bag = Bag::from_tuples([t.clone()]);
+        for op in ops {
+            bag = match op {
+                OpKind::Select { predicate } => filter_bag(&bag, predicate).unwrap(),
+                OpKind::Project { exprs } => project_bag(&bag, exprs).unwrap(),
+                other => panic!("{other:?} is not a chain op"),
+            };
+        }
+        bag.sorted().pop().map(|(t, _)| t)
+    };
+    let mut out = Delta::new();
+    for (t, c) in d.inserts.iter() {
+        if let Some(t) = through(t) {
+            out.inserts.insert(t, c);
+        }
+    }
+    for (t, c) in d.deletes.iter() {
+        if let Some(t) = through(t) {
+            out.deletes.insert(t, c);
+        }
+    }
+    for m in &d.modifies {
+        match (through(&m.old), through(&m.new)) {
+            (Some(o), Some(n)) => out.push_modify(o, n, m.count),
+            (Some(o), None) => out.deletes.insert(o, m.count),
+            (None, Some(n)) => out.inserts.insert(n, m.count),
+            (None, None) => {}
+        }
+    }
+    out
+}
+
 fn chain_case(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let arity = rng.gen_range(1..5);
     let ops = random_chain(&mut rng, arity);
     let delta = random_delta(&mut rng, arity);
 
-    // Stepwise reference: fold `propagate` over each chain operator,
-    // materializing an intermediate delta per stage. Chains never probe
-    // their inputs, so an empty access suffices — and must stay unposed.
+    // Stepwise: fold `propagate` over each chain operator, materializing
+    // an intermediate delta per stage. Chains never probe their inputs, so
+    // an empty access suffices — and must stay unposed.
     let mut node = Arc::new(ExprNode {
         op: OpKind::Scan { table: "T".into() },
         children: vec![],
@@ -134,9 +175,14 @@ fn chain_case(seed: u64) {
     let prog = FusedProgram::compile(&ops).expect("select/project chains always compile");
     let fused = propagate_chain(&prog, &delta).unwrap();
 
+    let spec = chain_spec(&ops, &delta);
     assert_eq!(
-        fused, stepwise,
-        "fused kernel diverged from stepwise propagation\nchain: {ops:?}\ninput: {delta:?}"
+        fused, spec,
+        "fused kernel diverged from the evaluator\nchain: {ops:?}\ninput: {delta:?}"
+    );
+    assert_eq!(
+        stepwise, spec,
+        "stepwise propagation diverged from the evaluator\nchain: {ops:?}\ninput: {delta:?}"
     );
 }
 
@@ -146,7 +192,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Random chains x random deltas: fused == stepwise, bit for bit.
+    /// Random chains x random deltas: fused == stepwise == spec, bit for
+    /// bit.
     #[test]
     fn fused_chain_matches_stepwise_propagate(seed in any::<u64>()) {
         chain_case(seed);

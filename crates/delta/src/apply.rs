@@ -310,6 +310,32 @@ mod tests {
     }
 
     #[test]
+    fn chained_modifies_roll_back_newest_first() {
+        // a → b then b → c on one tuple: only a newest-first replay finds
+        // each op's output in place (c → b, then b → a); a forward replay
+        // looks for b while the relation holds c.
+        let mut cat = sum_of_sals_catalog();
+        let pre = cat.table("SumOfSals").unwrap().relation.clone();
+        let (a, b, c) = (
+            tuple!["dept1", 100],
+            tuple!["dept1", 130],
+            tuple!["dept1", 160],
+        );
+        let mut d = Delta::modify(a.clone(), b.clone(), 1);
+        d.push_modify(b, c.clone(), 1);
+        let (mut undo, mut io) = (UndoLog::new(), IoMeter::new());
+        {
+            let rel = &mut cat.table_mut("SumOfSals").unwrap().relation;
+            apply_to_relation_undo(&d, rel, &mut io, &mut undo).unwrap();
+            assert_eq!(rel.data().count(&c), 1);
+        }
+        undo.rollback(&mut cat).unwrap();
+        let rel = &cat.table("SumOfSals").unwrap().relation;
+        assert_eq!(rel.data(), pre.data());
+        assert_eq!(rel.data().count(&a), 1);
+    }
+
+    #[test]
     fn undo_covers_partial_application() {
         // A delta that fails mid-apply leaves the journal covering exactly
         // the ops that landed, so rollback restores the pre-state.

@@ -5,8 +5,8 @@
 //! chooses the cheapest update track of every base relation the DAG reads
 //! and compiles it once into a `TrackPlan`: the track's groups as steps in
 //! topological order, each child resolved to the slot its delta lands in,
-//! the aggregates' key elimination decided and the access-free chains
-//! compiled into fused kernels. An update then walks its table's steps,
+//! the aggregates' key elimination decided and every `Select`/`Project`
+//! run compiled into a fused kernel. An update then walks its table's steps,
 //! computing each affected node's delta with the `spacetime-delta` rules —
 //! answering the queries they pose through the [`Access`]es resolved at
 //! compile time, so lookups hit materialized views exactly where the
@@ -16,12 +16,15 @@
 //! There is one data plane (DESIGN.md §10). Each delta's distinct keys
 //! are collected up front and answered by one batched query per (child,
 //! columns), with a stored relation's index resolved once per batch, and
-//! self-maintenance reads are index probes. A chain step (an access-free
-//! `Select`/`Project` chain off the base scan) runs its compiled
-//! [`FusedProgram`] straight off the base delta when its delta is needed,
-//! and is skipped otherwise: an interior chain group's delta only feeds
-//! the next stage, which the kernel fuses away. Chains pose no queries
-//! and charge no I/O, so nothing the report counts depends on the fusion.
+//! self-maintenance reads go through the same stored lookup, uncharged.
+//! There is one σ/π rule, the kernel: every `Select`/`Project` step is a
+//! chain step, which extends its child's chain or starts one at its
+//! child's slot — the base delta or a join's, aggregate's or distinct's
+//! output. It runs its compiled [`FusedProgram`] straight off that slot
+//! when its delta is needed, and is skipped otherwise: an interior chain
+//! group's delta only feeds the next stage, which the kernel fuses away.
+//! Only joins, aggregates and distincts pose queries. Chains pose none and
+//! charge no I/O, so nothing the report counts depends on the fusion.
 //! Tracing runs the same kernels: a needed chain step records one span
 //! carrying its stage count.
 //!
@@ -43,7 +46,7 @@ use spacetime_storage::{Bag, Catalog, IoMeter, StorageResult, Value};
 
 use spacetime_obs::{self as obs, names as metric, TraceNode};
 
-use crate::qexec::{self, filter_binding, index_key_remap, permuted_key, Access, QueryExec};
+use crate::qexec::{self, Access, QueryExec};
 use crate::trace::{GroupProbe, GroupRec, QueryRec};
 use crate::{IvmError, IvmResult};
 
@@ -81,9 +84,8 @@ struct Step {
     complete: bool,
     /// The backing table when the group is materialized.
     mv: Option<String>,
-    /// The access-free chain from the base scan through `Select`/`Project`
-    /// steps only, compiled into a kernel that runs straight off the base
-    /// delta.
+    /// For a `Select`/`Project` step, the σ/π chain ending here, compiled
+    /// into a kernel that runs straight off the slot feeding the chain.
     chain: Option<Chain>,
 }
 
@@ -105,6 +107,9 @@ struct Child {
 #[derive(Debug)]
 struct Chain {
     program: FusedProgram,
+    /// The slot the chain reads: 0 (the base delta) or a non-chain step's
+    /// output.
+    source: usize,
     /// Whether the fused path still needs the group's delta: it is
     /// materialized or feeds a non-chain step. An interior chain group is
     /// skipped, its delta existed only to carry data to the next stage.
@@ -422,26 +427,29 @@ impl IvmEngine {
         for step in &plan.steps {
             let t0 = trace.then(Instant::now);
             let (out, rec) = match &step.chain {
-                // A chain step runs the whole compiled chain off the base
-                // delta if anything downstream needs its delta (traced as
-                // one span), and is skipped entirely otherwise. Chains pose
-                // no queries and charge no I/O.
-                Some(chain) if !chain.needed => (None, None),
-                Some(chain) => {
-                    let d = spacetime_delta::propagate_chain(&chain.program, base_delta)?;
-                    let rec = t0.map(|t0| GroupRec {
-                        probe: GroupProbe {
-                            delta_in: base_delta.size(),
-                            ..GroupProbe::default()
-                        },
-                        delta_out: d.size(),
-                        stages: Some(chain.program.stage_count()),
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                        ..GroupRec::default()
-                    });
-                    ((!d.is_empty()).then_some(d), rec)
-                }
-                _ => {
+                // A chain step runs the whole compiled chain off its source
+                // slot if anything downstream needs its delta (traced as one
+                // span), and is skipped entirely otherwise or when the
+                // source carries nothing. Chains pose no queries and charge
+                // no I/O.
+                Some(chain) => match slots[chain.source].as_deref() {
+                    Some(d_in) if chain.needed && !d_in.is_empty() => {
+                        let d = spacetime_delta::propagate_chain(&chain.program, d_in)?;
+                        let rec = t0.map(|t0| GroupRec {
+                            probe: GroupProbe {
+                                delta_in: d_in.size(),
+                                ..GroupProbe::default()
+                            },
+                            delta_out: d.size(),
+                            stages: Some(chain.program.stage_count()),
+                            wall_ns: t0.elapsed().as_nanos() as u64,
+                            ..GroupRec::default()
+                        });
+                        ((!d.is_empty()).then_some(d), rec)
+                    }
+                    _ => (None, None),
+                },
+                None => {
                     let mut posed = 0u64;
                     let mut probe = trace.then(GroupProbe::default);
                     let out = propagate_group(
@@ -602,9 +610,9 @@ impl IvmEngine {
     }
 }
 
-/// Compute one step's output delta from its children's slots (and the
-/// pre-update catalog). Returns `None` when no child carries a delta (the
-/// group is unaffected this transaction).
+/// Compute a join's, aggregate's or distinct's output delta from its
+/// children's slots (and the pre-update catalog). Returns `None` when no
+/// child carries a delta (the group is unaffected this transaction).
 fn propagate_group(
     step: &Step,
     slots: &[Option<Cow<'_, Delta>>],
@@ -631,15 +639,10 @@ fn propagate_group(
     if let Some(p) = probe.as_mut() {
         p.delta_in = d_in.size();
     }
-    let self_mv = step
-        .mv
-        .as_deref()
-        .map(|t| exec.catalog.table(t))
-        .transpose()?;
     let mut access = EngineAccess {
         exec,
         children: &step.children,
-        self_rel: self_mv.map(|t| &t.relation),
+        mv: step.mv.as_deref(),
         complete: step.complete,
         io,
         posed,
@@ -661,7 +664,8 @@ fn propagate_group(
 struct EngineAccess<'e, 'c> {
     exec: &'e QueryExec<'c>,
     children: &'e [Child],
-    self_rel: Option<&'e spacetime_storage::Relation>,
+    /// The step's backing table, when it is materialized.
+    mv: Option<&'e str>,
     complete: bool,
     io: &'e mut IoMeter,
     posed: &'e mut u64,
@@ -722,22 +726,16 @@ impl InputAccess for EngineAccess<'_, '_> {
     }
 
     fn self_rows(&mut self, cols: &[usize], key: &[Value]) -> StorageResult<Option<Cow<'_, Bag>>> {
-        let Some(rel) = self.self_rel else {
-            return Ok(None);
-        };
         // The build phase indexed every materialized aggregate on its group
-        // columns, so self-maintenance reads are O(1) probes that borrow
-        // the bucket.
-        if let Some((idx, permute)) = rel.find_exact_index(cols) {
-            let bucket = if permute {
-                let probe = permuted_key(&index_key_remap(rel, idx, cols)?, key)?;
-                rel.peek(idx, &probe)
-            } else {
-                rel.peek(idx, key)
-            };
-            return Ok(Some(Cow::Borrowed(bucket.unwrap_or(Bag::empty()))));
-        }
-        Ok(Some(Cow::Owned(filter_binding(rel.data(), cols, key))))
+        // columns, so this is an index probe that borrows the bucket. Its
+        // meter is thrown away: applying the update pays for reading the
+        // row (§3.6).
+        self.mv
+            .map(|table| {
+                self.exec
+                    .stored_lookup(table, cols, key, &mut IoMeter::new())
+            })
+            .transpose()
     }
 
     fn group_complete(&self, _cols: &[usize]) -> bool {
@@ -784,7 +782,8 @@ pub(crate) fn default_workload(memo: &Memo, roots: &[GroupId]) -> Vec<Transactio
 /// groups in topological order, each child resolved to its delta slot and
 /// the query the step can pose on it resolved to an [`Access`], the
 /// aggregates' key elimination decided (from `ctx`'s cached keys), and
-/// every access-free chain compiled into a fused kernel.
+/// every `Select`/`Project` run compiled into a fused kernel that reads
+/// the slot feeding the run.
 fn compile_track(
     ctx: &mut CostCtx<'_>,
     track: &UpdateTrack,
@@ -794,9 +793,8 @@ fn compile_track(
 ) -> IvmResult<TrackPlan> {
     let memo = ctx.memo;
     let order = topo_order(memo, track);
-    // The ops of each access-free chain off the base scan (the leaf's is
-    // empty: its delta is the base delta), which the fused kernels run.
-    let mut chain_ops: BTreeMap<GroupId, Vec<OpKind>> = BTreeMap::from([(leaf, vec![])]);
+    // Each chain step's ops and the slot its chain reads.
+    let mut chain_ops: BTreeMap<GroupId, (Vec<OpKind>, usize)> = BTreeMap::new();
     let mut slot_of: BTreeMap<GroupId, usize> = BTreeMap::from([(leaf, 0)]);
     let mut steps: Vec<Step> = Vec::new();
     for &g in &order {
@@ -811,20 +809,25 @@ fn compile_track(
             }
             _ => false,
         };
-        // A `Select` or `Project` over a chain extends it; any other op
-        // does not compile.
-        let ops: Option<Vec<OpKind>> = children
-            .first()
-            .and_then(|c| chain_ops.get(c))
-            .map(|ops| ops.iter().chain([kind]).cloned().collect());
-        let chain = ops.and_then(|ops| {
-            let program = FusedProgram::compile(&ops)?;
-            chain_ops.insert(g, ops);
-            Some(Chain {
-                program,
-                needed: materialized.contains_key(&g),
-            })
-        });
+        // A `Select` or `Project` extends its child's chain, or starts one
+        // at its child's slot.
+        let chain = match (kind, &children[..]) {
+            (OpKind::Select { .. } | OpKind::Project { .. }, [c]) => chain_ops
+                .get(c)
+                .cloned()
+                .or_else(|| Some((vec![], *slot_of.get(c)?)))
+                .and_then(|(mut ops, source)| {
+                    ops.push(kind.clone());
+                    let program = FusedProgram::compile(&ops)?;
+                    chain_ops.insert(g, (ops, source));
+                    Some(Chain {
+                        program,
+                        source,
+                        needed: materialized.contains_key(&g),
+                    })
+                }),
+            _ => None,
+        };
         let slots: Vec<Option<usize>> = children.iter().map(|c| slot_of.get(c).copied()).collect();
         let mut step_children = Vec::with_capacity(children.len());
         for (i, &group) in children.iter().enumerate() {

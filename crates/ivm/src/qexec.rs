@@ -27,7 +27,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use spacetime_algebra::eval::{aggregate_bag, join_bags, project_bag};
+use spacetime_algebra::eval::{aggregate_bag, filter_bag, join_bags, project_bag};
 use spacetime_algebra::{JoinCondition, OpKind, ScalarExpr};
 use spacetime_cost::{Cost, CostCtx, Marking};
 use spacetime_memo::{GroupId, Memo, OpId};
@@ -296,7 +296,7 @@ impl<'a> QueryExec<'a> {
                 let mut input = |i: usize| self.query(&inputs[i], key, io);
                 match op {
                     OpKind::Scan { table } => return self.stored_lookup(table, cols, key, io),
-                    OpKind::Select { predicate } => filter_pred(&*input(0)?, predicate)?,
+                    OpKind::Select { predicate } => filter_bag(&*input(0)?, predicate)?,
                     OpKind::Distinct => input(0)?.iter().map(|(t, _)| (t.clone(), 1)).collect(),
                     OpKind::Project { exprs } => bind(project_bag(&*input(0)?, exprs)?, cols, key),
                     OpKind::Aggregate { group_by, aggs } => {
@@ -373,7 +373,7 @@ impl<'a> QueryExec<'a> {
 
     /// Index lookup (or filtered scan when no index fits) on a stored
     /// relation; a scan where it lies when `cols` is empty.
-    fn stored_lookup(
+    pub(crate) fn stored_lookup(
         &self,
         table: &str,
         cols: &[usize],
@@ -446,11 +446,7 @@ impl<'a> QueryExec<'a> {
 /// index's key columns are a permutation of `cols` by definition; a
 /// mismatch is an index-bookkeeping bug surfaced as a typed error rather
 /// than an indexing panic.
-pub(crate) fn index_key_remap(
-    rel: &Relation,
-    idx: usize,
-    cols: &[usize],
-) -> StorageResult<Vec<usize>> {
+fn index_key_remap(rel: &Relation, idx: usize, cols: &[usize]) -> StorageResult<Vec<usize>> {
     rel.index_key_cols(idx)
         .iter()
         .map(|c| {
@@ -466,7 +462,7 @@ pub(crate) fn index_key_remap(
 /// `key` rearranged into an index's column order by [`index_key_remap`]'s
 /// positions; a key shorter than the probe columns is a typed error, not
 /// an indexing panic.
-pub(crate) fn permuted_key(remap: &[usize], key: &[Value]) -> StorageResult<Vec<Value>> {
+fn permuted_key(remap: &[usize], key: &[Value]) -> StorageResult<Vec<Value>> {
     remap
         .iter()
         .map(|&i| {
@@ -478,7 +474,7 @@ pub(crate) fn permuted_key(remap: &[usize], key: &[Value]) -> StorageResult<Vec<
 }
 
 /// Keep tuples whose `cols` equal `key`.
-pub fn filter_binding(bag: &Bag, cols: &[usize], key: &[Value]) -> Bag {
+fn filter_binding(bag: &Bag, cols: &[usize], key: &[Value]) -> Bag {
     bag.iter()
         .filter(|(t, _)| {
             cols.iter()
@@ -496,14 +492,4 @@ fn bind(bag: Bag, cols: &[usize], key: &[Value]) -> Bag {
     } else {
         filter_binding(&bag, cols, key)
     }
-}
-
-fn filter_pred(bag: &Bag, predicate: &ScalarExpr) -> StorageResult<Bag> {
-    let mut out = Bag::new();
-    for (t, c) in bag.iter() {
-        if predicate.eval_predicate(t)? {
-            out.insert(t.clone(), c);
-        }
-    }
-    Ok(out)
 }

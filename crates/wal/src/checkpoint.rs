@@ -326,7 +326,8 @@ mod tests {
     fn sample_doc() -> CheckpointDoc {
         CheckpointDoc {
             last_txn: 42,
-            propagation_mode: 1,
+            // The tag the IVM layer writes (the one data plane's).
+            propagation_mode: 2,
             execution_mode: 0,
             tables: vec![TableDump {
                 name: "Emp".into(),
@@ -367,7 +368,9 @@ mod tests {
     }
 
     /// The segment's bytes are the format: its length and CRC were
-    /// recorded from the one-buffer encoder the streaming one replaced.
+    /// recorded from the one-buffer encoder the streaming one replaced
+    /// (CRC 0x3699_b008 with propagation tag 1; tag 2 changes byte 20 and
+    /// the frame's CRC at bytes 8..12, nothing else).
     #[test]
     fn segment_bytes_are_pinned() {
         let dir = test_dir("ckpt_pinned");
@@ -375,7 +378,7 @@ mod tests {
         let len = write_checkpoint(&path, &large_doc()).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!((len, bytes.len() as u64), (204_270, 204_270));
-        assert_eq!(crc32(&bytes), 0x3699_b008);
+        assert_eq!(crc32(&bytes), 0xd914_9add);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -403,7 +406,7 @@ mod tests {
         write_checkpoint(&path, &sample_doc()).unwrap();
         let raw = read_checkpoint(&path).unwrap().unwrap();
         assert_eq!(raw.last_txn, 42);
-        assert_eq!(raw.propagation_mode, 1);
+        assert_eq!(raw.propagation_mode, 2);
         assert_eq!(raw.tables.len(), 1);
         let t = &raw.tables[0];
         assert_eq!(t.name, "Emp");
