@@ -8,7 +8,7 @@
 //! `Bag` is materialized per operator, and a tuple that a filter drops
 //! costs nothing downstream. Rows travel as borrowed `&[Value]` slices:
 //! projections evaluate into caller-provided scratch buffers
-//! ([`KernelScratch`], typically drawn from the storage arena), and a
+//! ([`KernelScratch`], which the database keeps across updates), and a
 //! fresh [`Tuple`] is only allocated for rows that survive the entire
 //! chain.
 //!
@@ -56,33 +56,17 @@ pub enum PairOutcome {
     InsertNew(Tuple),
 }
 
-/// Reusable row buffers for one kernel invocation: two ping-pong buffers
-/// per side of a modify pair. Draw these from the transaction arena and
-/// return them afterwards — the buffers grow to the widest row once and
-/// are then reused for every element of every delta.
-#[derive(Debug, Default)]
+/// Reusable row buffers for kernel invocations: two ping-pong buffers
+/// per side of a modify pair. Keep one across calls — the buffers grow to
+/// the widest row once and are then reused for every element of every
+/// delta.
+#[derive(Debug, Default, Clone)]
 pub struct KernelScratch {
     old: LaneBufs,
     new: LaneBufs,
 }
 
-impl KernelScratch {
-    /// Scratch backed by the given buffers (arena-pooled).
-    pub fn from_bufs(bufs: [Vec<Value>; 4]) -> Self {
-        let [a, b, c, d] = bufs;
-        KernelScratch {
-            old: LaneBufs { a, b },
-            new: LaneBufs { a: c, b: d },
-        }
-    }
-
-    /// Recover the buffers for return to the arena.
-    pub fn into_bufs(self) -> [Vec<Value>; 4] {
-        [self.old.a, self.old.b, self.new.a, self.new.b]
-    }
-}
-
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct LaneBufs {
     a: Vec<Value>,
     b: Vec<Value>,

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 
 use spacetime_algebra::eval::{filter_bag, project_bag};
 use spacetime_algebra::{
-    AggExpr, AggFunc, BinOp, CmpOp, ExprNode, FusedProgram, OpKind, ScalarExpr,
+    AggExpr, AggFunc, BinOp, CmpOp, ExprNode, FusedProgram, KernelScratch, OpKind, ScalarExpr,
 };
 use spacetime_bench::workload::{load_paper_data, mixed_workload, paper_schema_db};
 use spacetime_delta::{propagate, propagate_chain, BagAccess, Delta};
@@ -173,7 +173,7 @@ fn chain_case(seed: u64) {
 
     // Fused: the whole chain in one streaming pass off the base delta.
     let prog = FusedProgram::compile(&ops).expect("select/project chains always compile");
-    let fused = propagate_chain(&prog, &delta).unwrap();
+    let fused = propagate_chain(&prog, &delta, &mut KernelScratch::default()).unwrap();
 
     let spec = chain_spec(&ops, &delta);
     assert_eq!(

@@ -175,7 +175,7 @@ pub fn propagate(
         OpKind::Scan { .. } => Ok(delta.clone()),
         // A selection or projection is the one-stage chain kernel.
         OpKind::Select { .. } | OpKind::Project { .. } => match FusedProgram::compile([&node.op]) {
-            Some(program) => propagate_chain(&program, delta),
+            Some(program) => propagate_chain(&program, delta, &mut KernelScratch::default()),
             None => Err(StorageError::Internal("a σ/π op did not compile".into())),
         },
         OpKind::Join { condition } => propagate_join(condition, delta_child, delta, access),
@@ -196,29 +196,9 @@ pub fn propagate(
 /// stages run one at a time (bag accumulation is order-free).
 ///
 /// Chains pose no queries and charge no I/O: no intermediate `Delta` per
-/// operator, no `Bag` churn for filtered tuples, and projection scratch
-/// comes from the thread's transaction arena (reset, not freed, between
-/// updates).
-pub fn propagate_chain(prog: &FusedProgram, delta: &Delta) -> StorageResult<Delta> {
-    if delta.is_empty() {
-        return Ok(Delta::new());
-    }
-    spacetime_storage::arena::with_arena(|arena| {
-        let mut scratch = KernelScratch::from_bufs([
-            arena.take_buf(),
-            arena.take_buf(),
-            arena.take_buf(),
-            arena.take_buf(),
-        ]);
-        let result = run_chain(prog, delta, &mut scratch);
-        for buf in scratch.into_bufs() {
-            arena.put_buf(buf);
-        }
-        result
-    })
-}
-
-fn run_chain(
+/// operator, no `Bag` churn for filtered tuples, and projections evaluate
+/// into the caller's `scratch`, which keeps its capacity across calls.
+pub fn propagate_chain(
     prog: &FusedProgram,
     delta: &Delta,
     scratch: &mut KernelScratch,
@@ -1169,7 +1149,7 @@ mod tests {
         d.push_modify(tuple!["eve", "Eng", 120], tuple!["eve", "Eng", 140], 1); // stays
         d.push_modify(tuple!["fay", "Ops", 91], tuple!["fay", "Ops", 92], 3); // dropped late
         let spec = chain_spec(&ops, &d);
-        let fused = propagate_chain(&prog, &d).unwrap();
+        let fused = propagate_chain(&prog, &d, &mut KernelScratch::default()).unwrap();
         assert_eq!(fused.inserts, spec.inserts);
         assert_eq!(fused.deletes, spec.deletes);
         assert_eq!(fused.modifies, spec.modifies);

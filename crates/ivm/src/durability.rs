@@ -39,6 +39,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -128,15 +129,16 @@ fn check_mode_tags(propagation: u8, execution: u8) -> IvmResult<()> {
 /// here is sorted or encoded — the writer thread does that
 /// ([`Snapshot::into_doc`]).
 ///
-/// A table's rows are a clone of its [`Bag`], one `Arc` bump per shard, so
-/// a write while the snapshot is alive copies only the row shard it lands
-/// in. The snapshot shares nothing else with the live catalog: sharing
-/// the whole table (a `Catalog::clone`) would also share its indexes, and
-/// the first write to an index shard would copy every bucket in it.
+/// A table's rows are shared with the live relation through one `Arc`
+/// ([`Relation::shared_data`](spacetime_storage::Relation::shared_data)),
+/// so while the snapshot is alive the first write to a table copies that
+/// table's rows once. The snapshot shares nothing else with the live
+/// catalog: sharing the whole table (a `Catalog::clone`) would also share
+/// its indexes, and the first write would copy them too.
 struct Snapshot {
     last_txn: u64,
     /// Every table's dump with its rows still to sort, beside its rows.
-    tables: Vec<(TableDump, Bag)>,
+    tables: Vec<(TableDump, Arc<Bag>)>,
     engines: Vec<EngineDump>,
     assertions: Vec<(String, String)>,
 }
@@ -166,7 +168,7 @@ fn snapshot(db: &Database, last_txn: u64) -> IvmResult<Snapshot> {
                 stats_tuples_per_page: t.stats.tuples_per_page,
                 rows: Vec::new(),
             };
-            (dump, t.relation.data().clone())
+            (dump, t.relation.shared_data())
         })
         .collect();
     let mut engines = Vec::new();

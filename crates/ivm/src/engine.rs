@@ -36,7 +36,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use spacetime_algebra::{ExprNode, ExprTree, FusedProgram, OpKind};
+use spacetime_algebra::{ExprNode, ExprTree, FusedProgram, KernelScratch, OpKind};
 use spacetime_cost::{CostCtx, PageIoCostModel, TransactionType};
 use spacetime_delta::{Delta, InputAccess};
 use spacetime_memo::{GroupId, Memo};
@@ -394,19 +394,22 @@ impl IvmEngine {
         table: &str,
         base_delta: &Delta,
     ) -> IvmResult<PlannedUpdate> {
-        self.plan_update_with(catalog, table, base_delta, false)
+        let mut scratch = KernelScratch::default();
+        self.plan_update_with(catalog, table, base_delta, false, &mut scratch)
     }
 
     /// [`IvmEngine::plan_update`], recording a propagation trace into
     /// [`PlannedUpdate::trace`] when `trace` is set. Tracing does extra
     /// work (probes + `Instant` reads) but never changes the planned
-    /// deltas or the report.
+    /// deltas or the report. Chain steps evaluate into `scratch`, which
+    /// the caller keeps across updates.
     pub fn plan_update_with(
         &self,
         catalog: &Catalog,
         table: &str,
         base_delta: &Delta,
         trace: bool,
+        scratch: &mut KernelScratch,
     ) -> IvmResult<PlannedUpdate> {
         let mut report = UpdateReport::default();
         let Some(plan) = self.track_plans.get(table) else {
@@ -434,7 +437,7 @@ impl IvmEngine {
                 // no I/O.
                 Some(chain) => match slots[chain.source].as_deref() {
                     Some(d_in) if chain.needed && !d_in.is_empty() => {
-                        let d = spacetime_delta::propagate_chain(&chain.program, d_in)?;
+                        let d = spacetime_delta::propagate_chain(&chain.program, d_in, scratch)?;
                         let rec = t0.map(|t0| GroupRec {
                             probe: GroupProbe {
                                 delta_in: d_in.size(),

@@ -1,6 +1,6 @@
 //! The propagation-trace plane: opt-in and zero behavior change.
 
-use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ScalarExpr};
+use spacetime_algebra::{AggExpr, AggFunc, CmpOp, ExprNode, KernelScratch, ScalarExpr};
 use spacetime_delta::Delta;
 use spacetime_ivm::engine::IvmEngine;
 use spacetime_ivm::{verify_all_views, Database, ViewSelection};
@@ -281,7 +281,7 @@ fn problem_dept_having_runs_as_a_one_stage_chain_off_the_aggregate() {
         1,
     );
     let planned = engine
-        .plan_update_with(&catalog, "Emp", &delta, true)
+        .plan_update_with(&catalog, "Emp", &delta, true, &mut KernelScratch::default())
         .unwrap();
     let trace = planned.trace.as_ref().expect("a traced plan");
     let labels: Vec<&str> = trace.children.iter().map(|c| c.label.as_str()).collect();

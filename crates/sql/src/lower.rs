@@ -541,6 +541,28 @@ mod tests {
     }
 
     #[test]
+    fn each_comparison_lowers_to_its_cmp_op() {
+        let table = [
+            ("=", CmpOp::Eq),
+            ("<>", CmpOp::Ne),
+            ("<", CmpOp::Lt),
+            ("<=", CmpOp::Le),
+            (">", CmpOp::Gt),
+            (">=", CmpOp::Ge),
+        ];
+        for (sql_op, want) in table {
+            let tree = lower(&format!("SELECT * FROM Emp WHERE Salary {sql_op} 100"));
+            let OpKind::Select { predicate } = &tree.op else {
+                panic!("`{sql_op}`: not a selection: {}", tree.render())
+            };
+            let ScalarExpr::Cmp { op, .. } = predicate else {
+                panic!("`{sql_op}`: not a comparison: {predicate:?}")
+            };
+            assert_eq!(*op, want, "`{sql_op}`");
+        }
+    }
+
+    #[test]
     fn wildcard_skips_projection() {
         let tree = lower("SELECT * FROM Emp");
         assert!(matches!(tree.op, OpKind::Scan { .. }));

@@ -5,73 +5,23 @@
 //! multiplicity. This is the common currency between stored relations,
 //! query results and (via signed counts in `spacetime-delta`) deltas.
 //!
-//! ## Representation: flat for small, sharded copy-on-write for large
-//!
-//! Whenever a table is shared — a cloned catalog, a database cloned from
-//! a template — the next write copies it (`Arc::make_mut` on the catalog's
-//! `Arc<Table>`),
-//! so the cost of cloning a bag decides what sharing costs. A small bag
-//! (a per-key query result, an index bucket) is a single flat hash map —
-//! cheap to build, cheap to drop. Once a bag grows past `PROMOTE_AT`
-//! distinct tuples it promotes to `SHARD_COUNT` *individually shared*
-//! shards: cloning the bag then costs one `Arc` bump per shard, and a
-//! mutation deep-copies only the one shard (~1/`SHARD_COUNT` of the
-//! data) it lands in. A write to a shared 40 000-row table copies a few
-//! hundred entries instead of 40 000. The transaction path shares
-//! nothing (its rollback is an undo journal, not a copy), so there a
-//! write copies no shard at all.
-//!
-//! Shard routing uses the fixed-seed [`crate::fx`] hash, so equal content
-//! always produces equal shard layouts; equality between two sharded bags
-//! compares shard-wise with an `Arc::ptr_eq` fast path (undisturbed shards
-//! of a copied table compare in O(1)).
+//! A bag is one [`crate::fx`] hash map and its running total. Sharing is
+//! the owner's business: a [`crate::relation::Relation`] holds its rows as
+//! one `Arc<Bag>`, so a checkpoint shares a table's rows for one `Arc`
+//! bump and the first write after it copies them once.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::error::{StorageError, StorageResult};
-use crate::fx::{fx_hash_one, FxHashMap};
+use crate::fx::FxHashMap;
 use crate::tuple::Tuple;
 
-/// Number of shards in the large representation (power of two).
-const SHARD_COUNT: usize = 64;
-
-/// Distinct-tuple count beyond which a bag promotes to sharded storage.
-/// Low enough that every stored relation in the paper workloads shards,
-/// high enough that transient per-key results never pay shard overhead.
-const PROMOTE_AT: usize = 192;
-
-type Shard = FxHashMap<Tuple, u64>;
-
-#[derive(Debug, Clone)]
-enum Store {
-    /// Small: one flat map.
-    Flat(Shard),
-    /// Large: `SHARD_COUNT` copy-on-write shards, routed by tuple hash.
-    Sharded(Vec<Arc<Shard>>),
-}
-
 /// A multiset of tuples: distinct tuple → multiplicity (> 0).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Bag {
-    store: Store,
+    map: FxHashMap<Tuple, u64>,
     total: u64,
-    distinct: usize,
-}
-
-impl Default for Bag {
-    fn default() -> Self {
-        Bag {
-            store: Store::Flat(Shard::default()),
-            total: 0,
-            distinct: 0,
-        }
-    }
-}
-
-#[inline]
-fn shard_of(t: &Tuple) -> usize {
-    (fx_hash_one(t) as usize) & (SHARD_COUNT - 1)
 }
 
 impl Bag {
@@ -98,7 +48,7 @@ impl Bag {
 
     /// Number of *distinct* tuples.
     pub fn distinct_len(&self) -> usize {
-        self.distinct
+        self.map.len()
     }
 
     /// Total number of tuples counting multiplicity.
@@ -113,10 +63,7 @@ impl Bag {
 
     /// Multiplicity of a tuple (0 if absent).
     pub fn count(&self, t: &Tuple) -> u64 {
-        match &self.store {
-            Store::Flat(m) => m.get(t).copied().unwrap_or(0),
-            Store::Sharded(s) => s[shard_of(t)].get(t).copied().unwrap_or(0),
-        }
+        self.map.get(t).copied().unwrap_or(0)
     }
 
     /// Whether the tuple occurs at least once.
@@ -124,36 +71,12 @@ impl Bag {
         self.count(t) > 0
     }
 
-    /// Promote flat storage to sharded storage (one-time copy).
-    fn promote(&mut self) {
-        let Store::Flat(m) = &mut self.store else {
-            return;
-        };
-        let mut shards: Vec<Shard> = (0..SHARD_COUNT).map(|_| Shard::default()).collect();
-        for (t, c) in m.drain() {
-            let s = shard_of(&t);
-            shards[s].insert(t, c);
-        }
-        self.store = Store::Sharded(shards.into_iter().map(Arc::new).collect());
-    }
-
     /// Insert `n` copies of a tuple. Inserting zero copies is a no-op.
     pub fn insert(&mut self, t: Tuple, n: u64) {
         if n == 0 {
             return;
         }
-        if matches!(&self.store, Store::Flat(_)) && self.distinct >= PROMOTE_AT {
-            self.promote();
-        }
-        let map = match &mut self.store {
-            Store::Flat(m) => m,
-            Store::Sharded(s) => Arc::make_mut(&mut s[shard_of(&t)]),
-        };
-        let entry = map.entry(t).or_insert(0);
-        if *entry == 0 {
-            self.distinct += 1;
-        }
-        *entry += n;
+        *self.map.entry(t).or_insert(0) += n;
         self.total += n;
     }
 
@@ -175,11 +98,7 @@ impl Bag {
         if n == 0 {
             return 0;
         }
-        let map = match &mut self.store {
-            Store::Flat(m) => m,
-            Store::Sharded(s) => Arc::make_mut(&mut s[shard_of(t)]),
-        };
-        let Some(c) = map.get_mut(t) else {
+        let Some(c) = self.map.get_mut(t) else {
             return 0;
         };
         let have = *c;
@@ -190,8 +109,7 @@ impl Bag {
         if take < have {
             *c -= take;
         } else {
-            map.remove(t);
-            self.distinct -= 1;
+            self.map.remove(t);
         }
         self.total -= take;
         take
@@ -204,15 +122,7 @@ impl Bag {
 
     /// Iterate `(tuple, multiplicity)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> {
-        // One statically-typed chain for both representations (nothing
-        // boxed): the flat map, if that is what there is, then the shards.
-        let (flat, shards) = match &self.store {
-            Store::Flat(m) => (Some(m), &[][..]),
-            Store::Sharded(s) => (None, &s[..]),
-        };
-        flat.into_iter()
-            .chain(shards.iter().map(|sh| &**sh))
-            .flat_map(|m| m.iter().map(|(t, &c)| (t, c)))
+        self.map.iter().map(|(t, &c)| (t, c))
     }
 
     /// Deterministically-ordered `(tuple, multiplicity)` pairs (for output
@@ -247,20 +157,7 @@ impl Bag {
 
 impl PartialEq for Bag {
     fn eq(&self, other: &Self) -> bool {
-        if self.total != other.total || self.distinct != other.distinct {
-            return false;
-        }
-        match (&self.store, &other.store) {
-            (Store::Flat(a), Store::Flat(b)) => a == b,
-            // Same content ⇒ same shard layout (fixed-seed routing), so
-            // compare shard-wise; undisturbed copies are pointer-equal.
-            (Store::Sharded(a), Store::Sharded(b)) => {
-                a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y) || x == y)
-            }
-            // Mixed representations can hold equal content (promotion is
-            // size-history dependent); fall back to semantic comparison.
-            _ => self.iter().all(|(t, c)| other.count(t) == c),
-        }
+        self.total == other.total && self.map == other.map
     }
 }
 impl Eq for Bag {}
@@ -374,56 +271,5 @@ mod tests {
         let s = a.sorted();
         assert_eq!(s[0].0, tuple![1]);
         assert_eq!(s[1].0, tuple![2]);
-    }
-
-    fn big(n: i64) -> Bag {
-        (0..n).map(|i| tuple![i]).collect()
-    }
-
-    #[test]
-    fn promotion_preserves_contents_and_counters() {
-        let n = (PROMOTE_AT as i64) * 2;
-        let b = big(n);
-        assert!(matches!(b.store, Store::Sharded(_)), "must have promoted");
-        assert_eq!(b.len(), n as u64);
-        assert_eq!(b.distinct_len(), n as usize);
-        for i in 0..n {
-            assert_eq!(b.count(&tuple![i]), 1);
-        }
-        assert_eq!(b.iter().count(), n as usize);
-    }
-
-    #[test]
-    fn sharded_and_flat_bags_with_equal_content_compare_equal() {
-        // Build sharded by overshooting then removing; flat directly.
-        let n = (PROMOTE_AT as i64) * 2;
-        let mut sharded = big(n);
-        for i in 100..n {
-            sharded.remove(&tuple![i], 1).unwrap();
-        }
-        let flat = big(100);
-        assert!(matches!(sharded.store, Store::Sharded(_)));
-        assert!(matches!(flat.store, Store::Flat(_)));
-        assert_eq!(sharded, flat);
-        assert_eq!(flat, sharded);
-        sharded.insert(tuple![-1], 1);
-        assert_ne!(sharded, flat);
-    }
-
-    #[test]
-    fn clone_shares_shards_until_mutation() {
-        let n = (PROMOTE_AT as i64) * 2;
-        let a = big(n);
-        let mut b = a.clone();
-        assert_eq!(a, b);
-        b.insert(tuple![0], 1); // copies exactly one shard
-        assert_eq!(a.count(&tuple![0]), 1, "original untouched");
-        assert_eq!(b.count(&tuple![0]), 2);
-        if let (Store::Sharded(sa), Store::Sharded(sb)) = (&a.store, &b.store) {
-            let shared = sa.iter().zip(sb).filter(|(x, y)| Arc::ptr_eq(x, y)).count();
-            assert_eq!(shared, SHARD_COUNT - 1, "only the touched shard copied");
-        } else {
-            panic!("expected sharded stores");
-        }
     }
 }

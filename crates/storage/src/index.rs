@@ -8,33 +8,25 @@
 //!
 //! ## Representation
 //!
-//! Buckets live in `SHARD_COUNT` copy-on-write shards routed by the
-//! fixed-seed [`crate::fx`] hash of the key, mirroring
-//! [`crate::bag::Bag`]'s large representation: cloning an index is one
-//! `Arc` bump per shard, and a mutation deep-copies only the shard its key
-//! routes to. Single-column indices — the overwhelmingly common case —
-//! take a specialized path keyed by [`Value`] directly, so neither probes
-//! nor maintenance ever allocate a key slice; composite indices accept
-//! borrowed `&[Value]` probes (the owned `Box<[Value]>` key is built only
-//! when maintenance actually inserts a new bucket).
-
-use std::sync::Arc;
+//! Buckets live in one [`crate::fx`] hash map keyed by the index key.
+//! Single-column indices — the overwhelmingly common case — take a
+//! specialized path keyed by [`Value`] directly, so neither probes nor
+//! maintenance ever allocate a key slice; composite indices accept
+//! borrowed `&[Value]` probes through `Box<[Value]>: Borrow<[Value]>`
+//! (the owned key is built only on maintenance paths).
 
 use crate::bag::Bag;
-use crate::fx::{fx_hash_one, FxHashMap, FxHasher};
+use crate::fx::FxHashMap;
 use crate::tuple::Tuple;
 use crate::value::Value;
-
-/// Number of bucket shards (power of two).
-const SHARD_COUNT: usize = 64;
 
 #[derive(Debug, Clone)]
 enum Buckets {
     /// Single-column key: keyed by the value itself, no slice allocation
     /// on any path.
-    Single(Vec<Arc<FxHashMap<Value, Bag>>>),
+    Single(FxHashMap<Value, Bag>),
     /// Composite key: probed by borrowed `&[Value]`.
-    Multi(Vec<Arc<FxHashMap<Box<[Value]>, Bag>>>),
+    Multi(FxHashMap<Box<[Value]>, Bag>),
 }
 
 /// A hash index mapping a key (values of `key_cols`) to the bag of matching
@@ -51,32 +43,6 @@ impl Default for HashIndex {
     }
 }
 
-fn empty_shards<K, V>() -> Vec<Arc<FxHashMap<K, V>>> {
-    (0..SHARD_COUNT)
-        .map(|_| Arc::new(FxHashMap::default()))
-        .collect()
-}
-
-/// Shard routing for a borrowed key slice. Must agree with
-/// [`shard_of_tuple_key`]: both hash the key exactly as `<[Value]>::hash`
-/// does (length prefix, then elements).
-#[inline]
-fn shard_of_slice(key: &[Value]) -> usize {
-    (fx_hash_one(key) as usize) & (SHARD_COUNT - 1)
-}
-
-/// Shard routing for a tuple's key columns, without materializing the key.
-#[inline]
-fn shard_of_tuple_key(t: &Tuple, cols: &[usize]) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    h.write_usize(cols.len());
-    for &c in cols {
-        t.get(c).unwrap_or(&Value::Null).hash(&mut h);
-    }
-    (h.finish() as usize) & (SHARD_COUNT - 1)
-}
-
 /// The values of `cols` in `t`, as an owned composite key.
 fn owned_key(cols: &[usize], t: &Tuple) -> Box<[Value]> {
     cols.iter()
@@ -84,19 +50,21 @@ fn owned_key(cols: &[usize], t: &Tuple) -> Box<[Value]> {
         .collect()
 }
 
-#[inline]
-fn shard_of_value(v: &Value) -> usize {
-    (fx_hash_one(v) as usize) & (SHARD_COUNT - 1)
+impl Buckets {
+    /// No buckets, in the form `key_cols` calls for.
+    fn for_key(key_cols: &[usize]) -> Self {
+        if key_cols.len() == 1 {
+            Buckets::Single(FxHashMap::default())
+        } else {
+            Buckets::Multi(FxHashMap::default())
+        }
+    }
 }
 
 impl HashIndex {
     /// Create an empty index on the given column positions.
     pub fn new(key_cols: Vec<usize>) -> Self {
-        let buckets = if key_cols.len() == 1 {
-            Buckets::Single(empty_shards())
-        } else {
-            Buckets::Multi(empty_shards())
-        };
+        let buckets = Buckets::for_key(&key_cols);
         HashIndex { key_cols, buckets }
     }
 
@@ -126,10 +94,8 @@ impl HashIndex {
             return;
         }
         match &mut self.buckets {
-            Buckets::Single(shards) => {
-                let col = self.key_cols[0];
-                let key = t.get(col).unwrap_or(&Value::Null);
-                let map = Arc::make_mut(&mut shards[shard_of_value(key)]);
+            Buckets::Single(map) => {
+                let key = t.get(self.key_cols[0]).unwrap_or(&Value::Null);
                 match map.get_mut(key) {
                     Some(bucket) => bucket.insert(t.clone(), n),
                     None => {
@@ -139,8 +105,7 @@ impl HashIndex {
                     }
                 }
             }
-            Buckets::Multi(shards) => {
-                let map = Arc::make_mut(&mut shards[shard_of_tuple_key(t, &self.key_cols)]);
+            Buckets::Multi(map) => {
                 let key = owned_key(&self.key_cols, t);
                 map.entry(key).or_default().insert(t.clone(), n);
             }
@@ -151,10 +116,8 @@ impl HashIndex {
     /// owning relation's bag is the source of truth).
     pub fn remove(&mut self, t: &Tuple, n: u64) {
         match &mut self.buckets {
-            Buckets::Single(shards) => {
-                let col = self.key_cols[0];
-                let key = t.get(col).unwrap_or(&Value::Null);
-                let map = Arc::make_mut(&mut shards[shard_of_value(key)]);
+            Buckets::Single(map) => {
+                let key = t.get(self.key_cols[0]).unwrap_or(&Value::Null);
                 if let Some(bucket) = map.get_mut(key) {
                     bucket.remove_up_to(t, n);
                     if bucket.is_empty() {
@@ -162,8 +125,7 @@ impl HashIndex {
                     }
                 }
             }
-            Buckets::Multi(shards) => {
-                let map = Arc::make_mut(&mut shards[shard_of_tuple_key(t, &self.key_cols)]);
+            Buckets::Multi(map) => {
                 let key = owned_key(&self.key_cols, t);
                 if let Some(bucket) = map.get_mut(&key) {
                     bucket.remove_up_to(t, n);
@@ -188,15 +150,8 @@ impl HashIndex {
             return true;
         }
         let bucket = match &mut self.buckets {
-            Buckets::Single(shards) => {
-                let key = old.get(self.key_cols[0]).unwrap_or(&Value::Null);
-                Arc::make_mut(&mut shards[shard_of_value(key)]).get_mut(key)
-            }
-            Buckets::Multi(shards) => {
-                let s = shard_of_tuple_key(old, &self.key_cols);
-                let key = owned_key(&self.key_cols, old);
-                Arc::make_mut(&mut shards[s]).get_mut(&key)
-            }
+            Buckets::Single(map) => map.get_mut(old.get(self.key_cols[0]).unwrap_or(&Value::Null)),
+            Buckets::Multi(map) => map.get_mut(&owned_key(&self.key_cols, old)),
         };
         match bucket {
             Some(bucket) => {
@@ -214,11 +169,8 @@ impl HashIndex {
     /// borrowed; no allocation on this path.
     pub fn probe(&self, key: &[Value]) -> Option<&Bag> {
         match &self.buckets {
-            Buckets::Single(shards) => {
-                let k = key.first()?;
-                shards[shard_of_value(k)].get(k)
-            }
-            Buckets::Multi(shards) => shards[shard_of_slice(key)].get(key),
+            Buckets::Single(map) => map.get(key.first()?),
+            Buckets::Multi(map) => map.get(key),
         }
     }
 
@@ -230,18 +182,14 @@ impl HashIndex {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         match &self.buckets {
-            Buckets::Single(shards) => shards.iter().map(|s| s.len()).sum(),
-            Buckets::Multi(shards) => shards.iter().map(|s| s.len()).sum(),
+            Buckets::Single(map) => map.len(),
+            Buckets::Multi(map) => map.len(),
         }
     }
 
     /// Rebuild from scratch over a bag.
     pub fn rebuild(&mut self, data: &Bag) {
-        self.buckets = if self.key_cols.len() == 1 {
-            Buckets::Single(empty_shards())
-        } else {
-            Buckets::Multi(empty_shards())
-        };
+        self.buckets = Buckets::for_key(&self.key_cols);
         for (t, c) in data.iter() {
             self.insert(t, c);
         }
@@ -298,31 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn composite_shard_routing_matches_slice_routing() {
-        // Maintenance routes by tuple columns, probes by key slice; the two
-        // must land in the same shard for every key shape.
-        let tuples = [
-            tuple!["a", 1, 10],
-            tuple![2.5, "b", 3],
-            tuple![Value::Null, "x", -7],
-            tuple!["long-department-name-here", 0, 0],
-        ];
-        for t in &tuples {
-            for cols in [vec![0usize, 1], vec![2, 0], vec![1, 2, 0]] {
-                let key: Vec<Value> = cols
-                    .iter()
-                    .map(|&c| t.get(c).cloned().unwrap_or(Value::Null))
-                    .collect();
-                assert_eq!(
-                    shard_of_tuple_key(t, &cols),
-                    shard_of_slice(&key),
-                    "routing diverged for cols {cols:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn rebuild_matches_incremental() {
         let data: Bag = [(tuple!["x", 1], 2), (tuple!["y", 2], 1)]
             .into_iter()
@@ -355,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_shards_until_mutation() {
+    fn a_clone_is_independent_of_its_source() {
         let a = sample();
         let mut b = a.clone();
         b.insert(&tuple!["dave", "Eng", 90], 1);

@@ -1,6 +1,8 @@
 //! Stored relations: a bag of tuples plus its hash indices, with all
 //! accesses charged to an [`IoMeter`] per the paper's §3.6 accounting rules.
 
+use std::sync::Arc;
+
 use crate::bag::Bag;
 use crate::error::{StorageError, StorageResult};
 use crate::index::HashIndex;
@@ -15,11 +17,16 @@ use crate::value::Value;
 pub const DEFAULT_TUPLES_PER_PAGE: u64 = 10;
 
 /// A stored relation (base table or materialized view).
+///
+/// The rows sit behind one `Arc`: [`Relation::shared_data`] hands them
+/// out for one reference-count bump, and the next write copies them once
+/// (`Arc::make_mut`) while such a handle is alive. The indexes are never
+/// shared.
 #[derive(Debug, Clone)]
 pub struct Relation {
     name: String,
     schema: Schema,
-    data: Bag,
+    data: Arc<Bag>,
     indexes: Vec<HashIndex>,
     tuples_per_page: u64,
 }
@@ -30,7 +37,7 @@ impl Relation {
         Relation {
             name: name.into(),
             schema,
-            data: Bag::new(),
+            data: Arc::default(),
             indexes: Vec::new(),
             tuples_per_page: DEFAULT_TUPLES_PER_PAGE,
         }
@@ -76,6 +83,19 @@ impl Relation {
     /// oracles and statistics gathering, not for costed query paths.
     pub fn data(&self) -> &Bag {
         &self.data
+    }
+
+    /// The rows as a shared handle (uncharged): a frozen copy for one
+    /// `Arc` bump. The relation's next write copies its rows once, and
+    /// the handle keeps the rows it was given.
+    pub fn shared_data(&self) -> Arc<Bag> {
+        Arc::clone(&self.data)
+    }
+
+    /// The rows for writing; copied first if a [`Relation::shared_data`]
+    /// handle still holds them.
+    fn rows_mut(&mut self) -> &mut Bag {
+        Arc::make_mut(&mut self.data)
     }
 
     /// The index definitions (column position sets).
@@ -132,14 +152,6 @@ impl Relation {
         fallback
     }
 
-    /// Uncharged index probe: the bucket of tuples matching `key`, if any.
-    /// For self-maintenance reads whose I/O is accounted elsewhere (the
-    /// §3.6 "reading, modifying and writing 1 tuple" arithmetic charges the
-    /// read when the update is applied) — not for costed query paths.
-    pub fn peek(&self, index_id: usize, key: &[Value]) -> Option<&Bag> {
-        self.indexes[index_id].probe(key)
-    }
-
     /// Indexed lookup: charges 1 index page + one data page per returned
     /// tuple, and returns the matching bucket where it lies — borrowed,
     /// never copied; a miss borrows the shared [`Bag::empty`].
@@ -170,7 +182,7 @@ impl Relation {
             idx.insert(&t, n);
         }
         io.write_tuples(n);
-        self.data.insert(t, n);
+        self.rows_mut().insert(t, n);
         Ok(())
     }
 
@@ -183,7 +195,7 @@ impl Relation {
         }
         // The bag is the source of truth: its remove is the presence check
         // (a failed one changes and charges nothing).
-        self.data.remove(t, n).map_err(|_| self.not_found())?;
+        self.rows_mut().remove(t, n).map_err(|_| self.not_found())?;
         for idx in &mut self.indexes {
             io.index_probe();
             io.index_write(1);
@@ -221,7 +233,9 @@ impl Relation {
             return Ok(());
         }
         self.schema.validate(&new)?;
-        self.data.remove(old, n).map_err(|_| self.not_found())?;
+        self.rows_mut()
+            .remove(old, n)
+            .map_err(|_| self.not_found())?;
         for idx in &mut self.indexes {
             io.index_probe();
             if idx.replace(old, &new, n) {
@@ -230,12 +244,14 @@ impl Relation {
         }
         io.read_tuples(n);
         io.write_tuples(n);
-        self.data.insert(new, n);
+        self.rows_mut().insert(new, n);
         Ok(())
     }
 
     /// Replace the entire contents (initial load / full recompute); charges
-    /// nothing — loads are outside the maintenance-cost accounting.
+    /// nothing — loads are outside the maintenance-cost accounting. The
+    /// new rows get a fresh `Arc`, so a shared handle keeps the old ones
+    /// and nothing is copied.
     pub fn load(&mut self, data: Bag) -> StorageResult<()> {
         for (t, _) in data.iter() {
             self.schema.validate(t)?;
@@ -243,7 +259,7 @@ impl Relation {
         for idx in &mut self.indexes {
             idx.rebuild(&data);
         }
-        self.data = data;
+        self.data = Arc::new(data);
         Ok(())
     }
 }
@@ -348,7 +364,6 @@ mod tests {
             assert_eq!(swapped.data(), reference.data());
             for key in ["Sales", "Eng", "HR"] {
                 let key = [Value::str(key)];
-                assert_eq!(swapped.peek(0, &key), reference.peek(0, &key));
                 let (mut a, mut b) = (IoMeter::new(), IoMeter::new());
                 assert_eq!(
                     swapped.lookup(0, &key, &mut a),
@@ -356,10 +371,8 @@ mod tests {
                 );
                 assert_eq!(a, b, "a probe is charged the same either way");
             }
-            assert_eq!(
-                swapped.peek(0, &[Value::str("Sales")]).unwrap().count(&new),
-                n
-            );
+            let sales = swapped.lookup(0, &[Value::str("Sales")], &mut IoMeter::new());
+            assert_eq!(sales.count(&new), n);
         }
     }
 
@@ -370,7 +383,7 @@ mod tests {
         // exactly the new row afterwards.
         let mut r = emp();
         let pk = r.create_index(vec![0]).unwrap();
-        let before = r.peek(pk, &[Value::str("alice")]).unwrap() as *const Bag;
+        let before = r.lookup(pk, &[Value::str("alice")], &mut IoMeter::new()) as *const Bag;
         let mut io = IoMeter::new();
         r.modify(
             &tuple!["alice", "Sales", 100],
@@ -380,7 +393,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(io.total(), 4, "2 index reads + 1 data read + 1 data write");
-        let bucket = r.peek(pk, &[Value::str("alice")]).unwrap();
+        let bucket = r.lookup(pk, &[Value::str("alice")], &mut IoMeter::new());
         assert!(std::ptr::eq(before, bucket), "same bucket, same map entry");
         assert_eq!(bucket.sorted(), vec![(tuple!["alice", "Sales", 130], 1)]);
         // A failed modify changes and charges nothing.
@@ -471,24 +484,62 @@ mod tests {
             .map(|c| key[cols.iter().position(|x| x == c).unwrap()].clone())
             .collect();
         assert_eq!(probe, vec![Value::Int(100), Value::str("alice")]);
-        let bag = r.peek(found, &probe).expect("row present");
+        let bag = r.lookup(found, &probe, &mut IoMeter::new());
         assert_eq!(bag.len(), 1);
         assert_eq!(bag.sorted()[0].0, tuple!["alice", "Sales", 100]);
         // Probing with the *unpermuted* key misses: the fallback is only
         // sound together with the remap.
-        assert!(r.peek(found, &key).is_none());
+        assert!(r.lookup(found, &key, &mut IoMeter::new()).is_empty());
     }
 
     #[test]
-    fn peek_is_uncharged_and_matches_lookup() {
-        let r = emp();
+    fn a_shared_handle_keeps_the_rows_it_was_given() {
+        // A checkpoint holds `shared_data()` while the relation takes
+        // writes: each write copies the rows away from the handle (the
+        // first one copies, later ones find the copy unshared), and the
+        // handle still holds the rows as they were when it was taken.
+        let mut r = emp();
+        let before = r.data().clone();
+        let snap = r.shared_data();
+        assert!(std::ptr::eq(&*snap, r.data()), "sharing copies nothing");
         let mut io = IoMeter::new();
-        let via_lookup = r.lookup(0, &[Value::str("Sales")], &mut io);
-        let via_peek = r.peek(0, &[Value::str("Sales")]).unwrap();
-        assert_eq!(via_lookup, via_peek);
-        assert!(std::ptr::eq(via_lookup, via_peek), "both borrow the bucket");
-        assert_eq!(io.total(), 3, "lookup charged; peek added nothing");
-        assert!(r.peek(0, &[Value::str("HR")]).is_none());
+        r.insert(tuple!["dave", "Eng", 90], 1, &mut io).unwrap();
+        assert!(!std::ptr::eq(&*snap, r.data()), "the first write copies");
+        r.delete(&tuple!["bob", "Sales", 80], 1, &mut io).unwrap();
+        r.modify(
+            &tuple!["alice", "Sales", 100],
+            tuple!["alice", "Sales", 130],
+            1,
+            &mut io,
+        )
+        .unwrap();
+        assert_eq!(*snap, before, "the handle keeps the old rows");
+        let now: Bag = [
+            tuple!["alice", "Sales", 130],
+            tuple!["carol", "Eng", 120],
+            tuple!["dave", "Eng", 90],
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(*r.data(), now, "the relation holds the new ones");
+        // Each write on its own, against a fresh handle.
+        for step in 0..3 {
+            let mut r = emp();
+            let snap = r.shared_data();
+            match step {
+                0 => r.insert(tuple!["dave", "Eng", 90], 1, &mut io),
+                1 => r.delete(&tuple!["bob", "Sales", 80], 1, &mut io),
+                _ => r.modify(
+                    &tuple!["bob", "Sales", 80],
+                    tuple!["bob", "Eng", 80],
+                    1,
+                    &mut io,
+                ),
+            }
+            .unwrap();
+            assert_eq!(*snap, before, "write {step} left the handle alone");
+            assert_ne!(*r.data(), before, "write {step} reached the relation");
+        }
     }
 
     #[test]
