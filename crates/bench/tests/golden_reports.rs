@@ -1,10 +1,10 @@
 //! Representation-change golden test.
 //!
-//! The data-plane overhaul (inline strings, sharded copy-on-write bags,
-//! borrowed-key index probes) must be invisible to the paper's accounting:
-//! every per-update `UpdateReport` and the final view contents must match,
-//! bit for bit, what the original `Arc<str>` / flat-`HashMap` representation
-//! produced. The fixture in `golden/mixed_reports.txt` was generated from
+//! The data-plane representation (inline strings, the bag and index
+//! layouts, borrowed-key index probes) must be invisible to the paper's
+//! accounting: every per-update `UpdateReport` and the final view contents
+//! must match, bit for bit, what the original `Arc<str>` /
+//! flat-`HashMap` representation produced. The fixture in `golden/mixed_reports.txt` was generated from
 //! that original representation; regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p spacetime-bench --test golden_reports`
 //! only when the *workload or schema* changes, never to paper over a

@@ -1,16 +1,12 @@
-//! A deterministic, fixed-seed hasher for hot-path maps and shard routing.
+//! A deterministic, fixed-seed hasher for hot-path maps.
 //!
 //! `std`'s default `RandomState` seeds SipHash per map instance, which is
-//! both slow for the short keys this engine hashes (values, tuples, small
-//! key slices) and unusable for *shard selection*, where the same key must
-//! route to the same shard in every map, every process, every run. This is
-//! the classic FxHash multiply-rotate mix (as used by rustc): not
-//! collision-resistant against adversaries, fine for trusted workloads.
-//!
-//! Determinism here is load-bearing: [`crate::bag::Bag`] and
-//! [`crate::index::HashIndex`] place entries in shards by `fx_hash_one`, and
-//! shard-wise structural equality (with `Arc::ptr_eq` fast paths) is only
-//! sound because equal content always lands in equal shards.
+//! slow for the short keys this engine hashes (values, tuples, small key
+//! slices). This is the classic FxHash multiply-rotate mix (as used by
+//! rustc): not collision-resistant against adversaries, fine for trusted
+//! workloads. Every [`crate::bag::Bag`] and [`crate::index::HashIndex`]
+//! map uses it, and with no per-process seed a key hashes the same in
+//! every map, process and run.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -87,8 +83,8 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` with the deterministic fast hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Hash one value with the fixed-seed hasher. This is the shard-routing
-/// primitive: stable across maps, processes and runs.
+/// Hash one value with the fixed-seed hasher: the value any map built
+/// from [`FxBuildHasher`] hashes it to, stable across processes and runs.
 #[inline]
 pub fn fx_hash_one<T: Hash + ?Sized>(v: &T) -> u64 {
     let mut h = FxHasher::default();

@@ -254,9 +254,8 @@ mod tests {
     #[test]
     fn value_hashes_are_the_ones_recorded_before_bytewise_hashing() {
         // Recorded at the parent commit, when `SmallStr::hash` still went
-        // through `as_str().hash()`. Bag and index shard layout and
-        // therefore iteration order all hang off these values: a change
-        // here re-lays stored data.
+        // through `as_str().hash()`. Bag and index iteration order hangs
+        // off these values: a change here re-lays stored data.
         use crate::tuple::Tuple;
         use crate::value::Value;
         let golden: [(Value, u64); 21] = [
