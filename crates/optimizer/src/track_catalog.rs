@@ -190,7 +190,8 @@ impl<'a> TrackCatalog<'a> {
             per_txn.cached_tracks.fetch_add(n, Ordering::Relaxed);
             map.insert(seeds, Arc::clone(&prepared));
         }
-        self.truncated.fetch_add(prepared.truncated, Ordering::Relaxed);
+        self.truncated
+            .fetch_add(prepared.truncated, Ordering::Relaxed);
         prepared
     }
 
