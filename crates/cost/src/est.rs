@@ -60,9 +60,8 @@ pub struct CostCtx<'a> {
     query_cache: HashMap<(GroupId, Vec<usize>, u64), crate::model::Cost>,
     /// Canonical groups reachable from each canonical group through any op
     /// alternative, memoized: the marking slice a query on that group can
-    /// possibly consult (used to narrow shared-cache keys).
+    /// possibly consult (used to narrow the query-cost keys).
     reach_cache: HashMap<GroupId, std::sync::Arc<std::collections::BTreeSet<GroupId>>>,
-    shared_queries: Option<crate::shared::SharedQueryCache>,
 }
 
 impl<'a> CostCtx<'a> {
@@ -79,22 +78,7 @@ impl<'a> CostCtx<'a> {
             delta_cache: Vec::new(),
             query_cache: HashMap::new(),
             reach_cache: HashMap::new(),
-            shared_queries: None,
         }
-    }
-
-    /// Build a context whose query-cost lookups also consult (and feed) a
-    /// cache shared across threads. Per-worker caches stay: the local map
-    /// answers repeats without touching the shared shards' locks.
-    pub fn with_shared_cache(
-        memo: &'a Memo,
-        catalog: &'a Catalog,
-        model: &'a dyn CostModel,
-        shared: crate::shared::SharedQueryCache,
-    ) -> Self {
-        let mut ctx = Self::new(memo, catalog, model);
-        ctx.shared_queries = Some(shared);
-        ctx
     }
 
     /// The per-(node, binding, marking) query-cost memo table.
@@ -102,11 +86,6 @@ impl<'a> CostCtx<'a> {
         &mut self,
     ) -> &mut HashMap<(GroupId, Vec<usize>, u64), crate::model::Cost> {
         &mut self.query_cache
-    }
-
-    /// The cross-thread query-cost cache, if one was attached.
-    pub(crate) fn shared_queries(&self) -> Option<&crate::shared::SharedQueryCache> {
-        self.shared_queries.as_ref()
     }
 
     /// Every canonical group reachable from `g` (inclusive) through the

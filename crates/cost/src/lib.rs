@@ -16,17 +16,13 @@
 //!   node *in the presence of materialized views* (the Chaudhuri et al.
 //!   adaptation of §3.4), including the batch (multi-query-optimized)
 //!   variant used to cost an update track's query set.
-//! * [`shared`] — a sharded query-cost cache shared across the parallel
-//!   optimizer's worker threads.
 
 pub mod est;
 pub mod model;
 pub mod query;
-pub mod shared;
 pub mod txn;
 
 pub use est::{CostCtx, DeltaEst};
 pub use model::{Cost, CostModel, PageIoCostModel};
 pub use query::{BatchQuery, Marking};
-pub use shared::SharedQueryCache;
 pub use txn::{TableUpdate, TransactionType, UpdateKind};

@@ -37,9 +37,9 @@ pub type Marking = BTreeSet<GroupId>;
 /// costing recursion below only tests membership of groups it visits, and
 /// it visits exactly the groups reachable from `g` — so the cost is a pure
 /// function of `(g, cols)` and this slice, and two *different* view sets
-/// that agree on it may share one cache entry. That is what lets the
-/// cross-worker [`crate::shared::SharedQueryCache`] produce hits during
-/// `search_view_sets`, where every worker prices a different marking.
+/// that agree on it may share one cache entry. That is what lets one
+/// worker's cache answer for the next view set it prices during
+/// `search_view_sets`, where consecutive sets differ in a few marks.
 fn narrowed_marking_hash(ctx: &mut CostCtx<'_>, g: GroupId, marked: &Marking) -> u64 {
     let reach = ctx.reachable(g);
     let mut h = DefaultHasher::new();
@@ -65,23 +65,15 @@ pub struct BatchQuery<'q> {
 
 impl<'a> CostCtx<'a> {
     /// Cost of answering "tuples of `g` whose `cols` match a given
-    /// binding" once, under the marked view set. Consults the local memo
-    /// table first, then the cross-thread shared cache (if attached), and
-    /// publishes fresh results to both.
+    /// binding" once, under the marked view set, memoized by
+    /// `(g, cols, narrowed marking)`.
     pub fn query_cost(&mut self, g: GroupId, cols: &[usize], marked: &Marking) -> Cost {
         let g = self.memo.find(g);
         let key = (g, cols.to_vec(), narrowed_marking_hash(self, g, marked));
         if let Some(&c) = self.query_cache().get(&key) {
             return c;
         }
-        if let Some(c) = self.shared_queries().and_then(|s| s.get(&key)) {
-            self.query_cache().insert(key, c);
-            return c;
-        }
         let c = self.query_cost_guarded(key.0, cols, marked, &mut vec![]);
-        if let Some(shared) = self.shared_queries() {
-            shared.insert(key.clone(), c);
-        }
         self.query_cache().insert(key, c);
         c
     }
@@ -417,42 +409,38 @@ mod tests {
         assert!(marked_cost < cost);
     }
 
-    /// The shared-cache key hashes only `marked ∩ reachable(g)`: two
-    /// contexts pricing the same query under *different* view sets that
-    /// agree below the queried node share one entry — and the shared
-    /// answer equals the recomputed one.
+    /// The query-cost key hashes only `marked ∩ reachable(g)`: pricing the
+    /// same query under a *different* view set that agrees below the
+    /// queried node reuses the entry — and the reused answer equals the
+    /// recomputed one.
     #[test]
-    fn narrowed_keys_share_across_contexts_and_markings() {
+    fn narrowed_keys_share_across_markings() {
         let s = setup();
         let model = PageIoCostModel::default();
-        let shared = crate::shared::SharedQueryCache::new();
         let n3 = n3(&s.memo);
         let n4 = n4(&s.memo);
 
-        let mut a = CostCtx::with_shared_cache(&s.memo, &s.cat, &model, shared.clone());
+        let mut ctx = CostCtx::new(&s.memo, &s.cat, &model);
         // Precondition for the test's logic: N4 (the Emp ⋈ Dept join) is
         // not reachable from N3 (the aggregate over Emp), so marking it
         // cannot affect a query on N3.
-        assert!(!a.reachable(n3).contains(&s.memo.find(n4)));
+        assert!(!ctx.reachable(n3).contains(&s.memo.find(n4)));
 
         let m3: Marking = [s.memo.find(n3)].into_iter().collect();
         let m34: Marking = [s.memo.find(n3), s.memo.find(n4)].into_iter().collect();
 
-        let priced = a.query_cost(n3, &[0], &m3);
+        let priced = ctx.query_cost(n3, &[0], &m3);
         assert_eq!(priced, Cost(2.0), "T1 pin: marked N3 is a lookup");
-        let (h0, m0) = shared.stats();
-        assert_eq!((h0, m0), (0, 1), "first pricing misses, then publishes");
+        let entries = ctx.query_cache().len();
 
-        // A *fresh* context under a *different* marking that agrees on
-        // reachable(N3): must hit the shared entry, not recompute.
-        let mut b = CostCtx::with_shared_cache(&s.memo, &s.cat, &model, shared.clone());
-        assert_eq!(b.query_cost(n3, &[0], &m34), priced);
-        let (h1, _) = shared.stats();
-        assert_eq!(h1, 1, "narrowed key collided across markings");
+        // A *different* marking that agrees on reachable(N3): answered by
+        // the entry already there, not by a new one.
+        assert_eq!(ctx.query_cost(n3, &[0], &m34), priced);
+        assert_eq!(ctx.query_cache().len(), entries, "narrowed key collided");
 
         // And a marking that differs *inside* the slice must not collide.
-        let mut c = CostCtx::with_shared_cache(&s.memo, &s.cat, &model, shared);
-        assert_eq!(c.query_cost(n3, &[0], &Marking::new()), Cost(11.0));
+        assert_eq!(ctx.query_cost(n3, &[0], &Marking::new()), Cost(11.0));
+        assert_eq!(ctx.query_cache().len(), entries + 1);
     }
 
     #[test]

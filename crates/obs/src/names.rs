@@ -7,13 +7,6 @@
 //! binary" check (the constants are dead-code-eliminated when the
 //! `metrics` feature is off because every consumer is an inlined no-op).
 
-/// Optimizer `SharedQueryCache` probes.
-pub const QUERY_CACHE_LOOKUPS: &str = "spacetime_query_cache_lookups_total";
-/// `SharedQueryCache` probes answered from the cache.
-pub const QUERY_CACHE_HITS: &str = "spacetime_query_cache_hits_total";
-/// `SharedQueryCache` probes that missed.
-pub const QUERY_CACHE_MISSES: &str = "spacetime_query_cache_misses_total";
-
 /// Base-table updates applied through `Database::apply_delta`.
 pub const UPDATES_APPLIED: &str = "spacetime_updates_applied_total";
 /// Queries posed against materialized state during propagation (§2.2).

@@ -111,13 +111,14 @@ pub fn maintenance_costs(
     view_set: &ViewSet,
 ) -> Vec<Cost> {
     let memo = ctx.memo;
-    (0..tcat.txns().len())
-        .map(|ti| {
+    tcat.txns()
+        .iter()
+        .map(|txn| {
             let mut cost = Cost::ZERO;
             for &g in view_set {
                 let g = memo.find(g);
                 if !tcat.is_root(g) {
-                    cost += tcat.apply_cost(ti, g, ctx);
+                    cost += ctx.update_apply_cost(g, txn);
                 }
             }
             cost

@@ -55,11 +55,12 @@ pub struct OptimizeOutcome {
     /// run. Non-zero means some track spaces were not fully explored and
     /// the reported costs are upper bounds.
     pub tracks_truncated: usize,
-    /// Probes of the cross-worker [`spacetime_cost::SharedQueryCache`]
-    /// answered from the cache.
+    /// Always 0: the cross-worker query-cost cache it counted is gone.
+    /// Kept while the benchmark harness still reads it.
+    #[doc(hidden)]
     pub query_cache_hits: u64,
-    /// Probes of the shared query-cost cache that missed and had to be
-    /// priced. Lookups are `query_cache_hits + query_cache_misses`.
+    /// Always 0, like `query_cache_hits`.
+    #[doc(hidden)]
     pub query_cache_misses: u64,
     /// Whether the search covered its whole space: every set was priced
     /// or provably could not enter the top-K. False when the walk stopped
@@ -80,8 +81,6 @@ impl OptimizeOutcome {
         self.sets_considered = self.sets_considered.saturating_add(other.sets_considered);
         self.sets_pruned = self.sets_pruned.saturating_add(other.sets_pruned);
         self.tracks_truncated += other.tracks_truncated;
-        self.query_cache_hits += other.query_cache_hits;
-        self.query_cache_misses += other.query_cache_misses;
         self.exact &= other.exact;
     }
 

@@ -1,4 +1,4 @@
-//! The parallel, cache-sharing, branch-and-bound view-set search engine.
+//! The parallel, branch-and-bound view-set search engine.
 //!
 //! Every optimizer entry point (exhaustive over one root or several,
 //! shielding regions, greedy rounds) reduces to the same job: walk one or more
@@ -24,14 +24,14 @@
 //!   are hoisted out of the per-set loop into a [`TrackCatalog`] keyed by
 //!   `(transaction, seed list)`, shared by every worker.
 //! * **Parallel workers** — `std::thread::scope` workers claim sets from
-//!   the frontier; each holds its own `CostCtx` whose query-cost lookups
-//!   go through one [`SharedQueryCache`], so pricing work done by any
-//!   worker benefits all. A claim pops and expands under the frontier's
-//!   lock, so the frontier never runs dry while a set is being expanded
-//!   and claims come out in one fixed order. A parallel run's threshold
-//!   lags, so it may claim a few sets a serial run would not; each has a
-//!   floor above the final threshold, so none changes the top-K, `exact`
-//!   or which sets fit in the budget.
+//!   the frontier; each holds its own `CostCtx`, whose query-cost cache
+//!   is keyed by the marking slice below the queried node, so it answers
+//!   for every later set that agrees there. A claim pops and expands
+//!   under the frontier's lock, so the frontier never runs dry while a
+//!   set is being expanded and claims come out in one fixed order. A
+//!   parallel run's threshold lags, so it may claim a few sets a serial
+//!   run would not; each has a floor above the final threshold, so none
+//!   changes the top-K, `exact` or which sets fit in the budget.
 //! * **Branch-and-bound** — an atomic incumbent holds the current K-th
 //!   best weighted cost; a set's evaluation is abandoned as soon as a
 //!   lower bound on its weighted cost exceeds it: first its maintenance
@@ -48,7 +48,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use spacetime_cost::{CostCtx, CostModel, SharedQueryCache, TransactionType};
+use spacetime_cost::{CostCtx, CostModel, TransactionType};
 use spacetime_memo::{GroupId, Memo};
 use spacetime_obs::{self as obs, names as metric};
 use spacetime_storage::Catalog;
@@ -174,7 +174,6 @@ pub(crate) fn search_spaces(
     config: &EvalConfig,
 ) -> OptimizeOutcome {
     let tcat = TrackCatalog::new(memo, catalog, roots, txns, config.max_tracks);
-    let shared = SharedQueryCache::new();
     let floor_bits = |ctx: &mut CostCtx<'_>, set: &ViewSet| {
         maintenance_floor(txns, &maintenance_costs(ctx, &tcat, set)).to_bits()
     };
@@ -229,7 +228,7 @@ pub(crate) fn search_spaces(
     .min(sets_considered.max(1));
 
     let run_worker = || {
-        let mut ctx = CostCtx::with_shared_cache(memo, catalog, model, shared.clone());
+        let mut ctx = CostCtx::new(memo, catalog, model);
         while let Some(set) = claim(&mut ctx) {
             if let Some(eval) = evaluate_with_catalog(&mut ctx, &tcat, &set, bound()) {
                 priced.fetch_add(1, Ordering::Relaxed);
@@ -258,15 +257,14 @@ pub(crate) fn search_spaces(
         .is_none_or(|Reverse(e)| ruled_out(e.0, threshold));
     let evaluated = top.into_sorted();
     let best = evaluated.first().cloned().expect("at least one view set");
-    let (query_cache_hits, query_cache_misses) = shared.stats();
     let outcome = OptimizeOutcome {
         best,
         evaluated,
         sets_considered,
         sets_pruned: sets_considered.saturating_sub(priced.into_inner()),
         tracks_truncated: tcat.tracks_truncated(),
-        query_cache_hits,
-        query_cache_misses,
+        query_cache_hits: 0,
+        query_cache_misses: 0,
         exact,
     };
     obs::counter_add(metric::OPT_SETS_CONSIDERED, outcome.sets_considered as u64);

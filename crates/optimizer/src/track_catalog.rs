@@ -11,15 +11,12 @@
 //! — a space that is usually far smaller than the set space — and can be
 //! computed once and shared by every view set (and every worker thread)
 //! that lands on the same key.
-//!
-//! The catalog also memoizes per-`(transaction, group)` update-application
-//! costs, which never depend on the marking at all.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-use spacetime_cost::{Cost, CostCtx, TransactionType};
+use spacetime_cost::{CostCtx, TransactionType};
 use spacetime_memo::{affected_groups, GroupId, Memo};
 use spacetime_storage::Catalog;
 
@@ -56,8 +53,6 @@ struct TxnCache {
     tracks_by_seeds: RwLock<HashMap<Vec<GroupId>, Arc<PreparedTracks>>>,
     /// Tracks `tracks_by_seeds` holds (changed under its write lock).
     cached_tracks: AtomicUsize,
-    /// Marking-independent update-application cost per materialized group.
-    apply_cost: RwLock<HashMap<GroupId, Cost>>,
 }
 
 /// Shared, thread-safe catalog of prepared tracks for one optimization run
@@ -104,7 +99,6 @@ impl<'a> TrackCatalog<'a> {
                     affected: Arc::new(affected),
                     tracks_by_seeds: RwLock::new(HashMap::new()),
                     cached_tracks: AtomicUsize::new(0),
-                    apply_cost: RwLock::new(HashMap::new()),
                 }
             })
             .collect();
@@ -195,22 +189,6 @@ impl<'a> TrackCatalog<'a> {
         prepared
     }
 
-    /// The (marking-independent) cost of applying one transaction's deltas
-    /// to a materialized group, memoized across view sets and threads.
-    pub fn apply_cost(&self, txn_idx: usize, g: GroupId, ctx: &mut CostCtx<'_>) -> Cost {
-        let cache = &self.per_txn[txn_idx].apply_cost;
-        if let Ok(map) = cache.read() {
-            if let Some(&c) = map.get(&g) {
-                return c;
-            }
-        }
-        let c = ctx.update_apply_cost(g, &self.txns[txn_idx]);
-        if let Ok(mut map) = cache.write() {
-            map.insert(g, c);
-        }
-        c
-    }
-
     /// Cached enumerations, over every transaction.
     #[cfg(test)]
     pub(crate) fn enumerations(&self) -> usize {
@@ -273,20 +251,5 @@ mod tests {
         let a = tcat.prepared(0, &base, &mut ctx);
         let b = tcat.prepared(0, &base.clone(), &mut ctx);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn apply_cost_is_memoized_and_correct() {
-        let s = paper_setup();
-        let model = PageIoCostModel::default();
-        let mut ctx = CostCtx::new(&s.memo, &s.cat, &model);
-        let tcat = TrackCatalog::new(&s.memo, &s.cat, &[s.root], &s.txns, 4096);
-        let n3 = s.memo.find(s.n3);
-        let direct = {
-            let mut fresh = CostCtx::new(&s.memo, &s.cat, &model);
-            fresh.update_apply_cost(n3, &s.txns[0])
-        };
-        assert_eq!(tcat.apply_cost(0, n3, &mut ctx), direct);
-        assert_eq!(tcat.apply_cost(0, n3, &mut ctx), direct);
     }
 }
