@@ -25,9 +25,6 @@
 //! `crash_kill`) and the metrics plane's books (`endpoint`,
 //! `metrics_books`). `ci/mutants.py` checks that these oracles still kill
 //! the mutants listed in `ci/mutants.txt`.
-//!
-//! Criterion benches (print only, gate nothing): `bench_optimizer`,
-//! `bench_maintenance`, `bench_memo`.
 
 pub mod scenarios;
 pub mod tables;
