@@ -53,6 +53,9 @@ enum Shape {
     Chain3,
     SelectJoin,
     AggJoin,
+    /// `SUM(B.v)` grouped by `A.k`: the aggregate may only be pushed into
+    /// the right input when the join columns of the left one hold a key.
+    AggJoinRight,
     SelectAggJoin,
 }
 
@@ -73,6 +76,12 @@ fn build(cat: &Catalog, shape: Shape) -> ExprTree {
             ab,
             vec![0],
             vec![AggExpr::new(AggFunc::Sum, ScalarExpr::col(1), "s")],
+        )
+        .unwrap(),
+        Shape::AggJoinRight => ExprNode::aggregate(
+            ab,
+            vec![0],
+            vec![AggExpr::new(AggFunc::Sum, ScalarExpr::col(3), "s")],
         )
         .unwrap(),
         Shape::SelectAggJoin => {
@@ -103,13 +112,14 @@ proptest! {
         rows_a in rows_strategy(),
         rows_b in rows_strategy(),
         rows_c in rows_strategy(),
+        keyed_a in any::<bool>(),
         keyed_b in any::<bool>(),
         shape in prop_oneof![
             Just(Shape::Chain2), Just(Shape::Chain3), Just(Shape::SelectJoin),
-            Just(Shape::AggJoin), Just(Shape::SelectAggJoin)
+            Just(Shape::AggJoin), Just(Shape::AggJoinRight), Just(Shape::SelectAggJoin)
         ],
     ) {
-        let cat = catalog_with_data(&[rows_a, rows_b, rows_c], [false, keyed_b, false]);
+        let cat = catalog_with_data(&[rows_a, rows_b, rows_c], [keyed_a, keyed_b, false]);
         let tree = build(&cat, shape);
         let reference = eval_uncharged(&tree, &cat).unwrap();
         let mut memo = Memo::new();
@@ -128,7 +138,7 @@ proptest! {
     fn memo_structural_invariants(
         shape in prop_oneof![
             Just(Shape::Chain2), Just(Shape::Chain3), Just(Shape::SelectJoin),
-            Just(Shape::AggJoin), Just(Shape::SelectAggJoin)
+            Just(Shape::AggJoin), Just(Shape::AggJoinRight), Just(Shape::SelectAggJoin)
         ],
         keyed_b in any::<bool>(),
     ) {
