@@ -55,8 +55,7 @@ pub struct OptimizeOutcome {
     /// run. Non-zero means some track spaces were not fully explored and
     /// the reported costs are upper bounds.
     pub tracks_truncated: usize,
-    /// Always 0: the cross-worker query-cost cache it counted is gone.
-    /// Kept while the benchmark harness still reads it.
+    /// Always 0. Kept only because the benchmark harness reads it.
     #[doc(hidden)]
     pub query_cache_hits: u64,
     /// Always 0, like `query_cache_hits`.

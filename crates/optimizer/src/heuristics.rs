@@ -111,7 +111,7 @@ pub fn rule_of_thumb_optimize(
 /// largest weighted-cost reduction; stop when no addition improves.
 /// Evaluates O(n²) sets instead of 2ⁿ. Each round's
 /// trial sets are priced in one [`search_view_sets`] engine run (parallel
-/// workers, one shared track catalog); the round winner under the engine's total
+/// workers, shared caches); the round winner under the engine's total
 /// order — weighted cost, then size, then the set — matches the serial
 /// first-strict-minimum rule, since all trials in a round have equal size
 /// and candidate order is ascending.

@@ -1,10 +1,10 @@
 //! Determinism of the parallel view-set search engine.
 //!
 //! Theorem 3.1's exhaustive search is only trustworthy if its parallel,
-//! branch-and-bound implementation returns *exactly* the
-//! serial answer: same best set, bit-identical weighted cost, and the
-//! same retained top-K, regardless of worker count, thread scheduling,
-//! or how many evaluations pruning abandoned.
+//! branch-and-bound implementation returns *exactly* the serial answer:
+//! same best set, bit-identical weighted cost, and the same retained
+//! top-K, regardless of worker count, thread scheduling, or how many
+//! evaluations pruning abandoned.
 
 use spacetime::algebra::{AggExpr, AggFunc, CmpOp, ExprNode, ScalarExpr};
 use spacetime::cost::PageIoCostModel;
